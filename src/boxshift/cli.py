@@ -167,8 +167,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     _add_solver_knobs(sweep)
     sweep.add_argument("--h-grid", type=_geometric, metavar="START,STOP,COUNT",
                        help="geometric grid in h")
-    sweep.add_argument("--jobs", type=int, default=1,
-                       help="concurrent rows (output order stays fixed)")
     sweep.add_argument("--out", metavar="PATH", help="write CSV here instead of stdout")
     sweep.add_argument("--json", metavar="PATH", help="also write rows as JSON")
     sweep.set_defaults(handler=cmd_sweep)
@@ -185,7 +183,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     hyd.add_argument("--newton-tol", type=float, default=1e-10)
     hyd.add_argument("--jacobian", choices=("refreshed", "frozen"),
                      default="refreshed")
-    hyd.add_argument("--jobs", type=int, default=1)
     hyd.add_argument("--out", metavar="PATH")
     hyd.add_argument("--json", metavar="PATH")
     hyd.add_argument("--config", help="JSON file of option defaults")
@@ -300,7 +297,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not report.passed:
         raise InvalidPotential(report.summary())
     result = run_sweep(
-        p, domain, args.m, args.nu, args.h_grid, jobs=max(args.jobs, 1),
+        p, domain, args.m, args.nu, args.h_grid,
         integrate_tol=args.tol, quadrature_tol=args.quad_tol,
         newton_tol=args.newton_tol, max_iter=args.newton_max_iter,
         jacobian=args.jacobian)
@@ -314,8 +311,7 @@ def cmd_hydrogen(args: argparse.Namespace) -> int:
     HydrogenSpec(n=args.n, ell=args.ell, z=args.z, h=args.h,
                  r_box=args.r_grid[0])
     result = run_hydrogen_sweep(
-        args.n, args.ell, args.z, args.h, args.r_grid,
-        jobs=max(args.jobs, 1), integrate_tol=args.tol,
+        args.n, args.ell, args.z, args.h, args.r_grid, integrate_tol=args.tol,
         newton_tol=args.newton_tol, jacobian=args.jacobian)
     return _emit_sweep(result, args, hydrogen=True, grid_key="R")
 
@@ -326,15 +322,19 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     mode = _mode_from_args(args, kind)
     fd_pairs = fd_oracle(p, domain, mode, grid_n=args.grid_n,
                          count=mode.level + 1)
-    print(f"{'level':>5}  {'shooting':>24}  {'fd-extrapolated':>24}  {'rel diff':>10}")
+    # Every row is computed before anything is printed, so a failure leaves
+    # no half-printed table on stdout.
+    rows = []
     worst = 0.0
     for level in range(mode.level + 1):
         sub_mode = ModeSpec(level=level, h=mode.h, nu=mode.nu)
         shot = confined_eigenvalue(p, domain, sub_mode, rtol=args.tol)
         fd_value = fd_pairs[level].value
         rel = abs(shot.value - fd_value) / max(abs(shot.value), 1e-300)
+        rows.append(f"{level:>5}  {shot.value!r:>24}  {fd_value!r:>24}  {rel:>10.3e}")
         worst = max(worst, rel)
-        print(f"{level:>5}  {shot.value!r:>24}  {fd_value!r:>24}  {rel:>10.3e}")
+    print(f"{'level':>5}  {'shooting':>24}  {'fd-extrapolated':>24}  {'rel diff':>10}")
+    print("\n".join(rows))
     print(f"worst relative difference: {worst:.3e}", file=sys.stderr)
     return EXIT_OK
 

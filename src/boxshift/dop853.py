@@ -1,0 +1,296 @@
+"""Dormand-Prince 8(5,3) on Python floats for the shooting equations.
+
+This is scipy's ``DOP853`` (Hairer, Norsett & Wanner, *Solving ODEs I*,
+section II.5) run unchanged -- its tableau, its E5/E3 error norm, its
+0.9 / 0.2 / 10 step controller, its initial-step selection and its
+7th-order dense output -- specialised to the one system family shooting
+integrates:
+
+    u' = v,  v' = q(x) u                      (2 components)
+    u' = v,  v' = q(x) u,  w' = z,  z' = q(x) w + dq u    (4 components)
+
+where ``dq`` is the constant lambda-derivative of ``q`` (``-1/h^2``), so
+``(w, z)`` carries du/dlambda alongside ``(u, v)``.
+
+On 2- and 4-component states scipy's per-step cost is numpy call overhead,
+not arithmetic.  Here the state stays a tuple of floats and, at import,
+each kernel's 12 stages, solution update and error sums are generated as
+straight-line code with the tableau inlined as float literals: no loops,
+no indexing, no arrays.  Generic per-component loops over the same
+tableau recover only a fraction of that overhead.
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+from typing import Callable, Sequence
+
+from scipy.integrate._ivp import dop853_coefficients as _tableau
+
+SAFETY = 0.9       # multiplies the asymptotically optimal step change
+MIN_FACTOR = 0.2   # largest decrease of the step after a rejection
+MAX_FACTOR = 10.0  # largest increase of the step after an acceptance
+_ERROR_EXPONENT = -1.0 / 8.0  # error estimator of order 7
+_RTOL_FLOOR = 100.0 * sys.float_info.epsilon
+TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+
+_A, _B, _C = _tableau.A, _tableau.B, _tableau.C
+_E3, _E5, _D = _tableau.E3, _tableau.E5, _tableau.D
+_N_STAGES = _tableau.N_STAGES                  # 12 stages per attempt
+_N_EXTENDED = _tableau.N_STAGES_EXTENDED       # 3 more for dense output
+
+
+# --------------------------------------------------------------------------
+# Kernel generation
+# --------------------------------------------------------------------------
+
+
+def _pair_derivative(s: Sequence[str]) -> list[str]:
+    return [s[1], f"qq * {s[0]}"]
+
+
+def _sensitivity_derivative(s: Sequence[str]) -> list[str]:
+    return [s[1], f"qq * {s[0]}", s[3], f"qq * {s[2]} + dq * {s[0]}"]
+
+
+def _combination(coefficients, terms: Sequence[str]) -> str:
+    """``c0 * t0 + c1 * t1 + ...`` over the nonzero coefficients."""
+    return " + ".join(f"{float(c)!r} * {term}"
+                      for c, term in zip(coefficients, terms) if c != 0.0)
+
+
+def _stage_lines(n: int, derivative, s: int) -> list[str]:
+    """Stage ``s``: its state from stages 0..s-1, then q once, then k_s."""
+    k = [[f"k{j}_{i}" for j in range(s)] for i in range(n)]
+    lines = [f"    s{i} = y{i} + ({_combination(_A[s, :s], k[i])}) * h"
+             for i in range(n)]
+    lines.append(f"    qq = q(t + {float(_C[s])!r} * h)")
+    lines += [f"    k{s}_{i} = {d}" for i, d in
+              enumerate(derivative([f"s{i}" for i in range(n)]))]
+    return lines
+
+
+def _kernel_source(n: int, derivative) -> str:
+    ys = [f"y{i}" for i in range(n)]
+    news = [f"n{i}" for i in range(n)]
+    stages = [f"k{j}_{i}" for j in range(_N_STAGES + 1) for i in range(n)]
+    last = [f"k{_N_STAGES}_{i}" for i in range(n)]
+
+    rhs = ["def rhs(q, dq, t, y):",
+           f"    {', '.join(ys)}, = y",
+           "    qq = q(t)",
+           f"    return ({', '.join(derivative(ys))},)", ""]
+
+    attempt = ["def attempt(q, dq, t, h, y, f, rtol, atol):",
+               f"    {', '.join(ys)}, = y",
+               f"    {', '.join(f'k0_{i}' for i in range(n))}, = f"]
+    for s in range(1, _N_STAGES):
+        attempt += _stage_lines(n, derivative, s)
+    for i in range(n):
+        ks = [f"k{j}_{i}" for j in range(_N_STAGES)]
+        attempt.append(f"    n{i} = y{i} + h * ({_combination(_B, ks)})")
+    attempt.append("    qq = q(t + h)")
+    attempt += [f"    {name} = {d}" for name, d in zip(last, derivative(news))]
+    for i in range(n):
+        ks = [f"k{j}_{i}" for j in range(_N_STAGES + 1)]
+        attempt += [f"    sc = atol + max(abs(y{i}), abs(n{i})) * rtol",
+                    f"    e{i} = ({_combination(_E5, ks)}) / sc",
+                    f"    g{i} = ({_combination(_E3, ks)}) / sc"]
+    attempt += [f"    e5 = {' + '.join(f'e{i} * e{i}' for i in range(n))}",
+                f"    e3 = {' + '.join(f'g{i} * g{i}' for i in range(n))}",
+                "    if e5 == 0.0 and e3 == 0.0:",
+                "        err = 0.0",
+                "    else:",
+                f"        err = abs(h) * e5 / sqrt((e5 + 0.01 * e3) * {n})",
+                f"    return ({', '.join(news)},), ({', '.join(last)},), err, "
+                f"({', '.join(stages)},)", ""]
+
+    # Dense output of the first component: three more stages from the
+    # accepted step's, then the seven interpolation coefficients.
+    dense = ["def interpolant(q, dq, t, h, y, y_new, f_new, k):",
+             f"    {', '.join(ys)}, = y",
+             f"    {', '.join(stages)}, = k"]
+    for s in range(_N_STAGES + 1, _N_EXTENDED):
+        dense += _stage_lines(n, derivative, s)
+    k0 = [f"k{j}_0" for j in range(_N_EXTENDED)]
+    dense += ["    dy = y_new[0] - y0",
+              "    return (dy, h * k0_0 - dy, 2 * dy - h * (f_new[0] + k0_0), "
+              + ", ".join(f"h * ({_combination(row, k0)})" for row in _D) + ")",
+              ""]
+    return "\n".join(rhs + attempt + dense)
+
+
+class _Kernel:
+    """The generated ``rhs``, ``attempt`` and ``interpolant`` of one system."""
+
+    def __init__(self, n: int, derivative) -> None:
+        namespace: dict = {"sqrt": math.sqrt}
+        exec(compile(_kernel_source(n, derivative), f"<dop853 kernel n={n}>",
+                     "exec"), namespace)
+        self.rhs = namespace["rhs"]
+        self.attempt = namespace["attempt"]
+        self.interpolant = namespace["interpolant"]
+
+
+_KERNELS = {2: _Kernel(2, _pair_derivative), 4: _Kernel(4, _sensitivity_derivative)}
+
+
+# --------------------------------------------------------------------------
+# Solver
+# --------------------------------------------------------------------------
+
+
+class DenseOutput:
+    """7th-order interpolant of the first component over the last step."""
+
+    __slots__ = ("t_old", "h", "u_old", "coefficients")
+
+    def __init__(self, t_old: float, h: float, u_old: float,
+                 coefficients: tuple[float, ...]) -> None:
+        self.t_old = t_old
+        self.h = h
+        self.u_old = u_old
+        self.coefficients = coefficients
+
+    def __call__(self, t: float) -> float:
+        x = (t - self.t_old) / self.h
+        f0, f1, f2, f3, f4, f5, f6 = self.coefficients
+        y = f6 * x
+        y = (y + f5) * (1 - x)
+        y = (y + f4) * x
+        y = (y + f3) * (1 - x)
+        y = (y + f2) * x
+        y = (y + f1) * (1 - x)
+        y = (y + f0) * x
+        return y + self.u_old
+
+
+class DOP853:
+    """One integration from ``t0`` towards ``t_bound``, a step per ``step()``.
+
+    ``fun`` is the coefficient ``q(x)``; the state ``y0`` has 2 or 4
+    components (see the module docstring), and ``dq`` is used by the
+    4-component system only.  ``status`` is "running", "finished" or
+    "failed"; ``t`` and ``y`` (a tuple) hold the last accepted point and
+    ``nfev`` counts evaluations of ``q``.
+    """
+
+    def __init__(self, fun: Callable[[float], float], t0: float,
+                 y0: Sequence[float], t_bound: float, rtol: float, atol: float,
+                 max_step: float = math.inf, dq: float = 0.0) -> None:
+        kernel = _KERNELS.get(len(y0))
+        if kernel is None:
+            raise ValueError(f"DOP853 integrates 2 or 4 components, got {len(y0)}")
+        if not max_step > 0.0:
+            raise ValueError(f"max_step must be positive, got {max_step!r}")
+        self._attempt = kernel.attempt
+        self._interpolant = kernel.interpolant
+        self.fun = fun
+        self.dq = dq
+        self.t = t0
+        self.t_old: float | None = None
+        self.t_bound = t_bound
+        self.y = tuple(float(c) for c in y0)
+        self.rtol = max(rtol, _RTOL_FLOOR)
+        self.atol = atol
+        self.max_step = max_step
+        self.direction = math.copysign(1.0, t_bound - t0) if t_bound != t0 else 1.0
+        self.status = "running"
+        self.f = kernel.rhs(fun, dq, t0, self.y)
+        self.nfev = 1
+        self.h_abs = self._initial_step(kernel.rhs)
+        self._h = 0.0         # the last accepted step, signed
+        self._y_old = self.y  # the state it started from
+        self._stages: tuple[float, ...] = ()
+
+    def _initial_step(self, rhs) -> float:
+        """Hairer-Norsett-Wanner II.4 starting step, as scipy selects it."""
+        interval = abs(self.t_bound - self.t)
+        if interval == 0.0:
+            return 0.0
+        y, f, rtol, atol = self.y, self.f, self.rtol, self.atol
+        scale = [atol + abs(c) * rtol for c in y]
+        root_n = len(y) ** 0.5
+        d0 = _norm(y, scale) / root_n
+        d1 = _norm(f, scale) / root_n
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        h0 = min(h0, interval)
+        step = h0 * self.direction
+        f1 = rhs(self.fun, self.dq, self.t + step,
+                 tuple(c + step * df for c, df in zip(y, f)))
+        self.nfev += 1
+        d2 = _norm([b - a for a, b in zip(f, f1)], scale) / root_n / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
+        return min(100 * h0, h1, interval, self.max_step)
+
+    def step(self) -> str | None:
+        """Take one accepted step; return a failure message or None."""
+        if self.status != "running":
+            raise RuntimeError("attempt to step on a failed or finished solver")
+        t = self.t
+        t_bound = self.t_bound
+        if t == t_bound:
+            self.t_old = t
+            self.status = "finished"
+            return None
+        direction = self.direction
+        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
+        if self.h_abs > self.max_step:
+            h_abs = self.max_step
+        elif self.h_abs < min_step:
+            h_abs = min_step
+        else:
+            h_abs = self.h_abs
+
+        q, dq, y, f = self.fun, self.dq, self.y, self.f
+        rtol, atol, attempt = self.rtol, self.atol, self._attempt
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                self.status = "failed"
+                return TOO_SMALL_STEP
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_bound) > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = abs(h)
+            y_new, f_new, err, stages = attempt(q, dq, t, h, y, f, rtol, atol)
+            self.nfev += _N_STAGES
+            if err < 1.0:
+                factor = MAX_FACTOR if err == 0.0 else \
+                    min(MAX_FACTOR, SAFETY * err ** _ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1.0, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * err ** _ERROR_EXPONENT)
+            rejected = True
+
+        self._h = h
+        self._y_old = y
+        self._stages = stages
+        self.t_old = t
+        self.t = t_new
+        self.y = y_new
+        self.f = f_new
+        self.h_abs = h_abs
+        if direction * (t_new - t_bound) >= 0:
+            self.status = "finished"
+        return None
+
+    def dense_output(self) -> Callable[[float], float]:
+        """Interpolant of the first component over the last accepted step."""
+        if self.t_old is None:
+            raise RuntimeError("dense output needs one successful step first")
+        coefficients = self._interpolant(self.fun, self.dq, self.t_old, self._h,
+                                         self._y_old, self.y, self.f, self._stages)
+        self.nfev += _N_EXTENDED - _N_STAGES - 1
+        return DenseOutput(self.t_old, self._h, self._y_old[0], coefficients)
+
+
+def _norm(values: Sequence[float], scale: Sequence[float]) -> float:
+    return math.sqrt(sum((v / s) ** 2 for v, s in zip(values, scale)))

@@ -31,7 +31,15 @@ class SeriesError(NumericsError):
 
 
 class SolverError(NumericsError):
-    """Shooting/Newton iteration failed (divergence, singular Jacobian, ...)."""
+    """Shooting/Newton iteration failed (divergence, singular Jacobian, ...).
+
+    ``steps`` counts the integrator steps the failed call had taken, so a
+    caller that recovers still reports the work done.
+    """
+
+    def __init__(self, message: str = "", steps: int = 0) -> None:
+        super().__init__(message)
+        self.steps = steps
 
 
 class GridError(NumericsError):

@@ -18,7 +18,6 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
@@ -230,7 +229,7 @@ def fit_empirical_order(rows: Sequence[SweepRow]) -> float | None:
     return float(slope)
 
 
-def _run_rows(grid: Sequence[float], worker, jobs: int) -> list[SweepRow]:
+def _run_rows(grid: Sequence[float], worker) -> list[SweepRow]:
     def guarded(value: float) -> SweepRow:
         try:
             return SweepRow(grid_value=value, report=worker(value), status="ok")
@@ -238,16 +237,11 @@ def _run_rows(grid: Sequence[float], worker, jobs: int) -> list[SweepRow]:
             return SweepRow(grid_value=value, report=None,
                             status=f"{type(exc).__name__}: {exc}")
 
-    if jobs <= 1:
-        return [guarded(v) for v in grid]
-    # Map preserves input order, so concurrent execution stays deterministic
-    # in its output.
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(guarded, grid))
+    return [guarded(v) for v in grid]
 
 
 def run_sweep(p: PotentialSpec, domain: Domain, level: int, nu: float | None,
-              h_grid: Sequence[float], *, jobs: int = 1,
+              h_grid: Sequence[float], *,
               integrate_tol: float = 1e-12, quadrature_tol: float = 1e-12,
               newton_tol: float = 1e-10, max_iter: int = 50,
               jacobian: str = "refreshed") -> SweepResult:
@@ -258,12 +252,12 @@ def run_sweep(p: PotentialSpec, domain: Domain, level: int, nu: float | None,
                               newton_tol=newton_tol, max_iter=max_iter,
                               jacobian=jacobian)
 
-    rows = _run_rows(h_grid, worker, jobs)
+    rows = _run_rows(h_grid, worker)
     return SweepResult(rows=tuple(rows), empirical_order=fit_empirical_order(rows))
 
 
 def run_hydrogen_sweep(n: int, ell: int, z: float, h: float,
-                       r_grid: Sequence[float], *, jobs: int = 1,
+                       r_grid: Sequence[float], *,
                        integrate_tol: float = 1e-12,
                        newton_tol: float = 1e-10,
                        jacobian: str = "refreshed") -> SweepResult:
@@ -272,7 +266,7 @@ def run_hydrogen_sweep(n: int, ell: int, z: float, h: float,
         return run_hydrogen_case(spec, integrate_tol=integrate_tol,
                                  newton_tol=newton_tol, jacobian=jacobian)
 
-    rows = _run_rows(r_grid, worker, jobs)
+    rows = _run_rows(r_grid, worker)
     # Hydrogen converges in the box radius, not h; the h-order fit does not
     # apply.
     return SweepResult(rows=tuple(rows), empirical_order=None)

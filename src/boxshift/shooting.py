@@ -16,13 +16,24 @@ problems solves the homogeneous equation with swapped initial data and is
 integrated separately: it grows like exp(+phi/h) while u decays, and
 co-scaling the two would erase u below the error-control floor.
 
+Every integration -- Newton iterates, node counts, bisection shots -- runs
+through ``_integrate``, which steps ``dop853.DOP853``: scipy's DOP853
+algorithm and tableau on tuples of Python floats.  Its 12 stages, update
+and error sums are generated at import as straight-line code for the two
+systems used here, (u, u') and (u, u', w, w'), because on 2- and
+4-component states a generic stepper spends its time on array and loop
+overhead rather than arithmetic.
+
 State magnitudes are kept inside [e^-12, e^+12]: after every accepted step
 the vector is rescaled to unit max-norm when it leaves that window, and the
 accumulated natural-log scale travels with the result as a ScaledValue.
 The window is much narrower than overflow requires; it is set by error
 control instead.  The integrator's absolute tolerance (1e-3 * rtol) is
 meaningful only while component magnitudes stay within a few orders of the
-renormalised unit scale, which the +/-12 window guarantees.
+renormalised unit scale, which the +/-12 window guarantees.  A solver's
+cached derivative, stages and error scale all belong to the unscaled
+state, so each renormalisation starts a fresh solver from the rescaled
+state, with its own initial-step selection, instead of patching them.
 """
 
 from __future__ import annotations
@@ -32,9 +43,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import DOP853
 from scipy.optimize import brentq
 
+from .dop853 import DOP853
 from .errors import SeriesError, SolverError
 from .potentials import LineBox, PotentialSpec
 from .scaled import ScaledValue
@@ -79,14 +90,16 @@ class ShootState:
 # --------------------------------------------------------------------------
 
 
-def _integrate(rhs: Callable, x0: float, y0: Sequence[float], x1: float,
-               rtol: float, *, max_step: float = math.inf,
-               track_zeros: bool = False) -> tuple[np.ndarray, float, list[float], int]:
-    """Integrate the linear system from x0 to x1 (either direction).
+def _integrate(q: Callable[[float], float], x0: float, y0: Sequence[float],
+               x1: float, rtol: float, *, dq: float = 0.0,
+               max_step: float = math.inf, track_zeros: bool = False
+               ) -> tuple[tuple[float, ...], float, list[float], int]:
+    """Integrate u'' = q u (with the lambda-sensitivity pair when y0 has 4
+    components; ``dq`` = dq/dlambda) from x0 to x1, either direction.
 
     Returns (final state, accumulated log scale, zeros of y[0], step count).
     """
-    y = np.array(y0, dtype=float)
+    y = tuple(float(c) for c in y0)
     log_scale = 0.0
     crossings: list[float] = []
     steps = 0
@@ -94,45 +107,47 @@ def _integrate(rhs: Callable, x0: float, y0: Sequence[float], x1: float,
         return y, log_scale, crossings, steps
 
     atol = 1e-3 * rtol
-    last_sign = float(np.sign(y[0]))
+    last_sign = _sign(y[0])
     pending_zero = False
     t = x0
     while True:
-        solver = DOP853(rhs, t, y, t_bound=x1, rtol=rtol, atol=atol,
-                        max_step=max_step)
-        restart = False
+        solver = DOP853(q, t, y, x1, rtol, atol, max_step, dq)
         while solver.status == "running":
             t_prev = solver.t
             msg = solver.step()
             if solver.status == "failed":
-                raise SolverError(f"integrator failed near x={solver.t:g}: {msg}")
+                raise SolverError(f"integrator failed near x={solver.t:g}: {msg}",
+                                  steps)
             steps += 1
+            y = solver.y
             if track_zeros:
-                u_now = solver.y[0]
-                s_now = float(np.sign(u_now))
+                u_now = y[0]
+                s_now = _sign(u_now)
                 if u_now == 0.0:
                     crossings.append(solver.t)
                     pending_zero = True
                 elif pending_zero:
                     last_sign = s_now
                     pending_zero = False
-                elif last_sign != 0.0 and s_now != last_sign:
-                    dense = solver.dense_output()
+                elif last_sign != 0 and s_now != last_sign:
                     crossings.append(brentq(
-                        lambda s: float(dense(s)[0]), t_prev, solver.t,
+                        solver.dense_output(), t_prev, solver.t,
                         xtol=1e-13 * (1.0 + abs(solver.t))))
                     last_sign = s_now
-                elif last_sign == 0.0 and s_now != 0.0:
+                elif last_sign == 0 and s_now != 0:
                     last_sign = s_now
-            mag = float(np.max(np.abs(solver.y)))
+            mag = max(map(abs, y))
             if mag != 0.0 and not (_RENORM_LO <= mag <= _RENORM_HI):
-                t, y = solver.t, solver.y / mag
+                t = solver.t
+                y = tuple(c / mag for c in y)
                 log_scale += math.log(mag)
-                restart = True
                 break
-        if restart:
-            continue
-        return solver.y.copy(), log_scale, crossings, steps
+        else:
+            return y, log_scale, crossings, steps
+
+
+def _sign(x: float) -> int:
+    return (x > 0.0) - (x < 0.0)
 
 
 def _q_factory(V: Callable[[float], float], lam: float, h: float,
@@ -146,20 +161,9 @@ def _q_factory(V: Callable[[float], float], lam: float, h: float,
     return lambda x: (V(x) - lam) / h2 + cent / (x * x)
 
 
-def _rhs_pair(q: Callable[[float], float]):
-    def rhs(x: float, y: np.ndarray):
-        qq = q(x)
-        return (y[1], qq * y[0])
-    return rhs
-
-
-def _rhs_with_sensitivity(q: Callable[[float], float], h: float):
-    inv_h2 = 1.0 / (h * h)
-
-    def rhs(x: float, y: np.ndarray):
-        qq = q(x)
-        return (y[1], qq * y[0], y[3], qq * y[2] - inv_h2 * y[0])
-    return rhs
+def _dq(h: float) -> float:
+    """d q / d lambda: the source term of the sensitivity pair."""
+    return -1.0 / (h * h)
 
 
 def integrate(p: PotentialSpec, lam: float, state: ShootState, to_x: float,
@@ -177,7 +181,7 @@ def integrate(p: PotentialSpec, lam: float, state: ShootState, to_x: float,
         return ShootState(to_x, ScaledValue.zero(), ScaledValue.zero())
     y0 = (state.u.float_at(ref), state.du.float_at(ref))
     q = _q_factory(p.evaluate, lam, h, nu)
-    y, ls, _, _ = _integrate(_rhs_pair(q), state.x, y0, to_x, tol)
+    y, ls, _, _ = _integrate(q, state.x, y0, to_x, tol)
     ls += ref
     return ShootState(to_x, ScaledValue.of(y[0], ls), ScaledValue.of(y[1], ls))
 
@@ -187,23 +191,19 @@ def integrate(p: PotentialSpec, lam: float, state: ShootState, to_x: float,
 # --------------------------------------------------------------------------
 
 
-def line_initial_state(mode: ModeSpec, beta: float, with_sensitivity: bool) -> np.ndarray:
+def line_initial_state(mode: ModeSpec, beta: float,
+                       with_sensitivity: bool) -> tuple[float, ...]:
     """(u, u') at the well bottom; even levels peak there, odd levels vanish.
 
     ``beta`` mixes in the opposite parity and is the second shooting unknown.
     """
-    if mode.level % 2 == 0:
-        base = [1.0, beta]
-    else:
-        base = [beta, 1.0]
-    if with_sensitivity:
-        return np.array(base + [0.0, 0.0])
-    return np.array(base)
+    base = (1.0, beta) if mode.level % 2 == 0 else (beta, 1.0)
+    return base + (0.0, 0.0) if with_sensitivity else base
 
 
-def beta_sensitivity_initial_state(mode: ModeSpec) -> np.ndarray:
+def beta_sensitivity_initial_state(mode: ModeSpec) -> tuple[float, float]:
     # d/d(beta) of the initial state: the swapped-parity homogeneous solution.
-    return np.array([0.0, 1.0] if mode.level % 2 == 0 else [1.0, 0.0])
+    return (0.0, 1.0) if mode.level % 2 == 0 else (1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -220,9 +220,8 @@ def shoot_line_side(p: PotentialSpec, mode: ModeSpec, lam: float, beta: float,
                     track_zeros: bool = False,
                     max_step: float = math.inf) -> ShotSide:
     q = _q_factory(p.evaluate, lam, mode.h, None)
-    rhs = _rhs_with_sensitivity(q, mode.h) if with_sensitivity else _rhs_pair(q)
     y0 = line_initial_state(mode, beta, with_sensitivity)
-    y, ls, zeros, steps = _integrate(rhs, 0.0, y0, x_end, rtol,
+    y, ls, zeros, steps = _integrate(q, 0.0, y0, x_end, rtol, dq=_dq(mode.h),
                                      track_zeros=track_zeros, max_step=max_step)
     return ShotSide(
         value=ScaledValue.of(y[0], ls),
@@ -236,8 +235,8 @@ def shoot_line_side(p: PotentialSpec, mode: ModeSpec, lam: float, beta: float,
 def shoot_beta_sensitivity(p: PotentialSpec, mode: ModeSpec, lam: float,
                            x_end: float, rtol: float) -> tuple[ScaledValue, int]:
     q = _q_factory(p.evaluate, lam, mode.h, None)
-    y, ls, _, steps = _integrate(_rhs_pair(q), 0.0,
-                                 beta_sensitivity_initial_state(mode), x_end, rtol)
+    y, ls, _, steps = _integrate(q, 0.0, beta_sensitivity_initial_state(mode),
+                                 x_end, rtol)
     return ScaledValue.of(y[0], ls), steps
 
 
@@ -361,7 +360,8 @@ def newton_solve_line(p: PotentialSpec, domain: LineBox, mode: ModeSpec,
         if cond > _CONDITION_LIMIT:
             raise SolverError(
                 f"shooting Jacobian is numerically singular (condition {cond:.3g}); "
-                "check that the domain brackets the well and the level index is sane")
+                "check that the domain brackets the well and the level index is sane",
+                total_steps)
         d = np.linalg.solve(mat, vec)
         d_lam, d_beta = float(d[0]), float(d[1])
 
@@ -387,12 +387,13 @@ def newton_solve_line(p: PotentialSpec, domain: LineBox, mode: ModeSpec,
 
     raise SolverError(
         f"Newton did not converge in {max_iter} iterations "
-        f"(level {mode.level}, h={h:g}, last lambda={lam!r})")
+        f"(level {mode.level}, h={h:g}, last lambda={lam!r})", total_steps)
 
 
 def count_nodes_line(p: PotentialSpec, domain: LineBox, mode: ModeSpec,
-                     lam: float, beta: float, rtol: float = 1e-12) -> int:
-    """Interior zeros of the shooting solution on (r-, r+).
+                     lam: float, beta: float, rtol: float = 1e-12
+                     ) -> tuple[int, int]:
+    """(interior zeros of the shooting solution on (r-, r+), steps taken).
 
     Shoots both directions from 0 with a step cap of half the shortest local
     oscillation wavelength, so no sign change can hide inside a step.  Zeros
@@ -401,16 +402,17 @@ def count_nodes_line(p: PotentialSpec, domain: LineBox, mode: ModeSpec,
     """
     cap = _counting_step_cap(p.evaluate, None, mode.h, lam,
                              domain.left, domain.right)
-    total = 0
+    total = steps = 0
     for x_end in (domain.left, domain.right):
         side = shoot_line_side(p, mode, lam, beta, x_end, rtol,
                                with_sensitivity=False, track_zeros=True,
                                max_step=cap)
         margin = _wall_margin(side.value, side.slope, domain.right - domain.left)
         total += sum(1 for z in side.crossings if abs(z - x_end) > margin)
+        steps += side.steps
     if line_initial_state(mode, beta, False)[0] == 0.0:
         total += 1  # exact zero at the origin (pure odd mode)
-    return total
+    return total, steps
 
 
 def _wall_margin(value: ScaledValue, slope: ScaledValue, width: float) -> float:
@@ -491,7 +493,8 @@ class OscillatorSeriesStart:
                 f"series matching point x0={self.x0:g} lies outside the harmonic "
                 f"core (<= {core:g}); choose a smaller x_start")
 
-    def __call__(self, lam: float, with_sensitivity: bool = True) -> tuple[float, np.ndarray]:
+    def __call__(self, lam: float, with_sensitivity: bool = True
+                 ) -> tuple[float, tuple[float, ...]]:
         nu, h, x0 = self.nu, self.h, self.x0
         w = self.tail
         h2 = h * h
@@ -529,10 +532,8 @@ class OscillatorSeriesStart:
                 f"x0={x0:g} (h={h:g}, nu={nu:g}); use a smaller x_start")
         amp = x0 ** (nu + 0.5)
         if with_sensitivity:
-            y = np.array([amp * su, amp / x0 * sdu, amp * sw, amp / x0 * sdw])
-        else:
-            y = np.array([amp * su, amp / x0 * sdu])
-        return x0, y
+            return x0, (amp * su, amp / x0 * sdu, amp * sw, amp / x0 * sdw)
+        return x0, (amp * su, amp / x0 * sdu)
 
 
 class CoulombSeriesStart:
@@ -545,7 +546,8 @@ class CoulombSeriesStart:
         self.h = h
         self.x0 = x0
 
-    def __call__(self, energy: float, with_sensitivity: bool = True) -> tuple[float, np.ndarray]:
+    def __call__(self, energy: float, with_sensitivity: bool = True
+                 ) -> tuple[float, tuple[float, ...]]:
         z, ell, h, x0 = self.z, self.ell, self.h, self.x0
         h2 = h * h
         d = [1.0, -z / (h2 * (2 * ell + 2))]
@@ -575,13 +577,11 @@ class CoulombSeriesStart:
                 f"x0={x0:g} (h={h:g}); use a smaller x_start")
         amp = x0 ** (ell + 1)
         if with_sensitivity:
-            y = np.array([amp * su, amp / x0 * sdu, amp * sw, amp / x0 * sdw])
-        else:
-            y = np.array([amp * su, amp / x0 * sdu])
-        return x0, y
+            return x0, (amp * su, amp / x0 * sdu, amp * sw, amp / x0 * sdw)
+        return x0, (amp * su, amp / x0 * sdu)
 
 
-SeriesStart = Callable[..., tuple[float, np.ndarray]]
+SeriesStart = Callable[..., tuple[float, tuple[float, ...]]]
 
 
 def frobenius_start(w: PotentialSpec, mode: ModeSpec, lam: float,
@@ -611,8 +611,7 @@ def shoot_radial(V: Callable[[float], float], nu: float, h: float, L: float,
     if x0 >= L:
         raise SolverError(f"series matching point x0={x0:g} is outside the box (L={L:g})")
     q = _q_factory(V, lam, h, nu)
-    rhs = _rhs_with_sensitivity(q, h) if with_sensitivity else _rhs_pair(q)
-    y, ls, zeros, steps = _integrate(rhs, x0, y0, L, rtol,
+    y, ls, zeros, steps = _integrate(q, x0, y0, L, rtol, dq=_dq(h),
                                      track_zeros=track_zeros, max_step=max_step)
     return RadialShot(
         value=ScaledValue.of(y[0], ls),
@@ -661,7 +660,7 @@ def newton_solve_radial(V: Callable[[float], float], nu: float, h: float,
         ratio = shot.value.ratio(d_lam_val)
         if ratio is None:
             raise SolverError("radial shooting sensitivity vanished; "
-                              "cannot take a Newton step")
+                              "cannot take a Newton step", total_steps)
         step = -ratio
         cap = 0.3 * max(abs(lam), scale)
         if abs(step) > cap:
@@ -674,16 +673,16 @@ def newton_solve_radial(V: Callable[[float], float], nu: float, h: float,
 
     raise SolverError(
         f"radial Newton did not converge in {max_iter} iterations "
-        f"(h={h:g}, nu={nu:g}, last lambda={lam!r})")
+        f"(h={h:g}, nu={nu:g}, last lambda={lam!r})", total_steps)
 
 
 def count_nodes_radial(V: Callable[[float], float], nu: float, h: float,
                        L: float, lam: float, series_start: SeriesStart,
-                       rtol: float = 1e-12) -> int:
-    """Interior zeros of the radial shooting solution on (0, L)."""
+                       rtol: float = 1e-12) -> tuple[int, int]:
+    """(interior zeros of the radial shooting solution on (0, L), steps)."""
     x0, _ = series_start(lam, False)
     cap = _counting_step_cap(V, nu, h, lam, x0, L)
     shot = shoot_radial(V, nu, h, L, lam, series_start, rtol,
                         with_sensitivity=False, track_zeros=True, max_step=cap)
     margin = _wall_margin(shot.value, shot.slope, L)
-    return sum(1 for z in shot.crossings if abs(z - L) > margin)
+    return sum(1 for z in shot.crossings if abs(z - L) > margin), shot.steps

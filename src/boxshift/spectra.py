@@ -138,17 +138,22 @@ def _confined_line(p: PotentialSpec, domain: LineBox, mode: ModeSpec,
                    verify_nodes: bool) -> Eigenpair:
     guesses = [lam0 if lam0 is not None else harmonic_level(p, mode)]
     last_error: Exception | None = None
-    for attempt, guess in enumerate(_with_fd_fallback(guesses, p, domain, mode)):
+    steps = 0  # every attempt's, rejected ones included
+    for guess in _with_fd_fallback(guesses, p, domain, mode):
         try:
             sol = newton_solve_line(p, domain, mode, guess, beta0, rtol=rtol,
                                     newton_tol=newton_tol, max_iter=max_iter,
                                     jacobian=jacobian)
         except SolverError as exc:
+            steps += exc.steps
             last_error = exc
             continue
+        steps += sol.steps
         nodes = None
         if verify_nodes:
-            nodes = count_nodes_line(p, domain, mode, sol.lam, sol.beta, rtol)
+            nodes, node_steps = count_nodes_line(p, domain, mode, sol.lam,
+                                                 sol.beta, rtol)
+            steps += node_steps
             if nodes != mode.level:
                 last_error = SolverError(
                     f"converged to a level with {nodes} interior nodes, "
@@ -156,10 +161,10 @@ def _confined_line(p: PotentialSpec, domain: LineBox, mode: ModeSpec,
                 continue
         return Eigenpair(index_m=mode.level, value=sol.lam, method="shooting",
                          iterations=sol.iterations, residual_log=sol.residual_log,
-                         beta=sol.beta, nodes=nodes, steps=sol.steps)
+                         beta=sol.beta, nodes=nodes, steps=steps)
     raise SolverError(
         f"could not isolate level {mode.level} on {domain.as_tuple()} "
-        f"(h={mode.h:g}): {last_error}")
+        f"(h={mode.h:g}): {last_error}", steps)
 
 
 def _confined_radial(p: PotentialSpec, domain: RadialBox, mode: ModeSpec,
@@ -169,6 +174,7 @@ def _confined_radial(p: PotentialSpec, domain: RadialBox, mode: ModeSpec,
     series = OscillatorSeriesStart(p, mode.nu, mode.h, L=domain.length)
     guesses = [lam0 if lam0 is not None else harmonic_level(p, mode)]
     last_error: Exception | None = None
+    steps = 0  # every attempt's, rejected ones included
     for guess in _with_fd_fallback(guesses, p, domain, mode):
         try:
             sol = newton_solve_radial(p.evaluate, mode.nu, mode.h, domain.length,
@@ -176,12 +182,16 @@ def _confined_radial(p: PotentialSpec, domain: RadialBox, mode: ModeSpec,
                                       newton_tol=newton_tol, max_iter=max_iter,
                                       jacobian=jacobian)
         except SolverError as exc:
+            steps += exc.steps
             last_error = exc
             continue
+        steps += sol.steps
         nodes = None
         if verify_nodes:
-            nodes = count_nodes_radial(p.evaluate, mode.nu, mode.h,
-                                       domain.length, sol.lam, series, rtol)
+            nodes, node_steps = count_nodes_radial(p.evaluate, mode.nu, mode.h,
+                                                   domain.length, sol.lam,
+                                                   series, rtol)
+            steps += node_steps
             if nodes != mode.level:
                 last_error = SolverError(
                     f"converged to a level with {nodes} interior nodes, "
@@ -189,10 +199,10 @@ def _confined_radial(p: PotentialSpec, domain: RadialBox, mode: ModeSpec,
                 continue
         return Eigenpair(index_m=mode.level, value=sol.lam, method="shooting",
                          iterations=sol.iterations, residual_log=sol.residual_log,
-                         nodes=nodes, steps=sol.steps)
+                         nodes=nodes, steps=steps)
     raise SolverError(
         f"could not isolate radial level {mode.level} on (0, {domain.length:g}) "
-        f"(h={mode.h:g}, nu={mode.nu:g}): {last_error}")
+        f"(h={mode.h:g}, nu={mode.nu:g}): {last_error}", steps)
 
 
 def _with_fd_fallback(guesses: list[float], p: PotentialSpec, domain: Domain,
@@ -237,6 +247,7 @@ def unconfined_eigenvalue(p: PotentialSpec, mode: ModeSpec, *,
         return profile.phi(x) >= target_phi
 
     lam_prev: float | None = None
+    steps = 0  # summed over every box
     guess = harmonic_level(p, mode)
     radius = 2.0 * math.sqrt(max(guess, h)) / max(p.curvature_omega, 1e-6)
     for _ in range(max_expansions):
@@ -252,6 +263,7 @@ def unconfined_eigenvalue(p: PotentialSpec, mode: ModeSpec, *,
         else:
             domain = RadialBox(radius)
         pair = confined_eigenvalue(p, domain, mode, lam0=guess, rtol=rtol)
+        steps += pair.steps
         if lam_prev is not None:
             tol = agreement_tol if agreement_tol is not None \
                 else 1e-13 * max(abs(pair.value), h)
@@ -259,13 +271,13 @@ def unconfined_eigenvalue(p: PotentialSpec, mode: ModeSpec, *,
                 return Eigenpair(index_m=mode.level, value=pair.value,
                                  method="shooting", iterations=pair.iterations,
                                  residual_log=pair.residual_log,
-                                 nodes=pair.nodes, steps=pair.steps)
+                                 nodes=pair.nodes, steps=steps)
         lam_prev = pair.value
         guess = pair.value
     raise SolverError(
         "box expansion did not stabilise the unconfined eigenvalue "
         f"within {max_expansions} doublings (h={h:g}); "
-        "the potential tail may be too shallow for this h")
+        "the potential tail may be too shallow for this h", steps)
 
 
 # --------------------------------------------------------------------------
@@ -365,20 +377,23 @@ def hydrogen_confined(spec: HydrogenSpec, *, rtol: float = 1e-12,
         guesses.reverse()
 
     last_error: Exception | None = None
+    steps = 0  # every attempt's, rejected ones and the rescue included
     for guess in guesses:
         try:
             sol = newton_solve_radial(V, nu, h, L, guess, series, rtol=rtol,
                                       newton_tol=newton_tol,
                                       lambda_scale=scale, jacobian=jacobian)
         except SolverError as exc:
+            steps += exc.steps
             last_error = exc
             continue
-        nodes = count_nodes_radial(V, nu, h, L, sol.lam, series, rtol)
+        nodes, node_steps = count_nodes_radial(V, nu, h, L, sol.lam, series, rtol)
+        steps += sol.steps + node_steps
         if nodes == m:
             return Eigenpair(index_m=m, value=sol.lam, method="shooting",
                              iterations=sol.iterations,
                              residual_log=sol.residual_log, nodes=nodes,
-                             steps=sol.steps)
+                             steps=steps)
         last_error = SolverError(
             f"Newton landed on a level with {nodes} nodes, wanted {m}")
 
@@ -386,32 +401,38 @@ def hydrogen_confined(spec: HydrogenSpec, *, rtol: float = 1e-12,
     lo = float(fd_fine[m - 1] + 0.25 * (fd_fine[m] - fd_fine[m - 1])) if m > 0 \
         else float(fd_fine[0] - 0.5 * (fd_fine[1] - fd_fine[0]))
     hi = float(fd_fine[m] + 0.75 * (fd_fine[m + 1] - fd_fine[m]))
-    lam = _bisect_radial(V, nu, h, L, series, lo, hi, rtol)
+    lam, bisect_steps = _bisect_radial(V, nu, h, L, series, lo, hi, rtol)
     sol = newton_solve_radial(V, nu, h, L, lam, series, rtol=rtol,
                               newton_tol=newton_tol, lambda_scale=scale,
                               jacobian=jacobian)
-    nodes = count_nodes_radial(V, nu, h, L, sol.lam, series, rtol)
+    nodes, node_steps = count_nodes_radial(V, nu, h, L, sol.lam, series, rtol)
+    steps += bisect_steps + sol.steps + node_steps
     if nodes != m:
         raise SolverError(
             f"could not isolate hydrogen level n={spec.n}, ell={spec.ell} "
-            f"in box {L:g}: {last_error}")
+            f"in box {L:g}: {last_error}", steps)
     return Eigenpair(index_m=m, value=sol.lam, method="shooting",
                      iterations=sol.iterations, residual_log=sol.residual_log,
-                     nodes=nodes, steps=sol.steps)
+                     nodes=nodes, steps=steps)
 
 
 def _bisect_radial(V: Callable[[float], float], nu: float, h: float, L: float,
                    series: shooting.SeriesStart, lo: float, hi: float,
-                   rtol: float) -> float:
+                   rtol: float) -> tuple[float, int]:
+    """(sign-change point of u(L) in lambda on [lo, hi], steps taken)."""
+    steps = 0
+
     def sign_at(lam: float) -> int:
+        nonlocal steps
         shot = shoot_radial(V, nu, h, L, lam, series, rtol,
                             with_sensitivity=False)
+        steps += shot.steps
         return shot.value.sign
 
     s_lo, s_hi = sign_at(lo), sign_at(hi)
     if s_lo == s_hi:
         raise SolverError(
-            f"no sign change of the boundary value on [{lo:g}, {hi:g}]")
+            f"no sign change of the boundary value on [{lo:g}, {hi:g}]", steps)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if sign_at(mid) == s_lo:
@@ -420,7 +441,7 @@ def _bisect_radial(V: Callable[[float], float], nu: float, h: float, L: float,
             hi = mid
         if hi - lo <= 1e-12 * max(abs(lo), abs(hi)):
             break
-    return 0.5 * (lo + hi)
+    return 0.5 * (lo + hi), steps
 
 
 def hydrogen_confined_via_oscillator(spec: HydrogenSpec, *,

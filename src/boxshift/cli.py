@@ -135,8 +135,6 @@ def _add_solver_knobs(sub: argparse.ArgumentParser) -> None:
                      help="quadrature tolerance for the action integrals")
     sub.add_argument("--newton-tol", type=float, default=1e-10)
     sub.add_argument("--newton-max-iter", type=int, default=50)
-    sub.add_argument("--jacobian", choices=("refreshed", "frozen"),
-                     default="refreshed")
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -181,8 +179,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                      metavar="R1,R2,...", help="box radii")
     hyd.add_argument("--tol", type=float, default=1e-12)
     hyd.add_argument("--newton-tol", type=float, default=1e-10)
-    hyd.add_argument("--jacobian", choices=("refreshed", "frozen"),
-                     default="refreshed")
     hyd.add_argument("--out", metavar="PATH")
     hyd.add_argument("--json", metavar="PATH")
     hyd.add_argument("--config", help="JSON file of option defaults")
@@ -255,7 +251,7 @@ def cmd_shift(args: argparse.Namespace) -> int:
     report = run_shift_case(
         p, domain, mode, integrate_tol=args.tol, quadrature_tol=args.quad_tol,
         newton_tol=args.newton_tol, max_iter=args.newton_max_iter,
-        jacobian=args.jacobian, oracle=args.oracle)
+        oracle=args.oracle)
     print(format_report(report))
     if args.json:
         Path(args.json).write_text(report_to_json(report) + "\n", encoding="utf-8")
@@ -299,8 +295,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     result = run_sweep(
         p, domain, args.m, args.nu, args.h_grid,
         integrate_tol=args.tol, quadrature_tol=args.quad_tol,
-        newton_tol=args.newton_tol, max_iter=args.newton_max_iter,
-        jacobian=args.jacobian)
+        newton_tol=args.newton_tol, max_iter=args.newton_max_iter)
     return _emit_sweep(result, args, hydrogen=False, grid_key="h")
 
 
@@ -312,7 +307,7 @@ def cmd_hydrogen(args: argparse.Namespace) -> int:
                  r_box=args.r_grid[0])
     result = run_hydrogen_sweep(
         args.n, args.ell, args.z, args.h, args.r_grid, integrate_tol=args.tol,
-        newton_tol=args.newton_tol, jacobian=args.jacobian)
+        newton_tol=args.newton_tol)
     return _emit_sweep(result, args, hydrogen=True, grid_key="R")
 
 

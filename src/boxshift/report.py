@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
@@ -36,6 +37,7 @@ from .spectra import (
     HydrogenSpec,
     confined_eigenvalue,
     fd_oracle,
+    harmonic_level,
     hydrogen_confined,
     unconfined_eigenvalue,
 )
@@ -92,7 +94,7 @@ def _ratio(numeric: float, log_numeric: float, prediction: ShiftPrediction) -> f
 def run_shift_case(p: PotentialSpec, domain: Domain, mode: ModeSpec, *,
                    integrate_tol: float = 1e-12, quadrature_tol: float = 1e-12,
                    newton_tol: float = 1e-10, max_iter: int = 50,
-                   jacobian: str = "refreshed", oracle: bool = False,
+                   oracle: bool = False,
                    oracle_grid_n: int = 2000) -> ShiftReport:
     """Full pipeline for one well case: validate, solve both sides, compare."""
     report = validate_potential(p, domain, 64)
@@ -110,18 +112,21 @@ def run_shift_case(p: PotentialSpec, domain: Domain, mode: ModeSpec, *,
                                           quadrature_tol=quadrature_tol)
         span = (0.0, domain.length)
 
-    # The prediction's decay exponent hands the unconfined solver the wall
-    # action it must bury: boxes stop growing once their own truncation is
+    # The confined level on the physical box is cheap, so it goes first, and
+    # it minus the predicted shift seeds the unconfined solve on its much
+    # wider boxes.  The prediction's decay exponent hands that solve the
+    # wall action it must bury: its walls sit where their own truncation is
     # negligible against exp(-2*phi_wall/h).
+    shift = prediction.leading_value \
+        if math.isfinite(prediction.leading_value) else 0.0
+    confined = confined_eigenvalue(p, domain, mode,
+                                   lam0=harmonic_level(p, mode) + shift,
+                                   rtol=integrate_tol, newton_tol=newton_tol,
+                                   max_iter=max_iter)
     reference_phi = 0.5 * prediction.exponent * mode.h
     free = unconfined_eigenvalue(p, mode, rtol=integrate_tol,
-                                 reference_phi=reference_phi)
-
-    lam_guess = free.value + prediction.leading_value \
-        if math.isfinite(prediction.leading_value) else free.value
-    confined = confined_eigenvalue(p, domain, mode, lam0=lam_guess,
-                                   rtol=integrate_tol, newton_tol=newton_tol,
-                                   max_iter=max_iter, jacobian=jacobian)
+                                 reference_phi=reference_phi,
+                                 lam0=confined.value - shift)
 
     numeric = confined.value - free.value
     log_numeric = _log_abs(numeric)
@@ -151,12 +156,10 @@ def run_shift_case(p: PotentialSpec, domain: Domain, mode: ModeSpec, *,
 
 
 def run_hydrogen_case(spec: HydrogenSpec, *, integrate_tol: float = 1e-12,
-                      newton_tol: float = 1e-10,
-                      jacobian: str = "refreshed") -> ShiftReport:
+                      newton_tol: float = 1e-10) -> ShiftReport:
     """Boxed Coulomb level vs the closed-form shift for one box radius."""
     prediction = hydrogen_shift_term(spec)
-    pair = hydrogen_confined(spec, rtol=integrate_tol, newton_tol=newton_tol,
-                             jacobian=jacobian)
+    pair = hydrogen_confined(spec, rtol=integrate_tol, newton_tol=newton_tol)
     free = spec.energy_unconfined
     numeric = pair.value - free
     log_numeric = _log_abs(numeric)
@@ -183,9 +186,19 @@ def run_hydrogen_case(spec: HydrogenSpec, *, integrate_tol: float = 1e-12,
 # --------------------------------------------------------------------------
 
 
+def shift_resolved(report: ShiftReport) -> bool:
+    """Whether |lambda_D - lambda_0| clears 1e3 * eps * max(|lambda_0|,
+    |lambda_D|); below that floor the subtraction's roundoff is the shift."""
+    floor = 1e3 * sys.float_info.epsilon \
+        * max(abs(report.lambda0), abs(report.lambda_confined))
+    return abs(report.numeric_shift) >= floor
+
+
 @dataclass(frozen=True)
 class SweepRow:
-    """One grid point of a sweep: a report on success, an error tag on failure."""
+    """One grid point of a sweep: a report on success, an error tag on
+    failure.  ``status`` is "ok", "unresolved" (a report whose shift is
+    below the roundoff floor, see ``shift_resolved``) or the error tag."""
 
     grid_value: float
     report: ShiftReport | None
@@ -214,10 +227,11 @@ def geometric_grid(start: float, stop: float, count: int) -> list[float]:
 
 
 def fit_empirical_order(rows: Sequence[SweepRow]) -> float | None:
-    """Slope of log|ratio - 1| against log h over the successful rows."""
+    """Slope of log|ratio - 1| against log h over the rows with status
+    "ok"; failed and unresolved rows are left out."""
     xs, ys = [], []
     for row in rows:
-        if row.report is None or not math.isfinite(row.report.ratio):
+        if row.status != "ok" or not math.isfinite(row.report.ratio):
             continue
         err = abs(row.report.ratio - 1.0)
         if err > 0.0:
@@ -232,10 +246,12 @@ def fit_empirical_order(rows: Sequence[SweepRow]) -> float | None:
 def _run_rows(grid: Sequence[float], worker) -> list[SweepRow]:
     def guarded(value: float) -> SweepRow:
         try:
-            return SweepRow(grid_value=value, report=worker(value), status="ok")
+            report = worker(value)
         except BoxshiftError as exc:
             return SweepRow(grid_value=value, report=None,
                             status=f"{type(exc).__name__}: {exc}")
+        status = "ok" if shift_resolved(report) else "unresolved"
+        return SweepRow(grid_value=value, report=report, status=status)
 
     return [guarded(v) for v in grid]
 
@@ -243,14 +259,12 @@ def _run_rows(grid: Sequence[float], worker) -> list[SweepRow]:
 def run_sweep(p: PotentialSpec, domain: Domain, level: int, nu: float | None,
               h_grid: Sequence[float], *,
               integrate_tol: float = 1e-12, quadrature_tol: float = 1e-12,
-              newton_tol: float = 1e-10, max_iter: int = 50,
-              jacobian: str = "refreshed") -> SweepResult:
+              newton_tol: float = 1e-10, max_iter: int = 50) -> SweepResult:
     def worker(h: float) -> ShiftReport:
         mode = ModeSpec(level=level, h=h, nu=nu)
         return run_shift_case(p, domain, mode, integrate_tol=integrate_tol,
                               quadrature_tol=quadrature_tol,
-                              newton_tol=newton_tol, max_iter=max_iter,
-                              jacobian=jacobian)
+                              newton_tol=newton_tol, max_iter=max_iter)
 
     rows = _run_rows(h_grid, worker)
     return SweepResult(rows=tuple(rows), empirical_order=fit_empirical_order(rows))
@@ -259,12 +273,11 @@ def run_sweep(p: PotentialSpec, domain: Domain, level: int, nu: float | None,
 def run_hydrogen_sweep(n: int, ell: int, z: float, h: float,
                        r_grid: Sequence[float], *,
                        integrate_tol: float = 1e-12,
-                       newton_tol: float = 1e-10,
-                       jacobian: str = "refreshed") -> SweepResult:
+                       newton_tol: float = 1e-10) -> SweepResult:
     def worker(r_box: float) -> ShiftReport:
         spec = HydrogenSpec(n=n, ell=ell, z=z, h=h, r_box=r_box)
         return run_hydrogen_case(spec, integrate_tol=integrate_tol,
-                                 newton_tol=newton_tol, jacobian=jacobian)
+                                 newton_tol=newton_tol)
 
     rows = _run_rows(r_grid, worker)
     # Hydrogen converges in the box radius, not h; the h-order fit does not
@@ -360,3 +373,7 @@ def sweep_summary_lines(result: SweepResult) -> Iterable[str]:
     failures = [row for row in result.rows if not row.ok]
     if failures:
         yield f"{len(failures)} of {len(result.rows)} rows failed"
+    unresolved = [row for row in result.rows if row.status == "unresolved"]
+    if unresolved:
+        yield (f"{len(unresolved)} of {len(result.rows)} rows unresolved "
+               "(shift below the roundoff floor of lambda_D - lambda_0)")

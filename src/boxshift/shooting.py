@@ -295,11 +295,23 @@ def _row_scaled(rows: Sequence[tuple[ScaledValue, ScaledValue, ScaledValue]]
 
 def boundary_map_line(p: PotentialSpec, domain: LineBox, mode: ModeSpec,
                       lam: float, beta: float, tol: float) -> BoundaryMap:
-    """Shoot both walls and assemble the full 2x2 sensitivity picture."""
-    left = shoot_line_side(p, mode, lam, beta, domain.left, tol)
-    right = shoot_line_side(p, mode, lam, beta, domain.right, tol)
-    v_left, s1 = shoot_beta_sensitivity(p, mode, lam, domain.left, tol)
-    v_right, s2 = shoot_beta_sensitivity(p, mode, lam, domain.right, tol)
+    """Shoot both walls and assemble the full 2x2 sensitivity picture.
+
+    A failed integration re-raises with the steps of the map's earlier
+    integrations added to its own.
+    """
+    done = 0
+    try:
+        left = shoot_line_side(p, mode, lam, beta, domain.left, tol)
+        done += left.steps
+        right = shoot_line_side(p, mode, lam, beta, domain.right, tol)
+        done += right.steps
+        v_left, s1 = shoot_beta_sensitivity(p, mode, lam, domain.left, tol)
+        done += s1
+        v_right, s2 = shoot_beta_sensitivity(p, mode, lam, domain.right, tol)
+    except SolverError as exc:
+        exc.steps += done
+        raise
     rows = [(left.d_lambda, v_left, left.value),
             (right.d_lambda, v_right, right.value)]
     _, _, cond = _row_scaled(rows)
@@ -308,7 +320,7 @@ def boundary_map_line(p: PotentialSpec, domain: LineBox, mode: ModeSpec,
         g_plus=right.value,
         jacobian=((left.d_lambda, v_left), (right.d_lambda, v_right)),
         condition=cond,
-        steps=left.steps + right.steps + s1 + s2,
+        steps=done + s2,
     )
 
 
@@ -326,37 +338,26 @@ class LineSolution:
 def newton_solve_line(p: PotentialSpec, domain: LineBox, mode: ModeSpec,
                       lam0: float, beta0: float = 0.0, *,
                       rtol: float = 1e-12, newton_tol: float = 1e-10,
-                      max_iter: int = _MAX_NEWTON_DEFAULT,
-                      jacobian: str = "refreshed") -> LineSolution:
+                      max_iter: int = _MAX_NEWTON_DEFAULT) -> LineSolution:
     """Newton iteration on (lambda, beta) for u(r-) = u(r+) = 0.
 
-    ``jacobian="frozen"`` computes sensitivities once at the starting guess
-    and reuses them, integrating values only afterwards; "refreshed"
-    (default) recomputes the Jacobian every step.  Converged when
-    |d lambda| <= newton_tol * h and |d beta| <= newton_tol.
+    Converged when |d lambda| <= newton_tol * h and |d beta| <= newton_tol.
+    A ``SolverError`` carries the steps of every integration done, the
+    failed one included.
     """
-    if jacobian not in ("refreshed", "frozen"):
-        raise ValueError(f"jacobian must be 'refreshed' or 'frozen', got {jacobian!r}")
     lam, beta = lam0, beta0
     h = mode.h
-    cond = 0.0
-    frozen_jac: tuple[tuple[ScaledValue, ScaledValue], ...] | None = None
     total_steps = 0
 
     for it in range(1, max_iter + 1):
-        if jacobian == "refreshed" or frozen_jac is None:
+        try:
             bmap = boundary_map_line(p, domain, mode, lam, beta, rtol)
-            frozen_jac = bmap.jacobian
-            g_left, g_right = bmap.g_minus, bmap.g_plus
-            total_steps += bmap.steps
-        else:
-            g_left, g_right, n = line_residual(p, domain, mode, lam, beta, rtol)
-            total_steps += n
-
-        mat, vec, cond = _row_scaled([
-            (frozen_jac[0][0], frozen_jac[0][1], g_left),
-            (frozen_jac[1][0], frozen_jac[1][1], g_right),
-        ])
+        except SolverError as exc:
+            exc.steps += total_steps
+            raise
+        total_steps += bmap.steps
+        mat, vec, cond = _row_scaled([(*bmap.jacobian[0], bmap.g_minus),
+                                      (*bmap.jacobian[1], bmap.g_plus)])
         if cond > _CONDITION_LIMIT:
             raise SolverError(
                 f"shooting Jacobian is numerically singular (condition {cond:.3g}); "
@@ -380,7 +381,7 @@ def newton_solve_line(p: PotentialSpec, domain: LineBox, mode: ModeSpec,
         lam += d_lam
         beta += d_beta
         if abs(d_lam) <= newton_tol * h and abs(d_beta) <= newton_tol:
-            res_log = max(g_left.log_abs(), g_right.log_abs())
+            res_log = max(bmap.g_minus.log_abs(), bmap.g_plus.log_abs())
             return LineSolution(lam=lam, beta=beta, iterations=it,
                                 converged=True, condition=cond,
                                 residual_log=res_log, steps=total_steps)
@@ -635,29 +636,27 @@ def newton_solve_radial(V: Callable[[float], float], nu: float, h: float,
                         L: float, lam0: float, series_start: SeriesStart, *,
                         rtol: float = 1e-12, newton_tol: float = 1e-10,
                         lambda_scale: float | None = None,
-                        max_iter: int = _MAX_NEWTON_DEFAULT,
-                        jacobian: str = "refreshed") -> RadialSolution:
+                        max_iter: int = _MAX_NEWTON_DEFAULT) -> RadialSolution:
     """Scalar Newton iteration on lambda for u(L) = 0.
 
     ``lambda_scale`` sets the convergence yardstick |d lambda| <=
     newton_tol * scale; it defaults to h, appropriate for low-lying levels
     of a well (pass the energy magnitude instead for Coulomb problems).
+    A ``SolverError`` carries the steps of every integration done, the
+    failed one included.
     """
-    if jacobian not in ("refreshed", "frozen"):
-        raise ValueError(f"jacobian must be 'refreshed' or 'frozen', got {jacobian!r}")
     lam = lam0
     scale = lambda_scale if lambda_scale is not None else h
-    d_lam_val: ScaledValue | None = None
     total_steps = 0
 
     for it in range(1, max_iter + 1):
-        need_jac = jacobian == "refreshed" or d_lam_val is None
-        shot = shoot_radial(V, nu, h, L, lam, series_start, rtol,
-                            with_sensitivity=need_jac)
+        try:
+            shot = shoot_radial(V, nu, h, L, lam, series_start, rtol)
+        except SolverError as exc:
+            exc.steps += total_steps
+            raise
         total_steps += shot.steps
-        if need_jac:
-            d_lam_val = shot.d_lambda
-        ratio = shot.value.ratio(d_lam_val)
+        ratio = shot.value.ratio(shot.d_lambda)
         if ratio is None:
             raise SolverError("radial shooting sensitivity vanished; "
                               "cannot take a Newton step", total_steps)

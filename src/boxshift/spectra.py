@@ -5,9 +5,11 @@ Four ways to an eigenvalue live here, deliberately independent:
 * ``confined_eigenvalue`` -- shooting + Newton on the exact Dirichlet
   problem, with the level identity confirmed by an interior node count.
 * ``unconfined_eigenvalue`` -- the reference level of the problem without
-  walls, computed on an auto-expanded box (the wall effect dies like
-  exp(-2*phi(wall)/h), so a box with phi 34.5*h beyond the reference wall
-  contributes below 1e-30 of the quantity under study).
+  walls, computed on a Dirichlet box whose walls sit where phi first
+  reaches 34.5*h beyond the reference wall's (the wall effect dies like
+  exp(-2*phi(wall)/h), so it contributes below 1e-30 of the quantity under
+  study), confirmed against a box 1.25 times wider.  Newton starts from the
+  caller's nearby level when one is known.
 * ``fd_oracle`` -- a finite-difference discretisation with Richardson
   extrapolation; shares no code with the shooting path and serves as the
   cross-check oracle.
@@ -38,6 +40,7 @@ from .shooting import (CoulombSeriesStart, ModeSpec, OscillatorSeriesStart,
 _PHI_MARGIN = 34.5  # in units of h; exp(-2*34.5) ~ 1e-30
 _EXPANSION_FACTOR = 1.25
 _MAX_EXPANSIONS = 40
+_WALL_XTOL = 1e-9  # absolute; walls sit at |x| = O(1)
 
 
 @dataclass(frozen=True)
@@ -110,7 +113,7 @@ def harmonic_level(p: PotentialSpec, mode: ModeSpec) -> float:
 def confined_eigenvalue(p: PotentialSpec, domain: Domain, mode: ModeSpec, *,
                         lam0: float | None = None, beta0: float = 0.0,
                         rtol: float = 1e-12, newton_tol: float = 1e-10,
-                        max_iter: int = 50, jacobian: str = "refreshed",
+                        max_iter: int = 50,
                         verify_nodes: bool = True) -> Eigenpair:
     """Dirichlet eigenvalue of level ``mode.level`` on ``domain``.
 
@@ -123,18 +126,18 @@ def confined_eigenvalue(p: PotentialSpec, domain: Domain, mode: ModeSpec, *,
         if p.kind != "line":
             raise InvalidPotential(f"potential kind {p.kind!r} on a line domain")
         return _confined_line(p, domain, mode, lam0, beta0, rtol, newton_tol,
-                              max_iter, jacobian, verify_nodes)
+                              max_iter, verify_nodes)
     if mode.nu is None:
         raise InvalidPotential("radial problems need mode.nu")
     if p.kind != "radial":
         raise InvalidPotential(f"potential kind {p.kind!r} on a radial domain")
     return _confined_radial(p, domain, mode, lam0, rtol, newton_tol,
-                            max_iter, jacobian, verify_nodes)
+                            max_iter, verify_nodes)
 
 
 def _confined_line(p: PotentialSpec, domain: LineBox, mode: ModeSpec,
                    lam0: float | None, beta0: float, rtol: float,
-                   newton_tol: float, max_iter: int, jacobian: str,
+                   newton_tol: float, max_iter: int,
                    verify_nodes: bool) -> Eigenpair:
     guesses = [lam0 if lam0 is not None else harmonic_level(p, mode)]
     last_error: Exception | None = None
@@ -142,8 +145,7 @@ def _confined_line(p: PotentialSpec, domain: LineBox, mode: ModeSpec,
     for guess in _with_fd_fallback(guesses, p, domain, mode):
         try:
             sol = newton_solve_line(p, domain, mode, guess, beta0, rtol=rtol,
-                                    newton_tol=newton_tol, max_iter=max_iter,
-                                    jacobian=jacobian)
+                                    newton_tol=newton_tol, max_iter=max_iter)
         except SolverError as exc:
             steps += exc.steps
             last_error = exc
@@ -169,8 +171,7 @@ def _confined_line(p: PotentialSpec, domain: LineBox, mode: ModeSpec,
 
 def _confined_radial(p: PotentialSpec, domain: RadialBox, mode: ModeSpec,
                      lam0: float | None, rtol: float, newton_tol: float,
-                     max_iter: int, jacobian: str,
-                     verify_nodes: bool) -> Eigenpair:
+                     max_iter: int, verify_nodes: bool) -> Eigenpair:
     series = OscillatorSeriesStart(p, mode.nu, mode.h, L=domain.length)
     guesses = [lam0 if lam0 is not None else harmonic_level(p, mode)]
     last_error: Exception | None = None
@@ -179,8 +180,7 @@ def _confined_radial(p: PotentialSpec, domain: RadialBox, mode: ModeSpec,
         try:
             sol = newton_solve_radial(p.evaluate, mode.nu, mode.h, domain.length,
                                       guess, series, rtol=rtol,
-                                      newton_tol=newton_tol, max_iter=max_iter,
-                                      jacobian=jacobian)
+                                      newton_tol=newton_tol, max_iter=max_iter)
         except SolverError as exc:
             steps += exc.steps
             last_error = exc
@@ -224,16 +224,23 @@ def _with_fd_fallback(guesses: list[float], p: PotentialSpec, domain: Domain,
 def unconfined_eigenvalue(p: PotentialSpec, mode: ModeSpec, *,
                           rtol: float = 1e-12,
                           reference_phi: float = 0.0,
-                          agreement_tol: float | None = None,
-                          max_expansions: int = _MAX_EXPANSIONS) -> Eigenpair:
+                          lam0: float | None = None) -> Eigenpair:
     """Level of the problem without walls.
 
     For the stock harmonic well this is exact in closed form.  Otherwise
-    the Dirichlet box is grown until (a) the tunnelling distance phi at the
-    wall exceeds ``reference_phi`` by 34.5*h -- making the wall effect
-    < 1e-30 relative to exp(-2*reference_phi/h), the scale of whatever
-    shift the caller is resolving -- and (b) two successive boxes agree to
-    ``agreement_tol`` (default 1e-13 * max(|lambda|, h)).
+    the level is solved on Dirichlet boxes whose walls bury their own
+    effect: the first box puts each wall at the nearest point where the
+    tunnelling distance phi reaches ``reference_phi`` + 34.5*h, which makes
+    the wall effect < 1e-30 relative to exp(-2*reference_phi/h), the scale
+    of whatever shift the caller is resolving.  Boxes then grow by 1.25
+    until two successive ones agree to 1e-13 * max(|lambda|, h); that
+    check guards the phi-to-error estimate, which assumes the level sits
+    in the well and the box sees only its exponential tail.
+
+    Newton on the first box starts from ``lam0`` (default: the harmonic
+    approximation); a caller that knows a nearby level, such as the
+    confined level minus its predicted shift, saves most of the
+    iterations.  Each later box starts from its predecessor's value.
     """
     if p.builtin == "harmonic":
         return Eigenpair(index_m=mode.level, value=harmonic_level(p, mode),
@@ -242,42 +249,62 @@ def unconfined_eigenvalue(p: PotentialSpec, mode: ModeSpec, *,
     profile = AgmonProfile(p, quadrature_tolerance=1e-12)
     h = mode.h
     target_phi = reference_phi + _PHI_MARGIN * h
-
-    def far_enough(x: float) -> bool:
-        return profile.phi(x) >= target_phi
+    guess = lam0 if lam0 is not None else harmonic_level(p, mode)
+    # Where the harmonic approximation omega*x^2/2 of phi reaches the target.
+    start = math.sqrt(2.0 * target_phi / max(p.curvature_omega, 1e-6))
+    right = _first_wall(profile, target_phi, start, h)
+    left = -_first_wall(profile, target_phi, -start, h) if mode.nu is None \
+        else 0.0
 
     lam_prev: float | None = None
     steps = 0  # summed over every box
-    guess = harmonic_level(p, mode)
-    radius = 2.0 * math.sqrt(max(guess, h)) / max(p.curvature_omega, 1e-6)
-    for _ in range(max_expansions):
-        radius *= _EXPANSION_FACTOR
-        if not far_enough(radius):
-            continue
-        domain: Domain
-        if mode.nu is None:
-            left = -radius
-            while not far_enough(left):
-                left *= _EXPANSION_FACTOR
-            domain = LineBox(left, radius)
-        else:
-            domain = RadialBox(radius)
+    for _ in range(_MAX_EXPANSIONS):
+        domain: Domain = LineBox(left, right) if mode.nu is None \
+            else RadialBox(right)
         pair = confined_eigenvalue(p, domain, mode, lam0=guess, rtol=rtol)
         steps += pair.steps
-        if lam_prev is not None:
-            tol = agreement_tol if agreement_tol is not None \
-                else 1e-13 * max(abs(pair.value), h)
-            if abs(pair.value - lam_prev) <= tol:
-                return Eigenpair(index_m=mode.level, value=pair.value,
-                                 method="shooting", iterations=pair.iterations,
-                                 residual_log=pair.residual_log,
-                                 nodes=pair.nodes, steps=steps)
-        lam_prev = pair.value
-        guess = pair.value
+        if lam_prev is not None and \
+                abs(pair.value - lam_prev) <= 1e-13 * max(abs(pair.value), h):
+            return Eigenpair(index_m=mode.level, value=pair.value,
+                             method="shooting", iterations=pair.iterations,
+                             residual_log=pair.residual_log,
+                             nodes=pair.nodes, steps=steps)
+        lam_prev = guess = pair.value
+        left *= _EXPANSION_FACTOR
+        right *= _EXPANSION_FACTOR
     raise SolverError(
         "box expansion did not stabilise the unconfined eigenvalue "
-        f"within {max_expansions} doublings (h={h:g}); "
+        f"within {_MAX_EXPANSIONS} boxes (h={h:g}); "
         "the potential tail may be too shallow for this h", steps)
+
+
+def _first_wall(profile: AgmonProfile, target_phi: float, start: float,
+                h: float) -> float:
+    """|x| of the nearest point on the side of ``start`` where phi reaches
+    ``target_phi``: bracketed by growing ``start`` by 1.25, then root-found.
+
+    The root is stepped just past the crossing and kept only if phi there
+    is confirmed to reach the target; otherwise the bracket's outer end,
+    which is confirmed, serves as the wall.
+    """
+    def far_enough(x: float) -> bool:
+        return profile.phi(x) >= target_phi
+
+    inner, outer = 0.0, start
+    for _ in range(_MAX_EXPANSIONS):
+        if far_enough(outer):
+            break
+        inner, outer = outer, outer * _EXPANSION_FACTOR
+    else:
+        raise SolverError(
+            f"the tunnelling distance stays below {target_phi:g} out to "
+            f"|x| = {abs(inner):g} (h={h:g}); "
+            "the potential tail may be too shallow for this h")
+    lo, hi = sorted((inner, outer))
+    root = brentq(lambda x: profile.phi(x) - target_phi, lo, hi,
+                  xtol=_WALL_XTOL)
+    wall = root + math.copysign(2.0 * _WALL_XTOL, start)
+    return abs(wall) if far_enough(wall) else abs(outer)
 
 
 # --------------------------------------------------------------------------
@@ -352,8 +379,7 @@ def _coulomb_series(spec: HydrogenSpec) -> CoulombSeriesStart:
 
 
 def hydrogen_confined(spec: HydrogenSpec, *, rtol: float = 1e-12,
-                      newton_tol: float = 1e-10,
-                      jacobian: str = "refreshed") -> Eigenpair:
+                      newton_tol: float = 1e-10) -> Eigenpair:
     """E_n(R): Coulomb level in a Dirichlet box of radius r_box, by shooting.
 
     Starts Newton from a finite-difference estimate (the unconfined E_n can
@@ -382,7 +408,7 @@ def hydrogen_confined(spec: HydrogenSpec, *, rtol: float = 1e-12,
         try:
             sol = newton_solve_radial(V, nu, h, L, guess, series, rtol=rtol,
                                       newton_tol=newton_tol,
-                                      lambda_scale=scale, jacobian=jacobian)
+                                      lambda_scale=scale)
         except SolverError as exc:
             steps += exc.steps
             last_error = exc
@@ -403,8 +429,7 @@ def hydrogen_confined(spec: HydrogenSpec, *, rtol: float = 1e-12,
     hi = float(fd_fine[m] + 0.75 * (fd_fine[m + 1] - fd_fine[m]))
     lam, bisect_steps = _bisect_radial(V, nu, h, L, series, lo, hi, rtol)
     sol = newton_solve_radial(V, nu, h, L, lam, series, rtol=rtol,
-                              newton_tol=newton_tol, lambda_scale=scale,
-                              jacobian=jacobian)
+                              newton_tol=newton_tol, lambda_scale=scale)
     nodes, node_steps = count_nodes_radial(V, nu, h, L, sol.lam, series, rtol)
     steps += bisect_steps + sol.steps + node_steps
     if nodes != m:

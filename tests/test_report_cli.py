@@ -147,6 +147,21 @@ def test_sweep_rows_keep_grid_order():
     assert result.empirical_order is not None
 
 
+def test_sweep_marks_shifts_below_the_roundoff_floor_unresolved():
+    # At h = 0.03 and 0.02 the harmonic shift sits within ~700 and ~500
+    # roundoff units of lambda: the ratios (3.4 and 3e7) are noise.
+    result = run_sweep(harmonic(), LineBox(-1.0, 1.0), 0, None,
+                       [0.05, 0.03, 0.02])
+    assert [row.status for row in result.rows] == ["ok", "unresolved", "unresolved"]
+    assert all(row.ok for row in result.rows)
+    assert result.empirical_order is None
+    statuses = [line.split(",")[-1]
+                for line in sweep_to_csv(result).strip().split("\n")[1:]]
+    assert statuses == ["ok", "unresolved", "unresolved"]
+    assert any("2 of 3 rows unresolved" in line
+               for line in sweep_summary_lines(result))
+
+
 def test_hydrogen_sweep_has_no_h_order():
     result = run_hydrogen_sweep(1, 0, 2.0, 1.0, [8.0], **FAST)
     assert result.empirical_order is None

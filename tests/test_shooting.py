@@ -16,6 +16,7 @@ from boxshift import (
     boundary_map_line, count_nodes_line, count_nodes_radial, frobenius_start,
     harmonic, integrate, newton_solve_line, newton_solve_radial, quartic,
 )
+from boxshift import shooting
 from boxshift.shooting import (
     CoulombSeriesStart, OscillatorSeriesStart, line_residual, shoot_line_side,
 )
@@ -141,27 +142,48 @@ def test_newton_reproduces_reference_level():
     assert sol.lam == pytest.approx(LEVEL2_H02, rel=1e-12)
 
 
-def test_frozen_jacobian_agrees_with_refreshed():
-    mode = ModeSpec(level=1, h=0.12)
-    a = newton_solve_line(quartic(), BOX, mode, 3 * 0.12, jacobian="refreshed")
-    b = newton_solve_line(quartic(), BOX, mode, 3 * 0.12, jacobian="frozen")
-    assert a.lam == pytest.approx(b.lam, abs=1e-10 * mode.h)
-    # Frozen mode trades quadratic for linear convergence: more iterations,
-    # but each one integrates values only (no sensitivity columns).
-    assert b.iterations >= a.iterations
-    assert b.steps / b.iterations < a.steps / a.iterations
-
-
 def test_newton_exhausts_iterations():
     with pytest.raises(SolverError):
         newton_solve_line(harmonic(), BOX, ModeSpec(level=0, h=H), 0.3,
                           max_iter=1)
 
 
-def test_newton_rejects_unknown_jacobian_mode():
-    with pytest.raises(ValueError):
-        newton_solve_line(harmonic(), BOX, ModeSpec(level=0, h=H), 0.1,
-                          jacobian="sometimes")
+def _fail_on_call(monkeypatch, n):
+    """Make the n-th ``_integrate`` call fail after doing its work, as a
+    step failure late in the integration would; return the per-call step
+    counts seen so far."""
+    real = shooting._integrate
+    taken = []
+
+    def flaky(*args, **kwargs):
+        y, log_scale, zeros, steps = real(*args, **kwargs)
+        taken.append(steps)
+        if len(taken) == n:
+            raise SolverError("forced failure", steps)
+        return y, log_scale, zeros, steps
+
+    monkeypatch.setattr(shooting, "_integrate", flaky)
+    return taken
+
+
+def test_failed_line_newton_reports_every_step(monkeypatch):
+    # Call 6 is the second wall shot of the second iterate: the error must
+    # carry iterate 1's four integrations and iterate 2's first as well.
+    taken = _fail_on_call(monkeypatch, 6)
+    with pytest.raises(SolverError) as info:
+        newton_solve_line(quartic(), BOX, ModeSpec(level=1, h=0.12), 3 * 0.12)
+    assert len(taken) == 6
+    assert info.value.steps == sum(taken)
+
+
+def test_failed_radial_newton_reports_every_step(monkeypatch):
+    p = harmonic(kind="radial")
+    series = OscillatorSeriesStart(p, 1.5, H, L=1.0)
+    taken = _fail_on_call(monkeypatch, 3)
+    with pytest.raises(SolverError) as info:
+        newton_solve_radial(p.evaluate, 1.5, H, 1.0, 0.5 * 1.05, series)
+    assert len(taken) == 3
+    assert info.value.steps == sum(taken)
 
 
 def test_newton_deterministic():

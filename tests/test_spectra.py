@@ -14,9 +14,12 @@ import pytest
 from boxshift import (
     GridError, HydrogenSpec, InvalidPotential, LineBox, ModeSpec, RadialBox,
     confined_eigenvalue, fd_oracle, from_expression, harmonic,
-    hydrogen_confined, hydrogen_confined_via_oscillator, quartic,
+    SolverError, hydrogen_confined, hydrogen_confined_via_oscillator, quartic,
     unconfined_eigenvalue,
 )
+from boxshift import spectra
+from boxshift.agmon import AgmonProfile
+from boxshift.report import run_shift_case
 from boxshift.spectra import harmonic_level
 
 BOX = LineBox(-1.0, 1.0)
@@ -151,6 +154,53 @@ def test_unconfined_level_lies_below_every_confined_level():
     free = unconfined_eigenvalue(quartic(), mode).value
     boxed = confined_eigenvalue(quartic(), BOX, mode).value
     assert free < boxed
+
+
+def test_unconfined_rejects_a_too_shallow_tail():
+    # phi stays below 1 on the whole line, short of the 34.5*h target.
+    with pytest.raises(SolverError, match="too shallow"):
+        unconfined_eigenvalue(from_expression("x^2*exp(-x^2)"),
+                              ModeSpec(level=0, h=0.1))
+
+
+@pytest.mark.parametrize("kind, mode", [
+    ("line", ModeSpec(level=0, h=0.05)),
+    ("radial", ModeSpec(level=0, h=0.05, nu=1.5)),
+], ids=["line-m0", "radial-nu1.5"])
+def test_unconfined_first_box_sits_where_phi_reaches_the_target(
+        monkeypatch, kind, mode):
+    p = quartic(kind=kind)
+    reference_phi = 0.5
+    boxes = []
+
+    def recorded(p, domain, mode, **kwargs):
+        boxes.append(domain.as_tuple())
+        return confined_eigenvalue(p, domain, mode, **kwargs)
+
+    monkeypatch.setattr(spectra, "confined_eigenvalue", recorded)
+    unconfined_eigenvalue(p, mode, reference_phi=reference_phi)
+
+    target = reference_phi + spectra._PHI_MARGIN * mode.h
+    profile = AgmonProfile(p)
+    first = boxes[0] if kind == "line" else boxes[0][1:]
+    for wall in first:
+        assert target <= profile.phi(wall) <= target * (1.0 + 1e-6)
+    assert len(boxes) == 2
+    assert boxes[1] == pytest.approx(tuple(1.25 * x for x in boxes[0]),
+                                     rel=1e-15)
+
+
+@pytest.mark.parametrize("kind, mode", [
+    ("line", ModeSpec(level=0, h=0.1)),
+    ("line", ModeSpec(level=1, h=0.1)),
+    ("radial", ModeSpec(level=0, h=0.1, nu=1.5)),
+], ids=["line-m0", "line-m1", "radial-nu1.5"])
+def test_seeded_free_level_matches_unseeded(kind, mode):
+    p = quartic(kind=kind)
+    domain = BOX if kind == "line" else RadialBox(1.0)
+    seeded = run_shift_case(p, domain, mode).lambda0
+    unseeded = unconfined_eigenvalue(p, mode).value
+    assert seeded == pytest.approx(unseeded, rel=1e-12)
 
 
 # -- wrong-basin rescue ---------------------------------------------------------------------

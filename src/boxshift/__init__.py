@@ -57,10 +57,8 @@ from .report import (
 )
 from .scaled import ScaledValue
 from .shooting import (
-    BoundaryMap,
     ModeSpec,
     ShootState,
-    boundary_map_line,
     count_nodes_line,
     count_nodes_radial,
     frobenius_start,
@@ -82,7 +80,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AgmonProfile",
-    "BoundaryMap",
     "BoxshiftError",
     "Domain",
     "Eigenpair",
@@ -104,7 +101,6 @@ __all__ = [
     "SweepResult",
     "ValidationReport",
     "agmon_distance",
-    "boundary_map_line",
     "confined_eigenvalue",
     "count_nodes_line",
     "count_nodes_radial",

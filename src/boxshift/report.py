@@ -30,7 +30,7 @@ from .asymptotics import (
     shift_leading_line,
     shift_leading_radial,
 )
-from .errors import BoxshiftError, InvalidPotential
+from .errors import BoxshiftError, InvalidPotential, SolverError
 from .potentials import Domain, LineBox, PotentialSpec, RadialBox, validate_potential
 from .shooting import ModeSpec
 from .spectra import (
@@ -124,9 +124,13 @@ def run_shift_case(p: PotentialSpec, domain: Domain, mode: ModeSpec, *,
                                    rtol=integrate_tol, newton_tol=newton_tol,
                                    max_iter=max_iter)
     reference_phi = 0.5 * prediction.exponent * mode.h
-    free = unconfined_eigenvalue(p, mode, rtol=integrate_tol,
-                                 reference_phi=reference_phi,
-                                 lam0=confined.value - shift)
+    try:
+        free = unconfined_eigenvalue(p, mode, rtol=integrate_tol,
+                                     reference_phi=reference_phi,
+                                     lam0=confined.value - shift)
+    except SolverError as exc:
+        exc.steps += confined.steps
+        raise
 
     numeric = confined.value - free.value
     log_numeric = _log_abs(numeric)

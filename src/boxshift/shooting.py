@@ -1,20 +1,31 @@
 """Shooting solver for Dirichlet eigenvalues on an interval.
 
 All problems here reduce to  h^2 u'' = (V(x) - lambda + h^2 (nu^2-1/4)/x^2) u
-with Dirichlet walls.  Line problems shoot outward from the well bottom at 0
-to both walls; radial problems start just off the singular origin with a
-Frobenius series and shoot to the outer wall.  Shooting *outward* keeps the
-decaying eigenfunction branch accurate: pollution by the growing branch only
-enters with an exponentially small coefficient fixed at the wall, and its
-effect on the eigenvalue root is polynomial in h (roughly rtol*h^(-(3m-1)/2)
-for level m), not exponential.
+with Dirichlet walls, and all are solved the same way: two shots meet at a
+matching point x_m, and lambda is a root of their Wronskian
+W = u_L u_R' - u_L' u_R there (Cooley, Math. Comp. 15 (1961) 363).
+
+Line problems shoot *inward*, from each wall with (u, u') = (0, +-1) to the
+well bottom x_m = 0.  That is the stable direction: the eigenfunction
+decays from the well toward each wall, so an inward shot follows the
+branch that grows, and local errors feed the other branch, which shrinks
+relative to it like exp(-2 (phi(wall) - phi(x))/h).  An outward shot does
+the reverse: its errors grow into the wall value and into the zeros seen
+near it, which in wide boxes added spurious nodes.
+
+Radial problems start just off the singular origin with a Frobenius series
+and match at the outer wall, x_m = L.  No inward start can reach the origin
+stably (toward it the irregular branch x^(1/2-nu) dominates), and the
+series start sits at the well bottom, so the outward shot is the whole
+solution: the right-hand shot is empty and W = -u(L).  Pollution by the
+growing branch enters that shot only with an exponentially small
+coefficient fixed at the wall, so its effect on the root is polynomial in
+h (roughly rtol*h^(-(3m-1)/2) for level m), not exponential.
 
 Sensitivities are integrated alongside the state.  The lambda-derivative w
 obeys  w'' = q w - u/h^2  (same q), and stays within O(1/h) of u, so the
-pair renormalises safely together.  The boundary-mixing derivative for line
-problems solves the homogeneous equation with swapped initial data and is
-integrated separately: it grows like exp(+phi/h) while u decays, and
-co-scaling the two would erase u below the error-control floor.
+pair renormalises safely together.  Each side carries it, so dW/dlambda
+comes from the same two shots as W.
 
 Every integration -- Newton iterates, node counts, bisection shots -- runs
 through ``_integrate``, which steps ``dop853.DOP853``: scipy's DOP853
@@ -54,7 +65,6 @@ _RENORM_LOG = 12.0
 _RENORM_HI = math.exp(_RENORM_LOG)
 _RENORM_LO = math.exp(-_RENORM_LOG)
 _MAX_NEWTON_DEFAULT = 50
-_CONDITION_LIMIT = 1e12
 _SERIES_MAX_TERMS = 40
 _SERIES_CUTOFF = 1e-16
 
@@ -184,260 +194,6 @@ def integrate(p: PotentialSpec, lam: float, state: ShootState, to_x: float,
     y, ls, _, _ = _integrate(q, state.x, y0, to_x, tol)
     ls += ref
     return ShootState(to_x, ScaledValue.of(y[0], ls), ScaledValue.of(y[1], ls))
-
-
-# --------------------------------------------------------------------------
-# Line problem
-# --------------------------------------------------------------------------
-
-
-def line_initial_state(mode: ModeSpec, beta: float,
-                       with_sensitivity: bool) -> tuple[float, ...]:
-    """(u, u') at the well bottom; even levels peak there, odd levels vanish.
-
-    ``beta`` mixes in the opposite parity and is the second shooting unknown.
-    """
-    base = (1.0, beta) if mode.level % 2 == 0 else (beta, 1.0)
-    return base + (0.0, 0.0) if with_sensitivity else base
-
-
-def beta_sensitivity_initial_state(mode: ModeSpec) -> tuple[float, float]:
-    # d/d(beta) of the initial state: the swapped-parity homogeneous solution.
-    return (0.0, 1.0) if mode.level % 2 == 0 else (1.0, 0.0)
-
-
-@dataclass(frozen=True)
-class ShotSide:
-    value: ScaledValue            # u at the wall
-    slope: ScaledValue            # u' at the wall
-    d_lambda: ScaledValue | None  # du/dlambda at the wall
-    crossings: tuple[float, ...]  # interior zeros recorded during the pass
-    steps: int
-
-
-def shoot_line_side(p: PotentialSpec, mode: ModeSpec, lam: float, beta: float,
-                    x_end: float, rtol: float, *, with_sensitivity: bool = True,
-                    track_zeros: bool = False,
-                    max_step: float = math.inf) -> ShotSide:
-    q = _q_factory(p.evaluate, lam, mode.h, None)
-    y0 = line_initial_state(mode, beta, with_sensitivity)
-    y, ls, zeros, steps = _integrate(q, 0.0, y0, x_end, rtol, dq=_dq(mode.h),
-                                     track_zeros=track_zeros, max_step=max_step)
-    return ShotSide(
-        value=ScaledValue.of(y[0], ls),
-        slope=ScaledValue.of(y[1], ls),
-        d_lambda=ScaledValue.of(y[2], ls) if with_sensitivity else None,
-        crossings=tuple(zeros),
-        steps=steps,
-    )
-
-
-def shoot_beta_sensitivity(p: PotentialSpec, mode: ModeSpec, lam: float,
-                           x_end: float, rtol: float) -> tuple[ScaledValue, int]:
-    q = _q_factory(p.evaluate, lam, mode.h, None)
-    y, ls, _, steps = _integrate(q, 0.0, beta_sensitivity_initial_state(mode),
-                                 x_end, rtol)
-    return ScaledValue.of(y[0], ls), steps
-
-
-def line_residual(p: PotentialSpec, domain: LineBox, mode: ModeSpec,
-                  lam: float, beta: float, rtol: float
-                  ) -> tuple[ScaledValue, ScaledValue, int]:
-    """(u(r-), u(r+), steps) for the shooting solution; values only."""
-    left = shoot_line_side(p, mode, lam, beta, domain.left, rtol,
-                           with_sensitivity=False)
-    right = shoot_line_side(p, mode, lam, beta, domain.right, rtol,
-                            with_sensitivity=False)
-    return left.value, right.value, left.steps + right.steps
-
-
-@dataclass(frozen=True)
-class BoundaryMap:
-    """Wall values G-+ = u(r-+) and their (lambda, beta) sensitivities.
-
-    ``jacobian`` rows are ordered (r- row, r+ row); each row is
-    (d/dlambda, d/dbeta).  ``condition`` measures the row-scaled Jacobian,
-    the quantity that actually decides whether a Newton step is trustworthy
-    when the two walls sit at wildly different exp(phi/h) magnitudes.
-    """
-
-    g_minus: ScaledValue
-    g_plus: ScaledValue
-    jacobian: tuple[tuple[ScaledValue, ScaledValue], tuple[ScaledValue, ScaledValue]]
-    condition: float
-    steps: int
-
-    @property
-    def values(self) -> tuple[ScaledValue, ScaledValue]:
-        return (self.g_plus, self.g_minus)
-
-
-def _row_scaled(rows: Sequence[tuple[ScaledValue, ScaledValue, ScaledValue]]
-                ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Express each (J1, J2, G) row at its own magnitude; return matrix,
-    right-hand side -G, and the condition number of the scaled matrix."""
-    mat = np.empty((2, 2))
-    vec = np.empty(2)
-    for i, (a, b, g) in enumerate(rows):
-        ref = max(a.log_abs(), b.log_abs(), g.log_abs())
-        if ref == -math.inf:
-            # Row identically zero: nothing to solve in this direction.
-            mat[i] = (1.0, 0.0) if i == 0 else (0.0, 1.0)
-            vec[i] = 0.0
-            continue
-        mat[i, 0] = a.float_at(ref)
-        mat[i, 1] = b.float_at(ref)
-        vec[i] = -g.float_at(ref)
-    sv = np.linalg.svd(mat, compute_uv=False)
-    cond = math.inf if sv[-1] == 0.0 else float(sv[0] / sv[-1])
-    return mat, vec, cond
-
-
-def boundary_map_line(p: PotentialSpec, domain: LineBox, mode: ModeSpec,
-                      lam: float, beta: float, tol: float) -> BoundaryMap:
-    """Shoot both walls and assemble the full 2x2 sensitivity picture.
-
-    A failed integration re-raises with the steps of the map's earlier
-    integrations added to its own.
-    """
-    done = 0
-    try:
-        left = shoot_line_side(p, mode, lam, beta, domain.left, tol)
-        done += left.steps
-        right = shoot_line_side(p, mode, lam, beta, domain.right, tol)
-        done += right.steps
-        v_left, s1 = shoot_beta_sensitivity(p, mode, lam, domain.left, tol)
-        done += s1
-        v_right, s2 = shoot_beta_sensitivity(p, mode, lam, domain.right, tol)
-    except SolverError as exc:
-        exc.steps += done
-        raise
-    rows = [(left.d_lambda, v_left, left.value),
-            (right.d_lambda, v_right, right.value)]
-    _, _, cond = _row_scaled(rows)
-    return BoundaryMap(
-        g_minus=left.value,
-        g_plus=right.value,
-        jacobian=((left.d_lambda, v_left), (right.d_lambda, v_right)),
-        condition=cond,
-        steps=done + s2,
-    )
-
-
-@dataclass(frozen=True)
-class LineSolution:
-    lam: float
-    beta: float
-    iterations: int
-    converged: bool
-    condition: float
-    residual_log: float  # natural log of the final boundary residual magnitude
-    steps: int
-
-
-def newton_solve_line(p: PotentialSpec, domain: LineBox, mode: ModeSpec,
-                      lam0: float, beta0: float = 0.0, *,
-                      rtol: float = 1e-12, newton_tol: float = 1e-10,
-                      max_iter: int = _MAX_NEWTON_DEFAULT) -> LineSolution:
-    """Newton iteration on (lambda, beta) for u(r-) = u(r+) = 0.
-
-    Converged when |d lambda| <= newton_tol * h and |d beta| <= newton_tol.
-    A ``SolverError`` carries the steps of every integration done, the
-    failed one included.
-    """
-    lam, beta = lam0, beta0
-    h = mode.h
-    total_steps = 0
-
-    for it in range(1, max_iter + 1):
-        try:
-            bmap = boundary_map_line(p, domain, mode, lam, beta, rtol)
-        except SolverError as exc:
-            exc.steps += total_steps
-            raise
-        total_steps += bmap.steps
-        mat, vec, cond = _row_scaled([(*bmap.jacobian[0], bmap.g_minus),
-                                      (*bmap.jacobian[1], bmap.g_plus)])
-        if cond > _CONDITION_LIMIT:
-            raise SolverError(
-                f"shooting Jacobian is numerically singular (condition {cond:.3g}); "
-                "check that the domain brackets the well and the level index is sane",
-                total_steps)
-        d = np.linalg.solve(mat, vec)
-        d_lam, d_beta = float(d[0]), float(d[1])
-
-        # Trust-region style clipping; inactive for sane starting guesses.
-        lam_cap = 0.3 * max(abs(lam), h)
-        if abs(d_lam) > lam_cap:
-            shrink = lam_cap / abs(d_lam)
-            d_lam *= shrink
-            d_beta *= shrink
-        beta_cap = 0.5 * (1.0 + abs(beta))
-        if abs(d_beta) > beta_cap:
-            shrink = beta_cap / abs(d_beta)
-            d_lam *= shrink
-            d_beta *= shrink
-
-        lam += d_lam
-        beta += d_beta
-        if abs(d_lam) <= newton_tol * h and abs(d_beta) <= newton_tol:
-            res_log = max(bmap.g_minus.log_abs(), bmap.g_plus.log_abs())
-            return LineSolution(lam=lam, beta=beta, iterations=it,
-                                converged=True, condition=cond,
-                                residual_log=res_log, steps=total_steps)
-
-    raise SolverError(
-        f"Newton did not converge in {max_iter} iterations "
-        f"(level {mode.level}, h={h:g}, last lambda={lam!r})", total_steps)
-
-
-def count_nodes_line(p: PotentialSpec, domain: LineBox, mode: ModeSpec,
-                     lam: float, beta: float, rtol: float = 1e-12
-                     ) -> tuple[int, int]:
-    """(interior zeros of the shooting solution on (r-, r+), steps taken).
-
-    Shoots both directions from 0 with a step cap of half the shortest local
-    oscillation wavelength, so no sign change can hide inside a step.  Zeros
-    within 100*|u/u'| of a wall are discarded: at a converged eigenvalue the
-    boundary zero itself would otherwise be miscounted as interior.
-    """
-    cap = _counting_step_cap(p.evaluate, None, mode.h, lam,
-                             domain.left, domain.right)
-    total = steps = 0
-    for x_end in (domain.left, domain.right):
-        side = shoot_line_side(p, mode, lam, beta, x_end, rtol,
-                               with_sensitivity=False, track_zeros=True,
-                               max_step=cap)
-        margin = _wall_margin(side.value, side.slope, domain.right - domain.left)
-        total += sum(1 for z in side.crossings if abs(z - x_end) > margin)
-        steps += side.steps
-    if line_initial_state(mode, beta, False)[0] == 0.0:
-        total += 1  # exact zero at the origin (pure odd mode)
-    return total, steps
-
-
-def _wall_margin(value: ScaledValue, slope: ScaledValue, width: float) -> float:
-    if slope.is_zero:
-        return 0.0
-    ratio = value.ratio(slope)
-    if ratio is None:
-        return 0.05 * width
-    return min(0.05 * width, 100.0 * abs(ratio))
-
-
-def _counting_step_cap(V: Callable[[float], float], nu: float | None,
-                       h: float, lam: float, a: float, b: float) -> float:
-    """Half the minimal local wavelength pi/k over the interval (sampled)."""
-    cent = 0.0 if nu is None else nu * nu - 0.25
-    k2_max = 1.0 / (h * h)  # floor: never step wider than ~pi*h/2
-    for i in range(256):
-        x = a + (b - a) * (i + 0.5) / 256.0
-        if x == 0.0:
-            continue
-        k2 = (lam - V(x)) / (h * h) - cent / (x * x)
-        if k2 > k2_max:
-            k2_max = k2
-    return math.pi / (2.0 * math.sqrt(k2_max))
 
 
 # --------------------------------------------------------------------------
@@ -595,93 +351,234 @@ def frobenius_start(w: PotentialSpec, mode: ModeSpec, lam: float,
     return ShootState(x0, ScaledValue.of(y[0]), ScaledValue.of(y[1]))
 
 
+# --------------------------------------------------------------------------
+# Two-sided matching: one shooter for line and radial problems
+# --------------------------------------------------------------------------
+
+
+def wall_start(x: float, slope: float) -> SeriesStart:
+    """Dirichlet start (u, u') = (0, ``slope``) at the wall ``x``.  It does
+    not depend on lambda, so its sensitivity pair starts at zero."""
+    def start(lam: float, with_sensitivity: bool = True
+              ) -> tuple[float, tuple[float, ...]]:
+        return x, (0.0, slope, 0.0, 0.0) if with_sensitivity else (0.0, slope)
+    return start
+
+
 @dataclass(frozen=True)
-class RadialShot:
-    value: ScaledValue
-    slope: ScaledValue
-    d_lambda: ScaledValue | None
-    crossings: tuple[float, ...]
+class Shot:
+    """One side's state at the matching point, exponent factored out."""
+
+    y: tuple[float, ...]          # (u, u'), plus (du/dlambda, du'/dlambda)
+    log_scale: float
+    crossings: tuple[float, ...]  # zeros of u recorded during the pass
     steps: int
 
-
-def shoot_radial(V: Callable[[float], float], nu: float, h: float, L: float,
-                 lam: float, series_start: SeriesStart, rtol: float, *,
-                 with_sensitivity: bool = True, track_zeros: bool = False,
-                 max_step: float = math.inf) -> RadialShot:
-    x0, y0 = series_start(lam, with_sensitivity)
-    if x0 >= L:
-        raise SolverError(f"series matching point x0={x0:g} is outside the box (L={L:g})")
-    q = _q_factory(V, lam, h, nu)
-    y, ls, zeros, steps = _integrate(q, x0, y0, L, rtol, dq=_dq(h),
-                                     track_zeros=track_zeros, max_step=max_step)
-    return RadialShot(
-        value=ScaledValue.of(y[0], ls),
-        slope=ScaledValue.of(y[1], ls),
-        d_lambda=ScaledValue.of(y[2], ls) if with_sensitivity else None,
-        crossings=tuple(zeros),
-        steps=steps,
-    )
+    def at(self, i: int) -> ScaledValue:
+        return ScaledValue.of(self.y[i], self.log_scale)
 
 
 @dataclass(frozen=True)
-class RadialSolution:
+class Matching:
+    """A Dirichlet problem as two shots that meet at ``x_m``.
+
+    ``left`` and ``right`` map (lambda, with_sensitivity) to a start point
+    and state: a wall start, or a series start off a singular origin.
+    """
+
+    V: Callable[[float], float]
+    nu: float | None
+    h: float
+    left: SeriesStart
+    right: SeriesStart
+    x_m: float
+    width: float
+
+    @classmethod
+    def line(cls, p: PotentialSpec, domain: LineBox, mode: ModeSpec) -> Matching:
+        """Inward from both walls to the well bottom at 0."""
+        return cls(p.evaluate, None, mode.h, wall_start(domain.left, 1.0),
+                   wall_start(domain.right, -1.0), 0.0,
+                   domain.right - domain.left)
+
+    @classmethod
+    def radial(cls, V: Callable[[float], float], nu: float, h: float, L: float,
+               series_start: SeriesStart) -> Matching:
+        """Outward from the series start to the wall at L, where the right
+        shot is empty and W = -u(L)."""
+        return cls(V, nu, h, series_start, wall_start(L, -1.0), L, L)
+
+    def shoot(self, lam: float, rtol: float, *, with_sensitivity: bool = True,
+              track_zeros: bool = False, max_step: float = math.inf
+              ) -> tuple[Shot, Shot]:
+        """Both sides' states at x_m.  A failed integration re-raises with
+        the steps of the side done before it added."""
+        starts = [start(lam, with_sensitivity)
+                  for start in (self.left, self.right)]
+        if starts[0][0] >= self.x_m:
+            raise SolverError(f"start point x0={starts[0][0]:g} is not left "
+                              f"of the matching point {self.x_m:g}")
+        q = _q_factory(self.V, lam, self.h, self.nu)
+        shots: list[Shot] = []
+        try:
+            for x0, y0 in starts:
+                y, ls, zeros, steps = _integrate(
+                    q, x0, y0, self.x_m, rtol, dq=_dq(self.h),
+                    track_zeros=track_zeros, max_step=max_step)
+                shots.append(Shot(y, ls, tuple(zeros), steps))
+        except SolverError as exc:
+            exc.steps += sum(shot.steps for shot in shots)
+            raise
+        return shots[0], shots[1]
+
+
+def wronskian(left: Shot, right: Shot
+              ) -> tuple[ScaledValue, ScaledValue | None]:
+    """W = u_L u_R' - u_L' u_R at the matching point, and dW/dlambda when
+    the shots carry the sensitivity pair (None otherwise)."""
+    w = left.at(0) * right.at(1) - left.at(1) * right.at(0)
+    if len(left.y) == 2:
+        return w, None
+    dw = (left.at(2) * right.at(1) + left.at(0) * right.at(3)) \
+        - (left.at(3) * right.at(0) + left.at(1) * right.at(2))
+    return w, dw
+
+
+@dataclass(frozen=True)
+class Solution:
+    """A converged Newton root of W."""
+
     lam: float
     iterations: int
     converged: bool
-    residual_log: float
+    residual_log: float  # natural log of |W| at the last iterate
     steps: int
+
+
+def newton_match(match: Matching, lam0: float, *, rtol: float,
+                 newton_tol: float, scale: float, max_iter: int) -> Solution:
+    """Scalar Newton iteration on lambda for W(lambda) = 0.
+
+    Converged when |d lambda| <= newton_tol * scale.  A ``SolverError``
+    carries the steps of every integration done, the failed one included.
+    """
+    lam = lam0
+    total_steps = 0
+    for it in range(1, max_iter + 1):
+        try:
+            left, right = match.shoot(lam, rtol)
+        except SolverError as exc:
+            exc.steps += total_steps
+            raise
+        total_steps += left.steps + right.steps
+        w, dw = wronskian(left, right)
+        if dw.is_zero:
+            raise SolverError("the Wronskian's lambda-derivative vanished; "
+                              "cannot take a Newton step", total_steps)
+        step = -w.ratio(dw)
+        cap = 0.3 * max(abs(lam), scale)
+        if abs(step) > cap:
+            step = math.copysign(cap, step)
+        lam += step
+        if abs(step) <= newton_tol * scale:
+            return Solution(lam=lam, iterations=it, converged=True,
+                            residual_log=w.log_abs(), steps=total_steps)
+
+    raise SolverError(
+        f"Newton did not converge in {max_iter} iterations "
+        f"(h={match.h:g}, last lambda={lam!r})", total_steps)
+
+
+def count_nodes(match: Matching, lam: float, rtol: float) -> tuple[int, int]:
+    """(interior zeros of the matched solution, steps taken).
+
+    Both sides are shot with a step cap of half the shortest local
+    oscillation wavelength, so no sign change can hide inside a step, and
+    each counts the zeros strictly inside its own stretch.  Zeros near x_m
+    are read off the matched state there instead.  At an interior x_m,
+    zeros within 1e-3 of the cap are dropped and one node counts when u
+    vanishes that close to x_m: an odd level on a symmetric box has its
+    node at x_m exactly, and either side may see it.  At a wall x_m the
+    Dirichlet zero is no node, and zeros within 100*|u/u'| of it are
+    discarded.
+    """
+    a, _ = match.left(lam, False)
+    b, _ = match.right(lam, False)
+    cap = _counting_step_cap(match.V, match.nu, match.h, lam, a, b)
+    left, right = match.shoot(lam, rtol, with_sensitivity=False,
+                              track_zeros=True, max_step=cap)
+    if b == match.x_m:
+        margin = _wall_margin(left.at(0), left.at(1), match.width)
+        at_match = 0
+    else:
+        margin = 1e-3 * cap
+        at_match = int(abs(left.y[0]) <= margin * abs(left.y[1]))
+    inside = sum(1 for z in left.crossings + right.crossings
+                 if abs(z - match.x_m) > margin)
+    return inside + at_match, left.steps + right.steps
+
+
+def _wall_margin(value: ScaledValue, slope: ScaledValue, width: float) -> float:
+    if slope.is_zero:
+        return 0.0
+    return min(0.05 * width, 100.0 * abs(value.ratio(slope)))
+
+
+def _counting_step_cap(V: Callable[[float], float], nu: float | None,
+                       h: float, lam: float, a: float, b: float) -> float:
+    """Half the minimal local wavelength pi/k over the interval (sampled)."""
+    cent = 0.0 if nu is None else nu * nu - 0.25
+    k2_max = 1.0 / (h * h)  # floor: never step wider than ~pi*h/2
+    for i in range(256):
+        x = a + (b - a) * (i + 0.5) / 256.0
+        if x == 0.0:
+            continue
+        k2 = (lam - V(x)) / (h * h) - cent / (x * x)
+        if k2 > k2_max:
+            k2_max = k2
+    return math.pi / (2.0 * math.sqrt(k2_max))
+
+
+def newton_solve_line(p: PotentialSpec, domain: LineBox, mode: ModeSpec,
+                      lam0: float, *, rtol: float = 1e-12,
+                      newton_tol: float = 1e-10,
+                      max_iter: int = _MAX_NEWTON_DEFAULT) -> Solution:
+    """Newton on the line problem: inward shots meeting at 0, converged
+    when |d lambda| <= newton_tol * h.
+
+    W carries the truncation error of both shots into the root, so each
+    runs at rtol/2.  That keeps the root within about 0.1*rtol*lambda of
+    the level on the harmonic well (the error is proportional to rtol).
+    """
+    return newton_match(Matching.line(p, domain, mode), lam0, rtol=0.5 * rtol,
+                        newton_tol=newton_tol, scale=mode.h, max_iter=max_iter)
 
 
 def newton_solve_radial(V: Callable[[float], float], nu: float, h: float,
                         L: float, lam0: float, series_start: SeriesStart, *,
                         rtol: float = 1e-12, newton_tol: float = 1e-10,
                         lambda_scale: float | None = None,
-                        max_iter: int = _MAX_NEWTON_DEFAULT) -> RadialSolution:
-    """Scalar Newton iteration on lambda for u(L) = 0.
+                        max_iter: int = _MAX_NEWTON_DEFAULT) -> Solution:
+    """Newton on the radial problem: the series shot matched at the wall L.
 
     ``lambda_scale`` sets the convergence yardstick |d lambda| <=
     newton_tol * scale; it defaults to h, appropriate for low-lying levels
     of a well (pass the energy magnitude instead for Coulomb problems).
-    A ``SolverError`` carries the steps of every integration done, the
-    failed one included.
     """
-    lam = lam0
     scale = lambda_scale if lambda_scale is not None else h
-    total_steps = 0
+    return newton_match(Matching.radial(V, nu, h, L, series_start), lam0,
+                        rtol=rtol, newton_tol=newton_tol, scale=scale,
+                        max_iter=max_iter)
 
-    for it in range(1, max_iter + 1):
-        try:
-            shot = shoot_radial(V, nu, h, L, lam, series_start, rtol)
-        except SolverError as exc:
-            exc.steps += total_steps
-            raise
-        total_steps += shot.steps
-        ratio = shot.value.ratio(shot.d_lambda)
-        if ratio is None:
-            raise SolverError("radial shooting sensitivity vanished; "
-                              "cannot take a Newton step", total_steps)
-        step = -ratio
-        cap = 0.3 * max(abs(lam), scale)
-        if abs(step) > cap:
-            step = math.copysign(cap, step)
-        lam += step
-        if abs(step) <= newton_tol * scale:
-            return RadialSolution(lam=lam, iterations=it, converged=True,
-                                  residual_log=shot.value.log_abs(),
-                                  steps=total_steps)
 
-    raise SolverError(
-        f"radial Newton did not converge in {max_iter} iterations "
-        f"(h={h:g}, nu={nu:g}, last lambda={lam!r})", total_steps)
+def count_nodes_line(p: PotentialSpec, domain: LineBox, mode: ModeSpec,
+                     lam: float, rtol: float = 1e-12) -> tuple[int, int]:
+    """(interior zeros on (r-, r+), steps taken); see ``count_nodes``."""
+    return count_nodes(Matching.line(p, domain, mode), lam, rtol)
 
 
 def count_nodes_radial(V: Callable[[float], float], nu: float, h: float,
                        L: float, lam: float, series_start: SeriesStart,
                        rtol: float = 1e-12) -> tuple[int, int]:
-    """(interior zeros of the radial shooting solution on (0, L), steps)."""
-    x0, _ = series_start(lam, False)
-    cap = _counting_step_cap(V, nu, h, lam, x0, L)
-    shot = shoot_radial(V, nu, h, L, lam, series_start, rtol,
-                        with_sensitivity=False, track_zeros=True, max_step=cap)
-    margin = _wall_margin(shot.value, shot.slope, L)
-    return sum(1 for z in shot.crossings if abs(z - L) > margin), shot.steps
+    """(interior zeros on (0, L), steps taken); see ``count_nodes``."""
+    return count_nodes(Matching.radial(V, nu, h, L, series_start), lam, rtol)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -35,7 +36,7 @@ from .errors import GridError, InvalidPotential, SolverError
 from .potentials import Domain, LineBox, PotentialSpec, RadialBox, harmonic
 from .shooting import (CoulombSeriesStart, ModeSpec, OscillatorSeriesStart,
                        count_nodes_line, count_nodes_radial, newton_solve_line,
-                       newton_solve_radial, shoot_radial)
+                       newton_solve_radial)
 
 _PHI_MARGIN = 34.5  # in units of h; exp(-2*34.5) ~ 1e-30
 _EXPANSION_FACTOR = 1.25
@@ -53,7 +54,6 @@ class Eigenpair:
     iterations: int = 0
     residual_log: float | None = None
     grid_n: int | None = None
-    beta: float | None = None
     nodes: int | None = None
     steps: int = 0
 
@@ -111,9 +111,8 @@ def harmonic_level(p: PotentialSpec, mode: ModeSpec) -> float:
 
 
 def confined_eigenvalue(p: PotentialSpec, domain: Domain, mode: ModeSpec, *,
-                        lam0: float | None = None, beta0: float = 0.0,
-                        rtol: float = 1e-12, newton_tol: float = 1e-10,
-                        max_iter: int = 50,
+                        lam0: float | None = None, rtol: float = 1e-12,
+                        newton_tol: float = 1e-10, max_iter: int = 50,
                         verify_nodes: bool = True) -> Eigenpair:
     """Dirichlet eigenvalue of level ``mode.level`` on ``domain``.
 
@@ -121,31 +120,33 @@ def confined_eigenvalue(p: PotentialSpec, domain: Domain, mode: ModeSpec, *,
     approximation); if the converged solution has the wrong interior node
     count, one retry is made from a finite-difference estimate before
     giving up.  This matters when h is not small and levels are crowded.
+    A ``SolverError`` carries the steps of every attempt.
     """
     if isinstance(domain, LineBox):
         if p.kind != "line":
             raise InvalidPotential(f"potential kind {p.kind!r} on a line domain")
-        return _confined_line(p, domain, mode, lam0, beta0, rtol, newton_tol,
-                              max_iter, verify_nodes)
-    if mode.nu is None:
-        raise InvalidPotential("radial problems need mode.nu")
-    if p.kind != "radial":
-        raise InvalidPotential(f"potential kind {p.kind!r} on a radial domain")
-    return _confined_radial(p, domain, mode, lam0, rtol, newton_tol,
-                            max_iter, verify_nodes)
+        where = f"level {mode.level} on {domain.as_tuple()} (h={mode.h:g})"
+        solve = partial(newton_solve_line, p, domain, mode)
+        nodes_at = partial(count_nodes_line, p, domain, mode)
+    else:
+        if mode.nu is None:
+            raise InvalidPotential("radial problems need mode.nu")
+        if p.kind != "radial":
+            raise InvalidPotential(f"potential kind {p.kind!r} on a radial domain")
+        where = (f"radial level {mode.level} on (0, {domain.length:g}) "
+                 f"(h={mode.h:g}, nu={mode.nu:g})")
+        series = OscillatorSeriesStart(p, mode.nu, mode.h, L=domain.length)
+        args = (p.evaluate, mode.nu, mode.h, domain.length)
+        solve = partial(newton_solve_radial, *args, series_start=series)
+        nodes_at = partial(count_nodes_radial, *args, series_start=series)
 
-
-def _confined_line(p: PotentialSpec, domain: LineBox, mode: ModeSpec,
-                   lam0: float | None, beta0: float, rtol: float,
-                   newton_tol: float, max_iter: int,
-                   verify_nodes: bool) -> Eigenpair:
     guesses = [lam0 if lam0 is not None else harmonic_level(p, mode)]
     last_error: Exception | None = None
     steps = 0  # every attempt's, rejected ones included
     for guess in _with_fd_fallback(guesses, p, domain, mode):
         try:
-            sol = newton_solve_line(p, domain, mode, guess, beta0, rtol=rtol,
-                                    newton_tol=newton_tol, max_iter=max_iter)
+            sol = solve(guess, rtol=rtol, newton_tol=newton_tol,
+                        max_iter=max_iter)
         except SolverError as exc:
             steps += exc.steps
             last_error = exc
@@ -153,44 +154,11 @@ def _confined_line(p: PotentialSpec, domain: LineBox, mode: ModeSpec,
         steps += sol.steps
         nodes = None
         if verify_nodes:
-            nodes, node_steps = count_nodes_line(p, domain, mode, sol.lam,
-                                                 sol.beta, rtol)
-            steps += node_steps
-            if nodes != mode.level:
-                last_error = SolverError(
-                    f"converged to a level with {nodes} interior nodes, "
-                    f"wanted {mode.level} (lambda={sol.lam!r})")
-                continue
-        return Eigenpair(index_m=mode.level, value=sol.lam, method="shooting",
-                         iterations=sol.iterations, residual_log=sol.residual_log,
-                         beta=sol.beta, nodes=nodes, steps=steps)
-    raise SolverError(
-        f"could not isolate level {mode.level} on {domain.as_tuple()} "
-        f"(h={mode.h:g}): {last_error}", steps)
-
-
-def _confined_radial(p: PotentialSpec, domain: RadialBox, mode: ModeSpec,
-                     lam0: float | None, rtol: float, newton_tol: float,
-                     max_iter: int, verify_nodes: bool) -> Eigenpair:
-    series = OscillatorSeriesStart(p, mode.nu, mode.h, L=domain.length)
-    guesses = [lam0 if lam0 is not None else harmonic_level(p, mode)]
-    last_error: Exception | None = None
-    steps = 0  # every attempt's, rejected ones included
-    for guess in _with_fd_fallback(guesses, p, domain, mode):
-        try:
-            sol = newton_solve_radial(p.evaluate, mode.nu, mode.h, domain.length,
-                                      guess, series, rtol=rtol,
-                                      newton_tol=newton_tol, max_iter=max_iter)
-        except SolverError as exc:
-            steps += exc.steps
-            last_error = exc
-            continue
-        steps += sol.steps
-        nodes = None
-        if verify_nodes:
-            nodes, node_steps = count_nodes_radial(p.evaluate, mode.nu, mode.h,
-                                                   domain.length, sol.lam,
-                                                   series, rtol)
+            try:
+                nodes, node_steps = nodes_at(sol.lam, rtol=rtol)
+            except SolverError as exc:
+                exc.steps += steps
+                raise
             steps += node_steps
             if nodes != mode.level:
                 last_error = SolverError(
@@ -200,9 +168,7 @@ def _confined_radial(p: PotentialSpec, domain: RadialBox, mode: ModeSpec,
         return Eigenpair(index_m=mode.level, value=sol.lam, method="shooting",
                          iterations=sol.iterations, residual_log=sol.residual_log,
                          nodes=nodes, steps=steps)
-    raise SolverError(
-        f"could not isolate radial level {mode.level} on (0, {domain.length:g}) "
-        f"(h={mode.h:g}, nu={mode.nu:g}): {last_error}", steps)
+    raise SolverError(f"could not isolate {where}: {last_error}", steps)
 
 
 def _with_fd_fallback(guesses: list[float], p: PotentialSpec, domain: Domain,
@@ -261,7 +227,11 @@ def unconfined_eigenvalue(p: PotentialSpec, mode: ModeSpec, *,
     for _ in range(_MAX_EXPANSIONS):
         domain: Domain = LineBox(left, right) if mode.nu is None \
             else RadialBox(right)
-        pair = confined_eigenvalue(p, domain, mode, lam0=guess, rtol=rtol)
+        try:
+            pair = confined_eigenvalue(p, domain, mode, lam0=guess, rtol=rtol)
+        except SolverError as exc:
+            exc.steps += steps
+            raise
         steps += pair.steps
         if lam_prev is not None and \
                 abs(pair.value - lam_prev) <= 1e-13 * max(abs(pair.value), h):
@@ -444,15 +414,15 @@ def hydrogen_confined(spec: HydrogenSpec, *, rtol: float = 1e-12,
 def _bisect_radial(V: Callable[[float], float], nu: float, h: float, L: float,
                    series: shooting.SeriesStart, lo: float, hi: float,
                    rtol: float) -> tuple[float, int]:
-    """(sign-change point of u(L) in lambda on [lo, hi], steps taken)."""
+    """(sign-change point of W = -u(L) in lambda on [lo, hi], steps taken)."""
+    match = shooting.Matching.radial(V, nu, h, L, series)
     steps = 0
 
     def sign_at(lam: float) -> int:
         nonlocal steps
-        shot = shoot_radial(V, nu, h, L, lam, series, rtol,
-                            with_sensitivity=False)
-        steps += shot.steps
-        return shot.value.sign
+        left, right = match.shoot(lam, rtol, with_sensitivity=False)
+        steps += left.steps + right.steps
+        return shooting.wronskian(left, right)[0].sign
 
     s_lo, s_hi = sign_at(lo), sign_at(hi)
     if s_lo == s_hi:

@@ -22,7 +22,7 @@ from boxshift import (
 from boxshift.asymptotics import ho_shift_term, iso_ho_shift_term
 from boxshift.dsl import as_function, differentiate, evaluate, parse, pretty
 from boxshift.report import geometric_grid, run_hydrogen_case, run_shift_case
-from boxshift.shooting import boundary_map_line
+from boxshift.shooting import Matching, wronskian
 from boxshift.spectra import fd_oracle, unconfined_eigenvalue
 
 BOX = LineBox(-1.0, 1.0)
@@ -237,24 +237,18 @@ def _check_node_counts():
 
 
 def _check_jacobian_matches_fd():
-    p, mode, lam, beta = quartic(), ModeSpec(level=1, h=0.15), 0.47, 0.05
-    base = boundary_map_line(p, BOX, mode, lam, beta, 1e-12)
-    d_lam, d_beta = 1e-6 * mode.h, 1e-6
-    lam_hi = boundary_map_line(p, BOX, mode, lam + d_lam, beta, 1e-12)
-    lam_lo = boundary_map_line(p, BOX, mode, lam - d_lam, beta, 1e-12)
-    beta_hi = boundary_map_line(p, BOX, mode, lam, beta + d_beta, 1e-12)
-    beta_lo = boundary_map_line(p, BOX, mode, lam, beta - d_beta, 1e-12)
+    # The Newton derivative dW/dlambda, from the sensitivity pair, against a
+    # central difference of the matching Wronskian W.
+    p, mode, lam = quartic(), ModeSpec(level=1, h=0.15), 0.47
+    match = Matching.line(p, BOX, mode)
+    d_lam = 1e-6 * mode.h
 
-    def walls(bmap):
-        return (bmap.g_minus.to_float(), bmap.g_plus.to_float())
+    def w_at(x):
+        return wronskian(*match.shoot(x, 1e-12, with_sensitivity=False))[0]
 
-    for row in (0, 1):
-        want = (walls(lam_hi)[row] - walls(lam_lo)[row]) / (2 * d_lam)
-        got = base.jacobian[row][0].to_float()
-        assert got == pytest.approx(want, rel=1e-5), (row, "lambda")
-        want = (walls(beta_hi)[row] - walls(beta_lo)[row]) / (2 * d_beta)
-        got = base.jacobian[row][1].to_float()
-        assert got == pytest.approx(want, rel=1e-5), (row, "beta")
+    _, got = wronskian(*match.shoot(lam, 1e-12))
+    want = (w_at(lam + d_lam) - w_at(lam - d_lam)).to_float() / (2 * d_lam)
+    assert got.to_float() == pytest.approx(want, rel=1e-5), "lambda"
 
 
 def _check_scaling_covariance():

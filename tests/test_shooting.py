@@ -1,5 +1,5 @@
-"""Renormalised shooting integration, boundary maps, Newton solves and
-node counting, checked against closed-form solutions of the unit well.
+"""Renormalised shooting integration, the matching Wronskian, Newton solves
+and node counting, checked against closed-form solutions of the unit well.
 
 For V = x^2 the two-sided family  u = exp(+-x^2/(2h))  solves
 h^2 u'' = (x^2 -+ h) u exactly, which pins the integrator, the scale
@@ -13,12 +13,11 @@ import pytest
 
 from boxshift import (
     LineBox, ModeSpec, ScaledValue, SeriesError, ShootState, SolverError,
-    boundary_map_line, count_nodes_line, count_nodes_radial, frobenius_start,
-    harmonic, integrate, newton_solve_line, newton_solve_radial, quartic,
+    count_nodes_line, count_nodes_radial, frobenius_start, harmonic,
+    integrate, newton_solve_line, newton_solve_radial, quartic,
 )
-from boxshift import shooting
 from boxshift.shooting import (
-    CoulombSeriesStart, OscillatorSeriesStart, line_residual, shoot_line_side,
+    CoulombSeriesStart, Matching, OscillatorSeriesStart, wronskian,
 )
 
 H = 0.1
@@ -104,34 +103,23 @@ def test_wronskian_constant_in_forbidden_region():
     assert wronskian_after(quartic(), 0.05, 0.2, 0.5) == pytest.approx(1.0, rel=1e-8)
 
 
-# -- boundary map and its Jacobian ------------------------------------------------
+# -- the matching Wronskian and its lambda-derivative -------------------------------
+
+def _w(match, lam):
+    return wronskian(*match.shoot(lam, 1e-12, with_sensitivity=False))[0]
+
 
 def test_boundary_map_jacobian_matches_finite_differences():
-    mode = ModeSpec(level=0, h=H)
-    lam, beta = 0.105, 0.02
-    bmap = boundary_map_line(harmonic(), BOX, mode, lam, beta, 1e-12)
-
-    d_lam = 1e-6 * H
-    gm_p, gp_p, _ = line_residual(harmonic(), BOX, mode, lam + d_lam, beta, 1e-12)
-    gm_m, gp_m, _ = line_residual(harmonic(), BOX, mode, lam - d_lam, beta, 1e-12)
-    two_d = ScaledValue.of(2 * d_lam)
-    fd_minus = (gm_p - gm_m) / two_d
-    fd_plus = (gp_p - gp_m) / two_d
-    assert fd_minus.ratio(bmap.jacobian[0][0]) == pytest.approx(1.0, rel=1e-5)
-    assert fd_plus.ratio(bmap.jacobian[1][0]) == pytest.approx(1.0, rel=1e-5)
-
-    d_beta = 1e-6
-    gm_p, gp_p, _ = line_residual(harmonic(), BOX, mode, lam, beta + d_beta, 1e-12)
-    gm_m, gp_m, _ = line_residual(harmonic(), BOX, mode, lam, beta - d_beta, 1e-12)
-    two_d = ScaledValue.of(2 * d_beta)
-    assert ((gm_p - gm_m) / two_d).ratio(bmap.jacobian[0][1]) == pytest.approx(1.0, rel=1e-5)
-    assert ((gp_p - gp_m) / two_d).ratio(bmap.jacobian[1][1]) == pytest.approx(1.0, rel=1e-5)
-
-
-def test_boundary_map_condition_is_finite_and_reported():
-    bmap = boundary_map_line(quartic(), BOX, ModeSpec(level=1, h=0.15), 0.47, 0.0, 1e-12)
-    assert math.isfinite(bmap.condition) and bmap.condition >= 1.0
-    assert bmap.steps > 0
+    # The boundary map of the matching shooter is W(lambda); its derivative
+    # from the sensitivity pair must match a central difference of W.
+    for box in (BOX, LineBox(-0.8, 1.4)):
+        match = Matching.line(harmonic(), box, ModeSpec(level=0, h=H))
+        lam = 0.105
+        _, dw = wronskian(*match.shoot(lam, 1e-12))
+        d_lam = 1e-6 * H
+        fd = (_w(match, lam + d_lam) - _w(match, lam - d_lam)) \
+            / ScaledValue.of(2 * d_lam)
+        assert fd.ratio(dw) == pytest.approx(1.0, rel=1e-5)
 
 
 # -- Newton solves -----------------------------------------------------------------
@@ -148,38 +136,20 @@ def test_newton_exhausts_iterations():
                           max_iter=1)
 
 
-def _fail_on_call(monkeypatch, n):
-    """Make the n-th ``_integrate`` call fail after doing its work, as a
-    step failure late in the integration would; return the per-call step
-    counts seen so far."""
-    real = shooting._integrate
-    taken = []
-
-    def flaky(*args, **kwargs):
-        y, log_scale, zeros, steps = real(*args, **kwargs)
-        taken.append(steps)
-        if len(taken) == n:
-            raise SolverError("forced failure", steps)
-        return y, log_scale, zeros, steps
-
-    monkeypatch.setattr(shooting, "_integrate", flaky)
-    return taken
-
-
-def test_failed_line_newton_reports_every_step(monkeypatch):
-    # Call 6 is the second wall shot of the second iterate: the error must
-    # carry iterate 1's four integrations and iterate 2's first as well.
-    taken = _fail_on_call(monkeypatch, 6)
+def test_failed_line_newton_reports_every_step(fail_on_call):
+    # Call 4 is the right-hand shot of the second iterate: the error must
+    # carry iterate 1's two shots and iterate 2's left-hand shot as well.
+    taken = fail_on_call(4)
     with pytest.raises(SolverError) as info:
         newton_solve_line(quartic(), BOX, ModeSpec(level=1, h=0.12), 3 * 0.12)
-    assert len(taken) == 6
+    assert len(taken) == 4
     assert info.value.steps == sum(taken)
 
 
-def test_failed_radial_newton_reports_every_step(monkeypatch):
+def test_failed_radial_newton_reports_every_step(fail_on_call):
     p = harmonic(kind="radial")
     series = OscillatorSeriesStart(p, 1.5, H, L=1.0)
-    taken = _fail_on_call(monkeypatch, 3)
+    taken = fail_on_call(3)
     with pytest.raises(SolverError) as info:
         newton_solve_radial(p.evaluate, 1.5, H, 1.0, 0.5 * 1.05, series)
     assert len(taken) == 3
@@ -190,18 +160,7 @@ def test_newton_deterministic():
     runs = [newton_solve_line(quartic(), BOX, ModeSpec(level=0, h=H), 0.1)
             for _ in range(2)]
     assert runs[0].lam == runs[1].lam
-    assert runs[0].beta == runs[1].beta
     assert runs[0].steps == runs[1].steps
-
-
-def test_beta_vanishes_for_symmetric_box():
-    sol = newton_solve_line(harmonic(), BOX, ModeSpec(level=0, h=H), 0.1)
-    assert abs(sol.beta) < 1e-9
-
-
-def test_beta_nonzero_for_asymmetric_box():
-    sol = newton_solve_line(harmonic(), LineBox(-0.8, 1.4), ModeSpec(level=0, h=H), 0.1)
-    assert abs(sol.beta) > 1e-6
 
 
 # -- node counting ------------------------------------------------------------------
@@ -210,7 +169,7 @@ def test_beta_nonzero_for_asymmetric_box():
 def test_line_node_count_matches_level(m):
     mode = ModeSpec(level=m, h=H)
     sol = newton_solve_line(harmonic(), BOX, mode, (2 * m + 1) * H * 1.0003)
-    nodes, _ = count_nodes_line(harmonic(), BOX, mode, sol.lam, sol.beta)
+    nodes, _ = count_nodes_line(harmonic(), BOX, mode, sol.lam)
     assert nodes == m
 
 
@@ -321,11 +280,12 @@ def test_mode_spec_rejects_bad_arguments():
 def test_shoot_line_side_reports_steps_and_crossings():
     mode = ModeSpec(level=3, h=H)
     sol = newton_solve_line(harmonic(), BOX, mode, 7 * H * 1.0003)
-    side = shoot_line_side(harmonic(), mode, sol.lam, sol.beta, 1.0, 1e-12,
-                           with_sensitivity=False, track_zeros=True,
-                           max_step=0.05)
+    _, side = Matching.line(harmonic(), BOX, mode).shoot(
+        sol.lam, 1e-12, with_sensitivity=False, track_zeros=True,
+        max_step=0.05)
     assert side.steps > 0
-    # Level 3 has nodes at origin and symmetric pairs; the right half
-    # holds one interior crossing away from the origin.
-    interior = [z for z in side.crossings if z > 1e-8 and abs(z - 1.0) > 1e-3]
-    assert len(interior) == 1
+    # Level 3 has nodes at the origin and a symmetric pair; the inward shot
+    # from the right wall crosses one of the pair on its way to the origin,
+    # and its start on the wall is no crossing.
+    interior = [z for z in side.crossings if z > 1e-8]
+    assert len(interior) == 1 and 0.0 < interior[0] < 1.0

@@ -17,7 +17,7 @@ from boxshift import (
     SolverError, hydrogen_confined, hydrogen_confined_via_oscillator, quartic,
     unconfined_eigenvalue,
 )
-from boxshift import spectra
+from boxshift import report, spectra
 from boxshift.agmon import AgmonProfile
 from boxshift.report import run_shift_case
 from boxshift.spectra import harmonic_level
@@ -201,6 +201,65 @@ def test_seeded_free_level_matches_unseeded(kind, mode):
     seeded = run_shift_case(p, domain, mode).lambda0
     unseeded = unconfined_eigenvalue(p, mode).value
     assert seeded == pytest.approx(unseeded, rel=1e-12)
+
+
+# -- inward node counts --------------------------------------------------------------------
+
+ASYMMETRIC = "x^2 + 0.3*x^3 + x^4"
+
+
+def test_wide_asymmetric_box_keeps_the_ground_state_node_free():
+    # Outward shots picked up a spurious zero near the far wall of this box.
+    p, domain, mode = from_expression(ASYMMETRIC), LineBox(-4.0, 3.5), \
+        ModeSpec(level=0, h=0.05)
+    pair = confined_eigenvalue(p, domain, mode)
+    assert pair.nodes == 0
+    oracle = fd_oracle(p, domain, mode)[0].value
+    assert pair.value == pytest.approx(oracle, rel=1e-7)
+
+
+def test_asymmetric_shift_case_finds_the_free_ground_state(monkeypatch):
+    # Its unconfined boxes reach out to about (-1.92, 1.82), where outward
+    # shots saw the same spurious zero.
+    free = []
+
+    def kept(*args, **kwargs):
+        free.append(unconfined_eigenvalue(*args, **kwargs))
+        return free[-1]
+
+    monkeypatch.setattr(report, "unconfined_eigenvalue", kept)
+    run_shift_case(from_expression(ASYMMETRIC), BOX, ModeSpec(level=0, h=0.03))
+    assert [pair.nodes for pair in free] == [0]
+
+
+# -- steps of failed solves -----------------------------------------------------------------
+
+def _fail_last_call(fail_on_call, run):
+    """Run once counting integrations, then again with the last one failing;
+    return (steps the error carried, steps actually taken)."""
+    counted = fail_on_call(0)
+    run()
+    taken = fail_on_call(len(counted))
+    with pytest.raises(SolverError) as info:
+        run()
+    assert len(taken) == len(counted)
+    return info.value.steps, sum(taken)
+
+
+def test_failed_later_box_reports_every_step(fail_on_call):
+    # The last integration is the second box's node count: the error must
+    # carry the first box's steps as well.
+    carried, taken = _fail_last_call(
+        fail_on_call,
+        lambda: unconfined_eigenvalue(quartic(), ModeSpec(level=0, h=0.1)))
+    assert carried == taken
+
+
+def test_failed_free_solve_reports_the_confined_steps(fail_on_call):
+    carried, taken = _fail_last_call(
+        fail_on_call,
+        lambda: run_shift_case(quartic(), BOX, ModeSpec(level=0, h=0.1)))
+    assert carried == taken
 
 
 # -- wrong-basin rescue ---------------------------------------------------------------------

@@ -42,7 +42,6 @@ from .potentials import (
     from_callables,
     from_expression,
     harmonic,
-    hydrogen_effective,
     normalize_to_unit_curvature,
     quartic,
     resolve_potential,
@@ -114,7 +113,6 @@ __all__ = [
     "hydrogen_confined",
     "hydrogen_confined_closed_form",
     "hydrogen_confined_via_oscillator",
-    "hydrogen_effective",
     "hydrogen_wavenumber_closed_form",
     "integrate",
     "iso_ho_confined_closed_form",

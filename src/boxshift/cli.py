@@ -114,8 +114,8 @@ class _Usage(Exception):
 
 
 def _add_problem_args(sub: argparse.ArgumentParser, *, solver: bool) -> None:
-    sub.add_argument("--potential", help="builtin name (harmonic, quartic(c), "
-                     "hydrogen-effective(z,ell)) or an expression in x")
+    sub.add_argument("--potential", help="builtin name (harmonic, quartic(c)) "
+                     "or an expression in x")
     sub.add_argument("--domain", type=_pair, metavar="A,B",
                      help="line box endpoints, A < 0 < B")
     sub.add_argument("--box", type=float, metavar="L",

@@ -33,13 +33,9 @@ class SeriesError(NumericsError):
 class SolverError(NumericsError):
     """Shooting/Newton iteration failed (divergence, singular Jacobian, ...).
 
-    ``steps`` counts the integrator steps the failed call had taken, so a
-    caller that recovers still reports the work done.
+    The integrator steps of a failed call are counted by
+    ``shooting.steps_taken`` like those of any other.
     """
-
-    def __init__(self, message: str = "", steps: int = 0) -> None:
-        super().__init__(message)
-        self.steps = steps
 
 
 class GridError(NumericsError):

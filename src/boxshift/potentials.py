@@ -178,32 +178,9 @@ def quartic(c: float = 1.0, kind: str = "line") -> PotentialSpec:
     )
 
 
-def hydrogen_effective(z: float, ell: int) -> PotentialSpec:
-    """Coulomb tail -z/y for the radial hydrogen problem.
-
-    The centrifugal barrier belongs to the angular parameter (nu = ell + 1/2),
-    not to this potential.  Note this is *not* a confining well: it fails the
-    standard validation on purpose and is consumed only by the dedicated
-    hydrogen solver.
-    """
-    if z <= 0:
-        raise InvalidPotential(f"hydrogen charge must be positive, got {z}")
-    if ell < 0 or ell != int(ell):
-        raise InvalidPotential(f"angular momentum must be a non-negative integer, got {ell}")
-    return PotentialSpec(
-        kind="radial",
-        evaluate=lambda y: -z / y,
-        derivative1=lambda y: z / (y * y),
-        derivative2=lambda y: -2.0 * z / (y ** 3),
-        label=f"-{z:g}/y (ell={ell})",
-        builtin="hydrogen-effective",
-    )
-
-
 BUILTIN_FACTORIES: dict[str, Callable[..., PotentialSpec]] = {
     "harmonic": harmonic,
     "quartic": quartic,
-    "hydrogen-effective": hydrogen_effective,
 }
 
 
@@ -377,10 +354,6 @@ def resolve_potential(text: str, kind: str = "line") -> PotentialSpec:
     if name in BUILTIN_FACTORIES:
         factory = BUILTIN_FACTORIES[name]
         try:
-            if name == "hydrogen-effective":
-                if len(args) != 2:
-                    raise InvalidPotential("hydrogen-effective takes (charge, ell)")
-                return factory(args[0], int(args[1]))
             return factory(*args, kind=kind)
         except TypeError as exc:
             raise InvalidPotential(f"bad arguments for builtin {name!r}: {exc}") from None

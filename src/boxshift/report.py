@@ -30,9 +30,9 @@ from .asymptotics import (
     shift_leading_line,
     shift_leading_radial,
 )
-from .errors import BoxshiftError, InvalidPotential, SolverError
+from .errors import BoxshiftError, InvalidPotential
 from .potentials import Domain, LineBox, PotentialSpec, RadialBox, validate_potential
-from .shooting import ModeSpec
+from .shooting import ModeSpec, steps_taken
 from .spectra import (
     HydrogenSpec,
     confined_eigenvalue,
@@ -97,6 +97,7 @@ def run_shift_case(p: PotentialSpec, domain: Domain, mode: ModeSpec, *,
                    oracle: bool = False,
                    oracle_grid_n: int = 2000) -> ShiftReport:
     """Full pipeline for one well case: validate, solve both sides, compare."""
+    start = steps_taken()
     report = validate_potential(p, domain, 64)
     if not report.passed:
         raise InvalidPotential(report.summary())
@@ -124,13 +125,9 @@ def run_shift_case(p: PotentialSpec, domain: Domain, mode: ModeSpec, *,
                                    rtol=integrate_tol, newton_tol=newton_tol,
                                    max_iter=max_iter)
     reference_phi = 0.5 * prediction.exponent * mode.h
-    try:
-        free = unconfined_eigenvalue(p, mode, rtol=integrate_tol,
-                                     reference_phi=reference_phi,
-                                     lam0=confined.value - shift)
-    except SolverError as exc:
-        exc.steps += confined.steps
-        raise
+    free = unconfined_eigenvalue(p, mode, rtol=integrate_tol,
+                                 reference_phi=reference_phi,
+                                 lam0=confined.value - shift)
 
     numeric = confined.value - free.value
     log_numeric = _log_abs(numeric)
@@ -144,7 +141,7 @@ def run_shift_case(p: PotentialSpec, domain: Domain, mode: ModeSpec, *,
     case = CaseDescriptor(potential=p.label, kind=p.kind, domain=span,
                           level=mode.level, nu=mode.nu, h=mode.h)
     diag = Diagnostics(iterations=confined.iterations or 0,
-                       steps=(confined.steps or 0) + (free.steps or 0),
+                       steps=steps_taken() - start,
                        oracle_value=oracle_value)
     return ShiftReport(
         case=case,
@@ -162,6 +159,7 @@ def run_shift_case(p: PotentialSpec, domain: Domain, mode: ModeSpec, *,
 def run_hydrogen_case(spec: HydrogenSpec, *, integrate_tol: float = 1e-12,
                       newton_tol: float = 1e-10) -> ShiftReport:
     """Boxed Coulomb level vs the closed-form shift for one box radius."""
+    start = steps_taken()
     prediction = hydrogen_shift_term(spec)
     pair = hydrogen_confined(spec, rtol=integrate_tol, newton_tol=newton_tol)
     free = spec.energy_unconfined
@@ -171,7 +169,8 @@ def run_hydrogen_case(spec: HydrogenSpec, *, integrate_tol: float = 1e-12,
         potential=f"hydrogen(n={spec.n},ell={spec.ell},z={spec.z:g})",
         kind="radial", domain=(0.0, spec.r_box),
         level=spec.level, nu=spec.nu, h=spec.h)
-    diag = Diagnostics(iterations=pair.iterations or 0, steps=pair.steps or 0)
+    diag = Diagnostics(iterations=pair.iterations or 0,
+                       steps=steps_taken() - start)
     return ShiftReport(
         case=case,
         lambda0=free,

@@ -68,6 +68,9 @@ _MAX_NEWTON_DEFAULT = 50
 _SERIES_MAX_TERMS = 40
 _SERIES_CUTOFF = 1e-16
 
+# Integrator steps taken in this process; only ``_integrate`` adds to it.
+_steps_taken = 0
+
 
 @dataclass(frozen=True)
 class ModeSpec:
@@ -100,60 +103,73 @@ class ShootState:
 # --------------------------------------------------------------------------
 
 
+def steps_taken() -> int:
+    """Integrator steps taken so far in this process, failed integrations
+    included.  A solve's work is the difference across it, so nested
+    callers share the one counter."""
+    return _steps_taken
+
+
 def _integrate(q: Callable[[float], float], x0: float, y0: Sequence[float],
                x1: float, rtol: float, *, dq: float = 0.0,
                max_step: float = math.inf, track_zeros: bool = False
-               ) -> tuple[tuple[float, ...], float, list[float], int]:
+               ) -> tuple[tuple[float, ...], float, list[float]]:
     """Integrate u'' = q u (with the lambda-sensitivity pair when y0 has 4
     components; ``dq`` = dq/dlambda) from x0 to x1, either direction.
 
-    Returns (final state, accumulated log scale, zeros of y[0], step count).
+    Returns (final state, accumulated log scale, zeros of y[0]).  The steps
+    taken go to ``steps_taken`` once the integration ends, also when it
+    fails.
     """
+    global _steps_taken
     y = tuple(float(c) for c in y0)
     log_scale = 0.0
     crossings: list[float] = []
-    steps = 0
     if x0 == x1:
-        return y, log_scale, crossings, steps
+        return y, log_scale, crossings
 
     atol = 1e-3 * rtol
     last_sign = _sign(y[0])
     pending_zero = False
     t = x0
-    while True:
-        solver = DOP853(q, t, y, x1, rtol, atol, max_step, dq)
-        while solver.status == "running":
-            t_prev = solver.t
-            msg = solver.step()
-            if solver.status == "failed":
-                raise SolverError(f"integrator failed near x={solver.t:g}: {msg}",
-                                  steps)
-            steps += 1
-            y = solver.y
-            if track_zeros:
-                u_now = y[0]
-                s_now = _sign(u_now)
-                if u_now == 0.0:
-                    crossings.append(solver.t)
-                    pending_zero = True
-                elif pending_zero:
-                    last_sign = s_now
-                    pending_zero = False
-                elif last_sign != 0 and s_now != last_sign:
-                    crossings.append(brentq(
-                        solver.dense_output(), t_prev, solver.t,
-                        xtol=1e-13 * (1.0 + abs(solver.t))))
-                    last_sign = s_now
-                elif last_sign == 0 and s_now != 0:
-                    last_sign = s_now
-            mag = max(map(abs, y))
-            if mag != 0.0 and not (_RENORM_LO <= mag <= _RENORM_HI):
-                t = solver.t
-                y = tuple(c / mag for c in y)
-                log_scale += math.log(mag)
-                break
-        else:
-            return y, log_scale, crossings, steps
+    steps = 0
+    try:
+        while True:
+            solver = DOP853(q, t, y, x1, rtol, atol, max_step, dq)
+            while solver.status == "running":
+                t_prev = solver.t
+                msg = solver.step()
+                steps += 1
+                if solver.status == "failed":
+                    raise SolverError(
+                        f"integrator failed near x={solver.t:g}: {msg}")
+                y = solver.y
+                if track_zeros:
+                    u_now = y[0]
+                    s_now = _sign(u_now)
+                    if u_now == 0.0:
+                        crossings.append(solver.t)
+                        pending_zero = True
+                    elif pending_zero:
+                        last_sign = s_now
+                        pending_zero = False
+                    elif last_sign != 0 and s_now != last_sign:
+                        crossings.append(brentq(
+                            solver.dense_output(), t_prev, solver.t,
+                            xtol=1e-13 * (1.0 + abs(solver.t))))
+                        last_sign = s_now
+                    elif last_sign == 0 and s_now != 0:
+                        last_sign = s_now
+                mag = max(map(abs, y))
+                if mag != 0.0 and not (_RENORM_LO <= mag <= _RENORM_HI):
+                    t = solver.t
+                    y = tuple(c / mag for c in y)
+                    log_scale += math.log(mag)
+                    break
+            else:
+                return y, log_scale, crossings
+    finally:
+        _steps_taken += steps
 
 
 def _sign(x: float) -> int:
@@ -191,7 +207,7 @@ def integrate(p: PotentialSpec, lam: float, state: ShootState, to_x: float,
         return ShootState(to_x, ScaledValue.zero(), ScaledValue.zero())
     y0 = (state.u.float_at(ref), state.du.float_at(ref))
     q = _q_factory(p.evaluate, lam, h, nu)
-    y, ls, _, _ = _integrate(q, state.x, y0, to_x, tol)
+    y, ls, _ = _integrate(q, state.x, y0, to_x, tol)
     ls += ref
     return ShootState(to_x, ScaledValue.of(y[0], ls), ScaledValue.of(y[1], ls))
 
@@ -372,7 +388,6 @@ class Shot:
     y: tuple[float, ...]          # (u, u'), plus (du/dlambda, du'/dlambda)
     log_scale: float
     crossings: tuple[float, ...]  # zeros of u recorded during the pass
-    steps: int
 
     def at(self, i: int) -> ScaledValue:
         return ScaledValue.of(self.y[i], self.log_scale)
@@ -411,8 +426,7 @@ class Matching:
     def shoot(self, lam: float, rtol: float, *, with_sensitivity: bool = True,
               track_zeros: bool = False, max_step: float = math.inf
               ) -> tuple[Shot, Shot]:
-        """Both sides' states at x_m.  A failed integration re-raises with
-        the steps of the side done before it added."""
+        """Both sides' states at x_m."""
         starts = [start(lam, with_sensitivity)
                   for start in (self.left, self.right)]
         if starts[0][0] >= self.x_m:
@@ -420,15 +434,11 @@ class Matching:
                               f"of the matching point {self.x_m:g}")
         q = _q_factory(self.V, lam, self.h, self.nu)
         shots: list[Shot] = []
-        try:
-            for x0, y0 in starts:
-                y, ls, zeros, steps = _integrate(
-                    q, x0, y0, self.x_m, rtol, dq=_dq(self.h),
-                    track_zeros=track_zeros, max_step=max_step)
-                shots.append(Shot(y, ls, tuple(zeros), steps))
-        except SolverError as exc:
-            exc.steps += sum(shot.steps for shot in shots)
-            raise
+        for x0, y0 in starts:
+            y, ls, zeros = _integrate(q, x0, y0, self.x_m, rtol, dq=_dq(self.h),
+                                      track_zeros=track_zeros,
+                                      max_step=max_step)
+            shots.append(Shot(y, ls, tuple(zeros)))
         return shots[0], shots[1]
 
 
@@ -452,29 +462,23 @@ class Solution:
     iterations: int
     converged: bool
     residual_log: float  # natural log of |W| at the last iterate
-    steps: int
+    steps: int           # integrator steps the iteration took
 
 
 def newton_match(match: Matching, lam0: float, *, rtol: float,
                  newton_tol: float, scale: float, max_iter: int) -> Solution:
     """Scalar Newton iteration on lambda for W(lambda) = 0.
 
-    Converged when |d lambda| <= newton_tol * scale.  A ``SolverError``
-    carries the steps of every integration done, the failed one included.
+    Converged when |d lambda| <= newton_tol * scale.
     """
+    start = steps_taken()
     lam = lam0
-    total_steps = 0
     for it in range(1, max_iter + 1):
-        try:
-            left, right = match.shoot(lam, rtol)
-        except SolverError as exc:
-            exc.steps += total_steps
-            raise
-        total_steps += left.steps + right.steps
+        left, right = match.shoot(lam, rtol)
         w, dw = wronskian(left, right)
         if dw.is_zero:
             raise SolverError("the Wronskian's lambda-derivative vanished; "
-                              "cannot take a Newton step", total_steps)
+                              "cannot take a Newton step")
         step = -w.ratio(dw)
         cap = 0.3 * max(abs(lam), scale)
         if abs(step) > cap:
@@ -482,15 +486,16 @@ def newton_match(match: Matching, lam0: float, *, rtol: float,
         lam += step
         if abs(step) <= newton_tol * scale:
             return Solution(lam=lam, iterations=it, converged=True,
-                            residual_log=w.log_abs(), steps=total_steps)
+                            residual_log=w.log_abs(),
+                            steps=steps_taken() - start)
 
     raise SolverError(
         f"Newton did not converge in {max_iter} iterations "
-        f"(h={match.h:g}, last lambda={lam!r})", total_steps)
+        f"(h={match.h:g}, last lambda={lam!r})")
 
 
-def count_nodes(match: Matching, lam: float, rtol: float) -> tuple[int, int]:
-    """(interior zeros of the matched solution, steps taken).
+def count_nodes(match: Matching, lam: float, rtol: float) -> int:
+    """Interior zeros of the matched solution.
 
     Both sides are shot with a step cap of half the shortest local
     oscillation wavelength, so no sign change can hide inside a step, and
@@ -515,7 +520,7 @@ def count_nodes(match: Matching, lam: float, rtol: float) -> tuple[int, int]:
         at_match = int(abs(left.y[0]) <= margin * abs(left.y[1]))
     inside = sum(1 for z in left.crossings + right.crossings
                  if abs(z - match.x_m) > margin)
-    return inside + at_match, left.steps + right.steps
+    return inside + at_match
 
 
 def _wall_margin(value: ScaledValue, slope: ScaledValue, width: float) -> float:
@@ -572,13 +577,13 @@ def newton_solve_radial(V: Callable[[float], float], nu: float, h: float,
 
 
 def count_nodes_line(p: PotentialSpec, domain: LineBox, mode: ModeSpec,
-                     lam: float, rtol: float = 1e-12) -> tuple[int, int]:
-    """(interior zeros on (r-, r+), steps taken); see ``count_nodes``."""
+                     lam: float, rtol: float = 1e-12) -> int:
+    """Interior zeros on (r-, r+); see ``count_nodes``."""
     return count_nodes(Matching.line(p, domain, mode), lam, rtol)
 
 
 def count_nodes_radial(V: Callable[[float], float], nu: float, h: float,
                        L: float, lam: float, series_start: SeriesStart,
-                       rtol: float = 1e-12) -> tuple[int, int]:
-    """(interior zeros on (0, L), steps taken); see ``count_nodes``."""
+                       rtol: float = 1e-12) -> int:
+    """Interior zeros on (0, L); see ``count_nodes``."""
     return count_nodes(Matching.radial(V, nu, h, L, series_start), lam, rtol)

@@ -55,7 +55,6 @@ class Eigenpair:
     residual_log: float | None = None
     grid_n: int | None = None
     nodes: int | None = None
-    steps: int = 0
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.value):
@@ -120,7 +119,6 @@ def confined_eigenvalue(p: PotentialSpec, domain: Domain, mode: ModeSpec, *,
     approximation); if the converged solution has the wrong interior node
     count, one retry is made from a finite-difference estimate before
     giving up.  This matters when h is not small and levels are crowded.
-    A ``SolverError`` carries the steps of every attempt.
     """
     if isinstance(domain, LineBox):
         if p.kind != "line":
@@ -142,24 +140,16 @@ def confined_eigenvalue(p: PotentialSpec, domain: Domain, mode: ModeSpec, *,
 
     guesses = [lam0 if lam0 is not None else harmonic_level(p, mode)]
     last_error: Exception | None = None
-    steps = 0  # every attempt's, rejected ones included
     for guess in _with_fd_fallback(guesses, p, domain, mode):
         try:
             sol = solve(guess, rtol=rtol, newton_tol=newton_tol,
                         max_iter=max_iter)
         except SolverError as exc:
-            steps += exc.steps
             last_error = exc
             continue
-        steps += sol.steps
         nodes = None
         if verify_nodes:
-            try:
-                nodes, node_steps = nodes_at(sol.lam, rtol=rtol)
-            except SolverError as exc:
-                exc.steps += steps
-                raise
-            steps += node_steps
+            nodes = nodes_at(sol.lam, rtol=rtol)
             if nodes != mode.level:
                 last_error = SolverError(
                     f"converged to a level with {nodes} interior nodes, "
@@ -167,8 +157,8 @@ def confined_eigenvalue(p: PotentialSpec, domain: Domain, mode: ModeSpec, *,
                 continue
         return Eigenpair(index_m=mode.level, value=sol.lam, method="shooting",
                          iterations=sol.iterations, residual_log=sol.residual_log,
-                         nodes=nodes, steps=steps)
-    raise SolverError(f"could not isolate {where}: {last_error}", steps)
+                         nodes=nodes)
+    raise SolverError(f"could not isolate {where}: {last_error}")
 
 
 def _with_fd_fallback(guesses: list[float], p: PotentialSpec, domain: Domain,
@@ -223,29 +213,23 @@ def unconfined_eigenvalue(p: PotentialSpec, mode: ModeSpec, *,
         else 0.0
 
     lam_prev: float | None = None
-    steps = 0  # summed over every box
     for _ in range(_MAX_EXPANSIONS):
         domain: Domain = LineBox(left, right) if mode.nu is None \
             else RadialBox(right)
-        try:
-            pair = confined_eigenvalue(p, domain, mode, lam0=guess, rtol=rtol)
-        except SolverError as exc:
-            exc.steps += steps
-            raise
-        steps += pair.steps
+        pair = confined_eigenvalue(p, domain, mode, lam0=guess, rtol=rtol)
         if lam_prev is not None and \
                 abs(pair.value - lam_prev) <= 1e-13 * max(abs(pair.value), h):
             return Eigenpair(index_m=mode.level, value=pair.value,
                              method="shooting", iterations=pair.iterations,
                              residual_log=pair.residual_log,
-                             nodes=pair.nodes, steps=steps)
+                             nodes=pair.nodes)
         lam_prev = guess = pair.value
         left *= _EXPANSION_FACTOR
         right *= _EXPANSION_FACTOR
     raise SolverError(
         "box expansion did not stabilise the unconfined eigenvalue "
         f"within {_MAX_EXPANSIONS} boxes (h={h:g}); "
-        "the potential tail may be too shallow for this h", steps)
+        "the potential tail may be too shallow for this h")
 
 
 def _first_wall(profile: AgmonProfile, target_phi: float, start: float,
@@ -373,23 +357,19 @@ def hydrogen_confined(spec: HydrogenSpec, *, rtol: float = 1e-12,
         guesses.reverse()
 
     last_error: Exception | None = None
-    steps = 0  # every attempt's, rejected ones and the rescue included
     for guess in guesses:
         try:
             sol = newton_solve_radial(V, nu, h, L, guess, series, rtol=rtol,
                                       newton_tol=newton_tol,
                                       lambda_scale=scale)
         except SolverError as exc:
-            steps += exc.steps
             last_error = exc
             continue
-        nodes, node_steps = count_nodes_radial(V, nu, h, L, sol.lam, series, rtol)
-        steps += sol.steps + node_steps
+        nodes = count_nodes_radial(V, nu, h, L, sol.lam, series, rtol)
         if nodes == m:
             return Eigenpair(index_m=m, value=sol.lam, method="shooting",
                              iterations=sol.iterations,
-                             residual_log=sol.residual_log, nodes=nodes,
-                             steps=steps)
+                             residual_log=sol.residual_log, nodes=nodes)
         last_error = SolverError(
             f"Newton landed on a level with {nodes} nodes, wanted {m}")
 
@@ -397,37 +377,33 @@ def hydrogen_confined(spec: HydrogenSpec, *, rtol: float = 1e-12,
     lo = float(fd_fine[m - 1] + 0.25 * (fd_fine[m] - fd_fine[m - 1])) if m > 0 \
         else float(fd_fine[0] - 0.5 * (fd_fine[1] - fd_fine[0]))
     hi = float(fd_fine[m] + 0.75 * (fd_fine[m + 1] - fd_fine[m]))
-    lam, bisect_steps = _bisect_radial(V, nu, h, L, series, lo, hi, rtol)
+    lam = _bisect_radial(V, nu, h, L, series, lo, hi, rtol)
     sol = newton_solve_radial(V, nu, h, L, lam, series, rtol=rtol,
                               newton_tol=newton_tol, lambda_scale=scale)
-    nodes, node_steps = count_nodes_radial(V, nu, h, L, sol.lam, series, rtol)
-    steps += bisect_steps + sol.steps + node_steps
+    nodes = count_nodes_radial(V, nu, h, L, sol.lam, series, rtol)
     if nodes != m:
         raise SolverError(
             f"could not isolate hydrogen level n={spec.n}, ell={spec.ell} "
-            f"in box {L:g}: {last_error}", steps)
+            f"in box {L:g}: {last_error}")
     return Eigenpair(index_m=m, value=sol.lam, method="shooting",
                      iterations=sol.iterations, residual_log=sol.residual_log,
-                     nodes=nodes, steps=steps)
+                     nodes=nodes)
 
 
 def _bisect_radial(V: Callable[[float], float], nu: float, h: float, L: float,
                    series: shooting.SeriesStart, lo: float, hi: float,
-                   rtol: float) -> tuple[float, int]:
-    """(sign-change point of W = -u(L) in lambda on [lo, hi], steps taken)."""
+                   rtol: float) -> float:
+    """Sign-change point of W = -u(L) in lambda on [lo, hi]."""
     match = shooting.Matching.radial(V, nu, h, L, series)
-    steps = 0
 
     def sign_at(lam: float) -> int:
-        nonlocal steps
         left, right = match.shoot(lam, rtol, with_sensitivity=False)
-        steps += left.steps + right.steps
         return shooting.wronskian(left, right)[0].sign
 
     s_lo, s_hi = sign_at(lo), sign_at(hi)
     if s_lo == s_hi:
         raise SolverError(
-            f"no sign change of the boundary value on [{lo:g}, {hi:g}]", steps)
+            f"no sign change of the boundary value on [{lo:g}, {hi:g}]")
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if sign_at(mid) == s_lo:
@@ -436,7 +412,7 @@ def _bisect_radial(V: Callable[[float], float], nu: float, h: float, L: float,
             hi = mid
         if hi - lo <= 1e-12 * max(abs(lo), abs(hi)):
             break
-    return 0.5 * (lo + hi), steps
+    return 0.5 * (lo + hi)
 
 
 def hydrogen_confined_via_oscillator(spec: HydrogenSpec, *,
@@ -458,7 +434,7 @@ def hydrogen_confined_via_oscillator(spec: HydrogenSpec, *,
     n, ell, h, m = spec.n, spec.ell, spec.h, spec.level
     nu_osc = 2.0 * ell + 1.0
     well = harmonic(kind="radial")
-    evals = {"count": 0, "steps": 0, "pair": None}
+    evals = {"count": 0, "pair": None}
 
     def mismatch(k: float) -> float:
         L = math.sqrt(2.0 * r2 / k)
@@ -466,7 +442,6 @@ def hydrogen_confined_via_oscillator(spec: HydrogenSpec, *,
             well, RadialBox(L), ModeSpec(level=m, h=h, nu=nu_osc),
             lam0=max(4.0 * k, 4.0 * n * h), rtol=rtol)
         evals["count"] += 1
-        evals["steps"] += pair.steps
         evals["pair"] = pair
         return pair.value - 4.0 * k
 
@@ -487,5 +462,4 @@ def hydrogen_confined_via_oscillator(spec: HydrogenSpec, *,
     energy = -(spec.z ** 2 / 4.0) / (k * k)
     pair = evals["pair"]
     return Eigenpair(index_m=m, value=energy, method="shooting",
-                     iterations=evals["count"], nodes=pair.nodes,
-                     steps=evals["steps"])
+                     iterations=evals["count"], nodes=pair.nodes)

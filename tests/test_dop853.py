@@ -13,7 +13,7 @@ from scipy.optimize import brentq
 
 from boxshift import SolverError
 from boxshift.dop853 import DOP853
-from boxshift.shooting import _integrate
+from boxshift.shooting import _integrate, steps_taken
 
 RTOL, ATOL = 1e-12, 1e-15
 
@@ -97,14 +97,17 @@ def test_dense_output_zero_matches_scipy():
     assert own.nfev == ref.nfev  # the interpolant's three extra stages too
 
 
-def test_step_too_small_raises_solver_error():
+def test_step_too_small_raises_solver_error(dop853_steps):
     # Past x = 0.5 the coefficient is undefined, every attempt there is
     # rejected and the step shrinks below the spacing of floats.
     def q(x):
         return -1.0 if x < 0.5 else math.nan
 
+    before = steps_taken()
     with pytest.raises(SolverError, match="near x=0.5"):
         _integrate(q, 0.0, (1.0, 0.0), 1.0, RTOL)
+    # The failed integration's steps, the failing one included, still count.
+    assert steps_taken() - before == len(dop853_steps) > 1
 
 
 def test_rejects_unsupported_state_sizes():

@@ -7,7 +7,7 @@ import pytest
 from boxshift import (
     InvalidPotential, LineBox, ModeSpec, RadialBox, confined_eigenvalue,
     curvature_at_minimum, from_callables, from_expression, harmonic,
-    hydrogen_effective, normalize_to_unit_curvature, quartic,
+    normalize_to_unit_curvature, quartic,
     resolve_potential, validate_potential,
 )
 
@@ -85,7 +85,9 @@ def test_odd_radial_extension_detected():
 
 def test_hydrogen_tail_is_not_a_well():
     # -z/y has no interior minimum; the dedicated solver consumes it anyway.
-    report = validate_potential(hydrogen_effective(2.0, 0), RadialBox(8.0))
+    with pytest.warns(RuntimeWarning, match="division"):
+        p = from_expression("-2/x", kind="radial")
+    report = validate_potential(p, RadialBox(8.0))
     assert not report.passed
 
 
@@ -174,15 +176,9 @@ def test_resolve_builtin_call_with_argument():
     assert p.evaluate(1.0) == pytest.approx(1.5, rel=1e-15)
 
 
-def test_resolve_hydrogen_effective_call():
-    p = resolve_potential("hydrogen-effective(2, 0)")
-    assert p.builtin == "hydrogen-effective"
-    assert p.evaluate(2.0) == pytest.approx(-1.0, rel=1e-15)
-
-
 def test_resolve_hydrogen_effective_arity_checked():
     with pytest.raises(InvalidPotential):
-        resolve_potential("hydrogen-effective(2)")
+        resolve_potential("quartic(1, 2)")
 
 
 def test_resolve_falls_back_to_expression():

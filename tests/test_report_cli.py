@@ -290,10 +290,11 @@ def test_cli_oracle_table(capsys):
 
 
 def test_cli_oracle_failure_prints_no_table(capsys):
-    # V'' at the minimum of the effective Coulomb well cannot be evaluated:
-    # the command must fail before printing any part of the table.
-    code = main(["oracle", "--potential", "hydrogen-effective(2,0)", "--box", "8",
-                 "--nu", "0.5", "--m", "0", "--h", "1"])
+    # V'' of the Coulomb tail cannot be evaluated at the radial minimum, the
+    # origin: the command must fail before printing any part of the table.
+    with pytest.warns(RuntimeWarning, match="division"):
+        code = main(["oracle", "--potential", "-2/x", "--box", "8",
+                     "--nu", "0.5", "--m", "0", "--h", "1"])
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""

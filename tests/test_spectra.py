@@ -19,7 +19,8 @@ from boxshift import (
 )
 from boxshift import report, spectra
 from boxshift.agmon import AgmonProfile
-from boxshift.report import run_shift_case
+from boxshift.report import run_hydrogen_case, run_shift_case
+from boxshift.shooting import steps_taken
 from boxshift.spectra import harmonic_level
 
 BOX = LineBox(-1.0, 1.0)
@@ -48,7 +49,7 @@ def test_line_ground_state_frozen():
     assert got.value == pytest.approx(LINE_M0_H01, rel=1e-12)
     assert got.method == "shooting"
     assert got.nodes == 0
-    assert got.iterations > 0 and got.steps > 0
+    assert got.iterations > 0
     assert got.residual_log is not None and got.residual_log < -20.0
 
 
@@ -232,23 +233,34 @@ def test_asymmetric_shift_case_finds_the_free_ground_state(monkeypatch):
     assert [pair.nodes for pair in free] == [0]
 
 
-# -- steps of failed solves -----------------------------------------------------------------
+# -- step counts ----------------------------------------------------------------------------
+
+@pytest.mark.parametrize("run", [
+    lambda: run_shift_case(quartic(), BOX, ModeSpec(level=0, h=0.1)),
+    lambda: run_shift_case(quartic(kind="radial"), RadialBox(1.0),
+                           ModeSpec(level=0, h=0.1, nu=1.5)),
+    lambda: run_hydrogen_case(HydrogenSpec(2, 0, 2.0, 1.0, 8.0)),
+], ids=["quartic-line", "quartic-radial", "hydrogen"])
+def test_diagnostics_count_every_integrator_step(dop853_steps, run):
+    assert run().diagnostics.steps == len(dop853_steps) > 0
+
 
 def _fail_last_call(fail_on_call, run):
     """Run once counting integrations, then again with the last one failing;
-    return (steps the error carried, steps actually taken)."""
+    return (how far the step counter advanced, steps actually taken)."""
     counted = fail_on_call(0)
     run()
     taken = fail_on_call(len(counted))
-    with pytest.raises(SolverError) as info:
+    before = steps_taken()
+    with pytest.raises(SolverError):
         run()
     assert len(taken) == len(counted)
-    return info.value.steps, sum(taken)
+    return steps_taken() - before, sum(taken)
 
 
 def test_failed_later_box_reports_every_step(fail_on_call):
-    # The last integration is the second box's node count: the error must
-    # carry the first box's steps as well.
+    # The last integration is the second box's node count: the counter must
+    # hold the first box's steps as well.
     carried, taken = _fail_last_call(
         fail_on_call,
         lambda: unconfined_eigenvalue(quartic(), ModeSpec(level=0, h=0.1)))
@@ -260,6 +272,16 @@ def test_failed_free_solve_reports_the_confined_steps(fail_on_call):
         fail_on_call,
         lambda: run_shift_case(quartic(), BOX, ModeSpec(level=0, h=0.1)))
     assert carried == taken
+
+
+def test_failed_hydrogen_solve_counts_every_step(fail_on_call, dop853_steps):
+    # The counting run and the failing run take the same steps, so the
+    # integrator's own tally covers each of them twice.
+    carried, taken = _fail_last_call(
+        fail_on_call,
+        lambda: hydrogen_confined(HydrogenSpec(2, 0, 2.0, 1.0, 8.0)))
+    assert carried == taken
+    assert 2 * carried == len(dop853_steps)
 
 
 # -- wrong-basin rescue ---------------------------------------------------------------------

@@ -34,6 +34,7 @@ from .errors import BoxshiftError, InvalidPotential
 from .potentials import Domain, LineBox, PotentialSpec, RadialBox, validate_potential
 from .shooting import ModeSpec, steps_taken
 from .spectra import (
+    Eigenpair,
     HydrogenSpec,
     confined_eigenvalue,
     fd_oracle,
@@ -129,9 +130,6 @@ def run_shift_case(p: PotentialSpec, domain: Domain, mode: ModeSpec, *,
                                  reference_phi=reference_phi,
                                  lam0=confined.value - shift)
 
-    numeric = confined.value - free.value
-    log_numeric = _log_abs(numeric)
-
     oracle_value: float | None = None
     if oracle:
         levels = fd_oracle(p, domain, mode, grid_n=oracle_grid_n,
@@ -140,20 +138,8 @@ def run_shift_case(p: PotentialSpec, domain: Domain, mode: ModeSpec, *,
 
     case = CaseDescriptor(potential=p.label, kind=p.kind, domain=span,
                           level=mode.level, nu=mode.nu, h=mode.h)
-    diag = Diagnostics(iterations=confined.iterations or 0,
-                       steps=steps_taken() - start,
-                       oracle_value=oracle_value)
-    return ShiftReport(
-        case=case,
-        lambda0=free.value,
-        lambda_confined=confined.value,
-        numeric_shift=numeric,
-        log_numeric_shift=log_numeric,
-        predicted_shift=prediction.leading_value,
-        log_predicted_shift=prediction.log_leading_value,
-        ratio=_ratio(numeric, log_numeric, prediction),
-        diagnostics=diag,
-    )
+    return _report(case, free.value, confined, prediction, start,
+                   oracle_value=oracle_value)
 
 
 def run_hydrogen_case(spec: HydrogenSpec, *, integrate_tol: float = 1e-12,
@@ -162,25 +148,32 @@ def run_hydrogen_case(spec: HydrogenSpec, *, integrate_tol: float = 1e-12,
     start = steps_taken()
     prediction = hydrogen_shift_term(spec)
     pair = hydrogen_confined(spec, rtol=integrate_tol, newton_tol=newton_tol)
-    free = spec.energy_unconfined
-    numeric = pair.value - free
-    log_numeric = _log_abs(numeric)
     case = CaseDescriptor(
         potential=f"hydrogen(n={spec.n},ell={spec.ell},z={spec.z:g})",
         kind="radial", domain=(0.0, spec.r_box),
         level=spec.level, nu=spec.nu, h=spec.h)
-    diag = Diagnostics(iterations=pair.iterations or 0,
-                       steps=steps_taken() - start)
+    return _report(case, spec.energy_unconfined, pair, prediction, start)
+
+
+def _report(case: CaseDescriptor, lambda0: float, confined: Eigenpair,
+            prediction: ShiftPrediction, start: int, *,
+            oracle_value: float | None = None) -> ShiftReport:
+    """The comparison for one case; ``start`` is ``steps_taken()`` when the
+    case began."""
+    numeric = confined.value - lambda0
+    log_numeric = _log_abs(numeric)
     return ShiftReport(
         case=case,
-        lambda0=free,
-        lambda_confined=pair.value,
+        lambda0=lambda0,
+        lambda_confined=confined.value,
         numeric_shift=numeric,
         log_numeric_shift=log_numeric,
         predicted_shift=prediction.leading_value,
         log_predicted_shift=prediction.log_leading_value,
         ratio=_ratio(numeric, log_numeric, prediction),
-        diagnostics=diag,
+        diagnostics=Diagnostics(iterations=confined.iterations,
+                                steps=steps_taken() - start,
+                                oracle_value=oracle_value),
     )
 
 

@@ -16,6 +16,10 @@ Four ways to an eigenvalue live here, deliberately independent:
 * ``hydrogen_confined`` -- direct shooting on the Coulomb equation with a
   series start at the origin; no change of variables involved (the
   oscillator mapping is exercised by tests, not used for ground truth).
+
+Both Dirichlet solvers isolate their level in one loop, ``_isolate``:
+Newton from each seed in turn until a root has the level's node count.
+Finite-difference seeds are computed only after the first seed fails.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -111,14 +115,14 @@ def harmonic_level(p: PotentialSpec, mode: ModeSpec) -> float:
 
 def confined_eigenvalue(p: PotentialSpec, domain: Domain, mode: ModeSpec, *,
                         lam0: float | None = None, rtol: float = 1e-12,
-                        newton_tol: float = 1e-10, max_iter: int = 50,
-                        verify_nodes: bool = True) -> Eigenpair:
+                        newton_tol: float = 1e-10,
+                        max_iter: int = 50) -> Eigenpair:
     """Dirichlet eigenvalue of level ``mode.level`` on ``domain``.
 
-    The Newton basin is entered from ``lam0`` (default: the harmonic
-    approximation); if the converged solution has the wrong interior node
-    count, one retry is made from a finite-difference estimate before
-    giving up.  This matters when h is not small and levels are crowded.
+    Newton starts from ``lam0`` (default: the harmonic approximation); if
+    it fails or lands on a level with the wrong interior node count, one
+    retry is made from a finite-difference estimate before giving up.  That
+    matters when h is not small and levels are crowded.
     """
     if isinstance(domain, LineBox):
         if p.kind != "line":
@@ -138,38 +142,42 @@ def confined_eigenvalue(p: PotentialSpec, domain: Domain, mode: ModeSpec, *,
         solve = partial(newton_solve_radial, *args, series_start=series)
         nodes_at = partial(count_nodes_radial, *args, series_start=series)
 
-    guesses = [lam0 if lam0 is not None else harmonic_level(p, mode)]
-    last_error: Exception | None = None
-    for guess in _with_fd_fallback(guesses, p, domain, mode):
+    def seeds():
+        yield lam0 if lam0 is not None else harmonic_level(p, mode)
         try:
-            sol = solve(guess, rtol=rtol, newton_tol=newton_tol,
-                        max_iter=max_iter)
+            fd = fd_oracle(p, domain, mode, grid_n=1200, count=mode.level + 1)
+        except GridError:
+            return
+        yield fd[mode.level].value
+
+    return _isolate(where, mode.level, seeds(),
+                    partial(solve, rtol=rtol, newton_tol=newton_tol,
+                            max_iter=max_iter),
+                    partial(nodes_at, rtol=rtol))
+
+
+def _isolate(where: str, level: int, seeds: Iterable[float],
+             solve: Callable[[float], shooting.Solution],
+             nodes_at: Callable[[float], int]) -> Eigenpair:
+    """Newton from each seed in turn; the first root with ``level`` interior
+    nodes, as a shooting Eigenpair.  ``seeds`` is consumed lazily, so a
+    fallback seed costs nothing unless every earlier one failed."""
+    last_error: Exception | None = None
+    for seed in seeds:
+        try:
+            sol = solve(seed)
         except SolverError as exc:
             last_error = exc
             continue
-        nodes = None
-        if verify_nodes:
-            nodes = nodes_at(sol.lam, rtol=rtol)
-            if nodes != mode.level:
-                last_error = SolverError(
-                    f"converged to a level with {nodes} interior nodes, "
-                    f"wanted {mode.level} (lambda={sol.lam!r})")
-                continue
-        return Eigenpair(index_m=mode.level, value=sol.lam, method="shooting",
-                         iterations=sol.iterations, residual_log=sol.residual_log,
-                         nodes=nodes)
+        nodes = nodes_at(sol.lam)
+        if nodes == level:
+            return Eigenpair(index_m=level, value=sol.lam, method="shooting",
+                             iterations=sol.iterations,
+                             residual_log=sol.residual_log, nodes=nodes)
+        last_error = SolverError(
+            f"converged to a level with {nodes} interior nodes, "
+            f"wanted {level} (lambda={sol.lam!r})")
     raise SolverError(f"could not isolate {where}: {last_error}")
-
-
-def _with_fd_fallback(guesses: list[float], p: PotentialSpec, domain: Domain,
-                      mode: ModeSpec):
-    """Yield the caller's guesses, then one finite-difference estimate."""
-    yield from guesses
-    try:
-        fd = fd_oracle(p, domain, mode, grid_n=1200, count=mode.level + 1)
-        yield fd[mode.level].value
-    except GridError:
-        return
 
 
 # --------------------------------------------------------------------------
@@ -219,10 +227,7 @@ def unconfined_eigenvalue(p: PotentialSpec, mode: ModeSpec, *,
         pair = confined_eigenvalue(p, domain, mode, lam0=guess, rtol=rtol)
         if lam_prev is not None and \
                 abs(pair.value - lam_prev) <= 1e-13 * max(abs(pair.value), h):
-            return Eigenpair(index_m=mode.level, value=pair.value,
-                             method="shooting", iterations=pair.iterations,
-                             residual_log=pair.residual_log,
-                             nodes=pair.nodes)
+            return pair
         lam_prev = guess = pair.value
         left *= _EXPANSION_FACTOR
         right *= _EXPANSION_FACTOR
@@ -327,67 +332,42 @@ def fd_oracle(p: PotentialSpec, domain: Domain, mode: ModeSpec,
 # --------------------------------------------------------------------------
 
 
-def _coulomb_series(spec: HydrogenSpec) -> CoulombSeriesStart:
-    x0 = min(0.1 * spec.n * spec.h ** 2 / spec.z, 0.01 * spec.r_box)
-    return CoulombSeriesStart(spec.z, spec.ell, spec.h, x0)
-
-
 def hydrogen_confined(spec: HydrogenSpec, *, rtol: float = 1e-12,
                       newton_tol: float = 1e-10) -> Eigenpair:
     """E_n(R): Coulomb level in a Dirichlet box of radius r_box, by shooting.
 
-    Starts Newton from a finite-difference estimate (the unconfined E_n can
-    sit in the wrong basin when the box crowds the turning point), verifies
-    the node count, and falls back to sign bisection between neighbouring
-    finite-difference levels if Newton strays.
+    Newton starts from the unconfined E_n.  When the box crowds the turning
+    point, E_n can sit in the wrong basin; then Newton retries from a
+    finite-difference estimate and, failing that, from sign bisection
+    between the neighbouring finite-difference levels.  Each root must
+    carry the level's radial node count.
     """
     V = lambda x: -spec.z / x  # noqa: E731
     nu, h, L, m = spec.nu, spec.h, spec.r_box, spec.level
-    series = _coulomb_series(spec)
-    scale = abs(spec.energy_unconfined)
-    cent = h * h * (nu * nu - 0.25)
-    v_eff = lambda x: -spec.z / x + cent / (x * x)  # noqa: E731
+    x0 = min(0.1 * spec.n * h ** 2 / spec.z, 0.01 * L)
+    series = CoulombSeriesStart(spec.z, spec.ell, h, x0)
 
-    fd = _fd_values(v_eff, 0.0, L, h, m + 2, 1600)
-    fd_fine = _fd_values(v_eff, 0.0, L, h, m + 2, 3200)
-    guesses = [spec.energy_unconfined, float((4 * fd_fine[m] - fd[m]) / 3.0)]
-    # Prefer the FD estimate when it disagrees materially with E_n: the box
-    # is then doing real work and E_n is the wrong basin.
-    if abs(guesses[1] - guesses[0]) > 1e-3 * scale:
-        guesses.reverse()
-
-    last_error: Exception | None = None
-    for guess in guesses:
+    def seeds():
+        yield spec.energy_unconfined
         try:
-            sol = newton_solve_radial(V, nu, h, L, guess, series, rtol=rtol,
-                                      newton_tol=newton_tol,
-                                      lambda_scale=scale)
-        except SolverError as exc:
-            last_error = exc
-            continue
-        nodes = count_nodes_radial(V, nu, h, L, sol.lam, series, rtol)
-        if nodes == m:
-            return Eigenpair(index_m=m, value=sol.lam, method="shooting",
-                             iterations=sol.iterations,
-                             residual_log=sol.residual_log, nodes=nodes)
-        last_error = SolverError(
-            f"Newton landed on a level with {nodes} nodes, wanted {m}")
+            fd = [pair.value for pair in fd_oracle(
+                PotentialSpec("radial", V), RadialBox(L),
+                ModeSpec(m, h, nu), grid_n=1600, count=m + 2)]
+        except GridError:
+            return
+        yield fd[m]
+        lo = fd[m - 1] + 0.25 * (fd[m] - fd[m - 1]) if m > 0 \
+            else fd[0] - 0.5 * (fd[1] - fd[0])
+        hi = fd[m] + 0.75 * (fd[m + 1] - fd[m])
+        yield _bisect_radial(V, nu, h, L, series, lo, hi, rtol)
 
-    # Bisection rescue between FD neighbours bracketing the target level.
-    lo = float(fd_fine[m - 1] + 0.25 * (fd_fine[m] - fd_fine[m - 1])) if m > 0 \
-        else float(fd_fine[0] - 0.5 * (fd_fine[1] - fd_fine[0]))
-    hi = float(fd_fine[m] + 0.75 * (fd_fine[m + 1] - fd_fine[m]))
-    lam = _bisect_radial(V, nu, h, L, series, lo, hi, rtol)
-    sol = newton_solve_radial(V, nu, h, L, lam, series, rtol=rtol,
-                              newton_tol=newton_tol, lambda_scale=scale)
-    nodes = count_nodes_radial(V, nu, h, L, sol.lam, series, rtol)
-    if nodes != m:
-        raise SolverError(
-            f"could not isolate hydrogen level n={spec.n}, ell={spec.ell} "
-            f"in box {L:g}: {last_error}")
-    return Eigenpair(index_m=m, value=sol.lam, method="shooting",
-                     iterations=sol.iterations, residual_log=sol.residual_log,
-                     nodes=nodes)
+    return _isolate(
+        f"hydrogen level n={spec.n}, ell={spec.ell} in box {L:g}", m, seeds(),
+        partial(newton_solve_radial, V, nu, h, L, series_start=series,
+                rtol=rtol, newton_tol=newton_tol,
+                lambda_scale=abs(spec.energy_unconfined)),
+        partial(count_nodes_radial, V, nu, h, L, series_start=series,
+                rtol=rtol))
 
 
 def _bisect_radial(V: Callable[[float], float], nu: float, h: float, L: float,

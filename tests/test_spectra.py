@@ -39,6 +39,14 @@ HYDROGEN_LEVELS = {
     (2, 0, 14.0): -0.24803005886358993,
     (2, 1, 8.0): -0.20890013281233365,
     (2, 1, 14.0): -0.24908119598061245,
+    # Crowded boxes: the wall moves the level by O(1).  At R=3 for (2, 0),
+    # Newton from the free E_n lands on the ground state, so the node check
+    # rejects it and the finite-difference seed is used.  An 8000-point
+    # fd_oracle agrees with each to 7e-9.
+    (2, 0, 3.0): 2.223369474872948,
+    (2, 0, 4.0): 0.8404712634274435,
+    (2, 1, 3.0): 0.9625006250533054,
+    (2, 1, 4.0): 0.2870541674279169,
 }
 
 
@@ -341,6 +349,40 @@ def test_hydrogen_frozen_levels(n, ell, R):
     got = hydrogen_confined(spec)
     assert got.value == pytest.approx(HYDROGEN_LEVELS[(n, ell, R)], rel=1e-11)
     assert got.nodes == spec.level
+
+
+def test_hydrogen_seeded_from_the_free_level_runs_no_finite_differences(
+        monkeypatch):
+    calls = []
+    real = spectra.eigh_tridiagonal
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectra, "eigh_tridiagonal", counted)
+    got = hydrogen_confined(HydrogenSpec(2, 0, 2.0, 1.0, 8.0))
+    assert got.nodes == 1
+    assert calls == []
+
+
+def test_hydrogen_bisection_rescue(monkeypatch):
+    """With Newton failing from both the free level and the
+    finite-difference estimate, the level comes from the bisected seed."""
+    calls = []
+    real = spectra.newton_solve_radial
+
+    def flaky(*args, **kwargs):
+        calls.append(None)
+        if len(calls) <= 2:
+            raise SolverError("forced failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectra, "newton_solve_radial", flaky)
+    got = hydrogen_confined(HydrogenSpec(2, 0, 2.0, 1.0, 8.0))
+    assert len(calls) == 3
+    assert got.value == pytest.approx(HYDROGEN_LEVELS[(2, 0, 8.0)], rel=1e-11)
+    assert got.nodes == 1
 
 
 def test_hydrogen_wall_always_raises_the_level():

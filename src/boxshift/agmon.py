@@ -120,11 +120,18 @@ def agmon_distance(p: PotentialSpec, x: float, tol: float = 1e-12) -> float:
     """
     if not 1e-14 <= tol <= 1e-6:
         raise ValueError(f"quadrature tolerance must be in [1e-14, 1e-6], got {tol:g}")
+    return _phi_increment(p, 0.0, x, tol)
+
+
+def _phi_increment(p: PotentialSpec, a: float, b: float, tol: float) -> float:
+    """phi(b) - phi(a) for a and b on one side of the well bottom: the
+    integral of sqrt(V) from a to b, negated on the left side."""
     f = _sqrt_potential(p)
-    budget = tol * (1.0 + abs(x) * f(x))  # |x|*sqrt(V(x)) overestimates phi for monotone V
-    if x >= 0.0:
-        return adaptive_quadrature(f, 0.0, x, budget)
-    return adaptive_quadrature(f, x, 0.0, budget)
+    # |b - a| * sqrt(V(b)) overestimates the integral for monotone V.
+    budget = tol * (1.0 + abs(b - a) * f(b))
+    if a + b >= 0.0:
+        return adaptive_quadrature(f, a, b, budget)
+    return adaptive_quadrature(f, b, a, budget)
 
 
 class AgmonProfile:
@@ -165,6 +172,11 @@ class AgmonProfile:
         value = agmon_distance(self.potential, x, self.quadrature_tolerance)
         self._phi_cache[x] = value
         return value
+
+    def phi_increment(self, a: float, b: float) -> float:
+        """phi(b) - phi(a) for a and b on one side of the well bottom, from
+        one quadrature between them; not cached."""
+        return _phi_increment(self.potential, a, b, self.quadrature_tolerance)
 
     def phi_prime(self, x: float) -> float:
         v = self.potential.evaluate(x)

@@ -13,15 +13,31 @@ where ``dq`` is the constant lambda-derivative of ``q`` (``-1/h^2``), so
 ``(w, z)`` carries du/dlambda alongside ``(u, v)``.
 
 On 2- and 4-component states scipy's per-step cost is numpy call overhead,
-not arithmetic.  Here the state stays a tuple of floats and, at import,
-each kernel's 12 stages, solution update and error sums are generated as
-straight-line code with the tableau inlined as float literals: no loops,
-no indexing, no arrays.  Generic per-component loops over the same
-tableau recover only a fraction of that overhead.
+not arithmetic.  Here the state stays a tuple of floats, and one generator
+writes ``rhs``, ``attempt`` and ``interpolant`` as straight-line code with
+the tableau inlined as float literals.  Each stage names its point ``x``
+and sets the coefficient ``qq`` there: the generic kernels, compiled at
+import, call ``q(x)``; a fused kernel, compiled on first use and cached by
+source, inlines ``((V) - lam) / h2`` (``+ cent / (x * x)`` for a radial
+nu != 1/2), V being the potential's own Python expression in ``x`` that
+``q.parts`` names.  That is q's own arithmetic, so both give the same bits,
+but without a chain of calls through the potential's evaluator per stage.
+
+The evaluator checks each value (a DSL expression raises a descriptive
+``EvalError`` where it is undefined); a fused call is checked once: if it
+raises, or its coefficient (``rhs``), error norm (``attempt``; every
+stage's coefficient reaches it) or output (``interpolant``) is not finite,
+the generic kernel redoes the call through ``q``, reproducing the
+evaluator's value or error.
+
+Only zero tracking reads an attempt's stages (for dense output), and it
+runs on the 2-component system, so the 4-component ``attempt`` packs no
+stages and has no ``interpolant``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from typing import Callable, Sequence
@@ -39,6 +55,8 @@ _A, _B, _C = _tableau.A, _tableau.B, _tableau.C
 _E3, _E5, _D = _tableau.E3, _tableau.E5, _tableau.D
 _N_STAGES = _tableau.N_STAGES                  # 12 stages per attempt
 _N_EXTENDED = _tableau.N_STAGES_EXTENDED       # 3 more for dense output
+# Fused kernels kept; a solve uses at most 4 (2 or 4 components, nu = 1/2 or not).
+FUSED_CACHE_SIZE = 16
 
 
 # --------------------------------------------------------------------------
@@ -60,80 +78,116 @@ def _combination(coefficients, terms: Sequence[str]) -> str:
                       for c, term in zip(coefficients, terms) if c != 0.0)
 
 
-def _stage_lines(n: int, derivative, s: int) -> list[str]:
+def _stage_lines(n: int, derivative, coefficient: str, s: int) -> list[str]:
     """Stage ``s``: its state from stages 0..s-1, then q once, then k_s."""
     k = [[f"k{j}_{i}" for j in range(s)] for i in range(n)]
-    lines = [f"    s{i} = y{i} + ({_combination(_A[s, :s], k[i])}) * h"
+    lines = [f"s{i} = y{i} + ({_combination(_A[s, :s], k[i])}) * h"
              for i in range(n)]
-    lines.append(f"    qq = q(t + {float(_C[s])!r} * h)")
-    lines += [f"    k{s}_{i} = {d}" for i, d in
+    lines += [f"x = t + {float(_C[s])!r} * h", f"qq = {coefficient}"]
+    lines += [f"k{s}_{i} = {d}" for i, d in
               enumerate(derivative([f"s{i}" for i in range(n)]))]
     return lines
 
 
-def _kernel_source(n: int, derivative) -> str:
+def _function(name: str, params: str, body: list[str], result: str,
+              check: str, guarded: bool) -> list[str]:
+    """``def name(q, lam, h2, cent, dq, params)``; when ``guarded``, a call
+    that raises or whose ``check`` is not finite goes to ``generic_name``."""
+    args = f"q, lam, h2, cent, dq, {params}"
+    if not guarded:
+        return [f"def {name}({args}):", *(f"    {line}" for line in body),
+                f"    return {result}", ""]
+    return [f"def {name}({args}):", "    try:",
+            *(f"        {line}" for line in body),
+            f"        if isfinite({check}):",
+            f"            return {result}",
+            "    except Exception:",
+            "        pass",
+            f"    return generic_{name}({args})", ""]
+
+
+def _kernel_source(n: int, coefficient: str, guarded: bool) -> str:
+    derivative = _pair_derivative if n == 2 else _sensitivity_derivative
     ys = [f"y{i}" for i in range(n)]
     news = [f"n{i}" for i in range(n)]
     stages = [f"k{j}_{i}" for j in range(_N_STAGES + 1) for i in range(n)]
     last = [f"k{_N_STAGES}_{i}" for i in range(n)]
 
-    rhs = ["def rhs(q, dq, t, y):",
-           f"    {', '.join(ys)}, = y",
-           "    qq = q(t)",
-           f"    return ({', '.join(derivative(ys))},)", ""]
+    rhs = [f"{', '.join(ys)}, = y", "x = t", f"qq = {coefficient}"]
+    source = _function("rhs", "t, y", rhs, f"({', '.join(derivative(ys))},)",
+                       "qq", guarded)
 
-    attempt = ["def attempt(q, dq, t, h, y, f, rtol, atol):",
-               f"    {', '.join(ys)}, = y",
-               f"    {', '.join(f'k0_{i}' for i in range(n))}, = f"]
+    attempt = [f"{', '.join(ys)}, = y",
+               f"{', '.join(f'k0_{i}' for i in range(n))}, = f"]
     for s in range(1, _N_STAGES):
-        attempt += _stage_lines(n, derivative, s)
+        attempt += _stage_lines(n, derivative, coefficient, s)
     for i in range(n):
         ks = [f"k{j}_{i}" for j in range(_N_STAGES)]
-        attempt.append(f"    n{i} = y{i} + h * ({_combination(_B, ks)})")
-    attempt.append("    qq = q(t + h)")
-    attempt += [f"    {name} = {d}" for name, d in zip(last, derivative(news))]
+        attempt.append(f"n{i} = y{i} + h * ({_combination(_B, ks)})")
+    attempt += ["x = t + h", f"qq = {coefficient}"]
+    attempt += [f"{name} = {d}" for name, d in zip(last, derivative(news))]
     for i in range(n):
         ks = [f"k{j}_{i}" for j in range(_N_STAGES + 1)]
-        attempt += [f"    sc = atol + max(abs(y{i}), abs(n{i})) * rtol",
-                    f"    e{i} = ({_combination(_E5, ks)}) / sc",
-                    f"    g{i} = ({_combination(_E3, ks)}) / sc"]
-    attempt += [f"    e5 = {' + '.join(f'e{i} * e{i}' for i in range(n))}",
-                f"    e3 = {' + '.join(f'g{i} * g{i}' for i in range(n))}",
-                "    if e5 == 0.0 and e3 == 0.0:",
-                "        err = 0.0",
-                "    else:",
-                f"        err = abs(h) * e5 / sqrt((e5 + 0.01 * e3) * {n})",
-                f"    return ({', '.join(news)},), ({', '.join(last)},), err, "
-                f"({', '.join(stages)},)", ""]
-
-    # Dense output of the first component: three more stages from the
-    # accepted step's, then the seven interpolation coefficients.
-    dense = ["def interpolant(q, dq, t, h, y, y_new, f_new, k):",
-             f"    {', '.join(ys)}, = y",
-             f"    {', '.join(stages)}, = k"]
-    for s in range(_N_STAGES + 1, _N_EXTENDED):
-        dense += _stage_lines(n, derivative, s)
-    k0 = [f"k{j}_0" for j in range(_N_EXTENDED)]
-    dense += ["    dy = y_new[0] - y0",
-              "    return (dy, h * k0_0 - dy, 2 * dy - h * (f_new[0] + k0_0), "
-              + ", ".join(f"h * ({_combination(row, k0)})" for row in _D) + ")",
-              ""]
-    return "\n".join(rhs + attempt + dense)
+        attempt += [f"sc = atol + max(abs(y{i}), abs(n{i})) * rtol",
+                    f"e{i} = ({_combination(_E5, ks)}) / sc",
+                    f"g{i} = ({_combination(_E3, ks)}) / sc"]
+    attempt += [f"e5 = {' + '.join(f'e{i} * e{i}' for i in range(n))}",
+                f"e3 = {' + '.join(f'g{i} * g{i}' for i in range(n))}",
+                "if e5 == 0.0 and e3 == 0.0:",
+                "    err = 0.0",
+                "else:",
+                f"    err = abs(h) * e5 / sqrt((e5 + 0.01 * e3) * {n})"]
+    kept = f"({', '.join(stages)},)" if n == 2 else "None"
+    source += _function("attempt", "t, h, y, f, rtol, atol", attempt,
+                        f"({', '.join(news)},), ({', '.join(last)},), err, {kept}",
+                        "err", guarded)
+    if n == 2:
+        # Dense output of the first component: three more stages from the
+        # accepted step's, then the seven interpolation coefficients.
+        dense = [f"{', '.join(ys)}, = y", f"{', '.join(stages)}, = k"]
+        for s in range(_N_STAGES + 1, _N_EXTENDED):
+            dense += _stage_lines(n, derivative, coefficient, s)
+        k0 = [f"k{j}_0" for j in range(_N_EXTENDED)]
+        dense += ["dy = y_new[0] - y0",
+                  "out = (dy, h * k0_0 - dy, 2 * dy - h * (f_new[0] + k0_0), "
+                  + ", ".join(f"h * ({_combination(row, k0)})" for row in _D)
+                  + ")"]
+        source += _function("interpolant", "t, h, y, y_new, f_new, k", dense,
+                            "out", "sum(out)", guarded)
+    return "\n".join(source)
 
 
 class _Kernel:
-    """The generated ``rhs``, ``attempt`` and ``interpolant`` of one system."""
+    """The generated ``rhs``, ``attempt`` and, for 2 components,
+    ``interpolant`` of one system and one coefficient; a fused kernel
+    falls back on ``generic``."""
 
-    def __init__(self, n: int, derivative) -> None:
-        namespace: dict = {"sqrt": math.sqrt}
-        exec(compile(_kernel_source(n, derivative), f"<dop853 kernel n={n}>",
+    def __init__(self, n: int, coefficient: str,
+                 generic: _Kernel | None = None) -> None:
+        namespace: dict = {"sqrt": math.sqrt, "isfinite": math.isfinite,
+                           "math": math}
+        if generic is not None:
+            namespace.update({f"generic_{name}": fn for name, fn in
+                              vars(generic).items()})
+        source = _kernel_source(n, coefficient, generic is not None)
+        exec(compile(source, f"<dop853 kernel n={n}: qq = {coefficient}>",
                      "exec"), namespace)
         self.rhs = namespace["rhs"]
         self.attempt = namespace["attempt"]
-        self.interpolant = namespace["interpolant"]
+        self.interpolant = namespace.get("interpolant")
 
 
-_KERNELS = {2: _Kernel(2, _pair_derivative), 4: _Kernel(4, _sensitivity_derivative)}
+_GENERIC = {n: _Kernel(n, "q(x)") for n in (2, 4)}
+
+
+@functools.lru_cache(maxsize=FUSED_CACHE_SIZE)
+def fused_kernel(n: int, source: str, centrifugal: bool) -> _Kernel:
+    """The ``n``-component kernel with V = ``source`` inlined, and
+    ``cent / (x * x)`` added when ``centrifugal``."""
+    coefficient = f"(({source}) - lam) / h2"
+    if centrifugal:
+        coefficient += " + cent / (x * x)"
+    return _Kernel(n, coefficient, _GENERIC[n])
 
 
 # --------------------------------------------------------------------------
@@ -174,20 +228,27 @@ class DOP853:
     4-component system only.  ``status`` is "running", "finished" or
     "failed"; ``t`` and ``y`` (a tuple) hold the last accepted point and
     ``nfev`` counts evaluations of ``q``.
+
+    ``fun.parts``, if set, is ``(source, lam, h2, cent)``: ``fun(x)`` is
+    ``(V(x) - lam) / h2`` (``+ cent / (x * x)`` if ``cent``) with V the
+    expression ``source`` in ``x``, whose fused kernels then run.
     """
 
     def __init__(self, fun: Callable[[float], float], t0: float,
                  y0: Sequence[float], t_bound: float, rtol: float, atol: float,
                  max_step: float = math.inf, dq: float = 0.0) -> None:
-        kernel = _KERNELS.get(len(y0))
-        if kernel is None:
-            raise ValueError(f"DOP853 integrates 2 or 4 components, got {len(y0)}")
+        n = len(y0)
+        if n not in _GENERIC:
+            raise ValueError(f"DOP853 integrates 2 or 4 components, got {n}")
         if not max_step > 0.0:
             raise ValueError(f"max_step must be positive, got {max_step!r}")
+        source, lam, h2, cent = getattr(fun, "parts", (None, 0.0, 1.0, 0.0))
+        kernel = _GENERIC[n] if source is None else \
+            fused_kernel(n, source, cent != 0.0)
+        self._rhs = kernel.rhs
         self._attempt = kernel.attempt
         self._interpolant = kernel.interpolant
-        self.fun = fun
-        self.dq = dq
+        self._coefficient = (fun, lam, h2, cent, dq)
         self.t = t0
         self.t_old: float | None = None
         self.t_bound = t_bound
@@ -197,14 +258,14 @@ class DOP853:
         self.max_step = max_step
         self.direction = math.copysign(1.0, t_bound - t0) if t_bound != t0 else 1.0
         self.status = "running"
-        self.f = kernel.rhs(fun, dq, t0, self.y)
+        self.f = self._rhs(*self._coefficient, t0, self.y)
         self.nfev = 1
-        self.h_abs = self._initial_step(kernel.rhs)
+        self.h_abs = self._initial_step()
         self._h = 0.0         # the last accepted step, signed
         self._y_old = self.y  # the state it started from
-        self._stages: tuple[float, ...] = ()
+        self._stages: tuple[float, ...] | None = ()
 
-    def _initial_step(self, rhs) -> float:
+    def _initial_step(self) -> float:
         """Hairer-Norsett-Wanner II.4 starting step, as scipy selects it."""
         interval = abs(self.t_bound - self.t)
         if interval == 0.0:
@@ -217,8 +278,8 @@ class DOP853:
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
         h0 = min(h0, interval)
         step = h0 * self.direction
-        f1 = rhs(self.fun, self.dq, self.t + step,
-                 tuple(c + step * df for c, df in zip(y, f)))
+        f1 = self._rhs(*self._coefficient, self.t + step,
+                       tuple(c + step * df for c, df in zip(y, f)))
         self.nfev += 1
         d2 = _norm([b - a for a, b in zip(f, f1)], scale) / root_n / h0
         if d1 <= 1e-15 and d2 <= 1e-15:
@@ -246,8 +307,8 @@ class DOP853:
         else:
             h_abs = self.h_abs
 
-        q, dq, y, f = self.fun, self.dq, self.y, self.f
-        rtol, atol, attempt = self.rtol, self.atol, self._attempt
+        q, lam, h2, cent, dq = self._coefficient
+        y, f, rtol, atol, attempt = self.y, self.f, self.rtol, self.atol, self._attempt
         rejected = False
         while True:
             if h_abs < min_step:
@@ -258,7 +319,8 @@ class DOP853:
                 t_new = t_bound
             h = t_new - t
             h_abs = abs(h)
-            y_new, f_new, err, stages = attempt(q, dq, t, h, y, f, rtol, atol)
+            y_new, f_new, err, stages = attempt(q, lam, h2, cent, dq, t, h, y, f,
+                                                rtol, atol)
             self.nfev += _N_STAGES
             if err < 1.0:
                 factor = MAX_FACTOR if err == 0.0 else \
@@ -284,9 +346,12 @@ class DOP853:
 
     def dense_output(self) -> Callable[[float], float]:
         """Interpolant of the first component over the last accepted step."""
+        if self._interpolant is None:
+            raise RuntimeError("dense output needs the 2-component system; "
+                               "4-component attempts keep no stages")
         if self.t_old is None:
             raise RuntimeError("dense output needs one successful step first")
-        coefficients = self._interpolant(self.fun, self.dq, self.t_old, self._h,
+        coefficients = self._interpolant(*self._coefficient, self.t_old, self._h,
                                          self._y_old, self.y, self.f, self._stages)
         self.nfev += _N_EXTENDED - _N_STAGES - 1
         return DenseOutput(self.t_old, self._h, self._y_old[0], coefficients)

@@ -510,6 +510,8 @@ def as_function(node: Expr) -> Callable[[float], float]:
 
     The generated code runs straight-line Python; on any arithmetic failure
     it falls back to :func:`evaluate` to produce a descriptive EvalError.
+    The callable's ``source`` is that code, an expression in ``x``, which
+    the integrator inlines (see ``dop853``).
     """
     code = _codegen(node)
     namespace = {"math": math, "__builtins__": {}}
@@ -524,6 +526,7 @@ def as_function(node: Expr) -> Callable[[float], float]:
             return evaluate(node, x)
         return v
 
+    call.source = code
     return call
 
 

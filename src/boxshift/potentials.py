@@ -156,9 +156,11 @@ def from_callables(
 
 def harmonic(kind: str = "line") -> PotentialSpec:
     """The unit well x**2 (curvature omega = 1)."""
+    evaluate = lambda x: x * x  # noqa: E731
+    evaluate.source = "x * x"  # inlined by the integrator (see dop853)
     return PotentialSpec(
         kind=kind,
-        evaluate=lambda x: x * x,
+        evaluate=evaluate,
         derivative1=lambda x: 2.0 * x,
         derivative2=lambda x: 2.0,
         label="x^2",
@@ -168,9 +170,11 @@ def harmonic(kind: str = "line") -> PotentialSpec:
 
 def quartic(c: float = 1.0, kind: str = "line") -> PotentialSpec:
     """x**2 + c*x**4; keeps a single well for c >= 0."""
+    evaluate = lambda x: x * x + c * x ** 4  # noqa: E731
+    evaluate.source = f"x * x + {c!r} * x ** 4"
     return PotentialSpec(
         kind=kind,
-        evaluate=lambda x: x * x + c * x ** 4,
+        evaluate=evaluate,
         derivative1=lambda x: 2.0 * x + 4.0 * c * x ** 3,
         derivative2=lambda x: 2.0 + 12.0 * c * x * x,
         label=f"x^2 + {c:g}*x^4" if c != 1.0 else "x^2 + x^4",

@@ -29,11 +29,12 @@ comes from the same two shots as W.
 
 Every integration -- Newton iterates, node counts, bisection shots -- runs
 through ``_integrate``, which steps ``dop853.DOP853``: scipy's DOP853
-algorithm and tableau on tuples of Python floats.  Its 12 stages, update
-and error sums are generated at import as straight-line code for the two
-systems used here, (u, u') and (u, u', w, w'), because on 2- and
-4-component states a generic stepper spends its time on array and loop
-overhead rather than arithmetic.
+algorithm and tableau on tuples of Python floats, generated as
+straight-line code for the two systems used here, (u, u') and
+(u, u', w, w'), because on 2- and 4-component states a generic stepper
+spends its time on array and loop overhead rather than arithmetic.  When V
+carries its source (DSL expressions, the builtins, the Coulomb tail), the
+kernels inline it and call q only to redo a kernel call that failed.
 
 State magnitudes are kept inside [e^-12, e^+12]: after every accepted step
 the vector is rescaled to unit max-norm when it leaves that window, and the
@@ -68,8 +69,9 @@ _MAX_NEWTON_DEFAULT = 50
 _SERIES_MAX_TERMS = 40
 _SERIES_CUTOFF = 1e-16
 
-# Integrator steps taken in this process; only ``_integrate`` adds to it.
+# Integrator steps and q evaluations in this process; only _integrate adds.
 _steps_taken = 0
+_rhs_calls = 0
 
 
 @dataclass(frozen=True)
@@ -110,6 +112,11 @@ def steps_taken() -> int:
     return _steps_taken
 
 
+def rhs_calls_taken() -> int:
+    """Evaluations of q so far in this process, counted like steps."""
+    return _rhs_calls
+
+
 def _integrate(q: Callable[[float], float], x0: float, y0: Sequence[float],
                x1: float, rtol: float, *, dq: float = 0.0,
                max_step: float = math.inf, track_zeros: bool = False
@@ -118,10 +125,9 @@ def _integrate(q: Callable[[float], float], x0: float, y0: Sequence[float],
     components; ``dq`` = dq/dlambda) from x0 to x1, either direction.
 
     Returns (final state, accumulated log scale, zeros of y[0]).  The steps
-    taken go to ``steps_taken`` once the integration ends, also when it
-    fails.
+    and the solvers' ``nfev`` are counted when it ends, also in failure.
     """
-    global _steps_taken
+    global _steps_taken, _rhs_calls
     y = tuple(float(c) for c in y0)
     log_scale = 0.0
     crossings: list[float] = []
@@ -133,9 +139,11 @@ def _integrate(q: Callable[[float], float], x0: float, y0: Sequence[float],
     pending_zero = False
     t = x0
     steps = 0
+    solvers: list[DOP853] = []
     try:
         while True:
             solver = DOP853(q, t, y, x1, rtol, atol, max_step, dq)
+            solvers.append(solver)
             while solver.status == "running":
                 t_prev = solver.t
                 msg = solver.step()
@@ -170,6 +178,7 @@ def _integrate(q: Callable[[float], float], x0: float, y0: Sequence[float],
                 return y, log_scale, crossings
     finally:
         _steps_taken += steps
+        _rhs_calls += sum(solver.nfev for solver in solvers)
 
 
 def _sign(x: float) -> int:
@@ -178,13 +187,16 @@ def _sign(x: float) -> int:
 
 def _q_factory(V: Callable[[float], float], lam: float, h: float,
                nu: float | None) -> Callable[[float], float]:
+    """q(x) = (V(x) - lam)/h^2 (+ (nu^2 - 1/4)/x^2), with ``q.parts`` for
+    ``DOP853`` to inline V's ``source``, if it has one."""
     h2 = h * h
-    if nu is None:
-        return lambda x: (V(x) - lam) / h2
-    cent = nu * nu - 0.25
+    cent = 0.0 if nu is None else nu * nu - 0.25
     if cent == 0.0:
-        return lambda x: (V(x) - lam) / h2
-    return lambda x: (V(x) - lam) / h2 + cent / (x * x)
+        q = lambda x: (V(x) - lam) / h2  # noqa: E731
+    else:
+        q = lambda x: (V(x) - lam) / h2 + cent / (x * x)  # noqa: E731
+    q.parts = (getattr(V, "source", None), lam, h2, cent)
+    return q
 
 
 def _dq(h: float) -> float:

@@ -242,28 +242,41 @@ def _first_wall(profile: AgmonProfile, target_phi: float, start: float,
     """|x| of the nearest point on the side of ``start`` where phi reaches
     ``target_phi``: bracketed by growing ``start`` by 1.25, then root-found.
 
-    The root is stepped just past the crossing and kept only if phi there
-    is confirmed to reach the target; otherwise the bracket's outer end,
-    which is confirmed, serves as the wall.
+    phi is carried from point to point, one quadrature between them, not
+    integrated from the well bottom at each.  The root is found by Newton
+    steps in from the bracket's outer end, since |phi'| = sqrt(V) costs one
+    evaluation of V; a step that would leave the bracket bisects it.  The
+    root is stepped just past the crossing and kept only if phi there,
+    integrated in full, is confirmed to reach the target; otherwise the
+    bracket's outer end, which is confirmed, serves as the wall.
     """
-    def far_enough(x: float) -> bool:
-        return profile.phi(x) >= target_phi
-
-    inner, outer = 0.0, start
+    inner, phi_inner, outer = 0.0, 0.0, start
     for _ in range(_MAX_EXPANSIONS):
-        if far_enough(outer):
+        phi_outer = phi_inner + profile.phi_increment(inner, outer)
+        if phi_outer >= target_phi:
             break
-        inner, outer = outer, outer * _EXPANSION_FACTOR
+        inner, phi_inner, outer = outer, phi_outer, outer * _EXPANSION_FACTOR
     else:
         raise SolverError(
             f"the tunnelling distance stays below {target_phi:g} out to "
             f"|x| = {abs(inner):g} (h={h:g}); "
             "the potential tail may be too shallow for this h")
-    lo, hi = sorted((inner, outer))
-    root = brentq(lambda x: profile.phi(x) - target_phi, lo, hi,
-                  xtol=_WALL_XTOL)
-    wall = root + math.copysign(2.0 * _WALL_XTOL, start)
-    return abs(wall) if far_enough(wall) else abs(outer)
+    lo, hi = sorted((inner, outer))  # phi crosses the target in between
+    x, phi_x = outer, phi_outer
+    for _ in range(2 * _MAX_EXPANSIONS):  # bisection alone needs about 35
+        slope = profile.phi_prime(x)
+        step = (phi_x - target_phi) / slope if slope else math.inf
+        if abs(step) <= _WALL_XTOL or hi - lo <= _WALL_XTOL:
+            break
+        x_new = x - step if lo < x - step < hi else 0.5 * (lo + hi)
+        phi_x += profile.phi_increment(x, x_new)
+        x = x_new
+        if (phi_x < target_phi) == (start > 0.0):  # short of the target
+            lo = x                                  # on the right side
+        else:
+            hi = x
+    wall = float(x) + math.copysign(2.0 * _WALL_XTOL, start)
+    return abs(wall) if profile.phi(wall) >= target_phi else abs(outer)
 
 
 # --------------------------------------------------------------------------
@@ -343,6 +356,7 @@ def hydrogen_confined(spec: HydrogenSpec, *, rtol: float = 1e-12,
     carry the level's radial node count.
     """
     V = lambda x: -spec.z / x  # noqa: E731
+    V.source = f"-{spec.z!r} / x"  # inlined by the integrator (see dop853)
     nu, h, L, m = spec.nu, spec.h, spec.r_box, spec.level
     x0 = min(0.1 * spec.n * h ** 2 / spec.z, 0.01 * L)
     series = CoulombSeriesStart(spec.z, spec.ell, h, x0)

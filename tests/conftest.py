@@ -1,5 +1,5 @@
 """Session wiring for the acceptance battery, a shared fault injector and
-an independent tally of integrator steps.
+independent tallies of integrator steps and solvers.
 
 Acceptance tests register one verdict per criterion through the
 ``record_criterion`` fixture; the hook below reprints every verdict in the
@@ -70,3 +70,19 @@ def dop853_steps(monkeypatch):
 
     monkeypatch.setattr(shooting, "DOP853", Counting)
     return calls
+
+
+@pytest.fixture
+def dop853_solvers(monkeypatch):
+    """Installs a ``shooting.DOP853`` that keeps every solver it makes, so a
+    test can sum their ``nfev`` apart from ``shooting.rhs_calls_taken``, and
+    returns the list of them."""
+    solvers: list = []
+
+    class Kept(shooting.DOP853):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            solvers.append(self)
+
+    monkeypatch.setattr(shooting, "DOP853", Kept)
+    return solvers

@@ -2,7 +2,8 @@
 
 Both integrators run the same algorithm, so on the same problem they must
 take the same steps, make the same number of right-hand-side calls and end
-on the same state up to roundoff.
+on the same state up to roundoff.  A kernel with the potential inlined does
+the generic kernel's arithmetic, so the two must agree bit for bit.
 """
 
 import math
@@ -11,9 +12,9 @@ import pytest
 from scipy.integrate import DOP853 as ScipyDOP853
 from scipy.optimize import brentq
 
-from boxshift import SolverError
+from boxshift import SolverError, dop853, quartic
 from boxshift.dop853 import DOP853
-from boxshift.shooting import _integrate, steps_taken
+from boxshift.shooting import _integrate, _q_factory, steps_taken
 
 RTOL, ATOL = 1e-12, 1e-15
 
@@ -113,3 +114,77 @@ def test_step_too_small_raises_solver_error(dop853_steps):
 def test_rejects_unsupported_state_sizes():
     with pytest.raises(ValueError):
         DOP853(_airy_like, 0.0, (1.0, 0.0, 0.0), 1.0, RTOL, ATOL)
+
+
+# -- kernels with the potential inlined -----------------------------------------
+
+
+def _fused_only(q):
+    """q's parts without q: a solver given it must run the fused kernels,
+    since calling it fails the test."""
+    def unused(x):
+        raise AssertionError("the generic kernel called q")
+    unused.parts = q.parts
+    return unused
+
+
+def _lockstep(fused, generic):
+    """Step both solvers to the end; every accepted point must agree."""
+    while fused.status == "running":
+        fused.step()
+        generic.step()
+        assert (fused.t, fused.y) == (generic.t, generic.y)
+    assert generic.status == "finished"
+    assert fused.nfev == generic.nfev
+
+
+@pytest.mark.parametrize("kind,t0,y0,t1", [
+    ("line", 0.0, (1.0, 0.0), 1.0),
+    ("line", 1.0, (0.0, -1.0), 0.0),
+    ("line", 0.0, (1.0, 0.0, 0.0, 0.0), 1.0),
+    ("line", 1.0, (0.0, -1.0, 0.0, 0.0), 0.0),
+    ("radial", 0.05, (0.0025, 0.1), 1.0),     # nu = 1.5: cent / x^2 inlined
+], ids=["pair-out", "pair-in", "sensitivity-out", "sensitivity-in",
+        "radial-nu1.5"])
+def test_fused_quartic_kernel_matches_scipy_and_the_generic_kernel(
+        kind, t0, y0, t1):
+    q = _q_factory(quartic(kind=kind).evaluate, LAM, H,
+                   None if kind == "line" else 1.5)
+    ref = ScipyDOP853(_scipy_rhs(q, len(y0)), t0, list(y0), t1,
+                      rtol=RTOL, atol=ATOL)
+    _assert_same_run(ref, DOP853(_fused_only(q), t0, y0, t1, RTOL, ATOL,
+                                 math.inf, DQ))
+    _lockstep(DOP853(_fused_only(q), t0, y0, t1, RTOL, ATOL, math.inf, DQ),
+              DOP853(lambda x: q(x), t0, y0, t1, RTOL, ATOL, math.inf, DQ))
+
+
+def test_fused_dense_output_zero_equals_the_generic_kernels():
+    # At lambda = 1 the well x^2 + x^4 is classically allowed for
+    # |x| < 0.79, so u turns negative on the way in from the wall at -1.
+    q = _q_factory(quartic().evaluate, 1.0, H, None)
+    ref = ScipyDOP853(_scipy_rhs(q, 2), -1.0, [0.0, 1.0], 0.0,
+                      rtol=RTOL, atol=ATOL)
+    fused = DOP853(_fused_only(q), -1.0, (0.0, 1.0), 0.0, RTOL, ATOL)
+    generic = DOP853(lambda x: q(x), -1.0, (0.0, 1.0), 0.0, RTOL, ATOL)
+    got = _first_zero(fused, lambda dense: dense)
+    assert got == _first_zero(generic, lambda dense: dense)
+    assert fused.nfev == generic.nfev
+    assert got == pytest.approx(
+        _first_zero(ref, lambda dense: lambda s: float(dense(s)[0])),
+        abs=1e-12)
+
+
+def test_sensitivity_solver_keeps_no_dense_output():
+    solver = DOP853(_quartic, 0.0, (1.0, 0.0, 0.0, 0.0), 1.0, RTOL, ATOL,
+                    math.inf, DQ)
+    solver.step()
+    with pytest.raises(RuntimeError, match="2-component"):
+        solver.dense_output()
+
+
+def test_fused_kernel_cache_keeps_its_bound():
+    for c in range(1, dop853.FUSED_CACHE_SIZE + 4):
+        q = _q_factory(quartic(float(c)).evaluate, LAM, H, None)
+        DOP853(_fused_only(q), 0.0, (1.0, 0.0), 0.1, RTOL, ATOL).step()
+    assert dop853.fused_kernel.cache_info().currsize \
+        == dop853.FUSED_CACHE_SIZE

@@ -7,15 +7,17 @@ bookkeeping and the sensitivity system without any reference data.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from boxshift import (
     LineBox, ModeSpec, ScaledValue, SeriesError, ShootState, SolverError,
-    count_nodes_line, count_nodes_radial, frobenius_start, harmonic,
-    integrate, newton_solve_line, newton_solve_radial, quartic,
+    count_nodes_line, count_nodes_radial, from_expression, frobenius_start,
+    harmonic, integrate, newton_solve_line, newton_solve_radial, quartic,
 )
+from boxshift.dsl import EvalError
 from boxshift.shooting import (
     CoulombSeriesStart, Matching, OscillatorSeriesStart, steps_taken, wronskian,
 )
@@ -290,3 +292,38 @@ def test_shoot_line_side_reports_steps_and_crossings():
     # and its start on the wall is no crossing.
     interior = [z for z in side.crossings if z > 1e-8]
     assert len(interior) == 1 and 0.0 < interior[0] < 1.0
+
+
+# -- errors of the potential inside a shot --------------------------------------
+
+@pytest.mark.parametrize("text,error,message", [
+    ("x^2 + (x + 0.9)^0.5", EvalError,
+     "negative base with non-integer exponent in '(x + 0.9)^0.5'"),
+    ("x^2 + log(x + 0.95)", EvalError,
+     "log of a non-positive value in 'log(x + 0.95)'"),
+    ("x^2 + sqrt(x^2 - 0.25)", EvalError,
+     "sqrt of a negative value in 'sqrt(x^2 - 0.25)'"),
+    ("x^2 + 1e300*(1e10*(0.25 - x^2 + abs(0.25 - x^2)))", EvalError,
+     "non-finite result inf in "
+     "'x^2 + 1e+300*(10000000000*(0.25 - x^2 + abs(0.25 - x^2)))'"),
+    ("x^2 + 1/(x + 0.7)", SolverError,
+     "integrator failed near x=-0.7: "
+     "Required step size is less than spacing between numbers."),
+], ids=["power-at-wall", "log-at-wall", "sqrt-inside", "overflow-inside",
+        "pole-inside"])
+@pytest.mark.parametrize("sensitivity", [True, False],
+                         ids=["sensitivity", "pair"])
+def test_potential_error_inside_a_shot_surfaces_unchanged(
+        text, error, message, sensitivity):
+    # The first two are undefined at the left wall, where the solver's
+    # first right-hand side meets them; the next two only inside the shot,
+    # one raising there and one overflowing to inf without raising.  The
+    # pole is never hit exactly: the step shrinks in front of it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the division
+        p = from_expression(text)
+    with pytest.raises(error) as caught:
+        Matching.line(p, BOX, ModeSpec(0, 0.1)).shoot(
+            0.1, 5e-13, with_sensitivity=sensitivity)
+    assert type(caught.value) is error
+    assert str(caught.value) == message

@@ -20,7 +20,7 @@ from boxshift import (
 from boxshift import report, spectra
 from boxshift.agmon import AgmonProfile
 from boxshift.report import run_hydrogen_case, run_shift_case
-from boxshift.shooting import steps_taken
+from boxshift.shooting import rhs_calls_taken, steps_taken
 from boxshift.spectra import harmonic_level
 
 BOX = LineBox(-1.0, 1.0)
@@ -172,6 +172,18 @@ def test_unconfined_rejects_a_too_shallow_tail():
                               ModeSpec(level=0, h=0.1))
 
 
+@pytest.mark.parametrize("target", [2.0, 2.8, 3.0])
+@pytest.mark.parametrize("side", [1.0, -1.0], ids=["right", "left"])
+def test_first_wall_found_past_a_hump_in_the_potential(target, side):
+    # V peaks near |x| = 1 and then sinks, so phi' is small at the
+    # bracket's outer end: a Newton step from there would leave the
+    # bracket, and the search must bisect instead.
+    profile = AgmonProfile(from_expression("10*x^2*exp(-x^2) + 0.001*x^2"))
+    start = side * math.sqrt(2.0 * target / profile.omega)
+    wall = spectra._first_wall(profile, target, start, 0.1)
+    assert target <= profile.phi(side * wall) <= target * (1.0 + 1e-6)
+
+
 @pytest.mark.parametrize("kind, mode", [
     ("line", ModeSpec(level=0, h=0.05)),
     ("radial", ModeSpec(level=0, h=0.05, nu=1.5)),
@@ -243,14 +255,26 @@ def test_asymmetric_shift_case_finds_the_free_ground_state(monkeypatch):
 
 # -- step counts ----------------------------------------------------------------------------
 
-@pytest.mark.parametrize("run", [
+COUNTED_RUNS = pytest.mark.parametrize("run", [
     lambda: run_shift_case(quartic(), BOX, ModeSpec(level=0, h=0.1)),
     lambda: run_shift_case(quartic(kind="radial"), RadialBox(1.0),
                            ModeSpec(level=0, h=0.1, nu=1.5)),
     lambda: run_hydrogen_case(HydrogenSpec(2, 0, 2.0, 1.0, 8.0)),
 ], ids=["quartic-line", "quartic-radial", "hydrogen"])
+
+
+@COUNTED_RUNS
 def test_diagnostics_count_every_integrator_step(dop853_steps, run):
     assert run().diagnostics.steps == len(dop853_steps) > 0
+
+
+@COUNTED_RUNS
+def test_rhs_calls_counted_for_every_solver(dop853_solvers, run):
+    # Renormalisation restarts the solver, so one integration spans several.
+    before = rhs_calls_taken()
+    run()
+    assert rhs_calls_taken() - before \
+        == sum(solver.nfev for solver in dop853_solvers) > 0
 
 
 def _fail_last_call(fail_on_call, run):

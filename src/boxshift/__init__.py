@@ -19,7 +19,6 @@ from .asymptotics import (
     hydrogen_confined_closed_form,
     hydrogen_wavenumber_closed_form,
     iso_ho_confined_closed_form,
-    lanczos_gamma,
     shift_leading_line,
     shift_leading_radial,
 )
@@ -116,7 +115,6 @@ __all__ = [
     "hydrogen_wavenumber_closed_form",
     "integrate",
     "iso_ho_confined_closed_form",
-    "lanczos_gamma",
     "newton_solve_line",
     "newton_solve_radial",
     "normalize_to_unit_curvature",

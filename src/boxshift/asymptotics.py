@@ -16,7 +16,9 @@ serve as independent cross-checks of the general evaluators.
 Everything is computed in log space first: sweeps deliberately run into
 exp(-2 phi/h) ranges far below double-precision underflow, so each
 prediction carries both a plain value (0.0 once underflowed) and its
-natural log.
+natural log.  Gamma(1+m+nu) and the factorials of the radial and Coulomb
+terms enter as math.lgamma and the log of the exact math.factorial, which
+stay finite where Gamma itself overflows a double (from 171 on).
 """
 
 from __future__ import annotations
@@ -32,58 +34,6 @@ from .errors import InvalidPotential
 from .potentials import LineBox, PotentialSpec
 from .shooting import ModeSpec
 from .spectra import HydrogenSpec
-
-# --------------------------------------------------------------------------
-# Gamma and factorial helpers
-# --------------------------------------------------------------------------
-
-# Lanczos approximation, g = 7, 9 coefficients; relative error < 1e-13 on
-# the real axis away from the poles (cross-checked against half-integer
-# closed forms in the tests).
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_FACTORIALS = (
-    1, 1, 2, 6, 24, 120, 720, 5040, 40320, 362880, 3628800, 39916800,
-    479001600, 6227020800, 87178291200, 1307674368000, 20922789888000,
-    355687428096000, 6402373705728000, 121645100408832000,
-    2432902008176640000,
-)
-
-
-def lanczos_gamma(x: float) -> float:
-    """Gamma(x) for real x (poles excepted)."""
-    if x < 0.5:
-        if x == math.floor(x):
-            raise ValueError(f"gamma pole at x={x:g}")
-        # Reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        return math.pi / (math.sin(math.pi * x) * lanczos_gamma(1.0 - x))
-    x -= 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        acc += c / (x + i)
-    t = x + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (x + 0.5) * math.exp(-t) * acc
-
-
-def exact_factorial(k: int) -> float:
-    """k! — exact integer table through 20, gamma beyond."""
-    if k < 0:
-        raise ValueError(f"factorial of negative {k}")
-    if k < len(_FACTORIALS):
-        return float(_FACTORIALS[k])
-    return lanczos_gamma(k + 1.0)
-
 
 # --------------------------------------------------------------------------
 # Prediction containers
@@ -125,14 +75,14 @@ def _from_log(log_value: float) -> float:
 # --------------------------------------------------------------------------
 
 
-def shift_leading_line(p: PotentialSpec, domain: LineBox, mode: ModeSpec, *,
-                       quadrature_tol: float = 1e-12) -> ShiftPrediction:
+def shift_leading_line(p: PotentialSpec, domain: LineBox,
+                       mode: ModeSpec) -> ShiftPrediction:
     """Leading confinement shift for a line well on (r-, r+)."""
     m, h = mode.level, mode.h
     omega = p.curvature_omega
-    profile = AgmonProfile(p, quadrature_tolerance=quadrature_tol, domain=domain)
+    profile = AgmonProfile(p, domain=domain)
     base_log = (0.5 - m) * math.log(h) \
-        + math.log(2.0 ** (m + 1) / (exact_factorial(m) * math.sqrt(math.pi))) \
+        + math.log(2.0 ** (m + 1) / (math.factorial(m) * math.sqrt(math.pi))) \
         + (m + 0.5) * math.log(omega)
 
     terms = []
@@ -141,7 +91,7 @@ def shift_leading_line(p: PotentialSpec, domain: LineBox, mode: ModeSpec, *,
         if v <= 0.0:
             raise InvalidPotential(
                 f"wall at x={r:g} is not inside the barrier (V={v:g})")
-        a0 = wkb_prefactor_line(profile, m, r, quadrature_tol)
+        a0 = wkb_prefactor_line(profile, m, r)
         log_term = base_log + 0.5 * math.log(v) + 2.0 * math.log(a0) \
             - 2.0 * profile.phi(r) / h
         terms.append(EndpointTerm(position=r, value=_from_log(log_term),
@@ -158,21 +108,21 @@ def shift_leading_line(p: PotentialSpec, domain: LineBox, mode: ModeSpec, *,
     )
 
 
-def shift_leading_radial(w: PotentialSpec, L: float, mode: ModeSpec, *,
-                         quadrature_tol: float = 1e-12) -> ShiftPrediction:
+def shift_leading_radial(w: PotentialSpec, L: float,
+                         mode: ModeSpec) -> ShiftPrediction:
     """Leading confinement shift for a radial well boxed at L."""
     if mode.nu is None:
         raise InvalidPotential("radial shift prediction needs mode.nu")
     m, h, nu = mode.level, mode.h, mode.nu
     omega = w.curvature_omega
-    profile = AgmonProfile(w, quadrature_tolerance=quadrature_tol)
+    profile = AgmonProfile(w)
     wL = w.evaluate(L)
     if wL <= 0.0:
         raise InvalidPotential(f"wall at x={L:g} is not inside the barrier (W={wL:g})")
-    a0 = wkb_prefactor_radial(profile, m, nu, L, quadrature_tol)
+    a0 = wkb_prefactor_radial(profile, m, nu, L)
     log_value = (-nu - 2 * m) * math.log(h) - 2.0 * profile.phi(L) / h \
         + math.log(4.0) + 0.5 * math.log(wL) \
-        - math.log(lanczos_gamma(1.0 + m + nu)) - math.log(exact_factorial(m)) \
+        - math.lgamma(1.0 + m + nu) - math.log(math.factorial(m)) \
         + (2 * m + 1 + nu) * math.log(omega) + (1.0 + 2.0 * nu) * math.log(L) \
         + 2.0 * math.log(a0)
     return ShiftPrediction(
@@ -192,7 +142,7 @@ def ho_shift_term(mode: ModeSpec, R: float) -> ShiftPrediction:
     """Shift term of the boxed harmonic line well V = x^2 on (-R, R)."""
     m, h = mode.level, mode.h
     log_value = (0.5 - m) * math.log(h) \
-        + math.log(2.0 ** (2 + m) / (exact_factorial(m) * math.sqrt(math.pi))) \
+        + math.log(2.0 ** (2 + m) / (math.factorial(m) * math.sqrt(math.pi))) \
         + (2 * m + 1) * math.log(R) - R * R / h
     return ShiftPrediction(leading_value=_from_log(log_value),
                            log_leading_value=log_value,
@@ -216,7 +166,7 @@ def iso_ho_shift_term(mode: ModeSpec, L: float) -> ShiftPrediction:
     m, h, nu = mode.level, mode.h, mode.nu
     log_value = math.log(4.0) + (-2 * m - nu) * math.log(h) \
         + 2.0 * (2 * m + 1 + nu) * math.log(L) - L * L / h \
-        - math.log(exact_factorial(m)) - math.log(lanczos_gamma(1.0 + m + nu))
+        - math.log(math.factorial(m)) - math.lgamma(1.0 + m + nu)
     return ShiftPrediction(leading_value=_from_log(log_value),
                            log_leading_value=log_value,
                            exponent=L * L / h, prefactor_power=-2 * m - nu)
@@ -241,7 +191,8 @@ def hydrogen_shift_term(spec: HydrogenSpec) -> ShiftPrediction:
     log_value = (2 * n + 1) * math.log(2.0) + (-4 * n - 2) * math.log(h) \
         + 2 * n * math.log(R) \
         - (2 * n + 3) * math.log(n) \
-        - math.log(exact_factorial(n - ell - 1)) - math.log(exact_factorial(n + ell)) \
+        - math.log(math.factorial(n - ell - 1)) \
+        - math.log(math.factorial(n + ell)) \
         + (2 * n + 2) * math.log(z / 2.0) \
         - z * R / (n * h * h)
     return ShiftPrediction(leading_value=_from_log(log_value),
@@ -272,7 +223,9 @@ def hydrogen_wavenumber_closed_form(spec: HydrogenSpec) -> float:
         raise InvalidPotential(
             f"the wavenumber form is defined in the z=2 normalisation, got z={spec.z:g}")
     n, ell, h, R = spec.n, spec.ell, spec.h, spec.r_box
-    delta = 2.0 ** (2 * n) * h ** (-4 * n + 1) * R ** (2 * n) \
-        / (n ** (2 * n) * exact_factorial(n - ell - 1) * exact_factorial(n + ell)) \
-        * math.exp(-2.0 * R / (n * h * h))
-    return n * h + delta
+    log_delta = 2 * n * math.log(2.0) + (-4 * n + 1) * math.log(h) \
+        + 2 * n * math.log(R) - 2 * n * math.log(n) \
+        - math.log(math.factorial(n - ell - 1)) \
+        - math.log(math.factorial(n + ell)) \
+        - 2.0 * R / (n * h * h)
+    return n * h + _from_log(log_delta)

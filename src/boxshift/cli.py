@@ -130,13 +130,6 @@ def _add_problem_args(sub: argparse.ArgumentParser, *, solver: bool) -> None:
     sub.add_argument("--config", help="JSON file of option defaults")
 
 
-def _add_solver_knobs(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--quad-tol", type=float, default=1e-12,
-                     help="quadrature tolerance for the action integrals")
-    sub.add_argument("--newton-tol", type=float, default=1e-10)
-    sub.add_argument("--newton-max-iter", type=int, default=50)
-
-
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="boxshift",
@@ -153,7 +146,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     shift = subs.add_parser("shift", help="one confined-vs-free shift case")
     _add_problem_args(shift, solver=True)
-    _add_solver_knobs(shift)
     shift.add_argument("--oracle", action="store_true",
                        help="also run the finite-difference oracle")
     shift.add_argument("--json", metavar="PATH", help="write the report as JSON")
@@ -162,7 +154,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     sweep = subs.add_parser("sweep", help="shift cases over a geometric h grid")
     _add_problem_args(sweep, solver=True)
-    _add_solver_knobs(sweep)
     sweep.add_argument("--h-grid", type=_geometric, metavar="START,STOP,COUNT",
                        help="geometric grid in h")
     sweep.add_argument("--out", metavar="PATH", help="write CSV here instead of stdout")
@@ -178,7 +169,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     hyd.add_argument("--R-grid", dest="r_grid", type=_float_list,
                      metavar="R1,R2,...", help="box radii")
     hyd.add_argument("--tol", type=float, default=1e-12)
-    hyd.add_argument("--newton-tol", type=float, default=1e-10)
     hyd.add_argument("--out", metavar="PATH")
     hyd.add_argument("--json", metavar="PATH")
     hyd.add_argument("--config", help="JSON file of option defaults")
@@ -248,10 +238,8 @@ def cmd_shift(args: argparse.Namespace) -> int:
     domain, kind = _domain_from_args(args)
     p = _resolve(args, kind)
     mode = _mode_from_args(args, kind)
-    report = run_shift_case(
-        p, domain, mode, integrate_tol=args.tol, quadrature_tol=args.quad_tol,
-        newton_tol=args.newton_tol, max_iter=args.newton_max_iter,
-        oracle=args.oracle)
+    report = run_shift_case(p, domain, mode, integrate_tol=args.tol,
+                            oracle=args.oracle)
     print(format_report(report))
     if args.json:
         Path(args.json).write_text(report_to_json(report) + "\n", encoding="utf-8")
@@ -292,10 +280,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     report = validate_potential(p, domain, 64)
     if not report.passed:
         raise InvalidPotential(report.summary())
-    result = run_sweep(
-        p, domain, args.m, args.nu, args.h_grid,
-        integrate_tol=args.tol, quadrature_tol=args.quad_tol,
-        newton_tol=args.newton_tol, max_iter=args.newton_max_iter)
+    result = run_sweep(p, domain, args.m, args.nu, args.h_grid,
+                       integrate_tol=args.tol)
     return _emit_sweep(result, args, hydrogen=False, grid_key="h")
 
 
@@ -305,9 +291,8 @@ def cmd_hydrogen(args: argparse.Namespace) -> int:
     # not a per-row failure.
     HydrogenSpec(n=args.n, ell=args.ell, z=args.z, h=args.h,
                  r_box=args.r_grid[0])
-    result = run_hydrogen_sweep(
-        args.n, args.ell, args.z, args.h, args.r_grid, integrate_tol=args.tol,
-        newton_tol=args.newton_tol)
+    result = run_hydrogen_sweep(args.n, args.ell, args.z, args.h, args.r_grid,
+                                integrate_tol=args.tol)
     return _emit_sweep(result, args, hydrogen=True, grid_key="R")
 
 

@@ -304,7 +304,7 @@ def _eval(node: Expr, x: float) -> float:
             base, expo = _eval(a, x), _eval(b, x)
             if base == 0.0 and expo < 0.0:
                 raise EvalError("zero raised to a negative power", node)
-            if base < 0.0 and expo != round(expo):
+            if base < 0.0 and math.isfinite(expo) and expo != round(expo):
                 raise EvalError("negative base with non-integer exponent", node)
             return _guard(node, lambda: math.pow(base, expo))
         case Call(func, arg):
@@ -533,7 +533,9 @@ def as_function(node: Expr) -> Callable[[float], float]:
 def _codegen(node: Expr) -> str:
     match node:
         case Const(value):
-            return repr(value)
+            # Parenthesised when signed, so (-2)^2 is not read as -(2 ** 2).
+            text = repr(value)
+            return f"({text})" if text.startswith("-") else text
         case Var():
             return "x"
         case Add(a, b):

@@ -93,10 +93,8 @@ def _ratio(numeric: float, log_numeric: float, prediction: ShiftPrediction) -> f
 
 
 def run_shift_case(p: PotentialSpec, domain: Domain, mode: ModeSpec, *,
-                   integrate_tol: float = 1e-12, quadrature_tol: float = 1e-12,
-                   newton_tol: float = 1e-10, max_iter: int = 50,
-                   oracle: bool = False,
-                   oracle_grid_n: int = 2000) -> ShiftReport:
+                   integrate_tol: float = 1e-12,
+                   oracle: bool = False) -> ShiftReport:
     """Full pipeline for one well case: validate, solve both sides, compare."""
     start = steps_taken()
     report = validate_potential(p, domain, 64)
@@ -104,14 +102,12 @@ def run_shift_case(p: PotentialSpec, domain: Domain, mode: ModeSpec, *,
         raise InvalidPotential(report.summary())
 
     if isinstance(domain, LineBox):
-        prediction = shift_leading_line(p, domain, mode,
-                                        quadrature_tol=quadrature_tol)
+        prediction = shift_leading_line(p, domain, mode)
         span = (domain.left, domain.right)
     else:
         if mode.nu is None:
             raise InvalidPotential("radial cases need nu")
-        prediction = shift_leading_radial(p, domain.length, mode,
-                                          quadrature_tol=quadrature_tol)
+        prediction = shift_leading_radial(p, domain.length, mode)
         span = (0.0, domain.length)
 
     # The confined level on the physical box is cheap, so it goes first, and
@@ -123,8 +119,7 @@ def run_shift_case(p: PotentialSpec, domain: Domain, mode: ModeSpec, *,
         if math.isfinite(prediction.leading_value) else 0.0
     confined = confined_eigenvalue(p, domain, mode,
                                    lam0=harmonic_level(p, mode) + shift,
-                                   rtol=integrate_tol, newton_tol=newton_tol,
-                                   max_iter=max_iter)
+                                   rtol=integrate_tol)
     reference_phi = 0.5 * prediction.exponent * mode.h
     free = unconfined_eigenvalue(p, mode, rtol=integrate_tol,
                                  reference_phi=reference_phi,
@@ -132,8 +127,7 @@ def run_shift_case(p: PotentialSpec, domain: Domain, mode: ModeSpec, *,
 
     oracle_value: float | None = None
     if oracle:
-        levels = fd_oracle(p, domain, mode, grid_n=oracle_grid_n,
-                           count=mode.level + 1)
+        levels = fd_oracle(p, domain, mode, count=mode.level + 1)
         oracle_value = levels[mode.level].value
 
     case = CaseDescriptor(potential=p.label, kind=p.kind, domain=span,
@@ -142,12 +136,12 @@ def run_shift_case(p: PotentialSpec, domain: Domain, mode: ModeSpec, *,
                    oracle_value=oracle_value)
 
 
-def run_hydrogen_case(spec: HydrogenSpec, *, integrate_tol: float = 1e-12,
-                      newton_tol: float = 1e-10) -> ShiftReport:
+def run_hydrogen_case(spec: HydrogenSpec, *,
+                      integrate_tol: float = 1e-12) -> ShiftReport:
     """Boxed Coulomb level vs the closed-form shift for one box radius."""
     start = steps_taken()
     prediction = hydrogen_shift_term(spec)
-    pair = hydrogen_confined(spec, rtol=integrate_tol, newton_tol=newton_tol)
+    pair = hydrogen_confined(spec, rtol=integrate_tol)
     case = CaseDescriptor(
         potential=f"hydrogen(n={spec.n},ell={spec.ell},z={spec.z:g})",
         kind="radial", domain=(0.0, spec.r_box),
@@ -254,13 +248,10 @@ def _run_rows(grid: Sequence[float], worker) -> list[SweepRow]:
 
 def run_sweep(p: PotentialSpec, domain: Domain, level: int, nu: float | None,
               h_grid: Sequence[float], *,
-              integrate_tol: float = 1e-12, quadrature_tol: float = 1e-12,
-              newton_tol: float = 1e-10, max_iter: int = 50) -> SweepResult:
+              integrate_tol: float = 1e-12) -> SweepResult:
     def worker(h: float) -> ShiftReport:
         mode = ModeSpec(level=level, h=h, nu=nu)
-        return run_shift_case(p, domain, mode, integrate_tol=integrate_tol,
-                              quadrature_tol=quadrature_tol,
-                              newton_tol=newton_tol, max_iter=max_iter)
+        return run_shift_case(p, domain, mode, integrate_tol=integrate_tol)
 
     rows = _run_rows(h_grid, worker)
     return SweepResult(rows=tuple(rows), empirical_order=fit_empirical_order(rows))
@@ -268,12 +259,10 @@ def run_sweep(p: PotentialSpec, domain: Domain, level: int, nu: float | None,
 
 def run_hydrogen_sweep(n: int, ell: int, z: float, h: float,
                        r_grid: Sequence[float], *,
-                       integrate_tol: float = 1e-12,
-                       newton_tol: float = 1e-10) -> SweepResult:
+                       integrate_tol: float = 1e-12) -> SweepResult:
     def worker(r_box: float) -> ShiftReport:
         spec = HydrogenSpec(n=n, ell=ell, z=z, h=h, r_box=r_box)
-        return run_hydrogen_case(spec, integrate_tol=integrate_tol,
-                                 newton_tol=newton_tol)
+        return run_hydrogen_case(spec, integrate_tol=integrate_tol)
 
     rows = _run_rows(r_grid, worker)
     # Hydrogen converges in the box radius, not h; the h-order fit does not

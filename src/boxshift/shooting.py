@@ -65,7 +65,8 @@ from .scaled import ScaledValue
 _RENORM_LOG = 12.0
 _RENORM_HI = math.exp(_RENORM_LOG)
 _RENORM_LO = math.exp(-_RENORM_LOG)
-_MAX_NEWTON_DEFAULT = 50
+_NEWTON_TOL = 1e-10  # converged when |d lambda| <= _NEWTON_TOL * scale
+_NEWTON_MAX_ITER = 50
 _SERIES_MAX_TERMS = 40
 _SERIES_CUTOFF = 1e-16
 
@@ -472,20 +473,20 @@ class Solution:
 
     lam: float
     iterations: int
-    converged: bool
     residual_log: float  # natural log of |W| at the last iterate
     steps: int           # integrator steps the iteration took
 
 
 def newton_match(match: Matching, lam0: float, *, rtol: float,
-                 newton_tol: float, scale: float, max_iter: int) -> Solution:
+                 scale: float) -> Solution:
     """Scalar Newton iteration on lambda for W(lambda) = 0.
 
-    Converged when |d lambda| <= newton_tol * scale.
+    Converged when |d lambda| <= _NEWTON_TOL * scale, within
+    _NEWTON_MAX_ITER iterations.
     """
     start = steps_taken()
     lam = lam0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _NEWTON_MAX_ITER + 1):
         left, right = match.shoot(lam, rtol)
         w, dw = wronskian(left, right)
         if dw.is_zero:
@@ -496,13 +497,12 @@ def newton_match(match: Matching, lam0: float, *, rtol: float,
         if abs(step) > cap:
             step = math.copysign(cap, step)
         lam += step
-        if abs(step) <= newton_tol * scale:
-            return Solution(lam=lam, iterations=it, converged=True,
-                            residual_log=w.log_abs(),
+        if abs(step) <= _NEWTON_TOL * scale:
+            return Solution(lam=lam, iterations=it, residual_log=w.log_abs(),
                             steps=steps_taken() - start)
 
     raise SolverError(
-        f"Newton did not converge in {max_iter} iterations "
+        f"Newton did not converge in {_NEWTON_MAX_ITER} iterations "
         f"(h={match.h:g}, last lambda={lam!r})")
 
 
@@ -557,35 +557,31 @@ def _counting_step_cap(V: Callable[[float], float], nu: float | None,
 
 
 def newton_solve_line(p: PotentialSpec, domain: LineBox, mode: ModeSpec,
-                      lam0: float, *, rtol: float = 1e-12,
-                      newton_tol: float = 1e-10,
-                      max_iter: int = _MAX_NEWTON_DEFAULT) -> Solution:
+                      lam0: float, *, rtol: float = 1e-12) -> Solution:
     """Newton on the line problem: inward shots meeting at 0, converged
-    when |d lambda| <= newton_tol * h.
+    when |d lambda| <= _NEWTON_TOL * h.
 
     W carries the truncation error of both shots into the root, so each
     runs at rtol/2.  That keeps the root within about 0.1*rtol*lambda of
     the level on the harmonic well (the error is proportional to rtol).
     """
     return newton_match(Matching.line(p, domain, mode), lam0, rtol=0.5 * rtol,
-                        newton_tol=newton_tol, scale=mode.h, max_iter=max_iter)
+                        scale=mode.h)
 
 
 def newton_solve_radial(V: Callable[[float], float], nu: float, h: float,
                         L: float, lam0: float, series_start: SeriesStart, *,
-                        rtol: float = 1e-12, newton_tol: float = 1e-10,
-                        lambda_scale: float | None = None,
-                        max_iter: int = _MAX_NEWTON_DEFAULT) -> Solution:
+                        rtol: float = 1e-12,
+                        lambda_scale: float | None = None) -> Solution:
     """Newton on the radial problem: the series shot matched at the wall L.
 
     ``lambda_scale`` sets the convergence yardstick |d lambda| <=
-    newton_tol * scale; it defaults to h, appropriate for low-lying levels
+    _NEWTON_TOL * scale; it defaults to h, appropriate for low-lying levels
     of a well (pass the energy magnitude instead for Coulomb problems).
     """
     scale = lambda_scale if lambda_scale is not None else h
     return newton_match(Matching.radial(V, nu, h, L, series_start), lam0,
-                        rtol=rtol, newton_tol=newton_tol, scale=scale,
-                        max_iter=max_iter)
+                        rtol=rtol, scale=scale)
 
 
 def count_nodes_line(p: PotentialSpec, domain: LineBox, mode: ModeSpec,

@@ -46,6 +46,7 @@ _PHI_MARGIN = 34.5  # in units of h; exp(-2*34.5) ~ 1e-30
 _EXPANSION_FACTOR = 1.25
 _MAX_EXPANSIONS = 40
 _WALL_XTOL = 1e-9  # absolute; walls sit at |x| = O(1)
+_BRACKET_ROUNDS = 25  # upper-bound growths by 1.5 in the oscillator map
 
 
 @dataclass(frozen=True)
@@ -114,9 +115,8 @@ def harmonic_level(p: PotentialSpec, mode: ModeSpec) -> float:
 
 
 def confined_eigenvalue(p: PotentialSpec, domain: Domain, mode: ModeSpec, *,
-                        lam0: float | None = None, rtol: float = 1e-12,
-                        newton_tol: float = 1e-10,
-                        max_iter: int = 50) -> Eigenpair:
+                        lam0: float | None = None,
+                        rtol: float = 1e-12) -> Eigenpair:
     """Dirichlet eigenvalue of level ``mode.level`` on ``domain``.
 
     Newton starts from ``lam0`` (default: the harmonic approximation); if
@@ -151,8 +151,7 @@ def confined_eigenvalue(p: PotentialSpec, domain: Domain, mode: ModeSpec, *,
         yield fd[mode.level].value
 
     return _isolate(where, mode.level, seeds(),
-                    partial(solve, rtol=rtol, newton_tol=newton_tol,
-                            max_iter=max_iter),
+                    partial(solve, rtol=rtol),
                     partial(nodes_at, rtol=rtol))
 
 
@@ -210,7 +209,7 @@ def unconfined_eigenvalue(p: PotentialSpec, mode: ModeSpec, *,
         return Eigenpair(index_m=mode.level, value=harmonic_level(p, mode),
                          method="closed-form")
 
-    profile = AgmonProfile(p, quadrature_tolerance=1e-12)
+    profile = AgmonProfile(p)
     h = mode.h
     target_phi = reference_phi + _PHI_MARGIN * h
     guess = lam0 if lam0 is not None else harmonic_level(p, mode)
@@ -345,8 +344,7 @@ def fd_oracle(p: PotentialSpec, domain: Domain, mode: ModeSpec,
 # --------------------------------------------------------------------------
 
 
-def hydrogen_confined(spec: HydrogenSpec, *, rtol: float = 1e-12,
-                      newton_tol: float = 1e-10) -> Eigenpair:
+def hydrogen_confined(spec: HydrogenSpec, *, rtol: float = 1e-12) -> Eigenpair:
     """E_n(R): Coulomb level in a Dirichlet box of radius r_box, by shooting.
 
     Newton starts from the unconfined E_n.  When the box crowds the turning
@@ -378,8 +376,7 @@ def hydrogen_confined(spec: HydrogenSpec, *, rtol: float = 1e-12,
     return _isolate(
         f"hydrogen level n={spec.n}, ell={spec.ell} in box {L:g}", m, seeds(),
         partial(newton_solve_radial, V, nu, h, L, series_start=series,
-                rtol=rtol, newton_tol=newton_tol,
-                lambda_scale=abs(spec.energy_unconfined)),
+                rtol=rtol, lambda_scale=abs(spec.energy_unconfined)),
         partial(count_nodes_radial, V, nu, h, L, series_start=series,
                 rtol=rtol))
 
@@ -410,8 +407,7 @@ def _bisect_radial(V: Callable[[float], float], nu: float, h: float, L: float,
 
 
 def hydrogen_confined_via_oscillator(spec: HydrogenSpec, *,
-                                     rtol: float = 1e-12,
-                                     max_rounds: int = 25) -> Eigenpair:
+                                     rtol: float = 1e-12) -> Eigenpair:
     """E_n(R) through the quadratic change of variables.
 
     The z=2 Coulomb problem in a box R is equivalent to a radial harmonic
@@ -444,7 +440,7 @@ def hydrogen_confined_via_oscillator(spec: HydrogenSpec, *,
         k = k_lo
     else:
         k_hi = 1.5 * k_lo
-        for _ in range(max_rounds):
+        for _ in range(_BRACKET_ROUNDS):
             if mismatch(k_hi) < 0.0:
                 break
             k_hi *= 1.5

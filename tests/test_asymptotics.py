@@ -1,6 +1,6 @@
-"""Leading-order shift predictions: special-function helpers, the general
-quadrature-based evaluators, the stock-well closed forms, and the algebraic
-identities tying them together.
+"""Leading-order shift predictions: the general quadrature-based
+evaluators, the stock-well closed forms, the algebraic identities tying
+them together, and their logs where Gamma and k! overflow a double.
 
 The quartic reference shifts were assembled at 50 digits (quadrature of the
 tunnelling integrand and of the transport equation's regular part, then the
@@ -14,11 +14,11 @@ import pytest
 
 from boxshift import (
     HydrogenSpec, InvalidPotential, LineBox, ModeSpec, from_expression,
-    harmonic, lanczos_gamma, normalize_to_unit_curvature, quartic,
+    harmonic, normalize_to_unit_curvature, quartic,
     shift_leading_line, shift_leading_radial,
 )
 from boxshift.asymptotics import (
-    exact_factorial, ho_confined_closed_form, ho_shift_term,
+    ho_confined_closed_form, ho_shift_term,
     hydrogen_confined_closed_form, hydrogen_shift_term,
     hydrogen_wavenumber_closed_form, iso_ho_confined_closed_form,
     iso_ho_shift_term,
@@ -38,39 +38,6 @@ QUARTIC_RADIAL_SHIFTS = {
     (0, 0.5): 4.1251452276461229e-5,
     (1, 1.5): 3.5557714364543941e-3,
 }
-
-
-# -- gamma / factorial ---------------------------------------------------------
-
-@pytest.mark.parametrize("x", [1.0, 2.0, 3.7, 5.0, 0.5, 1.5, 8.25, 12.0, 20.5])
-def test_lanczos_gamma_matches_math_gamma(x):
-    assert lanczos_gamma(x) == pytest.approx(math.gamma(x), rel=1e-13)
-
-
-def test_lanczos_gamma_half_integers_closed_form():
-    assert lanczos_gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-13)
-    assert lanczos_gamma(1.5) == pytest.approx(math.sqrt(math.pi) / 2, rel=1e-13)
-    assert lanczos_gamma(2.5) == pytest.approx(3 * math.sqrt(math.pi) / 4, rel=1e-13)
-
-
-def test_lanczos_gamma_reflection_branch():
-    # x < 0.5 goes through the reflection formula.
-    assert lanczos_gamma(-0.5) == pytest.approx(-2 * math.sqrt(math.pi), rel=1e-12)
-    assert lanczos_gamma(0.25) == pytest.approx(math.gamma(0.25), rel=1e-13)
-    with pytest.raises(ValueError):
-        lanczos_gamma(-2.0)
-
-
-@pytest.mark.parametrize("k", list(range(0, 25)))
-def test_exact_factorial(k):
-    assert exact_factorial(k) == pytest.approx(float(math.factorial(k)), rel=1e-13)
-    if k <= 20:
-        assert exact_factorial(k) == float(math.factorial(k))  # table is exact
-
-
-def test_factorial_rejects_negative():
-    with pytest.raises(ValueError):
-        exact_factorial(-1)
 
 
 # -- general evaluator vs closed forms (same well, independent code paths) -------
@@ -168,8 +135,38 @@ def test_radial_underflow_keeps_its_log():
     pred = iso_ho_shift_term(ModeSpec(level=0, h=0.001, nu=1.5), 1.0)
     assert pred.leading_value == 0.0
     want = math.log(4.0) + 1.5 * math.log(1000.0) - 1000.0 \
-        - math.log(lanczos_gamma(2.5))
+        - math.log(math.gamma(2.5))
     assert pred.log_leading_value == pytest.approx(want, rel=1e-12)
+
+
+def test_closed_forms_stay_finite_where_gamma_overflows():
+    """Gamma(x) and x! overflow a double from x = 171 on; the closed forms
+    take only their logs, which stay finite, and match the same formula
+    evaluated in mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+
+    spec = HydrogenSpec(n=172, ell=0, z=2.0, h=1.0, r_box=8.0)
+    n, ell, z, h, R = spec.n, spec.ell, spec.z, spec.h, spec.r_box
+    want = (2 * n + 1) * mp.log(2) + (-4 * n - 2) * mp.log(h) \
+        + 2 * n * mp.log(R) - (2 * n + 3) * mp.log(n) \
+        - mp.log(mp.factorial(n - ell - 1)) - mp.log(mp.factorial(n + ell)) \
+        + (2 * n + 2) * mp.log(mp.mpf(z) / 2) - mp.mpf(z) * R / (n * h * h)
+    got = hydrogen_shift_term(spec).log_leading_value
+    assert math.isfinite(got)
+    assert got == pytest.approx(float(want), rel=1e-12)
+    # k = n h + delta with delta ~ e^-2246: the shift is below one ulp of k.
+    assert hydrogen_wavenumber_closed_form(spec) == n * h
+
+    mode = ModeSpec(level=171, h=0.001, nu=1.5)
+    m, nu, L = mode.level, mp.mpf(mode.nu), mp.mpf(1)
+    want = mp.log(4) + (-2 * m - nu) * mp.log(mp.mpf(mode.h)) \
+        + 2 * (2 * m + 1 + nu) * mp.log(L) - L * L / mp.mpf(mode.h) \
+        - mp.log(mp.factorial(m)) - mp.loggamma(1 + m + nu)
+    got = iso_ho_shift_term(mode, 1.0).log_leading_value
+    assert math.isfinite(got)
+    assert got == pytest.approx(float(want), rel=1e-12)
 
 
 # -- guards and warnings ------------------------------------------------------------

@@ -4,8 +4,9 @@ potential expression language."""
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from boxshift import LineBox, ModeSpec, confined_eigenvalue, from_expression
 from boxshift.dsl import (
     Add, Call, Const, Div, EvalError, Mul, ParseError, Pow, Sub, Var,
     MAX_SOURCE_LENGTH, as_function, caret_diagnostic, contains_division,
@@ -92,18 +93,20 @@ _leaf = st.one_of(
     st.builds(Const, st.floats(min_value=0.0, max_value=100.0,
                                allow_nan=False, allow_infinity=False)),
 )
-_expr = st.recursive(
-    _leaf,
-    lambda inner: st.one_of(
+
+
+def _nodes(inner):
+    return st.one_of(
         st.builds(Add, inner, inner),
         st.builds(Sub, inner, inner),
         st.builds(Mul, inner, inner),
         st.builds(Div, inner, inner),
         st.builds(Pow, inner, inner),
         st.builds(Call, st.sampled_from(["exp", "sin", "cosh", "sqrt", "abs"]), inner),
-    ),
-    max_leaves=25,
-)
+    )
+
+
+_expr = st.recursive(_leaf, _nodes, max_leaves=25)
 
 
 @given(_expr)
@@ -131,6 +134,42 @@ def test_evaluator_never_returns_non_finite(tree, x):
         return
     assert math.isfinite(value)
 
+
+# Trees over signed constants: the compiled callable must agree with the
+# tree-walking evaluator wherever either succeeds.
+_signed_expr = st.recursive(
+    st.one_of(
+        st.builds(Var),
+        st.builds(Const, st.floats(min_value=-100.0, max_value=100.0,
+                                   allow_nan=False, allow_infinity=False)),
+    ),
+    _nodes,
+    max_leaves=12,
+)
+
+
+def _outcome(f, x):
+    try:
+        return f(x)
+    except EvalError:
+        return EvalError
+
+
+@given(_signed_expr, st.floats(min_value=-3.0, max_value=3.0, allow_nan=False))
+@example(Pow(Const(-2.0), Const(2.0)), 0.0)
+@example(Mul(Pow(Const(-1.5), Const(0.5)), Var()), 1.0)
+@example(Pow(Const(-1.0), Div(Const(1.0), Var())), 2.225073858507e-311)  # ** inf
+@settings(max_examples=300)
+def test_compiled_function_matches_evaluator(tree, x):
+    assert _outcome(as_function(tree), x) == _outcome(lambda t: evaluate(tree, t), x)
+
+
+def test_negative_constant_power_integrates_the_same_potential():
+    # (-1)^2 is 1, so the confined level must not move by a single bit.
+    box, mode = LineBox(-1.0, 1.0), ModeSpec(level=0, h=0.1)
+    signed = confined_eigenvalue(from_expression("x^2 + (-1)^2*x^4"), box, mode)
+    plain = confined_eigenvalue(from_expression("x^2 + x^4"), box, mode)
+    assert signed.value == plain.value
 
 # -- symbolic differentiation -------------------------------------------------
 

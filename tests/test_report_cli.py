@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from boxshift import LineBox, ModeSpec, RadialBox, harmonic, quartic
+from boxshift import LineBox, ModeSpec, RadialBox, harmonic, quartic, shooting
 from boxshift.asymptotics import ho_shift_term
 from boxshift.cli import _glue_negative_values, main
 from boxshift.report import (
@@ -384,10 +384,10 @@ def test_cli_bad_config_paths(tmp_path, capsys):
 
 # -- CLI: numerical failures (exit 3) --------------------------------------------------
 
-def test_cli_solver_failure_exit_code(capsys):
+def test_cli_solver_failure_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr(shooting, "_NEWTON_MAX_ITER", 0)
     code = main(["shift", "--potential", "harmonic", "--domain", "-1,1",
-                 "--m", "0", "--h", "0.25", "--tol", "1e-9",
-                 "--newton-max-iter", "0"])
+                 "--m", "0", "--h", "0.25", "--tol", "1e-9"])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
 
@@ -399,13 +399,50 @@ def test_cli_oracle_grid_too_small(capsys):
     assert "finite-difference grid" in capsys.readouterr().err
 
 
-def test_cli_sweep_all_rows_failed(capsys):
+def test_cli_sweep_all_rows_failed(monkeypatch, capsys):
+    monkeypatch.setattr(shooting, "_NEWTON_MAX_ITER", 0)
     code = main(["sweep", "--potential", "harmonic", "--domain", "-1,1",
-                 "--m", "0", "--h-grid", "0.3,0.25,2", "--tol", "1e-9",
-                 "--newton-max-iter", "0"])
+                 "--m", "0", "--h-grid", "0.3,0.25,2", "--tol", "1e-9"])
     assert code == 3
     captured = capsys.readouterr()
     assert "all rows failed" in captured.err
     body = captured.out.strip().split("\n")[1:]
     assert len(body) == 2
     assert all("SolverError" in line for line in body)
+
+
+def test_cli_hydrogen_beyond_factorial_overflow_fails_cleanly(capsys):
+    # (n + ell)! overflows a double at n = 172; the prediction takes only
+    # its log, so the row fails in the solver, not with a traceback.
+    code = main(["hydrogen", "--n", "172", "--ell", "0", "--h", "1",
+                 "--R-grid", "8"])
+    assert code == 3
+    captured = capsys.readouterr()
+    body = captured.out.strip().split("\n")[1:]
+    assert len(body) == 1 and "SolverError" in body[0]
+    assert "all rows failed" in captured.err
+    assert "Traceback" not in captured.err
+
+
+# -- CLI: solver settings that are fixed, not flags ---------------------------------
+
+SHIFT_ARGS = ["shift", "--potential", "harmonic", "--domain", "-1,1",
+              "--m", "0", "--h", "0.25", "--tol", "1e-9"]
+SWEEP_ARGS = ["sweep", "--potential", "harmonic", "--domain", "-1,1",
+              "--m", "0", "--h-grid", "0.3,0.25,2", "--tol", "1e-9"]
+HYDROGEN_ARGS = ["hydrogen", "--n", "1", "--ell", "0", "--h", "1",
+                 "--R-grid", "8"]
+
+
+@pytest.mark.parametrize("argv", [
+    SHIFT_ARGS + ["--quad-tol", "1e-12"],
+    SHIFT_ARGS + ["--newton-tol", "1e-10"],
+    SHIFT_ARGS + ["--newton-max-iter", "50"],
+    SWEEP_ARGS + ["--quad-tol", "1e-12"],
+    SWEEP_ARGS + ["--newton-tol", "1e-10"],
+    SWEEP_ARGS + ["--newton-max-iter", "50"],
+    HYDROGEN_ARGS + ["--newton-tol", "1e-10"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_cli_removed_solver_flags_are_usage_errors(argv, capsys):
+    assert main(argv) == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err

@@ -16,9 +16,10 @@ serve as independent cross-checks of the general evaluators.
 Everything is computed in log space first: sweeps deliberately run into
 exp(-2 phi/h) ranges far below double-precision underflow, so each
 prediction carries both a plain value (0.0 once underflowed) and its
-natural log.  Gamma(1+m+nu) and the factorials of the radial and Coulomb
-terms enter as math.lgamma and the log of the exact math.factorial, which
-stay finite where Gamma itself overflows a double (from 171 on).
+natural log.  Gamma(1+m+nu), the line terms' 2^(m+1)/m! and the factorials
+of the radial and Coulomb terms enter as math.lgamma, logs of powers of 2
+and the log of the exact math.factorial, which stay finite where Gamma,
+m! or 2^m themselves overflow a double (from 171 on).
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ from .errors import InvalidPotential
 from .potentials import LineBox, PotentialSpec
 from .shooting import ModeSpec
 from .spectra import HydrogenSpec
+
+_LOG2 = math.log(2.0)
+_LOG_PI = math.log(math.pi)
 
 # --------------------------------------------------------------------------
 # Prediction containers
@@ -82,7 +86,7 @@ def shift_leading_line(p: PotentialSpec, domain: LineBox,
     omega = p.curvature_omega
     profile = AgmonProfile(p, domain=domain)
     base_log = (0.5 - m) * math.log(h) \
-        + math.log(2.0 ** (m + 1) / (math.factorial(m) * math.sqrt(math.pi))) \
+        + (m + 1) * _LOG2 - math.lgamma(m + 1.0) - 0.5 * _LOG_PI \
         + (m + 0.5) * math.log(omega)
 
     terms = []
@@ -142,7 +146,7 @@ def ho_shift_term(mode: ModeSpec, R: float) -> ShiftPrediction:
     """Shift term of the boxed harmonic line well V = x^2 on (-R, R)."""
     m, h = mode.level, mode.h
     log_value = (0.5 - m) * math.log(h) \
-        + math.log(2.0 ** (2 + m) / (math.factorial(m) * math.sqrt(math.pi))) \
+        + (m + 2) * _LOG2 - math.lgamma(m + 1.0) - 0.5 * _LOG_PI \
         + (2 * m + 1) * math.log(R) - R * R / h
     return ShiftPrediction(leading_value=_from_log(log_value),
                            log_leading_value=log_value,

@@ -110,20 +110,21 @@ def run_shift_case(p: PotentialSpec, domain: Domain, mode: ModeSpec, *,
         prediction = shift_leading_radial(p, domain.length, mode)
         span = (0.0, domain.length)
 
-    # The confined level on the physical box is cheap, so it goes first, and
-    # it minus the predicted shift seeds the unconfined solve on its much
-    # wider boxes.  The prediction's decay exponent hands that solve the
-    # wall action it must bury: its walls sit where their own truncation is
-    # negligible against exp(-2*phi_wall/h).
+    # The confined level comes first: the free level is one Newton on the
+    # Wronskian of the well without walls, started at lambda_D, whose first
+    # step is the flux step (wall values times O(1) projections).  The
+    # shift is the sum of its steps, never lambda_D - lambda_0, which would
+    # round it at eps*lambda again; the closed-form harmonic level has no
+    # steps and keeps the subtraction.
     shift = prediction.leading_value \
         if math.isfinite(prediction.leading_value) else 0.0
     confined = confined_eigenvalue(p, domain, mode,
                                    lam0=harmonic_level(p, mode) + shift,
                                    rtol=integrate_tol)
-    reference_phi = 0.5 * prediction.exponent * mode.h
     free = unconfined_eigenvalue(p, mode, rtol=integrate_tol,
-                                 reference_phi=reference_phi,
-                                 lam0=confined.value - shift)
+                                 lam0=confined.value, box=domain)
+    numeric = confined.value - free.value if free.offset is None \
+        else -free.offset
 
     oracle_value: float | None = None
     if oracle:
@@ -132,7 +133,7 @@ def run_shift_case(p: PotentialSpec, domain: Domain, mode: ModeSpec, *,
 
     case = CaseDescriptor(potential=p.label, kind=p.kind, domain=span,
                           level=mode.level, nu=mode.nu, h=mode.h)
-    return _report(case, free.value, confined, prediction, start,
+    return _report(case, free.value, confined, numeric, prediction, start,
                    oracle_value=oracle_value)
 
 
@@ -146,15 +147,15 @@ def run_hydrogen_case(spec: HydrogenSpec, *,
         potential=f"hydrogen(n={spec.n},ell={spec.ell},z={spec.z:g})",
         kind="radial", domain=(0.0, spec.r_box),
         level=spec.level, nu=spec.nu, h=spec.h)
-    return _report(case, spec.energy_unconfined, pair, prediction, start)
+    return _report(case, spec.energy_unconfined, pair,
+                   pair.value - spec.energy_unconfined, prediction, start)
 
 
 def _report(case: CaseDescriptor, lambda0: float, confined: Eigenpair,
-            prediction: ShiftPrediction, start: int, *,
+            numeric: float, prediction: ShiftPrediction, start: int, *,
             oracle_value: float | None = None) -> ShiftReport:
     """The comparison for one case; ``start`` is ``steps_taken()`` when the
     case began."""
-    numeric = confined.value - lambda0
     log_numeric = _log_abs(numeric)
     return ShiftReport(
         case=case,

@@ -20,7 +20,18 @@ series start sits at the well bottom, so the outward shot is the whole
 solution: the right-hand shot is empty and W = -u(L).  Pollution by the
 growing branch enters that shot only with an exponentially small
 coefficient fixed at the wall, so its effect on the root is polynomial in
-h (roughly rtol*h^(-(3m-1)/2) for level m), not exponential.
+h (roughly rtol*h^(-(3m-1)/2) for level m), not exponential.  The problem
+without walls (``Unwalled``) cannot match there: away from a Dirichlet
+root the series shot past the turning point is dominated by the growing
+branch, whose rounding then swamps F.  So it matches at an interior x_m,
+a turning point V = lambda, which the series shot reaches through the
+well and the inward decaying shot through the barrier, both stably.
+
+Without walls, each end starts in the barrier from the decaying WKB state
+u'/u = -+sqrt(q), and lambda is a root of the free Wronskian F.  Newton on
+F from a Dirichlet level lambda_D takes the flux step first
+(``flux_wronskian``), F(lambda_D) as wall values times O(1) projections,
+so the shift lambda_D - lambda_0 never comes from a subtraction.
 
 Sensitivities are integrated alongside the state.  The lambda-derivative w
 obeys  w'' = q w - u/h^2  (same q), and stays within O(1/h) of u, so the
@@ -51,7 +62,7 @@ state, with its own initial-step selection, instead of patching them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -59,7 +70,7 @@ from scipy.optimize import brentq
 
 from .dop853 import DOP853
 from .errors import SeriesError, SolverError
-from .potentials import LineBox, PotentialSpec
+from .potentials import LineBox, PotentialSpec, RadialBox
 from .scaled import ScaledValue
 
 _RENORM_LOG = 12.0
@@ -394,6 +405,54 @@ def wall_start(x: float, slope: float) -> SeriesStart:
     return start
 
 
+def decaying_start(V: Callable[[float], float], h: float, nu: float | None,
+                   x: float, sign: float) -> SeriesStart:
+    """WKB start (u, u') = (1, ``sign``*sqrt(q)) at ``x`` in the barrier: the
+    branch that decays away from the well, for ``sign`` +1 on the left end
+    and -1 on the right.  Its lambda-derivative is (0, ``sign``*dq/(2 sqrt q))."""
+    def start(lam: float, with_sensitivity: bool = True
+              ) -> tuple[float, tuple[float, ...]]:
+        k2 = _q_factory(V, lam, h, nu)(x)
+        if not k2 > 0.0:
+            raise SolverError(f"decaying start at x={x:g} is not in the "
+                              f"barrier (q={k2:g}, lambda={lam!r})")
+        k = math.sqrt(k2)
+        if not with_sensitivity:
+            return x, (1.0, sign * k)
+        return x, (1.0, sign * k, 0.0, 0.5 * sign * _dq(h) / k)
+    return start
+
+
+@dataclass(frozen=True)
+class Unwalled:
+    """The well without walls, as the shooter sees it.
+
+    Each shot starts from the decaying WKB state (``decaying_start``) at an
+    end placed so deep in the barrier that the start's own error is buried:
+    ``left`` and ``right`` on the line; radially the series start at the
+    origin takes the left end's place and ``left`` is 0.  The shots meet at
+    ``x_m``.  Newton started at ``box_level``, the Dirichlet level of
+    ``box``, takes the flux step first (see ``newton_free``).
+    """
+
+    def flux_box(self, lam0: float) -> LineBox | RadialBox | None:
+        """The box to take the flux step from, if Newton starts at its level."""
+        return self.box if lam0 == self.box_level else None
+
+    left: float
+    right: float
+    x_m: float = 0.0
+    box: LineBox | RadialBox | None = None
+    box_level: float | None = None
+
+    @property
+    def kind(self) -> str:
+        return "radial" if self.left == 0.0 else "line"
+
+    def as_tuple(self) -> tuple[float, float]:
+        return (self.left, self.right)
+
+
 @dataclass(frozen=True)
 class Shot:
     """One side's state at the matching point, exponent factored out."""
@@ -401,6 +460,7 @@ class Shot:
     y: tuple[float, ...]          # (u, u'), plus (du/dlambda, du'/dlambda)
     log_scale: float
     crossings: tuple[float, ...]  # zeros of u recorded during the pass
+    via: Shot | None = None       # the state where the shot passed ``via``
 
     def at(self, i: int) -> ScaledValue:
         return ScaledValue.of(self.y[i], self.log_scale)
@@ -408,10 +468,11 @@ class Shot:
 
 @dataclass(frozen=True)
 class Matching:
-    """A Dirichlet problem as two shots that meet at ``x_m``.
+    """A two-point problem as two shots that meet at ``x_m``.
 
     ``left`` and ``right`` map (lambda, with_sensitivity) to a start point
-    and state: a wall start, or a series start off a singular origin.
+    and state: a wall start, a series start off a singular origin, or a
+    decaying start in the barrier of a well without walls.
     """
 
     V: Callable[[float], float]
@@ -423,36 +484,66 @@ class Matching:
     width: float
 
     @classmethod
-    def line(cls, p: PotentialSpec, domain: LineBox, mode: ModeSpec) -> Matching:
-        """Inward from both walls to the well bottom at 0."""
-        return cls(p.evaluate, None, mode.h, wall_start(domain.left, 1.0),
-                   wall_start(domain.right, -1.0), 0.0,
+    def line(cls, p: PotentialSpec, domain: LineBox | Unwalled,
+             mode: ModeSpec) -> Matching:
+        """Inward from both ends to the well bottom at 0."""
+        if isinstance(domain, Unwalled):
+            left = decaying_start(p.evaluate, mode.h, None, domain.left, 1.0)
+            right = decaying_start(p.evaluate, mode.h, None, domain.right, -1.0)
+        else:
+            left = wall_start(domain.left, 1.0)
+            right = wall_start(domain.right, -1.0)
+        return cls(p.evaluate, None, mode.h, left, right, 0.0,
                    domain.right - domain.left)
 
     @classmethod
-    def radial(cls, V: Callable[[float], float], nu: float, h: float, L: float,
-               series_start: SeriesStart) -> Matching:
+    def radial(cls, V: Callable[[float], float], nu: float, h: float,
+               L: float | Unwalled, series_start: SeriesStart) -> Matching:
         """Outward from the series start to the wall at L, where the right
-        shot is empty and W = -u(L)."""
+        shot is empty and W = -u(L); without walls, the series shot and an
+        inward decaying shot meet at the interior ``L.x_m``."""
+        if isinstance(L, Unwalled):
+            return cls(V, nu, h, series_start,
+                       decaying_start(V, h, nu, L.right, -1.0), L.x_m, L.right)
         return cls(V, nu, h, series_start, wall_start(L, -1.0), L, L)
 
+    def walled(self, box: LineBox | RadialBox) -> Matching:
+        """The same matching with Dirichlet wall starts at ``box``'s walls;
+        a radial problem keeps its series start, since the origin is no
+        wall."""
+        left = self.left if self.nu is not None else wall_start(box.left, 1.0)
+        return replace(self, left=left, right=wall_start(box.as_tuple()[1], -1.0))
+
     def shoot(self, lam: float, rtol: float, *, with_sensitivity: bool = True,
-              track_zeros: bool = False, max_step: float = math.inf
+              track_zeros: bool = False, max_step: float = math.inf,
+              via: tuple[float | None, float | None] = (None, None)
               ) -> tuple[Shot, Shot]:
-        """Both sides' states at x_m."""
+        """Both sides' states at x_m; a side whose ``via`` point is set also
+        keeps its state where it passed that point."""
         starts = [start(lam, with_sensitivity)
                   for start in (self.left, self.right)]
         if starts[0][0] >= self.x_m:
             raise SolverError(f"start point x0={starts[0][0]:g} is not left "
                               f"of the matching point {self.x_m:g}")
         q = _q_factory(self.V, lam, self.h, self.nu)
-        shots: list[Shot] = []
-        for x0, y0 in starts:
-            y, ls, zeros = _integrate(q, x0, y0, self.x_m, rtol, dq=_dq(self.h),
-                                      track_zeros=track_zeros,
-                                      max_step=max_step)
-            shots.append(Shot(y, ls, tuple(zeros)))
-        return shots[0], shots[1]
+        left, right = (self._shot(q, x0, y0, rtol, track_zeros, max_step, stop)
+                       for (x0, y0), stop in zip(starts, via))
+        return left, right
+
+    def _shot(self, q: Callable[[float], float], x0: float,
+              y0: tuple[float, ...], rtol: float, track_zeros: bool,
+              max_step: float, via: float | None) -> Shot:
+        legs = [x0, self.x_m] if via is None else [x0, via, self.x_m]
+        y, log_scale, zeros, passed = y0, 0.0, (), None
+        for a, b in zip(legs, legs[1:]):
+            if passed is None and a == via:
+                passed = Shot(y, log_scale, zeros)
+            y, grown, found = _integrate(q, a, y, b, rtol, dq=_dq(self.h),
+                                         track_zeros=track_zeros,
+                                         max_step=max_step)
+            log_scale += grown
+            zeros += tuple(found)
+        return Shot(y, log_scale, zeros, via=passed)
 
 
 def wronskian(left: Shot, right: Shot
@@ -475,6 +566,18 @@ class Solution:
     iterations: int
     residual_log: float  # natural log of |W| at the last iterate
     steps: int           # integrator steps the iteration took
+    offset: float | None = None  # lam - lam0 summed, from a box's level
+
+
+def _newton_step(w: ScaledValue, dw: ScaledValue, lam: float,
+                 scale: float) -> float:
+    """-W/W', capped at 0.3 * max(|lambda|, scale)."""
+    if dw.is_zero:
+        raise SolverError("the Wronskian's lambda-derivative vanished; "
+                          "cannot take a Newton step")
+    step = -w.ratio(dw)
+    cap = 0.3 * max(abs(lam), scale)
+    return math.copysign(min(abs(step), cap), step)
 
 
 def newton_match(match: Matching, lam0: float, *, rtol: float,
@@ -487,15 +590,8 @@ def newton_match(match: Matching, lam0: float, *, rtol: float,
     start = steps_taken()
     lam = lam0
     for it in range(1, _NEWTON_MAX_ITER + 1):
-        left, right = match.shoot(lam, rtol)
-        w, dw = wronskian(left, right)
-        if dw.is_zero:
-            raise SolverError("the Wronskian's lambda-derivative vanished; "
-                              "cannot take a Newton step")
-        step = -w.ratio(dw)
-        cap = 0.3 * max(abs(lam), scale)
-        if abs(step) > cap:
-            step = math.copysign(cap, step)
+        w, dw = wronskian(*match.shoot(lam, rtol))
+        step = _newton_step(w, dw, lam, scale)
         lam += step
         if abs(step) <= _NEWTON_TOL * scale:
             return Solution(lam=lam, iterations=it, residual_log=w.log_abs(),
@@ -504,6 +600,111 @@ def newton_match(match: Matching, lam0: float, *, rtol: float,
     raise SolverError(
         f"Newton did not converge in {_NEWTON_MAX_ITER} iterations "
         f"(h={match.h:g}, last lambda={lam!r})")
+
+
+def newton_free(match: Matching, box: LineBox | RadialBox | None,
+                lam0: float, *, rtol: float, scale: float) -> Solution:
+    """Newton on the Wronskian F of a problem without walls.
+
+    When ``box`` is set, ``lam0`` is its Dirichlet level and the first step
+    is the flux step (``flux_wronskian``): F there is a product of wall
+    values and O(1) projections, so the step keeps its relative precision
+    however small the shift is.  Every later step is a direct Newton step
+    on F, capped, and taken only while it exceeds its noise bound: the step
+    that ``rtol`` times the size of the two states in the well would cause
+    (``_wronskian_size``).  Below that bound, F is the shots' own error.
+    Newton also stops once the step it would take next, predicted from its
+    quadratic convergence, |F''/2F'| step^2 with F'' the secant of the last
+    two F', falls below the bound: that saves the pair of shots which
+    would only confirm it.  From a box, ``offset`` is the sum of the steps
+    taken, so lam - lam0 is never re-derived as a difference.
+    """
+    start = steps_taken()
+    walls = None if box is None else match.walled(box)
+    offset = 0.0
+    last: tuple[float, ScaledValue] | None = None  # the last step, F' before it
+    for it in range(1, _NEWTON_MAX_ITER + 1):
+        lam = lam0 + offset
+        flux = it == 1 and walls is not None
+        if flux:
+            left, right, f = flux_wronskian(match, walls, lam, rtol)
+            df = wronskian(left, right)[1]
+        else:
+            left, right = match.shoot(lam, rtol)
+            f, df = wronskian(left, right)
+        step = _newton_step(f, df, lam, scale)
+        k = math.sqrt(max(abs(lam), scale)) / match.h
+        noise = math.exp(math.log(rtol) + _wronskian_size(left, right, k)
+                         - df.log_abs())
+        if not flux and abs(step) <= noise:
+            return Solution(lam=lam, iterations=it, residual_log=f.log_abs(),
+                            steps=steps_taken() - start,
+                            offset=None if box is None else offset)
+        offset += step
+        if last is not None and \
+                abs((df - last[1]).ratio(df) / last[0]) * step * step \
+                <= 2.0 * noise:
+            return Solution(lam=lam0 + offset, iterations=it,
+                            residual_log=f.log_abs(),
+                            steps=steps_taken() - start,
+                            offset=None if box is None else offset)
+        last = (step, df)
+
+    raise SolverError(
+        f"Newton on the free Wronskian did not reach its noise floor in "
+        f"{_NEWTON_MAX_ITER} iterations (h={match.h:g}, "
+        f"last lambda={lam0 + offset!r})")
+
+
+def _wronskian_size(left: Shot, right: Shot, k: float) -> float:
+    """log of (k|u_L| + |u_L'|)(k|u_R| + |u_R'|)/k: the largest Wronskian
+    of two states of these sizes, each measured at wavenumber ``k``.  A
+    relative error e in either state moves W by up to e times this."""
+    def size(shot: Shot) -> float:
+        return float(np.logaddexp(math.log(k) + shot.at(0).log_abs(),
+                                  shot.at(1).log_abs()))
+    return size(left) + size(right) - math.log(k)
+
+
+def flux_wronskian(free: Matching, walls: Matching, lam: float, rtol: float
+                   ) -> tuple[Shot, Shot, ScaledValue]:
+    """The free shots at ``lam``, a Dirichlet level of ``walls``, and the
+    free Wronskian F = Wr(d_L, d_R) there, from the flux identity.
+
+    At a Dirichlet level the wall shots are proportional, D_L = kappa D_R.
+    In a basis (D_R, G) with Wr(D_R, G) = 1, each free shot is
+    d = alpha D_R + beta G with beta = Wr(D_R, d).  A Wronskian of two
+    solutions does not depend on x, so beta is read where the free shot
+    passes the wall, from the wall start's state: there it is a wall value
+    of d.  alpha is the projection of d onto D_R at x_m, exact up to the
+    exponentially small beta G.  Then F = alpha_L beta_R - beta_L alpha_R
+    (Herring's flux in Wronskian form): wall values times O(1)
+    projections, with nothing cancelling.  A side that keeps the free
+    start (the radial series) has no wall, and beta = 0 there.
+    """
+    sides = ((free.left, walls.left), (free.right, walls.right))
+    walled = [start(lam, False) if start is not own else None
+              for own, start in sides]
+    via = tuple(None if wall is None else wall[0] for wall in walled)
+    d = free.shoot(lam, rtol, via=via)
+    q = _q_factory(walls.V, lam, walls.h, walls.nu)
+    D = [shot if wall is None else
+         walls._shot(q, wall[0], wall[1], rtol, False, math.inf, None)
+         for shot, wall in zip(d, walled)]
+
+    def along(shot: Shot) -> ScaledValue:  # projection onto D_R, times |D_R|^2
+        return shot.at(0) * D[1].at(0) + shot.at(1) * D[1].at(1)
+
+    def beta(side: int) -> ScaledValue:  # Wr(D_side, d_side), at the wall
+        if walled[side] is None:
+            return ScaledValue.zero()
+        u, du = walled[side][1]
+        passed = d[side].via
+        return ScaledValue.of(u) * passed.at(1) - ScaledValue.of(du) * passed.at(0)
+
+    # alpha_L beta_R - beta_L alpha_R, with kappa = along(D_L)/along(D_R).
+    f = along(d[0]) * beta(1) / along(D[1]) - beta(0) * along(d[1]) / along(D[0])
+    return d[0], d[1], f
 
 
 def count_nodes(match: Matching, lam: float, rtol: float) -> int:
@@ -556,42 +757,49 @@ def _counting_step_cap(V: Callable[[float], float], nu: float | None,
     return math.pi / (2.0 * math.sqrt(k2_max))
 
 
-def newton_solve_line(p: PotentialSpec, domain: LineBox, mode: ModeSpec,
-                      lam0: float, *, rtol: float = 1e-12) -> Solution:
+def newton_solve_line(p: PotentialSpec, domain: LineBox | Unwalled,
+                      mode: ModeSpec, lam0: float, *,
+                      rtol: float = 1e-12) -> Solution:
     """Newton on the line problem: inward shots meeting at 0, converged
-    when |d lambda| <= _NEWTON_TOL * h.
+    when |d lambda| <= _NEWTON_TOL * h (without walls: see ``newton_free``).
 
     W carries the truncation error of both shots into the root, so each
     runs at rtol/2.  That keeps the root within about 0.1*rtol*lambda of
     the level on the harmonic well (the error is proportional to rtol).
     """
-    return newton_match(Matching.line(p, domain, mode), lam0, rtol=0.5 * rtol,
-                        scale=mode.h)
+    match = Matching.line(p, domain, mode)
+    if isinstance(domain, Unwalled):
+        return newton_free(match, domain.flux_box(lam0), lam0, rtol=0.5 * rtol,
+                           scale=mode.h)
+    return newton_match(match, lam0, rtol=0.5 * rtol, scale=mode.h)
 
 
 def newton_solve_radial(V: Callable[[float], float], nu: float, h: float,
-                        L: float, lam0: float, series_start: SeriesStart, *,
-                        rtol: float = 1e-12,
+                        L: float | Unwalled, lam0: float,
+                        series_start: SeriesStart, *, rtol: float = 1e-12,
                         lambda_scale: float | None = None) -> Solution:
-    """Newton on the radial problem: the series shot matched at the wall L.
+    """Newton on the radial problem: the series shot matched at the wall L
+    (without walls, at ``L.x_m``: see ``newton_free``).
 
     ``lambda_scale`` sets the convergence yardstick |d lambda| <=
     _NEWTON_TOL * scale; it defaults to h, appropriate for low-lying levels
     of a well (pass the energy magnitude instead for Coulomb problems).
     """
     scale = lambda_scale if lambda_scale is not None else h
-    return newton_match(Matching.radial(V, nu, h, L, series_start), lam0,
-                        rtol=rtol, scale=scale)
+    match = Matching.radial(V, nu, h, L, series_start)
+    if isinstance(L, Unwalled):
+        return newton_free(match, L.flux_box(lam0), lam0, rtol=rtol, scale=scale)
+    return newton_match(match, lam0, rtol=rtol, scale=scale)
 
 
-def count_nodes_line(p: PotentialSpec, domain: LineBox, mode: ModeSpec,
-                     lam: float, rtol: float = 1e-12) -> int:
+def count_nodes_line(p: PotentialSpec, domain: LineBox | Unwalled,
+                     mode: ModeSpec, lam: float, rtol: float = 1e-12) -> int:
     """Interior zeros on (r-, r+); see ``count_nodes``."""
     return count_nodes(Matching.line(p, domain, mode), lam, rtol)
 
 
 def count_nodes_radial(V: Callable[[float], float], nu: float, h: float,
-                       L: float, lam: float, series_start: SeriesStart,
-                       rtol: float = 1e-12) -> int:
+                       L: float | Unwalled, lam: float,
+                       series_start: SeriesStart, rtol: float = 1e-12) -> int:
     """Interior zeros on (0, L); see ``count_nodes``."""
     return count_nodes(Matching.radial(V, nu, h, L, series_start), lam, rtol)

@@ -3,13 +3,14 @@
 Four ways to an eigenvalue live here, deliberately independent:
 
 * ``confined_eigenvalue`` -- shooting + Newton on the exact Dirichlet
-  problem, with the level identity confirmed by an interior node count.
+  problem, or on the well without walls (``Unwalled``), with the level
+  identity confirmed by an interior node count.
 * ``unconfined_eigenvalue`` -- the reference level of the problem without
-  walls, computed on a Dirichlet box whose walls sit where phi first
-  reaches 34.5*h beyond the reference wall's (the wall effect dies like
-  exp(-2*phi(wall)/h), so it contributes below 1e-30 of the quantity under
-  study), confirmed against a box 1.25 times wider.  Newton starts from the
-  caller's nearby level when one is known.
+  walls: a root of its Wronskian, whose shots start from the decaying WKB
+  state where phi reaches 34.5*h beyond each wall's (the start's error
+  dies like exp(-2*34.5), below 1e-30 of the wall effect under study).
+  From the confined level of a box, Newton's first step is the flux step,
+  so the shift comes out as the sum of the steps, with no subtraction.
 * ``fd_oracle`` -- a finite-difference discretisation with Richardson
   extrapolation; shares no code with the shooting path and serves as the
   cross-check oracle.
@@ -17,7 +18,7 @@ Four ways to an eigenvalue live here, deliberately independent:
   series start at the origin; no change of variables involved (the
   oscillator mapping is exercised by tests, not used for ground truth).
 
-Both Dirichlet solvers isolate their level in one loop, ``_isolate``:
+Both shooting solvers isolate their level in one loop, ``_isolate``:
 Newton from each seed in turn until a root has the level's node count.
 Finite-difference seeds are computed only after the first seed fails.
 """
@@ -39,12 +40,12 @@ from .agmon import AgmonProfile
 from .errors import GridError, InvalidPotential, SolverError
 from .potentials import Domain, LineBox, PotentialSpec, RadialBox, harmonic
 from .shooting import (CoulombSeriesStart, ModeSpec, OscillatorSeriesStart,
-                       count_nodes_line, count_nodes_radial, newton_solve_line,
-                       newton_solve_radial)
+                       Unwalled, count_nodes_line, count_nodes_radial,
+                       newton_solve_line, newton_solve_radial)
 
 _PHI_MARGIN = 34.5  # in units of h; exp(-2*34.5) ~ 1e-30
-_EXPANSION_FACTOR = 1.25
-_MAX_EXPANSIONS = 40
+_WALL_GROWTH = 1.25  # bracket growth of the decaying-start search
+_WALL_ROUNDS = 40
 _WALL_XTOL = 1e-9  # absolute; walls sit at |x| = O(1)
 _BRACKET_ROUNDS = 25  # upper-bound growths by 1.5 in the oscillator map
 
@@ -60,6 +61,7 @@ class Eigenpair:
     residual_log: float | None = None
     grid_n: int | None = None
     nodes: int | None = None
+    offset: float | None = None  # value - box level, summed step by step
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.value):
@@ -114,38 +116,48 @@ def harmonic_level(p: PotentialSpec, mode: ModeSpec) -> float:
 # --------------------------------------------------------------------------
 
 
-def confined_eigenvalue(p: PotentialSpec, domain: Domain, mode: ModeSpec, *,
-                        lam0: float | None = None,
+def confined_eigenvalue(p: PotentialSpec, domain: Domain | Unwalled,
+                        mode: ModeSpec, *, lam0: float | None = None,
                         rtol: float = 1e-12) -> Eigenpair:
-    """Dirichlet eigenvalue of level ``mode.level`` on ``domain``.
+    """Eigenvalue of level ``mode.level`` on ``domain``: a Dirichlet box, or
+    the well without walls (``Unwalled``), whose ends start decaying.
 
     Newton starts from ``lam0`` (default: the harmonic approximation); if
     it fails or lands on a level with the wrong interior node count, one
-    retry is made from a finite-difference estimate before giving up.  That
-    matters when h is not small and levels are crowded.
+    retry is made from a finite-difference estimate (on an ``Unwalled``
+    domain, of the box at its ends) before giving up.  That matters when h
+    is not small and levels are crowded.  A free level started at its
+    box's level first retries from the harmonic approximation.
     """
-    if isinstance(domain, LineBox):
-        if p.kind != "line":
-            raise InvalidPotential(f"potential kind {p.kind!r} on a line domain")
+    if domain.kind != p.kind:
+        raise InvalidPotential(
+            f"potential kind {p.kind!r} on a {domain.kind} domain")
+    if domain.kind == "line":
         where = f"level {mode.level} on {domain.as_tuple()} (h={mode.h:g})"
         solve = partial(newton_solve_line, p, domain, mode)
         nodes_at = partial(count_nodes_line, p, domain, mode)
     else:
         if mode.nu is None:
             raise InvalidPotential("radial problems need mode.nu")
-        if p.kind != "radial":
-            raise InvalidPotential(f"potential kind {p.kind!r} on a radial domain")
-        where = (f"radial level {mode.level} on (0, {domain.length:g}) "
+        where = (f"radial level {mode.level} on {domain.as_tuple()} "
                  f"(h={mode.h:g}, nu={mode.nu:g})")
-        series = OscillatorSeriesStart(p, mode.nu, mode.h, L=domain.length)
-        args = (p.evaluate, mode.nu, mode.h, domain.length)
+        end = domain.length if isinstance(domain, RadialBox) else domain
+        series = OscillatorSeriesStart(p, mode.nu, mode.h,
+                                       L=domain.as_tuple()[1])
+        args = (p.evaluate, mode.nu, mode.h, end)
         solve = partial(newton_solve_radial, *args, series_start=series)
         nodes_at = partial(count_nodes_radial, *args, series_start=series)
 
     def seeds():
         yield lam0 if lam0 is not None else harmonic_level(p, mode)
+        outer = domain
+        if isinstance(domain, Unwalled):
+            if domain.box is not None:
+                yield harmonic_level(p, mode)
+            outer = LineBox(*domain.as_tuple()) if domain.kind == "line" \
+                else RadialBox(domain.right)
         try:
-            fd = fd_oracle(p, domain, mode, grid_n=1200, count=mode.level + 1)
+            fd = fd_oracle(p, outer, mode, grid_n=1200, count=mode.level + 1)
         except GridError:
             return
         yield fd[mode.level].value
@@ -172,7 +184,8 @@ def _isolate(where: str, level: int, seeds: Iterable[float],
         if nodes == level:
             return Eigenpair(index_m=level, value=sol.lam, method="shooting",
                              iterations=sol.iterations,
-                             residual_log=sol.residual_log, nodes=nodes)
+                             residual_log=sol.residual_log, nodes=nodes,
+                             offset=sol.offset)
         last_error = SolverError(
             f"converged to a level with {nodes} interior nodes, "
             f"wanted {level} (lambda={sol.lam!r})")
@@ -180,30 +193,35 @@ def _isolate(where: str, level: int, seeds: Iterable[float],
 
 
 # --------------------------------------------------------------------------
-# Unconfined reference eigenvalues (auto-expanded box)
+# Unconfined reference eigenvalues (decaying ends)
 # --------------------------------------------------------------------------
 
 
 def unconfined_eigenvalue(p: PotentialSpec, mode: ModeSpec, *,
                           rtol: float = 1e-12,
-                          reference_phi: float = 0.0,
-                          lam0: float | None = None) -> Eigenpair:
+                          lam0: float | None = None,
+                          box: Domain | None = None) -> Eigenpair:
     """Level of the problem without walls.
 
     For the stock harmonic well this is exact in closed form.  Otherwise
-    the level is solved on Dirichlet boxes whose walls bury their own
-    effect: the first box puts each wall at the nearest point where the
-    tunnelling distance phi reaches ``reference_phi`` + 34.5*h, which makes
-    the wall effect < 1e-30 relative to exp(-2*reference_phi/h), the scale
-    of whatever shift the caller is resolving.  Boxes then grow by 1.25
-    until two successive ones agree to 1e-13 * max(|lambda|, h); that
-    check guards the phi-to-error estimate, which assumes the level sits
-    in the well and the box sees only its exponential tail.
+    it is a root of the Wronskian F of the well without walls, solved by
+    ``confined_eigenvalue`` on an ``Unwalled`` domain and node-checked on
+    its own shots.  Each shot starts from the decaying WKB state where the
+    tunnelling distance phi reaches 34.5*h beyond the wall it stands in
+    for: ``box``'s wall on that side, or the well bottom without a box.
+    The start's error then enters below exp(-69) of that wall's effect,
+    which is the quantity under study.  Radially the shots meet at the
+    harmonic level's turning point, V = lambda, where neither runs against
+    a growing branch.
 
-    Newton on the first box starts from ``lam0`` (default: the harmonic
-    approximation); a caller that knows a nearby level, such as the
-    confined level minus its predicted shift, saves most of the
-    iterations.  Each later box starts from its predecessor's value.
+    With ``box``, ``lam0`` must be the box's Dirichlet level: Newton starts
+    there and its first step is the flux step, so the pair's ``offset`` is
+    minus the shift lambda_D - lambda_0, at its own relative precision.
+    Where the box moved the level by about a level gap, Newton from there
+    reaches another level, and the harmonic and finite-difference seeds
+    follow; the pair's ``offset`` is then None, and a shift that large
+    keeps its digits as a subtraction.  Without a box, Newton starts from
+    ``lam0`` (default: the harmonic approximation).
     """
     if p.builtin == "harmonic":
         return Eigenpair(index_m=mode.level, value=harmonic_level(p, mode),
@@ -211,29 +229,27 @@ def unconfined_eigenvalue(p: PotentialSpec, mode: ModeSpec, *,
 
     profile = AgmonProfile(p)
     h = mode.h
-    target_phi = reference_phi + _PHI_MARGIN * h
-    guess = lam0 if lam0 is not None else harmonic_level(p, mode)
-    # Where the harmonic approximation omega*x^2/2 of phi reaches the target.
-    start = math.sqrt(2.0 * target_phi / max(p.curvature_omega, 1e-6))
-    right = _first_wall(profile, target_phi, start, h)
-    left = -_first_wall(profile, target_phi, -start, h) if mode.nu is None \
-        else 0.0
+    level = harmonic_level(p, mode)
+    walls = (0.0, 0.0) if box is None else box.as_tuple()
 
-    lam_prev: float | None = None
-    for _ in range(_MAX_EXPANSIONS):
-        domain: Domain = LineBox(left, right) if mode.nu is None \
-            else RadialBox(right)
-        pair = confined_eigenvalue(p, domain, mode, lam0=guess, rtol=rtol)
-        if lam_prev is not None and \
-                abs(pair.value - lam_prev) <= 1e-13 * max(abs(pair.value), h):
-            return pair
-        lam_prev = guess = pair.value
-        left *= _EXPANSION_FACTOR
-        right *= _EXPANSION_FACTOR
-    raise SolverError(
-        "box expansion did not stabilise the unconfined eigenvalue "
-        f"within {_MAX_EXPANSIONS} boxes (h={h:g}); "
-        "the potential tail may be too shallow for this h")
+    def end(wall: float, side: float) -> float:
+        target = (profile.phi(wall) if wall else 0.0) + _PHI_MARGIN * h
+        # Where the harmonic approximation omega*x^2/2 of phi reaches it.
+        start = math.sqrt(2.0 * target / max(p.curvature_omega, 1e-6))
+        return side * _first_wall(profile, target, side * start, h)
+
+    right = end(walls[1], 1.0)
+    if mode.nu is None:
+        domain = Unwalled(end(walls[0], -1.0), right, box=box, box_level=lam0)
+    elif p.evaluate(right) <= level:
+        raise SolverError(
+            f"lambda={level!r} lies above the barrier at the decaying start "
+            f"x={right:g} (h={h:g}): the level is not a low-lying one")
+    else:
+        turning = brentq(lambda x: p.evaluate(x) - level, 0.0, right,
+                         xtol=1e-6 * right)
+        domain = Unwalled(0.0, right, x_m=turning, box=box, box_level=lam0)
+    return confined_eigenvalue(p, domain, mode, lam0=lam0, rtol=rtol)
 
 
 def _first_wall(profile: AgmonProfile, target_phi: float, start: float,
@@ -250,11 +266,11 @@ def _first_wall(profile: AgmonProfile, target_phi: float, start: float,
     bracket's outer end, which is confirmed, serves as the wall.
     """
     inner, phi_inner, outer = 0.0, 0.0, start
-    for _ in range(_MAX_EXPANSIONS):
+    for _ in range(_WALL_ROUNDS):
         phi_outer = phi_inner + profile.phi_increment(inner, outer)
         if phi_outer >= target_phi:
             break
-        inner, phi_inner, outer = outer, phi_outer, outer * _EXPANSION_FACTOR
+        inner, phi_inner, outer = outer, phi_outer, outer * _WALL_GROWTH
     else:
         raise SolverError(
             f"the tunnelling distance stays below {target_phi:g} out to "
@@ -262,7 +278,7 @@ def _first_wall(profile: AgmonProfile, target_phi: float, start: float,
             "the potential tail may be too shallow for this h")
     lo, hi = sorted((inner, outer))  # phi crosses the target in between
     x, phi_x = outer, phi_outer
-    for _ in range(2 * _MAX_EXPANSIONS):  # bisection alone needs about 35
+    for _ in range(2 * _WALL_ROUNDS):  # bisection alone needs about 35
         slope = profile.phi_prime(x)
         step = (phi_x - target_phi) / slope if slope else math.inf
         if abs(step) <= _WALL_XTOL or hi - lo <= _WALL_XTOL:

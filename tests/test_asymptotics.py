@@ -169,6 +169,26 @@ def test_closed_forms_stay_finite_where_gamma_overflows():
     assert got == pytest.approx(float(want), rel=1e-12)
 
 
+def test_line_terms_stay_finite_where_m_factorial_overflows():
+    """2^(m+1)/m! overflows a double from m = 171 on; the line terms take
+    its log as (m+1) log 2 - lgamma(m+1), matching mpmath, and the general
+    evaluator on the harmonic well agrees with the closed form."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+
+    mode = ModeSpec(level=171, h=0.001)
+    m, h, R = mode.level, mp.mpf(mode.h), mp.mpf(1)
+    want = (mp.mpf(0.5) - m) * mp.log(h) + (m + 2) * mp.log(2) \
+        - mp.log(mp.factorial(m)) - mp.log(mp.pi) / 2 \
+        + (2 * m + 1) * mp.log(R) - R * R / h
+    got = ho_shift_term(mode, 1.0).log_leading_value
+    assert math.isfinite(got)
+    assert got == pytest.approx(float(want), rel=1e-12)
+    general = shift_leading_line(harmonic(), BOX, mode).log_leading_value
+    assert general == pytest.approx(float(want), rel=1e-12)
+
+
 # -- guards and warnings ------------------------------------------------------------
 
 def test_wall_outside_barrier_rejected():

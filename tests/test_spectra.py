@@ -20,7 +20,7 @@ from boxshift import (
 from boxshift import report, spectra
 from boxshift.agmon import AgmonProfile
 from boxshift.report import run_hydrogen_case, run_shift_case
-from boxshift.shooting import rhs_calls_taken, steps_taken
+from boxshift.shooting import Unwalled, rhs_calls_taken, steps_taken
 from boxshift.spectra import harmonic_level
 
 BOX = LineBox(-1.0, 1.0)
@@ -188,27 +188,28 @@ def test_first_wall_found_past_a_hump_in_the_potential(target, side):
     ("line", ModeSpec(level=0, h=0.05)),
     ("radial", ModeSpec(level=0, h=0.05, nu=1.5)),
 ], ids=["line-m0", "radial-nu1.5"])
-def test_unconfined_first_box_sits_where_phi_reaches_the_target(
+def test_unconfined_decaying_starts_sit_where_phi_reaches_the_target(
         monkeypatch, kind, mode):
     p = quartic(kind=kind)
-    reference_phi = 0.5
-    boxes = []
+    box = BOX if kind == "line" else RadialBox(1.0)
+    lam_d = confined_eigenvalue(p, box, mode).value
+    domains = []
 
     def recorded(p, domain, mode, **kwargs):
-        boxes.append(domain.as_tuple())
+        domains.append(domain)
         return confined_eigenvalue(p, domain, mode, **kwargs)
 
     monkeypatch.setattr(spectra, "confined_eigenvalue", recorded)
-    unconfined_eigenvalue(p, mode, reference_phi=reference_phi)
+    unconfined_eigenvalue(p, mode, lam0=lam_d, box=box)
 
-    target = reference_phi + spectra._PHI_MARGIN * mode.h
+    [free] = domains
+    assert isinstance(free, Unwalled) and free.box == box
     profile = AgmonProfile(p)
-    first = boxes[0] if kind == "line" else boxes[0][1:]
-    for wall in first:
-        assert target <= profile.phi(wall) <= target * (1.0 + 1e-6)
-    assert len(boxes) == 2
-    assert boxes[1] == pytest.approx(tuple(1.25 * x for x in boxes[0]),
-                                     rel=1e-15)
+    sides = zip(free.as_tuple(), box.as_tuple()) if kind == "line" \
+        else [(free.right, box.length)]
+    for end, wall in sides:
+        target = profile.phi(wall) + spectra._PHI_MARGIN * mode.h
+        assert target <= profile.phi(end) <= target * (1.0 + 1e-6)
 
 
 @pytest.mark.parametrize("kind, mode", [
@@ -290,13 +291,27 @@ def _fail_last_call(fail_on_call, run):
     return steps_taken() - before, sum(taken)
 
 
-def test_failed_later_box_reports_every_step(fail_on_call):
-    # The last integration is the second box's node count: the counter must
-    # hold the first box's steps as well.
+def test_failed_free_node_count_reports_every_step(monkeypatch, fail_on_call):
+    # The last integration is the free level's own node count, after the
+    # flux-seeded Newton: the counter must hold the Newton's steps as well.
+    mode = ModeSpec(level=0, h=0.1)
+    lam_d = confined_eigenvalue(quartic(), BOX, mode).value
+    failed_on = []
+    real = spectra.count_nodes_line
+
+    def watched(p, domain, *args, **kwargs):
+        try:
+            return real(p, domain, *args, **kwargs)
+        except SolverError:
+            failed_on.append(domain)
+            raise
+
+    monkeypatch.setattr(spectra, "count_nodes_line", watched)
     carried, taken = _fail_last_call(
         fail_on_call,
-        lambda: unconfined_eigenvalue(quartic(), ModeSpec(level=0, h=0.1)))
+        lambda: unconfined_eigenvalue(quartic(), mode, lam0=lam_d, box=BOX))
     assert carried == taken
+    assert [type(domain) for domain in failed_on] == [Unwalled]
 
 
 def test_failed_free_solve_reports_the_confined_steps(fail_on_call):

@@ -435,10 +435,6 @@ class Unwalled:
     ``box``, takes the flux step first (see ``newton_free``).
     """
 
-    def flux_box(self, lam0: float) -> LineBox | RadialBox | None:
-        """The box to take the flux step from, if Newton starts at its level."""
-        return self.box if lam0 == self.box_level else None
-
     left: float
     right: float
     x_m: float = 0.0
@@ -451,6 +447,10 @@ class Unwalled:
 
     def as_tuple(self) -> tuple[float, float]:
         return (self.left, self.right)
+
+    def flux_box(self, lam0: float) -> LineBox | RadialBox | None:
+        """The box to take the flux step from, if Newton starts at its level."""
+        return self.box if lam0 == self.box_level else None
 
 
 @dataclass(frozen=True)
@@ -636,14 +636,12 @@ def newton_free(match: Matching, box: LineBox | RadialBox | None,
         k = math.sqrt(max(abs(lam), scale)) / match.h
         noise = math.exp(math.log(rtol) + _wronskian_size(left, right, k)
                          - df.log_abs())
-        if not flux and abs(step) <= noise:
-            return Solution(lam=lam, iterations=it, residual_log=f.log_abs(),
-                            steps=steps_taken() - start,
-                            offset=None if box is None else offset)
-        offset += step
-        if last is not None and \
-                abs((df - last[1]).ratio(df) / last[0]) * step * step \
-                <= 2.0 * noise:
+        done = not flux and abs(step) <= noise
+        if not done:
+            offset += step
+            done = last is not None and abs(
+                (df - last[1]).ratio(df) / last[0]) * step * step <= 2.0 * noise
+        if done:
             return Solution(lam=lam0 + offset, iterations=it,
                             residual_log=f.log_abs(),
                             steps=steps_taken() - start,

@@ -212,12 +212,16 @@ def _resolve(args: argparse.Namespace, kind: str) -> PotentialSpec:
                      + caret_diagnostic(args.potential, err)) from None
 
 
-def _mode_from_args(args: argparse.Namespace, kind: str) -> ModeSpec:
-    _require(args, "m", "h")
+def _check_nu(args: argparse.Namespace, kind: str) -> None:
     if kind == "radial" and args.nu is None:
         raise _Usage("radial problems need --nu (nu = ell + 1/2)")
     if kind == "line" and args.nu is not None:
         raise _Usage("--nu applies to radial (--box) problems only")
+
+
+def _mode_from_args(args: argparse.Namespace, kind: str) -> ModeSpec:
+    _require(args, "m", "h")
+    _check_nu(args, kind)
     return ModeSpec(level=args.m, h=args.h, nu=args.nu)
 
 
@@ -273,10 +277,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     domain, kind = _domain_from_args(args)
     p = _resolve(args, kind)
     _require(args, "m", "h_grid")
-    if kind == "radial" and args.nu is None:
-        raise _Usage("radial problems need --nu (nu = ell + 1/2)")
-    if kind == "line" and args.nu is not None:
-        raise _Usage("--nu applies to radial (--box) problems only")
+    _check_nu(args, kind)
     report = validate_potential(p, domain, 64)
     if not report.passed:
         raise InvalidPotential(report.summary())

@@ -85,8 +85,9 @@ def _log_abs(x: float) -> float:
 
 
 def _ratio(numeric: float, log_numeric: float, prediction: ShiftPrediction) -> float:
-    # Work in logs so an underflowed prediction still yields a finite ratio.
-    if numeric == 0.0:
+    # Work in logs so an underflowed shift or prediction still yields a
+    # finite ratio; an underflowed shift keeps its sign as a signed zero.
+    if log_numeric == -math.inf:
         return 0.0
     value = math.exp(log_numeric - prediction.log_leading_value)
     return math.copysign(value, numeric)
@@ -115,7 +116,8 @@ def run_shift_case(p: PotentialSpec, domain: Domain, mode: ModeSpec, *,
     # step is the flux step (wall values times O(1) projections).  The
     # shift is the sum of its steps, never lambda_D - lambda_0, which would
     # round it at eps*lambda again; the closed-form harmonic level has no
-    # steps and keeps the subtraction.
+    # steps and keeps the subtraction.  The sum keeps its exponent, so a
+    # shift below the float range still has its log and its ratio.
     shift = prediction.leading_value \
         if math.isfinite(prediction.leading_value) else 0.0
     confined = confined_eigenvalue(p, domain, mode,
@@ -123,8 +125,10 @@ def run_shift_case(p: PotentialSpec, domain: Domain, mode: ModeSpec, *,
                                    rtol=integrate_tol)
     free = unconfined_eigenvalue(p, mode, rtol=integrate_tol,
                                  lam0=confined.value, box=domain)
-    numeric = confined.value - free.value if free.offset is None \
-        else -free.offset
+    if free.offset is None:
+        numeric, log_numeric = confined.value - free.value, None
+    else:
+        numeric, log_numeric = -free.offset.to_float(), free.offset.log_abs()
 
     oracle_value: float | None = None
     if oracle:
@@ -134,7 +138,7 @@ def run_shift_case(p: PotentialSpec, domain: Domain, mode: ModeSpec, *,
     case = CaseDescriptor(potential=p.label, kind=p.kind, domain=span,
                           level=mode.level, nu=mode.nu, h=mode.h)
     return _report(case, free.value, confined, numeric, prediction, start,
-                   oracle_value=oracle_value)
+                   log_numeric=log_numeric, oracle_value=oracle_value)
 
 
 def run_hydrogen_case(spec: HydrogenSpec, *,
@@ -153,10 +157,12 @@ def run_hydrogen_case(spec: HydrogenSpec, *,
 
 def _report(case: CaseDescriptor, lambda0: float, confined: Eigenpair,
             numeric: float, prediction: ShiftPrediction, start: int, *,
+            log_numeric: float | None = None,
             oracle_value: float | None = None) -> ShiftReport:
     """The comparison for one case; ``start`` is ``steps_taken()`` when the
-    case began."""
-    log_numeric = _log_abs(numeric)
+    case began.  ``log_numeric`` defaults to log|numeric|."""
+    if log_numeric is None:
+        log_numeric = _log_abs(numeric)
     return ShiftReport(
         case=case,
         lambda0=lambda0,

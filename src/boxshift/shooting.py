@@ -76,7 +76,6 @@ from .scaled import ScaledValue
 _RENORM_LOG = 12.0
 _RENORM_HI = math.exp(_RENORM_LOG)
 _RENORM_LO = math.exp(-_RENORM_LOG)
-_NEWTON_TOL = 1e-10  # converged when |d lambda| <= _NEWTON_TOL * scale
 _NEWTON_MAX_ITER = 50
 _SERIES_MAX_TERMS = 40
 _SERIES_CUTOFF = 1e-16
@@ -432,7 +431,7 @@ class Unwalled:
     ``left`` and ``right`` on the line; radially the series start at the
     origin takes the left end's place and ``left`` is 0.  The shots meet at
     ``x_m``.  Newton started at ``box_level``, the Dirichlet level of
-    ``box``, takes the flux step first (see ``newton_free``).
+    ``box``, takes the flux step first (see ``newton``).
     """
 
     left: float
@@ -560,98 +559,83 @@ def wronskian(left: Shot, right: Shot
 
 @dataclass(frozen=True)
 class Solution:
-    """A converged Newton root of W."""
+    """A Newton root of W, converged to its noise bound."""
 
     lam: float
     iterations: int
-    residual_log: float  # natural log of |W| at the last iterate
     steps: int           # integrator steps the iteration took
-    offset: float | None = None  # lam - lam0 summed, from a box's level
+    offset: ScaledValue | None = None  # lam - lam0 summed, from a box's level
 
 
 def _newton_step(w: ScaledValue, dw: ScaledValue, lam: float,
-                 scale: float) -> float:
+                 scale: float) -> ScaledValue:
     """-W/W', capped at 0.3 * max(|lambda|, scale)."""
     if dw.is_zero:
         raise SolverError("the Wronskian's lambda-derivative vanished; "
                           "cannot take a Newton step")
-    step = -w.ratio(dw)
+    step = -(w / dw)
     cap = 0.3 * max(abs(lam), scale)
-    return math.copysign(min(abs(step), cap), step)
+    if step.log_abs() <= math.log(cap):
+        return step
+    return ScaledValue.of(math.copysign(cap, step.sign))
 
 
-def newton_match(match: Matching, lam0: float, *, rtol: float,
-                 scale: float) -> Solution:
-    """Scalar Newton iteration on lambda for W(lambda) = 0.
+def newton(match: Matching, lam0: float, *, rtol: float, scale: float,
+           box: LineBox | RadialBox | None = None) -> Solution:
+    """Newton on lambda for a root of the Wronskian W of ``match``.
 
-    Converged when |d lambda| <= _NEWTON_TOL * scale, within
-    _NEWTON_MAX_ITER iterations.
-    """
-    start = steps_taken()
-    lam = lam0
-    for it in range(1, _NEWTON_MAX_ITER + 1):
-        w, dw = wronskian(*match.shoot(lam, rtol))
-        step = _newton_step(w, dw, lam, scale)
-        lam += step
-        if abs(step) <= _NEWTON_TOL * scale:
-            return Solution(lam=lam, iterations=it, residual_log=w.log_abs(),
-                            steps=steps_taken() - start)
-
-    raise SolverError(
-        f"Newton did not converge in {_NEWTON_MAX_ITER} iterations "
-        f"(h={match.h:g}, last lambda={lam!r})")
-
-
-def newton_free(match: Matching, box: LineBox | RadialBox | None,
-                lam0: float, *, rtol: float, scale: float) -> Solution:
-    """Newton on the Wronskian F of a problem without walls.
-
-    When ``box`` is set, ``lam0`` is its Dirichlet level and the first step
-    is the flux step (``flux_wronskian``): F there is a product of wall
-    values and O(1) projections, so the step keeps its relative precision
-    however small the shift is.  Every later step is a direct Newton step
-    on F, capped, and taken only while it exceeds its noise bound: the step
-    that ``rtol`` times the size of the two states in the well would cause
-    (``_wronskian_size``).  Below that bound, F is the shots' own error.
+    Each step is -W/W', capped, and is taken only while it exceeds its
+    noise bound: the step that ``rtol`` times the size of the two states at
+    x_m would cause (``_wronskian_size``), with the wavenumber sqrt(max(
+    |lambda|, scale))/h.  Below that bound, W is the shots' own error.
     Newton also stops once the step it would take next, predicted from its
-    quadratic convergence, |F''/2F'| step^2 with F'' the secant of the last
-    two F', falls below the bound: that saves the pair of shots which
-    would only confirm it.  From a box, ``offset`` is the sum of the steps
-    taken, so lam - lam0 is never re-derived as a difference.
+    quadratic convergence, |W''/2W'| step^2 with W'' the secant of the last
+    two W', falls below the bound: that saves the pair of shots which would
+    only confirm it.
+
+    With ``box``, ``match`` is a problem without walls, ``lam0`` is the
+    box's Dirichlet level, and the first step is the flux step
+    (``flux_wronskian``), taken whatever its size: W there is a product of
+    wall values and O(1) projections, so the step keeps its relative
+    precision however small the shift is.  ``offset`` is then the sum of
+    the steps, so lam - lam0 is never re-derived as a difference, and it
+    keeps its exponent, so its log survives where a float underflows.
     """
     start = steps_taken()
     walls = None if box is None else match.walled(box)
-    offset = 0.0
-    last: tuple[float, ScaledValue] | None = None  # the last step, F' before it
+    # The sum of the steps taken: a float places the iterates, and the
+    # ScaledValue keeps the exponent a float loses below 1e-308.
+    offset, shift = 0.0, ScaledValue.zero()
+    last: tuple[ScaledValue, ScaledValue] | None = None  # a step, W' before it
     for it in range(1, _NEWTON_MAX_ITER + 1):
         lam = lam0 + offset
         flux = it == 1 and walls is not None
         if flux:
-            left, right, f = flux_wronskian(match, walls, lam, rtol)
-            df = wronskian(left, right)[1]
+            left, right, w = flux_wronskian(match, walls, lam, rtol)
+            dw = wronskian(left, right)[1]
         else:
             left, right = match.shoot(lam, rtol)
-            f, df = wronskian(left, right)
-        step = _newton_step(f, df, lam, scale)
+            w, dw = wronskian(left, right)
+        step = _newton_step(w, dw, lam, scale)
         k = math.sqrt(max(abs(lam), scale)) / match.h
-        noise = math.exp(math.log(rtol) + _wronskian_size(left, right, k)
-                         - df.log_abs())
-        done = not flux and abs(step) <= noise
+        log_noise = math.log(rtol) + _wronskian_size(left, right, k) \
+            - dw.log_abs()
+        done = not flux and step.log_abs() <= log_noise
         if not done:
-            offset += step
-            done = last is not None and abs(
-                (df - last[1]).ratio(df) / last[0]) * step * step <= 2.0 * noise
+            offset += step.to_float()
+            shift += step
+            done = last is not None and ((dw - last[1]) / last[0] / dw
+                                         * step * step).log_abs() \
+                <= math.log(2.0) + log_noise
         if done:
             return Solution(lam=lam0 + offset, iterations=it,
-                            residual_log=f.log_abs(),
                             steps=steps_taken() - start,
-                            offset=None if box is None else offset)
-        last = (step, df)
+                            offset=None if box is None else shift)
+        last = (step, dw)
 
     raise SolverError(
-        f"Newton on the free Wronskian did not reach its noise floor in "
-        f"{_NEWTON_MAX_ITER} iterations (h={match.h:g}, "
-        f"last lambda={lam0 + offset!r})")
+        f"Newton did not reach its noise bound in {_NEWTON_MAX_ITER} "
+        f"iterations (h={match.h:g}, last lambda={lam0 + offset!r})")
 
 
 def _wronskian_size(left: Shot, right: Shot, k: float) -> float:
@@ -758,18 +742,16 @@ def _counting_step_cap(V: Callable[[float], float], nu: float | None,
 def newton_solve_line(p: PotentialSpec, domain: LineBox | Unwalled,
                       mode: ModeSpec, lam0: float, *,
                       rtol: float = 1e-12) -> Solution:
-    """Newton on the line problem: inward shots meeting at 0, converged
-    when |d lambda| <= _NEWTON_TOL * h (without walls: see ``newton_free``).
+    """Newton on the line problem: inward shots meeting at 0, stopped at
+    their noise bound (see ``newton``, with h as ``scale``).
 
     W carries the truncation error of both shots into the root, so each
     runs at rtol/2.  That keeps the root within about 0.1*rtol*lambda of
     the level on the harmonic well (the error is proportional to rtol).
     """
-    match = Matching.line(p, domain, mode)
-    if isinstance(domain, Unwalled):
-        return newton_free(match, domain.flux_box(lam0), lam0, rtol=0.5 * rtol,
-                           scale=mode.h)
-    return newton_match(match, lam0, rtol=0.5 * rtol, scale=mode.h)
+    box = domain.flux_box(lam0) if isinstance(domain, Unwalled) else None
+    return newton(Matching.line(p, domain, mode), lam0, rtol=0.5 * rtol,
+                  scale=mode.h, box=box)
 
 
 def newton_solve_radial(V: Callable[[float], float], nu: float, h: float,
@@ -777,17 +759,18 @@ def newton_solve_radial(V: Callable[[float], float], nu: float, h: float,
                         series_start: SeriesStart, *, rtol: float = 1e-12,
                         lambda_scale: float | None = None) -> Solution:
     """Newton on the radial problem: the series shot matched at the wall L
-    (without walls, at ``L.x_m``: see ``newton_free``).
+    (without walls, at ``L.x_m``), stopped at the noise bound (see
+    ``newton``).
 
-    ``lambda_scale`` sets the convergence yardstick |d lambda| <=
-    _NEWTON_TOL * scale; it defaults to h, appropriate for low-lying levels
-    of a well (pass the energy magnitude instead for Coulomb problems).
+    ``lambda_scale`` sets only the step cap, 0.3*max(|lambda|, scale), and
+    the floor of |lambda| in the noise bound's wavenumber; it defaults to
+    h, appropriate for low-lying levels of a well (pass the energy
+    magnitude instead for Coulomb problems).
     """
-    scale = lambda_scale if lambda_scale is not None else h
-    match = Matching.radial(V, nu, h, L, series_start)
-    if isinstance(L, Unwalled):
-        return newton_free(match, L.flux_box(lam0), lam0, rtol=rtol, scale=scale)
-    return newton_match(match, lam0, rtol=rtol, scale=scale)
+    box = L.flux_box(lam0) if isinstance(L, Unwalled) else None
+    return newton(Matching.radial(V, nu, h, L, series_start), lam0, rtol=rtol,
+                  scale=lambda_scale if lambda_scale is not None else h,
+                  box=box)
 
 
 def count_nodes_line(p: PotentialSpec, domain: LineBox | Unwalled,

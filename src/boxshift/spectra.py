@@ -39,6 +39,7 @@ from . import shooting
 from .agmon import AgmonProfile
 from .errors import GridError, InvalidPotential, SolverError
 from .potentials import Domain, LineBox, PotentialSpec, RadialBox, harmonic
+from .scaled import ScaledValue
 from .shooting import (CoulombSeriesStart, ModeSpec, OscillatorSeriesStart,
                        Unwalled, count_nodes_line, count_nodes_radial,
                        newton_solve_line, newton_solve_radial)
@@ -58,10 +59,9 @@ class Eigenpair:
     value: float
     method: str  # "shooting" | "finite-difference" | "closed-form"
     iterations: int = 0
-    residual_log: float | None = None
     grid_n: int | None = None
     nodes: int | None = None
-    offset: float | None = None  # value - box level, summed step by step
+    offset: ScaledValue | None = None  # value - box level, step by step
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.value):
@@ -183,8 +183,7 @@ def _isolate(where: str, level: int, seeds: Iterable[float],
         nodes = nodes_at(sol.lam)
         if nodes == level:
             return Eigenpair(index_m=level, value=sol.lam, method="shooting",
-                             iterations=sol.iterations,
-                             residual_log=sol.residual_log, nodes=nodes,
+                             iterations=sol.iterations, nodes=nodes,
                              offset=sol.offset)
         last_error = SolverError(
             f"converged to a level with {nodes} interior nodes, "

@@ -76,6 +76,21 @@ def test_quartic_h004_row_reads_the_flux_ratio():
     assert row.report.ratio == pytest.approx(1.03284, abs=1e-4)
 
 
+def test_shift_below_the_float_range_keeps_its_log_and_ratio():
+    # At h = 0.0015 the quartic's shift is about e^-815, below the smallest
+    # double: numeric_shift underflows, but the flux step's exponent carries
+    # log_numeric_shift, and the ratio keeps closing on 1 from h = 0.003.
+    p = from_expression("x^2 + x^4")
+    coarse, fine = (run_shift_case(p, BOX, ModeSpec(level=0, h=h))
+                    for h in (0.003, 0.0015))
+    assert fine.numeric_shift == 0.0
+    assert math.isfinite(fine.log_numeric_shift)
+    assert fine.log_numeric_shift == pytest.approx(fine.log_predicted_shift,
+                                                   abs=0.01)
+    assert coarse.ratio == pytest.approx(1.00281, abs=1e-5)
+    assert 1.0 < fine.ratio < coarse.ratio
+
+
 QUARTIC_BOXES = [("line", m, None, h) for m in (0, 1) for h in (0.2, 0.1, 0.05)] \
     + [("radial", 0, 1.5, h) for h in (0.1, 0.05)]
 

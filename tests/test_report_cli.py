@@ -340,6 +340,17 @@ def test_cli_nu_bookkeeping(capsys):
     assert "--nu" in capsys.readouterr().err
 
 
+def test_cli_sweep_nu_bookkeeping(capsys):
+    grid = ["--m", "0", "--h-grid", "0.25,0.2,2"]
+    assert main(["sweep", "--potential", "harmonic", "--domain", "-1,1",
+                 "--nu", "0.5"] + grid) == 2
+    assert "error: --nu applies to radial (--box) problems only" \
+        in capsys.readouterr().err
+    assert main(["sweep", "--potential", "harmonic", "--box", "1"] + grid) == 2
+    assert "error: radial problems need --nu (nu = ell + 1/2)" \
+        in capsys.readouterr().err
+
+
 def test_cli_parse_error_shows_caret(capsys):
     code = main(["shift", "--potential", "x^^2", "--domain", "-1,1",
                  "--m", "0", "--h", "0.25"])

@@ -58,7 +58,15 @@ def test_line_ground_state_frozen():
     assert got.method == "shooting"
     assert got.nodes == 0
     assert got.iterations > 0
-    assert got.residual_log is not None and got.residual_log < -20.0
+
+
+def test_dirichlet_newton_stops_without_a_confirming_pair_of_shots():
+    # From the harmonic seed 0.1, two steps land within the noise bound of
+    # the root, and the quadratic prediction of the third step says so: no
+    # third pair of shots is taken only to confirm it.
+    got = confined_eigenvalue(harmonic(), BOX, ModeSpec(level=0, h=0.1))
+    assert got.iterations == 2
+    assert got.value == pytest.approx(LINE_M0_H01, rel=1e-12)
 
 
 def test_line_second_level_frozen():

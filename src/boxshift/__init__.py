@@ -56,11 +56,8 @@ from .report import (
 from .scaled import ScaledValue
 from .shooting import (
     ModeSpec,
-    ShootState,
     count_nodes_line,
     count_nodes_radial,
-    frobenius_start,
-    integrate,
     newton_solve_line,
     newton_solve_radial,
 )
@@ -94,7 +91,6 @@ __all__ = [
     "SeriesError",
     "ShiftPrediction",
     "ShiftReport",
-    "ShootState",
     "SolverError",
     "SweepResult",
     "ValidationReport",
@@ -104,7 +100,6 @@ __all__ = [
     "count_nodes_radial",
     "curvature_at_minimum",
     "fd_oracle",
-    "frobenius_start",
     "from_callables",
     "from_expression",
     "harmonic",
@@ -113,7 +108,6 @@ __all__ = [
     "hydrogen_confined_closed_form",
     "hydrogen_confined_via_oscillator",
     "hydrogen_wavenumber_closed_form",
-    "integrate",
     "iso_ho_confined_closed_form",
     "newton_solve_line",
     "newton_solve_radial",

@@ -219,6 +219,16 @@ def _check_nu(args: argparse.Namespace, kind: str) -> None:
         raise _Usage("--nu applies to radial (--box) problems only")
 
 
+def _check_tol(args: argparse.Namespace) -> None:
+    """--tol, from the flag or the config file (which argparse does not
+    convert), must lie in [1e-13, 1e-6]: tighter is swamped by roundoff,
+    looser defeats an 8th-order integrator."""
+    tol = getattr(args, "tol", None)
+    if tol is not None and not (isinstance(tol, (int, float))
+                                and 1e-13 <= tol <= 1e-6):
+        raise _Usage(f"--tol must be in [1e-13, 1e-6], got {tol!r}")
+
+
 def _mode_from_args(args: argparse.Namespace, kind: str) -> ModeSpec:
     _require(args, "m", "h")
     _check_nu(args, kind)
@@ -336,6 +346,7 @@ def main(argv: list[str] | None = None) -> int:
                 dests = {action.dest for action in sub._actions}
                 sub.set_defaults(**{k: v for k, v in config.items() if k in dests})
         args = parser.parse_args(argv_glued)
+        _check_tol(args)
         return args.handler(args)
     except SystemExit as exc:  # argparse reports usage problems this way
         code = exc.code

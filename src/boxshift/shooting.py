@@ -14,18 +14,20 @@ the reverse: its errors grow into the wall value and into the zeros seen
 near it, which in wide boxes added spurious nodes.
 
 Radial problems start just off the singular origin with a Frobenius series
-and match at the outer wall, x_m = L.  No inward start can reach the origin
-stably (toward it the irregular branch x^(1/2-nu) dominates), and the
-series start sits at the well bottom, so the outward shot is the whole
-solution: the right-hand shot is empty and W = -u(L).  Pollution by the
-growing branch enters that shot only with an exponentially small
-coefficient fixed at the wall, so its effect on the root is polynomial in
-h (roughly rtol*h^(-(3m-1)/2) for level m), not exponential.  The problem
-without walls (``Unwalled``) cannot match there: away from a Dirichlet
-root the series shot past the turning point is dominated by the growing
-branch, whose rounding then swamps F.  So it matches at an interior x_m,
-a turning point V = lambda, which the series shot reaches through the
-well and the inward decaying shot through the barrier, both stably.
+(``FrobeniusStart``, one recurrence for a well's Taylor tail and for the
+Coulomb term) and match at the outer wall, x_m = L.  No inward start can
+reach the origin stably (toward it the irregular branch x^(1/2-nu)
+dominates), and the series start sits at the well bottom, so the outward
+shot is the whole solution: the right-hand shot is empty and W = -u(L).
+Pollution by the growing branch enters that shot only with an
+exponentially small coefficient fixed at the wall, so its effect on the
+root is polynomial in h (roughly rtol*h^(-(3m-1)/2) for level m), not
+exponential.  The problem without walls (``Unwalled``) cannot match
+there: away from a Dirichlet root the series shot past the turning point
+is dominated by the growing branch, whose rounding then swamps F.  So it
+matches at an interior x_m, a turning point V = lambda, which the series
+shot reaches through the well and the inward decaying shot through the
+barrier, both stably.
 
 Without walls, each end starts in the barrier from the decaying WKB state
 u'/u = -+sqrt(q), and lambda is a root of the free Wronskian F.  Newton on
@@ -62,6 +64,7 @@ state, with its own initial-step selection, instead of patching them.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -96,19 +99,12 @@ class ModeSpec:
     def __post_init__(self) -> None:
         if self.level < 0:
             raise ValueError(f"level index must be >= 0, got {self.level}")
-        if not (math.isfinite(self.h) and self.h > 0):
-            raise ValueError(f"h must be positive and finite, got {self.h}")
+        if not (math.isfinite(self.h) and self.h > 0
+                and self.h * self.h >= sys.float_info.min):
+            raise ValueError("h must be positive and finite, with h^2 a "
+                             f"normal float, got {self.h}")
         if self.nu is not None and not self.nu > 0:
             raise ValueError(f"angular parameter nu must be > 0, got {self.nu}")
-
-
-@dataclass(frozen=True)
-class ShootState:
-    """Solution value and slope at a point, exponent factored out."""
-
-    x: float
-    u: ScaledValue
-    du: ScaledValue
 
 
 # --------------------------------------------------------------------------
@@ -187,6 +183,10 @@ def _integrate(q: Callable[[float], float], x0: float, y0: Sequence[float],
                     break
             else:
                 return y, log_scale, crossings
+    except ArithmeticError as exc:  # q or the error norm left the floats
+        raise SolverError(
+            f"integrator failed near x={solvers[-1].t if solvers else t:g}: "
+            f"{exc!r}") from exc
     finally:
         _steps_taken += steps
         _rhs_calls += sum(solver.nfev for solver in solvers)
@@ -213,26 +213,6 @@ def _q_factory(V: Callable[[float], float], lam: float, h: float,
 def _dq(h: float) -> float:
     """d q / d lambda: the source term of the sensitivity pair."""
     return -1.0 / (h * h)
-
-
-def integrate(p: PotentialSpec, lam: float, state: ShootState, to_x: float,
-              h: float, tol: float, nu: float | None = None) -> ShootState:
-    """Public single-trajectory integration of (u, u') between two points.
-
-    ``tol`` is the relative local-error tolerance, restricted to
-    [1e-13, 1e-6]; tighter values would be swamped by roundoff, looser ones
-    defeat the purpose of an 8th-order method.
-    """
-    if not 1e-13 <= tol <= 1e-6:
-        raise ValueError(f"integration tolerance must be in [1e-13, 1e-6], got {tol:g}")
-    ref = max(state.u.log_abs(), state.du.log_abs())
-    if ref == -math.inf:
-        return ShootState(to_x, ScaledValue.zero(), ScaledValue.zero())
-    y0 = (state.u.float_at(ref), state.du.float_at(ref))
-    q = _q_factory(p.evaluate, lam, h, nu)
-    y, ls, _ = _integrate(q, state.x, y0, to_x, tol)
-    ls += ref
-    return ShootState(to_x, ScaledValue.of(y[0], ls), ScaledValue.of(y[1], ls))
 
 
 # --------------------------------------------------------------------------
@@ -263,62 +243,75 @@ def fit_even_tail(V: Callable[[float], float], omega: float,
     return w2, float(w4), float(w6), float(w8)
 
 
-class OscillatorSeriesStart:
-    """Frobenius data  u = x^(nu+1/2) (1 + c1 x^2 + ...)  near a well origin.
+class FrobeniusStart:
+    """Frobenius data  u = x^(nu+1/2) sum_n c_n x^n  off a singular origin.
 
-    Callable: (lambda, with_sensitivity) -> (x0, state vector).  The
-    lambda-derivative series rides along for the Newton Jacobian.
+    For V = sum_p v_p x^p (``terms``, the pairs (p, v_p) with p >= -1) the
+    radial equation gives  h^2 n (n + 2nu) c_n = sum_p v_p c_(n-2-p) -
+    lambda c_(n-2),  c_0 = 1.  When every p is even the odd c_n vanish and
+    n steps by 2.  Callable: (lambda, with_sensitivity) -> (x0, state
+    vector); the lambda-derivative series rides along for the Newton
+    Jacobian.
     """
 
-    def __init__(self, p: PotentialSpec, nu: float, h: float,
-                 x0: float | None = None, L: float = math.inf,
-                 tail: tuple[float, float, float, float] | None = None) -> None:
-        omega = p.curvature_omega
-        if tail is None:
-            if p.builtin == "harmonic":
-                tail = (omega * omega, 0.0, 0.0, 0.0)
-            else:
-                tail = fit_even_tail(p.evaluate, omega, 0.3)
-        self.tail = tail
+    def __init__(self, terms: Sequence[tuple[int, float]], nu: float,
+                 h: float, x0: float) -> None:
+        self.terms = tuple(terms)
+        self.stride = 2 if all(p % 2 == 0 for p, _ in self.terms) else 1
         self.nu = nu
         self.h = h
-        self.x0 = x0 if x0 is not None else default_series_point(h, omega, L)
+        self.x0 = x0
+
+    @classmethod
+    def well(cls, p: PotentialSpec, nu: float, h: float,
+             x0: float | None = None, L: float = math.inf) -> FrobeniusStart:
+        """The start at a well bottom, from the even Taylor tail of V
+        (``fit_even_tail``), at ``x0`` (default ``default_series_point``),
+        which must lie inside the harmonic core 0.1*sqrt(h)/omega."""
+        omega = p.curvature_omega
+        tail = (omega * omega, 0.0, 0.0, 0.0) if p.builtin == "harmonic" \
+            else fit_even_tail(p.evaluate, omega, 0.3)
+        x0 = x0 if x0 is not None else default_series_point(h, omega, L)
         core = 0.1 * math.sqrt(h) / omega
-        if self.x0 > core:
+        if x0 > core:
             raise SeriesError(
-                f"series matching point x0={self.x0:g} lies outside the harmonic "
+                f"series matching point x0={x0:g} lies outside the harmonic "
                 f"core (<= {core:g}); choose a smaller x_start")
+        return cls(tuple(zip((2, 4, 6, 8), tail)), nu, h, x0)
+
+    @classmethod
+    def coulomb(cls, z: float, ell: int, h: float, x0: float) -> FrobeniusStart:
+        """The start for the attractive Coulomb potential V = -z/x."""
+        return cls(((-1, -z),), ell + 0.5, h, x0)
 
     def __call__(self, lam: float, with_sensitivity: bool = True
                  ) -> tuple[float, tuple[float, ...]]:
-        nu, h, x0 = self.nu, self.h, self.x0
-        w = self.tail
+        nu, h, x0, stride = self.nu, self.h, self.x0, self.stride
+        # -lambda enters as the p = 0 term, in ascending order of p.
+        terms = sorted(self.terms + ((0, -lam),))
         h2 = h * h
-        x2 = x0 * x0
-        c = [1.0]
-        d = [0.0]
-        su = c[0]
-        sdu = (nu + 0.5) * c[0]
-        sw = 0.0
-        sdw = 0.0
+        x_stride = x0 * x0 if stride == 2 else x0
+        c = [1.0] + [0.0] * (stride * _SERIES_MAX_TERMS)
+        d = [0.0] * len(c)
+        su, sdu, sw, sdw = 1.0, nu + 0.5, 0.0, 0.0
         pw = 1.0
-        for k in range(_SERIES_MAX_TERMS):
-            denom = h2 * (2 * k + 2) * (2 * k + 2 + 2 * nu)
-            acc_c = -lam * c[k]
-            acc_d = -c[k] - lam * d[k]
-            for j in range(1, 5):
-                if k - j >= 0:
-                    acc_c += w[j - 1] * c[k - j]
-                    acc_d += w[j - 1] * d[k - j]
-            c.append(acc_c / denom)
-            d.append(acc_d / denom)
-            pw *= x2
-            term_u = c[k + 1] * pw
-            term_w = d[k + 1] * pw
+        for n in range(stride, len(c), stride):
+            acc_c = 0.0
+            acc_d = -c[n - 2] if n >= 2 else 0.0
+            for p, v in terms:
+                if n - 2 - p >= 0:
+                    acc_c += v * c[n - 2 - p]
+                    acc_d += v * d[n - 2 - p]
+            denom = h2 * n * (n + 2 * nu)
+            c[n] = acc_c / denom
+            d[n] = acc_d / denom
+            pw *= x_stride
+            term_u = c[n] * pw
+            term_w = d[n] * pw
             su += term_u
-            sdu += (nu + 0.5 + 2 * (k + 1)) * term_u
+            sdu += (nu + 0.5 + n) * term_u
             sw += term_w
-            sdw += (nu + 0.5 + 2 * (k + 1)) * term_w
+            sdw += (nu + 0.5 + n) * term_w
             if abs(term_u) <= _SERIES_CUTOFF * abs(su) and \
                abs(term_w) <= _SERIES_CUTOFF * max(abs(sw), 1e-300):
                 break
@@ -332,62 +325,7 @@ class OscillatorSeriesStart:
         return x0, (amp * su, amp / x0 * sdu)
 
 
-class CoulombSeriesStart:
-    """Series  u = x^(l+1) (1 + d1 x + ...)  for the attractive-Coulomb radial
-    equation  h^2 u'' = (l(l+1) h^2/x^2 - z/x - E) u."""
-
-    def __init__(self, z: float, ell: int, h: float, x0: float) -> None:
-        self.z = z
-        self.ell = ell
-        self.h = h
-        self.x0 = x0
-
-    def __call__(self, energy: float, with_sensitivity: bool = True
-                 ) -> tuple[float, tuple[float, ...]]:
-        z, ell, h, x0 = self.z, self.ell, self.h, self.x0
-        h2 = h * h
-        d = [1.0, -z / (h2 * (2 * ell + 2))]
-        e = [0.0, 0.0]
-        su = d[0] + d[1] * x0
-        sdu = (ell + 1) * d[0] + (ell + 2) * d[1] * x0
-        sw = 0.0
-        sdw = 0.0
-        pw = x0
-        for k in range(1, _SERIES_MAX_TERMS):
-            denom = h2 * (k + 1) * (k + 2 * ell + 2)
-            d.append(-(z * d[k] + energy * d[k - 1]) / denom)
-            e.append(-(d[k - 1] + z * e[k] + energy * e[k - 1]) / denom)
-            pw *= x0
-            term_u = d[k + 1] * pw
-            term_w = e[k + 1] * pw
-            su += term_u
-            sdu += (ell + 2 + k) * term_u
-            sw += term_w
-            sdw += (ell + 2 + k) * term_w
-            if abs(term_u) <= _SERIES_CUTOFF * abs(su) and \
-               abs(term_w) <= _SERIES_CUTOFF * max(abs(sw), 1e-300):
-                break
-        else:
-            raise SeriesError(
-                f"Coulomb series did not converge in {_SERIES_MAX_TERMS} terms at "
-                f"x0={x0:g} (h={h:g}); use a smaller x_start")
-        amp = x0 ** (ell + 1)
-        if with_sensitivity:
-            return x0, (amp * su, amp / x0 * sdu, amp * sw, amp / x0 * sdw)
-        return x0, (amp * su, amp / x0 * sdu)
-
-
 SeriesStart = Callable[..., tuple[float, tuple[float, ...]]]
-
-
-def frobenius_start(w: PotentialSpec, mode: ModeSpec, lam: float,
-                    x_start: float) -> ShootState:
-    """Series solution (u, u') at x_start for the radial problem."""
-    if mode.nu is None:
-        raise ValueError("frobenius_start needs a radial mode (nu set)")
-    series = OscillatorSeriesStart(w, mode.nu, mode.h, x0=x_start)
-    x0, y = series(lam, with_sensitivity=False)
-    return ShootState(x0, ScaledValue.of(y[0]), ScaledValue.of(y[1]))
 
 
 # --------------------------------------------------------------------------

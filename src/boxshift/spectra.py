@@ -26,6 +26,7 @@ Finite-difference seeds are computed only after the first seed fails.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import partial
@@ -40,9 +41,9 @@ from .agmon import AgmonProfile
 from .errors import GridError, InvalidPotential, SolverError
 from .potentials import Domain, LineBox, PotentialSpec, RadialBox, harmonic
 from .scaled import ScaledValue
-from .shooting import (CoulombSeriesStart, ModeSpec, OscillatorSeriesStart,
-                       Unwalled, count_nodes_line, count_nodes_radial,
-                       newton_solve_line, newton_solve_radial)
+from .shooting import (FrobeniusStart, ModeSpec, Unwalled, count_nodes_line,
+                       count_nodes_radial, newton_solve_line,
+                       newton_solve_radial)
 
 _PHI_MARGIN = 34.5  # in units of h; exp(-2*34.5) ~ 1e-30
 _WALL_GROWTH = 1.25  # bracket growth of the decaying-start search
@@ -85,8 +86,12 @@ class HydrogenSpec:
         if self.n < self.ell + 1:
             raise InvalidPotential(
                 f"need n >= ell + 1, got n={self.n}, ell={self.ell}")
-        if self.z <= 0 or self.h <= 0 or self.r_box <= 0:
-            raise InvalidPotential("z, h and the box radius must all be positive")
+        if not all(math.isfinite(v) and v > 0
+                   for v in (self.z, self.h, self.r_box)):
+            raise InvalidPotential(
+                "z, h and the box radius must all be positive and finite")
+        if self.h * self.h < sys.float_info.min:
+            raise InvalidPotential(f"h={self.h:g} is too small: h^2 underflows")
 
     @property
     def level(self) -> int:
@@ -142,8 +147,8 @@ def confined_eigenvalue(p: PotentialSpec, domain: Domain | Unwalled,
         where = (f"radial level {mode.level} on {domain.as_tuple()} "
                  f"(h={mode.h:g}, nu={mode.nu:g})")
         end = domain.length if isinstance(domain, RadialBox) else domain
-        series = OscillatorSeriesStart(p, mode.nu, mode.h,
-                                       L=domain.as_tuple()[1])
+        series = FrobeniusStart.well(p, mode.nu, mode.h,
+                                    L=domain.as_tuple()[1])
         args = (p.evaluate, mode.nu, mode.h, end)
         solve = partial(newton_solve_radial, *args, series_start=series)
         nodes_at = partial(count_nodes_radial, *args, series_start=series)
@@ -372,7 +377,7 @@ def hydrogen_confined(spec: HydrogenSpec, *, rtol: float = 1e-12) -> Eigenpair:
     V.source = f"-{spec.z!r} / x"  # inlined by the integrator (see dop853)
     nu, h, L, m = spec.nu, spec.h, spec.r_box, spec.level
     x0 = min(0.1 * spec.n * h ** 2 / spec.z, 0.01 * L)
-    series = CoulombSeriesStart(spec.z, spec.ell, h, x0)
+    series = FrobeniusStart.coulomb(spec.z, spec.ell, h, x0)
 
     def seeds():
         yield spec.energy_unconfined

@@ -384,6 +384,41 @@ def test_cli_argparse_failures_return_usage_code(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["shift", "--potential", "x^2", "--domain", "-1,1", "--m", "0",
+     "--h", "1e-300"],
+    ["shift", "--potential", "x^2", "--domain", "-1,1", "--m", "0",
+     "--h", "1e-170"],
+    ["hydrogen", "--n", "1", "--ell", "0", "--h", "1e-300", "--R-grid", "8"],
+    ["hydrogen", "--n", "1", "--ell", "0", "--h", "nan", "--R-grid", "8"],
+], ids=["shift-1e-300", "shift-1e-170", "hydrogen-1e-300", "hydrogen-nan"])
+def test_cli_rejects_an_unusable_h(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("tol", ["1", "1e-20", "1e-5", "9e-14"])
+def test_cli_tol_flag_out_of_range_is_a_usage_error(tol, capsys):
+    argv = SHIFT_ARGS[:-1] + [tol]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tol must be in [1e-13, 1e-6]" in captured.err
+
+
+@pytest.mark.parametrize("tol", [1, 1e-20, True])
+def test_cli_tol_from_config_out_of_range_is_a_usage_error(tol, tmp_path,
+                                                            capsys):
+    # argparse converts only string defaults, so a config value arrives as is.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tol": tol}), encoding="utf-8")
+    argv = SHIFT_ARGS[:-2] + ["--config", str(cfg)]
+    assert main(argv) == 2
+    assert "--tol must be in [1e-13, 1e-6]" in capsys.readouterr().err
+
+
 def test_cli_bad_config_paths(tmp_path, capsys):
     assert main(["shift", "--config", str(tmp_path / "missing.json")]) == 2
     assert "cannot read config" in capsys.readouterr().err
@@ -433,6 +468,30 @@ def test_cli_hydrogen_beyond_factorial_overflow_fails_cleanly(capsys):
     assert len(body) == 1 and "SolverError" in body[0]
     assert "all rows failed" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_cli_h_too_small_to_step_fails_one_row(capsys):
+    # At h = 1e-140 the integrator's error norm overflows; that row fails
+    # and the sweep goes on.
+    code = main(["sweep", "--potential", "x^2", "--domain", "-1,1", "--m", "0",
+                 "--h-grid", "1e-140,0.3,2", "--tol", "1e-9"])
+    assert code == 0
+    captured = capsys.readouterr()
+    body = captured.out.strip().split("\n")[1:]
+    assert len(body) == 2
+    assert body[0].startswith("1e-140,") and "OverflowError" in body[0]
+    assert body[1].startswith("0.3,") and body[1].endswith(",ok")
+    assert "Traceback" not in captured.err
+
+
+def test_cli_hydrogen_non_finite_radius_fails_one_row(capsys):
+    code = main(["hydrogen", "--n", "1", "--ell", "0", "--h", "1",
+                 "--R-grid", "8,nan,inf"])
+    assert code == 0
+    body = capsys.readouterr().out.strip().split("\n")[1:]
+    assert len(body) == 3
+    assert body[0].endswith(",ok")
+    assert all("InvalidPotential" in line for line in body[1:])
 
 
 # -- CLI: solver settings that are fixed, not flags ---------------------------------

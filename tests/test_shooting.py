@@ -13,15 +13,13 @@ import numpy as np
 import pytest
 
 from boxshift import (
-    LineBox, ModeSpec, ScaledValue, SeriesError, ShootState, SolverError,
-    count_nodes_line, count_nodes_radial, from_expression, frobenius_start,
-    harmonic, integrate, newton_solve_line, newton_solve_radial, quartic,
+    LineBox, ModeSpec, ScaledValue, SeriesError, SolverError,
+    count_nodes_line, count_nodes_radial, from_expression, harmonic,
+    newton_solve_line, newton_solve_radial, quartic,
 )
 from boxshift import shooting
 from boxshift.dsl import EvalError
-from boxshift.shooting import (
-    CoulombSeriesStart, Matching, OscillatorSeriesStart, steps_taken, wronskian,
-)
+from boxshift.shooting import FrobeniusStart, Matching, steps_taken, wronskian
 
 H = 0.1
 BOX = LineBox(-1.0, 1.0)
@@ -31,8 +29,11 @@ BOX = LineBox(-1.0, 1.0)
 LEVEL2_H02 = 1.1990788504622032
 
 
-def _state(x, u, du):
-    return ShootState(x, ScaledValue.of(u), ScaledValue.of(du) if du else ScaledValue.zero())
+def integrate(p, lam, x0, y0, x1, h, rtol):
+    """(u, u') at x1 of the shot from (x0, y0), exponent factored out."""
+    q = shooting._q_factory(p.evaluate, lam, h, None)
+    y, log_scale, _ = shooting._integrate(q, x0, y0, x1, rtol)
+    return ScaledValue.of(y[0], log_scale), ScaledValue.of(y[1], log_scale)
 
 
 # -- integrator against the exact Gaussian family ------------------------------
@@ -40,59 +41,46 @@ def _state(x, u, du):
 def test_decaying_gaussian_short_range():
     # u = exp(-x^2/2h) at lambda = h; at x=0.7 the growing-mode contamination
     # sits at rtol * exp(2*phi/h) ~ 1e-10.
-    out = integrate(harmonic(), H, _state(0.0, 1.0, 0.0), 0.7, H, 1e-13)
+    u, du = integrate(harmonic(), H, 0.0, (1.0, 0.0), 0.7, H, 1e-13)
     want = math.exp(-0.49 / (2 * H))
-    assert out.u.to_float() == pytest.approx(want, rel=1e-9)
-    assert out.du.to_float() == pytest.approx(-0.7 / H * want, rel=1e-9)
+    assert u.to_float() == pytest.approx(want, rel=1e-9)
+    assert du.to_float() == pytest.approx(-0.7 / H * want, rel=1e-9)
 
 
 def test_decaying_gaussian_moderate_range():
-    out = integrate(harmonic(), H, _state(0.0, 1.0, 0.0), 1.0, H, 1e-12)
-    assert out.u.to_float() == pytest.approx(math.exp(-5.0), rel=1e-6)
+    u, _ = integrate(harmonic(), H, 0.0, (1.0, 0.0), 1.0, H, 1e-12)
+    assert u.to_float() == pytest.approx(math.exp(-5.0), rel=1e-6)
 
 
 def test_odd_gaussian_solution():
     # u = x exp(-x^2/2h) solves the lambda = 3h equation.
-    out = integrate(harmonic(), 3 * H, _state(0.0, 0.0, 1.0), 0.7, H, 1e-13)
+    u, _ = integrate(harmonic(), 3 * H, 0.0, (0.0, 1.0), 0.7, H, 1e-13)
     want = 0.7 * math.exp(-0.49 / (2 * H))
-    assert out.u.to_float() == pytest.approx(want, rel=1e-9)
+    assert u.to_float() == pytest.approx(want, rel=1e-9)
 
 
 def test_growing_gaussian_beyond_double_range():
     """u = exp(+x^2/2h) at lambda = -h grows to e^800 by x=4; the scale
     ledger must carry it while the mantissa stays a normal double."""
     h = 0.01
-    out = integrate(harmonic(), -h, _state(0.0, 1.0, 0.0), 4.0, h, 1e-12)
-    assert out.u.log_abs() == pytest.approx(16.0 / (2 * h), abs=1e-6)
-    assert 1.0 <= abs(out.u.mantissa) < 2.0
+    u, du = integrate(harmonic(), -h, 0.0, (1.0, 0.0), 4.0, h, 1e-12)
+    assert u.log_abs() == pytest.approx(16.0 / (2 * h), abs=1e-6)
+    assert 1.0 <= abs(u.mantissa) < 2.0
     # u'/u = x/h exactly, and the ratio survives the common huge scale.
-    assert out.du.ratio(out.u) == pytest.approx(4.0 / h, rel=1e-8)
+    assert du.ratio(u) == pytest.approx(4.0 / h, rel=1e-8)
 
 
 def test_integrate_backward_direction():
-    out = integrate(harmonic(), H, _state(0.7, 1.0, -0.7 / H), 0.0, H, 1e-13)
-    assert out.u.to_float() == pytest.approx(math.exp(0.49 / (2 * H)), rel=1e-9)
-
-
-def test_integrate_zero_state_short_circuits():
-    out = integrate(harmonic(), H, ShootState(0.0, ScaledValue.zero(), ScaledValue.zero()),
-                    1.0, H, 1e-12)
-    assert out.u.is_zero and out.du.is_zero
-
-
-def test_integrate_tolerance_range():
-    with pytest.raises(ValueError):
-        integrate(harmonic(), H, _state(0.0, 1.0, 0.0), 1.0, H, 1e-3)
-    with pytest.raises(ValueError):
-        integrate(harmonic(), H, _state(0.0, 1.0, 0.0), 1.0, H, 1e-14)
+    u, _ = integrate(harmonic(), H, 0.7, (1.0, -0.7 / H), 0.0, H, 1e-13)
+    assert u.to_float() == pytest.approx(math.exp(0.49 / (2 * H)), rel=1e-9)
 
 
 # -- Wronskian conservation ------------------------------------------------------
 
 def wronskian_after(p, lam, h, x_end, tol=1e-12):
-    a = integrate(p, lam, _state(0.0, 1.0, 0.0), x_end, h, tol)
-    b = integrate(p, lam, _state(0.0, 0.0, 1.0), x_end, h, tol)
-    return (a.u * b.du - a.du * b.u).to_float()
+    u_a, du_a = integrate(p, lam, 0.0, (1.0, 0.0), x_end, h, tol)
+    u_b, du_b = integrate(p, lam, 0.0, (0.0, 1.0), x_end, h, tol)
+    return (u_a * du_b - du_a * u_b).to_float()
 
 
 def test_wronskian_constant_in_allowed_region():
@@ -151,7 +139,7 @@ def test_failed_line_newton_reports_every_step(fail_on_call):
 
 def test_failed_radial_newton_reports_every_step(fail_on_call):
     p = harmonic(kind="radial")
-    series = OscillatorSeriesStart(p, 1.5, H, L=1.0)
+    series = FrobeniusStart.well(p, 1.5, H, L=1.0)
     taken = fail_on_call(3)
     before = steps_taken()
     with pytest.raises(SolverError):
@@ -181,7 +169,7 @@ def test_line_node_count_matches_level(m):
 def test_radial_node_count_matches_level(m, nu):
     h, L = 0.1, 1.0
     p = harmonic(kind="radial")
-    series = OscillatorSeriesStart(p, nu, h, L=L)
+    series = FrobeniusStart.well(p, nu, h, L=L)
     lam0 = 2 * (2 * m + 1 + nu) * h
     sol = newton_solve_radial(p.evaluate, nu, h, L, lam0 * 1.0003, series)
     nodes = count_nodes_radial(p.evaluate, nu, h, L, sol.lam, series)
@@ -199,7 +187,7 @@ def test_oscillator_series_satisfies_the_ode():
     d = 1e-4 * x0
     u = {}
     for dx in (-d, 0.0, d):
-        series = OscillatorSeriesStart(p, nu, h, x0=x0 + dx)
+        series = FrobeniusStart.well(p, nu, h, x0=x0 + dx)
         _, y = series(lam, with_sensitivity=False)
         u[dx] = y[0]
     fd2 = (u[d] - 2 * u[0.0] + u[-d]) / (d * d)
@@ -209,7 +197,7 @@ def test_oscillator_series_satisfies_the_ode():
 
 def test_oscillator_series_lambda_sensitivity():
     p = quartic(kind="radial")
-    series = OscillatorSeriesStart(p, 0.5, 0.1, x0=0.02)
+    series = FrobeniusStart.well(p, 0.5, 0.1, x0=0.02)
     lam, d = 0.3, 1e-5
     _, y = series(lam)
     _, y_p = series(lam + d, with_sensitivity=False)
@@ -220,29 +208,28 @@ def test_oscillator_series_lambda_sensitivity():
 
 def test_oscillator_series_slope_consistent():
     p = harmonic(kind="radial")
-    series = OscillatorSeriesStart(p, 2.5, 0.05, x0=0.01)
+    series = FrobeniusStart.well(p, 2.5, 0.05, x0=0.01)
     d = 1e-6
     _, y = series(0.7, with_sensitivity=False)
     _, y_p = series(0.7, with_sensitivity=False)
-    up = OscillatorSeriesStart(p, 2.5, 0.05, x0=0.01 + d)(0.7, False)[1][0]
-    dn = OscillatorSeriesStart(p, 2.5, 0.05, x0=0.01 - d)(0.7, False)[1][0]
+    up = FrobeniusStart.well(p, 2.5, 0.05, x0=0.01 + d)(0.7, False)[1][0]
+    dn = FrobeniusStart.well(p, 2.5, 0.05, x0=0.01 - d)(0.7, False)[1][0]
     assert y[1] == pytest.approx((up - dn) / (2 * d), rel=1e-6)
     assert y_p[0] == y[0]  # same object inputs, same output
 
 
 def test_series_matching_point_must_sit_in_harmonic_core():
     with pytest.raises(SeriesError):
-        OscillatorSeriesStart(harmonic(kind="radial"), 0.5, 0.01, x0=0.2)
+        FrobeniusStart.well(harmonic(kind="radial"), 0.5, 0.01, x0=0.2)
 
 
 def test_frobenius_start_leading_power():
     # Near 0 the solution is ~ x^(nu+1/2); ratio of two small x values
     # exposes the exponent.
-    mode = ModeSpec(level=0, h=0.1, nu=1.5)
     w = harmonic(kind="radial")
-    s1 = frobenius_start(w, mode, 0.5, 1e-3)
-    s2 = frobenius_start(w, mode, 0.5, 2e-3)
-    got = s2.u.ratio(s1.u)
+    _, s1 = FrobeniusStart.well(w, 1.5, 0.1, x0=1e-3)(0.5, False)
+    _, s2 = FrobeniusStart.well(w, 1.5, 0.1, x0=2e-3)(0.5, False)
+    got = s2[0] / s1[0]
     assert got == pytest.approx(2.0 ** 2.0, rel=1e-4)
 
 
@@ -251,7 +238,7 @@ def test_coulomb_series_satisfies_the_ode():
     x0, d = 0.05, 1e-6
     u = {}
     for dx in (-d, 0.0, d):
-        series = CoulombSeriesStart(z, ell, h, x0 + dx)
+        series = FrobeniusStart.coulomb(z, ell, h, x0 + dx)
         _, y = series(energy, with_sensitivity=False)
         u[dx] = y[0]
     fd2 = (u[d] - 2 * u[0.0] + u[-d]) / (d * d)
@@ -260,7 +247,7 @@ def test_coulomb_series_satisfies_the_ode():
 
 
 def test_coulomb_series_lambda_sensitivity():
-    series = CoulombSeriesStart(2.0, 0, 1.0, 0.05)
+    series = FrobeniusStart.coulomb(2.0, 0, 1.0, 0.05)
     e, d = -1.0, 1e-6
     _, y = series(e)
     _, y_p = series(e + d, with_sensitivity=False)
@@ -279,6 +266,26 @@ def test_mode_spec_rejects_bad_arguments():
         ModeSpec(level=0, h=math.nan)
     with pytest.raises(ValueError):
         ModeSpec(level=0, h=0.1, nu=-0.5)
+
+
+@pytest.mark.parametrize("h", [1e-300, 1e-170, 1e-155])
+def test_mode_spec_rejects_h_whose_square_underflows(h):
+    # (V - lambda)/h^2 would divide by zero or by a subnormal.
+    with pytest.raises(ValueError, match="h\\^2"):
+        ModeSpec(level=0, h=h)
+    ModeSpec(level=0, h=1e-150)  # h^2 = 1e-300 is still a normal float
+
+
+@pytest.mark.parametrize("fault", [ZeroDivisionError, OverflowError])
+def test_arithmetic_error_while_stepping_is_a_solver_error(fault):
+    def q(x):
+        if x > 0.5:
+            raise fault("forced")
+        return 1.0
+    before = steps_taken()
+    with pytest.raises(SolverError, match=fault.__name__):
+        shooting._integrate(q, 0.0, (1.0, 0.0), 1.0, 1e-12)
+    assert steps_taken() > before  # the steps before the fault still count
 
 
 def test_shoot_line_side_reports_steps_and_crossings():

@@ -432,6 +432,17 @@ def test_hydrogen_bisection_rescue(monkeypatch):
     assert got.nodes == 1
 
 
+@pytest.mark.parametrize("field,value", [
+    ("h", math.nan), ("h", math.inf), ("h", 1e-300), ("z", math.nan),
+    ("r_box", math.nan), ("r_box", math.inf),
+])
+def test_hydrogen_spec_rejects_non_finite_and_underflowing_input(field, value):
+    args = dict(n=1, ell=0, z=2.0, h=1.0, r_box=8.0)
+    args[field] = value
+    with pytest.raises(InvalidPotential):
+        HydrogenSpec(**args)
+
+
 def test_hydrogen_wall_always_raises_the_level():
     for (n, ell, R), value in HYDROGEN_LEVELS.items():
         free = HydrogenSpec(n=n, ell=ell, z=2.0, h=1.0, r_box=R).energy_unconfined

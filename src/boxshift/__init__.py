@@ -7,18 +7,9 @@ difference against leading-order shift predictions built from the Agmon
 action and WKB prefactor of the well.
 """
 
-from .agmon import (
-    AgmonProfile,
-    agmon_distance,
-    prefactor_a0_line,
-    prefactor_a0_radial,
-)
+from .agmon import AgmonProfile, agmon_distance
 from .asymptotics import (
     ShiftPrediction,
-    ho_confined_closed_form,
-    hydrogen_confined_closed_form,
-    hydrogen_wavenumber_closed_form,
-    iso_ho_confined_closed_form,
     shift_leading_line,
     shift_leading_radial,
 )
@@ -41,7 +32,6 @@ from .potentials import (
     from_callables,
     from_expression,
     harmonic,
-    normalize_to_unit_curvature,
     quartic,
     resolve_potential,
     validate_potential,
@@ -67,7 +57,6 @@ from .spectra import (
     confined_eigenvalue,
     fd_oracle,
     hydrogen_confined,
-    hydrogen_confined_via_oscillator,
     unconfined_eigenvalue,
 )
 
@@ -103,17 +92,9 @@ __all__ = [
     "from_callables",
     "from_expression",
     "harmonic",
-    "ho_confined_closed_form",
     "hydrogen_confined",
-    "hydrogen_confined_closed_form",
-    "hydrogen_confined_via_oscillator",
-    "hydrogen_wavenumber_closed_form",
-    "iso_ho_confined_closed_form",
     "newton_solve_line",
     "newton_solve_radial",
-    "normalize_to_unit_curvature",
-    "prefactor_a0_line",
-    "prefactor_a0_radial",
     "quartic",
     "resolve_potential",
     "run_hydrogen_sweep",

@@ -202,33 +202,26 @@ def _integral_of_regular_part(regular: Callable[[float], float],
     coeffs = np.linalg.solve(np.vander(nodes, 4, increasing=True), values)
     head = sum(c * s ** (k + 1) / (k + 1) for k, c in enumerate(coeffs))
     tail = adaptive_quadrature(regular, s, x)
-    return head + tail
+    return float(head + tail)
 
 
 def wkb_prefactor_line(profile: AgmonProfile, m: int, x: float) -> float:
-    """Leading WKB amplitude a0(x) on the line, normalised to |x|^m near 0."""
+    """log a0(x): the log of the leading WKB amplitude on the line,
+    normalised to |x|^m near 0 (-inf at x = 0 for m > 0).  The log, not a0,
+    since a0 underflows a double for high levels."""
     if x == 0.0:
-        return 0.0 if m > 0 else 1.0
+        return -math.inf if m > 0 else 0.0
     log_reg = _integral_of_regular_part(
         lambda t: transport_regular_part(profile, m, t), x)
-    return abs(x) ** m * math.exp(log_reg)
+    return m * math.log(abs(x)) + log_reg
 
 
 def wkb_prefactor_radial(profile: AgmonProfile, m: int, nu: float,
                          x: float) -> float:
-    """Leading WKB amplitude a0(x) for the radial problem (x > 0)."""
+    """log a0(x): the log of the leading radial WKB amplitude (x > 0),
+    normalised to x^(2m) near 0."""
     if x <= 0.0:
         raise ValueError(f"radial prefactor needs x > 0, got {x}")
     log_reg = _integral_of_regular_part(
         lambda t: radial_transport_regular_part(profile, m, nu, t), x)
-    return x ** (2 * m) * math.exp(log_reg)
-
-
-def prefactor_a0_line(p: PotentialSpec, m: int, x: float) -> float:
-    """a0(x) on the line, built from a fresh profile (convenience form)."""
-    return wkb_prefactor_line(AgmonProfile(p), m, x)
-
-
-def prefactor_a0_radial(w: PotentialSpec, m: int, nu: float, x: float) -> float:
-    """Radial a0(x), built from a fresh profile (convenience form)."""
-    return wkb_prefactor_radial(AgmonProfile(w), m, nu, x)
+    return 2 * m * math.log(x) + log_reg

@@ -9,9 +9,10 @@ level by an exponentially small amount" quantitative:
               s0    = 4 sqrt(W(L)) / (Gamma(1+m+nu) m!)
                       * omega^(2m+1+nu) * L^(1+2nu) * a0(L)^2
 
-together with the closed forms these reduce to for the stock wells (pure
-harmonic on the line and radially, and the confined Coulomb problem), which
-serve as independent cross-checks of the general evaluators.
+together with the closed-form shift of the boxed Coulomb problem, which
+``report`` compares with the measured Coulomb shift.  The closed forms of
+the pure harmonic wells, which cross-check the general evaluators, live
+with the tests (``tests/crosschecks.py``).
 
 Everything is computed in log space first: sweeps deliberately run into
 exp(-2 phi/h) ranges far below double-precision underflow, so each
@@ -25,7 +26,6 @@ m! or 2^m themselves overflow a double (from 171 on).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,8 +95,8 @@ def shift_leading_line(p: PotentialSpec, domain: LineBox,
         if v <= 0.0:
             raise InvalidPotential(
                 f"wall at x={r:g} is not inside the barrier (V={v:g})")
-        a0 = wkb_prefactor_line(profile, m, r)
-        log_term = base_log + 0.5 * math.log(v) + 2.0 * math.log(a0) \
+        log_a0 = wkb_prefactor_line(profile, m, r)
+        log_term = base_log + 0.5 * math.log(v) + 2.0 * log_a0 \
             - 2.0 * profile.phi(r) / h
         terms.append(EndpointTerm(position=r, value=_from_log(log_term),
                                   log_value=log_term))
@@ -123,12 +123,12 @@ def shift_leading_radial(w: PotentialSpec, L: float,
     wL = w.evaluate(L)
     if wL <= 0.0:
         raise InvalidPotential(f"wall at x={L:g} is not inside the barrier (W={wL:g})")
-    a0 = wkb_prefactor_radial(profile, m, nu, L)
+    log_a0 = wkb_prefactor_radial(profile, m, nu, L)
     log_value = (-nu - 2 * m) * math.log(h) - 2.0 * profile.phi(L) / h \
         + math.log(4.0) + 0.5 * math.log(wL) \
         - math.lgamma(1.0 + m + nu) - math.log(math.factorial(m)) \
         + (2 * m + 1 + nu) * math.log(omega) + (1.0 + 2.0 * nu) * math.log(L) \
-        + 2.0 * math.log(a0)
+        + 2.0 * log_a0
     return ShiftPrediction(
         leading_value=_from_log(log_value),
         log_leading_value=log_value,
@@ -138,55 +138,8 @@ def shift_leading_radial(w: PotentialSpec, L: float,
 
 
 # --------------------------------------------------------------------------
-# Closed forms for the stock wells
+# Boxed Coulomb problem
 # --------------------------------------------------------------------------
-
-
-def ho_shift_term(mode: ModeSpec, R: float) -> ShiftPrediction:
-    """Shift term of the boxed harmonic line well V = x^2 on (-R, R)."""
-    m, h = mode.level, mode.h
-    log_value = (0.5 - m) * math.log(h) \
-        + (m + 2) * _LOG2 - math.lgamma(m + 1.0) - 0.5 * _LOG_PI \
-        + (2 * m + 1) * math.log(R) - R * R / h
-    return ShiftPrediction(leading_value=_from_log(log_value),
-                           log_leading_value=log_value,
-                           exponent=R * R / h, prefactor_power=0.5 - m)
-
-
-def ho_confined_closed_form(mode: ModeSpec, R: float) -> float:
-    """Boxed harmonic line level: (2m+1) h + the closed-form shift term."""
-    if mode.h >= R * R:
-        warnings.warn(
-            f"R^2/h = {R * R / mode.h:g} is not large; the closed form's "
-            "relative error O(h/R^2) is uncontrolled here",
-            RuntimeWarning, stacklevel=2)
-    return (2 * mode.level + 1) * mode.h + ho_shift_term(mode, R).leading_value
-
-
-def iso_ho_shift_term(mode: ModeSpec, L: float) -> ShiftPrediction:
-    """Shift term of the boxed radial harmonic well W = x^2 on (0, L)."""
-    if mode.nu is None:
-        raise InvalidPotential("radial closed form needs mode.nu")
-    m, h, nu = mode.level, mode.h, mode.nu
-    log_value = math.log(4.0) + (-2 * m - nu) * math.log(h) \
-        + 2.0 * (2 * m + 1 + nu) * math.log(L) - L * L / h \
-        - math.log(math.factorial(m)) - math.lgamma(1.0 + m + nu)
-    return ShiftPrediction(leading_value=_from_log(log_value),
-                           log_leading_value=log_value,
-                           exponent=L * L / h, prefactor_power=-2 * m - nu)
-
-
-def iso_ho_confined_closed_form(mode: ModeSpec, L: float) -> float:
-    """Boxed radial harmonic level: 2(2m+1+nu) h + closed-form shift term."""
-    if mode.nu is None:
-        raise InvalidPotential("radial closed form needs mode.nu")
-    if mode.h >= L * L:
-        warnings.warn(
-            f"L^2/h = {L * L / mode.h:g} is not large; the closed form's "
-            "relative error O(h/L^2) is uncontrolled here",
-            RuntimeWarning, stacklevel=2)
-    return 2.0 * (2 * mode.level + 1 + mode.nu) * mode.h \
-        + iso_ho_shift_term(mode, L).leading_value
 
 
 def hydrogen_shift_term(spec: HydrogenSpec) -> ShiftPrediction:
@@ -203,33 +156,3 @@ def hydrogen_shift_term(spec: HydrogenSpec) -> ShiftPrediction:
                            log_leading_value=log_value,
                            exponent=z * R / (n * h * h),
                            prefactor_power=-4 * n - 2)
-
-
-def hydrogen_confined_closed_form(spec: HydrogenSpec) -> float:
-    """Boxed Coulomb level E_n(R) = E_n + the closed-form shift term."""
-    if spec.h ** 2 >= 0.25 * spec.r_box:
-        warnings.warn(
-            f"h^2/R = {spec.h ** 2 / spec.r_box:g} is not small; the closed "
-            "form's relative error O(h^2/R) is uncontrolled here",
-            RuntimeWarning, stacklevel=2)
-    return spec.energy_unconfined + hydrogen_shift_term(spec).leading_value
-
-
-def hydrogen_wavenumber_closed_form(spec: HydrogenSpec) -> float:
-    """k(R): the shifted wavenumber of the boxed z=2 Coulomb problem.
-
-    The boxed level satisfies E_n(R) = -1/k(R)^2 in the z=2 normalisation;
-    expanding that relation around k = n h reproduces hydrogen_shift_term,
-    which the tests verify as an algebraic identity.  Only z=2 is supported:
-    for other charges rescale first (E and R transform, k is a z=2 object).
-    """
-    if spec.z != 2.0:
-        raise InvalidPotential(
-            f"the wavenumber form is defined in the z=2 normalisation, got z={spec.z:g}")
-    n, ell, h, R = spec.n, spec.ell, spec.h, spec.r_box
-    log_delta = 2 * n * math.log(2.0) + (-4 * n + 1) * math.log(h) \
-        + 2 * n * math.log(R) - 2 * n * math.log(n) \
-        - math.log(math.factorial(n - ell - 1)) \
-        - math.log(math.factorial(n + ell)) \
-        - 2.0 * R / (n * h * h)
-    return n * h + _from_log(log_delta)

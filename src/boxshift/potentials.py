@@ -288,7 +288,7 @@ def validate_potential(p: PotentialSpec, domain: Domain, samples: int = 64) -> V
 
 
 # --------------------------------------------------------------------------
-# Curvature and normalisation
+# Curvature
 # --------------------------------------------------------------------------
 
 
@@ -318,34 +318,6 @@ def curvature_at_minimum(p: PotentialSpec) -> float:
         raise InvalidPotential(
             f"degenerate or invalid minimum: V''(0) = {d2!r} (need > 0)")
     return math.sqrt(d2 / 2.0)
-
-
-def normalize_to_unit_curvature(
-    p: PotentialSpec, domain: Domain, h: float
-) -> tuple[PotentialSpec, Domain, float]:
-    """Rescale x so the well has V''(0) = 2, mapping (domain, h) along.
-
-    Eigenvalues of the Dirichlet problem are unchanged.  Already-normalised
-    input is returned untouched, so applying twice equals applying once.
-    """
-    omega = p.curvature_omega
-    if abs(omega - 1.0) <= 1e-14:
-        return p, domain, h
-    s = 1.0 / omega  # V~(x) = V(s*x)
-
-    ev, d1, d2 = p.evaluate, p.derivative1, p.derivative2
-    scaled = PotentialSpec(
-        kind=p.kind,
-        evaluate=lambda x: ev(s * x),
-        derivative1=(lambda x: s * d1(s * x)) if d1 is not None else None,
-        derivative2=(lambda x: s * s * d2(s * x)) if d2 is not None else None,
-        label=f"unit-curvature[{p.label}]",
-    )
-    if isinstance(domain, LineBox):
-        new_domain: Domain = LineBox(omega * domain.left, omega * domain.right)
-    else:
-        new_domain = RadialBox(omega * domain.length)
-    return scaled, new_domain, omega * h
 
 
 def resolve_potential(text: str, kind: str = "line") -> PotentialSpec:

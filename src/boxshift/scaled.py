@@ -89,17 +89,6 @@ class ScaledValue:
             return 0.0 * self.mantissa
         return self.mantissa * math.exp(self.log_scale)
 
-    def float_at(self, reference_log: float) -> float:
-        """Value divided by exp(reference_log), as a double."""
-        if self.is_zero:
-            return 0.0
-        d = self.log_scale - reference_log
-        if d < -_EXP_LIMIT:
-            return 0.0 * self.mantissa
-        if d > _EXP_LIMIT:
-            return math.inf * self.mantissa
-        return self.mantissa * math.exp(d)
-
     def ratio(self, other: "ScaledValue") -> float:
         """self / other as a double (other must be nonzero)."""
         if other.is_zero:
@@ -113,10 +102,6 @@ class ScaledValue:
         if d > _EXP_LIMIT:
             return math.inf * q
         return q * math.exp(d)
-
-    def magnitude_gt(self, other: "ScaledValue") -> bool:
-        """|self| > |other| ?"""
-        return self.log_abs() > other.log_abs()
 
     # -- arithmetic -------------------------------------------------------
 
@@ -165,12 +150,6 @@ class ScaledValue:
 
     def __sub__(self, other: "ScaledValue") -> "ScaledValue":
         return self.__add__(-other)
-
-    def times_exp(self, delta_log: float) -> "ScaledValue":
-        """Multiply by exp(delta_log) without touching the mantissa."""
-        if self.is_zero:
-            return self
-        return ScaledValue(self.mantissa, self.log_scale + delta_log)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         if self.is_zero:

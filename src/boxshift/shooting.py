@@ -103,8 +103,10 @@ class ModeSpec:
                 and self.h * self.h >= sys.float_info.min):
             raise ValueError("h must be positive and finite, with h^2 a "
                              f"normal float, got {self.h}")
-        if self.nu is not None and not self.nu > 0:
-            raise ValueError(f"angular parameter nu must be > 0, got {self.nu}")
+        if self.nu is not None and not (self.nu > 0
+                                        and math.isfinite(self.nu * self.nu)):
+            raise ValueError("angular parameter nu must be positive and finite, "
+                             f"with nu^2 finite, got {self.nu}")
 
 
 # --------------------------------------------------------------------------
@@ -287,27 +289,27 @@ class FrobeniusStart:
     def __call__(self, lam: float, with_sensitivity: bool = True
                  ) -> tuple[float, tuple[float, ...]]:
         nu, h, x0, stride = self.nu, self.h, self.x0, self.stride
+        # The recurrence runs in t_n = c_n x0^n, which stay O(1) however
+        # small h is:  n (n + 2nu) t_n = sum_p w_p t_(n-2-p)  with
+        # w_p = v_p x0^(p+2) / h^2, formed so that no factor underflows.
         # -lambda enters as the p = 0 term, in ascending order of p.
-        terms = sorted(self.terms + ((0, -lam),))
-        h2 = h * h
-        x_stride = x0 * x0 if stride == 2 else x0
-        c = [1.0] + [0.0] * (stride * _SERIES_MAX_TERMS)
-        d = [0.0] * len(c)
+        r = x0 / h
+        r2 = r * r
+        terms = [(p, v * r2 * x0 ** p)
+                 for p, v in sorted(self.terms + ((0, -lam),))]
+        t = [1.0] + [0.0] * (stride * _SERIES_MAX_TERMS)
+        d = [0.0] * len(t)  # lambda-derivatives of the t_n
         su, sdu, sw, sdw = 1.0, nu + 0.5, 0.0, 0.0
-        pw = 1.0
-        for n in range(stride, len(c), stride):
-            acc_c = 0.0
-            acc_d = -c[n - 2] if n >= 2 else 0.0
-            for p, v in terms:
+        for n in range(stride, len(t), stride):
+            acc_t = 0.0
+            acc_d = -r2 * t[n - 2] if n >= 2 else 0.0
+            for p, w in terms:
                 if n - 2 - p >= 0:
-                    acc_c += v * c[n - 2 - p]
-                    acc_d += v * d[n - 2 - p]
-            denom = h2 * n * (n + 2 * nu)
-            c[n] = acc_c / denom
-            d[n] = acc_d / denom
-            pw *= x_stride
-            term_u = c[n] * pw
-            term_w = d[n] * pw
+                    acc_t += w * t[n - 2 - p]
+                    acc_d += w * d[n - 2 - p]
+            denom = n * (n + 2 * nu)
+            term_u = t[n] = acc_t / denom
+            term_w = d[n] = acc_d / denom
             su += term_u
             sdu += (nu + 0.5 + n) * term_u
             sw += term_w

@@ -15,8 +15,9 @@ Four ways to an eigenvalue live here, deliberately independent:
   extrapolation; shares no code with the shooting path and serves as the
   cross-check oracle.
 * ``hydrogen_confined`` -- direct shooting on the Coulomb equation with a
-  series start at the origin; no change of variables involved (the
-  oscillator mapping is exercised by tests, not used for ground truth).
+  series start at the origin; no change of variables involved (the tests
+  check it against the map onto the radial oscillator, which lives with
+  them in ``tests/crosschecks.py``).
 
 Both shooting solvers isolate their level in one loop, ``_isolate``:
 Newton from each seed in turn until a root has the level's node count.
@@ -39,7 +40,7 @@ from scipy.optimize import brentq
 from . import shooting
 from .agmon import AgmonProfile
 from .errors import GridError, InvalidPotential, SolverError
-from .potentials import Domain, LineBox, PotentialSpec, RadialBox, harmonic
+from .potentials import Domain, LineBox, PotentialSpec, RadialBox
 from .scaled import ScaledValue
 from .shooting import (FrobeniusStart, ModeSpec, Unwalled, count_nodes_line,
                        count_nodes_radial, newton_solve_line,
@@ -49,7 +50,6 @@ _PHI_MARGIN = 34.5  # in units of h; exp(-2*34.5) ~ 1e-30
 _WALL_GROWTH = 1.25  # bracket growth of the decaying-start search
 _WALL_ROUNDS = 40
 _WALL_XTOL = 1e-9  # absolute; walls sit at |x| = O(1)
-_BRACKET_ROUNDS = 25  # upper-bound growths by 1.5 in the oscillator map
 
 
 @dataclass(frozen=True)
@@ -92,6 +92,12 @@ class HydrogenSpec:
                 "z, h and the box radius must all be positive and finite")
         if self.h * self.h < sys.float_info.min:
             raise InvalidPotential(f"h={self.h:g} is too small: h^2 underflows")
+        if self.h * self.h < 1e-100 * self.z:
+            # The equation's coefficients grow like (z/h^2)^2; the shooting
+            # path overflows from z/h^2 ~ 1e142 on.
+            raise InvalidPotential(
+                f"h={self.h:g} is too small for z={self.z:g}: the Coulomb "
+                "length h^2/z must be at least 1e-100")
 
     @property
     def level(self) -> int:
@@ -325,6 +331,10 @@ def fd_oracle(p: PotentialSpec, domain: Domain, mode: ModeSpec,
     """
     if grid_n < 200:
         raise GridError(f"finite-difference grid needs >= 200 points, got {grid_n}")
+    if count + 1 > grid_n - 1:  # one level beyond the last, for its gap
+        raise GridError(
+            f"a grid of {grid_n} intervals has {grid_n - 1} interior points, "
+            f"too few for the lowest {count + 1} levels; increase grid_n")
     h = mode.h
     if isinstance(domain, LineBox):
         a, b = domain.left, domain.right
@@ -424,52 +434,3 @@ def _bisect_radial(V: Callable[[float], float], nu: float, h: float, L: float,
         if hi - lo <= 1e-12 * max(abs(lo), abs(hi)):
             break
     return 0.5 * (lo + hi)
-
-
-def hydrogen_confined_via_oscillator(spec: HydrogenSpec, *,
-                                     rtol: float = 1e-12) -> Eigenpair:
-    """E_n(R) through the quadratic change of variables.
-
-    The z=2 Coulomb problem in a box R is equivalent to a radial harmonic
-    problem with angular parameter 2*ell+1 in a box L = sqrt(2R/k), where
-    the oscillator eigenvalue is 4k and E = -1/k^2; general z is rescaled
-    onto z=2 first.  Since L itself depends on k, the defining condition
-    is the scalar root  lambda_osc(L(k)) = 4k.  Plain self-iteration cycles
-    once the wall does real work (its derivative passes 1), so the root is
-    bracketed and bisected: k = n*h from below -- the Dirichlet wall only
-    raises the level -- and an expanding upper bound from above, where the
-    shrinking box makes the level grow only sublinearly in k.
-    """
-    r2 = spec.z * spec.r_box / 2.0  # box radius of the equivalent z=2 problem
-    n, ell, h, m = spec.n, spec.ell, spec.h, spec.level
-    nu_osc = 2.0 * ell + 1.0
-    well = harmonic(kind="radial")
-    evals = {"count": 0, "pair": None}
-
-    def mismatch(k: float) -> float:
-        L = math.sqrt(2.0 * r2 / k)
-        pair = confined_eigenvalue(
-            well, RadialBox(L), ModeSpec(level=m, h=h, nu=nu_osc),
-            lam0=max(4.0 * k, 4.0 * n * h), rtol=rtol)
-        evals["count"] += 1
-        evals["pair"] = pair
-        return pair.value - 4.0 * k
-
-    k_lo = n * h
-    if mismatch(k_lo) <= 0.0:  # wall effect below resolution: free value
-        k = k_lo
-    else:
-        k_hi = 1.5 * k_lo
-        for _ in range(_BRACKET_ROUNDS):
-            if mismatch(k_hi) < 0.0:
-                break
-            k_hi *= 1.5
-        else:
-            raise SolverError(
-                "could not bracket the oscillator-map matching condition "
-                f"(n={n}, ell={ell}, box={spec.r_box:g})")
-        k = float(brentq(mismatch, k_lo, k_hi, xtol=1e-13 * n * h))
-    energy = -(spec.z ** 2 / 4.0) / (k * k)
-    pair = evals["pair"]
-    return Eigenpair(index_m=m, value=energy, method="shooting",
-                     iterations=evals["count"], nodes=pair.nodes)

@@ -16,14 +16,15 @@ import pytest
 
 from boxshift import (
     HydrogenSpec, LineBox, ModeSpec, RadialBox, confined_eigenvalue,
-    from_expression, harmonic, normalize_to_unit_curvature, quartic,
+    from_expression, harmonic, quartic,
     shift_leading_line, shift_leading_radial,
 )
-from boxshift.asymptotics import ho_shift_term, iso_ho_shift_term
 from boxshift.dsl import as_function, differentiate, evaluate, parse, pretty
 from boxshift.report import geometric_grid, run_hydrogen_case, run_shift_case
 from boxshift.shooting import Matching, wronskian
 from boxshift.spectra import fd_oracle, unconfined_eigenvalue
+from crosschecks import (ho_shift_term, iso_ho_shift_term,
+                         normalize_to_unit_curvature)
 
 BOX = LineBox(-1.0, 1.0)
 H_GRID = geometric_grid(0.2, 0.05, 5)

@@ -14,14 +14,13 @@ import pytest
 
 from boxshift import (
     HydrogenSpec, InvalidPotential, LineBox, ModeSpec, from_expression,
-    harmonic, normalize_to_unit_curvature, quartic,
-    shift_leading_line, shift_leading_radial,
+    harmonic, quartic, shift_leading_line, shift_leading_radial,
 )
-from boxshift.asymptotics import (
-    ho_confined_closed_form, ho_shift_term,
-    hydrogen_confined_closed_form, hydrogen_shift_term,
+from boxshift.asymptotics import hydrogen_shift_term
+from crosschecks import (
+    ho_confined_closed_form, ho_shift_term, hydrogen_confined_closed_form,
     hydrogen_wavenumber_closed_form, iso_ho_confined_closed_form,
-    iso_ho_shift_term,
+    iso_ho_shift_term, normalize_to_unit_curvature,
 )
 
 BOX = LineBox(-1.0, 1.0)
@@ -187,6 +186,13 @@ def test_line_terms_stay_finite_where_m_factorial_overflows():
     assert got == pytest.approx(float(want), rel=1e-12)
     general = shift_leading_line(harmonic(), BOX, mode).log_leading_value
     assert general == pytest.approx(float(want), rel=1e-12)
+
+
+def test_high_level_prediction_keeps_its_log():
+    # a0(1)^2 underflows a double at m = 100000; its log does not.
+    pred = shift_leading_line(quartic(), BOX, ModeSpec(level=100000, h=0.1))
+    assert pred.leading_value == 0.0
+    assert math.isfinite(pred.log_leading_value)
 
 
 # -- guards and warnings ------------------------------------------------------------

@@ -7,9 +7,9 @@ import pytest
 from boxshift import (
     InvalidPotential, LineBox, ModeSpec, RadialBox, confined_eigenvalue,
     curvature_at_minimum, from_callables, from_expression, harmonic,
-    normalize_to_unit_curvature, quartic,
-    resolve_potential, validate_potential,
+    quartic, resolve_potential, validate_potential,
 )
+from crosschecks import normalize_to_unit_curvature
 
 BOX = LineBox(-1.0, 1.0)
 

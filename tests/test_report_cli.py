@@ -11,7 +11,6 @@ import math
 import pytest
 
 from boxshift import LineBox, ModeSpec, RadialBox, harmonic, quartic, shooting
-from boxshift.asymptotics import ho_shift_term
 from boxshift.cli import _glue_negative_values, main
 from boxshift.report import (
     CSV_HEADER, HYDROGEN_CSV_HEADER, CaseDescriptor, Diagnostics, ShiftReport,
@@ -19,6 +18,7 @@ from boxshift.report import (
     report_from_json, report_to_dict, report_to_json, run_hydrogen_sweep,
     run_shift_case, run_sweep, sweep_summary_lines, sweep_to_csv,
 )
+from crosschecks import ho_shift_term
 
 FAST = {"integrate_tol": 1e-9}
 
@@ -363,6 +363,13 @@ def test_cli_parse_error_shows_caret(capsys):
     assert caret_lines, err
 
 
+def test_cli_rejects_an_infinite_nu(capsys):
+    code = main(["shift", "--potential", "harmonic", "--box", "1",
+                 "--nu", "inf", "--m", "0", "--h", "0.1"])
+    assert code == 2
+    assert "nu must be positive and finite" in capsys.readouterr().err
+
+
 def test_cli_rejects_bad_quantum_numbers(capsys):
     code = main(["hydrogen", "--n", "1", "--ell", "1", "--h", "1.0",
                  "--R-grid", "8"])
@@ -443,6 +450,33 @@ def test_cli_oracle_grid_too_small(capsys):
                  "--m", "0", "--h", "0.3", "--grid-n", "100"])
     assert code == 3
     assert "finite-difference grid" in capsys.readouterr().err
+
+
+def test_cli_level_beyond_the_seed_grid_fails_cleanly(capsys):
+    # Level 1200 has more nodes than the 1200-interval grid of the
+    # finite-difference seed has interior points: no seed isolates it.
+    code = main(["shift", "--potential", "x^2+x^4", "--domain", "-1,1",
+                 "--m", "1200", "--h", "0.1"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "could not isolate level 1200" in captured.err
+
+
+def test_sweep_level_beyond_the_seed_grid_fails_its_row():
+    result = run_sweep(quartic(), LineBox(-1.0, 1.0), 1200, None, [0.1])
+    (row,) = result.rows
+    assert not row.ok
+    assert row.status.startswith("SolverError: could not isolate")
+
+
+def test_cli_oracle_more_levels_than_grid_points(capsys):
+    code = main(["oracle", "--potential", "harmonic", "--domain", "-1,1",
+                 "--m", "2500", "--h", "0.1", "--grid-n", "2000"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "interior points" in captured.err
 
 
 def test_cli_sweep_all_rows_failed(monkeypatch, capsys):

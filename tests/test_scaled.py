@@ -91,8 +91,8 @@ def test_sub_is_add_of_negation(a, b):
 
 def test_huge_scale_product_and_ratio():
     # e^1000 is not a double, but the ratio of two such values is ~e^0.
-    big = ScaledValue.of(3.0).times_exp(1000.0)
-    bigger = ScaledValue.of(7.0).times_exp(1000.0)
+    big = ScaledValue.of(3.0, 1000.0)
+    bigger = ScaledValue.of(7.0, 1000.0)
     assert big.to_float() == math.inf
     assert rel_close(bigger.ratio(big), 7.0 / 3.0, scale_log=1000.0)
     prod = big * big
@@ -100,39 +100,10 @@ def test_huge_scale_product_and_ratio():
 
 
 def test_tiny_scale_saturates_to_zero():
-    tiny = ScaledValue.of(-5.0).times_exp(-2000.0)
+    tiny = ScaledValue.of(-5.0, -2000.0)
     assert tiny.to_float() == 0.0
     assert tiny.sign == -1
     assert tiny.log_abs() == pytest.approx(-2000.0 + math.log(5.0), rel=1e-14)
-
-
-def test_float_at_shifts_the_reference():
-    x = ScaledValue.of(1.5).times_exp(500.0)
-    assert rel_close(x.float_at(500.0), 1.5, scale_log=500.0)
-    assert rel_close(x.float_at(499.0), 1.5 * math.e, scale_log=500.0)
-
-
-@given(nonzero, logs, st.floats(min_value=-500, max_value=500,
-                                allow_nan=False))
-def test_times_exp_moves_only_the_scale(v, s, d):
-    x = ScaledValue.of(v, s)
-    y = x.times_exp(d)
-    assert y.mantissa == x.mantissa
-    assert y.log_scale == x.log_scale + d
-
-
-# -- ordering ----------------------------------------------------------------
-
-@given(nonzero, logs, nonzero, logs)
-def test_magnitude_gt_is_a_strict_order(a, sa, b, sb):
-    x, y = ScaledValue.of(a, sa), ScaledValue.of(b, sb)
-    assert not (x.magnitude_gt(y) and y.magnitude_gt(x))
-
-
-def test_magnitude_gt_across_scales():
-    small = ScaledValue.of(1.9, 10.0)
-    large = ScaledValue.of(1.1, 11.0)
-    assert large.magnitude_gt(small)
 
 
 def test_ratio_by_zero_raises():

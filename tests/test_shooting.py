@@ -255,6 +255,22 @@ def test_coulomb_series_lambda_sensitivity():
     assert y[2] == pytest.approx((y_p[0] - y_m[0]) / (2 * d), rel=1e-5)
 
 
+@pytest.mark.parametrize("h", [1e-15, 1e-16, 1e-100])
+def test_coulomb_series_is_h_invariant(h):
+    # With x0 = 0.05 h^2 and E = -1/h^2 the series sums su = u / x0^(nu+1/2)
+    # and sdu = x0 u' / x0^(nu+1/2) do not depend on h; the coefficients
+    # c_n alone grow like h^(-2n) and overflow a double from h = 1e-15 on.
+    def sums(h):
+        x0 = 0.05 * h * h
+        _, (u, du) = FrobeniusStart.coulomb(2.0, 0, h, x0)(
+            -1.0 / (h * h), with_sensitivity=False)
+        return u / x0, du  # nu + 1/2 = 1 for ell = 0
+    su, sdu = sums(h)
+    su_1, sdu_1 = sums(1.0)
+    assert su == pytest.approx(su_1, rel=1e-13)
+    assert sdu == pytest.approx(sdu_1, rel=1e-13)
+
+
 # -- ModeSpec validation -----------------------------------------------------------
 
 def test_mode_spec_rejects_bad_arguments():
@@ -266,6 +282,10 @@ def test_mode_spec_rejects_bad_arguments():
         ModeSpec(level=0, h=math.nan)
     with pytest.raises(ValueError):
         ModeSpec(level=0, h=0.1, nu=-0.5)
+    with pytest.raises(ValueError, match="finite"):
+        ModeSpec(level=0, h=0.1, nu=math.inf)
+    with pytest.raises(ValueError, match="nu\\^2"):
+        ModeSpec(level=0, h=0.1, nu=1e160)  # nu^2 overflows
 
 
 @pytest.mark.parametrize("h", [1e-300, 1e-170, 1e-155])

@@ -14,14 +14,14 @@ import pytest
 from boxshift import (
     GridError, HydrogenSpec, InvalidPotential, LineBox, ModeSpec, RadialBox,
     confined_eigenvalue, fd_oracle, from_expression, harmonic,
-    SolverError, hydrogen_confined, hydrogen_confined_via_oscillator, quartic,
-    unconfined_eigenvalue,
+    SolverError, hydrogen_confined, quartic, unconfined_eigenvalue,
 )
 from boxshift import report, spectra
 from boxshift.agmon import AgmonProfile
 from boxshift.report import run_hydrogen_case, run_shift_case
 from boxshift.shooting import Unwalled, rhs_calls_taken, steps_taken
 from boxshift.spectra import harmonic_level
+from crosschecks import hydrogen_confined_via_oscillator
 
 BOX = LineBox(-1.0, 1.0)
 
@@ -110,6 +110,14 @@ def test_fd_oracle_metadata():
 def test_fd_oracle_rejects_tiny_grids():
     with pytest.raises(GridError):
         fd_oracle(harmonic(), BOX, ModeSpec(level=0, h=0.1), grid_n=100)
+
+
+def test_fd_oracle_rejects_more_levels_than_interior_points():
+    # 200 intervals leave 199 interior points: 199 levels need 200 of them
+    # (one more level gives the last one's gap).
+    with pytest.raises(GridError, match="interior points"):
+        fd_oracle(harmonic(), BOX, ModeSpec(level=0, h=0.1),
+                  grid_n=200, count=199)
 
 
 def test_fd_oracle_detects_unresolved_crowding():
@@ -467,6 +475,23 @@ def test_hydrogen_charge_scaling():
     base = hydrogen_confined(HydrogenSpec(n=2, ell=0, z=2.0, h=1.0, r_box=8.0)).value
     scaled = hydrogen_confined(HydrogenSpec(n=2, ell=0, z=4.0, h=1.0, r_box=4.0)).value
     assert scaled == pytest.approx(4.0 * base, rel=1e-10)
+
+
+@pytest.mark.parametrize("h", [1e-15, 1e-16])
+def test_hydrogen_h_scaling(h):
+    """x -> h^2 x maps h onto 1: E scales by 1/h^2 and the box by h^2.
+    The series coefficients c_n alone overflow a double from h = 1e-15 on,
+    so the start must not form them."""
+    base = hydrogen_confined(HydrogenSpec(n=1, ell=0, z=2.0, h=1.0, r_box=8.0)).value
+    small = hydrogen_confined(
+        HydrogenSpec(n=1, ell=0, z=2.0, h=h, r_box=8.0 * h * h)).value
+    assert small * h * h == pytest.approx(base, rel=1e-12)
+
+
+def test_hydrogen_spec_rejects_a_coulomb_length_below_range():
+    HydrogenSpec(n=1, ell=0, z=2.0, h=1.5e-50, r_box=1.0)
+    with pytest.raises(InvalidPotential, match="Coulomb length"):
+        HydrogenSpec(n=1, ell=0, z=2.0, h=1e-50, r_box=1.0)
 
 
 def test_hydrogen_oscillator_route_agrees():

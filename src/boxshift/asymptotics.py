@@ -84,7 +84,7 @@ def shift_leading_line(p: PotentialSpec, domain: LineBox,
     """Leading confinement shift for a line well on (r-, r+)."""
     m, h = mode.level, mode.h
     omega = p.curvature_omega
-    profile = AgmonProfile(p, domain=domain)
+    profile = AgmonProfile(p)
     base_log = (0.5 - m) * math.log(h) \
         + (m + 1) * _LOG2 - math.lgamma(m + 1.0) - 0.5 * _LOG_PI \
         + (m + 0.5) * math.log(omega)

@@ -6,7 +6,8 @@ unless an output file is requested.
 
 Configuration precedence is flags > --config JSON file > built-in defaults.
 The config file is a flat JSON object keyed by option destination names
-(``{"h": 0.1, "h_grid": "0.2,0.05,5"}``).
+(``{"h": 0.1, "h_grid": "0.2,0.05,5"}``); each entry is read as the flag
+it names would be, so argparse checks it in the same way.
 """
 
 from __future__ import annotations
@@ -65,6 +66,17 @@ def _geometric(text: str) -> list[float]:
     return geometric_grid(float(parts[0]), float(parts[1]), int(parts[2]))
 
 
+def _tolerance(text: str) -> float:
+    """--tol must lie in [1e-13, 1e-6]: tighter is swamped by roundoff,
+    looser defeats an 8th-order integrator."""
+    try:
+        if 1e-13 <= float(text) <= 1e-6:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"--tol must be in [1e-13, 1e-6], got {text!r}")
+
+
 def _float_list(text: str) -> list[float]:
     values = [float(part) for part in text.split(",") if part.strip()]
     if not values:
@@ -91,22 +103,29 @@ def _glue_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
-def _peek_config(argv: list[str]) -> dict:
-    path: str | None = None
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-    if path is None:
-        return {}
+def _config_tokens(sub: argparse.ArgumentParser, path: str) -> list[str]:
+    """The ``--config`` file's entries as the flag tokens they name
+    (``--flag=value``, lists comma-joined, a bare switch for ``true``), so
+    argparse checks them as it checks flags.  Entries that name no option
+    of the subcommand are ignored."""
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        config = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise _Usage(f"cannot read config {path!r}: {exc}") from None
-    if not isinstance(data, dict):
+    if not isinstance(config, dict):
         raise _Usage(f"config {path!r} must hold a JSON object")
-    return data
+    tokens = []
+    for action in sub._actions:
+        if action.dest not in config or not action.option_strings:
+            continue
+        flag, value = action.option_strings[-1], config[action.dest]
+        if isinstance(value, list):
+            value = ",".join(map(str, value))
+        if action.nargs != 0 or not isinstance(value, bool):
+            tokens.append(f"{flag}={value}")
+        elif value:  # true on a switch
+            tokens.append(flag)
+    return tokens
 
 
 class _Usage(Exception):
@@ -125,24 +144,23 @@ def _add_problem_args(sub: argparse.ArgumentParser, *, solver: bool) -> None:
         sub.add_argument("--nu", type=float,
                          help="angular parameter nu > 0 (radial problems)")
         sub.add_argument("--h", type=float, help="semiclassical parameter h > 0")
-        sub.add_argument("--tol", type=float, default=1e-12,
+        sub.add_argument("--tol", type=_tolerance, default=1e-12,
                          help="integrator relative tolerance (default 1e-12)")
     sub.add_argument("--config", help="JSON file of option defaults")
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="boxshift",
         description="Dirichlet-confined semiclassical eigenvalues and their "
                     "exponentially small shifts.")
     subs = parser.add_subparsers(dest="command", required=True)
-    registry: dict[str, argparse.ArgumentParser] = {}
 
     val = subs.add_parser("validate", help="check the well assumptions")
     _add_problem_args(val, solver=False)
     val.add_argument("--samples", type=int, default=64)
     val.set_defaults(handler=cmd_validate)
-    registry["validate"] = val
 
     shift = subs.add_parser("shift", help="one confined-vs-free shift case")
     _add_problem_args(shift, solver=True)
@@ -150,7 +168,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                        help="also run the finite-difference oracle")
     shift.add_argument("--json", metavar="PATH", help="write the report as JSON")
     shift.set_defaults(handler=cmd_shift)
-    registry["shift"] = shift
 
     sweep = subs.add_parser("sweep", help="shift cases over a geometric h grid")
     _add_problem_args(sweep, solver=True)
@@ -159,7 +176,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sweep.add_argument("--out", metavar="PATH", help="write CSV here instead of stdout")
     sweep.add_argument("--json", metavar="PATH", help="also write rows as JSON")
     sweep.set_defaults(handler=cmd_sweep)
-    registry["sweep"] = sweep
 
     hyd = subs.add_parser("hydrogen", help="boxed Coulomb levels over box radii")
     hyd.add_argument("--n", type=int, help="principal quantum number")
@@ -168,21 +184,19 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     hyd.add_argument("--h", type=float, help="semiclassical parameter")
     hyd.add_argument("--R-grid", dest="r_grid", type=_float_list,
                      metavar="R1,R2,...", help="box radii")
-    hyd.add_argument("--tol", type=float, default=1e-12)
+    hyd.add_argument("--tol", type=_tolerance, default=1e-12)
     hyd.add_argument("--out", metavar="PATH")
     hyd.add_argument("--json", metavar="PATH")
     hyd.add_argument("--config", help="JSON file of option defaults")
     hyd.set_defaults(handler=cmd_hydrogen)
-    registry["hydrogen"] = hyd
 
     orc = subs.add_parser("oracle", help="shooting vs finite-difference table")
     _add_problem_args(orc, solver=True)
     orc.add_argument("--grid-n", type=int, default=2000,
                      help="finite-difference grid size")
     orc.set_defaults(handler=cmd_oracle)
-    registry["oracle"] = orc
 
-    return parser, registry
+    return parser, subs.choices
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:
@@ -217,16 +231,6 @@ def _check_nu(args: argparse.Namespace, kind: str) -> None:
         raise _Usage("radial problems need --nu (nu = ell + 1/2)")
     if kind == "line" and args.nu is not None:
         raise _Usage("--nu applies to radial (--box) problems only")
-
-
-def _check_tol(args: argparse.Namespace) -> None:
-    """--tol, from the flag or the config file (which argparse does not
-    convert), must lie in [1e-13, 1e-6]: tighter is swamped by roundoff,
-    looser defeats an 8th-order integrator."""
-    tol = getattr(args, "tol", None)
-    if tol is not None and not (isinstance(tol, (int, float))
-                                and 1e-13 <= tol <= 1e-6):
-        raise _Usage(f"--tol must be in [1e-13, 1e-6], got {tol!r}")
 
 
 def _mode_from_args(args: argparse.Namespace, kind: str) -> ModeSpec:
@@ -338,15 +342,14 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     raw = list(sys.argv[1:] if argv is None else argv)
     argv_glued = _glue_negative_values(raw)
-    parser, registry = build_parser()
+    parser, subcommands = build_parser()
     try:
-        config = _peek_config(argv_glued)
-        if config:
-            for sub in registry.values():
-                dests = {action.dest for action in sub._actions}
-                sub.set_defaults(**{k: v for k, v in config.items() if k in dests})
         args = parser.parse_args(argv_glued)
-        _check_tol(args)
+        if args.config is not None:
+            # Ahead of the user's flags, so that a flag given on the command
+            # line, coming later, wins.
+            tokens = _config_tokens(subcommands[args.command], args.config)
+            args = parser.parse_args(argv_glued[:1] + tokens + argv_glued[1:])
         return args.handler(args)
     except SystemExit as exc:  # argparse reports usage problems this way
         code = exc.code

@@ -311,7 +311,7 @@ class DOP853:
         y, f, rtol, atol, attempt = self.y, self.f, self.rtol, self.atol, self._attempt
         rejected = False
         while True:
-            if h_abs < min_step:
+            if not h_abs >= min_step:  # also a NaN step, which never shrinks
                 self.status = "failed"
                 return TOO_SMALL_STEP
             t_new = t + h_abs * direction

@@ -10,7 +10,8 @@ Binding strength is ``^``  >  unary ``-``  >  ``* /``  >  ``+ -``, so
 ``-x^2`` means ``-(x^2)``.
 
 Parsing is a hand-written Pratt (precedence-climbing) recursive descent:
-every input up to the length cap either yields an AST or a
+every input up to the length cap either yields an AST, at most
+``MAX_DEPTH`` levels deep and with finite constants, or a
 :class:`ParseError` carrying the byte offset and the set of token kinds that
 would have been acceptable.  There is no implicit multiplication.
 """
@@ -25,6 +26,11 @@ from typing import Callable, Iterator
 from .errors import BoxshiftError
 
 MAX_SOURCE_LENGTH = 4096
+# Deepest nesting parse accepts (see ``_Parser.expr``).  V'' must still
+# compile, and CPython allows 200 nested parentheses: the deepest shapes
+# measured, x/abs(x/abs(...)) and ^ towers over abs, nest the code of V''
+# 3.5 parentheses deep per level, so 40 levels keep it near 140.
+MAX_DEPTH = 40
 
 FUNCTIONS: dict[str, Callable[[float], float]] = {
     "exp": math.exp,
@@ -161,14 +167,14 @@ def _tokenize(source: str) -> Iterator[_Token]:
 # Pratt parser
 # --------------------------------------------------------------------------
 
-# (left, right) binding powers; right > left gives left associativity,
-# right < left gives right associativity (used for ^).
-_INFIX_BP = {
-    "+": (10, 11),
-    "-": (10, 11),
-    "*": (20, 21),
-    "/": (20, 21),
-    "^": (32, 31),
+# (left, right) binding powers and the node built; right > left gives left
+# associativity, right < left gives right associativity (used for ^).
+_INFIX = {
+    "+": (10, 11, Add),
+    "-": (10, 11, Sub),
+    "*": (20, 21, Mul),
+    "/": (20, 21, Div),
+    "^": (32, 31, Pow),
 }
 _UNARY_MINUS_BP = 25  # between * / and ^
 
@@ -178,6 +184,7 @@ class _Parser:
         self.source = source
         self.tokens = list(_tokenize(source))
         self.index = 0
+        self.open = 0  # expressions being parsed around the current token
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -195,47 +202,62 @@ class _Parser:
         return self.advance()
 
     def parse(self) -> Expr:
-        node = self.expr(0)
+        node, _ = self.expr(0)
         tok = self.peek()
         if tok.kind != "end":
             raise ParseError(f"unexpected {_describe(tok)}", tok.pos,
                              ("operator", "end of input"))
         return node
 
-    def expr(self, min_bp: int) -> Expr:
-        node = self._prefix()
+    def expr(self, min_bp: int) -> tuple[Expr, int]:
+        """The next expression binding at least ``min_bp``, with its depth:
+        the levels of operators, calls, negations and parentheses in it.
+        Each recursive call opens one such level, so counting the open ones
+        bounds the recursion before it happens."""
+        self._check_depth(self.open, self.peek())
+        self.open += 1
+        node, depth = self._prefix()
         while True:
             tok = self.peek()
-            bp = _INFIX_BP.get(tok.kind)
-            if bp is None or bp[0] < min_bp:
-                return node
+            infix = _INFIX.get(tok.kind)
+            if infix is None or infix[0] < min_bp:
+                self.open -= 1
+                return node, depth
             self.advance()
-            rhs = self.expr(bp[1])
-            node = _make_binary(tok.kind, node, rhs)
+            rhs, rhs_depth = self.expr(infix[1])
+            node, depth = infix[2](node, rhs), 1 + max(depth, rhs_depth)
+            self._check_depth(depth, tok)
 
-    def _prefix(self) -> Expr:
+    def _check_depth(self, depth: int, tok: _Token) -> None:
+        if depth > MAX_DEPTH:
+            raise ParseError(f"expression nested more than {MAX_DEPTH} levels deep",
+                             tok.pos)
+
+    def _prefix(self) -> tuple[Expr, int]:
         tok = self.advance()
         if tok.kind == "number":
-            return Const(float(tok.text))
+            if not math.isfinite(float(tok.text)):
+                raise ParseError(f"number {tok.text} out of range", tok.pos)
+            return Const(float(tok.text)), 0
         if tok.kind == "ident":
             if tok.text == "x":
-                return Var()
+                return Var(), 0
             if tok.text in FUNCTIONS:
                 self.expect("(")
-                arg = self.expr(0)
+                arg, depth = self.expr(0)
                 self.expect(")")
-                return Call(tok.text, arg)
+                return Call(tok.text, arg), depth + 1
             raise ParseError(f"unknown identifier '{tok.text}'", tok.pos,
                              ("'x'",) + tuple(sorted(FUNCTIONS)))
         if tok.kind == "(":
-            node = self.expr(0)
+            node, depth = self.expr(0)
             self.expect(")")
-            return node
+            return node, depth + 1
         if tok.kind == "-":
-            operand = self.expr(_UNARY_MINUS_BP)
+            operand, depth = self.expr(_UNARY_MINUS_BP)
             if isinstance(operand, Const):
-                return Const(-operand.value)
-            return Mul(Const(-1.0), operand)
+                return Const(-operand.value), depth + 1
+            return Mul(Const(-1.0), operand), depth + 1
         raise ParseError(f"unexpected {_describe(tok)}", tok.pos,
                          ("number", "'x'", "function name", "'('", "'-'"))
 
@@ -244,11 +266,6 @@ def _describe(tok: _Token) -> str:
     if tok.kind == "end":
         return "end of input"
     return f"token {tok.text!r}"
-
-
-def _make_binary(op: str, left: Expr, right: Expr) -> Expr:
-    cls = {"+": Add, "-": Sub, "*": Mul, "/": Div, "^": Pow}[op]
-    return cls(left, right)
 
 
 def parse(source: str) -> Expr:
@@ -289,17 +306,19 @@ def _eval(node: Expr, x: float) -> float:
             return value
         case Var():
             return x
+        # Float +, -, * and / overflow to inf rather than raise, which
+        # evaluate() then reports; only ** and the functions need _guard.
         case Add(a, b):
-            return _guard(node, lambda: _eval(a, x) + _eval(b, x))
+            return _eval(a, x) + _eval(b, x)
         case Sub(a, b):
-            return _guard(node, lambda: _eval(a, x) - _eval(b, x))
+            return _eval(a, x) - _eval(b, x)
         case Mul(a, b):
-            return _guard(node, lambda: _eval(a, x) * _eval(b, x))
+            return _eval(a, x) * _eval(b, x)
         case Div(a, b):
             db = _eval(b, x)
             if db == 0.0:
                 raise EvalError("division by zero", node)
-            return _guard(node, lambda: _eval(a, x) / db)
+            return _eval(a, x) / db
         case Pow(a, b):
             base, expo = _eval(a, x), _eval(b, x)
             if base == 0.0 and expo < 0.0:
@@ -456,47 +475,55 @@ def contains_division(node: Expr) -> bool:
 # Printing and compilation
 # --------------------------------------------------------------------------
 
+# Binding strengths.  Python ranks its operators the same way, ** above
+# unary - above * / above + -, with ** grouping to the right.
 _PREC = {"add": 10, "mul": 20, "neg": 25, "pow": 30, "atom": 99}
+_OPERATORS = {Add: (" + ", _PREC["add"]), Sub: (" - ", _PREC["add"]),
+              Mul: ("*", _PREC["mul"]), Div: ("/", _PREC["mul"]),
+              Pow: ("^", _PREC["pow"])}
 
 
 def pretty(node: Expr) -> str:
     """Reparsable text form; pretty(parse(pretty(t))) == pretty(t)."""
-    return _pp(node, 0)
+    return _show(node, python=False)[0]
 
 
-def _pp(node: Expr, parent_prec: int) -> str:
+def _show(node: Expr, python: bool) -> tuple[str, int]:
+    """``node`` as DSL text, or as Python source if ``python``, with the
+    binding strength of its outermost operator.  Parentheses appear only
+    where the operands would otherwise group differently, so the Python
+    source parses to the tree's own shape and computes the same floats."""
     match node:
         case Const(value):
-            if value < 0 or (value == 0 and math.copysign(1.0, value) < 0):
-                text, prec = _fmt_float(value), _PREC["neg"]
-            else:
-                text, prec = _fmt_float(value), _PREC["atom"]
+            text = repr(value) if python else _fmt_float(value)
+            if math.copysign(1.0, value) < 0:
+                return text, _PREC["neg"]
+            return text, _PREC["atom"]
         case Var():
-            text, prec = "x", _PREC["atom"]
-        case Mul(Const(-1.0), operand):
-            text, prec = "-" + _pp(operand, _PREC["neg"] + 1), _PREC["neg"]
-        case Add(a, b):
-            text = f"{_pp(a, _PREC['add'])} + {_pp(b, _PREC['add'] + 1)}"
-            prec = _PREC["add"]
-        case Sub(a, b):
-            text = f"{_pp(a, _PREC['add'])} - {_pp(b, _PREC['add'] + 1)}"
-            prec = _PREC["add"]
-        case Mul(a, b):
-            text = f"{_pp(a, _PREC['mul'])}*{_pp(b, _PREC['mul'] + 1)}"
-            prec = _PREC["mul"]
-        case Div(a, b):
-            text = f"{_pp(a, _PREC['mul'])}/{_pp(b, _PREC['mul'] + 1)}"
-            prec = _PREC["mul"]
-        case Pow(a, b):
-            text = f"{_pp(a, _PREC['pow'] + 1)}^{_pp(b, _PREC['pow'])}"
-            prec = _PREC["pow"]
+            return "x", _PREC["atom"]
+        case Mul(Const(-1.0), operand) if not python:
+            text, strength = _show(operand, python)
+            if strength < _PREC["neg"] + 1:
+                text = f"({text})"
+            return "-" + text, _PREC["neg"]
         case Call(func, arg):
-            text, prec = f"{func}({_pp(arg, 0)})", _PREC["atom"]
-        case _:
-            raise TypeError(f"not an expression node: {node!r}")
-    if prec < parent_prec:
-        return f"({text})"
-    return text
+            name = f"math.{func}" if python and func != "abs" else func
+            return f"{name}({_show(arg, python)[0]})", _PREC["atom"]
+        case Add(a, b) | Sub(a, b) | Mul(a, b) | Div(a, b) | Pow(a, b):
+            symbol, strength = _OPERATORS[type(node)]
+            (left, left_strength), (right, right_strength) = \
+                _show(a, python), _show(b, python)
+            # ^ groups to the right and the others to the left, so an
+            # operand of equal strength needs parentheses on the other side.
+            grouping = isinstance(node, Pow)
+            if left_strength < strength + grouping:
+                left = f"({left})"
+            if right_strength < strength + (not grouping):
+                right = f"({right})"
+            if python and grouping:
+                symbol = "**"
+            return left + symbol + right, strength
+    raise TypeError(f"not an expression node: {node!r}")
 
 
 def _fmt_float(v: float) -> str:
@@ -513,7 +540,7 @@ def as_function(node: Expr) -> Callable[[float], float]:
     The callable's ``source`` is that code, an expression in ``x``, which
     the integrator inlines (see ``dop853``).
     """
-    code = _codegen(node)
+    code, _ = _show(node, python=True)
     namespace = {"math": math, "__builtins__": {}}
     fast = eval(f"lambda x: ({code})", namespace)  # noqa: S307 - closed AST
 
@@ -528,27 +555,3 @@ def as_function(node: Expr) -> Callable[[float], float]:
 
     call.source = code
     return call
-
-
-def _codegen(node: Expr) -> str:
-    match node:
-        case Const(value):
-            # Parenthesised when signed, so (-2)^2 is not read as -(2 ** 2).
-            text = repr(value)
-            return f"({text})" if text.startswith("-") else text
-        case Var():
-            return "x"
-        case Add(a, b):
-            return f"({_codegen(a)} + {_codegen(b)})"
-        case Sub(a, b):
-            return f"({_codegen(a)} - {_codegen(b)})"
-        case Mul(a, b):
-            return f"({_codegen(a)} * {_codegen(b)})"
-        case Div(a, b):
-            return f"({_codegen(a)} / {_codegen(b)})"
-        case Pow(a, b):
-            return f"({_codegen(a)} ** {_codegen(b)})"
-        case Call(func, arg):
-            fn = "abs" if func == "abs" else f"math.{func}"
-            return f"{fn}({_codegen(arg)})"
-    raise TypeError(f"not an expression node: {node!r}")

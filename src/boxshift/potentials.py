@@ -88,17 +88,16 @@ Domain = LineBox | RadialBox
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """A potential plus the derivative callables the solvers need.
+    """A potential plus its second derivative, which fixes the curvature.
 
-    ``derivative1``/``derivative2`` may be omitted; finite differences with
-    Richardson extrapolation fill in (at reduced but documented accuracy).
+    ``derivative2`` may be omitted; finite differences with Richardson
+    extrapolation fill in (at reduced but documented accuracy).
     ``builtin`` tags library potentials whose closed forms are known exactly
     (e.g. the pure harmonic well), enabling closed-form shortcuts downstream.
     """
 
     kind: str  # "line" | "radial"
     evaluate: Callable[[float], float]
-    derivative1: Callable[[float], float] | None = None
     derivative2: Callable[[float], float] | None = None
     label: str = ""
     builtin: str | None = None
@@ -113,26 +112,22 @@ class PotentialSpec:
         return curvature_at_minimum(self)
 
     def slope(self, x: float) -> float:
-        """V'(x), from the supplied callable or central differences."""
-        if self.derivative1 is not None:
-            return self.derivative1(x)
+        """V'(x) by central differences."""
         step = 1e-6 * (1.0 + abs(x))
         return (self.evaluate(x + step) - self.evaluate(x - step)) / (2.0 * step)
 
 
 def from_expression(text: str, kind: str = "line") -> PotentialSpec:
-    """Build a PotentialSpec from DSL source, with symbolic derivatives."""
+    """Build a PotentialSpec from DSL source, with a symbolic V''."""
     ast = dsl.parse(text)
     if dsl.contains_division(ast):
         warnings.warn(
             "expression contains a division; evaluation may fail where the "
             "denominator vanishes", RuntimeWarning, stacklevel=2)
-    d1 = dsl.differentiate(ast)
-    d2 = dsl.differentiate(d1)
+    d2 = dsl.differentiate(dsl.differentiate(ast))
     return PotentialSpec(
         kind=kind,
         evaluate=dsl.as_function(ast),
-        derivative1=dsl.as_function(d1),
         derivative2=dsl.as_function(d2),
         label=dsl.pretty(ast),
     )
@@ -140,12 +135,11 @@ def from_expression(text: str, kind: str = "line") -> PotentialSpec:
 
 def from_callables(
     evaluate: Callable[[float], float],
-    derivative1: Callable[[float], float] | None = None,
     derivative2: Callable[[float], float] | None = None,
     kind: str = "line",
     label: str = "<callable>",
 ) -> PotentialSpec:
-    return PotentialSpec(kind=kind, evaluate=evaluate, derivative1=derivative1,
+    return PotentialSpec(kind=kind, evaluate=evaluate,
                          derivative2=derivative2, label=label)
 
 
@@ -161,7 +155,6 @@ def harmonic(kind: str = "line") -> PotentialSpec:
     return PotentialSpec(
         kind=kind,
         evaluate=evaluate,
-        derivative1=lambda x: 2.0 * x,
         derivative2=lambda x: 2.0,
         label="x^2",
         builtin="harmonic",
@@ -175,7 +168,6 @@ def quartic(c: float = 1.0, kind: str = "line") -> PotentialSpec:
     return PotentialSpec(
         kind=kind,
         evaluate=evaluate,
-        derivative1=lambda x: 2.0 * x + 4.0 * c * x ** 3,
         derivative2=lambda x: 2.0 + 12.0 * c * x * x,
         label=f"x^2 + {c:g}*x^4" if c != 1.0 else "x^2 + x^4",
         builtin="quartic",

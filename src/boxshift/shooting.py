@@ -151,6 +151,13 @@ def _integrate(q: Callable[[float], float], x0: float, y0: Sequence[float],
     solvers: list[DOP853] = []
     try:
         while True:
+            # Every solver starts from a state of size within [e^-12, e^12],
+            # its scale carried in log_scale: a start far below atol (a
+            # radial series in a tiny box) would otherwise be noise to it.
+            mag = max(map(abs, y))
+            if mag != 0.0 and not (_RENORM_LO <= mag <= _RENORM_HI):
+                y = tuple(c / mag for c in y)
+                log_scale += math.log(mag)
             solver = DOP853(q, t, y, x1, rtol, atol, max_step, dq)
             solvers.append(solver)
             while solver.status == "running":
@@ -180,8 +187,6 @@ def _integrate(q: Callable[[float], float], x0: float, y0: Sequence[float],
                 mag = max(map(abs, y))
                 if mag != 0.0 and not (_RENORM_LO <= mag <= _RENORM_HI):
                     t = solver.t
-                    y = tuple(c / mag for c in y)
-                    log_scale += math.log(mag)
                     break
             else:
                 return y, log_scale, crossings

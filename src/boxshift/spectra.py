@@ -314,6 +314,8 @@ def _fd_values(v_eff: Callable[[float], float], a: float, b: float, h: float,
     """Lowest ``count`` eigenvalues of the 3-point discretisation of
     h^2 D^2 + v_eff on (a, b), Dirichlet both ends, n subintervals."""
     dx = (b - a) / n
+    if dx * dx == 0.0:
+        raise GridError(f"grid spacing {dx:g} is too fine: its square underflows")
     x = a + dx * np.arange(1, n)
     diag = 2.0 * h * h / (dx * dx) + np.array([v_eff(t) for t in x])
     off = np.full(n - 2, -h * h / (dx * dx))

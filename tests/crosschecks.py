@@ -188,11 +188,10 @@ def normalize_to_unit_curvature(
         return p, domain, h
     s = 1.0 / omega  # V~(x) = V(s*x)
 
-    ev, d1, d2 = p.evaluate, p.derivative1, p.derivative2
+    ev, d2 = p.evaluate, p.derivative2
     scaled = PotentialSpec(
         kind=p.kind,
         evaluate=lambda x: ev(s * x),
-        derivative1=(lambda x: s * d1(s * x)) if d1 is not None else None,
         derivative2=(lambda x: s * s * d2(s * x)) if d2 is not None else None,
         label=f"unit-curvature[{p.label}]",
     )

@@ -11,12 +11,11 @@ import pytest
 from scipy.integrate import quad
 
 from boxshift import (
-    AgmonProfile, LineBox, QuadratureError, agmon_distance, from_expression,
-    harmonic, quartic,
+    AgmonProfile, QuadratureError, agmon_distance, from_expression, harmonic,
+    quartic,
 )
 from boxshift.agmon import (
-    adaptive_quadrature, radial_transport_regular_part, transport_regular_part,
-    wkb_prefactor_line, wkb_prefactor_radial,
+    adaptive_quadrature, wkb_prefactor_line, wkb_prefactor_radial,
 )
 
 # phi(1) for V = x^2 + x^4: int_0^1 x*sqrt(1+x^2) dx = (2^1.5 - 1)/3.
@@ -92,27 +91,12 @@ def test_phi_rejects_negative_potential():
 
 
 def test_profile_derivative_consistency():
-    """phi' and phi'' callables against central differences of phi itself."""
+    """The phi' callable against central differences of phi itself."""
     profile = AgmonProfile(quartic())
-    for x in (0.3, 0.8, 1.4):
+    for x in (0.3, 0.8, 1.4, -0.8):
         d = 1e-6
         fd1 = (profile.phi(x + d) - profile.phi(x - d)) / (2 * d)
         assert profile.phi_prime(x) == pytest.approx(fd1, rel=1e-7)
-        fd2 = (profile.phi_prime(x + d) - profile.phi_prime(x - d)) / (2 * d)
-        assert profile.phi_second(x) == pytest.approx(fd2, rel=1e-6)
-
-
-def test_profile_phi_second_at_origin_is_omega():
-    assert AgmonProfile(quartic()).phi_second(0.0) == pytest.approx(1.0, rel=1e-12)
-    p = from_expression("cosh(x) - 1")
-    assert AgmonProfile(p).phi_second(0.0) == pytest.approx(math.sqrt(0.5), rel=1e-10)
-
-
-def test_profile_warns_far_outside_domain():
-    profile = AgmonProfile(harmonic(), domain=LineBox(-1.0, 1.0))
-    profile.phi(1.2)  # within the 25% margin: fine
-    with pytest.warns(RuntimeWarning, match="outside"):
-        profile.phi(3.0)
 
 
 # -- transport prefactor -----------------------------------------------------------
@@ -141,14 +125,18 @@ def test_harmonic_radial_prefactor_is_power(m, nu):
         assert got == pytest.approx(x ** (2 * m), rel=1e-11)
 
 
-def test_harmonic_regular_part_vanishes():
-    profile = AgmonProfile(harmonic())
-    for t in (0.2, 0.9, 1.5):
-        assert transport_regular_part(profile, 2, t) == pytest.approx(0.0, abs=1e-12)
-    radial = AgmonProfile(harmonic(kind="radial"))
-    for t in (0.2, 0.9, 1.5):
-        assert radial_transport_regular_part(radial, 1, 1.5, t) == \
-            pytest.approx(0.0, abs=1e-12)
+@pytest.mark.parametrize("m", [0, 1, 2])
+@pytest.mark.parametrize("x", [-0.6, 0.6, 1.0, -1.0, 1.7, -1.7])
+def test_cosh_line_prefactor_closed_form(m, x):
+    """V = cosh(x) - 1 has omega = 1/sqrt(2) and phi' = sgn(x) sqrt(2)
+    sinh(|x|/2), so K(x) = ln(4 tanh(|x|/4)/|x|) and
+    a0 = |x|^m (4 tanh(|x|/4)/|x|)^(m+1/2) (|x|/(2 sinh(|x|/2)))^(1/2).
+    The tolerance allows for cosh(t) - 1 losing digits near t = 0."""
+    r = abs(x)
+    want = r ** m * (4.0 * math.tanh(r / 4.0) / r) ** (m + 0.5) \
+        * math.sqrt(r / (2.0 * math.sinh(r / 2.0)))
+    assert a0_line(from_expression("cosh(x) - 1"), m, x) == \
+        pytest.approx(want, rel=1e-8)
 
 
 @pytest.mark.parametrize("m,want", sorted(QUARTIC_A0_LINE.items()))

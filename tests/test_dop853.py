@@ -7,6 +7,7 @@ the generic kernel's arithmetic, so the two must agree bit for bit.
 """
 
 import math
+import signal
 
 import pytest
 from scipy.integrate import DOP853 as ScipyDOP853
@@ -109,6 +110,24 @@ def test_step_too_small_raises_solver_error(dop853_steps):
         _integrate(q, 0.0, (1.0, 0.0), 1.0, RTOL)
     # The failed integration's steps, the failing one included, still count.
     assert steps_taken() - before == len(dop853_steps) > 1
+
+
+def test_nan_from_the_start_fails_the_step():
+    # With q NaN everywhere the first step size is NaN, which compares
+    # false against every bound; the alarm turns a step loop that never
+    # ends into a failure of this test.
+    def hang(signum, frame):
+        raise TimeoutError("DOP853.step did not return")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, 10.0)
+    try:
+        solver = DOP853(lambda x: math.nan, 0.0, (1.0, 0.0), 1.0, RTOL, ATOL)
+        assert solver.step() == dop853.TOO_SMALL_STEP
+        assert solver.status == "failed"
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_rejects_unsupported_state_sizes():

@@ -1,6 +1,8 @@
 """Parser, evaluator, symbolic derivative and error reporting of the
 potential expression language."""
 
+import ast
+import dataclasses
 import math
 
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from boxshift import LineBox, ModeSpec, confined_eigenvalue, from_expression
 from boxshift.dsl import (
     Add, Call, Const, Div, EvalError, Mul, ParseError, Pow, Sub, Var,
-    MAX_SOURCE_LENGTH, as_function, caret_diagnostic, contains_division,
+    MAX_DEPTH, MAX_SOURCE_LENGTH, as_function, caret_diagnostic, contains_division,
     differentiate, evaluate, parse, pretty,
 )
 
@@ -288,6 +290,97 @@ def test_source_length_cap():
     assert len(long) > MAX_SOURCE_LENGTH
     with pytest.raises(ParseError):
         parse(long)
+
+
+# Shapes whose derivatives deepen fastest, each as a source of nesting
+# depth n: chains of + and /, towers of ^ (grouped right, and left with
+# parentheses), nested calls and quotients, negations and parentheses.
+_DEEP_SHAPES = {
+    "sum": lambda n: "+".join(["x^2"] * n),
+    "quotient": lambda n: "/".join(["(1+x)"] * (n - 1)),
+    "tower": lambda n: "^".join(["x"] * (n + 1)),
+    "left tower": lambda n: "(" * (n // 2) + "x" + "^x)" * (n // 2),
+    "abs tower": lambda n: "abs(x^" * (n // 2) + "x" + ")" * (n // 2),
+    "abs quotients": lambda n: "x/abs(" * (n // 2) + "x" + ")" * (n // 2),
+    "abs calls": lambda n: "abs(" * n + "x" + ")" * n,
+    "calls": lambda n: "sqrt(1+" * (n // 2) + "x" + ")" * (n // 2),
+    "negations": lambda n: "-" * n + "x",
+    "parentheses": lambda n: "(" * n + "x" + ")" * n,
+}
+
+
+@pytest.mark.filterwarnings("ignore:expression contains a division")
+@pytest.mark.parametrize("shape", sorted(_DEEP_SHAPES))
+def test_deepest_accepted_expression_compiles_with_its_derivatives(shape):
+    """At the nesting cap V and V'' still compile, and the tree-walking
+    evaluator, the compiled code's fallback, still runs on V''."""
+    source = _DEEP_SHAPES[shape](MAX_DEPTH)
+    assert len(source) <= MAX_SOURCE_LENGTH
+    p = from_expression(source)
+    second = differentiate(differentiate(parse(source)))
+    for x in (0.0, 0.5, 1.3):
+        for f in (p.evaluate, p.derivative2, lambda t: evaluate(second, t)):
+            try:
+                f(x)
+            except EvalError:
+                pass
+
+
+@pytest.mark.parametrize("source", [
+    "+".join(["x^2"] * 201),       # 800 characters, 200 levels deep
+    "*".join(["(1+x^2)"] * 80),
+    "-" * 3000 + "x",
+    "(" * 500 + "x" + ")" * 500,
+    "^".join(["x"] * 1000),
+], ids=["sum", "product", "negations", "parentheses", "tower"])
+def test_too_deep_expression_is_a_parse_error(source):
+    assert len(source) <= MAX_SOURCE_LENGTH
+    with pytest.raises(ParseError, match="nested more than"):
+        parse(source)
+
+
+def test_nesting_cap_is_exact():
+    parse("-" * MAX_DEPTH + "x")
+    with pytest.raises(ParseError) as info:
+        parse("-" * (MAX_DEPTH + 1) + "x")
+    assert info.value.offset == MAX_DEPTH + 1  # the operand one level too deep
+    parse("+".join(["x"] * (MAX_DEPTH + 1)))
+    with pytest.raises(ParseError):
+        parse("+".join(["x"] * (MAX_DEPTH + 2)))
+
+
+def _fully_parenthesised(node):
+    match node:
+        case Const(value):
+            return f"({value!r})"
+        case Var():
+            return "x"
+        case Call(func, arg):
+            return f"{'abs' if func == 'abs' else 'math.' + func}({_fully_parenthesised(arg)})"
+    op = {Add: "+", Sub: "-", Mul: "*", Div: "/", Pow: "**"}[type(node)]
+    left, right = (getattr(node, f.name) for f in dataclasses.fields(node))
+    return f"({_fully_parenthesised(left)} {op} {_fully_parenthesised(right)})"
+
+
+@given(_signed_expr)
+@settings(max_examples=300)
+def test_compiled_source_has_the_trees_shape(tree):
+    """The compiled code drops only parentheses Python does not need: it
+    parses to the same Python tree as the fully parenthesised form, so it
+    computes the same floats."""
+    try:
+        nodes = (tree, differentiate(tree))
+    except ValueError:  # d/dx c^u takes log(c), undefined for c <= 0
+        nodes = (tree,)
+    for node in nodes:
+        want = ast.dump(ast.parse(_fully_parenthesised(node), mode="eval"))
+        assert ast.dump(ast.parse(as_function(node).source, mode="eval")) == want
+
+
+def test_number_beyond_the_float_range_rejected():
+    with pytest.raises(ParseError, match="out of range") as info:
+        parse("x^2 + 1e999*x^4")
+    assert info.value.offset == 6
 
 
 def test_empty_source_rejected():

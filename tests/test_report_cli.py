@@ -363,6 +363,16 @@ def test_cli_parse_error_shows_caret(capsys):
     assert caret_lines, err
 
 
+@pytest.mark.parametrize("source", ["+".join(["x^2"] * 201),
+                                    "*".join(["(1+x^2)"] * 80)],
+                         ids=["sum", "product"])
+def test_cli_too_deep_expression_is_a_usage_error(source, capsys):
+    code = main(["validate", "--domain", "-1,1", "--potential", source])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "bad potential expression" in err and "nested more than" in err
+
+
 def test_cli_rejects_an_infinite_nu(capsys):
     code = main(["shift", "--potential", "harmonic", "--box", "1",
                  "--nu", "inf", "--m", "0", "--h", "0.1"])
@@ -424,6 +434,44 @@ def test_cli_tol_from_config_out_of_range_is_a_usage_error(tol, tmp_path,
     argv = SHIFT_ARGS[:-2] + ["--config", str(cfg)]
     assert main(argv) == 2
     assert "--tol must be in [1e-13, 1e-6]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["hydrogen", "--ell", "0", "--h", "1", "--R-grid", "8"], {"n": 1.5}),
+    (["sweep", "--potential", "harmonic", "--domain", "-1,1", "--m", "0"],
+     {"h_grid": 0.1}),
+    (["shift", "--potential", "harmonic", "--m", "0", "--h", "0.25"],
+     {"domain": 5}),
+    (["shift", "--domain", "-1,1", "--m", "0", "--h", "0.25"],
+     {"potential": 5}),
+    (["shift", "--potential", "harmonic", "--domain", "-1,1", "--h", "0.25"],
+     {"m": 1.5}),
+    (["shift", "--potential", "harmonic", "--domain", "-1,1", "--h", "0.25"],
+     {"m": True}),
+    (["shift", "--potential", "harmonic", "--domain", "-1,1", "--m", "0",
+      "--h", "0.25"], {"oracle": "yes"}),
+])
+def test_cli_config_values_are_checked_as_flags(argv, config, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    assert main(argv + ["--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+
+
+def test_cli_config_entry_reads_as_its_flag(tmp_path, capsys):
+    # A bare number is a one-radius grid, as --R-grid 8 is; true is a switch.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"r_grid": 8}), encoding="utf-8")
+    argv = ["hydrogen", "--n", "1", "--ell", "0", "--h", "1", "--tol", "1e-9"]
+    assert main(argv + ["--config", str(cfg)]) == 0
+    from_config = capsys.readouterr().out
+    assert main(argv + ["--R-grid", "8"]) == 0
+    assert capsys.readouterr().out == from_config
+    cfg.write_text(json.dumps({"oracle": True}), encoding="utf-8")
+    assert main(SHIFT_ARGS + ["--config", str(cfg)]) == 0
+    assert "oracle" in capsys.readouterr().out
 
 
 def test_cli_bad_config_paths(tmp_path, capsys):
@@ -515,6 +563,17 @@ def test_cli_h_too_small_to_step_fails_one_row(capsys):
     assert len(body) == 2
     assert body[0].startswith("1e-140,") and "OverflowError" in body[0]
     assert body[1].startswith("0.3,") and body[1].endswith(",ok")
+    assert "Traceback" not in captured.err
+
+
+def test_cli_hydrogen_box_below_the_fd_grid_range_fails_its_row(capsys):
+    # dx^2 of the finite-difference seed grid underflows in a 1e-160 box.
+    code = main(["hydrogen", "--n", "1", "--ell", "0", "--h", "1",
+                 "--R-grid", "1e-160"])
+    assert code == 3
+    captured = capsys.readouterr()
+    body = captured.out.strip().split("\n")[1:]
+    assert len(body) == 1 and "SolverError" in body[0]
     assert "Traceback" not in captured.err
 
 

@@ -488,6 +488,23 @@ def test_hydrogen_h_scaling(h):
     assert small * h * h == pytest.approx(base, rel=1e-12)
 
 
+def test_hydrogen_start_below_the_absolute_tolerance():
+    """At h = 1e-10 the p-wave series starts near x0^2 ~ 1e-42, far below
+    the integrator's atol; the start must be rescaled first, or the shot is
+    noise and the level comes out wrong."""
+    h = 1e-10
+    base = hydrogen_confined(HydrogenSpec(n=2, ell=1, z=2.0, h=1.0, r_box=14.0)).value
+    small = hydrogen_confined(
+        HydrogenSpec(n=2, ell=1, z=2.0, h=h, r_box=14.0 * h * h)).value
+    assert small * h * h == pytest.approx(base, rel=1e-12)
+
+
+def test_fd_grid_whose_spacing_squared_underflows():
+    with pytest.raises(GridError, match="underflows"):
+        fd_oracle(harmonic(kind="radial"), RadialBox(1e-160),
+                  ModeSpec(level=0, h=1.0, nu=0.5))
+
+
 def test_hydrogen_spec_rejects_a_coulomb_length_below_range():
     HydrogenSpec(n=1, ell=0, z=2.0, h=1.5e-50, r_box=1.0)
     with pytest.raises(InvalidPotential, match="Coulomb length"):

@@ -30,9 +30,9 @@ stage's coefficient reaches it) or output (``interpolant``) is not finite,
 the generic kernel redoes the call through ``q``, reproducing the
 evaluator's value or error.
 
-Only zero tracking reads an attempt's stages (for dense output), and it
-runs on the 2-component system, so the 4-component ``attempt`` packs no
-stages and has no ``interpolant``.
+Only dense output reads an attempt's stages, and only the 2-component
+system offers it, so the 4-component ``attempt`` packs no stages and has
+no ``interpolant``.
 """
 
 from __future__ import annotations
@@ -226,8 +226,8 @@ class DOP853:
     ``fun`` is the coefficient ``q(x)``; the state ``y0`` has 2 or 4
     components (see the module docstring), and ``dq`` is used by the
     4-component system only.  ``status`` is "running", "finished" or
-    "failed"; ``t`` and ``y`` (a tuple) hold the last accepted point and
-    ``nfev`` counts evaluations of ``q``.
+    "failed"; ``t``, ``y`` (a tuple) and ``f`` hold the last accepted
+    point, state and derivative, and ``nfev`` counts evaluations of ``q``.
 
     ``fun.parts``, if set, is ``(source, lam, h2, cent)``: ``fun(x)`` is
     ``(V(x) - lam) / h2`` (``+ cent / (x * x)`` if ``cent``) with V the

@@ -406,6 +406,11 @@ def differentiate(node: Expr) -> Expr:
     ``abs`` differentiates to ``u*u' / abs(u)``, which correctly raises a
     division-by-zero EvalError when evaluated at a zero of ``u`` — the
     derivative genuinely does not exist there.
+
+    ``c^u`` with a constant ``c <= 0`` and ``u`` depending on x has no
+    derivative in x (it takes log c): a ParseError naming the power.  The
+    tree keeps no source positions, so its offset is 0, the whole
+    expression.
     """
     match node:
         case Const(_):
@@ -426,6 +431,10 @@ def differentiate(node: Expr) -> Expr:
                 coeff = _mul(Const(expo.value), _pow(base, Const(expo.value - 1.0)))
                 return _mul(coeff, differentiate(base))
             if isinstance(base, Const):
+                if base.value <= 0.0:
+                    raise ParseError(
+                        f"cannot differentiate '{pretty(node)}' in x: its "
+                        f"constant base {base.value!r} is not positive", 0)
                 return _mul(_mul(node, Const(math.log(base.value))),
                             differentiate(expo))
             inner = _add(_mul(differentiate(expo), Call("log", base)),

@@ -40,6 +40,11 @@ obeys  w'' = q w - u/h^2  (same q), and stays within O(1/h) of u, so the
 pair renormalises safely together.  Each side carries it, so dW/dlambda
 comes from the same two shots as W.
 
+Every shot records the zeros of u it passes and the widest phase k*dx one
+of its steps turned, so node counts read the zeros off Newton's last
+shots and shoot again, each step capped, only when a step turned by more
+than a quarter wavelength (``count_nodes``).
+
 Every integration -- Newton iterates, node counts, bisection shots -- runs
 through ``_integrate``, which steps ``dop853.DOP853``: scipy's DOP853
 algorithm and tableau on tuples of Python floats, generated as
@@ -65,7 +70,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -82,6 +87,7 @@ _RENORM_LO = math.exp(-_RENORM_LOG)
 _NEWTON_MAX_ITER = 50
 _SERIES_MAX_TERMS = 40
 _SERIES_CUTOFF = 1e-16
+_QUARTER_TURN = 0.5 * math.pi  # the phase k*dx a node-counting step may span
 
 # Integrator steps and q evaluations in this process; only _integrate adds.
 _steps_taken = 0
@@ -128,20 +134,29 @@ def rhs_calls_taken() -> int:
 
 def _integrate(q: Callable[[float], float], x0: float, y0: Sequence[float],
                x1: float, rtol: float, *, dq: float = 0.0,
-               max_step: float = math.inf, track_zeros: bool = False
-               ) -> tuple[tuple[float, ...], float, list[float]]:
+               max_step: float = math.inf
+               ) -> tuple[tuple[float, ...], float, list[float], float]:
     """Integrate u'' = q u (with the lambda-sensitivity pair when y0 has 4
     components; ``dq`` = dq/dlambda) from x0 to x1, either direction.
 
-    Returns (final state, accumulated log scale, zeros of y[0]).  The steps
-    and the solvers' ``nfev`` are counted when it ends, also in failure.
+    Returns (final state, accumulated log scale, zeros of y[0], widest
+    turn).  A zero is recorded where u changes sign between two accepted
+    steps, at the root of the cubic Hermite interpolant of (u, u') at the
+    step's ends (``_hermite_zero``), so a step that holds two zeros
+    records neither.  The widest turn rules that out: it is the largest
+    phase k*|dx| a step spanned, with k^2 = -q the larger at its two ends
+    (0 in a barrier), and q read off the solver's derivative u'' = q u.
+    Zeros lie pi/k apart, so a step that turns by at most pi/2 holds one.
+    The steps and the solvers' ``nfev`` are counted when it ends, also in
+    failure.
     """
     global _steps_taken, _rhs_calls
     y = tuple(float(c) for c in y0)
     log_scale = 0.0
     crossings: list[float] = []
+    turn2 = 0.0  # the widest turn, squared
     if x0 == x1:
-        return y, log_scale, crossings
+        return y, log_scale, crossings, 0.0
 
     atol = 1e-3 * rtol
     last_sign = _sign(y[0])
@@ -160,16 +175,24 @@ def _integrate(q: Callable[[float], float], x0: float, y0: Sequence[float],
                 log_scale += math.log(mag)
             solver = DOP853(q, t, y, x1, rtol, atol, max_step, dq)
             solvers.append(solver)
+            # -q where u = 0 cannot be read; 0 stands in for it.
+            k2 = -solver.f[1] / y[0] if y[0] != 0.0 else 0.0
             while solver.status == "running":
-                t_prev = solver.t
+                t_prev, y_prev, k2_prev = solver.t, y, k2
                 msg = solver.step()
                 steps += 1
                 if solver.status == "failed":
                     raise SolverError(
                         f"integrator failed near x={solver.t:g}: {msg}")
                 y = solver.y
-                if track_zeros:
-                    u_now = y[0]
+                u_now = y[0]
+                k2 = -solver.f[1] / u_now if u_now != 0.0 else 0.0
+                dx = solver.t - t_prev
+                bend = dx * dx * (k2 if k2 > k2_prev else k2_prev)
+                if bend > turn2:
+                    turn2 = bend
+                # Only a zero, a sign change or a start at u = 0 needs this.
+                if pending_zero or not u_now * last_sign > 0.0:
                     s_now = _sign(u_now)
                     if u_now == 0.0:
                         crossings.append(solver.t)
@@ -178,9 +201,8 @@ def _integrate(q: Callable[[float], float], x0: float, y0: Sequence[float],
                         last_sign = s_now
                         pending_zero = False
                     elif last_sign != 0 and s_now != last_sign:
-                        crossings.append(brentq(
-                            solver.dense_output(), t_prev, solver.t,
-                            xtol=1e-13 * (1.0 + abs(solver.t))))
+                        crossings.append(
+                            _hermite_zero(t_prev, y_prev, solver.t, y))
                         last_sign = s_now
                     elif last_sign == 0 and s_now != 0:
                         last_sign = s_now
@@ -189,7 +211,7 @@ def _integrate(q: Callable[[float], float], x0: float, y0: Sequence[float],
                     t = solver.t
                     break
             else:
-                return y, log_scale, crossings
+                return y, log_scale, crossings, math.sqrt(turn2)
     except ArithmeticError as exc:  # q or the error norm left the floats
         raise SolverError(
             f"integrator failed near x={solvers[-1].t if solvers else t:g}: "
@@ -197,6 +219,22 @@ def _integrate(q: Callable[[float], float], x0: float, y0: Sequence[float],
     finally:
         _steps_taken += steps
         _rhs_calls += sum(solver.nfev for solver in solvers)
+
+
+def _hermite_zero(t0: float, y0: Sequence[float], t1: float,
+                  y1: Sequence[float]) -> float:
+    """Zero of u on [t0, t1], where it changes sign, from the cubic Hermite
+    interpolant of (u, u') at both ends.  Its error is largest mid-step;
+    next to an end, where a zero near the matching point sits, it is
+    quadratic in the distance to that end."""
+    h = t1 - t0
+    u0, d0, u1, d1 = y0[0], h * y0[1], y1[0], h * y1[1]
+
+    def u(s: float) -> float:  # exactly u0 at s = 0 and u1 at s = 1
+        r = 1.0 - s
+        return r * r * (u0 + s * (2.0 * u0 + d0)) \
+            + s * s * (u1 + r * (2.0 * u1 - d1))
+    return t0 + h * brentq(u, 0.0, 1.0, xtol=1e-14)
 
 
 def _sign(x: float) -> int:
@@ -404,6 +442,7 @@ class Shot:
     y: tuple[float, ...]          # (u, u'), plus (du/dlambda, du'/dlambda)
     log_scale: float
     crossings: tuple[float, ...]  # zeros of u recorded during the pass
+    widest_turn: float            # largest phase a step spanned (_integrate)
     via: Shot | None = None       # the state where the shot passed ``via``
 
     def at(self, i: int) -> ScaledValue:
@@ -459,7 +498,7 @@ class Matching:
         return replace(self, left=left, right=wall_start(box.as_tuple()[1], -1.0))
 
     def shoot(self, lam: float, rtol: float, *, with_sensitivity: bool = True,
-              track_zeros: bool = False, max_step: float = math.inf,
+              max_step: float = math.inf,
               via: tuple[float | None, float | None] = (None, None)
               ) -> tuple[Shot, Shot]:
         """Both sides' states at x_m; a side whose ``via`` point is set also
@@ -470,24 +509,25 @@ class Matching:
             raise SolverError(f"start point x0={starts[0][0]:g} is not left "
                               f"of the matching point {self.x_m:g}")
         q = _q_factory(self.V, lam, self.h, self.nu)
-        left, right = (self._shot(q, x0, y0, rtol, track_zeros, max_step, stop)
+        left, right = (self._shot(q, x0, y0, rtol, max_step, stop)
                        for (x0, y0), stop in zip(starts, via))
         return left, right
 
     def _shot(self, q: Callable[[float], float], x0: float,
-              y0: tuple[float, ...], rtol: float, track_zeros: bool,
-              max_step: float, via: float | None) -> Shot:
+              y0: tuple[float, ...], rtol: float, max_step: float,
+              via: float | None) -> Shot:
         legs = [x0, self.x_m] if via is None else [x0, via, self.x_m]
-        y, log_scale, zeros, passed = y0, 0.0, (), None
+        y, log_scale, zeros, turn, passed = y0, 0.0, (), 0.0, None
         for a, b in zip(legs, legs[1:]):
             if passed is None and a == via:
-                passed = Shot(y, log_scale, zeros)
-            y, grown, found = _integrate(q, a, y, b, rtol, dq=_dq(self.h),
-                                         track_zeros=track_zeros,
-                                         max_step=max_step)
+                passed = Shot(y, log_scale, zeros, turn)
+            y, grown, found, widest = _integrate(q, a, y, b, rtol,
+                                                 dq=_dq(self.h),
+                                                 max_step=max_step)
             log_scale += grown
             zeros += tuple(found)
-        return Shot(y, log_scale, zeros, via=passed)
+            turn = max(turn, widest)
+        return Shot(y, log_scale, zeros, turn, via=passed)
 
 
 def wronskian(left: Shot, right: Shot
@@ -510,19 +550,22 @@ class Solution:
     iterations: int
     steps: int           # integrator steps the iteration took
     offset: ScaledValue | None = None  # lam - lam0 summed, from a box's level
+    # The last iterate's two shots, for ``count_nodes``: at lam, or one
+    # step short of it when the quadratic prediction ended the loop.
+    shots: tuple[Shot, Shot] | None = field(default=None, repr=False)
 
 
 def _newton_step(w: ScaledValue, dw: ScaledValue, lam: float,
-                 scale: float) -> ScaledValue:
-    """-W/W', capped at 0.3 * max(|lambda|, scale)."""
+                 scale: float) -> tuple[ScaledValue, bool]:
+    """-W/W', capped at 0.3 * max(|lambda|, scale), and whether it was."""
     if dw.is_zero:
         raise SolverError("the Wronskian's lambda-derivative vanished; "
                           "cannot take a Newton step")
     step = -(w / dw)
     cap = 0.3 * max(abs(lam), scale)
     if step.log_abs() <= math.log(cap):
-        return step
-    return ScaledValue.of(math.copysign(cap, step.sign))
+        return step, False
+    return ScaledValue.of(math.copysign(cap, step.sign)), True
 
 
 def newton(match: Matching, lam0: float, *, rtol: float, scale: float,
@@ -536,7 +579,8 @@ def newton(match: Matching, lam0: float, *, rtol: float, scale: float,
     Newton also stops once the step it would take next, predicted from its
     quadratic convergence, |W''/2W'| step^2 with W'' the secant of the last
     two W', falls below the bound: that saves the pair of shots which would
-    only confirm it.
+    only confirm it.  A capped step predicts nothing (the full step it
+    stands for is longer), so the loop never stops on one.
 
     With ``box``, ``match`` is a problem without walls, ``lam0`` is the
     box's Dirichlet level, and the first step is the flux step
@@ -561,7 +605,7 @@ def newton(match: Matching, lam0: float, *, rtol: float, scale: float,
         else:
             left, right = match.shoot(lam, rtol)
             w, dw = wronskian(left, right)
-        step = _newton_step(w, dw, lam, scale)
+        step, capped = _newton_step(w, dw, lam, scale)
         k = math.sqrt(max(abs(lam), scale)) / match.h
         log_noise = math.log(rtol) + _wronskian_size(left, right, k) \
             - dw.log_abs()
@@ -569,13 +613,14 @@ def newton(match: Matching, lam0: float, *, rtol: float, scale: float,
         if not done:
             offset += step.to_float()
             shift += step
-            done = last is not None and ((dw - last[1]) / last[0] / dw
-                                         * step * step).log_abs() \
+            done = not capped and last is not None \
+                and ((dw - last[1]) / last[0] / dw * step * step).log_abs() \
                 <= math.log(2.0) + log_noise
         if done:
             return Solution(lam=lam0 + offset, iterations=it,
                             steps=steps_taken() - start,
-                            offset=None if box is None else shift)
+                            offset=None if box is None else shift,
+                            shots=(left, right))
         last = (step, dw)
 
     raise SolverError(
@@ -616,7 +661,7 @@ def flux_wronskian(free: Matching, walls: Matching, lam: float, rtol: float
     d = free.shoot(lam, rtol, via=via)
     q = _q_factory(walls.V, lam, walls.h, walls.nu)
     D = [shot if wall is None else
-         walls._shot(q, wall[0], wall[1], rtol, False, math.inf, None)
+         walls._shot(q, wall[0], wall[1], rtol, math.inf, None)
          for shot, wall in zip(d, walled)]
 
     def along(shot: Shot) -> ScaledValue:  # projection onto D_R, times |D_R|^2
@@ -634,24 +679,29 @@ def flux_wronskian(free: Matching, walls: Matching, lam: float, rtol: float
     return d[0], d[1], f
 
 
-def count_nodes(match: Matching, lam: float, rtol: float) -> int:
+def count_nodes(match: Matching, lam: float, rtol: float,
+                shots: tuple[Shot, Shot] | None = None) -> int:
     """Interior zeros of the matched solution.
 
-    Both sides are shot with a step cap of half the shortest local
-    oscillation wavelength, so no sign change can hide inside a step, and
-    each counts the zeros strictly inside its own stretch.  Zeros near x_m
-    are read off the matched state there instead.  At an interior x_m,
-    zeros within 1e-3 of the cap are dropped and one node counts when u
-    vanishes that close to x_m: an odd level on a symmetric box has its
-    node at x_m exactly, and either side may see it.  At a wall x_m the
-    Dirichlet zero is no node, and zeros within 100*|u/u'| of it are
-    discarded.
+    Each side counts the zeros strictly inside its own stretch.  They are
+    read off ``shots`` (Newton's last, ``Solution.shots``) when no step of
+    theirs turned by more than pi/2 (``Shot.widest_turn``), a quarter of
+    the local wavelength: no two sign changes fit inside such a step.
+    Otherwise, or without ``shots``, both sides are shot again at ``lam``
+    with every step capped at a quarter of the shortest wavelength on the
+    interval, the cap (``_counting_step_cap``).  Zeros near x_m are read
+    off the matched state there instead.  At an interior x_m, zeros within
+    1e-3 of the cap are dropped and one node counts when u vanishes that
+    close to x_m: an odd level on a symmetric box has its node at x_m
+    exactly, and either side may see it.  At a wall x_m the Dirichlet zero
+    is no node, and zeros within 100*|u/u'| of it are discarded.
     """
     a, _ = match.left(lam, False)
     b, _ = match.right(lam, False)
     cap = _counting_step_cap(match.V, match.nu, match.h, lam, a, b)
-    left, right = match.shoot(lam, rtol, with_sensitivity=False,
-                              track_zeros=True, max_step=cap)
+    if shots is None or max(shot.widest_turn for shot in shots) > _QUARTER_TURN:
+        shots = match.shoot(lam, rtol, with_sensitivity=False, max_step=cap)
+    left, right = shots
     if b == match.x_m:
         margin = _wall_margin(left.at(0), left.at(1), match.width)
         at_match = 0
@@ -671,7 +721,8 @@ def _wall_margin(value: ScaledValue, slope: ScaledValue, width: float) -> float:
 
 def _counting_step_cap(V: Callable[[float], float], nu: float | None,
                        h: float, lam: float, a: float, b: float) -> float:
-    """Half the minimal local wavelength pi/k over the interval (sampled)."""
+    """A quarter of the shortest local wavelength 2 pi/k over the interval
+    (sampled): a step of this length turns by at most ``_QUARTER_TURN``."""
     cent = 0.0 if nu is None else nu * nu - 0.25
     k2_max = 1.0 / (h * h)  # floor: never step wider than ~pi*h/2
     for i in range(256):
@@ -681,7 +732,7 @@ def _counting_step_cap(V: Callable[[float], float], nu: float | None,
         k2 = (lam - V(x)) / (h * h) - cent / (x * x)
         if k2 > k2_max:
             k2_max = k2
-    return math.pi / (2.0 * math.sqrt(k2_max))
+    return _QUARTER_TURN / math.sqrt(k2_max)
 
 
 def newton_solve_line(p: PotentialSpec, domain: LineBox | Unwalled,
@@ -719,13 +770,16 @@ def newton_solve_radial(V: Callable[[float], float], nu: float, h: float,
 
 
 def count_nodes_line(p: PotentialSpec, domain: LineBox | Unwalled,
-                     mode: ModeSpec, lam: float, rtol: float = 1e-12) -> int:
+                     mode: ModeSpec, lam: float, rtol: float = 1e-12, *,
+                     shots: tuple[Shot, Shot] | None = None) -> int:
     """Interior zeros on (r-, r+); see ``count_nodes``."""
-    return count_nodes(Matching.line(p, domain, mode), lam, rtol)
+    return count_nodes(Matching.line(p, domain, mode), lam, rtol, shots)
 
 
 def count_nodes_radial(V: Callable[[float], float], nu: float, h: float,
                        L: float | Unwalled, lam: float,
-                       series_start: SeriesStart, rtol: float = 1e-12) -> int:
+                       series_start: SeriesStart, rtol: float = 1e-12, *,
+                       shots: tuple[Shot, Shot] | None = None) -> int:
     """Interior zeros on (0, L); see ``count_nodes``."""
-    return count_nodes(Matching.radial(V, nu, h, L, series_start), lam, rtol)
+    return count_nodes(Matching.radial(V, nu, h, L, series_start), lam, rtol,
+                       shots)

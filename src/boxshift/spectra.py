@@ -4,11 +4,11 @@ Four ways to an eigenvalue live here, deliberately independent:
 
 * ``confined_eigenvalue`` -- shooting + Newton on the exact Dirichlet
   problem, or on the well without walls (``Unwalled``), with the level
-  identity confirmed by an interior node count.
+  identity confirmed by an interior node count on Newton's last shots.
 * ``unconfined_eigenvalue`` -- the reference level of the problem without
   walls: a root of its Wronskian, whose shots start from the decaying WKB
-  state where phi reaches 34.5*h beyond each wall's (the start's error
-  dies like exp(-2*34.5), below 1e-30 of the wall effect under study).
+  state where phi reaches 17.5*h beyond each wall's (the start's error
+  dies like exp(-2*17.5), below 6e-16 of the wall effect under study).
   From the confined level of a box, Newton's first step is the flux step,
   so the shift comes out as the sum of the steps, with no subtraction.
 * ``fd_oracle`` -- a finite-difference discretisation with Richardson
@@ -20,8 +20,9 @@ Four ways to an eigenvalue live here, deliberately independent:
   them in ``tests/crosschecks.py``).
 
 Both shooting solvers isolate their level in one loop, ``_isolate``:
-Newton from each seed in turn until a root has the level's node count.
-Finite-difference seeds are computed only after the first seed fails.
+Newton from each seed in turn until a root has the level's node count,
+read off the shots Newton took last.  Finite-difference seeds are
+computed only after the first seed fails.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .shooting import (FrobeniusStart, ModeSpec, Unwalled, count_nodes_line,
                        count_nodes_radial, newton_solve_line,
                        newton_solve_radial)
 
-_PHI_MARGIN = 34.5  # in units of h; exp(-2*34.5) ~ 1e-30
+_PHI_MARGIN = 17.5  # in units of h; exp(-2*17.5) ~ 6e-16
 _WALL_GROWTH = 1.25  # bracket growth of the decaying-start search
 _WALL_ROUNDS = 40
 _WALL_XTOL = 1e-9  # absolute; walls sit at |x| = O(1)
@@ -180,10 +181,11 @@ def confined_eigenvalue(p: PotentialSpec, domain: Domain | Unwalled,
 
 def _isolate(where: str, level: int, seeds: Iterable[float],
              solve: Callable[[float], shooting.Solution],
-             nodes_at: Callable[[float], int]) -> Eigenpair:
+             nodes_at: Callable[..., int]) -> Eigenpair:
     """Newton from each seed in turn; the first root with ``level`` interior
-    nodes, as a shooting Eigenpair.  ``seeds`` is consumed lazily, so a
-    fallback seed costs nothing unless every earlier one failed."""
+    nodes, counted on Newton's last shots, as a shooting Eigenpair.
+    ``seeds`` is consumed lazily, so a fallback seed costs nothing unless
+    every earlier one failed."""
     last_error: Exception | None = None
     for seed in seeds:
         try:
@@ -191,7 +193,7 @@ def _isolate(where: str, level: int, seeds: Iterable[float],
         except SolverError as exc:
             last_error = exc
             continue
-        nodes = nodes_at(sol.lam)
+        nodes = nodes_at(sol.lam, shots=sol.shots)
         if nodes == level:
             return Eigenpair(index_m=level, value=sol.lam, method="shooting",
                              iterations=sol.iterations, nodes=nodes,
@@ -217,12 +219,15 @@ def unconfined_eigenvalue(p: PotentialSpec, mode: ModeSpec, *,
     it is a root of the Wronskian F of the well without walls, solved by
     ``confined_eigenvalue`` on an ``Unwalled`` domain and node-checked on
     its own shots.  Each shot starts from the decaying WKB state where the
-    tunnelling distance phi reaches 34.5*h beyond the wall it stands in
+    tunnelling distance phi reaches 17.5*h beyond the wall it stands in
     for: ``box``'s wall on that side, or the well bottom without a box.
-    The start's error then enters below exp(-69) of that wall's effect,
-    which is the quantity under study.  Radially the shots meet at the
-    harmonic level's turning point, V = lambda, where neither runs against
-    a growing branch.
+    That start u'/u = -+sqrt(q) admixes the growing branch by about
+    h|V'|/(8 (V - lambda)^(3/2)), at most O(1) wherever q > 0, and the
+    barrier out to the wall damps the admixture by exp(-2*17.5) ~ 6e-16
+    relative to the wall's effect, the quantity under study: 100 times
+    below the tightest integrator tolerance, 1e-13.  A deeper start only
+    costs steps.  Radially the shots meet at the harmonic level's turning
+    point, V = lambda, where neither runs against a growing branch.
 
     With ``box``, ``lam0`` must be the box's Dirichlet level: Newton starts
     there and its first step is the flux step, so the pair's ``offset`` is

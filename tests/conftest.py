@@ -57,6 +57,17 @@ def fail_on_call(monkeypatch):
 
 
 @pytest.fixture
+def node_counts_reshoot(monkeypatch):
+    """Makes every node count shoot its level again, as a count without
+    Newton's shots does, so that a solve's last integration is its node
+    count."""
+    real = shooting.count_nodes
+    monkeypatch.setattr(shooting, "count_nodes",
+                        lambda match, lam, rtol, shots=None:
+                        real(match, lam, rtol))
+
+
+@pytest.fixture
 def dop853_steps(monkeypatch):
     """Installs a ``shooting.DOP853`` that tallies its ``step()`` calls, a
     count of the integrator's work kept apart from ``shooting.steps_taken``,

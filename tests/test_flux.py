@@ -56,6 +56,25 @@ def test_flux_ratio_matches_the_exact_boxed_harmonic(m, h):
     assert rep.ratio == pytest.approx(exact, rel=1e-6)
 
 
+@pytest.mark.parametrize("h", [0.2, 0.1, 0.05, 0.02])
+@pytest.mark.parametrize("m", [0, 1])
+def test_free_start_margin_loses_nothing_against_34_5(monkeypatch, m, h):
+    # The WKB start admixes the growing branch by at most O(1), and the
+    # barrier beyond the wall damps that by exp(-2*_PHI_MARGIN) of the wall
+    # effect.  Where the start used to sit, at phi(wall) + 34.5h, the shift
+    # was no closer to the exact one.
+    mpmath = pytest.importorskip("mpmath")
+    exact = exact_harmonic_shift(mpmath, h, m)
+    p, mode = from_expression("x^2"), ModeSpec(level=m, h=h)
+
+    def error():
+        return abs(run_shift_case(p, BOX, mode).numeric_shift - exact)
+
+    now = error()
+    monkeypatch.setattr(spectra, "_PHI_MARGIN", 34.5)
+    assert now <= error()
+
+
 @pytest.mark.parametrize("m", [0, 1])
 def test_small_h_quartic_order_is_one(m):
     # Below h ~ 0.035 the subtraction reads noise; the flux ratios keep

@@ -373,6 +373,18 @@ def test_cli_too_deep_expression_is_a_usage_error(source, capsys):
     assert "bad potential expression" in err and "nested more than" in err
 
 
+@pytest.mark.parametrize("base", ["(-2)", "0"])
+def test_cli_names_a_power_of_a_non_positive_constant(base, capsys):
+    # V'' of c^x takes log c; the error names the power, not a bare
+    # "math domain error".
+    code = main(["validate", "--potential", f"x^2 + {base}^x - 1",
+                 "--domain", "-1,1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "bad potential expression" in err
+    assert f"cannot differentiate '{base}^x' in x" in err
+
+
 def test_cli_rejects_an_infinite_nu(capsys):
     code = main(["shift", "--potential", "harmonic", "--box", "1",
                  "--nu", "inf", "--m", "0", "--h", "0.1"])

@@ -32,7 +32,7 @@ LEVEL2_H02 = 1.1990788504622032
 def integrate(p, lam, x0, y0, x1, h, rtol):
     """(u, u') at x1 of the shot from (x0, y0), exponent factored out."""
     q = shooting._q_factory(p.evaluate, lam, h, None)
-    y, log_scale, _ = shooting._integrate(q, x0, y0, x1, rtol)
+    y, log_scale, *_ = shooting._integrate(q, x0, y0, x1, rtol)
     return ScaledValue.of(y[0], log_scale), ScaledValue.of(y[1], log_scale)
 
 
@@ -176,6 +176,24 @@ def test_radial_node_count_matches_level(m, nu):
     assert nodes == m
 
 
+def test_node_count_reads_newton_shots_and_reshoots_past_a_quarter_turn(
+        monkeypatch):
+    mode = ModeSpec(level=3, h=H)
+    sol = newton_solve_line(harmonic(), BOX, mode, 7 * H * 1.0003)
+    before = steps_taken()
+    assert count_nodes_line(harmonic(), BOX, mode, sol.lam,
+                            shots=sol.shots) == 3
+    assert steps_taken() == before  # read off the shots
+    # With the bound below the widest turn the shots took, a step of
+    # theirs might hide two zeros: the count shoots the level again,
+    # capped, and agrees.
+    assert max(shot.widest_turn for shot in sol.shots) > 0.05
+    monkeypatch.setattr(shooting, "_QUARTER_TURN", 0.05)
+    assert count_nodes_line(harmonic(), BOX, mode, sol.lam,
+                            shots=sol.shots) == 3
+    assert steps_taken() > before
+
+
 # -- series starts --------------------------------------------------------------------
 
 def test_oscillator_series_satisfies_the_ode():
@@ -312,8 +330,7 @@ def test_shoot_line_side_reports_steps_and_crossings():
     mode = ModeSpec(level=3, h=H)
     sol = newton_solve_line(harmonic(), BOX, mode, 7 * H * 1.0003)
     _, side = Matching.line(harmonic(), BOX, mode).shoot(
-        sol.lam, 1e-12, with_sensitivity=False, track_zeros=True,
-        max_step=0.05)
+        sol.lam, 1e-12, with_sensitivity=False, max_step=0.05)
     # Level 3 has nodes at the origin and a symmetric pair; the inward shot
     # from the right wall crosses one of the pair on its way to the origin,
     # and its start on the wall is no crossing.

@@ -12,11 +12,12 @@ import math
 import pytest
 
 from boxshift import (
-    GridError, HydrogenSpec, InvalidPotential, LineBox, ModeSpec, RadialBox,
-    confined_eigenvalue, fd_oracle, from_expression, harmonic,
-    SolverError, hydrogen_confined, quartic, unconfined_eigenvalue,
+    GridError, HydrogenSpec, InvalidPotential, LineBox, ModeSpec,
+    PotentialSpec, RadialBox, confined_eigenvalue, fd_oracle, from_expression,
+    harmonic, resolve_potential, SolverError, hydrogen_confined, quartic,
+    unconfined_eigenvalue,
 )
-from boxshift import report, spectra
+from boxshift import report, shooting, spectra
 from boxshift.agmon import AgmonProfile
 from boxshift.report import run_hydrogen_case, run_shift_case
 from boxshift.shooting import Unwalled, rhs_calls_taken, steps_taken
@@ -182,7 +183,7 @@ def test_unconfined_level_lies_below_every_confined_level():
 
 
 def test_unconfined_rejects_a_too_shallow_tail():
-    # phi stays below 1 on the whole line, short of the 34.5*h target.
+    # phi stays below 1 on the whole line, short of the 17.5*h target.
     with pytest.raises(SolverError, match="too shallow"):
         unconfined_eigenvalue(from_expression("x^2*exp(-x^2)"),
                               ModeSpec(level=0, h=0.1))
@@ -307,9 +308,11 @@ def _fail_last_call(fail_on_call, run):
     return steps_taken() - before, sum(taken)
 
 
-def test_failed_free_node_count_reports_every_step(monkeypatch, fail_on_call):
-    # The last integration is the free level's own node count, after the
-    # flux-seeded Newton: the counter must hold the Newton's steps as well.
+def test_failed_free_node_count_reports_every_step(monkeypatch, fail_on_call,
+                                                   node_counts_reshoot):
+    # With the count re-shot, the last integration is the free level's own
+    # node count, after the flux-seeded Newton: the counter must hold the
+    # Newton's steps as well.
     mode = ModeSpec(level=0, h=0.1)
     lam_d = confined_eigenvalue(quartic(), BOX, mode).value
     failed_on = []
@@ -330,21 +333,83 @@ def test_failed_free_node_count_reports_every_step(monkeypatch, fail_on_call):
     assert [type(domain) for domain in failed_on] == [Unwalled]
 
 
-def test_failed_free_solve_reports_the_confined_steps(fail_on_call):
+def test_failed_free_solve_reports_the_confined_steps(fail_on_call,
+                                                      node_counts_reshoot):
+    # The failure is the free level's re-shot node count: a failure in its
+    # Newton would move on to the next seed.
     carried, taken = _fail_last_call(
         fail_on_call,
         lambda: run_shift_case(quartic(), BOX, ModeSpec(level=0, h=0.1)))
     assert carried == taken
 
 
-def test_failed_hydrogen_solve_counts_every_step(fail_on_call, dop853_steps):
+def test_failed_hydrogen_solve_counts_every_step(fail_on_call, dop853_steps,
+                                                 node_counts_reshoot):
     # The counting run and the failing run take the same steps, so the
-    # integrator's own tally covers each of them twice.
+    # integrator's own tally covers each of them twice.  The last
+    # integration is the re-shot node count, as in the tests above.
     carried, taken = _fail_last_call(
         fail_on_call,
         lambda: hydrogen_confined(HydrogenSpec(2, 0, 2.0, 1.0, 8.0)))
     assert carried == taken
     assert 2 * carried == len(dop853_steps)
+
+
+# -- node counts off Newton's shots ------------------------------------------
+
+@pytest.fixture
+def counted_both_ways(monkeypatch):
+    """Every node count as (read off Newton's shots, re-shot capped at the
+    same lambda, the steps the first took)."""
+    counts = []
+    real = shooting.count_nodes
+
+    def both(match, lam, rtol, shots=None):
+        before = steps_taken()
+        read = real(match, lam, rtol, shots)
+        steps = steps_taken() - before
+        counts.append((read, real(match, lam, rtol), steps))
+        return read
+
+    monkeypatch.setattr(shooting, "count_nodes", both)
+    return counts
+
+
+# Levels 0-4 of three wells at h = 0.05, the asymmetric cubic box (no free
+# level: V falls without bound on the left), and the radial quartic.
+NODE_CASES = [
+    *((source, BOX, ModeSpec(level=m, h=0.05), True)
+      for source in ("harmonic", "x^2 + x^4", "cosh(x) - 1") for m in range(5)),
+    *(("x^2 + x^3", LineBox(-1.2, 0.9), ModeSpec(level=m, h=0.1), False)
+      for m in range(5)),
+    *(("x^2 + x^4", RadialBox(1.0), ModeSpec(level=m, h=0.1, nu=nu), True)
+      for nu in (0.5, 1.5) for m in range(3)),
+]
+
+
+def _agree_without_reshooting(counts):
+    assert counts
+    for read, reshot, steps in counts:
+        assert read == reshot
+        assert steps == 0
+
+
+@pytest.mark.parametrize("source, box, mode, free", NODE_CASES)
+def test_node_count_off_newton_shots_matches_a_reshoot(
+        counted_both_ways, source, box, mode, free):
+    p = resolve_potential(source, box.kind)
+    lam_d = confined_eigenvalue(p, box, mode).value
+    if free:
+        unconfined_eigenvalue(p, mode, lam0=lam_d, box=box)
+    _agree_without_reshooting(counted_both_ways)
+
+
+@pytest.mark.parametrize("n, ell", [(n, ell) for n in (1, 2, 3)
+                                    for ell in range(n)])
+def test_hydrogen_node_count_off_newton_shots_matches_a_reshoot(
+        counted_both_ways, n, ell):
+    hydrogen_confined(HydrogenSpec(n=n, ell=ell, z=2.0, h=1.0, r_box=14.0))
+    _agree_without_reshooting(counted_both_ways)
 
 
 # -- wrong-basin rescue ---------------------------------------------------------------------
@@ -503,6 +568,19 @@ def test_fd_grid_whose_spacing_squared_underflows():
     with pytest.raises(GridError, match="underflows"):
         fd_oracle(harmonic(kind="radial"), RadialBox(1e-160),
                   ModeSpec(level=0, h=1.0, nu=0.5))
+
+
+@pytest.mark.parametrize("R", [1e-3, 1e-2])
+def test_hydrogen_box_inside_the_bohr_radius_is_not_cut_short(R):
+    # From E_1 = -1 Newton's steps are capped at 0.3|lambda|; two capped
+    # steps with W' unchanged once read as converged, at lambda = -0.4.
+    spec = HydrogenSpec(n=1, ell=0, z=2.0, h=1.0, r_box=R)
+    got = hydrogen_confined(spec)
+    V = lambda x: -2.0 / x  # noqa: E731
+    fd = fd_oracle(PotentialSpec("radial", V), RadialBox(R),
+                   ModeSpec(level=0, h=1.0, nu=0.5), grid_n=2000)[0].value
+    assert got.nodes == 0
+    assert got.value == pytest.approx(fd, rel=1e-6)
 
 
 def test_hydrogen_spec_rejects_a_coulomb_length_below_range():

@@ -465,6 +465,46 @@ def differentiate(node: Expr) -> Expr:
     raise TypeError(f"not an expression node: {node!r}")
 
 
+EVEN, ODD, UNKNOWN = 1, -1, 0
+_EVEN_OF_ODD = {"cos", "cosh", "abs"}
+_ODD_OF_ODD = {"sin", "sinh"}
+
+
+def parity(node: Expr) -> int:
+    """``EVEN`` if the expression is an even function of x, ``ODD`` if odd,
+    ``UNKNOWN`` when these rules cannot tell, conservatively.
+
+    Parities multiply as signs do: a sum keeps a parity both terms share,
+    a product or quotient multiplies them, and an integer constant power
+    follows the usual rule.  Any other power is even only when base and
+    exponent both are.  cos, cosh and abs of an odd argument are even, sin
+    and sinh of one odd, and any function of an even argument is even.
+    """
+    match node:
+        case Const(_):
+            return EVEN
+        case Var():
+            return ODD
+        case Add(a, b) | Sub(a, b):
+            pa = parity(a)
+            return pa if pa == parity(b) else UNKNOWN
+        case Mul(a, b) | Div(a, b):
+            return parity(a) * parity(b)
+        case Pow(base, Const(expo)) if float(expo).is_integer():
+            pb = parity(base)
+            return EVEN if pb == ODD and expo % 2 == 0 else pb
+        case Pow(base, expo):
+            return EVEN if parity(base) == parity(expo) == EVEN else UNKNOWN
+        case Call(func, arg):
+            pa = parity(arg)
+            if pa == ODD and func in _EVEN_OF_ODD:
+                return EVEN
+            if pa == ODD and func in _ODD_OF_ODD:
+                return ODD
+            return EVEN if pa == EVEN else UNKNOWN
+    raise TypeError(f"not an expression node: {node!r}")
+
+
 def contains_division(node: Expr) -> bool:
     """True if any subexpression divides — evaluation may then fail pointwise."""
     match node:

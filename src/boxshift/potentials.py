@@ -94,6 +94,11 @@ class PotentialSpec:
     extrapolation fill in (at reduced but documented accuracy).
     ``builtin`` tags library potentials whose closed forms are known exactly
     (e.g. the pure harmonic well), enabling closed-form shortcuts downstream.
+    ``even`` records that V(-x) = V(x) holds exactly, as read off the
+    expression (``dsl.parity``) or known of a builtin; a line problem on a
+    symmetric box then shoots one side and mirrors it (see ``shooting``).
+    It is derived from the input, never set by a caller's choice, and stays
+    False for plain callables, whose symmetry nothing can confirm.
     """
 
     kind: str  # "line" | "radial"
@@ -101,6 +106,7 @@ class PotentialSpec:
     derivative2: Callable[[float], float] | None = None
     label: str = ""
     builtin: str | None = None
+    even: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in ("line", "radial"):
@@ -130,6 +136,7 @@ def from_expression(text: str, kind: str = "line") -> PotentialSpec:
         evaluate=dsl.as_function(ast),
         derivative2=dsl.as_function(d2),
         label=dsl.pretty(ast),
+        even=dsl.parity(ast) == dsl.EVEN,
     )
 
 
@@ -158,6 +165,7 @@ def harmonic(kind: str = "line") -> PotentialSpec:
         derivative2=lambda x: 2.0,
         label="x^2",
         builtin="harmonic",
+        even=True,
     )
 
 
@@ -171,6 +179,7 @@ def quartic(c: float = 1.0, kind: str = "line") -> PotentialSpec:
         derivative2=lambda x: 2.0 + 12.0 * c * x * x,
         label=f"x^2 + {c:g}*x^4" if c != 1.0 else "x^2 + x^4",
         builtin="quartic",
+        even=True,
     )
 
 

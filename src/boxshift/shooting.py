@@ -35,6 +35,20 @@ F from a Dirichlet level lambda_D takes the flux step first
 (``flux_wronskian``), F(lambda_D) as wall values times O(1) projections,
 so the shift lambda_D - lambda_0 never comes from a subtraction.
 
+An even well (``PotentialSpec.even``) in a symmetric box, with or without
+walls, is shot from one side (``Matching.mirror``).  x -> -x maps the left
+shot onto the right one, so only the left side is integrated and the right
+``Shot`` is derived from it (``Shot.mirrored``): u and w keep their values,
+u' and w' change sign, the log scale and widest turn stay, and every
+recorded point changes sign.  That halves each Newton iterate, flux pair
+and node-count re-shoot.  Newton's function is unchanged: W = -2 u u' at
+x_m = 0, and where V(-x) = V(x) holds in floating point, as for the
+builtins and the x^2 + x^4 of the benchmark, the integrator's steps from
+the two walls are mirror images, so every iterate is bit for bit what two
+shots give.  A half-interval solve with a parity condition at 0 would
+change the function Newton sees, and with it the iterates and the node
+count.
+
 Sensitivities are integrated alongside the state.  The lambda-derivative w
 obeys  w'' = q w - u/h^2  (same q), and stays within O(1/h) of u, so the
 pair renormalises safely together.  Each side carries it, so dW/dlambda
@@ -448,6 +462,15 @@ class Shot:
     def at(self, i: int) -> ScaledValue:
         return ScaledValue.of(self.y[i], self.log_scale)
 
+    def mirrored(self) -> Shot:
+        """The shot that x -> -x maps this one onto, for an even V: u and
+        du/dlambda keep their values, their slopes and the points change
+        sign."""
+        y = tuple(-c if i % 2 else c for i, c in enumerate(self.y))
+        return Shot(y, self.log_scale, tuple(-z for z in self.crossings),
+                    self.widest_turn,
+                    None if self.via is None else self.via.mirrored())
+
 
 @dataclass(frozen=True)
 class Matching:
@@ -455,7 +478,9 @@ class Matching:
 
     ``left`` and ``right`` map (lambda, with_sensitivity) to a start point
     and state: a wall start, a series start off a singular origin, or a
-    decaying start in the barrier of a well without walls.
+    decaying start in the barrier of a well without walls.  With
+    ``mirror``, an even line problem whose ends are each other's mirror
+    images, the right shot is the left one reflected (``Shot.mirrored``).
     """
 
     V: Callable[[float], float]
@@ -465,6 +490,7 @@ class Matching:
     right: SeriesStart
     x_m: float
     width: float
+    mirror: bool = False
 
     @classmethod
     def line(cls, p: PotentialSpec, domain: LineBox | Unwalled,
@@ -477,7 +503,8 @@ class Matching:
             left = wall_start(domain.left, 1.0)
             right = wall_start(domain.right, -1.0)
         return cls(p.evaluate, None, mode.h, left, right, 0.0,
-                   domain.right - domain.left)
+                   domain.right - domain.left,
+                   mirror=p.even and domain.left == -domain.right)
 
     @classmethod
     def radial(cls, V: Callable[[float], float], nu: float, h: float,
@@ -493,9 +520,11 @@ class Matching:
     def walled(self, box: LineBox | RadialBox) -> Matching:
         """The same matching with Dirichlet wall starts at ``box``'s walls;
         a radial problem keeps its series start, since the origin is no
-        wall."""
-        left = self.left if self.nu is not None else wall_start(box.left, 1.0)
-        return replace(self, left=left, right=wall_start(box.as_tuple()[1], -1.0))
+        wall.  It stays mirrored only if ``box`` is symmetric."""
+        a, b = box.as_tuple()
+        left = self.left if self.nu is not None else wall_start(a, 1.0)
+        return replace(self, left=left, right=wall_start(b, -1.0),
+                       mirror=self.mirror and a == -b)
 
     def shoot(self, lam: float, rtol: float, *, with_sensitivity: bool = True,
               max_step: float = math.inf,
@@ -503,15 +532,24 @@ class Matching:
               ) -> tuple[Shot, Shot]:
         """Both sides' states at x_m; a side whose ``via`` point is set also
         keeps its state where it passed that point."""
-        starts = [start(lam, with_sensitivity)
-                  for start in (self.left, self.right)]
+        sides = (self.left,) if self.mirror else (self.left, self.right)
+        starts = [start(lam, with_sensitivity) for start in sides]
         if starts[0][0] >= self.x_m:
             raise SolverError(f"start point x0={starts[0][0]:g} is not left "
                               f"of the matching point {self.x_m:g}")
         q = _q_factory(self.V, lam, self.h, self.nu)
-        left, right = (self._shot(q, x0, y0, rtol, max_step, stop)
-                       for (x0, y0), stop in zip(starts, via))
-        return left, right
+        return self._pair(q, starts, rtol, max_step, via)
+
+    def _pair(self, q: Callable[[float], float],
+              starts: Sequence[tuple[float, tuple[float, ...]]], rtol: float,
+              max_step: float, via: tuple[float | None, float | None]
+              ) -> tuple[Shot, Shot]:
+        """The two sides' shots from their ``starts``: a mirrored pair
+        integrates the left side only and reflects it."""
+        left = self._shot(q, *starts[0], rtol, max_step, via[0])
+        if self.mirror:
+            return left, left.mirrored()
+        return left, self._shot(q, *starts[1], rtol, max_step, via[1])
 
     def _shot(self, q: Callable[[float], float], x0: float,
               y0: tuple[float, ...], rtol: float, max_step: float,
@@ -579,8 +617,11 @@ def newton(match: Matching, lam0: float, *, rtol: float, scale: float,
     Newton also stops once the step it would take next, predicted from its
     quadratic convergence, |W''/2W'| step^2 with W'' the secant of the last
     two W', falls below the bound: that saves the pair of shots which would
-    only confirm it.  A capped step predicts nothing (the full step it
-    stands for is longer), so the loop never stops on one.
+    only confirm it.  A capped step neither predicts nor measures anything
+    (the full step it stands for is longer), so the loop never stops on
+    one, by either test: in a Coulomb box far inside the Bohr radius, the
+    cap 0.3*|lambda| at the seed lambda = E_n lies below the noise bound,
+    which a tiny W' there makes large, while the level is far above.
 
     With ``box``, ``match`` is a problem without walls, ``lam0`` is the
     box's Dirichlet level, and the first step is the flux step
@@ -609,7 +650,7 @@ def newton(match: Matching, lam0: float, *, rtol: float, scale: float,
         k = math.sqrt(max(abs(lam), scale)) / match.h
         log_noise = math.log(rtol) + _wronskian_size(left, right, k) \
             - dw.log_abs()
-        done = not flux and step.log_abs() <= log_noise
+        done = not flux and not capped and step.log_abs() <= log_noise
         if not done:
             offset += step.to_float()
             shift += step
@@ -658,11 +699,13 @@ def flux_wronskian(free: Matching, walls: Matching, lam: float, rtol: float
     walled = [start(lam, False) if start is not own else None
               for own, start in sides]
     via = tuple(None if wall is None else wall[0] for wall in walled)
-    d = free.shoot(lam, rtol, via=via)
+    # The free shots pass the walls, so they mirror only where walls do.
+    d = replace(free, mirror=walls.mirror).shoot(lam, rtol, via=via)
     q = _q_factory(walls.V, lam, walls.h, walls.nu)
-    D = [shot if wall is None else
-         walls._shot(q, wall[0], wall[1], rtol, math.inf, None)
-         for shot, wall in zip(d, walled)]
+    if walled[0] is None:  # the radial series side
+        D = (d[0], walls._shot(q, *walled[1], rtol, math.inf, None))
+    else:
+        D = walls._pair(q, walled, rtol, math.inf, (None, None))
 
     def along(shot: Shot) -> ScaledValue:  # projection onto D_R, times |D_R|^2
         return shot.at(0) * D[1].at(0) + shot.at(1) * D[1].at(1)
@@ -695,21 +738,35 @@ def count_nodes(match: Matching, lam: float, rtol: float,
     close to x_m: an odd level on a symmetric box has its node at x_m
     exactly, and either side may see it.  At a wall x_m the Dirichlet zero
     is no node, and zeros within 100*|u/u'| of it are discarded.
+
+    The cap samples V, so it is computed only when it is used: for a
+    re-shoot, or when a zero or |u_L/u_L'| lies within 1e-3 of its ceiling
+    pi*h/2 (the floor k = 1/h) of an interior x_m.  Anywhere else the
+    margin cannot change the count.
     """
     a, _ = match.left(lam, False)
     b, _ = match.right(lam, False)
-    cap = _counting_step_cap(match.V, match.nu, match.h, lam, a, b)
-    if shots is None or max(shot.widest_turn for shot in shots) > _QUARTER_TURN:
+    h = match.h
+    cap = _QUARTER_TURN / math.sqrt(1.0 / (h * h))  # the ceiling, until sampled
+    sampled = shots is None \
+        or max(shot.widest_turn for shot in shots) > _QUARTER_TURN
+    if sampled:
+        cap = _counting_step_cap(match.V, match.nu, h, lam, a, b)
         shots = match.shoot(lam, rtol, with_sensitivity=False, max_step=cap)
     left, right = shots
+    zeros = left.crossings + right.crossings
     if b == match.x_m:
         margin = _wall_margin(left.at(0), left.at(1), match.width)
         at_match = 0
     else:
+        def near(margin: float) -> bool:
+            return abs(left.y[0]) <= margin * abs(left.y[1]) \
+                or any(abs(z - match.x_m) <= margin for z in zeros)
+        if not sampled and near(1e-3 * cap):
+            cap = _counting_step_cap(match.V, match.nu, h, lam, a, b)
         margin = 1e-3 * cap
         at_match = int(abs(left.y[0]) <= margin * abs(left.y[1]))
-    inside = sum(1 for z in left.crossings + right.crossings
-                 if abs(z - match.x_m) > margin)
+    inside = sum(1 for z in zeros if abs(z - match.x_m) > margin)
     return inside + at_match
 
 

@@ -255,7 +255,11 @@ def unconfined_eigenvalue(p: PotentialSpec, mode: ModeSpec, *,
 
     right = end(walls[1], 1.0)
     if mode.nu is None:
-        domain = Unwalled(end(walls[0], -1.0), right, box=box, box_level=lam0)
+        # An even well in a symmetric box has mirror-image ends, which lets
+        # the shooter mirror one side (``Matching.line``).
+        left = -right if p.even and walls[0] == -walls[1] \
+            else end(walls[0], -1.0)
+        domain = Unwalled(left, right, box=box, box_level=lam0)
     elif p.evaluate(right) <= level:
         raise SolverError(
             f"lambda={level!r} lies above the barrier at the decaying start "

@@ -4,6 +4,7 @@ potential expression language."""
 import ast
 import dataclasses
 import math
+import warnings
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,8 +12,9 @@ from hypothesis import example, given, settings, strategies as st
 from boxshift import LineBox, ModeSpec, confined_eigenvalue, from_expression
 from boxshift.dsl import (
     Add, Call, Const, Div, EvalError, Mul, ParseError, Pow, Sub, Var,
-    MAX_DEPTH, MAX_SOURCE_LENGTH, as_function, caret_diagnostic, contains_division,
-    differentiate, evaluate, parse, pretty,
+    EVEN, FUNCTIONS, MAX_DEPTH, MAX_SOURCE_LENGTH, ODD, UNKNOWN, as_function,
+    caret_diagnostic, contains_division, differentiate, evaluate, parse,
+    parity, pretty,
 )
 
 
@@ -395,3 +397,66 @@ def test_contains_division():
     assert contains_division(parse("exp(x/3)"))
     assert not contains_division(parse("x^2 + x^4"))
     assert not contains_division(parse("x^-2"))  # Pow with negative exponent is not Div
+
+
+# -- parity (decides whether an even line problem may be mirrored) -------------
+
+@pytest.mark.parametrize("source, want", [
+    ("x^2 + x^4", EVEN),
+    ("cos(x) - 1 + x^2", EVEN),
+    ("x*sin(x)", EVEN),
+    ("abs(x)^3", EVEN),
+    ("x^-2", EVEN),
+    ("2^(x^2)", EVEN),
+    ("cosh(x^3) - 1", EVEN),
+    ("x^3 - sinh(x)/2", ODD),
+    ("-x", ODD),
+    ("x^2 + 0.3*x^3 + x^4", UNKNOWN),
+    ("(x + 1)^2", UNKNOWN),
+    ("x^1.5", UNKNOWN),
+    ("abs(x)^x", UNKNOWN),
+    ("exp(x)", UNKNOWN),
+    ("sqrt(x)", UNKNOWN),
+])
+def test_parity_of_fixed_expressions(source, want):
+    assert parity(parse(source)) == want
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # a division
+        assert from_expression(source).even is (want == EVEN)
+
+
+# Trees rich in the shapes parity has rules for: integer powers, the
+# functions of either parity and constants of both signs.
+_parity_expr = st.recursive(
+    st.one_of(
+        st.builds(Var),
+        st.builds(Const, st.integers(-3, 3).map(float)),
+        st.builds(Const, st.floats(min_value=-5.0, max_value=5.0,
+                                   allow_nan=False)),
+    ),
+    lambda inner: st.one_of(
+        st.builds(Add, inner, inner),
+        st.builds(Sub, inner, inner),
+        st.builds(Mul, inner, inner),
+        st.builds(Div, inner, inner),
+        st.builds(Pow, inner, st.builds(Const, st.integers(-4, 4).map(float))),
+        st.builds(Pow, inner, inner),
+        st.builds(Call, st.sampled_from(sorted(FUNCTIONS)), inner),
+    ),
+    max_leaves=10,
+)
+
+
+@given(_parity_expr, st.floats(min_value=-3.0, max_value=3.0, allow_nan=False))
+@example(Mul(Var(), Call("sin", Var())), 0.7)
+@example(Sub(Pow(Var(), Const(3.0)), Call("sinh", Var())), 1.3)
+@settings(max_examples=400)
+def test_parity_holds_wherever_both_sides_are_defined(tree, x):
+    sign = parity(tree)
+    if sign == UNKNOWN:
+        return
+    try:
+        plus, minus = evaluate(tree, x), evaluate(tree, -x)
+    except EvalError:
+        return
+    assert abs(minus - sign * plus) <= 1e-14 * max(abs(plus), abs(minus))

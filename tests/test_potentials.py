@@ -201,3 +201,11 @@ def test_expression_potential_has_symbolic_derivatives():
     p = from_expression("x^2 + x^4")
     assert p.derivative2(1.0) == pytest.approx(14.0, rel=1e-15)
     assert p.derivative2(0.0) == 2.0
+
+
+def test_evenness_is_derived_from_the_input():
+    assert harmonic().even and quartic(0.5).even
+    assert from_expression("x^2 + x^4").even
+    assert not from_expression("x^2 + 0.3*x^3 + x^4").even
+    # A callable's symmetry cannot be read off it.
+    assert not from_callables(lambda x: x * x).even

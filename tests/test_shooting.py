@@ -8,18 +8,20 @@ bookkeeping and the sensitivity system without any reference data.
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from boxshift import (
-    LineBox, ModeSpec, ScaledValue, SeriesError, SolverError,
+    LineBox, ModeSpec, RadialBox, ScaledValue, SeriesError, SolverError,
     count_nodes_line, count_nodes_radial, from_expression, harmonic,
     newton_solve_line, newton_solve_radial, quartic,
 )
 from boxshift import shooting
 from boxshift.dsl import EvalError
-from boxshift.shooting import FrobeniusStart, Matching, steps_taken, wronskian
+from boxshift.shooting import (FrobeniusStart, Matching, Unwalled, steps_taken,
+                               wronskian)
 
 H = 0.1
 BOX = LineBox(-1.0, 1.0)
@@ -194,6 +196,22 @@ def test_node_count_reads_newton_shots_and_reshoots_past_a_quarter_turn(
     assert steps_taken() > before
 
 
+@pytest.mark.parametrize("m, sampled", [(0, 0), (1, 1), (2, 0)])
+def test_node_count_samples_v_only_for_a_zero_near_the_matching_point(
+        monkeypatch, m, sampled):
+    # Odd levels vanish at x_m = 0, so only there does the margin around
+    # x_m, 1e-3 of the sampled step cap, decide the count.
+    calls = []
+    cap = shooting._counting_step_cap
+    monkeypatch.setattr(shooting, "_counting_step_cap",
+                        lambda *args: calls.append(args) or cap(*args))
+    mode = ModeSpec(level=m, h=H)
+    sol = newton_solve_line(harmonic(), BOX, mode, (2 * m + 1) * H * 1.0003)
+    assert count_nodes_line(harmonic(), BOX, mode, sol.lam,
+                            shots=sol.shots) == m
+    assert len(calls) == sampled
+
+
 # -- series starts --------------------------------------------------------------------
 
 def test_oscillator_series_satisfies_the_ode():
@@ -336,6 +354,40 @@ def test_shoot_line_side_reports_steps_and_crossings():
     # and its start on the wall is no crossing.
     interior = [z for z in side.crossings if z > 1e-8]
     assert len(interior) == 1 and 0.0 < interior[0] < 1.0
+
+
+# -- mirrored pairs ------------------------------------------------------------------
+
+def test_mirrored_right_shot_is_the_integrated_one():
+    # Decaying starts in the barrier of the quartic, each shot keeping its
+    # state where it passes a wall, as the flux step shoots them.
+    match = Matching.line(quartic(), Unwalled(-2.5, 2.5), ModeSpec(1, H))
+    assert match.mirror
+    walls = (-1.0, 1.0)
+    before = steps_taken()
+    mirrored = match.shoot(0.5, 1e-12, via=walls)
+    half = steps_taken() - before
+    integrated = replace(match, mirror=False).shoot(0.5, 1e-12, via=walls)
+    assert steps_taken() - before == 3 * half
+    assert mirrored == integrated
+    assert mirrored[1].via is not None and mirrored[1].crossings
+
+
+def test_walls_keep_the_mirror_only_when_symmetric():
+    match = Matching.line(quartic(), Unwalled(-2.5, 2.5), ModeSpec(0, H))
+    assert match.walled(BOX).mirror
+    assert not match.walled(LineBox(-1.0, 2.0)).mirror
+    assert not Matching.line(quartic(), LineBox(-1.0, 2.0), ModeSpec(0, H)).mirror
+    # Free ends symmetric about an asymmetric box: the flux pair, which
+    # keeps each free shot's state at its wall, shoots both sides.
+    asymmetric = match.walled(LineBox(-1.0, 2.0))
+    two_sided = replace(match, mirror=False)
+    assert shooting.flux_wronskian(match, asymmetric, 0.11, 1e-12) \
+        == shooting.flux_wronskian(two_sided, asymmetric, 0.11, 1e-12)
+    p = harmonic(kind="radial")
+    radial = Matching.radial(p.evaluate, 0.5, H, 1.0,
+                             FrobeniusStart.well(p, 0.5, H, L=1.0))
+    assert not radial.mirror and not radial.walled(RadialBox(1.0)).mirror
 
 
 # -- errors of the potential inside a shot --------------------------------------

@@ -8,6 +8,7 @@ resolution.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -20,7 +21,8 @@ from boxshift import (
 from boxshift import report, shooting, spectra
 from boxshift.agmon import AgmonProfile
 from boxshift.report import run_hydrogen_case, run_shift_case
-from boxshift.shooting import Unwalled, rhs_calls_taken, steps_taken
+from boxshift.shooting import (Matching, Unwalled, rhs_calls_taken,
+                               steps_taken)
 from boxshift.spectra import harmonic_level
 from crosschecks import hydrogen_confined_via_oscillator
 
@@ -628,3 +630,57 @@ def test_cosh_well_level_against_fd():
     assert shot == pytest.approx(fd, rel=2e-9)
     # omega = sqrt(1/2) well: the level sits near omega*h, well below x^2's.
     assert shot < confined_eigenvalue(harmonic(), BOX, mode).value
+
+
+# -- an even well in a symmetric box: one side shot, the other mirrored ---------------
+
+def _outputs(case):
+    """A case's numbers, bit for bit, and its Newton iterations."""
+    return tuple(float.hex(v) for v in (
+        case.lambda0, case.lambda_confined, case.numeric_shift,
+        case.log_numeric_shift, case.ratio)) + (case.diagnostics.iterations,)
+
+
+@pytest.mark.parametrize("m", [0, 1])
+@pytest.mark.parametrize("well", [lambda: from_expression("x^2 + x^4"), harmonic],
+                         ids=["quartic-dsl", "harmonic"])
+def test_mirrored_pair_gives_the_same_case_in_half_the_steps(well, m):
+    p, mode = well(), ModeSpec(level=m, h=0.1)
+    two_sided = replace(p, even=False)
+    assert Matching.line(p, BOX, mode).mirror
+    assert not Matching.line(two_sided, BOX, mode).mirror
+    mirrored, both = (run_shift_case(q, BOX, mode) for q in (p, two_sided))
+    assert _outputs(mirrored) == _outputs(both)
+    assert 2 * mirrored.diagnostics.steps == both.diagnostics.steps
+    confined = [confined_eigenvalue(q, BOX, mode) for q in (p, two_sided)]
+    assert confined[0] == confined[1] and confined[0].nodes == m
+    free = [unconfined_eigenvalue(q, mode, lam0=confined[0].value, box=BOX)
+            for q in (p, two_sided)]
+    assert free[0] == free[1]
+
+
+@pytest.mark.parametrize("source, box, steps", [
+    ("x^2 + x^4", LineBox(-1.0, 2.0), 2186),
+    ("x^2 + 0.3*x^3 + x^4", BOX, 1082),
+], ids=["asymmetric-box", "uneven-well"])
+def test_asymmetric_problems_shoot_both_sides(source, box, steps):
+    p, mode = from_expression(source), ModeSpec(level=0, h=0.1)
+    assert not Matching.line(p, box, mode).mirror
+    case = run_shift_case(p, box, mode)
+    assert case.diagnostics.steps == steps  # both sides, every shot
+    assert _outputs(run_shift_case(replace(p, even=False), box, mode)) \
+        == _outputs(case)
+
+
+# -- Coulomb boxes far inside the Bohr radius ------------------------------------------
+
+@pytest.mark.parametrize("r_box", [1e-8, 1e-6, 1e-4])
+def test_tiny_coulomb_box_reaches_its_level(r_box):
+    """The level sits near (pi h/R)^2, orders of magnitude above the seed
+    E_1 = -1, so Newton's first steps are capped: it must not stop on one."""
+    pair = hydrogen_confined(HydrogenSpec(n=1, ell=0, z=2.0, h=1.0, r_box=r_box))
+    V = lambda x: -2.0 / x  # noqa: E731
+    fd = fd_oracle(PotentialSpec("radial", V), RadialBox(r_box),
+                   ModeSpec(0, 1.0, 0.5))[0].value
+    assert pair.nodes == 0
+    assert pair.value == pytest.approx(fd, rel=1e-6)

@@ -2,37 +2,30 @@
 
 This is scipy's ``DOP853`` (Hairer, Norsett & Wanner, *Solving ODEs I*,
 section II.5) run unchanged -- its tableau, its E5/E3 error norm, its
-0.9 / 0.2 / 10 step controller, its initial-step selection and its
-7th-order dense output -- specialised to the one system family shooting
-integrates:
+0.9 / 0.2 / 10 step controller and its initial-step selection --
+specialised to the one system shooting integrates:
 
-    u' = v,  v' = q(x) u                      (2 components)
-    u' = v,  v' = q(x) u,  w' = z,  z' = q(x) w + dq u    (4 components)
+    u' = v,  v' = q(x) u,  w' = z,  z' = q(x) w + dq u
 
 where ``dq`` is the constant lambda-derivative of ``q`` (``-1/h^2``), so
 ``(w, z)`` carries du/dlambda alongside ``(u, v)``.
 
-On 2- and 4-component states scipy's per-step cost is numpy call overhead,
-not arithmetic.  Here the state stays a tuple of floats, and one generator
-writes ``rhs``, ``attempt`` and ``interpolant`` as straight-line code with
-the tableau inlined as float literals.  Each stage names its point ``x``
-and sets the coefficient ``qq`` there: the generic kernels, compiled at
-import, call ``q(x)``; a fused kernel, compiled on first use and cached by
-source, inlines ``((V) - lam) / h2`` (``+ cent / (x * x)`` for a radial
+On a 4-component state scipy's per-step cost is numpy call overhead, not
+arithmetic.  Here the state stays a tuple of floats, and one generator
+writes ``rhs`` and ``attempt`` as straight-line code with the tableau
+inlined as float literals.  Each stage names its point ``x`` and sets the
+coefficient ``qq`` there: the generic kernel, compiled at import, calls
+``q(x)``; a fused kernel, compiled on first use and cached by source,
+inlines ``((V) - lam) / h2`` (``+ cent / (x * x)`` for a radial
 nu != 1/2), V being the potential's own Python expression in ``x`` that
 ``q.parts`` names.  That is q's own arithmetic, so both give the same bits,
 but without a chain of calls through the potential's evaluator per stage.
 
 The evaluator checks each value (a DSL expression raises a descriptive
 ``EvalError`` where it is undefined); a fused call is checked once: if it
-raises, or its coefficient (``rhs``), error norm (``attempt``; every
-stage's coefficient reaches it) or output (``interpolant``) is not finite,
-the generic kernel redoes the call through ``q``, reproducing the
-evaluator's value or error.
-
-Only dense output reads an attempt's stages, and only the 2-component
-system offers it, so the 4-component ``attempt`` packs no stages and has
-no ``interpolant``.
+raises, or its coefficient (``rhs``) or error norm (``attempt``; every
+stage's coefficient reaches it) is not finite, the generic kernel redoes
+the call through ``q``, reproducing the evaluator's value or error.
 """
 
 from __future__ import annotations
@@ -52,10 +45,10 @@ _RTOL_FLOOR = 100.0 * sys.float_info.epsilon
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
 _A, _B, _C = _tableau.A, _tableau.B, _tableau.C
-_E3, _E5, _D = _tableau.E3, _tableau.E5, _tableau.D
-_N_STAGES = _tableau.N_STAGES                  # 12 stages per attempt
-_N_EXTENDED = _tableau.N_STAGES_EXTENDED       # 3 more for dense output
-# Fused kernels kept; a solve uses at most 4 (2 or 4 components, nu = 1/2 or not).
+_E3, _E5 = _tableau.E3, _tableau.E5
+_N_STAGES = _tableau.N_STAGES  # 12 stages per attempt
+_N = 4                         # components: (u, u', du/dlambda, du'/dlambda)
+# Fused kernels kept; a solve uses at most 2 (nu = 1/2 or not).
 FUSED_CACHE_SIZE = 16
 
 
@@ -64,11 +57,7 @@ FUSED_CACHE_SIZE = 16
 # --------------------------------------------------------------------------
 
 
-def _pair_derivative(s: Sequence[str]) -> list[str]:
-    return [s[1], f"qq * {s[0]}"]
-
-
-def _sensitivity_derivative(s: Sequence[str]) -> list[str]:
+def _derivative(s: Sequence[str]) -> list[str]:
     return [s[1], f"qq * {s[0]}", s[3], f"qq * {s[2]} + dq * {s[0]}"]
 
 
@@ -78,14 +67,14 @@ def _combination(coefficients, terms: Sequence[str]) -> str:
                       for c, term in zip(coefficients, terms) if c != 0.0)
 
 
-def _stage_lines(n: int, derivative, coefficient: str, s: int) -> list[str]:
+def _stage_lines(coefficient: str, s: int) -> list[str]:
     """Stage ``s``: its state from stages 0..s-1, then q once, then k_s."""
-    k = [[f"k{j}_{i}" for j in range(s)] for i in range(n)]
+    k = [[f"k{j}_{i}" for j in range(s)] for i in range(_N)]
     lines = [f"s{i} = y{i} + ({_combination(_A[s, :s], k[i])}) * h"
-             for i in range(n)]
+             for i in range(_N)]
     lines += [f"x = t + {float(_C[s])!r} * h", f"qq = {coefficient}"]
     lines += [f"k{s}_{i} = {d}" for i, d in
-              enumerate(derivative([f"s{i}" for i in range(n)]))]
+              enumerate(_derivative([f"s{i}" for i in range(_N)]))]
     return lines
 
 
@@ -106,88 +95,69 @@ def _function(name: str, params: str, body: list[str], result: str,
             f"    return generic_{name}({args})", ""]
 
 
-def _kernel_source(n: int, coefficient: str, guarded: bool) -> str:
-    derivative = _pair_derivative if n == 2 else _sensitivity_derivative
-    ys = [f"y{i}" for i in range(n)]
-    news = [f"n{i}" for i in range(n)]
-    stages = [f"k{j}_{i}" for j in range(_N_STAGES + 1) for i in range(n)]
-    last = [f"k{_N_STAGES}_{i}" for i in range(n)]
+def _kernel_source(coefficient: str, guarded: bool) -> str:
+    ys = [f"y{i}" for i in range(_N)]
+    news = [f"n{i}" for i in range(_N)]
+    last = [f"k{_N_STAGES}_{i}" for i in range(_N)]
 
     rhs = [f"{', '.join(ys)}, = y", "x = t", f"qq = {coefficient}"]
-    source = _function("rhs", "t, y", rhs, f"({', '.join(derivative(ys))},)",
+    source = _function("rhs", "t, y", rhs, f"({', '.join(_derivative(ys))},)",
                        "qq", guarded)
 
     attempt = [f"{', '.join(ys)}, = y",
-               f"{', '.join(f'k0_{i}' for i in range(n))}, = f"]
+               f"{', '.join(f'k0_{i}' for i in range(_N))}, = f"]
     for s in range(1, _N_STAGES):
-        attempt += _stage_lines(n, derivative, coefficient, s)
-    for i in range(n):
+        attempt += _stage_lines(coefficient, s)
+    for i in range(_N):
         ks = [f"k{j}_{i}" for j in range(_N_STAGES)]
         attempt.append(f"n{i} = y{i} + h * ({_combination(_B, ks)})")
     attempt += ["x = t + h", f"qq = {coefficient}"]
-    attempt += [f"{name} = {d}" for name, d in zip(last, derivative(news))]
-    for i in range(n):
+    attempt += [f"{name} = {d}" for name, d in zip(last, _derivative(news))]
+    for i in range(_N):
         ks = [f"k{j}_{i}" for j in range(_N_STAGES + 1)]
         attempt += [f"sc = atol + max(abs(y{i}), abs(n{i})) * rtol",
                     f"e{i} = ({_combination(_E5, ks)}) / sc",
                     f"g{i} = ({_combination(_E3, ks)}) / sc"]
-    attempt += [f"e5 = {' + '.join(f'e{i} * e{i}' for i in range(n))}",
-                f"e3 = {' + '.join(f'g{i} * g{i}' for i in range(n))}",
+    attempt += [f"e5 = {' + '.join(f'e{i} * e{i}' for i in range(_N))}",
+                f"e3 = {' + '.join(f'g{i} * g{i}' for i in range(_N))}",
                 "if e5 == 0.0 and e3 == 0.0:",
                 "    err = 0.0",
                 "else:",
-                f"    err = abs(h) * e5 / sqrt((e5 + 0.01 * e3) * {n})"]
-    kept = f"({', '.join(stages)},)" if n == 2 else "None"
+                f"    err = abs(h) * e5 / sqrt((e5 + 0.01 * e3) * {_N})"]
     source += _function("attempt", "t, h, y, f, rtol, atol", attempt,
-                        f"({', '.join(news)},), ({', '.join(last)},), err, {kept}",
+                        f"({', '.join(news)},), ({', '.join(last)},), err",
                         "err", guarded)
-    if n == 2:
-        # Dense output of the first component: three more stages from the
-        # accepted step's, then the seven interpolation coefficients.
-        dense = [f"{', '.join(ys)}, = y", f"{', '.join(stages)}, = k"]
-        for s in range(_N_STAGES + 1, _N_EXTENDED):
-            dense += _stage_lines(n, derivative, coefficient, s)
-        k0 = [f"k{j}_0" for j in range(_N_EXTENDED)]
-        dense += ["dy = y_new[0] - y0",
-                  "out = (dy, h * k0_0 - dy, 2 * dy - h * (f_new[0] + k0_0), "
-                  + ", ".join(f"h * ({_combination(row, k0)})" for row in _D)
-                  + ")"]
-        source += _function("interpolant", "t, h, y, y_new, f_new, k", dense,
-                            "out", "sum(out)", guarded)
     return "\n".join(source)
 
 
 class _Kernel:
-    """The generated ``rhs``, ``attempt`` and, for 2 components,
-    ``interpolant`` of one system and one coefficient; a fused kernel
-    falls back on ``generic``."""
+    """The generated ``rhs`` and ``attempt`` of one coefficient; a fused
+    kernel falls back on ``generic``."""
 
-    def __init__(self, n: int, coefficient: str,
-                 generic: _Kernel | None = None) -> None:
+    def __init__(self, coefficient: str, generic: _Kernel | None = None) -> None:
         namespace: dict = {"sqrt": math.sqrt, "isfinite": math.isfinite,
                            "math": math}
         if generic is not None:
             namespace.update({f"generic_{name}": fn for name, fn in
                               vars(generic).items()})
-        source = _kernel_source(n, coefficient, generic is not None)
-        exec(compile(source, f"<dop853 kernel n={n}: qq = {coefficient}>",
-                     "exec"), namespace)
+        source = _kernel_source(coefficient, generic is not None)
+        exec(compile(source, f"<dop853 kernel: qq = {coefficient}>", "exec"),
+             namespace)
         self.rhs = namespace["rhs"]
         self.attempt = namespace["attempt"]
-        self.interpolant = namespace.get("interpolant")
 
 
-_GENERIC = {n: _Kernel(n, "q(x)") for n in (2, 4)}
+_GENERIC = _Kernel("q(x)")
 
 
 @functools.lru_cache(maxsize=FUSED_CACHE_SIZE)
-def fused_kernel(n: int, source: str, centrifugal: bool) -> _Kernel:
-    """The ``n``-component kernel with V = ``source`` inlined, and
-    ``cent / (x * x)`` added when ``centrifugal``."""
+def fused_kernel(source: str, centrifugal: bool) -> _Kernel:
+    """The kernel with V = ``source`` inlined, and ``cent / (x * x)`` added
+    when ``centrifugal``."""
     coefficient = f"(({source}) - lam) / h2"
     if centrifugal:
         coefficient += " + cent / (x * x)"
-    return _Kernel(n, coefficient, _GENERIC[n])
+    return _Kernel(coefficient, _GENERIC)
 
 
 # --------------------------------------------------------------------------
@@ -195,39 +165,14 @@ def fused_kernel(n: int, source: str, centrifugal: bool) -> _Kernel:
 # --------------------------------------------------------------------------
 
 
-class DenseOutput:
-    """7th-order interpolant of the first component over the last step."""
-
-    __slots__ = ("t_old", "h", "u_old", "coefficients")
-
-    def __init__(self, t_old: float, h: float, u_old: float,
-                 coefficients: tuple[float, ...]) -> None:
-        self.t_old = t_old
-        self.h = h
-        self.u_old = u_old
-        self.coefficients = coefficients
-
-    def __call__(self, t: float) -> float:
-        x = (t - self.t_old) / self.h
-        f0, f1, f2, f3, f4, f5, f6 = self.coefficients
-        y = f6 * x
-        y = (y + f5) * (1 - x)
-        y = (y + f4) * x
-        y = (y + f3) * (1 - x)
-        y = (y + f2) * x
-        y = (y + f1) * (1 - x)
-        y = (y + f0) * x
-        return y + self.u_old
-
-
 class DOP853:
     """One integration from ``t0`` towards ``t_bound``, a step per ``step()``.
 
-    ``fun`` is the coefficient ``q(x)``; the state ``y0`` has 2 or 4
-    components (see the module docstring), and ``dq`` is used by the
-    4-component system only.  ``status`` is "running", "finished" or
-    "failed"; ``t``, ``y`` (a tuple) and ``f`` hold the last accepted
-    point, state and derivative, and ``nfev`` counts evaluations of ``q``.
+    ``fun`` is the coefficient ``q(x)``, ``dq`` its lambda-derivative, and
+    the state ``y0`` has the 4 components of the module docstring's system.
+    ``status`` is "running", "finished" or "failed"; ``t``, ``y`` (a
+    tuple) and ``f`` hold the last accepted point, state and derivative,
+    and ``nfev`` counts evaluations of ``q``.
 
     ``fun.parts``, if set, is ``(source, lam, h2, cent)``: ``fun(x)`` is
     ``(V(x) - lam) / h2`` (``+ cent / (x * x)`` if ``cent``) with V the
@@ -237,20 +182,16 @@ class DOP853:
     def __init__(self, fun: Callable[[float], float], t0: float,
                  y0: Sequence[float], t_bound: float, rtol: float, atol: float,
                  max_step: float = math.inf, dq: float = 0.0) -> None:
-        n = len(y0)
-        if n not in _GENERIC:
-            raise ValueError(f"DOP853 integrates 2 or 4 components, got {n}")
+        if len(y0) != _N:
+            raise ValueError(f"DOP853 integrates {_N} components, got {len(y0)}")
         if not max_step > 0.0:
             raise ValueError(f"max_step must be positive, got {max_step!r}")
         source, lam, h2, cent = getattr(fun, "parts", (None, 0.0, 1.0, 0.0))
-        kernel = _GENERIC[n] if source is None else \
-            fused_kernel(n, source, cent != 0.0)
+        kernel = _GENERIC if source is None else fused_kernel(source, cent != 0.0)
         self._rhs = kernel.rhs
         self._attempt = kernel.attempt
-        self._interpolant = kernel.interpolant
         self._coefficient = (fun, lam, h2, cent, dq)
         self.t = t0
-        self.t_old: float | None = None
         self.t_bound = t_bound
         self.y = tuple(float(c) for c in y0)
         self.rtol = max(rtol, _RTOL_FLOOR)
@@ -261,9 +202,6 @@ class DOP853:
         self.f = self._rhs(*self._coefficient, t0, self.y)
         self.nfev = 1
         self.h_abs = self._initial_step()
-        self._h = 0.0         # the last accepted step, signed
-        self._y_old = self.y  # the state it started from
-        self._stages: tuple[float, ...] | None = ()
 
     def _initial_step(self) -> float:
         """Hairer-Norsett-Wanner II.4 starting step, as scipy selects it."""
@@ -295,7 +233,6 @@ class DOP853:
         t = self.t
         t_bound = self.t_bound
         if t == t_bound:
-            self.t_old = t
             self.status = "finished"
             return None
         direction = self.direction
@@ -319,8 +256,8 @@ class DOP853:
                 t_new = t_bound
             h = t_new - t
             h_abs = abs(h)
-            y_new, f_new, err, stages = attempt(q, lam, h2, cent, dq, t, h, y, f,
-                                                rtol, atol)
+            y_new, f_new, err = attempt(q, lam, h2, cent, dq, t, h, y, f,
+                                        rtol, atol)
             self.nfev += _N_STAGES
             if err < 1.0:
                 factor = MAX_FACTOR if err == 0.0 else \
@@ -332,10 +269,6 @@ class DOP853:
             h_abs *= max(MIN_FACTOR, SAFETY * err ** _ERROR_EXPONENT)
             rejected = True
 
-        self._h = h
-        self._y_old = y
-        self._stages = stages
-        self.t_old = t
         self.t = t_new
         self.y = y_new
         self.f = f_new
@@ -343,18 +276,6 @@ class DOP853:
         if direction * (t_new - t_bound) >= 0:
             self.status = "finished"
         return None
-
-    def dense_output(self) -> Callable[[float], float]:
-        """Interpolant of the first component over the last accepted step."""
-        if self._interpolant is None:
-            raise RuntimeError("dense output needs the 2-component system; "
-                               "4-component attempts keep no stages")
-        if self.t_old is None:
-            raise RuntimeError("dense output needs one successful step first")
-        coefficients = self._interpolant(*self._coefficient, self.t_old, self._h,
-                                         self._y_old, self.y, self.f, self._stages)
-        self.nfev += _N_EXTENDED - _N_STAGES - 1
-        return DenseOutput(self.t_old, self._h, self._y_old[0], coefficients)
 
 
 def _norm(values: Sequence[float], scale: Sequence[float]) -> float:

@@ -49,10 +49,11 @@ shots give.  A half-interval solve with a parity condition at 0 would
 change the function Newton sees, and with it the iterates and the node
 count.
 
-Sensitivities are integrated alongside the state.  The lambda-derivative w
-obeys  w'' = q w - u/h^2  (same q), and stays within O(1/h) of u, so the
-pair renormalises safely together.  Each side carries it, so dW/dlambda
-comes from the same two shots as W.
+Every shot integrates one system, the state with its sensitivity:
+(u, u', w, w') with w = du/dlambda, which obeys  w'' = q w - u/h^2  (same
+q) and stays within O(1/h) of u, so the four renormalise safely together.
+Each side carries it, so dW/dlambda comes from the same two shots as W,
+and a flux pair, node-count re-shoot or bisection shot carries it too.
 
 Every shot records the zeros of u it passes and the widest phase k*dx one
 of its steps turned, so node counts read the zeros off Newton's last
@@ -62,11 +63,11 @@ than a quarter wavelength (``count_nodes``).
 Every integration -- Newton iterates, node counts, bisection shots -- runs
 through ``_integrate``, which steps ``dop853.DOP853``: scipy's DOP853
 algorithm and tableau on tuples of Python floats, generated as
-straight-line code for the two systems used here, (u, u') and
-(u, u', w, w'), because on 2- and 4-component states a generic stepper
-spends its time on array and loop overhead rather than arithmetic.  When V
-carries its source (DSL expressions, the builtins, the Coulomb tail), the
-kernels inline it and call q only to redo a kernel call that failed.
+straight-line code for that system, because on a 4-component state a
+generic stepper spends its time on array and loop overhead rather than
+arithmetic.  When V carries its source (DSL expressions, the builtins,
+the Coulomb tail), the kernels inline it and call q only to redo a kernel
+call that failed.
 
 State magnitudes are kept inside [e^-12, e^+12]: after every accepted step
 the vector is rescaled to unit max-norm when it leaves that window, and the
@@ -150,8 +151,8 @@ def _integrate(q: Callable[[float], float], x0: float, y0: Sequence[float],
                x1: float, rtol: float, *, dq: float = 0.0,
                max_step: float = math.inf
                ) -> tuple[tuple[float, ...], float, list[float], float]:
-    """Integrate u'' = q u (with the lambda-sensitivity pair when y0 has 4
-    components; ``dq`` = dq/dlambda) from x0 to x1, either direction.
+    """Integrate u'' = q u with its lambda-sensitivity pair (``dq`` =
+    dq/dlambda; y0 = (u, u', w, w')) from x0 to x1, either direction.
 
     Returns (final state, accumulated log scale, zeros of y[0], widest
     turn).  A zero is recorded where u changes sign between two accepted
@@ -308,9 +309,13 @@ class FrobeniusStart:
     For V = sum_p v_p x^p (``terms``, the pairs (p, v_p) with p >= -1) the
     radial equation gives  h^2 n (n + 2nu) c_n = sum_p v_p c_(n-2-p) -
     lambda c_(n-2),  c_0 = 1.  When every p is even the odd c_n vanish and
-    n steps by 2.  Callable: (lambda, with_sensitivity) -> (x0, state
-    vector); the lambda-derivative series rides along for the Newton
-    Jacobian.
+    n steps by 2.  Callable: lambda -> (x0, (u, u', w, w')); the
+    lambda-derivative series rides along for the Newton Jacobian.
+
+    The sums stop once two consecutive terms, t_(n-1) and t_n, and their
+    lambda-derivatives lie below the cutoff: in a Coulomb series (stride
+    1) a tiny odd term may precede the -lambda term, which enters at n = 2
+    and in a tiny box sets the level.  A well's odd terms are 0.
     """
 
     def __init__(self, terms: Sequence[tuple[int, float]], nu: float,
@@ -343,8 +348,7 @@ class FrobeniusStart:
         """The start for the attractive Coulomb potential V = -z/x."""
         return cls(((-1, -z),), ell + 0.5, h, x0)
 
-    def __call__(self, lam: float, with_sensitivity: bool = True
-                 ) -> tuple[float, tuple[float, ...]]:
+    def __call__(self, lam: float) -> tuple[float, tuple[float, ...]]:
         nu, h, x0, stride = self.nu, self.h, self.x0, self.stride
         # The recurrence runs in t_n = c_n x0^n, which stay O(1) however
         # small h is:  n (n + 2nu) t_n = sum_p w_p t_(n-2-p)  with
@@ -371,20 +375,20 @@ class FrobeniusStart:
             sdu += (nu + 0.5 + n) * term_u
             sw += term_w
             sdw += (nu + 0.5 + n) * term_w
-            if abs(term_u) <= _SERIES_CUTOFF * abs(su) and \
-               abs(term_w) <= _SERIES_CUTOFF * max(abs(sw), 1e-300):
+            cut_u = _SERIES_CUTOFF * abs(su)
+            cut_w = _SERIES_CUTOFF * max(abs(sw), 1e-300)
+            if abs(t[n - 1]) <= cut_u and abs(term_u) <= cut_u and \
+               abs(d[n - 1]) <= cut_w and abs(term_w) <= cut_w:
                 break
         else:
             raise SeriesError(
                 f"power series did not converge in {_SERIES_MAX_TERMS} terms at "
                 f"x0={x0:g} (h={h:g}, nu={nu:g}); use a smaller x_start")
         amp = x0 ** (nu + 0.5)
-        if with_sensitivity:
-            return x0, (amp * su, amp / x0 * sdu, amp * sw, amp / x0 * sdw)
-        return x0, (amp * su, amp / x0 * sdu)
+        return x0, (amp * su, amp / x0 * sdu, amp * sw, amp / x0 * sdw)
 
 
-SeriesStart = Callable[..., tuple[float, tuple[float, ...]]]
+SeriesStart = Callable[[float], tuple[float, tuple[float, ...]]]
 
 
 # --------------------------------------------------------------------------
@@ -395,9 +399,8 @@ SeriesStart = Callable[..., tuple[float, tuple[float, ...]]]
 def wall_start(x: float, slope: float) -> SeriesStart:
     """Dirichlet start (u, u') = (0, ``slope``) at the wall ``x``.  It does
     not depend on lambda, so its sensitivity pair starts at zero."""
-    def start(lam: float, with_sensitivity: bool = True
-              ) -> tuple[float, tuple[float, ...]]:
-        return x, (0.0, slope, 0.0, 0.0) if with_sensitivity else (0.0, slope)
+    def start(lam: float) -> tuple[float, tuple[float, ...]]:
+        return x, (0.0, slope, 0.0, 0.0)
     return start
 
 
@@ -406,15 +409,12 @@ def decaying_start(V: Callable[[float], float], h: float, nu: float | None,
     """WKB start (u, u') = (1, ``sign``*sqrt(q)) at ``x`` in the barrier: the
     branch that decays away from the well, for ``sign`` +1 on the left end
     and -1 on the right.  Its lambda-derivative is (0, ``sign``*dq/(2 sqrt q))."""
-    def start(lam: float, with_sensitivity: bool = True
-              ) -> tuple[float, tuple[float, ...]]:
+    def start(lam: float) -> tuple[float, tuple[float, ...]]:
         k2 = _q_factory(V, lam, h, nu)(x)
         if not k2 > 0.0:
             raise SolverError(f"decaying start at x={x:g} is not in the "
                               f"barrier (q={k2:g}, lambda={lam!r})")
         k = math.sqrt(k2)
-        if not with_sensitivity:
-            return x, (1.0, sign * k)
         return x, (1.0, sign * k, 0.0, 0.5 * sign * _dq(h) / k)
     return start
 
@@ -453,7 +453,7 @@ class Unwalled:
 class Shot:
     """One side's state at the matching point, exponent factored out."""
 
-    y: tuple[float, ...]          # (u, u'), plus (du/dlambda, du'/dlambda)
+    y: tuple[float, ...]          # (u, u', du/dlambda, du'/dlambda)
     log_scale: float
     crossings: tuple[float, ...]  # zeros of u recorded during the pass
     widest_turn: float            # largest phase a step spanned (_integrate)
@@ -476,11 +476,11 @@ class Shot:
 class Matching:
     """A two-point problem as two shots that meet at ``x_m``.
 
-    ``left`` and ``right`` map (lambda, with_sensitivity) to a start point
-    and state: a wall start, a series start off a singular origin, or a
-    decaying start in the barrier of a well without walls.  With
-    ``mirror``, an even line problem whose ends are each other's mirror
-    images, the right shot is the left one reflected (``Shot.mirrored``).
+    ``left`` and ``right`` map lambda to a start point and state: a wall
+    start, a series start off a singular origin, or a decaying start in
+    the barrier of a well without walls.  With ``mirror``, an even line
+    problem whose ends are each other's mirror images, the right shot is
+    the left one reflected (``Shot.mirrored``).
     """
 
     V: Callable[[float], float]
@@ -526,14 +526,13 @@ class Matching:
         return replace(self, left=left, right=wall_start(b, -1.0),
                        mirror=self.mirror and a == -b)
 
-    def shoot(self, lam: float, rtol: float, *, with_sensitivity: bool = True,
-              max_step: float = math.inf,
+    def shoot(self, lam: float, rtol: float, *, max_step: float = math.inf,
               via: tuple[float | None, float | None] = (None, None)
               ) -> tuple[Shot, Shot]:
         """Both sides' states at x_m; a side whose ``via`` point is set also
         keeps its state where it passed that point."""
         sides = (self.left,) if self.mirror else (self.left, self.right)
-        starts = [start(lam, with_sensitivity) for start in sides]
+        starts = [start(lam) for start in sides]
         if starts[0][0] >= self.x_m:
             raise SolverError(f"start point x0={starts[0][0]:g} is not left "
                               f"of the matching point {self.x_m:g}")
@@ -568,13 +567,10 @@ class Matching:
         return Shot(y, log_scale, zeros, turn, via=passed)
 
 
-def wronskian(left: Shot, right: Shot
-              ) -> tuple[ScaledValue, ScaledValue | None]:
-    """W = u_L u_R' - u_L' u_R at the matching point, and dW/dlambda when
-    the shots carry the sensitivity pair (None otherwise)."""
+def wronskian(left: Shot, right: Shot) -> tuple[ScaledValue, ScaledValue]:
+    """W = u_L u_R' - u_L' u_R at the matching point, and dW/dlambda from
+    the sensitivity pairs."""
     w = left.at(0) * right.at(1) - left.at(1) * right.at(0)
-    if len(left.y) == 2:
-        return w, None
     dw = (left.at(2) * right.at(1) + left.at(0) * right.at(3)) \
         - (left.at(3) * right.at(0) + left.at(1) * right.at(2))
     return w, dw
@@ -696,7 +692,7 @@ def flux_wronskian(free: Matching, walls: Matching, lam: float, rtol: float
     start (the radial series) has no wall, and beta = 0 there.
     """
     sides = ((free.left, walls.left), (free.right, walls.right))
-    walled = [start(lam, False) if start is not own else None
+    walled = [start(lam) if start is not own else None
               for own, start in sides]
     via = tuple(None if wall is None else wall[0] for wall in walled)
     # The free shots pass the walls, so they mirror only where walls do.
@@ -713,7 +709,7 @@ def flux_wronskian(free: Matching, walls: Matching, lam: float, rtol: float
     def beta(side: int) -> ScaledValue:  # Wr(D_side, d_side), at the wall
         if walled[side] is None:
             return ScaledValue.zero()
-        u, du = walled[side][1]
+        u, du = walled[side][1][:2]
         passed = d[side].via
         return ScaledValue.of(u) * passed.at(1) - ScaledValue.of(du) * passed.at(0)
 
@@ -744,15 +740,15 @@ def count_nodes(match: Matching, lam: float, rtol: float,
     pi*h/2 (the floor k = 1/h) of an interior x_m.  Anywhere else the
     margin cannot change the count.
     """
-    a, _ = match.left(lam, False)
-    b, _ = match.right(lam, False)
+    a, _ = match.left(lam)
+    b, _ = match.right(lam)
     h = match.h
     cap = _QUARTER_TURN / math.sqrt(1.0 / (h * h))  # the ceiling, until sampled
     sampled = shots is None \
         or max(shot.widest_turn for shot in shots) > _QUARTER_TURN
     if sampled:
         cap = _counting_step_cap(match.V, match.nu, h, lam, a, b)
-        shots = match.shoot(lam, rtol, with_sensitivity=False, max_step=cap)
+        shots = match.shoot(lam, rtol, max_step=cap)
     left, right = shots
     zeros = left.crossings + right.crossings
     if b == match.x_m:

@@ -321,15 +321,20 @@ def _first_wall(profile: AgmonProfile, target_phi: float, start: float,
 def _fd_values(v_eff: Callable[[float], float], a: float, b: float, h: float,
                count: int, n: int) -> np.ndarray:
     """Lowest ``count`` eigenvalues of the 3-point discretisation of
-    h^2 D^2 + v_eff on (a, b), Dirichlet both ends, n subintervals."""
+    h^2 D^2 + v_eff on (a, b), Dirichlet both ends, n subintervals.  A
+    grid LAPACK cannot resolve (a box far inside the Bohr radius) raises
+    ``GridError``, like any other grid that cannot be trusted."""
     dx = (b - a) / n
     if dx * dx == 0.0:
         raise GridError(f"grid spacing {dx:g} is too fine: its square underflows")
     x = a + dx * np.arange(1, n)
     diag = 2.0 * h * h / (dx * dx) + np.array([v_eff(t) for t in x])
     off = np.full(n - 2, -h * h / (dx * dx))
-    return eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
-                            select_range=(0, count - 1))
+    try:
+        return eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                                select_range=(0, count - 1))
+    except np.linalg.LinAlgError as exc:  # LAPACK's bisection did not converge
+        raise GridError(f"finite-difference eigenvalues failed: {exc}") from exc
 
 
 def fd_oracle(p: PotentialSpec, domain: Domain, mode: ModeSpec,
@@ -429,7 +434,7 @@ def _bisect_radial(V: Callable[[float], float], nu: float, h: float, L: float,
     match = shooting.Matching.radial(V, nu, h, L, series)
 
     def sign_at(lam: float) -> int:
-        left, right = match.shoot(lam, rtol, with_sensitivity=False)
+        left, right = match.shoot(lam, rtol)
         return shooting.wronskian(left, right)[0].sign
 
     s_lo, s_hi = sign_at(lo), sign_at(hi)

@@ -245,7 +245,7 @@ def _check_jacobian_matches_fd():
     d_lam = 1e-6 * mode.h
 
     def w_at(x):
-        return wronskian(*match.shoot(x, 1e-12, with_sensitivity=False))[0]
+        return wronskian(*match.shoot(x, 1e-12))[0]
 
     _, got = wronskian(*match.shoot(lam, 1e-12))
     want = (w_at(lam + d_lam) - w_at(lam - d_lam)).to_float() / (2 * d_lam)

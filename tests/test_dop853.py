@@ -11,7 +11,6 @@ import signal
 
 import pytest
 from scipy.integrate import DOP853 as ScipyDOP853
-from scipy.optimize import brentq
 
 from boxshift import SolverError, dop853, quartic
 from boxshift.dop853 import DOP853
@@ -21,7 +20,7 @@ RTOL, ATOL = 1e-12, 1e-15
 
 
 def _airy_like(x):
-    # u'' = -(1 + x) u on [0, 4]: a fixed oscillatory problem, 49 steps.
+    # u'' = -(1 + x) u on [0, 4]: a fixed oscillatory problem.
     return -(1.0 + x)
 
 
@@ -36,9 +35,7 @@ def _quartic(x):
 DQ = -1.0 / (H * H)
 
 
-def _scipy_rhs(q, n):
-    if n == 2:
-        return lambda x, y: (y[1], q(x) * y[0])
+def _scipy_rhs(q):
     return lambda x, y: (y[1], q(x) * y[0], y[3], q(x) * y[2] + DQ * y[0])
 
 
@@ -52,7 +49,7 @@ def _run(solver):
 
 
 def _both(q, t0, y0, t1):
-    ref = ScipyDOP853(_scipy_rhs(q, len(y0)), t0, list(y0), t1, rtol=RTOL, atol=ATOL)
+    ref = ScipyDOP853(_scipy_rhs(q), t0, list(y0), t1, rtol=RTOL, atol=ATOL)
     own = DOP853(q, t0, y0, t1, RTOL, ATOL, math.inf, DQ)
     return ref, own
 
@@ -66,37 +63,17 @@ def _assert_same_run(ref, own):
 
 
 def test_calibration_problem_matches_scipy():
-    ref, own = _both(_airy_like, 0.0, (1.0, 0.0), 4.0)
+    ref, own = _both(_airy_like, 0.0, (1.0, 0.0, 0.0, 0.0), 4.0)
     _assert_same_run(ref, own)
 
 
 @pytest.mark.parametrize("t0,y0,t1", [
-    (0.0, (1.0, 0.0), 1.0),               # outward from the well bottom
-    (1.0, (0.0, -1.0), 0.0),              # inward from the wall
-    (0.0, (1.0, 0.0, 0.0, 0.0), 1.0),     # outward, lambda-sensitivity along
-    (1.0, (0.0, -1.0, 0.0, 0.0), 0.0),    # inward, lambda-sensitivity along
-], ids=["pair-out", "pair-in", "sensitivity-out", "sensitivity-in"])
+    (0.0, (1.0, 0.0, 0.0, 0.0), 1.0),     # outward from the well bottom
+    (1.0, (0.0, -1.0, 0.0, 0.0), 0.0),    # inward from the wall
+], ids=["sensitivity-out", "sensitivity-in"])
 def test_quartic_forbidden_shot_matches_scipy(t0, y0, t1):
     ref, own = _both(_quartic, t0, y0, t1)
     _assert_same_run(ref, own)
-
-
-def _first_zero(solver, u_at):
-    """Zero of u in the first step that changes its sign, by brentq on the
-    step's dense output."""
-    while True:
-        t_prev = solver.t
-        solver.step()
-        if solver.y[0] < 0.0:
-            return brentq(u_at(solver.dense_output()), t_prev, solver.t, xtol=1e-15)
-
-
-def test_dense_output_zero_matches_scipy():
-    ref, own = _both(_airy_like, 0.0, (1.0, 0.0), 4.0)
-    want = _first_zero(ref, lambda dense: lambda s: float(dense(s)[0]))
-    got = _first_zero(own, lambda dense: dense)
-    assert got == pytest.approx(want, abs=1e-12)
-    assert own.nfev == ref.nfev  # the interpolant's three extra stages too
 
 
 def test_step_too_small_raises_solver_error(dop853_steps):
@@ -107,7 +84,7 @@ def test_step_too_small_raises_solver_error(dop853_steps):
 
     before = steps_taken()
     with pytest.raises(SolverError, match="near x=0.5"):
-        _integrate(q, 0.0, (1.0, 0.0), 1.0, RTOL)
+        _integrate(q, 0.0, (1.0, 0.0, 0.0, 0.0), 1.0, RTOL)
     # The failed integration's steps, the failing one included, still count.
     assert steps_taken() - before == len(dop853_steps) > 1
 
@@ -122,7 +99,8 @@ def test_nan_from_the_start_fails_the_step():
     previous = signal.signal(signal.SIGALRM, hang)
     signal.setitimer(signal.ITIMER_REAL, 10.0)
     try:
-        solver = DOP853(lambda x: math.nan, 0.0, (1.0, 0.0), 1.0, RTOL, ATOL)
+        solver = DOP853(lambda x: math.nan, 0.0, (1.0, 0.0, 0.0, 0.0), 1.0,
+                        RTOL, ATOL)
         assert solver.step() == dop853.TOO_SMALL_STEP
         assert solver.status == "failed"
     finally:
@@ -133,6 +111,9 @@ def test_nan_from_the_start_fails_the_step():
 def test_rejects_unsupported_state_sizes():
     with pytest.raises(ValueError):
         DOP853(_airy_like, 0.0, (1.0, 0.0, 0.0), 1.0, RTOL, ATOL)
+    # (u, u') alone: every shot carries its sensitivity pair.
+    with pytest.raises(ValueError, match="4 components, got 2"):
+        DOP853(_airy_like, 0.0, (1.0, 0.0), 1.0, RTOL, ATOL)
 
 
 # -- kernels with the potential inlined -----------------------------------------
@@ -158,52 +139,24 @@ def _lockstep(fused, generic):
 
 
 @pytest.mark.parametrize("kind,t0,y0,t1", [
-    ("line", 0.0, (1.0, 0.0), 1.0),
-    ("line", 1.0, (0.0, -1.0), 0.0),
     ("line", 0.0, (1.0, 0.0, 0.0, 0.0), 1.0),
     ("line", 1.0, (0.0, -1.0, 0.0, 0.0), 0.0),
-    ("radial", 0.05, (0.0025, 0.1), 1.0),     # nu = 1.5: cent / x^2 inlined
-], ids=["pair-out", "pair-in", "sensitivity-out", "sensitivity-in",
-        "radial-nu1.5"])
+    ("radial", 0.05, (0.0025, 0.1, 0.0, 0.0), 1.0),  # nu = 1.5: cent / x^2 inlined
+], ids=["sensitivity-out", "sensitivity-in", "radial-nu1.5"])
 def test_fused_quartic_kernel_matches_scipy_and_the_generic_kernel(
         kind, t0, y0, t1):
     q = _q_factory(quartic(kind=kind).evaluate, LAM, H,
                    None if kind == "line" else 1.5)
-    ref = ScipyDOP853(_scipy_rhs(q, len(y0)), t0, list(y0), t1,
-                      rtol=RTOL, atol=ATOL)
+    ref = ScipyDOP853(_scipy_rhs(q), t0, list(y0), t1, rtol=RTOL, atol=ATOL)
     _assert_same_run(ref, DOP853(_fused_only(q), t0, y0, t1, RTOL, ATOL,
                                  math.inf, DQ))
     _lockstep(DOP853(_fused_only(q), t0, y0, t1, RTOL, ATOL, math.inf, DQ),
               DOP853(lambda x: q(x), t0, y0, t1, RTOL, ATOL, math.inf, DQ))
 
 
-def test_fused_dense_output_zero_equals_the_generic_kernels():
-    # At lambda = 1 the well x^2 + x^4 is classically allowed for
-    # |x| < 0.79, so u turns negative on the way in from the wall at -1.
-    q = _q_factory(quartic().evaluate, 1.0, H, None)
-    ref = ScipyDOP853(_scipy_rhs(q, 2), -1.0, [0.0, 1.0], 0.0,
-                      rtol=RTOL, atol=ATOL)
-    fused = DOP853(_fused_only(q), -1.0, (0.0, 1.0), 0.0, RTOL, ATOL)
-    generic = DOP853(lambda x: q(x), -1.0, (0.0, 1.0), 0.0, RTOL, ATOL)
-    got = _first_zero(fused, lambda dense: dense)
-    assert got == _first_zero(generic, lambda dense: dense)
-    assert fused.nfev == generic.nfev
-    assert got == pytest.approx(
-        _first_zero(ref, lambda dense: lambda s: float(dense(s)[0])),
-        abs=1e-12)
-
-
-def test_sensitivity_solver_keeps_no_dense_output():
-    solver = DOP853(_quartic, 0.0, (1.0, 0.0, 0.0, 0.0), 1.0, RTOL, ATOL,
-                    math.inf, DQ)
-    solver.step()
-    with pytest.raises(RuntimeError, match="2-component"):
-        solver.dense_output()
-
-
 def test_fused_kernel_cache_keeps_its_bound():
     for c in range(1, dop853.FUSED_CACHE_SIZE + 4):
         q = _q_factory(quartic(float(c)).evaluate, LAM, H, None)
-        DOP853(_fused_only(q), 0.0, (1.0, 0.0), 0.1, RTOL, ATOL).step()
+        DOP853(_fused_only(q), 0.0, (1.0, 0.0, 0.0, 0.0), 0.1, RTOL, ATOL).step()
     assert dop853.fused_kernel.cache_info().currsize \
         == dop853.FUSED_CACHE_SIZE

@@ -589,6 +589,21 @@ def test_cli_hydrogen_box_below_the_fd_grid_range_fails_its_row(capsys):
     assert "Traceback" not in captured.err
 
 
+def test_cli_hydrogen_lapack_failure_fails_one_row(capsys):
+    # At R = 1e-80 Newton from E_n does not isolate the level and LAPACK's
+    # bisection does not converge on the finite-difference seed grid: that
+    # row fails, tagged, and the R = 8 row is still printed.
+    code = main(["hydrogen", "--n", "1", "--ell", "0", "--h", "1",
+                 "--R-grid", "8,1e-80"])
+    assert code == 0
+    captured = capsys.readouterr()
+    body = captured.out.strip().split("\n")[1:]
+    assert len(body) == 2
+    assert body[0].startswith("8.0,") and body[0].endswith(",ok")
+    assert body[1].startswith("1e-80,") and "SolverError" in body[1]
+    assert "Traceback" not in captured.err
+
+
 def test_cli_hydrogen_non_finite_radius_fails_one_row(capsys):
     code = main(["hydrogen", "--n", "1", "--ell", "0", "--h", "1",
                  "--R-grid", "8,nan,inf"])

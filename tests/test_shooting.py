@@ -32,9 +32,11 @@ LEVEL2_H02 = 1.1990788504622032
 
 
 def integrate(p, lam, x0, y0, x1, h, rtol):
-    """(u, u') at x1 of the shot from (x0, y0), exponent factored out."""
+    """(u, u') at x1 of the shot from (x0, (u, u')), exponent factored out;
+    the sensitivity pair rides along from zero."""
     q = shooting._q_factory(p.evaluate, lam, h, None)
-    y, log_scale, *_ = shooting._integrate(q, x0, y0, x1, rtol)
+    y, log_scale, *_ = shooting._integrate(q, x0, (*y0, 0.0, 0.0), x1, rtol,
+                                           dq=shooting._dq(h))
     return ScaledValue.of(y[0], log_scale), ScaledValue.of(y[1], log_scale)
 
 
@@ -99,7 +101,7 @@ def test_wronskian_constant_in_forbidden_region():
 # -- the matching Wronskian and its lambda-derivative -------------------------------
 
 def _w(match, lam):
-    return wronskian(*match.shoot(lam, 1e-12, with_sensitivity=False))[0]
+    return wronskian(*match.shoot(lam, 1e-12))[0]
 
 
 def test_boundary_map_jacobian_matches_finite_differences():
@@ -224,7 +226,7 @@ def test_oscillator_series_satisfies_the_ode():
     u = {}
     for dx in (-d, 0.0, d):
         series = FrobeniusStart.well(p, nu, h, x0=x0 + dx)
-        _, y = series(lam, with_sensitivity=False)
+        _, y = series(lam)
         u[dx] = y[0]
     fd2 = (u[d] - 2 * u[0.0] + u[-d]) / (d * d)
     q = (p.evaluate(x0) - lam) / (h * h) + (nu * nu - 0.25) / (x0 * x0)
@@ -236,8 +238,8 @@ def test_oscillator_series_lambda_sensitivity():
     series = FrobeniusStart.well(p, 0.5, 0.1, x0=0.02)
     lam, d = 0.3, 1e-5
     _, y = series(lam)
-    _, y_p = series(lam + d, with_sensitivity=False)
-    _, y_m = series(lam - d, with_sensitivity=False)
+    _, y_p = series(lam + d)
+    _, y_m = series(lam - d)
     assert y[2] == pytest.approx((y_p[0] - y_m[0]) / (2 * d), rel=1e-6)
     assert y[3] == pytest.approx((y_p[1] - y_m[1]) / (2 * d), rel=1e-6)
 
@@ -246,10 +248,10 @@ def test_oscillator_series_slope_consistent():
     p = harmonic(kind="radial")
     series = FrobeniusStart.well(p, 2.5, 0.05, x0=0.01)
     d = 1e-6
-    _, y = series(0.7, with_sensitivity=False)
-    _, y_p = series(0.7, with_sensitivity=False)
-    up = FrobeniusStart.well(p, 2.5, 0.05, x0=0.01 + d)(0.7, False)[1][0]
-    dn = FrobeniusStart.well(p, 2.5, 0.05, x0=0.01 - d)(0.7, False)[1][0]
+    _, y = series(0.7)
+    _, y_p = series(0.7)
+    up = FrobeniusStart.well(p, 2.5, 0.05, x0=0.01 + d)(0.7)[1][0]
+    dn = FrobeniusStart.well(p, 2.5, 0.05, x0=0.01 - d)(0.7)[1][0]
     assert y[1] == pytest.approx((up - dn) / (2 * d), rel=1e-6)
     assert y_p[0] == y[0]  # same object inputs, same output
 
@@ -263,8 +265,8 @@ def test_frobenius_start_leading_power():
     # Near 0 the solution is ~ x^(nu+1/2); ratio of two small x values
     # exposes the exponent.
     w = harmonic(kind="radial")
-    _, s1 = FrobeniusStart.well(w, 1.5, 0.1, x0=1e-3)(0.5, False)
-    _, s2 = FrobeniusStart.well(w, 1.5, 0.1, x0=2e-3)(0.5, False)
+    _, s1 = FrobeniusStart.well(w, 1.5, 0.1, x0=1e-3)(0.5)
+    _, s2 = FrobeniusStart.well(w, 1.5, 0.1, x0=2e-3)(0.5)
     got = s2[0] / s1[0]
     assert got == pytest.approx(2.0 ** 2.0, rel=1e-4)
 
@@ -275,7 +277,7 @@ def test_coulomb_series_satisfies_the_ode():
     u = {}
     for dx in (-d, 0.0, d):
         series = FrobeniusStart.coulomb(z, ell, h, x0 + dx)
-        _, y = series(energy, with_sensitivity=False)
+        _, y = series(energy)
         u[dx] = y[0]
     fd2 = (u[d] - 2 * u[0.0] + u[-d]) / (d * d)
     q = (ell * (ell + 1) * h * h / x0 ** 2 - z / x0 - energy) / (h * h)
@@ -286,9 +288,20 @@ def test_coulomb_series_lambda_sensitivity():
     series = FrobeniusStart.coulomb(2.0, 0, 1.0, 0.05)
     e, d = -1.0, 1e-6
     _, y = series(e)
-    _, y_p = series(e + d, with_sensitivity=False)
-    _, y_m = series(e - d, with_sensitivity=False)
+    _, y_p = series(e + d)
+    _, y_m = series(e - d)
     assert y[2] == pytest.approx((y_p[0] - y_m[0]) / (2 * d), rel=1e-5)
+
+
+def test_coulomb_series_sums_past_a_tiny_odd_term():
+    # x0 = 1e-18 and the free level of a 1e-16 box: the odd term z x0/h^2
+    # is 1e-18, below the cutoff, while -lambda enters at n = 2 with
+    # (k x0)^2 ~ 1e-3.  At this lambda -z/x is negligible and u is
+    # sin(k x)/k, so x0 u'/u = k x0 cot(k x0).
+    x0, lam = 1e-18, math.pi ** 2 * 1e32
+    _, (u, du, _, _) = FrobeniusStart.coulomb(2.0, 0, 1.0, x0)(lam)
+    kx0 = math.sqrt(lam) * x0
+    assert x0 * du / u == pytest.approx(kx0 / math.tan(kx0), rel=1e-14)
 
 
 @pytest.mark.parametrize("h", [1e-15, 1e-16, 1e-100])
@@ -298,8 +311,8 @@ def test_coulomb_series_is_h_invariant(h):
     # c_n alone grow like h^(-2n) and overflow a double from h = 1e-15 on.
     def sums(h):
         x0 = 0.05 * h * h
-        _, (u, du) = FrobeniusStart.coulomb(2.0, 0, h, x0)(
-            -1.0 / (h * h), with_sensitivity=False)
+        _, (u, du, _, _) = FrobeniusStart.coulomb(2.0, 0, h, x0)(
+            -1.0 / (h * h))
         return u / x0, du  # nu + 1/2 = 1 for ell = 0
     su, sdu = sums(h)
     su_1, sdu_1 = sums(1.0)
@@ -340,7 +353,7 @@ def test_arithmetic_error_while_stepping_is_a_solver_error(fault):
         return 1.0
     before = steps_taken()
     with pytest.raises(SolverError, match=fault.__name__):
-        shooting._integrate(q, 0.0, (1.0, 0.0), 1.0, 1e-12)
+        shooting._integrate(q, 0.0, (1.0, 0.0, 0.0, 0.0), 1.0, 1e-12)
     assert steps_taken() > before  # the steps before the fault still count
 
 
@@ -348,7 +361,7 @@ def test_shoot_line_side_reports_steps_and_crossings():
     mode = ModeSpec(level=3, h=H)
     sol = newton_solve_line(harmonic(), BOX, mode, 7 * H * 1.0003)
     _, side = Matching.line(harmonic(), BOX, mode).shoot(
-        sol.lam, 1e-12, with_sensitivity=False, max_step=0.05)
+        sol.lam, 1e-12, max_step=0.05)
     # Level 3 has nodes at the origin and a symmetric pair; the inward shot
     # from the right wall crosses one of the pair on its way to the origin,
     # and its start on the wall is no crossing.
@@ -405,12 +418,10 @@ def test_walls_keep_the_mirror_only_when_symmetric():
     ("x^2 + 1/(x + 0.7)", SolverError,
      "integrator failed near x=-0.7: "
      "Required step size is less than spacing between numbers."),
-], ids=["power-at-wall", "log-at-wall", "sqrt-inside", "overflow-inside",
-        "pole-inside"])
-@pytest.mark.parametrize("sensitivity", [True, False],
-                         ids=["sensitivity", "pair"])
-def test_potential_error_inside_a_shot_surfaces_unchanged(
-        text, error, message, sensitivity):
+], ids=["sensitivity-power-at-wall", "sensitivity-log-at-wall",
+        "sensitivity-sqrt-inside", "sensitivity-overflow-inside",
+        "sensitivity-pole-inside"])
+def test_potential_error_inside_a_shot_surfaces_unchanged(text, error, message):
     # The first two are undefined at the left wall, where the solver's
     # first right-hand side meets them; the next two only inside the shot,
     # one raising there and one overflowing to inf without raising.  The
@@ -419,7 +430,6 @@ def test_potential_error_inside_a_shot_surfaces_unchanged(
         warnings.simplefilter("ignore", RuntimeWarning)  # the division
         p = from_expression(text)
     with pytest.raises(error) as caught:
-        Matching.line(p, BOX, ModeSpec(0, 0.1)).shoot(
-            0.1, 5e-13, with_sensitivity=sensitivity)
+        Matching.line(p, BOX, ModeSpec(0, 0.1)).shoot(0.1, 5e-13)
     assert type(caught.value) is error
     assert str(caught.value) == message

@@ -660,8 +660,8 @@ def test_mirrored_pair_gives_the_same_case_in_half_the_steps(well, m):
 
 
 @pytest.mark.parametrize("source, box, steps", [
-    ("x^2 + x^4", LineBox(-1.0, 2.0), 2186),
-    ("x^2 + 0.3*x^3 + x^4", BOX, 1082),
+    ("x^2 + x^4", LineBox(-1.0, 2.0), 2208),
+    ("x^2 + 0.3*x^3 + x^4", BOX, 1090),
 ], ids=["asymmetric-box", "uneven-well"])
 def test_asymmetric_problems_shoot_both_sides(source, box, steps):
     p, mode = from_expression(source), ModeSpec(level=0, h=0.1)
@@ -684,3 +684,13 @@ def test_tiny_coulomb_box_reaches_its_level(r_box):
                    ModeSpec(0, 1.0, 0.5))[0].value
     assert pair.nodes == 0
     assert pair.value == pytest.approx(fd, rel=1e-6)
+
+
+@pytest.mark.parametrize("r_box", [1e-16, 1e-30, 1e-60])
+def test_coulomb_box_far_inside_the_bohr_radius_is_a_free_particle_box(r_box):
+    """The series start's tiny odd term must not end its sum before -lambda
+    enters, or the start reads (x0, 1) whatever lambda is.  Z/R is
+    negligible here next to (pi h/R)^2, the lowest level of the empty box."""
+    pair = hydrogen_confined(HydrogenSpec(n=1, ell=0, z=2.0, h=1.0, r_box=r_box))
+    assert pair.nodes == 0
+    assert pair.value == pytest.approx((math.pi / r_box) ** 2, rel=1e-9)

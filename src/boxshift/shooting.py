@@ -489,7 +489,6 @@ class Matching:
     left: SeriesStart
     right: SeriesStart
     x_m: float
-    width: float
     mirror: bool = False
 
     @classmethod
@@ -503,7 +502,6 @@ class Matching:
             left = wall_start(domain.left, 1.0)
             right = wall_start(domain.right, -1.0)
         return cls(p.evaluate, None, mode.h, left, right, 0.0,
-                   domain.right - domain.left,
                    mirror=p.even and domain.left == -domain.right)
 
     @classmethod
@@ -514,8 +512,8 @@ class Matching:
         inward decaying shot meet at the interior ``L.x_m``."""
         if isinstance(L, Unwalled):
             return cls(V, nu, h, series_start,
-                       decaying_start(V, h, nu, L.right, -1.0), L.x_m, L.right)
-        return cls(V, nu, h, series_start, wall_start(L, -1.0), L, L)
+                       decaying_start(V, h, nu, L.right, -1.0), L.x_m)
+        return cls(V, nu, h, series_start, wall_start(L, -1.0), L)
 
     def walled(self, box: LineBox | RadialBox) -> Matching:
         """The same matching with Dirichlet wall starts at ``box``'s walls;
@@ -732,8 +730,11 @@ def count_nodes(match: Matching, lam: float, rtol: float,
     off the matched state there instead.  At an interior x_m, zeros within
     1e-3 of the cap are dropped and one node counts when u vanishes that
     close to x_m: an odd level on a symmetric box has its node at x_m
-    exactly, and either side may see it.  At a wall x_m the Dirichlet zero
-    is no node, and zeros within 100*|u/u'| of it are discarded.
+    exactly, and either side may see it.  At a wall x_m the zeros inside
+    count the Dirichlet levels below lam (Sturm), and one is taken off
+    where lam lies above the level it stands for: u there takes the sign
+    of du/dlambda.  That holds wherever the extra zero lies; deep in a
+    barrier, lam a rounding error above the level puts it far inside.
 
     The cap samples V, so it is computed only when it is used: for a
     re-shoot, or when a zero or |u_L/u_L'| lies within 1e-3 of its ceiling
@@ -752,24 +753,18 @@ def count_nodes(match: Matching, lam: float, rtol: float,
     left, right = shots
     zeros = left.crossings + right.crossings
     if b == match.x_m:
-        margin = _wall_margin(left.at(0), left.at(1), match.width)
-        at_match = 0
-    else:
-        def near(margin: float) -> bool:
-            return abs(left.y[0]) <= margin * abs(left.y[1]) \
-                or any(abs(z - match.x_m) <= margin for z in zeros)
-        if not sampled and near(1e-3 * cap):
-            cap = _counting_step_cap(match.V, match.nu, h, lam, a, b)
-        margin = 1e-3 * cap
-        at_match = int(abs(left.y[0]) <= margin * abs(left.y[1]))
-    inside = sum(1 for z in zeros if abs(z - match.x_m) > margin)
-    return inside + at_match
+        u, _, du = left.y[:3]
+        above = (u > 0.0 and du > 0.0) or (u < 0.0 and du < 0.0)
+        return sum(1 for z in zeros if z != match.x_m) - above
 
-
-def _wall_margin(value: ScaledValue, slope: ScaledValue, width: float) -> float:
-    if slope.is_zero:
-        return 0.0
-    return min(0.05 * width, 100.0 * abs(value.ratio(slope)))
+    def near(margin: float) -> bool:
+        return abs(left.y[0]) <= margin * abs(left.y[1]) \
+            or any(abs(z - match.x_m) <= margin for z in zeros)
+    if not sampled and near(1e-3 * cap):
+        cap = _counting_step_cap(match.V, match.nu, h, lam, a, b)
+    margin = 1e-3 * cap
+    at_match = int(abs(left.y[0]) <= margin * abs(left.y[1]))
+    return sum(1 for z in zeros if abs(z - match.x_m) > margin) + at_match
 
 
 def _counting_step_cap(V: Callable[[float], float], nu: float | None,

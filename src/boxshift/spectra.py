@@ -31,16 +31,20 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
+from numbers import Integral
+from types import SimpleNamespace
 from typing import Callable, Iterable
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dgttrf, dgttrs, dstebz
 from scipy.optimize import brentq
 
 from . import shooting
 from .agmon import AgmonProfile
-from .errors import GridError, InvalidPotential, SolverError
+from .dsl import FUNCTIONS
+from .errors import BoxshiftError, GridError, InvalidPotential, SolverError
 from .potentials import Domain, LineBox, PotentialSpec, RadialBox
 from .scaled import ScaledValue
 from .shooting import (FrobeniusStart, ModeSpec, Unwalled, count_nodes_line,
@@ -318,57 +322,200 @@ def _first_wall(profile: AgmonProfile, target_phi: float, start: float,
 # --------------------------------------------------------------------------
 
 
-def _fd_values(v_eff: Callable[[float], float], a: float, b: float, h: float,
-               count: int, n: int) -> np.ndarray:
-    """Lowest ``count`` eigenvalues of the 3-point discretisation of
-    h^2 D^2 + v_eff on (a, b), Dirichlet both ends, n subintervals.  A
-    grid LAPACK cannot resolve (a box far inside the Bohr radius) raises
-    ``GridError``, like any other grid that cannot be trusted."""
+_SEED_COARSENING = 8  # the seed grid has grid_n // 8 intervals
+_SWEEPS = 8  # inverse-iteration sweeps before a grid falls back to bisection
+_RESIDUAL = 4.0  # stop at |Tv - lambda v| <= 4 eps |T|, stebz's own tolerance
+# DSL sources call math.exp and the like; over the grid the same names are
+# numpy's ufuncs.
+_GRID_MATH = SimpleNamespace(
+    **{name: getattr(np, name) for name in FUNCTIONS if name != "abs"})
+
+
+@lru_cache(maxsize=16)
+def _grid_code(source: str):
+    return compile(source, "<V on the finite-difference grid>", "eval")
+
+
+def _v_on_grid(v: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    """V at every point of ``x``.  A potential with a ``source`` (an
+    expression in ``x``, see ``dop853``) is evaluated once over the whole
+    array; where that raises or gives a value that is not finite, and for
+    plain callables, V is called point by point, which raises the
+    potential's own error where it is undefined."""
+    source = getattr(v, "source", None)
+    if source is not None:
+        namespace = {"__builtins__": {}, "math": _GRID_MATH, "abs": np.abs}
+        try:
+            with np.errstate(all="ignore"):
+                values = np.asarray(eval(_grid_code(source), namespace,  # noqa: S307
+                                         {"x": x}))
+        except (ArithmeticError, TypeError, ValueError):
+            values = None  # the pointwise loop below reports the fault
+        if values is not None and values.dtype.kind == "f" \
+                and np.isfinite(values).all():
+            return np.broadcast_to(values, x.shape)
+    return np.array([v(t) for t in x])
+
+
+def _fd_matrix(v: Callable[[float], float], cent: float, a: float, b: float,
+               h: float, n: int) -> tuple[np.ndarray, float]:
+    """Diagonal and off-diagonal of the 3-point discretisation of
+    -h^2 D^2 + V + cent/x^2 on (a, b), Dirichlet both ends, n subintervals."""
     dx = (b - a) / n
     if dx * dx == 0.0:
         raise GridError(f"grid spacing {dx:g} is too fine: its square underflows")
     x = a + dx * np.arange(1, n)
-    diag = 2.0 * h * h / (dx * dx) + np.array([v_eff(t) for t in x])
-    off = np.full(n - 2, -h * h / (dx * dx))
+    potential = _v_on_grid(v, x)
+    with np.errstate(all="ignore"):  # a non-finite entry fails in LAPACK
+        if cent:
+            potential = potential + cent / (x * x)
+        return 2.0 * h * h / (dx * dx) + potential, -h * h / (dx * dx)
+
+
+def _fd_grids(p: PotentialSpec, domain: Domain, mode: ModeSpec
+              ) -> Callable[[int], tuple[np.ndarray, float]]:
+    """The matrix of ``fd_oracle``'s problem on a grid, by its number of
+    intervals: (diagonal, off-diagonal), see ``_fd_matrix``."""
+    h = mode.h
+    if isinstance(domain, LineBox):
+        return partial(_fd_matrix, p.evaluate, 0.0, domain.left, domain.right, h)
+    if mode.nu is None:
+        raise InvalidPotential("radial finite differences need mode.nu")
+    if mode.nu < 0.5:
+        warnings.warn(
+            f"nu={mode.nu:g} < 0.5: the x^(nu+1/2) behaviour at 0 is too "
+            "singular for the plain stencil; oracle accuracy is reduced",
+            RuntimeWarning, stacklevel=3)
+    cent = h * h * (mode.nu * mode.nu - 0.25)
+    return partial(_fd_matrix, p.evaluate, cent, 0.0, domain.length, h)
+
+
+def _fd_values(diag: np.ndarray, off: float, count: int,
+               seeds: np.ndarray | None = None) -> np.ndarray:
+    """Lowest ``count`` eigenvalues of the symmetric tridiagonal matrix
+    with ``diag`` and constant ``off``: from ``seeds``, one per level, by
+    certified inverse iteration (``_refined``), or else by LAPACK's
+    bisection.  A matrix LAPACK cannot resolve (a box far inside the Bohr
+    radius) raises ``GridError``, like any other grid that cannot be
+    trusted."""
+    if seeds is not None:
+        values = _refined(diag, off, seeds)
+        if values is not None:
+            return values
     try:
-        return eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+        return eigh_tridiagonal(diag, np.full(diag.size - 1, off),
+                                eigvals_only=True, select="i",
                                 select_range=(0, count - 1))
     except np.linalg.LinAlgError as exc:  # LAPACK's bisection did not converge
         raise GridError(f"finite-difference eigenvalues failed: {exc}") from exc
+
+
+def _refined(diag: np.ndarray, off: float,
+             seeds: np.ndarray) -> np.ndarray | None:
+    """The lowest ``len(seeds)`` eigenvalues, each by inverse iteration
+    shifted to its seed, or None unless all are certified.
+
+    Each level stops at a residual |Tv - lambda v| <= 4 eps |T|, lambda the
+    Rayleigh quotient of the unit vector v, so an eigenvalue lies within
+    that residual of lambda (Weyl); |T| is the Gershgorin bound stebz
+    uses.  The intervals must be ordered and disjoint, and a Sturm count
+    must find exactly ``len(seeds)`` eigenvalues below the top of the last:
+    then interval i holds eigenvalue i, whatever the seeds were.
+    """
+    with np.errstate(all="ignore"):
+        span = 2.0 * abs(off)
+        norm = max(abs(diag.min() - span), abs(diag.max() + span))
+        tol = _RESIDUAL * np.finfo(float).eps * norm
+        if not math.isfinite(tol):
+            return None
+        sub = np.full(diag.size - 1, off)
+        start = np.linspace(1.0, 2.0, diag.size)
+        pairs = [_inverse_iteration(diag, sub, seed, start, tol)
+                 for seed in seeds]
+    if None in pairs:
+        return None
+    values, radii = np.array(pairs).T
+    tops = values + radii
+    if np.any(tops[:-1] >= (values - radii)[1:]):
+        return None
+    # dstebz as a counter: an abstol wider than the spectrum stops it before
+    # any bisection, so m = N(top) from a few Sturm sequences.
+    m, *_, info = dstebz(diag, sub, 1, -math.inf, tops[-1], 0, 0,
+                         2.0 * norm, "E")
+    return values if info == 0 and m == len(seeds) else None
+
+
+def _inverse_iteration(diag: np.ndarray, sub: np.ndarray, seed: float,
+                       start: np.ndarray, tol: float
+                       ) -> tuple[float, float] | None:
+    """(Rayleigh quotient, residual) of the level next to ``seed``, from
+    sweeps of one LU factorisation of T - seed; None if a pivot is zero, a
+    value is not finite or the residual stays above ``tol``.  The ``start``
+    vector must not be even: the odd levels of a symmetric box are
+    orthogonal to every even vector."""
+    dl, d, du, du2, ipiv, info = dgttrf(sub, diag - seed, sub)
+    if info != 0:
+        return None
+    v = start
+    for _ in range(_SWEEPS):
+        w, info = dgttrs(dl, d, du, du2, ipiv, v)
+        size = np.abs(w).max()
+        if info != 0 or not 0.0 < size < math.inf:
+            return None
+        w /= size  # scaled first, so the norm cannot overflow
+        v = w / math.sqrt(w @ w)
+        tv = diag * v
+        tv[1:] += sub * v[:-1]
+        tv[:-1] += sub * v[1:]
+        lam = float(v @ tv)
+        r = tv - lam * v
+        residual = math.sqrt(r @ r)
+        if residual <= tol:
+            return lam, residual
+    return None
 
 
 def fd_oracle(p: PotentialSpec, domain: Domain, mode: ModeSpec,
               grid_n: int = 2000, count: int = 1) -> list[Eigenpair]:
     """Richardson-extrapolated finite-difference eigenvalues, lowest ``count``.
 
-    Entirely independent of the shooting machinery.  The radial x^-2 term
-    is applied directly on the grid; for nu < 0.5 the eigenfunction is too
-    singular at 0 for the 3-point stencil and accuracy degrades (warned).
+    Entirely independent of the shooting machinery: the 3-point matrices
+    of grid_n and 2*grid_n intervals give (4*fine - coarse)/3.  V is
+    evaluated once over each grid where it has a ``source``, point by point
+    otherwise; the radial x^-2 term is applied directly on the grid.  For
+    nu < 0.5 the eigenfunction is too singular at 0 for the 3-point
+    stencil and accuracy degrades (warned).
+
+    Each grid costs O(n) per level.  LAPACK's bisection (``eigh_tridiagonal``)
+    solves a seed grid of grid_n // 8 intervals; each level of the grid_n
+    grid is then refined from its seed by inverse iteration, and each of
+    the 2*grid_n grid from the grid_n value.  A level stops only at a
+    residual within 4 eps |T|, the tolerance class of the bisection itself,
+    and a Sturm count certifies that it is the level of its index.  A grid
+    whose levels fail either certificate, or whose seed grid is too small
+    or fails, is solved by bisection instead.
     """
+    if isinstance(grid_n, bool) or not isinstance(grid_n, Integral):
+        raise GridError(f"grid_n must be an integer, got {grid_n!r}")
+    if isinstance(count, bool) or not isinstance(count, Integral) or count < 0:
+        raise GridError(f"count must be a non-negative integer, got {count!r}")
     if grid_n < 200:
         raise GridError(f"finite-difference grid needs >= 200 points, got {grid_n}")
     if count + 1 > grid_n - 1:  # one level beyond the last, for its gap
         raise GridError(
             f"a grid of {grid_n} intervals has {grid_n - 1} interior points, "
             f"too few for the lowest {count + 1} levels; increase grid_n")
-    h = mode.h
-    if isinstance(domain, LineBox):
-        a, b = domain.left, domain.right
-        v_eff: Callable[[float], float] = p.evaluate
-    else:
-        if mode.nu is None:
-            raise InvalidPotential("radial finite differences need mode.nu")
-        if mode.nu < 0.5:
-            warnings.warn(
-                f"nu={mode.nu:g} < 0.5: the x^(nu+1/2) behaviour at 0 is too "
-                "singular for the plain stencil; oracle accuracy is reduced",
-                RuntimeWarning, stacklevel=2)
-        a, b = 0.0, domain.length
-        cent = h * h * (mode.nu * mode.nu - 0.25)
-        v_eff = lambda x: p.evaluate(x) + cent / (x * x)  # noqa: E731
-
-    coarse = _fd_values(v_eff, a, b, h, count + 1, grid_n)
-    fine = _fd_values(v_eff, a, b, h, count + 1, 2 * grid_n)
+    matrix = _fd_grids(p, domain, mode)
+    levels = count + 1
+    coarse_matrix = matrix(grid_n)  # first: V undefined on it raises here
+    seeds = None
+    if grid_n // _SEED_COARSENING > levels:
+        try:
+            seeds = _fd_values(*matrix(grid_n // _SEED_COARSENING), levels)
+        except (BoxshiftError, ArithmeticError, ValueError):
+            pass  # the grid_n grid is bisected instead
+    coarse = _fd_values(*coarse_matrix, levels, seeds)
+    fine = _fd_values(*matrix(2 * grid_n), levels, coarse)
     out: list[Eigenpair] = []
     for i in range(count):
         gap = fine[i + 1] - fine[i]

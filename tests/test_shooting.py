@@ -198,6 +198,22 @@ def test_node_count_reads_newton_shots_and_reshoots_past_a_quarter_turn(
     assert steps_taken() > before
 
 
+@pytest.mark.parametrize("ulps", [-2, -1, 0, 1, 2])
+def test_radial_wall_count_is_the_level_within_noise_of_a_deep_root(ulps):
+    # RadialBox(3) lifts the quartic's level by about e^-200, far below an
+    # ulp: a lambda an ulp or two either side of the root puts a zero of the
+    # shot deep in the barrier, or none, as the shot's noise falls.  The
+    # count stays the level either way.
+    p, nu, h, L = quartic(kind="radial"), 1.5, 0.1, 3.0
+    series = FrobeniusStart.well(p, nu, h, L=L)
+    sol = newton_solve_radial(p.evaluate, nu, h, L, 0.568, series, rtol=1e-13)
+    lam = sol.lam
+    for _ in range(abs(ulps)):
+        lam = math.nextafter(lam, math.copysign(math.inf, ulps))
+    assert count_nodes_radial(p.evaluate, nu, h, L, lam, series,
+                              rtol=1e-13) == 0
+
+
 @pytest.mark.parametrize("m, sampled", [(0, 0), (1, 1), (2, 0)])
 def test_node_count_samples_v_only_for_a_zero_near_the_matching_point(
         monkeypatch, m, sampled):

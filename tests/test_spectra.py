@@ -8,9 +8,13 @@ resolution.
 """
 
 import math
+import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 from boxshift import (
     GridError, HydrogenSpec, InvalidPotential, LineBox, ModeSpec,
@@ -20,6 +24,7 @@ from boxshift import (
 )
 from boxshift import report, shooting, spectra
 from boxshift.agmon import AgmonProfile
+from boxshift.dsl import EvalError
 from boxshift.report import run_hydrogen_case, run_shift_case
 from boxshift.shooting import (Matching, Unwalled, rhs_calls_taken,
                                steps_taken)
@@ -129,6 +134,136 @@ def test_fd_oracle_detects_unresolved_crowding():
     with pytest.raises(GridError):
         fd_oracle(harmonic(), BOX, ModeSpec(level=0, h=0.004),
                   grid_n=200, count=40)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"count": -1}, "count"), ({"count": 1.5}, "count"), ({"count": True}, "count"),
+    ({"grid_n": 2000.5}, "grid_n"), ({"grid_n": True}, "grid_n"),
+    ({"grid_n": "2000"}, "grid_n"),
+])
+def test_fd_oracle_names_a_bad_argument(kwargs, name):
+    # Before, count=-1 reached scipy's select_range check, grid_n=2000.5
+    # failed in numpy, and grid_n=True was read as 1.
+    with pytest.raises(GridError, match=f"^{name} must be"):
+        fd_oracle(harmonic(), BOX, ModeSpec(level=0, h=0.1), **kwargs)
+
+
+# -- the finite-difference levels: seed grid, inverse iteration, certificates ----------
+
+EPS = sys.float_info.epsilon
+
+
+def _coulomb(z: float) -> PotentialSpec:
+    V = lambda x: -z / x  # noqa: E731
+    V.source = f"-{z!r} / x"  # as in hydrogen_confined
+    return PotentialSpec("radial", V)
+
+
+# Each as a function of h: the Coulomb charge scales like h^2, so its
+# levels keep the Bohr length 0.1 that the unit box resolves at every h.
+FD_PROBLEMS = {
+    "harmonic-line": lambda h: (harmonic(), BOX, None),
+    "quartic-line": lambda h: (quartic(), BOX, None),
+    "cubic-quartic-line": lambda h: (from_expression("x^2 + 0.3*x^3 + x^4"),
+                                     LineBox(-1.0, 2.0), None),
+    "harmonic-radial": lambda h: (harmonic(kind="radial"), RadialBox(1.0), 1.5),
+    "quartic-radial": lambda h: (quartic(kind="radial"), RadialBox(1.0), 0.5),
+    "coulomb-radial": lambda h: (_coulomb(20.0 * h * h), RadialBox(1.0), 0.5),
+}
+
+
+def _bisected(diag, off, count):
+    return eigh_tridiagonal(diag, np.full(diag.size - 1, off),
+                            eigvals_only=True, select="i",
+                            select_range=(0, count - 1))
+
+
+def _gershgorin(diag, off):
+    return max(abs(diag.min() - 2 * abs(off)), abs(diag.max() + 2 * abs(off)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(problem=st.sampled_from(sorted(FD_PROBLEMS)),
+       h=st.floats(0.02, 0.3), level=st.integers(0, 3))
+def test_refined_levels_are_the_bisected_ones_within_the_residual_bound(
+        problem, h, level):
+    p, domain, nu = FD_PROBLEMS[problem](h)
+    matrix = spectra._fd_grids(p, domain, ModeSpec(level, h, nu))
+    count = level + 2  # fd_oracle's levels, the gap's one included
+    values = spectra._fd_values(*matrix(250), count)
+    for n in (2000, 4000):
+        diag, off = matrix(n)
+        values = spectra._refined(diag, off, values)
+        assert values is not None  # certified, no fallback
+        assert np.all(np.abs(values - _bisected(diag, off, count))
+                      <= 4 * EPS * _gershgorin(diag, off))
+
+
+@pytest.mark.parametrize("seeds", ["next-level", "nan", "repeated"])
+def test_a_bad_seed_falls_back_to_bisection_exactly(seeds):
+    diag, off = spectra._fd_grids(harmonic(), BOX, ModeSpec(0, 0.1))(2000)
+    levels = _bisected(diag, off, 4)
+    chosen = {"next-level": levels[1:],
+              "nan": np.array([math.nan, *levels[1:3]]),
+              "repeated": levels[[1, 1, 2]]}[seeds]
+    assert spectra._refined(diag, off, chosen) is None
+    assert np.array_equal(spectra._fd_values(diag, off, 3, chosen),
+                          _bisected(diag, off, 3))
+
+
+@pytest.mark.parametrize("p, domain, mode", [
+    (harmonic(), BOX, ModeSpec(1, 0.05)),
+    (harmonic(kind="radial"), RadialBox(1.0), ModeSpec(0, 0.05, 1.5)),
+], ids=["line", "radial"])
+def test_fd_oracle_bisects_only_its_seed_grid(monkeypatch, p, domain, mode):
+    # Two harmonic-oracle benchmark cases: of the 250-, 2000- and
+    # 4000-interval grids, LAPACK's bisection solves the first alone.
+    sizes = []
+    real = spectra.eigh_tridiagonal
+
+    def counted(diag, off, **kwargs):
+        sizes.append(diag.size)
+        return real(diag, off, **kwargs)
+
+    monkeypatch.setattr(spectra, "eigh_tridiagonal", counted)
+    fd_oracle(p, domain, mode, count=mode.level + 1)
+    assert sizes == [249]
+
+
+X_GRID = 0.05 + 1.95 * np.arange(1, 2000) / 2000
+
+
+@pytest.mark.parametrize("v", [harmonic().evaluate, _coulomb(2.0).evaluate],
+                         ids=["x * x", "-2.0 / x"])
+def test_v_on_the_grid_is_bitwise_v_pointwise(v):
+    assert np.array_equal(spectra._v_on_grid(v, X_GRID),
+                          [v(t) for t in X_GRID])
+
+
+@pytest.mark.parametrize("text", [
+    "x^2 + x^4", "x^2 + 0.3*x^3 + x^4", "x^2.5 + 2^x", "cosh(x) + x^2",
+    "exp(-x) * sin(3*x)^2 + cos(x) + sinh(x)",
+    "sqrt(x) + log(1 + x) + abs(x - 1)",
+])
+def test_v_on_the_grid_is_v_pointwise_within_two_ulps(text):
+    p = from_expression(text)
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return p.evaluate(x)
+
+    counted.source = p.evaluate.source
+    grid = spectra._v_on_grid(counted, X_GRID)
+    assert calls == []  # one evaluation over the array
+    pointwise = np.array([p.evaluate(t) for t in X_GRID])
+    assert np.all(np.abs(grid - pointwise) <= 2 * np.spacing(np.abs(pointwise)))
+
+
+def test_v_undefined_on_the_grid_raises_the_pointwise_error():
+    p = from_expression("x^2 + sqrt(x)")
+    with pytest.raises(EvalError, match=r"^sqrt of a negative value in 'sqrt\(x\)'$"):
+        fd_oracle(p, BOX, ModeSpec(level=0, h=0.1))
 
 
 # -- wall monotonicity ----------------------------------------------------------------

@@ -62,6 +62,10 @@ class CaseDescriptor:
 
 @dataclass(frozen=True)
 class Diagnostics:
+    """The work behind one report: the confined Newton's iterations and
+    every integrator step of the case, the loose iterates of a graded
+    Newton (``shooting.newton``) included."""
+
     iterations: int
     steps: int
     oracle_value: float | None = None

@@ -35,6 +35,14 @@ F from a Dirichlet level lambda_D takes the flux step first
 (``flux_wronskian``), F(lambda_D) as wall values times O(1) projections,
 so the shift lambda_D - lambda_0 never comes from a subtraction.
 
+Newton grades its integrator tolerance (``newton``): every solve without
+a flux step -- the Dirichlet levels on the line, radial and Coulomb
+problems, a free solve started away from its box's level -- shoots its
+far iterates loosely, each only as tight as its next step needs, and
+ends only on an iterate shot at the full rtol.  The free solve from a
+box's level shoots every iterate at rtol, since its steps sum to the
+shift and a loose step would leave an absolute error in it.
+
 An even well (``PotentialSpec.even``) in a symmetric box, with or without
 walls, is shot from one side (``Matching.mirror``).  x -> -x maps the left
 shot onto the right one, so only the left side is integrated and the right
@@ -100,6 +108,7 @@ _RENORM_LOG = 12.0
 _RENORM_HI = math.exp(_RENORM_LOG)
 _RENORM_LO = math.exp(-_RENORM_LOG)
 _NEWTON_MAX_ITER = 50
+_LOOSE_RTOL = 1e-6  # a graded Newton's first iterate is shot at this (newton)
 _SERIES_MAX_TERMS = 40
 _SERIES_CUTOFF = 1e-16
 _QUARTER_TURN = 0.5 * math.pi  # the phase k*dx a node-counting step may span
@@ -579,7 +588,7 @@ class Solution:
     """A Newton root of W, converged to its noise bound."""
 
     lam: float
-    iterations: int
+    iterations: int      # loose iterates included (see ``newton``)
     steps: int           # integrator steps the iteration took
     offset: ScaledValue | None = None  # lam - lam0 summed, from a box's level
     # The last iterate's two shots, for ``count_nodes``: at lam, or one
@@ -617,6 +626,20 @@ def newton(match: Matching, lam0: float, *, rtol: float, scale: float,
     cap 0.3*|lambda| at the seed lambda = E_n lies below the noise bound,
     which a tiny W' there makes large, while the level is far above.
 
+    Without ``box`` the tolerance is graded (inexact Newton; Dembo,
+    Eisenstat & Steihaug, SIAM J. Numer. Anal. 19 (1982) 400): an iterate
+    far from the root needs only as many digits as its step.  The first
+    iterate is shot at ``_LOOSE_RTOL``.  A loose iterate's step is taken if
+    it is capped or exceeds 100 times the noise bound at its own tolerance;
+    the next tolerance is then max(rtol, min(``_LOOSE_RTOL``, rho^4)), with
+    rho = |step|/max(|lambda|, scale), far below the rho^2 error Newton
+    leaves.  A smaller step means lambda is as good as that iterate can
+    tell: the same lambda is shot again at rtol, and the step not taken.
+    Either test above ends the loop only on an iterate shot at rtol, so
+    ``Solution.shots`` are full-precision shots; the predictor's secant
+    may pair a loose iterate's W' with a full one's.  ``iterations`` and
+    ``steps`` count the loose iterates too.
+
     With ``box``, ``match`` is a problem without walls, ``lam0`` is the
     box's Dirichlet level, and the first step is the flux step
     (``flux_wronskian``), taken whatever its size: W there is a product of
@@ -624,6 +647,8 @@ def newton(match: Matching, lam0: float, *, rtol: float, scale: float,
     precision however small the shift is.  ``offset`` is then the sum of
     the steps, so lam - lam0 is never re-derived as a difference, and it
     keeps its exponent, so its log survives where a float underflows.
+    Every iterate of this solve is shot at rtol: its steps add up to the
+    shift, so a loose iterate's absolute error would stay in a tiny shift.
     """
     start = steps_taken()
     walls = None if box is None else match.walled(box)
@@ -631,6 +656,9 @@ def newton(match: Matching, lam0: float, *, rtol: float, scale: float,
     # ScaledValue keeps the exponent a float loses below 1e-308.
     offset, shift = 0.0, ScaledValue.zero()
     last: tuple[ScaledValue, ScaledValue] | None = None  # a step, W' before it
+    # This iterate's integrator tolerance: graded from _LOOSE_RTOL down to
+    # rtol, except in the flux solve, whose steps sum to the shift.
+    tol = rtol if walls is not None else max(rtol, _LOOSE_RTOL)
     for it in range(1, _NEWTON_MAX_ITER + 1):
         lam = lam0 + offset
         flux = it == 1 and walls is not None
@@ -638,12 +666,22 @@ def newton(match: Matching, lam0: float, *, rtol: float, scale: float,
             left, right, w = flux_wronskian(match, walls, lam, rtol)
             dw = wronskian(left, right)[1]
         else:
-            left, right = match.shoot(lam, rtol)
+            left, right = match.shoot(lam, tol)
             w, dw = wronskian(left, right)
         step, capped = _newton_step(w, dw, lam, scale)
         k = math.sqrt(max(abs(lam), scale)) / match.h
-        log_noise = math.log(rtol) + _wronskian_size(left, right, k) \
+        log_noise = math.log(tol) + _wronskian_size(left, right, k) \
             - dw.log_abs()
+        if tol > rtol:
+            if not capped and step.log_abs() <= math.log(100.0) + log_noise:
+                tol = rtol  # lam is as good as this iterate: shoot it in full
+                continue
+            offset += step.to_float()
+            shift += step
+            rho = abs(step.to_float()) / max(abs(lam), scale)
+            tol = max(rtol, min(_LOOSE_RTOL, rho ** 4))
+            last = (step, dw)
+            continue
         done = not flux and not capped and step.log_abs() <= log_noise
         if not done:
             offset += step.to_float()

@@ -9,14 +9,16 @@ bookkeeping and the sensitivity system without any reference data.
 import math
 import warnings
 from dataclasses import replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
 
 from boxshift import (
     LineBox, ModeSpec, RadialBox, ScaledValue, SeriesError, SolverError,
-    count_nodes_line, count_nodes_radial, from_expression, harmonic,
-    newton_solve_line, newton_solve_radial, quartic,
+    confined_eigenvalue, count_nodes_line, count_nodes_radial,
+    from_expression, harmonic, newton_solve_line, newton_solve_radial,
+    quartic, unconfined_eigenvalue,
 )
 from boxshift import shooting
 from boxshift.dsl import EvalError
@@ -157,6 +159,147 @@ def test_newton_deterministic():
             for _ in range(2)]
     assert runs[0].lam == runs[1].lam
     assert runs[0].steps == runs[1].steps
+
+
+# -- graded tolerances: loose far iterates, a full-precision last one --------------
+
+class Graded(NamedTuple):
+    """A Newton solve from ``seed``, the node count of its root, and what
+    its noise bound reads: the matching, rtol as Newton sees it, scale."""
+
+    solve: Callable
+    seed: float
+    nodes: Callable
+    match: Matching
+    rtol: float
+    scale: float
+    level: int
+
+
+def _coulomb(n):
+    """Newton and node count of the Coulomb (n, ell=0) level, z = 2 and
+    h = 1, in a box of radius 8, from the seed E_n."""
+    V = lambda x: -2.0 / x  # noqa: E731
+    V.source = "-2.0 / x"
+    series = FrobeniusStart.coulomb(2.0, 0, 1.0, min(0.05 * n, 0.08))
+    e_n = -1.0 / (n * n)
+    return Graded(lambda seed: newton_solve_radial(V, 0.5, 1.0, 8.0, seed,
+                                                   series, lambda_scale=-e_n),
+                  e_n,
+                  lambda lam, shots: count_nodes_radial(
+                      V, 0.5, 1.0, 8.0, lam, series, shots=shots),
+                  Matching.radial(V, 0.5, 1.0, 8.0, series), 1e-12, -e_n,
+                  n - 1)
+
+
+def _quartic_line(m, h):
+    mode = ModeSpec(level=m, h=h)
+    return Graded(lambda seed: newton_solve_line(quartic(), BOX, mode, seed),
+                  (2 * m + 1) * h,
+                  lambda lam, shots: count_nodes_line(quartic(), BOX, mode,
+                                                      lam, shots=shots),
+                  Matching.line(quartic(), BOX, mode), 0.5e-12, h, m)
+
+
+def _quartic_radial():
+    p, nu, h = quartic(kind="radial"), 1.5, 0.1
+    series = FrobeniusStart.well(p, nu, h, L=1.0)
+    return Graded(lambda seed: newton_solve_radial(p.evaluate, nu, h, 1.0,
+                                                   seed, series),
+                  2 * (1 + nu) * h,
+                  lambda lam, shots: count_nodes_radial(
+                      p.evaluate, nu, h, 1.0, lam, series, shots=shots),
+                  Matching.radial(p.evaluate, nu, h, 1.0, series), 1e-12, h,
+                  0)
+
+
+GRADED_SOLVES = {
+    **{f"line-m{m}-h{h}": (_quartic_line, (m, h))
+       for m in (0, 1) for h in (0.2, 0.05)},
+    "radial-nu1.5": (_quartic_radial, ()),
+    "coulomb-1-0": (_coulomb, (1,)),
+    "coulomb-2-0": (_coulomb, (2,)),
+}
+
+
+def _noise_bound(sol, case):
+    """The step that rtol-sized errors in the last shots would cause
+    (``newton``'s stopping test)."""
+    left, right = sol.shots
+    k = math.sqrt(max(abs(sol.lam), case.scale)) / case.match.h
+    return case.rtol * math.exp(shooting._wronskian_size(left, right, k)
+                           - wronskian(left, right)[1].log_abs())
+
+
+@pytest.mark.parametrize("case", GRADED_SOLVES)
+def test_graded_newton_agrees_with_full_precision_newton(monkeypatch, case):
+    # With the loose tolerance at or below rtol every iterate is shot in
+    # full: the same code without grading.  The two roots agree within the
+    # full-precision noise bound (a float cannot place lambda closer than
+    # an ulp), and so do their node counts.
+    build, args = GRADED_SOLVES[case]
+    c = build(*args)
+    graded = c.solve(c.seed)
+    monkeypatch.setattr(shooting, "_LOOSE_RTOL", 0.0)
+    full = c.solve(c.seed)
+    bound = _noise_bound(full, c) + math.ulp(full.lam)
+    assert abs(graded.lam - full.lam) <= bound
+    assert c.nodes(graded.lam, graded.shots) \
+        == c.nodes(full.lam, full.shots) == c.level
+    assert graded.steps < full.steps
+
+
+@pytest.fixture
+def shot_tolerances(monkeypatch):
+    """The ``rtol`` of every ``Matching.shoot`` call, with what it returned."""
+    calls = []
+    real = Matching.shoot
+
+    def spy(self, lam, rtol, **kwargs):
+        shots = real(self, lam, rtol, **kwargs)
+        calls.append((rtol, shots))
+        return shots
+    monkeypatch.setattr(Matching, "shoot", spy)
+    return calls
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["seed", "at-the-root"])
+@pytest.mark.parametrize("case", GRADED_SOLVES)
+def test_graded_newton_starts_loose_and_ends_on_a_full_shot(shot_tolerances,
+                                                            case, warm):
+    # Started at its own root, the first, loose iterate's step lies within
+    # its noise: the same lambda is shot again in full.
+    build, args = GRADED_SOLVES[case]
+    c = build(*args)
+    rtol, seed = c.rtol, c.seed
+    if warm:
+        seed = c.solve(seed).lam
+        del shot_tolerances[:]
+    sol = c.solve(seed)
+    assert shot_tolerances[0][0] == shooting._LOOSE_RTOL
+    if warm:
+        assert [tol for tol, _ in shot_tolerances[:2]] \
+            == [shooting._LOOSE_RTOL, rtol]
+    assert all(rtol <= tol <= shooting._LOOSE_RTOL
+               for tol, _ in shot_tolerances)
+    # The last iterate, whose shots count_nodes reads, is shot in full.
+    assert shot_tolerances[-1] == (rtol, sol.shots)
+
+
+@pytest.mark.parametrize("kind, nu", [("line", None), ("radial", 1.5)])
+def test_flux_solve_shoots_every_iterate_in_full(shot_tolerances, kind, nu):
+    # Its steps sum to the shift, so none of them may carry a loose
+    # iterate's absolute error: the flux step and every step after it.
+    p = quartic(kind=kind)
+    mode, box = ModeSpec(level=0, h=0.1, nu=nu), \
+        BOX if kind == "line" else RadialBox(1.0)
+    lam_d = confined_eigenvalue(p, box, mode).value
+    del shot_tolerances[:]
+    free = unconfined_eigenvalue(p, mode, lam0=lam_d, box=box)
+    assert free.offset is not None  # the flux solve, not a fallback seed
+    rtol = 0.5e-12 if kind == "line" else 1e-12
+    assert len(shot_tolerances) > 1
+    assert {tol for tol, _ in shot_tolerances} == {rtol}
 
 
 # -- node counting ------------------------------------------------------------------

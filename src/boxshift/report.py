@@ -64,11 +64,15 @@ class CaseDescriptor:
 class Diagnostics:
     """The work behind one report: the confined Newton's iterations and
     every integrator step of the case, the loose iterates of a graded
-    Newton (``shooting.newton``) included."""
+    Newton (``shooting.newton``) included.  ``free_iterations`` counts the
+    free level's Newton iterations; it is None where no Newton solved it
+    (the closed-form harmonic level, Coulomb's E_n).  A report written
+    before the field existed loads with None."""
 
     iterations: int
     steps: int
     oracle_value: float | None = None
+    free_iterations: int | None = None
 
 
 @dataclass(frozen=True)
@@ -128,7 +132,8 @@ def run_shift_case(p: PotentialSpec, domain: Domain, mode: ModeSpec, *,
                                    lam0=harmonic_level(p, mode) + shift,
                                    rtol=integrate_tol)
     free = unconfined_eigenvalue(p, mode, rtol=integrate_tol,
-                                 lam0=confined.value, box=domain)
+                                 lam0=confined.value, box=domain,
+                                 box_shots=confined.shots)
     if free.offset is None:
         numeric, log_numeric = confined.value - free.value, None
     else:
@@ -142,7 +147,9 @@ def run_shift_case(p: PotentialSpec, domain: Domain, mode: ModeSpec, *,
     case = CaseDescriptor(potential=p.label, kind=p.kind, domain=span,
                           level=mode.level, nu=mode.nu, h=mode.h)
     return _report(case, free.value, confined, numeric, prediction, start,
-                   log_numeric=log_numeric, oracle_value=oracle_value)
+                   log_numeric=log_numeric, oracle_value=oracle_value,
+                   free_iterations=free.iterations
+                   if free.method == "shooting" else None)
 
 
 def run_hydrogen_case(spec: HydrogenSpec, *,
@@ -162,7 +169,8 @@ def run_hydrogen_case(spec: HydrogenSpec, *,
 def _report(case: CaseDescriptor, lambda0: float, confined: Eigenpair,
             numeric: float, prediction: ShiftPrediction, start: int, *,
             log_numeric: float | None = None,
-            oracle_value: float | None = None) -> ShiftReport:
+            oracle_value: float | None = None,
+            free_iterations: int | None = None) -> ShiftReport:
     """The comparison for one case; ``start`` is ``steps_taken()`` when the
     case began.  ``log_numeric`` defaults to log|numeric|."""
     if log_numeric is None:
@@ -178,7 +186,8 @@ def _report(case: CaseDescriptor, lambda0: float, confined: Eigenpair,
         ratio=_ratio(numeric, log_numeric, prediction),
         diagnostics=Diagnostics(iterations=confined.iterations,
                                 steps=steps_taken() - start,
-                                oracle_value=oracle_value),
+                                oracle_value=oracle_value,
+                                free_iterations=free_iterations),
     )
 
 

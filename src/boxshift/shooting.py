@@ -33,15 +33,18 @@ Without walls, each end starts in the barrier from the decaying WKB state
 u'/u = -+sqrt(q), and lambda is a root of the free Wronskian F.  Newton on
 F from a Dirichlet level lambda_D takes the flux step first
 (``flux_wronskian``), F(lambda_D) as wall values times O(1) projections,
-so the shift lambda_D - lambda_0 never comes from a subtraction.
+so the shift lambda_D - lambda_0 never comes from a subtraction.  Where
+the flux step s is so small that Newton's next step, about s^2/gap for a
+level spacing gap, would be dropped as noise, the flux step is the whole
+solve.  On the line the flux step takes the Dirichlet pair from the box's
+own Newton, whose last shots it moves to lambda_D along their
+sensitivity pairs, instead of shooting it again.
 
-Newton grades its integrator tolerance (``newton``): every solve without
-a flux step -- the Dirichlet levels on the line, radial and Coulomb
-problems, a free solve started away from its box's level -- shoots its
-far iterates loosely, each only as tight as its next step needs, and
-ends only on an iterate shot at the full rtol.  The free solve from a
-box's level shoots every iterate at rtol, since its steps sum to the
-shift and a loose step would leave an absolute error in it.
+Newton grades its integrator tolerance (``newton``): it shoots its far
+iterates loosely, each only as tight as its next step needs, and ends
+only on an iterate shot at the full rtol.  The flux iterate is shot at
+rtol and grades the next by its own size; Newton's later steps correct a
+loose step's error, so none of it stays in the summed shift.
 
 An even well (``PotentialSpec.even``) in a symmetric box, with or without
 walls, is shot from one side (``Matching.mirror``).  x -> -x maps the left
@@ -109,6 +112,7 @@ _RENORM_HI = math.exp(_RENORM_LOG)
 _RENORM_LO = math.exp(-_RENORM_LOG)
 _NEWTON_MAX_ITER = 50
 _LOOSE_RTOL = 1e-6  # a graded Newton's first iterate is shot at this (newton)
+_FLUX_END = 100.0  # the flux step ends a free solve this far below noise
 _SERIES_MAX_TERMS = 40
 _SERIES_CUTOFF = 1e-16
 _QUARTER_TURN = 0.5 * math.pi  # the phase k*dx a node-counting step may span
@@ -437,7 +441,11 @@ class Unwalled:
     ``left`` and ``right`` on the line; radially the series start at the
     origin takes the left end's place and ``left`` is 0.  The shots meet at
     ``x_m``.  Newton started at ``box_level``, the Dirichlet level of
-    ``box``, takes the flux step first (see ``newton``).
+    ``box``, takes the flux step first (see ``newton``).  ``gap``, the
+    level spacing, tells whether that step alone ends the solve (without
+    it, it never does), and ``box_shots``, if set, is the Dirichlet pair
+    the box's own Newton shot last, with the lambda it was shot at, for
+    the flux step to reuse (``flux_wronskian``).
     """
 
     left: float
@@ -445,6 +453,9 @@ class Unwalled:
     x_m: float = 0.0
     box: LineBox | RadialBox | None = None
     box_level: float | None = None
+    gap: float | None = None
+    box_shots: ShotsAt | None = field(default=None, compare=False,
+                                      repr=False)
 
     @property
     def kind(self) -> str:
@@ -453,12 +464,14 @@ class Unwalled:
     def as_tuple(self) -> tuple[float, float]:
         return (self.left, self.right)
 
-    def flux_box(self, lam0: float) -> LineBox | RadialBox | None:
-        """The box to take the flux step from, if Newton starts at its level."""
-        return self.box if lam0 == self.box_level else None
+    def flux_start(self, lam0: float) -> Unwalled | None:
+        """This problem, if Newton from ``lam0`` takes the flux step: if
+        ``lam0`` is its box's level."""
+        return self if self.box is not None and lam0 == self.box_level \
+            else None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Shot:
     """One side's state at the matching point, exponent factored out."""
 
@@ -479,6 +492,10 @@ class Shot:
         return Shot(y, self.log_scale, tuple(-z for z in self.crossings),
                     self.widest_turn,
                     None if self.via is None else self.via.mirrored())
+
+
+# Both sides' shots and the lambda they were shot at.
+ShotsAt = tuple[float, tuple[Shot, Shot]]
 
 
 @dataclass(frozen=True)
@@ -592,8 +609,10 @@ class Solution:
     steps: int           # integrator steps the iteration took
     offset: ScaledValue | None = None  # lam - lam0 summed, from a box's level
     # The last iterate's two shots, for ``count_nodes``: at lam, or one
-    # step short of it when the quadratic prediction ended the loop.
+    # step short of it when the quadratic prediction or the flux step
+    # ended the loop; ``shot_at`` is the lambda they were shot at.
     shots: tuple[Shot, Shot] | None = field(default=None, repr=False)
+    shot_at: float | None = None
 
 
 def _newton_step(w: ScaledValue, dw: ScaledValue, lam: float,
@@ -610,7 +629,7 @@ def _newton_step(w: ScaledValue, dw: ScaledValue, lam: float,
 
 
 def newton(match: Matching, lam0: float, *, rtol: float, scale: float,
-           box: LineBox | RadialBox | None = None) -> Solution:
+           flux: Unwalled | None = None) -> Solution:
     """Newton on lambda for a root of the Wronskian W of ``match``.
 
     Each step is -W/W', capped, and is taken only while it exceeds its
@@ -626,44 +645,51 @@ def newton(match: Matching, lam0: float, *, rtol: float, scale: float,
     cap 0.3*|lambda| at the seed lambda = E_n lies below the noise bound,
     which a tiny W' there makes large, while the level is far above.
 
-    Without ``box`` the tolerance is graded (inexact Newton; Dembo,
-    Eisenstat & Steihaug, SIAM J. Numer. Anal. 19 (1982) 400): an iterate
-    far from the root needs only as many digits as its step.  The first
-    iterate is shot at ``_LOOSE_RTOL``.  A loose iterate's step is taken if
-    it is capped or exceeds 100 times the noise bound at its own tolerance;
-    the next tolerance is then max(rtol, min(``_LOOSE_RTOL``, rho^4)), with
-    rho = |step|/max(|lambda|, scale), far below the rho^2 error Newton
-    leaves.  A smaller step means lambda is as good as that iterate can
-    tell: the same lambda is shot again at rtol, and the step not taken.
-    Either test above ends the loop only on an iterate shot at rtol, so
+    The tolerance is graded (inexact Newton; Dembo, Eisenstat & Steihaug,
+    SIAM J. Numer. Anal. 19 (1982) 400): an iterate far from the root
+    needs only as many digits as its step.  The first iterate is shot at
+    ``_LOOSE_RTOL``.  A loose iterate's step is taken if it is capped or
+    exceeds 100 times the noise bound at its own tolerance; the next
+    tolerance is then max(rtol, min(``_LOOSE_RTOL``, rho^4)), with rho =
+    |step|/max(|lambda|, scale), far below the rho^2 error Newton leaves.
+    A smaller step means lambda is as good as that iterate can tell: the
+    same lambda is shot again at rtol, and the step not taken.  Either test
+    above ends the loop only on an iterate shot at rtol, so
     ``Solution.shots`` are full-precision shots; the predictor's secant
     may pair a loose iterate's W' with a full one's.  ``iterations`` and
     ``steps`` count the loose iterates too.
 
-    With ``box``, ``match`` is a problem without walls, ``lam0`` is the
+    With ``flux``, ``match`` is that problem without walls, ``lam0`` is its
     box's Dirichlet level, and the first step is the flux step
-    (``flux_wronskian``), taken whatever its size: W there is a product of
-    wall values and O(1) projections, so the step keeps its relative
-    precision however small the shift is.  ``offset`` is then the sum of
-    the steps, so lam - lam0 is never re-derived as a difference, and it
-    keeps its exponent, so its log survives where a float underflows.
-    Every iterate of this solve is shot at rtol: its steps add up to the
-    shift, so a loose iterate's absolute error would stay in a tiny shift.
+    (``flux_wronskian``, which reuses ``flux.box_shots``), taken whatever
+    its size: W there is a product of wall values and O(1) projections, so
+    the step keeps its relative precision however small the shift is.
+    ``offset`` is then the sum of the steps, so lam - lam0 is never
+    re-derived as a difference, and it keeps its exponent, so its log
+    survives where a float underflows.  The flux iterate is shot at rtol.
+    Newton's next step from there is about W''/2W' s^2, s the flux step,
+    and W''/W' is about 1/gap, ``flux.gap`` the level spacing: where s^2/gap
+    lies ``_FLUX_END`` times below the flux iterate's noise bound, the next
+    step would be dropped as noise, and the flux step ends the solve, its
+    shots one step short of lam.  Otherwise the next iterate is graded by
+    the flux step's rho, like any other: a loose step's error is what
+    Newton's next step corrects, so none of it stays in the summed shift.
     """
     start = steps_taken()
-    walls = None if box is None else match.walled(box)
+    walls = None if flux is None else match.walled(flux.box)
     # The sum of the steps taken: a float places the iterates, and the
     # ScaledValue keeps the exponent a float loses below 1e-308.
     offset, shift = 0.0, ScaledValue.zero()
     last: tuple[ScaledValue, ScaledValue] | None = None  # a step, W' before it
     # This iterate's integrator tolerance: graded from _LOOSE_RTOL down to
-    # rtol, except in the flux solve, whose steps sum to the shift.
-    tol = rtol if walls is not None else max(rtol, _LOOSE_RTOL)
+    # rtol; the flux iterate is shot at rtol.
+    tol = rtol if flux is not None else max(rtol, _LOOSE_RTOL)
     for it in range(1, _NEWTON_MAX_ITER + 1):
         lam = lam0 + offset
-        flux = it == 1 and walls is not None
-        if flux:
-            left, right, w = flux_wronskian(match, walls, lam, rtol)
+        at_flux = it == 1 and flux is not None
+        if at_flux:
+            left, right, w = flux_wronskian(match, walls, lam, rtol,
+                                            box_shots=flux.box_shots)
             dw = wronskian(left, right)[1]
         else:
             left, right = match.shoot(lam, tol)
@@ -678,27 +704,40 @@ def newton(match: Matching, lam0: float, *, rtol: float, scale: float,
                 continue
             offset += step.to_float()
             shift += step
-            rho = abs(step.to_float()) / max(abs(lam), scale)
-            tol = max(rtol, min(_LOOSE_RTOL, rho ** 4))
+            tol = _graded_tol(step, lam, scale, rtol)
             last = (step, dw)
             continue
-        done = not flux and not capped and step.log_abs() <= log_noise
+        done = not at_flux and not capped and step.log_abs() <= log_noise
         if not done:
             offset += step.to_float()
             shift += step
-            done = not capped and last is not None \
-                and ((dw - last[1]) / last[0] / dw * step * step).log_abs() \
-                <= math.log(2.0) + log_noise
+            if at_flux:
+                done = not capped and flux.gap is not None \
+                    and (step * step).log_abs() - math.log(flux.gap) \
+                    <= log_noise - math.log(_FLUX_END)
+                tol = _graded_tol(step, lam, scale, rtol)
+            else:
+                done = not capped and last is not None \
+                    and ((dw - last[1]) / last[0] / dw * step * step) \
+                    .log_abs() <= math.log(2.0) + log_noise
         if done:
             return Solution(lam=lam0 + offset, iterations=it,
                             steps=steps_taken() - start,
-                            offset=None if box is None else shift,
-                            shots=(left, right))
+                            offset=None if flux is None else shift,
+                            shots=(left, right), shot_at=lam)
         last = (step, dw)
 
     raise SolverError(
         f"Newton did not reach its noise bound in {_NEWTON_MAX_ITER} "
         f"iterations (h={match.h:g}, last lambda={lam0 + offset!r})")
+
+
+def _graded_tol(step: ScaledValue, lam: float, scale: float,
+                rtol: float) -> float:
+    """The tolerance of the iterate after ``step``: max(rtol, min(
+    ``_LOOSE_RTOL``, rho^4)), rho = |step|/max(|lambda|, scale)."""
+    rho = abs(step.to_float()) / max(abs(lam), scale)
+    return max(rtol, min(_LOOSE_RTOL, rho ** 4))
 
 
 def _wronskian_size(left: Shot, right: Shot, k: float) -> float:
@@ -711,7 +750,8 @@ def _wronskian_size(left: Shot, right: Shot, k: float) -> float:
     return size(left) + size(right) - math.log(k)
 
 
-def flux_wronskian(free: Matching, walls: Matching, lam: float, rtol: float
+def flux_wronskian(free: Matching, walls: Matching, lam: float, rtol: float,
+                   *, box_shots: ShotsAt | None = None
                    ) -> tuple[Shot, Shot, ScaledValue]:
     """The free shots at ``lam``, a Dirichlet level of ``walls``, and the
     free Wronskian F = Wr(d_L, d_R) there, from the flux identity.
@@ -726,6 +766,13 @@ def flux_wronskian(free: Matching, walls: Matching, lam: float, rtol: float
     (Herring's flux in Wronskian form): wall values times O(1)
     projections, with nothing cancelling.  A side that keeps the free
     start (the radial series) has no wall, and beta = 0 there.
+
+    ``box_shots`` is a lambda and the wall pair of ``walls`` shot there at
+    the same rtol: the Dirichlet Newton's last iterate.  On the line,
+    where both ends are walls and that pair meets at the free shots' x_m,
+    it stands in for the pair at ``lam`` (``_moved_pair``).  A radial
+    Dirichlet pair meets at the wall, not at the turning point, and the
+    pair is shot at ``lam`` there, as it is without ``box_shots``.
     """
     sides = ((free.left, walls.left), (free.right, walls.right))
     walled = [start(lam) if start is not own else None
@@ -737,7 +784,9 @@ def flux_wronskian(free: Matching, walls: Matching, lam: float, rtol: float
     if walled[0] is None:  # the radial series side
         D = (d[0], walls._shot(q, *walled[1], rtol, math.inf, None))
     else:
-        D = walls._pair(q, walled, rtol, math.inf, (None, None))
+        D = None if box_shots is None else _moved_pair(*box_shots, lam, rtol)
+        if D is None:
+            D = walls._pair(q, walled, rtol, math.inf, (None, None))
 
     def along(shot: Shot) -> ScaledValue:  # projection onto D_R, times |D_R|^2
         return shot.at(0) * D[1].at(0) + shot.at(1) * D[1].at(1)
@@ -752,6 +801,25 @@ def flux_wronskian(free: Matching, walls: Matching, lam: float, rtol: float
     # alpha_L beta_R - beta_L alpha_R, with kappa = along(D_L)/along(D_R).
     f = along(d[0]) * beta(1) / along(D[1]) - beta(0) * along(d[1]) / along(D[0])
     return d[0], d[1], f
+
+
+def _moved_pair(at: float, shots: tuple[Shot, Shot], lam: float,
+                rtol: float) -> tuple[Shot, Shot] | None:
+    """``shots``, shot at ``at``, moved to ``lam`` to first order along
+    their sensitivity pairs, (u, u') += (lam - at) (w, w'); None where the
+    move is too large to keep rtol: where (|lam - at| |(w, w')|/|(u, u')|)^2,
+    the relative size of the second-order term, exceeds rtol.  At
+    ``lam == at`` they are the shots themselves, bit for bit."""
+    delta = lam - at
+    if delta == 0.0:
+        return shots
+    moved = []
+    for shot in shots:
+        u, du, w, dw = shot.y
+        if (delta * math.hypot(w, dw)) ** 2 > rtol * (u * u + du * du):
+            return None
+        moved.append(replace(shot, y=(u + delta * w, du + delta * dw, w, dw)))
+    return moved[0], moved[1]
 
 
 def count_nodes(match: Matching, lam: float, rtol: float,
@@ -831,9 +899,9 @@ def newton_solve_line(p: PotentialSpec, domain: LineBox | Unwalled,
     runs at rtol/2.  That keeps the root within about 0.1*rtol*lambda of
     the level on the harmonic well (the error is proportional to rtol).
     """
-    box = domain.flux_box(lam0) if isinstance(domain, Unwalled) else None
+    flux = domain.flux_start(lam0) if isinstance(domain, Unwalled) else None
     return newton(Matching.line(p, domain, mode), lam0, rtol=0.5 * rtol,
-                  scale=mode.h, box=box)
+                  scale=mode.h, flux=flux)
 
 
 def newton_solve_radial(V: Callable[[float], float], nu: float, h: float,
@@ -849,10 +917,10 @@ def newton_solve_radial(V: Callable[[float], float], nu: float, h: float,
     h, appropriate for low-lying levels of a well (pass the energy
     magnitude instead for Coulomb problems).
     """
-    box = L.flux_box(lam0) if isinstance(L, Unwalled) else None
+    flux = L.flux_start(lam0) if isinstance(L, Unwalled) else None
     return newton(Matching.radial(V, nu, h, L, series_start), lam0, rtol=rtol,
                   scale=lambda_scale if lambda_scale is not None else h,
-                  box=box)
+                  flux=flux)
 
 
 def count_nodes_line(p: PotentialSpec, domain: LineBox | Unwalled,

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from numbers import Integral
 from types import SimpleNamespace
@@ -68,6 +68,10 @@ class Eigenpair:
     grid_n: int | None = None
     nodes: int | None = None
     offset: ScaledValue | None = None  # value - box level, step by step
+    # A line box's level: Newton's last shots and the lambda they were shot
+    # at (Solution.shots, Solution.shot_at), for the flux step to reuse.
+    shots: shooting.ShotsAt | None = field(default=None, compare=False,
+                                           repr=False)
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.value):
@@ -180,16 +184,18 @@ def confined_eigenvalue(p: PotentialSpec, domain: Domain | Unwalled,
 
     return _isolate(where, mode.level, seeds(),
                     partial(solve, rtol=rtol),
-                    partial(nodes_at, rtol=rtol))
+                    partial(nodes_at, rtol=rtol),
+                    keep_shots=isinstance(domain, LineBox))
 
 
 def _isolate(where: str, level: int, seeds: Iterable[float],
              solve: Callable[[float], shooting.Solution],
-             nodes_at: Callable[..., int]) -> Eigenpair:
+             nodes_at: Callable[..., int], *,
+             keep_shots: bool = False) -> Eigenpair:
     """Newton from each seed in turn; the first root with ``level`` interior
-    nodes, counted on Newton's last shots, as a shooting Eigenpair.
-    ``seeds`` is consumed lazily, so a fallback seed costs nothing unless
-    every earlier one failed."""
+    nodes, counted on Newton's last shots, as a shooting Eigenpair, which
+    keeps those shots with ``keep_shots``.  ``seeds`` is consumed lazily,
+    so a fallback seed costs nothing unless every earlier one failed."""
     last_error: Exception | None = None
     for seed in seeds:
         try:
@@ -201,7 +207,9 @@ def _isolate(where: str, level: int, seeds: Iterable[float],
         if nodes == level:
             return Eigenpair(index_m=level, value=sol.lam, method="shooting",
                              iterations=sol.iterations, nodes=nodes,
-                             offset=sol.offset)
+                             offset=sol.offset,
+                             shots=(sol.shot_at, sol.shots) if keep_shots
+                             else None)
         last_error = SolverError(
             f"converged to a level with {nodes} interior nodes, "
             f"wanted {level} (lambda={sol.lam!r})")
@@ -216,7 +224,9 @@ def _isolate(where: str, level: int, seeds: Iterable[float],
 def unconfined_eigenvalue(p: PotentialSpec, mode: ModeSpec, *,
                           rtol: float = 1e-12,
                           lam0: float | None = None,
-                          box: Domain | None = None) -> Eigenpair:
+                          box: Domain | None = None,
+                          box_shots: shooting.ShotsAt | None = None
+                          ) -> Eigenpair:
     """Level of the problem without walls.
 
     For the stock harmonic well this is exact in closed form.  Otherwise
@@ -240,7 +250,12 @@ def unconfined_eigenvalue(p: PotentialSpec, mode: ModeSpec, *,
     reaches another level, and the harmonic and finite-difference seeds
     follow; the pair's ``offset`` is then None, and a shift that large
     keeps its digits as a subtraction.  Without a box, Newton starts from
-    ``lam0`` (default: the harmonic approximation).
+    ``lam0`` (default: the harmonic approximation).  ``box_shots``, the
+    box's Eigenpair.shots, lets the flux step on the line reuse the
+    Dirichlet pair its Newton shot last (``shooting.flux_wronskian``); they
+    must come from a solve at the same ``rtol``.  The flux step ends the
+    solve where its size squared is negligible against the harmonic level
+    spacing, 2*omega*h on the line and 4*omega*h radially (``newton``).
     """
     if p.builtin == "harmonic":
         return Eigenpair(index_m=mode.level, value=harmonic_level(p, mode),
@@ -250,6 +265,7 @@ def unconfined_eigenvalue(p: PotentialSpec, mode: ModeSpec, *,
     h = mode.h
     level = harmonic_level(p, mode)
     walls = (0.0, 0.0) if box is None else box.as_tuple()
+    gap = (2.0 if mode.nu is None else 4.0) * p.curvature_omega * h
 
     def end(wall: float, side: float) -> float:
         target = (profile.phi(wall) if wall else 0.0) + _PHI_MARGIN * h
@@ -263,7 +279,8 @@ def unconfined_eigenvalue(p: PotentialSpec, mode: ModeSpec, *,
         # the shooter mirror one side (``Matching.line``).
         left = -right if p.even and walls[0] == -walls[1] \
             else end(walls[0], -1.0)
-        domain = Unwalled(left, right, box=box, box_level=lam0)
+        domain = Unwalled(left, right, box=box, box_level=lam0, gap=gap,
+                          box_shots=box_shots)
     elif p.evaluate(right) <= level:
         raise SolverError(
             f"lambda={level!r} lies above the barrier at the decaying start "
@@ -271,7 +288,8 @@ def unconfined_eigenvalue(p: PotentialSpec, mode: ModeSpec, *,
     else:
         turning = brentq(lambda x: p.evaluate(x) - level, 0.0, right,
                          xtol=1e-6 * right)
-        domain = Unwalled(0.0, right, x_m=turning, box=box, box_level=lam0)
+        domain = Unwalled(0.0, right, x_m=turning, box=box, box_level=lam0,
+                          gap=gap)
     return confined_eigenvalue(p, domain, mode, lam0=lam0, rtol=rtol)
 
 

@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 from boxshift import (LineBox, ModeSpec, RadialBox, confined_eigenvalue,
-                      from_expression, report, resolve_potential, spectra)
+                      from_expression, report, resolve_potential, shooting,
+                      spectra, unconfined_eigenvalue)
 from boxshift.report import run_shift_case, run_sweep
 
 BOX = LineBox(-1.0, 1.0)
@@ -155,3 +156,54 @@ def test_level_lifted_about_a_gap_takes_the_subtraction(monkeypatch):
     assert rep.numeric_shift == rep.lambda_confined - rep.lambda0
     assert rep.lambda0 == pytest.approx(
         spectra.unconfined_eigenvalue(p, mode).value, rel=1e-12)
+
+
+# -- the flux step as the whole free solve ---------------------------------------
+
+@pytest.mark.parametrize("h", [0.1, 0.05, 0.02])
+@pytest.mark.parametrize("m", [0, 1])
+@pytest.mark.parametrize("kind, nu", [("line", None), ("radial", 1.5)])
+@pytest.mark.parametrize("source", ["x^2 + x^4", "x^2", "cosh(x) - 1",
+                                    "1 - exp(-x^2)"])
+def test_flux_step_ends_only_solves_whose_next_step_is_noise(
+        monkeypatch, source, kind, nu, m, h):
+    # Newton's next step from the flux step s is about s^2/gap.  Where that
+    # lies 100 times below the noise bound, the full loop shoots one more
+    # pair only to drop its step: the solve that ends on the flux step
+    # returns bit for bit the same level and shift.  Where it does not
+    # end, it is the same solve.
+    p = resolve_potential(source, kind)
+    box = BOX if kind == "line" else RadialBox(1.0)
+    mode = ModeSpec(level=m, h=h, nu=nu)
+    confined = confined_eigenvalue(p, box, mode)
+
+    def free():
+        return unconfined_eigenvalue(p, mode, lam0=confined.value, box=box,
+                                     box_shots=confined.shots)
+
+    ended = free()
+    monkeypatch.setattr(shooting, "_FLUX_END", math.inf)
+    full = free()
+    assert full.iterations > 1
+    if ended.iterations == 1:
+        assert ended.offset is not None
+        assert (ended.value, ended.offset) == (full.value, full.offset)
+    else:
+        assert ended == full
+    if h == 0.02:  # a shift of e^-(2 phi/h): the flux step alone is enough
+        assert ended.iterations == 1
+
+
+SMALL_SHIFTS = [("line", m, None, h) for m in (0, 1)
+                for h in (0.05, 0.02, 0.01, 0.005)] \
+    + [("radial", 0, 1.5, h) for h in (0.05, 0.02)]
+
+
+@pytest.mark.parametrize("kind, m, nu, h", SMALL_SHIFTS)
+def test_small_quartic_shifts_take_one_free_iteration(kind, m, nu, h):
+    # The h = 0.05 cases of the benchmark and the small-h quartic set: the
+    # free solve is the flux step, and no pair is shot only to confirm it.
+    p = resolve_potential("x^2 + x^4", kind)
+    box = BOX if kind == "line" else RadialBox(1.0)
+    rep = run_shift_case(p, box, ModeSpec(level=m, h=h, nu=nu))
+    assert rep.diagnostics.free_iterations == 1

@@ -95,6 +95,27 @@ def test_report_json_round_trip_radial_with_oracle():
     assert report_from_json(report_to_json(report)) == report
 
 
+def test_free_iterations_survive_json_and_older_reports_load():
+    quartic_case = run_shift_case(quartic(), LineBox(-1.0, 1.0),
+                                  ModeSpec(level=0, h=0.1), **FAST)
+    assert quartic_case.diagnostics.free_iterations >= 1
+    assert report_from_json(report_to_json(quartic_case)) == quartic_case
+    closed_form = run_shift_case(harmonic(), LineBox(-1.0, 1.0),
+                                 ModeSpec(level=0, h=0.25), **FAST)
+    assert closed_form.diagnostics.free_iterations is None
+    # A report written before the field existed has no such key.
+    data = report_to_dict(quartic_case)
+    del data["diagnostics"]["free_iterations"]
+    older = report_from_json(json.dumps(data))
+    assert older.diagnostics.free_iterations is None
+    assert older.diagnostics.steps == quartic_case.diagnostics.steps
+
+
+def test_hydrogen_report_has_no_free_iterations():
+    [row] = run_hydrogen_sweep(1, 0, 2.0, 1.0, [8.0], **FAST).rows
+    assert row.report.diagnostics.free_iterations is None
+
+
 def test_report_dict_is_json_safe():
     report = run_shift_case(harmonic(), LineBox(-1.0, 1.0),
                             ModeSpec(level=0, h=0.25), **FAST)

@@ -288,8 +288,9 @@ def test_graded_newton_starts_loose_and_ends_on_a_full_shot(shot_tolerances,
 
 @pytest.mark.parametrize("kind, nu", [("line", None), ("radial", 1.5)])
 def test_flux_solve_shoots_every_iterate_in_full(shot_tolerances, kind, nu):
-    # Its steps sum to the shift, so none of them may carry a loose
-    # iterate's absolute error: the flux step and every step after it.
+    # The flux iterate is shot at rtol, and the next one at the tolerance
+    # the flux step's rho grades it to: at h = 0.1 the step is small
+    # enough that rho^4 lies below rtol, so every iterate is shot in full.
     p = quartic(kind=kind)
     mode, box = ModeSpec(level=0, h=0.1, nu=nu), \
         BOX if kind == "line" else RadialBox(1.0)
@@ -300,6 +301,112 @@ def test_flux_solve_shoots_every_iterate_in_full(shot_tolerances, kind, nu):
     rtol = 0.5e-12 if kind == "line" else 1e-12
     assert len(shot_tolerances) > 1
     assert {tol for tol, _ in shot_tolerances} == {rtol}
+
+
+@pytest.fixture
+def free_solves(monkeypatch):
+    """The ``Solution`` of every Newton solve that takes the flux step."""
+    solves = []
+    real = shooting.newton
+
+    def spy(match, lam0, **kwargs):
+        sol = real(match, lam0, **kwargs)
+        if kwargs.get("flux") is not None:
+            solves.append(sol)
+        return sol
+    monkeypatch.setattr(shooting, "newton", spy)
+    return solves
+
+
+def _free_noise_bound(sol, h, rtol=0.5e-12):
+    """The noise bound of a free line solve, read off its last shots like
+    ``newton``'s stopping test (rtol halved on the line)."""
+    left, right = sol.shots
+    k = math.sqrt(max(abs(sol.shot_at), h)) / h
+    return rtol * math.exp(shooting._wronskian_size(left, right, k)
+                           - wronskian(left, right)[1].log_abs())
+
+
+def test_free_solve_grades_the_iterates_after_a_large_flux_step(
+        monkeypatch, free_solves):
+    # At h = 0.2 the flux step is large enough that rho^4 exceeds rtol:
+    # the iterate after it is shot at that tolerance, and Newton corrects
+    # the loose step's error before it ends, on an iterate shot at rtol.
+    p, mode, rtol = quartic(), ModeSpec(level=0, h=0.2), 0.5e-12
+    confined = confined_eigenvalue(p, BOX, mode)
+    calls = []
+    real = Matching.shoot
+
+    def spy(self, lam, tol, **kwargs):
+        shots = real(self, lam, tol, **kwargs)
+        calls.append((lam, tol, shots))
+        return shots
+    monkeypatch.setattr(Matching, "shoot", spy)
+
+    def free():
+        del calls[:]
+        unconfined_eigenvalue(p, mode, lam0=confined.value, box=BOX,
+                              box_shots=confined.shots)
+        return free_solves[-1]
+
+    graded = free()
+    lams, tols = [c[0] for c in calls], [c[1] for c in calls]
+    assert lams[0] == confined.value
+    assert tols[0] == tols[-1] == rtol  # the flux iterate and the last
+    assert (graded.shot_at, graded.shots) == (lams[-1], calls[-1][2])
+    rho = abs(lams[1] - lams[0]) / max(abs(lams[0]), mode.h)
+    assert tols[1] > rtol
+    assert tols[1] == pytest.approx(min(shooting._LOOSE_RTOL, rho ** 4),
+                                    rel=1e-12)
+    assert all(rtol <= tol <= shooting._LOOSE_RTOL for tol in tols)
+    monkeypatch.setattr(shooting, "_LOOSE_RTOL", 0.0)  # every iterate in full
+    full = free()
+    assert {tol for _, tol, _ in calls} == {rtol}
+    assert abs(graded.offset.to_float() - full.offset.to_float()) \
+        <= _free_noise_bound(full, mode.h)
+
+
+@pytest.mark.parametrize("h", [0.2, 0.05, 0.01])
+@pytest.mark.parametrize("m", [0, 1])
+def test_reused_wall_pair_moves_the_shift_by_less_than_its_noise(
+        free_solves, m, h):
+    # On the line the flux step reuses the Dirichlet Newton's last pair,
+    # moved to lambda_D along its sensitivity pair, instead of shooting it
+    # again there.
+    p, mode = quartic(), ModeSpec(level=m, h=h)
+    confined = confined_eigenvalue(p, BOX, mode)
+    for box_shots in (confined.shots, None):
+        unconfined_eigenvalue(p, mode, lam0=confined.value, box=BOX,
+                              box_shots=box_shots)
+    reused, shot = free_solves
+    assert reused.steps < shot.steps
+    assert abs(reused.offset.to_float() - shot.offset.to_float()) \
+        <= _free_noise_bound(shot, h)
+
+
+def test_wall_pair_moved_past_its_gate_is_shot_again():
+    # A pair claimed at a lambda 1e-3 off lambda_D would move by more than
+    # its second-order term allows: the flux step shoots the pair instead,
+    # bit for bit as without it.
+    p, mode = quartic(), ModeSpec(level=0, h=0.05)
+    confined = confined_eigenvalue(p, BOX, mode)
+    _, shots = confined.shots
+    far = confined.value * (1.0 - 1e-3)
+    assert shooting._moved_pair(far, shots, confined.value, 0.5e-12) is None
+    steps, free = [], []
+    for box_shots in ((far, shots), None):
+        before = steps_taken()
+        free.append(unconfined_eigenvalue(p, mode, lam0=confined.value,
+                                          box=BOX, box_shots=box_shots))
+        steps.append(steps_taken() - before)
+    assert free[0] == free[1] and free[0].offset == free[1].offset
+    assert steps[0] == steps[1]
+
+
+def test_unmoved_wall_pair_is_reused_as_it_is():
+    p, mode = quartic(), ModeSpec(level=0, h=0.1)
+    at, shots = confined_eigenvalue(p, BOX, mode).shots
+    assert shooting._moved_pair(at, shots, at, 0.5e-12) is shots
 
 
 # -- node counting ------------------------------------------------------------------

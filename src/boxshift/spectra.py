@@ -68,8 +68,9 @@ class Eigenpair:
     grid_n: int | None = None
     nodes: int | None = None
     offset: ScaledValue | None = None  # value - box level, step by step
-    # A line box's level: Newton's last shots and the lambda they were shot
-    # at (Solution.shots, Solution.shot_at), for the flux step to reuse.
+    # A line box's level, unless the builtin harmonic's: Newton's last
+    # shots and the lambda they were shot at (Solution.shots,
+    # Solution.shot_at), for the flux step to reuse.
     shots: shooting.ShotsAt | None = field(default=None, compare=False,
                                            repr=False)
 
@@ -152,9 +153,13 @@ def confined_eigenvalue(p: PotentialSpec, domain: Domain | Unwalled,
     if domain.kind != p.kind:
         raise InvalidPotential(
             f"potential kind {p.kind!r} on a {domain.kind} domain")
+    # A line box's last wall pair is kept for the flux step to reuse, and
+    # Newton ends where the pair can still be moved to its root; the builtin
+    # harmonic's free level is closed form, so no flux step follows.
+    keep = isinstance(domain, LineBox) and p.builtin != "harmonic"
     if domain.kind == "line":
         where = f"level {mode.level} on {domain.as_tuple()} (h={mode.h:g})"
-        solve = partial(newton_solve_line, p, domain, mode)
+        solve = partial(newton_solve_line, p, domain, mode, reused=keep)
         nodes_at = partial(count_nodes_line, p, domain, mode)
     else:
         if mode.nu is None:
@@ -185,7 +190,7 @@ def confined_eigenvalue(p: PotentialSpec, domain: Domain | Unwalled,
     return _isolate(where, mode.level, seeds(),
                     partial(solve, rtol=rtol),
                     partial(nodes_at, rtol=rtol),
-                    keep_shots=isinstance(domain, LineBox))
+                    keep_shots=keep)
 
 
 def _isolate(where: str, level: int, seeds: Iterable[float],

@@ -13,6 +13,11 @@ not collect this module (its name does not start with ``test_``).
   to ``spectra.hydrogen_confined``.
 * ``normalize_to_unit_curvature``: the rescaling of x to V''(0) = 2, under
   which the Dirichlet spectrum and the predicted shift must not move.
+* Exact Dirichlet levels in mpmath: the boxed harmonic from parabolic
+  cylinder functions (``exact_harmonic_shift``) and the boxed Coulomb
+  problem from the confluent hypergeometric function
+  (``exact_coulomb_level``).  Each takes the mpmath module, which the
+  tests import or skip.
 """
 
 from __future__ import annotations
@@ -200,3 +205,50 @@ def normalize_to_unit_curvature(
     else:
         new_domain = RadialBox(omega * domain.length)
     return scaled, new_domain, omega * h
+
+
+# --------------------------------------------------------------------------
+# Exact Dirichlet levels (mpmath)
+# --------------------------------------------------------------------------
+
+
+def exact_harmonic_shift(mpmath, h: float, m: int) -> float:
+    """lambda_D - (2m+1)h for x^2 on (-1, 1), m <= 1, from the Dirichlet
+    root of U(a, t) +- U(a, -t) at t = sqrt(2/h), a = -lambda/(2h).  The
+    root sits e^(-1/h)-close to a = -(2m+1)/2, so the working precision
+    grows with 1/h (80 digits at least)."""
+    digits = max(80, 30 + int(1.0 / (h * math.log(10.0))))
+    with mpmath.workdps(digits):
+        t0 = mpmath.sqrt(2 / mpmath.mpf(h))
+        a0 = -mpmath.mpf(2 * m + 1) / 2
+        parity = 1 if m % 2 == 0 else -1
+
+        def wall_value(delta):
+            a = a0 - delta
+            return mpmath.pcfu(a, t0) + parity * mpmath.pcfu(a, -t0)
+
+        delta = mpmath.findroot(
+            wall_value, (mpmath.mpf(0), mpmath.mpf(10) ** (-digits // 2)),
+            solver="secant")
+        return float(2 * mpmath.mpf(h) * delta)
+
+
+def exact_coulomb_level(mpmath, spec: HydrogenSpec, near: float):
+    """The boxed Coulomb level of ``spec`` as an mpmath number (60 digits),
+    the root of 1F1(ell + 1 - kappa; 2 ell + 2; 2kR) = 0 with
+    k = sqrt(-lambda)/h and kappa = z/(2kh^2): the solution regular at the
+    origin, x^(ell+1) e^(-kx) 1F1(...), vanishes at the wall.  The root is
+    bracketed at (0.3, 3) times ``near`` - E_n from E_n, ``near`` a level
+    with that shift to within a factor of 3."""
+    with mpmath.workdps(60):
+        h, z = mpmath.mpf(spec.h), mpmath.mpf(spec.z)
+        e_n = -z * z / (4 * spec.n ** 2 * h * h)
+        shift = mpmath.mpf(near) - e_n
+
+        def wall_value(lam):
+            k = mpmath.sqrt(-lam) / h
+            return mpmath.hyp1f1(spec.ell + 1 - z / (2 * k * h * h),
+                                 2 * spec.ell + 2, 2 * k * spec.r_box)
+
+        return mpmath.findroot(wall_value, (e_n + shift * 0.3, e_n + shift * 3),
+                               solver="anderson")

@@ -20,30 +20,10 @@ from boxshift import (LineBox, ModeSpec, RadialBox, confined_eigenvalue,
                       from_expression, report, resolve_potential, shooting,
                       spectra, unconfined_eigenvalue)
 from boxshift.report import run_shift_case, run_sweep
+from crosschecks import exact_harmonic_shift
 
 BOX = LineBox(-1.0, 1.0)
 EPS = sys.float_info.epsilon
-
-
-def exact_harmonic_shift(mpmath, h: float, m: int) -> float:
-    """lambda_D - (2m+1)h for x^2 on (-1, 1), m <= 1, from the Dirichlet
-    root of U(a, t) +- U(a, -t) at t = sqrt(2/h), a = -lambda/(2h).  The
-    root sits e^(-1/h)-close to a = -(2m+1)/2, so the working precision
-    grows with 1/h (80 digits at least)."""
-    digits = max(80, 30 + int(1.0 / (h * math.log(10.0))))
-    with mpmath.workdps(digits):
-        t0 = mpmath.sqrt(2 / mpmath.mpf(h))
-        a0 = -mpmath.mpf(2 * m + 1) / 2
-        parity = 1 if m % 2 == 0 else -1
-
-        def wall_value(delta):
-            a = a0 - delta
-            return mpmath.pcfu(a, t0) + parity * mpmath.pcfu(a, -t0)
-
-        delta = mpmath.findroot(
-            wall_value, (mpmath.mpf(0), mpmath.mpf(10) ** (-digits // 2)),
-            solver="secant")
-        return float(2 * mpmath.mpf(h) * delta)
 
 
 @pytest.mark.parametrize("h", [0.05, 0.02, 0.01, 0.005])

@@ -15,15 +15,16 @@ import numpy as np
 import pytest
 
 from boxshift import (
-    LineBox, ModeSpec, RadialBox, ScaledValue, SeriesError, SolverError,
-    confined_eigenvalue, count_nodes_line, count_nodes_radial,
-    from_expression, harmonic, newton_solve_line, newton_solve_radial,
-    quartic, unconfined_eigenvalue,
+    HydrogenSpec, LineBox, ModeSpec, RadialBox, ScaledValue, SeriesError,
+    SolverError, confined_eigenvalue, count_nodes_line, count_nodes_radial,
+    from_expression, harmonic, hydrogen_confined, newton_solve_line,
+    newton_solve_radial, quartic, unconfined_eigenvalue,
 )
 from boxshift import shooting
 from boxshift.dsl import EvalError
 from boxshift.shooting import (FrobeniusStart, Matching, Unwalled, steps_taken,
                                wronskian)
+from crosschecks import exact_coulomb_level, exact_harmonic_shift
 
 H = 0.1
 BOX = LineBox(-1.0, 1.0)
@@ -176,19 +177,19 @@ class Graded(NamedTuple):
     level: int
 
 
-def _coulomb(n):
+def _coulomb(n, R=8.0):
     """Newton and node count of the Coulomb (n, ell=0) level, z = 2 and
-    h = 1, in a box of radius 8, from the seed E_n."""
+    h = 1, in a box of radius R, from the seed E_n."""
     V = lambda x: -2.0 / x  # noqa: E731
     V.source = "-2.0 / x"
     series = FrobeniusStart.coulomb(2.0, 0, 1.0, min(0.05 * n, 0.08))
     e_n = -1.0 / (n * n)
-    return Graded(lambda seed: newton_solve_radial(V, 0.5, 1.0, 8.0, seed,
+    return Graded(lambda seed: newton_solve_radial(V, 0.5, 1.0, R, seed,
                                                    series, lambda_scale=-e_n),
                   e_n,
                   lambda lam, shots: count_nodes_radial(
-                      V, 0.5, 1.0, 8.0, lam, series, shots=shots),
-                  Matching.radial(V, 0.5, 1.0, 8.0, series), 1e-12, -e_n,
+                      V, 0.5, 1.0, R, lam, series, shots=shots),
+                  Matching.radial(V, 0.5, 1.0, R, series), 1e-12, -e_n,
                   n - 1)
 
 
@@ -201,8 +202,7 @@ def _quartic_line(m, h):
                   Matching.line(quartic(), BOX, mode), 0.5e-12, h, m)
 
 
-def _quartic_radial():
-    p, nu, h = quartic(kind="radial"), 1.5, 0.1
+def _radial(p, nu, h):
     series = FrobeniusStart.well(p, nu, h, L=1.0)
     return Graded(lambda seed: newton_solve_radial(p.evaluate, nu, h, 1.0,
                                                    seed, series),
@@ -216,7 +216,7 @@ def _quartic_radial():
 GRADED_SOLVES = {
     **{f"line-m{m}-h{h}": (_quartic_line, (m, h))
        for m in (0, 1) for h in (0.2, 0.05)},
-    "radial-nu1.5": (_quartic_radial, ()),
+    "radial-nu1.5": (_radial, (quartic(kind="radial"), 1.5, 0.1)),
     "coulomb-1-0": (_coulomb, (1,)),
     "coulomb-2-0": (_coulomb, (2,)),
 }
@@ -407,6 +407,100 @@ def test_unmoved_wall_pair_is_reused_as_it_is():
     p, mode = quartic(), ModeSpec(level=0, h=0.1)
     at, shots = confined_eigenvalue(p, BOX, mode).shots
     assert shooting._moved_pair(at, shots, at, 0.5e-12) is shots
+
+
+# -- the predicted last step ---------------------------------------------------------
+
+PREDICTED_SOLVES = {
+    **GRADED_SOLVES,
+    "harmonic-radial-nu0.5-h0.05": (_radial,
+                                    (harmonic(kind="radial"), 0.5, 0.05)),
+    "coulomb-1-0-R12": (_coulomb, (1, 12.0)),
+}
+
+def _odd_harmonic_level(mpmath, near):
+    """The radial harmonic level m = 0 at nu = 1/2 and h = 0.05: the odd
+    line level 1, 3h plus its shift."""
+    with mpmath.workdps(30):
+        return 3 * mpmath.mpf(0.05) + exact_harmonic_shift(mpmath, 0.05, 1)
+
+
+# Exact levels of the radial cases that have one.
+EXACT_LEVELS = {
+    "coulomb-1-0": lambda mpmath, near: exact_coulomb_level(
+        mpmath, HydrogenSpec(1, 0, 2.0, 1.0, 8.0), near),
+    "coulomb-2-0": lambda mpmath, near: exact_coulomb_level(
+        mpmath, HydrogenSpec(2, 0, 2.0, 1.0, 8.0), near),
+    "coulomb-1-0-R12": lambda mpmath, near: exact_coulomb_level(
+        mpmath, HydrogenSpec(1, 0, 2.0, 1.0, 12.0), near),
+    "harmonic-radial-nu0.5-h0.05": _odd_harmonic_level,
+}
+
+
+@pytest.mark.parametrize("case", PREDICTED_SOLVES)
+def test_predicted_step_ends_within_noise_of_the_confirming_shot(
+        monkeypatch, case):
+    # With _AHEAD_END at 0 the predicted step is never taken, and a solve
+    # that it ends shoots lambda + step once more to confirm it.  Where it
+    # ends a solve, that saves the confirming shot and moves lambda by less
+    # than the noise bound (a float cannot place it closer than an ulp);
+    # everywhere else the two solves are the same, bit for bit.
+    build, args = PREDICTED_SOLVES[case]
+    c = build(*args)
+    taken = c.solve(c.seed)
+    monkeypatch.setattr(shooting, "_AHEAD_END", 0.0)
+    shot = c.solve(c.seed)
+    assert c.nodes(taken.lam, taken.shots) == c.level
+    if taken.iterations == shot.iterations:
+        assert (taken.lam, taken.steps) == (shot.lam, shot.steps)
+        return
+    assert taken.iterations == shot.iterations - 1
+    assert taken.steps < shot.steps
+    bound = _noise_bound(shot, c) + math.ulp(shot.lam)
+    if case in EXACT_LEVELS:
+        # At a radial wall the noise bound measures the converged shot
+        # there, far below the shots' real error: both roots lie 20 to 170
+        # ulp from the exact level, and the confirming step is noise as
+        # well.  There the move stays below a quarter of that error.
+        mpmath = pytest.importorskip("mpmath")
+        exact = EXACT_LEVELS[case](mpmath, shot.lam)
+        bound = max(bound, 0.25 * abs(float(shot.lam - exact)))
+    assert abs(taken.lam - shot.lam) <= bound
+
+
+def test_coulomb_box_solves_shoot_one_iterate_in_full(shot_tolerances):
+    # The benchmark's Coulomb boxes: every solve ends on the first iterate
+    # it shoots at rtol, by the noise bound or the predicted step.
+    for n, ell in ((1, 0), (2, 0), (2, 1)):
+        for R in (8.0, 10.0, 12.0, 14.0):
+            del shot_tolerances[:]
+            hydrogen_confined(HydrogenSpec(n, ell, 2.0, 1.0, R))
+            full = [tol for tol, _ in shot_tolerances if tol == 1e-12]
+            assert len(full) == 1, (n, ell, R)
+
+
+def test_predicted_step_keeps_the_confirming_shot_a_reused_pair_needs():
+    # The quartic m = 1 level at h = 0.05 predicts a step its last wall
+    # pair cannot be moved across: spectra keeps that pair for the flux
+    # step, so Newton shoots the confirming iterate instead of taking it.
+    p, mode = quartic(), ModeSpec(level=1, h=0.05)
+    level = newton_solve_line(p, BOX, mode, 3 * mode.h)
+    kept = newton_solve_line(p, BOX, mode, 3 * mode.h, reused=True)
+    assert level.iterations < kept.iterations
+    assert shooting._moved_pair(level.shot_at, level.shots, level.lam,
+                                0.5e-12) is None
+    assert shooting._moved_pair(kept.shot_at, kept.shots, kept.lam,
+                                0.5e-12) is not None
+
+
+def test_only_a_line_level_with_a_flux_step_keeps_its_wall_pair():
+    # The builtin harmonic's free level is closed form: no flux step reads
+    # its box's wall pair, so the level does not keep one.
+    mode = ModeSpec(level=0, h=0.1)
+    assert confined_eigenvalue(harmonic(), BOX, mode).shots is None
+    assert confined_eigenvalue(quartic(), BOX, mode).shots is not None
+    assert confined_eigenvalue(quartic(kind="radial"), RadialBox(1.0),
+                               ModeSpec(level=0, h=0.1, nu=1.5)).shots is None
 
 
 # -- node counting ------------------------------------------------------------------

@@ -29,7 +29,7 @@ from boxshift.report import run_hydrogen_case, run_shift_case
 from boxshift.shooting import (Matching, Unwalled, rhs_calls_taken,
                                steps_taken)
 from boxshift.spectra import harmonic_level
-from crosschecks import hydrogen_confined_via_oscillator
+from crosschecks import exact_coulomb_level, hydrogen_confined_via_oscillator
 
 BOX = LineBox(-1.0, 1.0)
 
@@ -606,6 +606,20 @@ def test_hydrogen_frozen_levels(n, ell, R):
     got = hydrogen_confined(spec)
     assert got.value == pytest.approx(HYDROGEN_LEVELS[(n, ell, R)], rel=1e-11)
     assert got.nodes == spec.level
+
+
+@pytest.mark.parametrize("R", [8.0, 10.0, 12.0, 14.0, 20.0])
+@pytest.mark.parametrize("n,ell", [(1, 0), (2, 0), (2, 1)])
+def test_hydrogen_level_matches_the_exact_hypergeometric_root(n, ell, R):
+    # The benchmark's Coulomb boxes and R = 20, against the Dirichlet root
+    # of 1F1 in 60 digits.  The worst measured error is 2.48e-14 relative,
+    # (2,1) at R = 8; it was 2.50e-14 when Newton still shot its predicted
+    # last step to confirm it.
+    mpmath = pytest.importorskip("mpmath")
+    spec = HydrogenSpec(n=n, ell=ell, z=2.0, h=1.0, r_box=R)
+    got = hydrogen_confined(spec).value
+    exact = exact_coulomb_level(mpmath, spec, got)
+    assert abs(float((got - exact) / exact)) <= 3e-14
 
 
 def test_hydrogen_seeded_from_the_free_level_runs_no_finite_differences(

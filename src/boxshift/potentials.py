@@ -21,8 +21,11 @@ import math
 import re
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
+from types import SimpleNamespace
 from typing import Callable
+
+import numpy as np
 
 from . import dsl
 from .errors import InvalidPotential
@@ -187,6 +190,43 @@ BUILTIN_FACTORIES: dict[str, Callable[..., PotentialSpec]] = {
     "harmonic": harmonic,
     "quartic": quartic,
 }
+
+
+# --------------------------------------------------------------------------
+# V over an array
+# --------------------------------------------------------------------------
+
+
+# DSL sources call math.exp and the like; over an array the same names are
+# numpy's ufuncs.
+_GRID_MATH = SimpleNamespace(
+    **{name: getattr(np, name) for name in dsl.FUNCTIONS if name != "abs"})
+
+
+@lru_cache(maxsize=16)
+def _grid_code(source: str):
+    return compile(source, "<V over an array>", "eval")
+
+
+def v_on_grid(v: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    """V at every point of ``x``.  A potential with a ``source`` (an
+    expression in ``x``, see ``dop853``) is evaluated once over the whole
+    array; where that raises or gives a value that is not finite, and for
+    plain callables, V is called point by point, on Python floats, which
+    raises the potential's own error where it is undefined."""
+    source = getattr(v, "source", None)
+    if source is not None:
+        namespace = {"__builtins__": {}, "math": _GRID_MATH, "abs": np.abs}
+        try:
+            with np.errstate(all="ignore"):
+                values = np.asarray(eval(_grid_code(source), namespace,  # noqa: S307
+                                         {"x": x}))
+        except (ArithmeticError, TypeError, ValueError):
+            values = None  # the pointwise loop below reports the fault
+        if values is not None and values.dtype.kind == "f" \
+                and np.isfinite(values).all():
+            return np.broadcast_to(values, x.shape)
+    return np.array([v(t) for t in x.tolist()])
 
 
 # --------------------------------------------------------------------------

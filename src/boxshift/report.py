@@ -125,7 +125,9 @@ def run_shift_case(p: PotentialSpec, domain: Domain, mode: ModeSpec, *,
     # shift is the sum of its steps, never lambda_D - lambda_0, which would
     # round it at eps*lambda again; the closed-form harmonic level has no
     # steps and keeps the subtraction.  The sum keeps its exponent, so a
-    # shift below the float range still has its log and its ratio.
+    # shift below the float range still has its log and its ratio.  The
+    # leading prediction seeds lambda_D and, as the free solve's shift
+    # estimate, tells it where the flux pair may be shot loosely.
     shift = prediction.leading_value \
         if math.isfinite(prediction.leading_value) else 0.0
     confined = confined_eigenvalue(p, domain, mode,
@@ -133,7 +135,8 @@ def run_shift_case(p: PotentialSpec, domain: Domain, mode: ModeSpec, *,
                                    rtol=integrate_tol)
     free = unconfined_eigenvalue(p, mode, rtol=integrate_tol,
                                  lam0=confined.value, box=domain,
-                                 box_shots=confined.shots)
+                                 box_shots=confined.shots,
+                                 shift_estimate=shift)
     if free.offset is None:
         numeric, log_numeric = confined.value - free.value, None
     else:

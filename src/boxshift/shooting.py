@@ -42,9 +42,11 @@ sensitivity pairs, instead of shooting it again.
 
 Newton grades its integrator tolerance (``newton``): it shoots its far
 iterates loosely, each only as tight as its next step needs, and ends
-only on an iterate shot at the full rtol.  The flux iterate is shot at
-rtol and grades the next by its own size; Newton's later steps correct a
-loose step's error, so none of it stays in the summed shift.  The first
+only on an iterate shot at the full rtol.  The flux iterate is shot
+loosely too where an estimate of the shift says that the flux step
+cannot end the solve, at a tolerance set by that estimate, and it grades
+the next iterate by its own size; Newton's later steps correct a loose
+step's error, so none of it stays in the summed shift.  The first
 full-precision iterate mostly ends the solve: the step after it,
 predicted from quadratic convergence, is dropped as noise or, where it
 lies near noise, added without a shot to confirm it.
@@ -107,7 +109,7 @@ from scipy.optimize import brentq
 
 from .dop853 import DOP853
 from .errors import SeriesError, SolverError
-from .potentials import LineBox, PotentialSpec, RadialBox
+from .potentials import LineBox, PotentialSpec, RadialBox, v_on_grid
 from .scaled import ScaledValue
 
 _RENORM_LOG = 12.0
@@ -116,6 +118,7 @@ _RENORM_LO = math.exp(-_RENORM_LOG)
 _NEWTON_MAX_ITER = 50
 _LOOSE_RTOL = 1e-6  # a graded Newton's first iterate is shot at this (newton)
 _FLUX_END = 100.0  # the flux step ends a free solve this far below noise
+_FLUX_LOOSE = 1e-3  # a loose flux iterate's tolerance per |shift|/gap
 _AHEAD_END = 100.0  # a predicted last step this near noise is taken (newton)
 _SERIES_MAX_TERMS = 40
 _SERIES_CUTOFF = 1e-16
@@ -449,7 +452,10 @@ class Unwalled:
     level spacing, tells whether that step alone ends the solve (without
     it, it never does), and ``box_shots``, if set, is the Dirichlet pair
     the box's own Newton shot last, with the lambda it was shot at, for
-    the flux step to reuse (``flux_wronskian``).
+    the flux step to reuse (``flux_wronskian``).  ``shift_estimate``, an
+    estimate of the shift the flux step measures, tells whether that step
+    can end the solve before it is shot; where it cannot, its pair is shot
+    loosely (``_flux_tol``).
     """
 
     left: float
@@ -460,6 +466,7 @@ class Unwalled:
     gap: float | None = None
     box_shots: ShotsAt | None = field(default=None, compare=False,
                                       repr=False)
+    shift_estimate: float | None = None
 
     @property
     def kind(self) -> str:
@@ -692,14 +699,28 @@ def newton(match: Matching, lam0: float, *, rtol: float, scale: float,
     the step keeps its relative precision however small the shift is.
     ``offset`` is then the sum of the steps, so lam - lam0 is never
     re-derived as a difference, and it keeps its exponent, so its log
-    survives where a float underflows.  The flux iterate is shot at rtol.
-    Newton's next step from there is about W''/2W' s^2, s the flux step,
-    and W''/W' is about 1/gap, ``flux.gap`` the level spacing: where s^2/gap
-    lies ``_FLUX_END`` times below the flux iterate's noise bound, the next
-    step would be dropped as noise, and the flux step ends the solve, its
-    shots one step short of lam.  Otherwise the next iterate is graded by
-    the flux step's rho, like any other: a loose step's error is what
-    Newton's next step corrects, so none of it stays in the summed shift.
+    survives where a float underflows.  Newton's next step from there is
+    about W''/2W' s^2, s the flux step, and W''/W' is about 1/gap,
+    ``flux.gap`` the level spacing: where s^2/gap lies ``_FLUX_END`` times
+    below the flux iterate's noise bound, the next step would be dropped
+    as noise, and the flux step ends the solve, its shots one step short
+    of lam.  Otherwise the next iterate is graded by the flux step's rho,
+    like any other: a loose step's error is what Newton's next step
+    corrects, so none of it stays in the summed shift.
+
+    The flux iterate is shot at rtol unless ``flux.shift_estimate`` s says
+    that the flux step cannot end the solve: where s^2/gap reaches
+    rtol*max(|lambda|, scale), about the full iterate's noise bound, the
+    flux pair (radially with the wall shot D_R) is shot at tau = max(rtol,
+    min(``_LOOSE_RTOL``, ``_FLUX_LOOSE``*|s|/gap)) (``_flux_tol``).  Its W'
+    then errs by about tau*|W'|, and enters the secant of the predicted
+    last step, whose difference of W' is about W' s/gap, at a relative
+    tau*gap/|s|, about ``_FLUX_LOOSE``.  A loose flux iterate never ends
+    the solve: where its step shows that the flux step in full would
+    (s^2/gap below the full-rtol noise bound over ``_FLUX_END``), lambda
+    is shot again at rtol, as after any loose iterate, and the solve goes
+    on as without an estimate.  A missing, zero or non-finite estimate
+    shoots the flux iterate at rtol.
     """
     start = steps_taken()
     walls = None if flux is None else match.walled(flux.box)
@@ -708,13 +729,21 @@ def newton(match: Matching, lam0: float, *, rtol: float, scale: float,
     offset, shift = 0.0, ScaledValue.zero()
     last: tuple[ScaledValue, ScaledValue] | None = None  # a step, W' before it
     # This iterate's integrator tolerance: graded from _LOOSE_RTOL down to
-    # rtol; the flux iterate is shot at rtol.
-    tol = rtol if flux is not None else max(rtol, _LOOSE_RTOL)
+    # rtol; the flux iterate's comes from the shift estimate (_flux_tol).
+    tol = max(rtol, _LOOSE_RTOL) if flux is None \
+        else _flux_tol(flux, lam0, scale, rtol)
+
+    def flux_ends(step: ScaledValue, log_noise: float) -> bool:
+        # Newton's next step, about s^2/gap, lies _FLUX_END below noise.
+        return flux.gap is not None and (step * step).log_abs() \
+            - math.log(flux.gap) <= log_noise - math.log(_FLUX_END)
+
     for it in range(1, _NEWTON_MAX_ITER + 1):
         lam = lam0 + offset
-        at_flux = it == 1 and flux is not None
+        # The flux step comes first; a loose one may leave lam where it is.
+        at_flux = flux is not None and last is None
         if at_flux:
-            left, right, w = flux_wronskian(match, walls, lam, rtol,
+            left, right, w = flux_wronskian(match, walls, lam, tol,
                                             box_shots=flux.box_shots)
             dw = wronskian(left, right)[1]
         else:
@@ -725,8 +754,12 @@ def newton(match: Matching, lam0: float, *, rtol: float, scale: float,
         log_noise = math.log(tol) + _wronskian_size(left, right, k) \
             - dw.log_abs()
         if tol > rtol:
-            if not capped and step.log_abs() <= math.log(100.0) + log_noise:
-                tol = rtol  # lam is as good as this iterate: shoot it in full
+            # lam is as good as this iterate can tell, or a flux step shot
+            # in full would end the solve: shoot lam again in full.
+            full_noise = log_noise - math.log(tol) + math.log(rtol)
+            if not capped and (flux_ends(step, full_noise) if at_flux else
+                               step.log_abs() <= math.log(100.0) + log_noise):
+                tol = rtol
                 continue
             offset += step.to_float()
             shift += step
@@ -738,9 +771,7 @@ def newton(match: Matching, lam0: float, *, rtol: float, scale: float,
             offset += step.to_float()
             shift += step
             if at_flux:
-                done = not capped and flux.gap is not None \
-                    and (step * step).log_abs() - math.log(flux.gap) \
-                    <= log_noise - math.log(_FLUX_END)
+                done = not capped and flux_ends(step, log_noise)
                 tol = _graded_tol(step, lam, scale, rtol)
             elif not capped and last is not None:
                 # -2 times the step Newton would take next: W''/W' step^2,
@@ -768,6 +799,19 @@ def newton(match: Matching, lam0: float, *, rtol: float, scale: float,
     raise SolverError(
         f"Newton did not reach its noise bound in {_NEWTON_MAX_ITER} "
         f"iterations (h={match.h:g}, last lambda={lam0 + offset!r})")
+
+
+def _flux_tol(flux: Unwalled, lam: float, scale: float, rtol: float) -> float:
+    """The flux iterate's tolerance: rtol, unless ``flux.shift_estimate``
+    s puts Newton's next step, about s^2/gap, at or above rtol*max(|lambda|,
+    scale), the size of the full iterate's noise bound, so that the flux
+    step cannot end the solve; then max(rtol, min(``_LOOSE_RTOL``,
+    ``_FLUX_LOOSE``*|s|/gap))."""
+    s, gap = flux.shift_estimate, flux.gap
+    if not s or not math.isfinite(s) or gap is None \
+            or s * s / gap < rtol * max(abs(lam), scale):
+        return rtol
+    return max(rtol, min(_LOOSE_RTOL, _FLUX_LOOSE * abs(s) / gap))
 
 
 def _graded_tol(step: ScaledValue, lam: float, scale: float,
@@ -806,7 +850,7 @@ def flux_wronskian(free: Matching, walls: Matching, lam: float, rtol: float,
     start (the radial series) has no wall, and beta = 0 there.
 
     ``box_shots`` is a lambda and the wall pair of ``walls`` shot there at
-    the same rtol: the Dirichlet Newton's last iterate.  On the line,
+    ``rtol`` or tighter: the Dirichlet Newton's last iterate.  On the line,
     where both ends are walls and that pair meets at the free shots' x_m,
     it stands in for the pair at ``lam`` (``_moved_pair``).  A radial
     Dirichlet pair meets at the wall, not at the turning point, and the
@@ -914,17 +958,16 @@ def count_nodes(match: Matching, lam: float, rtol: float,
 def _counting_step_cap(V: Callable[[float], float], nu: float | None,
                        h: float, lam: float, a: float, b: float) -> float:
     """A quarter of the shortest local wavelength 2 pi/k over the interval
-    (sampled): a step of this length turns by at most ``_QUARTER_TURN``."""
+    (256 samples, V over them in one call, ``v_on_grid``): a step of this
+    length turns by at most ``_QUARTER_TURN``."""
     cent = 0.0 if nu is None else nu * nu - 0.25
-    k2_max = 1.0 / (h * h)  # floor: never step wider than ~pi*h/2
-    for i in range(256):
-        x = a + (b - a) * (i + 0.5) / 256.0
-        if x == 0.0:
-            continue
-        k2 = (lam - V(x)) / (h * h) - cent / (x * x)
-        if k2 > k2_max:
-            k2_max = k2
-    return _QUARTER_TURN / math.sqrt(k2_max)
+    floor = 1.0 / (h * h)  # never step wider than ~pi*h/2
+    x = a + (b - a) * (np.arange(256) + 0.5) / 256.0
+    x = x[x != 0.0]
+    with np.errstate(all="ignore"):
+        k2 = (lam - v_on_grid(V, x)) / (h * h) - cent / (x * x)
+    # A NaN sample is passed over, as it fails every comparison.
+    return _QUARTER_TURN / math.sqrt(k2.max(initial=floor, where=k2 > floor))
 
 
 def newton_solve_line(p: PotentialSpec, domain: LineBox | Unwalled,

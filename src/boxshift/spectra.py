@@ -31,9 +31,8 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 from numbers import Integral
-from types import SimpleNamespace
 from typing import Callable, Iterable
 
 import numpy as np
@@ -43,9 +42,8 @@ from scipy.optimize import brentq
 
 from . import shooting
 from .agmon import AgmonProfile
-from .dsl import FUNCTIONS
 from .errors import BoxshiftError, GridError, InvalidPotential, SolverError
-from .potentials import Domain, LineBox, PotentialSpec, RadialBox
+from .potentials import Domain, LineBox, PotentialSpec, RadialBox, v_on_grid
 from .scaled import ScaledValue
 from .shooting import (FrobeniusStart, ModeSpec, Unwalled, count_nodes_line,
                        count_nodes_radial, newton_solve_line,
@@ -230,7 +228,8 @@ def unconfined_eigenvalue(p: PotentialSpec, mode: ModeSpec, *,
                           rtol: float = 1e-12,
                           lam0: float | None = None,
                           box: Domain | None = None,
-                          box_shots: shooting.ShotsAt | None = None
+                          box_shots: shooting.ShotsAt | None = None,
+                          shift_estimate: float | None = None
                           ) -> Eigenpair:
     """Level of the problem without walls.
 
@@ -258,9 +257,16 @@ def unconfined_eigenvalue(p: PotentialSpec, mode: ModeSpec, *,
     ``lam0`` (default: the harmonic approximation).  ``box_shots``, the
     box's Eigenpair.shots, lets the flux step on the line reuse the
     Dirichlet pair its Newton shot last (``shooting.flux_wronskian``); they
-    must come from a solve at the same ``rtol``.  The flux step ends the
+    must come from a solve at the same ``rtol``, since a flux step shot in
+    full reads them as full-precision shots.  The flux step ends the
     solve where its size squared is negligible against the harmonic level
     spacing, 2*omega*h on the line and 4*omega*h radially (``newton``).
+    ``shift_estimate``, an estimate of lambda_D - lambda_0 such as the
+    leading prediction ``report.run_shift_case`` passes, tells in advance
+    where the flux step cannot end the solve; there its pair is shot at a
+    looser tolerance, and Newton's next iterate corrects what that costs.
+    A wrong estimate moves the level by no more than the solve's noise
+    bound; None, zero or a non-finite value gives the solve without one.
     """
     if p.builtin == "harmonic":
         return Eigenpair(index_m=mode.level, value=harmonic_level(p, mode),
@@ -285,7 +291,7 @@ def unconfined_eigenvalue(p: PotentialSpec, mode: ModeSpec, *,
         left = -right if p.even and walls[0] == -walls[1] \
             else end(walls[0], -1.0)
         domain = Unwalled(left, right, box=box, box_level=lam0, gap=gap,
-                          box_shots=box_shots)
+                          box_shots=box_shots, shift_estimate=shift_estimate)
     elif p.evaluate(right) <= level:
         raise SolverError(
             f"lambda={level!r} lies above the barrier at the decaying start "
@@ -294,7 +300,7 @@ def unconfined_eigenvalue(p: PotentialSpec, mode: ModeSpec, *,
         turning = brentq(lambda x: p.evaluate(x) - level, 0.0, right,
                          xtol=1e-6 * right)
         domain = Unwalled(0.0, right, x_m=turning, box=box, box_level=lam0,
-                          gap=gap)
+                          gap=gap, shift_estimate=shift_estimate)
     return confined_eigenvalue(p, domain, mode, lam0=lam0, rtol=rtol)
 
 
@@ -348,36 +354,6 @@ def _first_wall(profile: AgmonProfile, target_phi: float, start: float,
 _SEED_COARSENING = 8  # the seed grid has grid_n // 8 intervals
 _SWEEPS = 8  # inverse-iteration sweeps before a grid falls back to bisection
 _RESIDUAL = 4.0  # stop at |Tv - lambda v| <= 4 eps |T|, stebz's own tolerance
-# DSL sources call math.exp and the like; over the grid the same names are
-# numpy's ufuncs.
-_GRID_MATH = SimpleNamespace(
-    **{name: getattr(np, name) for name in FUNCTIONS if name != "abs"})
-
-
-@lru_cache(maxsize=16)
-def _grid_code(source: str):
-    return compile(source, "<V on the finite-difference grid>", "eval")
-
-
-def _v_on_grid(v: Callable[[float], float], x: np.ndarray) -> np.ndarray:
-    """V at every point of ``x``.  A potential with a ``source`` (an
-    expression in ``x``, see ``dop853``) is evaluated once over the whole
-    array; where that raises or gives a value that is not finite, and for
-    plain callables, V is called point by point, which raises the
-    potential's own error where it is undefined."""
-    source = getattr(v, "source", None)
-    if source is not None:
-        namespace = {"__builtins__": {}, "math": _GRID_MATH, "abs": np.abs}
-        try:
-            with np.errstate(all="ignore"):
-                values = np.asarray(eval(_grid_code(source), namespace,  # noqa: S307
-                                         {"x": x}))
-        except (ArithmeticError, TypeError, ValueError):
-            values = None  # the pointwise loop below reports the fault
-        if values is not None and values.dtype.kind == "f" \
-                and np.isfinite(values).all():
-            return np.broadcast_to(values, x.shape)
-    return np.array([v(t) for t in x])
 
 
 def _fd_matrix(v: Callable[[float], float], cent: float, a: float, b: float,
@@ -388,7 +364,7 @@ def _fd_matrix(v: Callable[[float], float], cent: float, a: float, b: float,
     if dx * dx == 0.0:
         raise GridError(f"grid spacing {dx:g} is too fine: its square underflows")
     x = a + dx * np.arange(1, n)
-    potential = _v_on_grid(v, x)
+    potential = v_on_grid(v, x)
     with np.errstate(all="ignore"):  # a non-finite entry fails in LAPACK
         if cent:
             potential = potential + cent / (x * x)

@@ -1,5 +1,6 @@
-"""Session wiring for the acceptance battery, a shared fault injector and
-independent tallies of integrator steps and solvers.
+"""Pytest wiring for the acceptance battery, a shared fault injector,
+independent tallies of integrator steps and solvers, and a record of the
+free solves' Newton solutions.
 
 Acceptance tests register one verdict per criterion through the
 ``record_criterion`` fixture; the hook below reprints every verdict in the
@@ -97,3 +98,18 @@ def dop853_solvers(monkeypatch):
 
     monkeypatch.setattr(shooting, "DOP853", Kept)
     return solvers
+
+
+@pytest.fixture
+def free_solves(monkeypatch):
+    """The ``Solution`` of every Newton solve that takes the flux step."""
+    solves = []
+    real = shooting.newton
+
+    def spy(match, lam0, **kwargs):
+        sol = real(match, lam0, **kwargs)
+        if kwargs.get("flux") is not None:
+            solves.append(sol)
+        return sol
+    monkeypatch.setattr(shooting, "newton", spy)
+    return solves

@@ -18,7 +18,8 @@ import pytest
 
 from boxshift import (LineBox, ModeSpec, RadialBox, confined_eigenvalue,
                       from_expression, report, resolve_potential, shooting,
-                      spectra, unconfined_eigenvalue)
+                      shift_leading_line, shift_leading_radial, spectra,
+                      unconfined_eigenvalue)
 from boxshift.report import run_shift_case, run_sweep
 from crosschecks import exact_harmonic_shift
 
@@ -187,3 +188,151 @@ def test_small_quartic_shifts_take_one_free_iteration(kind, m, nu, h):
     box = BOX if kind == "line" else RadialBox(1.0)
     rep = run_shift_case(p, box, ModeSpec(level=m, h=h, nu=nu))
     assert rep.diagnostics.free_iterations == 1
+
+
+# -- the flux iterate shot loosely where Newton continues -----------------------
+
+def _box(kind):
+    return BOX if kind == "line" else RadialBox(1.0)
+
+
+def _rtol(kind):
+    """Newton's rtol in a free solve at the default 1e-12 (halved on the
+    line, see ``newton_solve_line``)."""
+    return 0.5e-12 if kind == "line" else 1e-12
+
+
+def _leading(p, box, mode):
+    if mode.nu is None:
+        return shift_leading_line(p, box, mode).leading_value
+    return shift_leading_radial(p, box.length, mode).leading_value
+
+
+def _noise_bound(sol, h, rtol):
+    """A free solve's noise bound, read off its last shots like ``newton``'s
+    stopping test."""
+    left, right = sol.shots
+    k = math.sqrt(max(abs(sol.shot_at), h)) / h
+    return rtol * math.exp(shooting._wronskian_size(left, right, k)
+                           - shooting.wronskian(left, right)[1].log_abs())
+
+
+@pytest.mark.parametrize("wrong", [
+    lambda s: 1e-3 * s, lambda s: 1e3 * s, lambda s: 0.0, lambda s: None,
+    lambda s: math.inf, lambda s: math.nan,
+], ids=["x1e-3", "x1e3", "zero", "none", "inf", "nan"])
+@pytest.mark.parametrize("kind, m, nu, h", QUARTIC_BOXES)
+def test_a_wrong_shift_estimate_costs_at_most_one_loose_pair(
+        monkeypatch, free_solves, kind, m, nu, h, wrong):
+    # The estimate only sets the flux iterate's tolerance.  Too small, the
+    # flux pair is shot in full, as without one; too large, a loose flux
+    # step that a full one would have ended is dropped and lambda_D shot
+    # again in full, which is then the solve without an estimate.  Either
+    # way the solve lands within its noise bound and ends on a full shot.
+    p = resolve_potential("x^2 + x^4", kind)
+    box, mode, rtol = _box(kind), ModeSpec(level=m, h=h, nu=nu), _rtol(kind)
+    confined = confined_eigenvalue(p, box, mode)
+    shots = []
+    real = shooting.Matching.shoot
+
+    def spy(self, lam, tol, **kwargs):
+        shots.append((tol, real(self, lam, tol, **kwargs)))
+        return shots[-1][1]
+    monkeypatch.setattr(shooting.Matching, "shoot", spy)
+
+    def free(estimate):
+        pair = unconfined_eigenvalue(p, mode, lam0=confined.value, box=box,
+                                     box_shots=confined.shots,
+                                     shift_estimate=estimate)
+        assert shots[-1] == (rtol, free_solves[-1].shots)
+        return pair, free_solves[-1]
+
+    plain, plain_sol = free(None)
+    pair, sol = free(wrong(_leading(p, box, mode)))
+    bound = _noise_bound(plain_sol, h, rtol)
+    assert pair.nodes == plain.nodes == m
+    assert abs(pair.value - plain.value) <= bound + math.ulp(plain.value)
+    assert abs(pair.offset.to_float() - plain.offset.to_float()) <= bound
+    assert pair.iterations <= plain.iterations + 1
+    if pair.iterations > plain.iterations:  # the loose flux pair dropped
+        assert (pair.value, pair.offset) == (plain.value, plain.offset)
+
+
+@pytest.mark.parametrize("kind, m, nu, h", SMALL_SHIFTS)
+def test_small_shifts_do_not_read_the_shift_estimate(monkeypatch, kind, m,
+                                                     nu, h):
+    # Where the flux step ends the solve, its pair is shot in full: the
+    # report is bit for bit the one without an estimate.
+    p = resolve_potential("x^2 + x^4", kind)
+    box, mode = _box(kind), ModeSpec(level=m, h=h, nu=nu)
+    with_estimate = run_shift_case(p, box, mode)
+    real = spectra.unconfined_eigenvalue
+    monkeypatch.setattr(report, "unconfined_eigenvalue",
+                        lambda *args, shift_estimate, **kwargs:
+                        real(*args, **kwargs))
+    assert run_shift_case(p, box, mode) == with_estimate
+
+
+@pytest.fixture
+def flux_tols(monkeypatch):
+    """The tolerance of every ``flux_wronskian`` call."""
+    tols = []
+    real = shooting.flux_wronskian
+
+    def spy(free, walls, lam, tol, **kwargs):
+        tols.append(tol)
+        return real(free, walls, lam, tol, **kwargs)
+    monkeypatch.setattr(shooting, "flux_wronskian", spy)
+    return tols
+
+
+LOOSE_FLUX = [("line", m, None, h) for m in (0, 1) for h in (0.2, 0.1)] \
+    + [("radial", 0, 1.5, 0.1)]
+
+
+@pytest.mark.parametrize("kind, m, nu, h", LOOSE_FLUX)
+def test_loose_flux_pair_ends_no_solve(monkeypatch, free_solves, flux_tols,
+                                       kind, m, nu, h):
+    # The flux pair is shot above rtol, so the solve ends on a later
+    # iterate shot at rtol, whose shots are the ones count_nodes reads.
+    p = resolve_potential("x^2 + x^4", kind)
+    box, mode, rtol = _box(kind), ModeSpec(level=m, h=h, nu=nu), _rtol(kind)
+    confined = confined_eigenvalue(p, box, mode)
+    shots = []
+    real = shooting.Matching.shoot
+
+    def spy(self, lam, tol, **kwargs):
+        shots.append((lam, tol, real(self, lam, tol, **kwargs)))
+        return shots[-1][2]
+    monkeypatch.setattr(shooting.Matching, "shoot", spy)
+    unconfined_eigenvalue(p, mode, lam0=confined.value, box=box,
+                          box_shots=confined.shots,
+                          shift_estimate=_leading(p, box, mode))
+    sol = free_solves[-1]
+    assert len(flux_tols) == 1 and rtol < flux_tols[0] <= shooting._LOOSE_RTOL
+    assert shots[0][:2] == (confined.value, flux_tols[0])  # the flux pair
+    assert shots[-1] == (sol.shot_at, rtol, sol.shots)
+    assert sol.iterations > 1
+
+
+@pytest.mark.parametrize("kind, m, nu", [("line", 0, None), ("line", 1, None),
+                                         ("radial", 0, 1.5)])
+def test_loose_flux_pair_takes_no_more_iterations(flux_tols, kind, m, nu):
+    # At h = 0.1 the estimate shoots the flux pair above rtol.  Newton's
+    # next iterate corrects its error, which enters the secant of the last
+    # step at about 1e-3 of that step: no iteration is added.
+    p = resolve_potential("x^2 + x^4", kind)
+    box, mode, rtol = _box(kind), ModeSpec(level=m, h=0.1, nu=nu), _rtol(kind)
+    confined = confined_eigenvalue(p, box, mode)
+    runs = []
+    for estimate in (None, _leading(p, box, mode)):
+        before = shooting.steps_taken()
+        pair = unconfined_eigenvalue(p, mode, lam0=confined.value, box=box,
+                                     box_shots=confined.shots,
+                                     shift_estimate=estimate)
+        runs.append((pair, shooting.steps_taken() - before))
+    (full, full_steps), (loose, loose_steps) = runs
+    assert flux_tols[0] == rtol < flux_tols[1]
+    assert loose.iterations <= full.iterations
+    assert loose_steps < full_steps
+    assert loose.nodes == full.nodes == m

@@ -303,21 +303,6 @@ def test_flux_solve_shoots_every_iterate_in_full(shot_tolerances, kind, nu):
     assert {tol for tol, _ in shot_tolerances} == {rtol}
 
 
-@pytest.fixture
-def free_solves(monkeypatch):
-    """The ``Solution`` of every Newton solve that takes the flux step."""
-    solves = []
-    real = shooting.newton
-
-    def spy(match, lam0, **kwargs):
-        sol = real(match, lam0, **kwargs)
-        if kwargs.get("flux") is not None:
-            solves.append(sol)
-        return sol
-    monkeypatch.setattr(shooting, "newton", spy)
-    return solves
-
-
 def _free_noise_bound(sol, h, rtol=0.5e-12):
     """The noise bound of a free line solve, read off its last shots like
     ``newton``'s stopping test (rtol halved on the line)."""
@@ -572,6 +557,54 @@ def test_node_count_samples_v_only_for_a_zero_near_the_matching_point(
     assert count_nodes_line(harmonic(), BOX, mode, sol.lam,
                             shots=sol.shots) == m
     assert len(calls) == sampled
+
+
+def _pointwise_cap(V, nu, h, lam, a, b):
+    """``_counting_step_cap`` as a loop over its 256 samples, V point by
+    point."""
+    cent = 0.0 if nu is None else nu * nu - 0.25
+    k2_max = 1.0 / (h * h)
+    for i in range(256):
+        x = a + (b - a) * (i + 0.5) / 256.0
+        if x != 0.0:
+            k2_max = max(k2_max, (lam - V(x)) / (h * h) - cent / (x * x))
+    return shooting._QUARTER_TURN / math.sqrt(k2_max)
+
+
+def _coulomb_v(x):
+    return -2.0 / x
+
+
+_coulomb_v.source = "-2.0 / x"
+
+
+@pytest.mark.parametrize("V, nu, h, span", [
+    (from_expression("x^2 + x^4").evaluate, None, 0.1, (-1.0, 1.0)),
+    (from_expression("x^2 + x^4").evaluate, 1.5, 0.05, (0.0, 1.0)),
+    (harmonic().evaluate, None, 0.2, (-1.0, 2.0)),
+    (harmonic().evaluate, 0.5, 0.1, (0.0, 1.0)),
+    (_coulomb_v, 0.5, 1.0, (0.0, 14.0)),
+], ids=["quartic-line", "quartic-radial", "harmonic-line", "harmonic-radial",
+        "coulomb"])
+def test_step_cap_samples_v_in_one_call(V, nu, h, span):
+    # The benchmark's potentials give the loop's cap bit for bit, from one
+    # evaluation of V over the samples; without a source, V is called at
+    # each sample and the cap is the same.
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return V(x)
+
+    plain = lambda x: counted(x)  # noqa: E731
+    counted.source = V.source
+    for lam in (-1.0, 0.05, 0.3, 1.7, 25.0):
+        want = _pointwise_cap(V, nu, h, lam, *span)
+        assert shooting._counting_step_cap(counted, nu, h, lam, *span) == want
+        assert calls == []
+        assert shooting._counting_step_cap(plain, nu, h, lam, *span) == want
+        assert len(calls) == 256 and all(type(x) is float for x in calls)
+        del calls[:]
 
 
 # -- series starts --------------------------------------------------------------------

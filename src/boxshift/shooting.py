@@ -40,6 +40,19 @@ solve.  On the line the flux step takes the Dirichlet pair from the box's
 own Newton, whose last shots it moves to lambda_D along their
 sensitivity pairs, instead of shooting it again.
 
+A decaying start sits deep in the barrier, and an inward shot from it
+damps its own errors on the way in: a local error along the decaying
+solution only renormalises the shot, and the rest feeds the branch that
+shrinks relative to it like exp(-2 (phi(x) - phi(wall))/h).  So each free
+shot runs the outer part of its margin, from the start to
+``Unwalled.x_a``, where that damping is down to the shot's tolerance over
+``_LOOSE_RTOL`` (``damped_margin``), at ``_LOOSE_RTOL``, and the rest at
+the iterate's own tolerance; a loose iterate and a Dirichlet shot never
+split.  At the wall, where the flux step reads it, the state keeps u'/u
+to the shot's tolerance.  w/u moves by about 1e-7: w gains a multiple of
+u, the lambda-derivative of a renormalisation, which moves W' only by a
+multiple of W.
+
 Newton grades its integrator tolerance (``newton``): it shoots its far
 iterates loosely, each only as tight as its next step needs, and ends
 only on an iterate shot at the full rtol.  The flux iterate is shot
@@ -439,6 +452,24 @@ def decaying_start(V: Callable[[float], float], h: float, nu: float | None,
     return start
 
 
+def damped_margin(rtol: float) -> float:
+    """c = ln(``_LOOSE_RTOL``/``rtol``)/2, inf unless ``_LOOSE_RTOL`` is
+    the looser: an error of ``_LOOSE_RTOL`` made where phi lies c*h or
+    more beyond the wall's reaches the wall below ``rtol``.
+
+    Inward from a decaying start, an error along the decaying solution
+    only renormalises the shot, which moves no root; the rest feeds the
+    branch that decays toward the well, and the barrier damps that one
+    relative to the shot by exp(-2 (phi(x) - phi(wall))/h) by the time it
+    reaches the wall (Agmon, Lectures on Exponential Decay, 1982), the
+    damping that buries the start's own admixture.  So the leg from the
+    start to where phi = phi(wall) + c*h, ``Unwalled.x_a``, may run at
+    ``_LOOSE_RTOL`` (``Matching._shot``)."""
+    if _LOOSE_RTOL <= rtol:
+        return math.inf
+    return 0.5 * math.log(_LOOSE_RTOL / rtol)
+
+
 @dataclass(frozen=True)
 class Unwalled:
     """The well without walls, as the shooter sees it.
@@ -455,7 +486,10 @@ class Unwalled:
     the flux step to reuse (``flux_wronskian``).  ``shift_estimate``, an
     estimate of the shift the flux step measures, tells whether that step
     can end the solve before it is shot; where it cannot, its pair is shot
-    loosely (``_flux_tol``).
+    loosely (``_flux_tol``).  ``x_a``, per side, splits that side's margin
+    leg: from the start to ``x_a``, strictly between the start and the
+    wall, a shot runs at ``_LOOSE_RTOL`` (``damped_margin``); None, or a
+    radial left end, runs the whole shot at its own tolerance.
     """
 
     left: float
@@ -467,6 +501,7 @@ class Unwalled:
     box_shots: ShotsAt | None = field(default=None, compare=False,
                                       repr=False)
     shift_estimate: float | None = None
+    x_a: tuple[float | None, float | None] = (None, None)
 
     @property
     def kind(self) -> str:
@@ -517,7 +552,9 @@ class Matching:
     start, a series start off a singular origin, or a decaying start in
     the barrier of a well without walls.  With ``mirror``, an even line
     problem whose ends are each other's mirror images, the right shot is
-    the left one reflected (``Shot.mirrored``).
+    the left one reflected (``Shot.mirrored``).  ``x_a``, per side, is the
+    end of a decaying start's loose margin leg (``Unwalled.x_a``), carried
+    from the problem without walls and dropped by ``walled``.
     """
 
     V: Callable[[float], float]
@@ -527,6 +564,7 @@ class Matching:
     right: SeriesStart
     x_m: float
     mirror: bool = False
+    x_a: tuple[float | None, float | None] = (None, None)
 
     @classmethod
     def line(cls, p: PotentialSpec, domain: LineBox | Unwalled,
@@ -535,11 +573,13 @@ class Matching:
         if isinstance(domain, Unwalled):
             left = decaying_start(p.evaluate, mode.h, None, domain.left, 1.0)
             right = decaying_start(p.evaluate, mode.h, None, domain.right, -1.0)
+            x_a = domain.x_a
         else:
             left = wall_start(domain.left, 1.0)
             right = wall_start(domain.right, -1.0)
+            x_a = (None, None)
         return cls(p.evaluate, None, mode.h, left, right, 0.0,
-                   mirror=p.even and domain.left == -domain.right)
+                   mirror=p.even and domain.left == -domain.right, x_a=x_a)
 
     @classmethod
     def radial(cls, V: Callable[[float], float], nu: float, h: float,
@@ -549,17 +589,19 @@ class Matching:
         inward decaying shot meet at the interior ``L.x_m``."""
         if isinstance(L, Unwalled):
             return cls(V, nu, h, series_start,
-                       decaying_start(V, h, nu, L.right, -1.0), L.x_m)
+                       decaying_start(V, h, nu, L.right, -1.0), L.x_m,
+                       x_a=L.x_a)
         return cls(V, nu, h, series_start, wall_start(L, -1.0), L)
 
     def walled(self, box: LineBox | RadialBox) -> Matching:
         """The same matching with Dirichlet wall starts at ``box``'s walls;
         a radial problem keeps its series start, since the origin is no
-        wall.  It stays mirrored only if ``box`` is symmetric."""
+        wall.  It stays mirrored only if ``box`` is symmetric, and its
+        shots have no loose leg."""
         a, b = box.as_tuple()
         left = self.left if self.nu is not None else wall_start(a, 1.0)
         return replace(self, left=left, right=wall_start(b, -1.0),
-                       mirror=self.mirror and a == -b)
+                       mirror=self.mirror and a == -b, x_a=(None, None))
 
     def shoot(self, lam: float, rtol: float, *, max_step: float = math.inf,
               via: tuple[float | None, float | None] = (None, None)
@@ -580,20 +622,31 @@ class Matching:
               ) -> tuple[Shot, Shot]:
         """The two sides' shots from their ``starts``: a mirrored pair
         integrates the left side only and reflects it."""
-        left = self._shot(q, *starts[0], rtol, max_step, via[0])
+        left = self._shot(q, *starts[0], rtol, max_step, via[0], self.x_a[0])
         if self.mirror:
             return left, left.mirrored()
-        return left, self._shot(q, *starts[1], rtol, max_step, via[1])
+        return left, self._shot(q, *starts[1], rtol, max_step, via[1],
+                                self.x_a[1])
 
     def _shot(self, q: Callable[[float], float], x0: float,
               y0: tuple[float, ...], rtol: float, max_step: float,
-              via: float | None) -> Shot:
-        legs = [x0, self.x_m] if via is None else [x0, via, self.x_m]
+              via: float | None, x_a: float | None = None) -> Shot:
+        """One side's shot from ``x0`` to x_m, passing ``via``; a decaying
+        start's margin leg, ``x0`` to ``x_a``, runs at ``_LOOSE_RTOL``
+        where that is looser than ``rtol`` and ``x_a`` lies strictly
+        between ``x0`` and the next point (``damped_margin``)."""
+        stop = self.x_m if via is None else via
+        split = x_a is not None and rtol < _LOOSE_RTOL \
+            and min(x0, stop) < x_a < max(x0, stop)
+        legs = [(x0, _LOOSE_RTOL), (x_a, rtol)] if split else [(x0, rtol)]
+        if via is not None:
+            legs.append((via, rtol))
+        legs.append((self.x_m, rtol))
         y, log_scale, zeros, turn, passed = y0, 0.0, (), 0.0, None
-        for a, b in zip(legs, legs[1:]):
+        for (a, tol), (b, _) in zip(legs, legs[1:]):
             if passed is None and a == via:
                 passed = Shot(y, log_scale, zeros, turn)
-            y, grown, found, widest = _integrate(q, a, y, b, rtol,
+            y, grown, found, widest = _integrate(q, a, y, b, tol,
                                                  dq=_dq(self.h),
                                                  max_step=max_step)
             log_scale += grown
@@ -688,9 +741,10 @@ def newton(match: Matching, lam0: float, *, rtol: float, scale: float,
     A smaller step means lambda is as good as that iterate can tell: the
     same lambda is shot again at rtol, and the step not taken.  Each end
     above comes only on an iterate shot at rtol, so
-    ``Solution.shots`` are full-precision shots; the predictor's secant
-    may pair a loose iterate's W' with a full one's.  ``iterations`` and
-    ``steps`` count the loose iterates too.
+    ``Solution.shots`` are full-precision shots (a free shot's margin leg
+    loose, its error damped below rtol, ``damped_margin``); the
+    predictor's secant may pair a loose iterate's W' with a full one's.
+    ``iterations`` and ``steps`` count the loose iterates too.
 
     With ``flux``, ``match`` is that problem without walls, ``lam0`` is its
     box's Dirichlet level, and the first step is the flux step

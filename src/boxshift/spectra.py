@@ -9,6 +9,9 @@ Four ways to an eigenvalue live here, deliberately independent:
   walls: a root of its Wronskian, whose shots start from the decaying WKB
   state where phi reaches 17.5*h beyond each wall's (the start's error
   dies like exp(-2*17.5), below 6e-16 of the wall effect under study).
+  The same damping lets each shot run the outer part of that margin, out
+  to where phi lies about 7*h beyond the wall, at the loose tolerance
+  1e-6: its errors reach the wall below the shots' own tolerance.
   From the confined level of a box, Newton's first step is the flux step,
   so the shift comes out as the sum of the steps, with no subtraction.
 * ``fd_oracle`` -- a finite-difference discretisation with Richardson
@@ -247,6 +250,21 @@ def unconfined_eigenvalue(p: PotentialSpec, mode: ModeSpec, *,
     costs steps.  Radially the shots meet at the harmonic level's turning
     point, V = lambda, where neither runs against a growing branch.
 
+    The same damping makes most of that margin's precision idle.  Each
+    start's margin leg is split at x_a, where phi reaches phi(wall) + c*h
+    with c = ln(1e-6/r)/2 (``shooting.damped_margin``), r the tolerance
+    the free shots run at: rtol/2 on the line, rtol radially.  The leg
+    from the start to x_a is shot at 1e-6, the rest at the iterate's own
+    tolerance.  An error made there along the decaying solution only
+    renormalises the shot, which moves no root, and the rest reaches the
+    wall damped by exp(-2c) = r/1e-6, below r.  x_a is found by Newton
+    steps in from the start, where phi is already known, one quadrature
+    each; a start without a split is the one placed without it, bit for
+    bit.  phi is the distance at energy 0: it overstates the damping
+    exponent by about the integral of lambda/(2h sqrt(V)), negligible for
+    a low-lying level but not for one near the wall's height, as it is
+    for the 17.5*h margin itself.
+
     With ``box``, ``lam0`` must be the box's Dirichlet level: Newton starts
     there and its first step is the flux step, so the pair's ``offset`` is
     minus the shift lambda_D - lambda_0, at its own relative precision.
@@ -278,20 +296,34 @@ def unconfined_eigenvalue(p: PotentialSpec, mode: ModeSpec, *,
     walls = (0.0, 0.0) if box is None else box.as_tuple()
     gap = (2.0 if mode.nu is None else 4.0) * p.curvature_omega * h
 
-    def end(wall: float, side: float) -> float:
-        target = (profile.phi(wall) if wall else 0.0) + _PHI_MARGIN * h
+    # The free shots run at rtol/2 on the line (newton_solve_line).
+    loose = shooting.damped_margin(0.5 * rtol if mode.nu is None else rtol)
+
+    def end(wall: float, side: float) -> tuple[float, float | None]:
+        base = profile.phi(wall) if wall else 0.0
+        target = base + _PHI_MARGIN * h
         # Where the harmonic approximation omega*x^2/2 of phi reaches it.
         start = math.sqrt(2.0 * target / max(p.curvature_omega, 1e-6))
-        return side * _first_wall(profile, target, side * start, h)
+        x = side * _first_wall(profile, target, side * start, h)
+        if loose >= _PHI_MARGIN:
+            return x, None
+        # The margin leg's split: Newton in from x, where phi is known.
+        lo, hi = sorted((wall, x))
+        x_a = _phi_root(profile, base + loose * h, x, profile.phi(x),
+                        lo, hi, side)
+        return x, x_a if lo < x_a < hi else None
 
-    right = end(walls[1], 1.0)
+    right, right_a = end(walls[1], 1.0)
     if mode.nu is None:
         # An even well in a symmetric box has mirror-image ends, which lets
         # the shooter mirror one side (``Matching.line``).
-        left = -right if p.even and walls[0] == -walls[1] \
-            else end(walls[0], -1.0)
-        domain = Unwalled(left, right, box=box, box_level=lam0, gap=gap,
-                          box_shots=box_shots, shift_estimate=shift_estimate)
+        if p.even and walls[0] == -walls[1]:
+            left, left_a = -right, None if right_a is None else -right_a
+        else:
+            left, left_a = end(walls[0], -1.0)
+        domain = Unwalled(left, right, x_a=(left_a, right_a), box=box,
+                          box_level=lam0, gap=gap, box_shots=box_shots,
+                          shift_estimate=shift_estimate)
     elif p.evaluate(right) <= level:
         raise SolverError(
             f"lambda={level!r} lies above the barrier at the decaying start "
@@ -299,8 +331,9 @@ def unconfined_eigenvalue(p: PotentialSpec, mode: ModeSpec, *,
     else:
         turning = brentq(lambda x: p.evaluate(x) - level, 0.0, right,
                          xtol=1e-6 * right)
-        domain = Unwalled(0.0, right, x_m=turning, box=box, box_level=lam0,
-                          gap=gap, shift_estimate=shift_estimate)
+        domain = Unwalled(0.0, right, x_m=turning, x_a=(None, right_a),
+                          box=box, box_level=lam0, gap=gap,
+                          shift_estimate=shift_estimate)
     return confined_eigenvalue(p, domain, mode, lam0=lam0, rtol=rtol)
 
 
@@ -329,7 +362,17 @@ def _first_wall(profile: AgmonProfile, target_phi: float, start: float,
             f"|x| = {abs(inner):g} (h={h:g}); "
             "the potential tail may be too shallow for this h")
     lo, hi = sorted((inner, outer))  # phi crosses the target in between
-    x, phi_x = outer, phi_outer
+    x = _phi_root(profile, target_phi, outer, phi_outer, lo, hi, start)
+    wall = float(x) + math.copysign(2.0 * _WALL_XTOL, start)
+    return abs(wall) if profile.phi(wall) >= target_phi else abs(outer)
+
+
+def _phi_root(profile: AgmonProfile, target_phi: float, x: float,
+              phi_x: float, lo: float, hi: float, side: float) -> float:
+    """The point in [lo, hi], on the side of the well bottom that ``side``
+    gives, where phi reaches ``target_phi``: Newton steps from ``x``,
+    where phi is ``phi_x``, carrying phi from point to point; a step that
+    would leave the bracket bisects it."""
     for _ in range(2 * _WALL_ROUNDS):  # bisection alone needs about 35
         slope = profile.phi_prime(x)
         step = (phi_x - target_phi) / slope if slope else math.inf
@@ -338,12 +381,11 @@ def _first_wall(profile: AgmonProfile, target_phi: float, start: float,
         x_new = x - step if lo < x - step < hi else 0.5 * (lo + hi)
         phi_x += profile.phi_increment(x, x_new)
         x = x_new
-        if (phi_x < target_phi) == (start > 0.0):  # short of the target
-            lo = x                                  # on the right side
+        if (phi_x < target_phi) == (side > 0.0):  # short of the target
+            lo = x                                 # on the right side
         else:
             hi = x
-    wall = float(x) + math.copysign(2.0 * _WALL_XTOL, start)
-    return abs(wall) if profile.phi(wall) >= target_phi else abs(outer)
+    return x
 
 
 # --------------------------------------------------------------------------

@@ -12,6 +12,7 @@ wherever that one resolves the shift.
 
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -336,3 +337,199 @@ def test_loose_flux_pair_takes_no_more_iterations(flux_tols, kind, m, nu):
     assert loose.iterations <= full.iterations
     assert loose_steps < full_steps
     assert loose.nodes == full.nodes == m
+
+
+# -- the margin leg shot loosely ---------------------------------------------------
+
+@pytest.fixture
+def free_domains(monkeypatch):
+    """The ``Unwalled`` domain of every free solve."""
+    domains = []
+    real = spectra.confined_eigenvalue
+
+    def recorded(p, domain, mode, **kwargs):
+        if isinstance(domain, shooting.Unwalled):
+            domains.append(domain)
+        return real(p, domain, mode, **kwargs)
+    monkeypatch.setattr(spectra, "confined_eigenvalue", recorded)
+    return domains
+
+
+def _unsplit(monkeypatch):
+    """Free solves from here on place no margin split."""
+    monkeypatch.setattr(shooting, "damped_margin", lambda rtol: math.inf)
+
+
+def _free_matching(p, domain, mode):
+    if mode.nu is None:
+        return shooting.Matching.line(p, domain, mode)
+    series = shooting.FrobeniusStart.well(p, mode.nu, mode.h, L=domain.right)
+    return shooting.Matching.radial(p.evaluate, mode.nu, mode.h, domain,
+                                    series)
+
+
+def _free_case(p, kind, mode, domains):
+    """The box's level and the free problem's domain, margin split placed."""
+    box = _box(kind)
+    confined = confined_eigenvalue(p, box, mode)
+    unconfined_eigenvalue(p, mode, lam0=confined.value, box=box)
+    return box, confined, domains[-1]
+
+
+WALL_STATES = [("line", m, None, h) for m in (0, 1)
+               for h in (0.2, 0.1, 0.05, 0.02)] \
+    + [("radial", 0, 1.5, h) for h in (0.1, 0.05)]
+
+
+@pytest.mark.parametrize("kind, m, nu, h", WALL_STATES)
+def test_loose_margin_leg_keeps_the_state_at_the_wall(free_domains, kind, m,
+                                                      nu, h):
+    # The leg out to x_a runs at 1e-6; its errors off the decaying solution
+    # reach the wall damped to below rtol.  u'/u there, which the flux
+    # step reads, and (w/u)' = Wr(u, w)/u^2 keep the shot's tolerance;
+    # w/u itself gains a multiple of u, the lambda-derivative of a
+    # renormalisation, at about the loose tolerance.
+    p = resolve_potential("x^2 + x^4", kind)
+    mode, rtol = ModeSpec(level=m, h=h, nu=nu), _rtol(kind)
+    box, confined, free = _free_case(p, kind, mode, free_domains)
+    walls = box.as_tuple() if kind == "line" else (None, box.length)
+    for end, x_a, wall in zip(free.as_tuple(), free.x_a, walls):
+        if wall is not None:
+            assert min(end, wall) < x_a < max(end, wall)
+    match = _free_matching(p, free, mode)
+    split, whole = (m_.shoot(confined.value, rtol, via=walls)
+                    for m_ in (match, replace(match, x_a=(None, None))))
+    assert split != whole
+    for a, b in zip(split, whole):
+        if b.via is None:
+            continue
+        (u, du, w, dw), (u0, du0, w0, dw0) = a.via.y, b.via.y
+        assert abs(du / u - du0 / u0) <= 10 * rtol * abs(du0 / u0)
+        slope, slope0 = (u * dw - du * w) / (u * u), \
+            (u0 * dw0 - du0 * w0) / (u0 * u0)
+        assert abs(slope - slope0) <= 10 * rtol * abs(slope0)
+        assert abs(w / u - w0 / u0) <= shooting._LOOSE_RTOL * abs(w0 / u0)
+
+
+# cosh(x) - 1 at m = 1, h = 0.2 is left out: its box lifts the level by
+# about a level gap, so the free level comes from the harmonic seed and has
+# no summed shift (``unconfined_eigenvalue``).
+SPLIT_CASES = [(source, "line", m, None, h)
+               for source in ("x^2 + x^4", "x^2", "cosh(x) - 1",
+                              "x^2 + 0.1*x^6", "x^2 + 0.3*x^3 + x^4")
+               for m in (0, 1) for h in (0.2, 0.1, 0.05)
+               if (source, m, h) != ("cosh(x) - 1", 1, 0.2)] \
+    + [(source, "radial", 0, 1.5, h)
+       for source in ("x^2 + x^4", "x^2", "cosh(x) - 1", "x^2 + 0.1*x^6")
+       for h in (0.1, 0.05)]
+
+
+@pytest.mark.parametrize("source, kind, m, nu, h", SPLIT_CASES)
+def test_loose_margin_leg_moves_the_free_level_by_noise(
+        monkeypatch, free_solves, source, kind, m, nu, h):
+    # Against free shots run at the iterate's tolerance all the way, the
+    # level and the shift stay within the free solve's noise bound (plus
+    # an ulp of the level), with fewer steps and the same node count.
+    p = resolve_potential(source, kind)
+    box, mode, rtol = _box(kind), ModeSpec(level=m, h=h, nu=nu), _rtol(kind)
+    confined = confined_eigenvalue(p, box, mode)
+    estimate = _leading(p, box, mode)
+
+    def free():
+        before = shooting.steps_taken()
+        pair = unconfined_eigenvalue(p, mode, lam0=confined.value, box=box,
+                                     box_shots=confined.shots,
+                                     shift_estimate=estimate)
+        return pair, shooting.steps_taken() - before, free_solves[-1]
+
+    split, split_steps, _ = free()
+    _unsplit(monkeypatch)
+    whole, whole_steps, whole_sol = free()
+    assert split.offset is not None and whole.offset is not None
+    slack = _noise_bound(whole_sol, h, rtol) + math.ulp(whole.value)
+    assert abs(split.value - whole.value) <= slack
+    assert abs(split.offset.to_float() - whole.offset.to_float()) <= slack
+    assert split.nodes == whole.nodes == m
+    assert split_steps < whole_steps
+
+
+@pytest.mark.parametrize("kind, nu", [("line", None), ("radial", 1.5)])
+def test_margin_split_leaves_the_starts_where_they_were(monkeypatch,
+                                                        free_domains, kind,
+                                                        nu):
+    # x_a is found from the start inward, after the start is placed: the
+    # start points are bit for bit those placed without a split.
+    p, mode = resolve_potential("x^2 + x^4", kind), ModeSpec(0, 0.1, nu)
+    split = _free_case(p, kind, mode, free_domains)[2]
+    _unsplit(monkeypatch)
+    whole = _free_case(p, kind, mode, free_domains)[2]
+    assert split.as_tuple() == whole.as_tuple()
+    assert whole.x_a == (None, None) and split.x_a != whole.x_a
+
+
+@pytest.mark.parametrize("kind, nu", [("line", None), ("radial", 1.5)])
+def test_loose_iterates_and_wall_shots_do_not_split(free_domains, kind, nu):
+    # A shot at or above _LOOSE_RTOL has no tighter rest to split off, and
+    # the Dirichlet shots of the flux step start at the wall.
+    p, mode = resolve_potential("x^2 + x^4", kind), ModeSpec(0, 0.1, nu)
+    box, confined, free = _free_case(p, kind, mode, free_domains)
+    match = _free_matching(p, free, mode)
+    whole = replace(match, x_a=(None, None))
+    for tol in (shooting._LOOSE_RTOL, 1e-4):
+        assert match.shoot(confined.value, tol) \
+            == whole.shoot(confined.value, tol)
+    assert match.walled(box).x_a == (None, None)
+
+
+@pytest.mark.parametrize("kind, nu", [("line", None), ("radial", 1.5)])
+def test_split_points_off_the_margin_leg_do_not_split(free_domains, kind,
+                                                      nu):
+    # x_a must lie strictly between the start and the next point of the
+    # shot (the wall it passes, else x_m); anywhere else the shot is the
+    # one without a split, bit for bit.
+    p, mode = resolve_potential("x^2 + x^4", kind), ModeSpec(0, 0.1, nu)
+    box, confined, free = _free_case(p, kind, mode, free_domains)
+    match = _free_matching(p, free, mode)
+    whole = replace(match, x_a=(None, None))
+    lam, rtol, end = confined.value, _rtol(kind), free.right
+    wall = box.as_tuple()[1]
+    for x_a in (end, 1.1 * end, wall, 0.5 * (wall + match.x_m)):
+        moved = replace(match, x_a=(-x_a, x_a) if kind == "line"
+                        else (None, x_a))
+        via = (-wall, wall) if kind == "line" else (None, wall)
+        assert moved.shoot(lam, rtol, via=via) == whole.shoot(lam, rtol,
+                                                              via=via)
+    assert match.shoot(lam, rtol) != whole.shoot(lam, rtol)
+
+
+@pytest.mark.parametrize("loose", [0.0, 0.5e-12], ids=["zero", "at-rtol"])
+def test_no_split_where_the_loose_tolerance_is_not_looser(
+        monkeypatch, free_domains, loose):
+    # With _LOOSE_RTOL at or below the free shots' tolerance there is no
+    # margin c = ln(_LOOSE_RTOL/rtol)/2 to place (the log is never taken),
+    # and a domain that has a split shoots without it.
+    p, mode = resolve_potential("x^2 + x^4", "line"), ModeSpec(0, 0.1)
+    box, confined, placed = _free_case(p, "line", mode, free_domains)
+    monkeypatch.setattr(shooting, "_LOOSE_RTOL", loose)
+    assert shooting.damped_margin(0.5e-12) == math.inf
+    free = _free_case(p, "line", mode, free_domains)[2]
+    assert free.x_a == (None, None)
+    assert free.as_tuple() == placed.as_tuple()
+    match = _free_matching(p, placed, mode)
+    assert match.shoot(confined.value, 0.5e-12) \
+        == replace(match, x_a=(None, None)).shoot(confined.value, 0.5e-12)
+
+
+def test_no_split_where_the_margin_is_no_wider_than_the_damped_one(
+        monkeypatch, free_domains):
+    # c >= _PHI_MARGIN: the whole margin is needed at full tolerance.
+    p, mode = resolve_potential("x^2 + x^4", "line"), ModeSpec(0, 0.1)
+    monkeypatch.setattr(spectra, "_PHI_MARGIN",
+                        shooting.damped_margin(0.5e-12))
+    split = _free_case(p, "line", mode, free_domains)
+    _unsplit(monkeypatch)
+    whole = _free_case(p, "line", mode, free_domains)
+    assert split[2].x_a == (None, None)
+    assert split[2] == whole[2]
+    assert unconfined_eigenvalue(p, mode, lam0=split[1].value, box=BOX) \
+        == unconfined_eigenvalue(p, mode, lam0=whole[1].value, box=BOX)

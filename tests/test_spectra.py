@@ -810,8 +810,8 @@ def test_mirrored_pair_gives_the_same_case_in_half_the_steps(well, m):
 
 
 @pytest.mark.parametrize("source, box, steps", [
-    ("x^2 + x^4", LineBox(-1.0, 2.0), 1037),
-    ("x^2 + 0.3*x^3 + x^4", BOX, 560),
+    ("x^2 + x^4", LineBox(-1.0, 2.0), 912),
+    ("x^2 + 0.3*x^3 + x^4", BOX, 443),
 ], ids=["asymmetric-box", "uneven-well"])
 def test_asymmetric_problems_shoot_both_sides(source, box, steps):
     p, mode = from_expression(source), ModeSpec(level=0, h=0.1)

@@ -323,7 +323,9 @@ def _eval(node: Expr, x: float) -> float:
             base, expo = _eval(a, x), _eval(b, x)
             if base == 0.0 and expo < 0.0:
                 raise EvalError("zero raised to a negative power", node)
-            if base < 0.0 and math.isfinite(expo) and expo != round(expo):
+            # IEEE pow defines an infinite base for every exponent.
+            if -math.inf < base < 0.0 and math.isfinite(expo) \
+                    and expo != round(expo):
                 raise EvalError("negative base with non-integer exponent", node)
             return _guard(node, lambda: math.pow(base, expo))
         case Call(func, arg):

@@ -62,7 +62,9 @@ the next iterate by its own size; Newton's later steps correct a loose
 step's error, so none of it stays in the summed shift.  The first
 full-precision iterate mostly ends the solve: the step after it,
 predicted from quadratic convergence, is dropped as noise or, where it
-lies near noise, added without a shot to confirm it.
+lies near noise, added without a shot to confirm it.  Before Newton has
+a secant to predict from, the level spacing stands in for it: a step s
+whose square over the spacing is far below noise ends the solve.
 
 An even well (``PotentialSpec.even``) in a symmetric box, with or without
 walls, is shot from one side (``Matching.mirror``).  x -> -x maps the left
@@ -479,17 +481,16 @@ class Unwalled:
     ``left`` and ``right`` on the line; radially the series start at the
     origin takes the left end's place and ``left`` is 0.  The shots meet at
     ``x_m``.  Newton started at ``box_level``, the Dirichlet level of
-    ``box``, takes the flux step first (see ``newton``).  ``gap``, the
-    level spacing, tells whether that step alone ends the solve (without
-    it, it never does), and ``box_shots``, if set, is the Dirichlet pair
-    the box's own Newton shot last, with the lambda it was shot at, for
-    the flux step to reuse (``flux_wronskian``).  ``shift_estimate``, an
-    estimate of the shift the flux step measures, tells whether that step
-    can end the solve before it is shot; where it cannot, its pair is shot
-    loosely (``_flux_tol``).  ``x_a``, per side, splits that side's margin
-    leg: from the start to ``x_a``, strictly between the start and the
-    wall, a shot runs at ``_LOOSE_RTOL`` (``damped_margin``); None, or a
-    radial left end, runs the whole shot at its own tolerance.
+    ``box``, takes the flux step first (see ``newton``).  ``box_shots``,
+    if set, is the Dirichlet pair the box's own Newton shot last, with the
+    lambda it was shot at, for the flux step to reuse (``flux_wronskian``).
+    ``shift_estimate``, an estimate of the shift the flux step measures,
+    tells whether that step can end the solve before it is shot; where it
+    cannot, its pair is shot loosely (``_flux_tol``).  ``x_a``, per side,
+    splits that side's margin leg: from the start to ``x_a``, strictly
+    between the start and the wall, a shot runs at ``_LOOSE_RTOL``
+    (``damped_margin``); None, or a radial left end, runs the whole shot
+    at its own tolerance.
     """
 
     left: float
@@ -497,7 +498,6 @@ class Unwalled:
     x_m: float = 0.0
     box: LineBox | RadialBox | None = None
     box_level: float | None = None
-    gap: float | None = None
     box_shots: ShotsAt | None = field(default=None, compare=False,
                                       repr=False)
     shift_estimate: float | None = None
@@ -694,7 +694,8 @@ def _newton_step(w: ScaledValue, dw: ScaledValue, lam: float,
 
 
 def newton(match: Matching, lam0: float, *, rtol: float, scale: float,
-           flux: Unwalled | None = None, reused: bool = False) -> Solution:
+           flux: Unwalled | None = None, reused: bool = False,
+           gap: float | None = None) -> Solution:
     """Newton on lambda for a root of the Wronskian W of ``match``.
 
     Each step is -W/W', capped, and is taken only while it exceeds its
@@ -724,12 +725,21 @@ def newton(match: Matching, lam0: float, *, rtol: float, scale: float,
     exact level, and the ulp-sized steps Newton still measures there are
     noise, as is p where a loose predecessor's W' spoils the secant.  The
     largest move measured, 42 ulp (Coulomb (1,0) at R = 20), left the
-    error against the exact level at 2.3e-15, as it was.  With
-    ``reused``, the last shots will stand in for a flux step's wall pair
-    (``spectra.confined_eigenvalue`` keeps them), and p is taken only
-    where ``_moved_pair`` can move them from lambda to the new root;
-    otherwise lambda + step is shot, so that the flux step need not shoot
-    the pair again.
+    error against the exact level at 2.3e-15, as it was.
+
+    Without a previous step there is no secant, and ``gap``, the level
+    spacing, stands in for it: W''/W' is about 1/gap, so Newton's next
+    step is about step^2/gap, and where that lies ``_FLUX_END`` times below
+    the noise bound (``_next_step_is_noise``), the step is added and the
+    solve ends on its first full-precision shot.  That is the solve of a
+    seed within the loose iterate's noise of the level, which shoots the
+    seed again at rtol and would otherwise shoot lambda + step only to
+    drop the step after it.  Without ``gap``, as for a Coulomb level, it
+    never ends so.  With ``reused``, the last shots will stand in for a
+    flux step's wall pair (``spectra.confined_eigenvalue`` keeps them),
+    and p or the step is taken without a shot only where ``_moved_pair``
+    can move them from lambda to the new root; otherwise lambda + step is
+    shot, so that the flux step need not shoot the pair again.
 
     The tolerance is graded (inexact Newton; Dembo, Eisenstat & Steihaug,
     SIAM J. Numer. Anal. 19 (1982) 400): an iterate far from the root
@@ -753,14 +763,13 @@ def newton(match: Matching, lam0: float, *, rtol: float, scale: float,
     the step keeps its relative precision however small the shift is.
     ``offset`` is then the sum of the steps, so lam - lam0 is never
     re-derived as a difference, and it keeps its exponent, so its log
-    survives where a float underflows.  Newton's next step from there is
-    about W''/2W' s^2, s the flux step, and W''/W' is about 1/gap,
-    ``flux.gap`` the level spacing: where s^2/gap lies ``_FLUX_END`` times
-    below the flux iterate's noise bound, the next step would be dropped
-    as noise, and the flux step ends the solve, its shots one step short
-    of lam.  Otherwise the next iterate is graded by the flux step's rho,
-    like any other: a loose step's error is what Newton's next step
-    corrects, so none of it stays in the summed shift.
+    survives where a float underflows.  By the same test on ``gap``, the
+    flux step ends the solve where s^2/gap, s the flux step, lies
+    ``_FLUX_END`` times below the flux iterate's noise bound: the next
+    step would be dropped as noise, and the solve returns its shots one
+    step short of lam.  Otherwise the next iterate is graded by the flux
+    step's rho, like any other: a loose step's error is what Newton's
+    next step corrects, so none of it stays in the summed shift.
 
     The flux iterate is shot at rtol unless ``flux.shift_estimate`` s says
     that the flux step cannot end the solve: where s^2/gap reaches
@@ -785,12 +794,12 @@ def newton(match: Matching, lam0: float, *, rtol: float, scale: float,
     # This iterate's integrator tolerance: graded from _LOOSE_RTOL down to
     # rtol; the flux iterate's comes from the shift estimate (_flux_tol).
     tol = max(rtol, _LOOSE_RTOL) if flux is None \
-        else _flux_tol(flux, lam0, scale, rtol)
+        else _flux_tol(flux.shift_estimate, gap, lam0, scale, rtol)
 
-    def flux_ends(step: ScaledValue, log_noise: float) -> bool:
-        # Newton's next step, about s^2/gap, lies _FLUX_END below noise.
-        return flux.gap is not None and (step * step).log_abs() \
-            - math.log(flux.gap) <= log_noise - math.log(_FLUX_END)
+    def moves(root: float) -> bool:
+        # This iterate's shots, at lam, can stand in for the pair at root.
+        return not reused or _moved_pair(
+            lam, (left, right), root, rtol) is not None
 
     for it in range(1, _NEWTON_MAX_ITER + 1):
         lam = lam0 + offset
@@ -811,8 +820,9 @@ def newton(match: Matching, lam0: float, *, rtol: float, scale: float,
             # lam is as good as this iterate can tell, or a flux step shot
             # in full would end the solve: shoot lam again in full.
             full_noise = log_noise - math.log(tol) + math.log(rtol)
-            if not capped and (flux_ends(step, full_noise) if at_flux else
-                               step.log_abs() <= math.log(100.0) + log_noise):
+            if not capped and (
+                    _next_step_is_noise(step, gap, full_noise) if at_flux
+                    else step.log_abs() <= math.log(100.0) + log_noise):
                 tol = rtol
                 continue
             offset += step.to_float()
@@ -825,9 +835,13 @@ def newton(match: Matching, lam0: float, *, rtol: float, scale: float,
             offset += step.to_float()
             shift += step
             if at_flux:
-                done = not capped and flux_ends(step, log_noise)
+                done = not capped and _next_step_is_noise(step, gap,
+                                                          log_noise)
                 tol = _graded_tol(step, lam, scale, rtol)
-            elif not capped and last is not None:
+            elif not capped and last is None:
+                done = _next_step_is_noise(step, gap, log_noise) \
+                    and moves(lam0 + offset)
+            elif not capped:
                 # -2 times the step Newton would take next: W''/W' step^2,
                 # W'' the secant of the last two W'.
                 curve = (dw - last[1]) / last[0] / dw * step * step
@@ -837,9 +851,7 @@ def newton(match: Matching, lam0: float, *, rtol: float, scale: float,
                     log_noise, math.log(math.ulp(lam0 + offset))))
                 ended = offset + ahead.to_float()
                 if not done and abs(ahead).ratio(bound) <= _AHEAD_END \
-                        and (not reused or _moved_pair(
-                            lam, (left, right), lam0 + ended, rtol)
-                             is not None):
+                        and moves(lam0 + ended):
                     offset = ended
                     shift += ahead
                     done = True
@@ -855,13 +867,22 @@ def newton(match: Matching, lam0: float, *, rtol: float, scale: float,
         f"iterations (h={match.h:g}, last lambda={lam0 + offset!r})")
 
 
-def _flux_tol(flux: Unwalled, lam: float, scale: float, rtol: float) -> float:
-    """The flux iterate's tolerance: rtol, unless ``flux.shift_estimate``
-    s puts Newton's next step, about s^2/gap, at or above rtol*max(|lambda|,
+def _next_step_is_noise(step: ScaledValue, gap: float | None,
+                        log_noise: float) -> bool:
+    """Whether Newton's next step after ``step``, about step^2/``gap``,
+    lies ``_FLUX_END`` times below the noise bound exp(``log_noise``);
+    never without a gap."""
+    return gap is not None and (step * step).log_abs() - math.log(gap) \
+        <= log_noise - math.log(_FLUX_END)
+
+
+def _flux_tol(s: float | None, gap: float | None, lam: float, scale: float,
+              rtol: float) -> float:
+    """The flux iterate's tolerance: rtol, unless the shift estimate s
+    puts Newton's next step, about s^2/gap, at or above rtol*max(|lambda|,
     scale), the size of the full iterate's noise bound, so that the flux
     step cannot end the solve; then max(rtol, min(``_LOOSE_RTOL``,
     ``_FLUX_LOOSE``*|s|/gap))."""
-    s, gap = flux.shift_estimate, flux.gap
     if not s or not math.isfinite(s) or gap is None \
             or s * s / gap < rtol * max(abs(lam), scale):
         return rtol
@@ -1026,9 +1047,11 @@ def _counting_step_cap(V: Callable[[float], float], nu: float | None,
 
 def newton_solve_line(p: PotentialSpec, domain: LineBox | Unwalled,
                       mode: ModeSpec, lam0: float, *,
-                      rtol: float = 1e-12, reused: bool = False) -> Solution:
+                      rtol: float = 1e-12, reused: bool = False,
+                      gap: float | None = None) -> Solution:
     """Newton on the line problem: inward shots meeting at 0, stopped at
-    their noise bound (see ``newton``, with h as ``scale``).
+    their noise bound (see ``newton``, with h as ``scale`` and ``gap`` the
+    level spacing).
 
     W carries the truncation error of both shots into the root, so each
     runs at rtol/2.  That keeps the root within about 0.1*rtol*lambda of
@@ -1036,16 +1059,17 @@ def newton_solve_line(p: PotentialSpec, domain: LineBox | Unwalled,
     """
     flux = domain.flux_start(lam0) if isinstance(domain, Unwalled) else None
     return newton(Matching.line(p, domain, mode), lam0, rtol=0.5 * rtol,
-                  scale=mode.h, flux=flux, reused=reused)
+                  scale=mode.h, flux=flux, reused=reused, gap=gap)
 
 
 def newton_solve_radial(V: Callable[[float], float], nu: float, h: float,
                         L: float | Unwalled, lam0: float,
                         series_start: SeriesStart, *, rtol: float = 1e-12,
-                        lambda_scale: float | None = None) -> Solution:
+                        lambda_scale: float | None = None,
+                        gap: float | None = None) -> Solution:
     """Newton on the radial problem: the series shot matched at the wall L
     (without walls, at ``L.x_m``), stopped at the noise bound (see
-    ``newton``).
+    ``newton``, with ``gap`` the level spacing).
 
     ``lambda_scale`` sets only the step cap, 0.3*max(|lambda|, scale), and
     the floor of |lambda| in the noise bound's wavenumber; it defaults to
@@ -1055,7 +1079,7 @@ def newton_solve_radial(V: Callable[[float], float], nu: float, h: float,
     flux = L.flux_start(lam0) if isinstance(L, Unwalled) else None
     return newton(Matching.radial(V, nu, h, L, series_start), lam0, rtol=rtol,
                   scale=lambda_scale if lambda_scale is not None else h,
-                  flux=flux)
+                  flux=flux, gap=gap)
 
 
 def count_nodes_line(p: PotentialSpec, domain: LineBox | Unwalled,

@@ -158,9 +158,16 @@ def confined_eigenvalue(p: PotentialSpec, domain: Domain | Unwalled,
     # Newton ends where the pair can still be moved to its root; the builtin
     # harmonic's free level is closed form, so no flux step follows.
     keep = isinstance(domain, LineBox) and p.builtin != "harmonic"
+    # The harmonic level spacing: where a step's square is negligible
+    # against it, Newton's next step would be noise (``shooting.newton``).
+    try:
+        gap = (2.0 if mode.nu is None else 4.0) * p.curvature_omega * mode.h
+    except InvalidPotential:  # a degenerate minimum has no harmonic level
+        gap = None
     if domain.kind == "line":
         where = f"level {mode.level} on {domain.as_tuple()} (h={mode.h:g})"
-        solve = partial(newton_solve_line, p, domain, mode, reused=keep)
+        solve = partial(newton_solve_line, p, domain, mode, reused=keep,
+                        gap=gap)
         nodes_at = partial(count_nodes_line, p, domain, mode)
     else:
         if mode.nu is None:
@@ -171,7 +178,8 @@ def confined_eigenvalue(p: PotentialSpec, domain: Domain | Unwalled,
         series = FrobeniusStart.well(p, mode.nu, mode.h,
                                     L=domain.as_tuple()[1])
         args = (p.evaluate, mode.nu, mode.h, end)
-        solve = partial(newton_solve_radial, *args, series_start=series)
+        solve = partial(newton_solve_radial, *args, series_start=series,
+                        gap=gap)
         nodes_at = partial(count_nodes_radial, *args, series_start=series)
 
     def seeds():
@@ -294,7 +302,6 @@ def unconfined_eigenvalue(p: PotentialSpec, mode: ModeSpec, *,
     h = mode.h
     level = harmonic_level(p, mode)
     walls = (0.0, 0.0) if box is None else box.as_tuple()
-    gap = (2.0 if mode.nu is None else 4.0) * p.curvature_omega * h
 
     # The free shots run at rtol/2 on the line (newton_solve_line).
     loose = shooting.damped_margin(0.5 * rtol if mode.nu is None else rtol)
@@ -322,7 +329,7 @@ def unconfined_eigenvalue(p: PotentialSpec, mode: ModeSpec, *,
         else:
             left, left_a = end(walls[0], -1.0)
         domain = Unwalled(left, right, x_a=(left_a, right_a), box=box,
-                          box_level=lam0, gap=gap, box_shots=box_shots,
+                          box_level=lam0, box_shots=box_shots,
                           shift_estimate=shift_estimate)
     elif p.evaluate(right) <= level:
         raise SolverError(
@@ -332,7 +339,7 @@ def unconfined_eigenvalue(p: PotentialSpec, mode: ModeSpec, *,
         turning = brentq(lambda x: p.evaluate(x) - level, 0.0, right,
                          xtol=1e-6 * right)
         domain = Unwalled(0.0, right, x_m=turning, x_a=(None, right_a),
-                          box=box, box_level=lam0, gap=gap,
+                          box=box, box_level=lam0,
                           shift_estimate=shift_estimate)
     return confined_eigenvalue(p, domain, mode, lam0=lam0, rtol=rtol)
 
@@ -432,36 +439,42 @@ def _fd_grids(p: PotentialSpec, domain: Domain, mode: ModeSpec
 
 
 def _fd_values(diag: np.ndarray, off: float, count: int,
-               seeds: np.ndarray | None = None) -> np.ndarray:
+               seeds: np.ndarray | None = None,
+               starts: Iterable[np.ndarray] | None = None
+               ) -> tuple[np.ndarray, list[np.ndarray] | None]:
     """Lowest ``count`` eigenvalues of the symmetric tridiagonal matrix
-    with ``diag`` and constant ``off``: from ``seeds``, one per level, by
-    certified inverse iteration (``_refined``), or else by LAPACK's
-    bisection.  A matrix LAPACK cannot resolve (a box far inside the Bohr
-    radius) raises ``GridError``, like any other grid that cannot be
-    trusted."""
+    with ``diag`` and constant ``off``, with their unit vectors where
+    known: from ``seeds``, one per level, by certified inverse iteration
+    (``_refined``, from ``starts``), or else by LAPACK's bisection, which
+    gives no vectors.  A matrix LAPACK cannot resolve (a box far inside
+    the Bohr radius) raises ``GridError``, like any other grid that cannot
+    be trusted."""
     if seeds is not None:
-        values = _refined(diag, off, seeds)
-        if values is not None:
-            return values
+        refined = _refined(diag, off, seeds, starts)
+        if refined is not None:
+            return refined
     try:
         return eigh_tridiagonal(diag, np.full(diag.size - 1, off),
                                 eigvals_only=True, select="i",
-                                select_range=(0, count - 1))
+                                select_range=(0, count - 1)), None
     except np.linalg.LinAlgError as exc:  # LAPACK's bisection did not converge
         raise GridError(f"finite-difference eigenvalues failed: {exc}") from exc
 
 
-def _refined(diag: np.ndarray, off: float,
-             seeds: np.ndarray) -> np.ndarray | None:
-    """The lowest ``len(seeds)`` eigenvalues, each by inverse iteration
-    shifted to its seed, or None unless all are certified.
+def _refined(diag: np.ndarray, off: float, seeds: np.ndarray,
+             starts: Iterable[np.ndarray] | None = None
+             ) -> tuple[np.ndarray, list[np.ndarray]] | None:
+    """The lowest ``len(seeds)`` eigenvalues and their unit vectors, each
+    by inverse iteration shifted to its seed from its vector in
+    ``starts``, taken one at a time (default: one ``linspace`` vector for
+    all), or None unless all are certified.
 
     Each level stops at a residual |Tv - lambda v| <= 4 eps |T|, lambda the
     Rayleigh quotient of the unit vector v, so an eigenvalue lies within
     that residual of lambda (Weyl); |T| is the Gershgorin bound stebz
     uses.  The intervals must be ordered and disjoint, and a Sturm count
     must find exactly ``len(seeds)`` eigenvalues below the top of the last:
-    then interval i holds eigenvalue i, whatever the seeds were.
+    then interval i holds eigenvalue i, whatever the seeds and starts were.
     """
     with np.errstate(all="ignore"):
         span = 2.0 * abs(off)
@@ -470,12 +483,14 @@ def _refined(diag: np.ndarray, off: float,
         if not math.isfinite(tol):
             return None
         sub = np.full(diag.size - 1, off)
-        start = np.linspace(1.0, 2.0, diag.size)
-        pairs = [_inverse_iteration(diag, sub, seed, start, tol)
-                 for seed in seeds]
-    if None in pairs:
+        if starts is None:
+            starts = [np.linspace(1.0, 2.0, diag.size)] * len(seeds)
+        levels = [_inverse_iteration(diag, sub, seed, start, tol)
+                  for seed, start in zip(seeds, starts)]
+    if None in levels:
         return None
-    values, radii = np.array(pairs).T
+    values, radii, vectors = zip(*levels)
+    values, radii = np.array(values), np.array(radii)
     tops = values + radii
     if np.any(tops[:-1] >= (values - radii)[1:]):
         return None
@@ -483,17 +498,18 @@ def _refined(diag: np.ndarray, off: float,
     # any bisection, so m = N(top) from a few Sturm sequences.
     m, *_, info = dstebz(diag, sub, 1, -math.inf, tops[-1], 0, 0,
                          2.0 * norm, "E")
-    return values if info == 0 and m == len(seeds) else None
+    return (values, list(vectors)) if info == 0 and m == len(seeds) else None
 
 
 def _inverse_iteration(diag: np.ndarray, sub: np.ndarray, seed: float,
                        start: np.ndarray, tol: float
-                       ) -> tuple[float, float] | None:
-    """(Rayleigh quotient, residual) of the level next to ``seed``, from
-    sweeps of one LU factorisation of T - seed; None if a pivot is zero, a
-    value is not finite or the residual stays above ``tol``.  The ``start``
-    vector must not be even: the odd levels of a symmetric box are
-    orthogonal to every even vector."""
+                       ) -> tuple[float, float, np.ndarray] | None:
+    """(Rayleigh quotient, residual, unit vector) of the level next to
+    ``seed``, from sweeps of one LU factorisation of T - seed; None if a
+    pivot is zero, a value is not finite or the residual stays above
+    ``tol``.  The ``start`` vector must not be even unless the level is:
+    the odd levels of a symmetric box are orthogonal to every even
+    vector."""
     dl, d, du, du2, ipiv, info = dgttrf(sub, diag - seed, sub)
     if info != 0:
         return None
@@ -512,8 +528,18 @@ def _inverse_iteration(diag: np.ndarray, sub: np.ndarray, seed: float,
         r = tv - lam * v
         residual = math.sqrt(r @ r)
         if residual <= tol:
-            return lam, residual
+            return lam, residual, v
     return None
+
+
+def _halved(v: np.ndarray) -> np.ndarray:
+    """``v``, given on the interior points of a grid, linearly interpolated
+    onto the grid of half its spacing: the same points plus the midpoints,
+    the Dirichlet ends counted as zeros."""
+    out = np.empty(2 * v.size + 1)
+    out[1::2] = v
+    out[0::2] = 0.5 * (np.append(v, 0.0) + np.insert(v, 0, 0.0))
+    return out
 
 
 def fd_oracle(p: PotentialSpec, domain: Domain, mode: ModeSpec,
@@ -527,14 +553,25 @@ def fd_oracle(p: PotentialSpec, domain: Domain, mode: ModeSpec,
     nu < 0.5 the eigenfunction is too singular at 0 for the 3-point
     stencil and accuracy degrades (warned).
 
-    Each grid costs O(n) per level.  LAPACK's bisection (``eigh_tridiagonal``)
-    solves a seed grid of grid_n // 8 intervals; each level of the grid_n
-    grid is then refined from its seed by inverse iteration, and each of
-    the 2*grid_n grid from the grid_n value.  A level stops only at a
-    residual within 4 eps |T|, the tolerance class of the bisection itself,
-    and a Sturm count certifies that it is the level of its index.  A grid
-    whose levels fail either certificate, or whose seed grid is too small
-    or fails, is solved by bisection instead.
+    Each grid costs O(n) per level.  LAPACK's bisection
+    (``eigh_tridiagonal``) solves a seed grid of grid_n // 8 intervals for
+    count + 1 levels.  Only the ``count`` reported levels are refined on
+    the two working grids, by inverse iteration: each of the grid_n grid
+    from its seed and one ``linspace`` start, each of the 2*grid_n grid
+    from its grid_n value and vector, interpolated onto the finer grid
+    (``_halved``), which it mostly matches in one sweep.  A level stops
+    only at a residual within 4 eps |T|, the tolerance class of the
+    bisection itself, and a Sturm count certifies that it is the level of
+    its index.  A grid whose levels fail either certificate is solved by
+    bisection instead.
+
+    Each level must move between the two grids by less than a quarter of
+    its gap to its neighbours: on the fine grid, and above the last from
+    the seed grid's spacing there.  Where that spacing is too narrow to
+    pass the last level (a seed grid too coarse to tell two levels
+    apart), or where there are no seeds (the seed grid is too small or
+    fails), both grids solve count + 1 levels, and the fine grid's gap
+    above the last decides.
     """
     if isinstance(grid_n, bool) or not isinstance(grid_n, Integral):
         raise GridError(f"grid_n must be an integer, got {grid_n!r}")
@@ -547,21 +584,34 @@ def fd_oracle(p: PotentialSpec, domain: Domain, mode: ModeSpec,
             f"a grid of {grid_n} intervals has {grid_n - 1} interior points, "
             f"too few for the lowest {count + 1} levels; increase grid_n")
     matrix = _fd_grids(p, domain, mode)
-    levels = count + 1
     coarse_matrix = matrix(grid_n)  # first: V undefined on it raises here
     seeds = None
-    if grid_n // _SEED_COARSENING > levels:
+    if 0 < count < grid_n // _SEED_COARSENING - 1:
         try:
-            seeds = _fd_values(*matrix(grid_n // _SEED_COARSENING), levels)
+            seeds, _ = _fd_values(*matrix(grid_n // _SEED_COARSENING),
+                                  count + 1)
         except (BoxshiftError, ArithmeticError, ValueError):
             pass  # the grid_n grid is bisected instead
-    coarse = _fd_values(*coarse_matrix, levels, seeds)
-    fine = _fd_values(*matrix(2 * grid_n), levels, coarse)
+
+    def solve(levels: int) -> tuple[np.ndarray, np.ndarray]:
+        coarse, vectors = _fd_values(*coarse_matrix, levels,
+                                     None if seeds is None else seeds[:levels])
+        fine, _ = _fd_values(*matrix(2 * grid_n), levels, coarse,
+                             None if vectors is None
+                             else map(_halved, vectors))
+        return coarse, fine
+
+    if seeds is not None:
+        coarse, fine = solve(count)
+        above = np.append(np.diff(fine), seeds[count] - seeds[count - 1])
+    if seeds is None or abs(coarse[-1] - fine[-1]) > 0.25 * above[-1]:
+        # Without seeds, or where the seed grid's spacing is too narrow to
+        # pass the last level, the level above it is refined too.
+        coarse, fine = solve(count + 1)
+        above = np.diff(fine)
     out: list[Eigenpair] = []
     for i in range(count):
-        gap = fine[i + 1] - fine[i]
-        if i > 0:
-            gap = min(gap, fine[i] - fine[i - 1])
+        gap = above[i] if i == 0 else min(above[i], above[i - 1])
         if abs(coarse[i] - fine[i]) > 0.25 * gap:
             raise GridError(
                 f"grid too coarse to separate level {i} "

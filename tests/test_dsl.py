@@ -163,6 +163,8 @@ def _outcome(f, x):
 @example(Pow(Const(-2.0), Const(2.0)), 0.0)
 @example(Mul(Pow(Const(-1.5), Const(0.5)), Var()), 1.0)
 @example(Pow(Const(-1.0), Div(Const(1.0), Var())), 2.225073858507e-311)  # ** inf
+@example(Pow(Div(Const(-14.0), Const(7.712956520652967e-308)), Var()),
+         -0.5)  # (-inf) ** -0.5 is 0.0
 @settings(max_examples=300)
 def test_compiled_function_matches_evaluator(tree, x):
     assert _outcome(as_function(tree), x) == _outcome(lambda t: evaluate(tree, t), x)

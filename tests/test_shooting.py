@@ -20,7 +20,8 @@ from boxshift import (
     from_expression, harmonic, hydrogen_confined, newton_solve_line,
     newton_solve_radial, quartic, unconfined_eigenvalue,
 )
-from boxshift import shooting
+from boxshift import report, shooting
+from boxshift.asymptotics import shift_leading_line
 from boxshift.dsl import EvalError
 from boxshift.shooting import (FrobeniusStart, Matching, Unwalled, steps_taken,
                                wronskian)
@@ -462,6 +463,40 @@ def test_coulomb_box_solves_shoot_one_iterate_in_full(shot_tolerances):
             hydrogen_confined(HydrogenSpec(n, ell, 2.0, 1.0, R))
             full = [tol for tol, _ in shot_tolerances if tol == 1e-12]
             assert len(full) == 1, (n, ell, R)
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_seed_close_solve_ends_on_its_first_full_shot(shot_tolerances,
+                                                      monkeypatch, m):
+    # The harmonic-oracle line cases at h = 0.05: seeded at the harmonic
+    # level plus the leading prediction, the loose shot cannot tell the
+    # seed from the level, so the seed is shot again at rtol, with no
+    # secant yet.  Its step s puts the next one, about s^2/gap, far below
+    # the noise bound: the solve ends there, where shooting lambda + s
+    # only dropped that next step, with the same level bit for bit.
+    def case():
+        del shot_tolerances[:]
+        return report.run_shift_case(harmonic(), BOX, ModeSpec(m, 0.05))
+
+    ended = case()
+    assert [tol for tol, _ in shot_tolerances] == [1e-6, 0.5e-12]
+    monkeypatch.setattr(shooting, "_FLUX_END", math.inf)
+    full = case()
+    assert [tol for tol, _ in shot_tolerances] == [1e-6, 0.5e-12, 0.5e-12]
+    assert ended.lambda_confined == full.lambda_confined
+
+
+def test_a_solve_without_a_gap_never_ends_on_its_first_step(shot_tolerances):
+    # The same seed-close start without the level spacing, as a Coulomb
+    # level is solved: lambda + step is shot to confirm the step.
+    mode = ModeSpec(level=0, h=0.05)
+    seed = 0.05 + shift_leading_line(harmonic(), BOX, mode).leading_value
+    gapped = newton_solve_line(harmonic(), BOX, mode, seed, gap=0.1)
+    assert gapped.iterations == len(shot_tolerances) == 2
+    del shot_tolerances[:]
+    plain = newton_solve_line(harmonic(), BOX, mode, seed)
+    assert plain.iterations == len(shot_tolerances) == 3
+    assert plain.lam == gapped.lam
 
 
 def test_predicted_step_keeps_the_confirming_shot_a_reused_pair_needs():

@@ -190,14 +190,45 @@ def test_refined_levels_are_the_bisected_ones_within_the_residual_bound(
         problem, h, level):
     p, domain, nu = FD_PROBLEMS[problem](h)
     matrix = spectra._fd_grids(p, domain, ModeSpec(level, h, nu))
-    count = level + 2  # fd_oracle's levels, the gap's one included
-    values = spectra._fd_values(*matrix(250), count)
+    count = level + 2  # the seed grid's levels: fd_oracle's and one above
+    values, _ = spectra._fd_values(*matrix(250), count)
     for n in (2000, 4000):
         diag, off = matrix(n)
-        values = spectra._refined(diag, off, values)
-        assert values is not None  # certified, no fallback
+        refined = spectra._refined(diag, off, values)
+        assert refined is not None  # certified, no fallback
+        values, _ = refined
         assert np.all(np.abs(values - _bisected(diag, off, count))
                       <= 4 * EPS * _gershgorin(diag, off))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(problem=st.sampled_from(sorted(FD_PROBLEMS)),
+       h=st.floats(0.02, 0.3), level=st.integers(0, 3))
+def test_levels_refined_from_interpolated_starts_are_the_bisected_ones(
+        problem, h, level):
+    # As in fd_oracle: the 2000 grid from the seed grid's values and a
+    # linspace start, the 4000 grid from the 2000 grid's values and its
+    # vectors interpolated onto the finer grid.
+    p, domain, nu = FD_PROBLEMS[problem](h)
+    matrix = spectra._fd_grids(p, domain, ModeSpec(level, h, nu))
+    count = level + 1
+    seeds, _ = spectra._fd_values(*matrix(250), count + 1)
+    refined = spectra._refined(*matrix(2000), seeds[:count])
+    assert refined is not None
+    values, vectors = refined
+    assert all(np.isclose(v @ v, 1.0) for v in vectors)
+    diag, off = matrix(4000)
+    refined = spectra._refined(diag, off, values,
+                               [spectra._halved(v) for v in vectors])
+    assert refined is not None  # certified, no fallback
+    assert np.all(np.abs(refined[0] - _bisected(diag, off, count))
+                  <= 4 * EPS * _gershgorin(diag, off))
+
+
+def test_halved_interpolates_onto_the_points_and_the_midpoints():
+    # Interior points 1, 2, 3 of a 4-interval grid; zero at both walls.
+    assert np.array_equal(spectra._halved(np.array([2.0, 4.0, 6.0])),
+                          [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 3.0])
 
 
 @pytest.mark.parametrize("seeds", ["next-level", "nan", "repeated"])
@@ -208,8 +239,9 @@ def test_a_bad_seed_falls_back_to_bisection_exactly(seeds):
               "nan": np.array([math.nan, *levels[1:3]]),
               "repeated": levels[[1, 1, 2]]}[seeds]
     assert spectra._refined(diag, off, chosen) is None
-    assert np.array_equal(spectra._fd_values(diag, off, 3, chosen),
-                          _bisected(diag, off, 3))
+    values, vectors = spectra._fd_values(diag, off, 3, chosen)
+    assert np.array_equal(values, _bisected(diag, off, 3))
+    assert vectors is None
 
 
 @pytest.mark.parametrize("p, domain, mode", [
@@ -229,6 +261,82 @@ def test_fd_oracle_bisects_only_its_seed_grid(monkeypatch, p, domain, mode):
     monkeypatch.setattr(spectra, "eigh_tridiagonal", counted)
     fd_oracle(p, domain, mode, count=mode.level + 1)
     assert sizes == [249]
+
+
+# The harmonic-oracle benchmark's ten cases, as report.run_shift_case
+# calls the oracle for each.
+ORACLE_CASES = [(harmonic(), BOX, ModeSpec(m, h))
+                for m in (0, 1) for h in (0.2, 0.1, 0.05)] \
+    + [(harmonic(kind="radial"), RadialBox(1.0), ModeSpec(0, h, nu))
+       for nu in (0.5, 1.5) for h in (0.1, 0.05)]
+
+
+def test_fd_oracle_sweeps_each_fine_level_about_once(monkeypatch):
+    # The ten cases refine 13 levels on each working grid.  Started from
+    # the coarse grid's vectors, the fine grid's levels take one sweep
+    # each but for one or two; refining one level more on each grid, from
+    # a linspace start, took 111 sweeps.
+    sweeps = []
+    real = spectra.dgttrs
+
+    def counted(*args, **kwargs):
+        sweeps.append(args[-1].size)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectra, "dgttrs", counted)
+    for p, domain, mode in ORACLE_CASES:
+        fd_oracle(p, domain, mode, count=mode.level + 1)
+    assert len(sweeps) <= 50
+
+
+def test_fd_oracle_refines_only_the_reported_levels(monkeypatch):
+    # The level above the last, for its gap, comes from the seed grid.
+    factored = []
+    real = spectra.dgttrf
+
+    def counted(dl, d, du):
+        factored.append(d.size)
+        return real(dl, d, du)
+
+    monkeypatch.setattr(spectra, "dgttrf", counted)
+    fd_oracle(harmonic(), BOX, ModeSpec(1, 0.05), count=2)
+    assert factored == [1999, 1999, 3999, 3999]
+
+
+@pytest.mark.parametrize("count, level", [(40, 29), (30, 29)],
+                         ids=["below-the-top", "the-top"])
+def test_fd_oracle_detects_crowding_with_seeds(count, level):
+    # At h = 0.004 a 400-interval grid cannot separate level 29.  Its
+    # 50-interval seed grid has count + 1 levels, so the oracle refines
+    # only the reported ones; at the top, the seed grid's spacing (1.7e-16,
+    # two levels the stencil cannot tell apart) is too narrow to judge, so
+    # the level above is refined too, and the gap is the fine grid's.
+    assert 400 // spectra._SEED_COARSENING > count + 1
+    with pytest.raises(GridError,
+                       match=f"separate level {level} .*gap 0.00795"):
+        fd_oracle(harmonic(), BOX, ModeSpec(level=0, h=0.004),
+                  grid_n=400, count=count)
+
+
+def test_a_seed_spacing_too_narrow_to_judge_refines_the_level_above(
+        monkeypatch):
+    # The 25-interval seed grid at h = 0.004 pairs its levels into
+    # near-degenerate doublets, so its spacing above level 2 is far below
+    # the refinement's move; the 200- and 400-interval grids separate the
+    # levels, and refining level 3 on them too gives the gap.
+    factored = []
+    real = spectra.dgttrf
+
+    def counted(dl, d, du):
+        factored.append(d.size)
+        return real(dl, d, du)
+
+    monkeypatch.setattr(spectra, "dgttrf", counted)
+    levels = fd_oracle(harmonic(), BOX, ModeSpec(level=0, h=0.004),
+                       grid_n=200, count=3)
+    assert factored == [199] * 3 + [399] * 3 + [199] * 4 + [399] * 4
+    assert [pair.value for pair in levels] == pytest.approx(
+        [0.004, 0.012, 0.020], rel=1e-3)  # (2m + 1) h, the walls far out
 
 
 X_GRID = 0.05 + 1.95 * np.arange(1, 2000) / 2000
@@ -265,6 +373,16 @@ def test_v_undefined_on_the_grid_raises_the_pointwise_error():
     p = from_expression("x^2 + sqrt(x)")
     with pytest.raises(EvalError, match=r"^sqrt of a negative value in 'sqrt\(x\)'$"):
         fd_oracle(p, BOX, ModeSpec(level=0, h=0.1))
+
+
+def test_a_degenerate_minimum_is_solved_from_a_given_seed():
+    # x^4 has no harmonic level, so Newton has no level spacing to end on
+    # its first full step; from a given seed the level is still found.
+    p, mode = from_expression("x^4"), ModeSpec(level=0, h=0.1)
+    pair = confined_eigenvalue(p, BOX, mode, lam0=0.05)
+    assert pair.nodes == 0
+    assert pair.value == pytest.approx(fd_oracle(p, BOX, mode)[0].value,
+                                       rel=1e-8)
 
 
 # -- wall monotonicity ----------------------------------------------------------------

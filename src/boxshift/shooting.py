@@ -59,12 +59,12 @@ only on an iterate shot at the full rtol.  The flux iterate is shot
 loosely too where an estimate of the shift says that the flux step
 cannot end the solve, at a tolerance set by that estimate, and it grades
 the next iterate by its own size; Newton's later steps correct a loose
-step's error, so none of it stays in the summed shift.  The first
-full-precision iterate mostly ends the solve: the step after it,
-predicted from quadratic convergence, is dropped as noise or, where it
-lies near noise, added without a shot to confirm it.  Before Newton has
-a secant to predict from, the level spacing stands in for it: a step s
-whose square over the spacing is far below noise ends the solve.
+step's error, so none of it stays in the summed shift.  Every solve ends
+by one rule: it ends where the step Newton would take next is noise, and
+where an estimate of that step lies near noise, it adds the estimate
+instead of shooting the pair that would only confirm it (``_next_step``).
+The estimate comes from the secant of the last two W', or before there
+is a secant, from the step's square over the level spacing.
 
 An even well (``PotentialSpec.even``) in a symmetric box, with or without
 walls, is shot from one side (``Matching.mirror``).  x -> -x maps the left
@@ -132,9 +132,8 @@ _RENORM_HI = math.exp(_RENORM_LOG)
 _RENORM_LO = math.exp(-_RENORM_LOG)
 _NEWTON_MAX_ITER = 50
 _LOOSE_RTOL = 1e-6  # a graded Newton's first iterate is shot at this (newton)
-_FLUX_END = 100.0  # the flux step ends a free solve this far below noise
 _FLUX_LOOSE = 1e-3  # a loose flux iterate's tolerance per |shift|/gap
-_AHEAD_END = 100.0  # a predicted last step this near noise is taken (newton)
+_TRUST = 100.0  # the factor Newton's step estimates are trusted to (newton)
 _SERIES_MAX_TERMS = 40
 _SERIES_CUTOFF = 1e-16
 _QUARTER_TURN = 0.5 * math.pi  # the phase k*dx a node-counting step may span
@@ -672,10 +671,10 @@ class Solution:
     iterations: int      # loose iterates included (see ``newton``)
     steps: int           # integrator steps the iteration took
     offset: ScaledValue | None = None  # lam - lam0 summed, from a box's level
-    # The last iterate's two shots, for ``count_nodes``: at lam, or one
-    # step short of it when the quadratic prediction or the flux step
-    # ended the loop (that step plus the predicted one, where the loop
-    # took it); ``shot_at`` is the lambda they were shot at.
+    # The last iterate's two shots, for ``count_nodes``, shot at
+    # ``shot_at``: at lam where the solve dropped its last step as noise,
+    # else short of lam by that step and the estimated next step, where
+    # it was added (``_next_step``).
     shots: tuple[Shot, Shot] | None = field(default=None, repr=False)
     shot_at: float | None = None
 
@@ -698,92 +697,47 @@ def newton(match: Matching, lam0: float, *, rtol: float, scale: float,
            gap: float | None = None) -> Solution:
     """Newton on lambda for a root of the Wronskian W of ``match``.
 
-    Each step is -W/W', capped, and is taken only while it exceeds its
-    noise bound: the step that ``rtol`` times the size of the two states at
-    x_m would cause (``_wronskian_size``), with the wavenumber sqrt(max(
-    |lambda|, scale))/h.  Below that bound, W is the shots' own error.
-    Newton also stops once the step it would take next, predicted from its
-    quadratic convergence, |W''/2W'| step^2 with W'' the secant of the last
-    two W', falls below the bound: that saves the pair of shots which would
-    only confirm it.  A capped step neither predicts nor measures anything
-    (the full step it stands for is longer), so the loop never stops on
-    one, by any test: in a Coulomb box far inside the Bohr radius, the
-    cap 0.3*|lambda| at the seed lambda = E_n lies below the noise bound,
-    which a tiny W' there makes large, while the level is far above.
-
-    Where that predicted step p = -W''/2W' step^2 exceeds the bound but
-    lies within ``_AHEAD_END`` times max(bound, ulp(lambda)), the loop
-    adds it to lambda and ends, without shooting lambda + step to confirm
-    it (a Chebyshev-Halley-type last correction).  The error of p is the
-    secant's: W'' measured over the step before, s', not over this one,
-    about |step/s'| of p.  Wherever p stood clear of the bound and of an
-    ulp, on line, radial and Coulomb levels, that error was 0.05% to 0.3%
-    of p, so the factor 100 keeps it under a third of the bound.  The ulp
-    floor serves the radial wall, where the bound measures the converged
-    shot at the wall and sits far below an ulp and below the real error:
-    on the benchmark's Coulomb boxes lambda lies up to 2.5e-14 from the
-    exact level, and the ulp-sized steps Newton still measures there are
-    noise, as is p where a loose predecessor's W' spoils the secant.  The
-    largest move measured, 42 ulp (Coulomb (1,0) at R = 20), left the
-    error against the exact level at 2.3e-15, as it was.
-
-    Without a previous step there is no secant, and ``gap``, the level
-    spacing, stands in for it: W''/W' is about 1/gap, so Newton's next
-    step is about step^2/gap, and where that lies ``_FLUX_END`` times below
-    the noise bound (``_next_step_is_noise``), the step is added and the
-    solve ends on its first full-precision shot.  That is the solve of a
-    seed within the loose iterate's noise of the level, which shoots the
-    seed again at rtol and would otherwise shoot lambda + step only to
-    drop the step after it.  Without ``gap``, as for a Coulomb level, it
-    never ends so.  With ``reused``, the last shots will stand in for a
-    flux step's wall pair (``spectra.confined_eigenvalue`` keeps them),
-    and p or the step is taken without a shot only where ``_moved_pair``
-    can move them from lambda to the new root; otherwise lambda + step is
-    shot, so that the flux step need not shoot the pair again.
+    Each step is -W/W', capped.  Its noise bound N is the step that
+    ``rtol`` times the size of the two states at x_m would cause
+    (``_wronskian_size``, at the wavenumber sqrt(max(|lambda|, scale))/h):
+    below N, W is the shots' own error.
 
     The tolerance is graded (inexact Newton; Dembo, Eisenstat & Steihaug,
     SIAM J. Numer. Anal. 19 (1982) 400): an iterate far from the root
     needs only as many digits as its step.  The first iterate is shot at
     ``_LOOSE_RTOL``.  A loose iterate's step is taken if it is capped or
-    exceeds 100 times the noise bound at its own tolerance; the next
-    tolerance is then max(rtol, min(``_LOOSE_RTOL``, rho^4)), with rho =
-    |step|/max(|lambda|, scale), far below the rho^2 error Newton leaves.
-    A smaller step means lambda is as good as that iterate can tell: the
-    same lambda is shot again at rtol, and the step not taken.  Each end
-    above comes only on an iterate shot at rtol, so
-    ``Solution.shots`` are full-precision shots (a free shot's margin leg
-    loose, its error damped below rtol, ``damped_margin``); the
-    predictor's secant may pair a loose iterate's W' with a full one's.
+    exceeds ``_TRUST`` times N at its own tolerance; the next tolerance is
+    then max(rtol, min(``_LOOSE_RTOL``, rho^4)), with rho = |step|/max(
+    |lambda|, scale), far below the rho^2 error Newton leaves.  A smaller
+    step means lambda is as good as that iterate can tell, and the same
+    lambda is shot again at rtol.
+
+    One rule ends the solve, on an iterate shot at rtol whose step s is
+    not capped: it ends where the step Newton would take next is noise.
+    A capped step stands for a longer one and ends nothing: in a Coulomb
+    box far inside the Bohr radius, the cap at the seed E_n lies below N
+    while the level is far above.  An s below N is itself noise, and is
+    dropped.  Otherwise s is taken and ``_next_step`` estimates the step p
+    after it, from the secant of the last two W' or, before there is one,
+    as s^2/``gap``, ``gap`` the level spacing: p is dropped where it is
+    noise, added where a secant p lies near noise, and otherwise lambda is
+    shot again.  ``Solution.shots`` are the last iterate's, shot at rtol
+    (a free shot's margin leg loose, its error damped, ``damped_margin``).
+    With ``reused`` they will stand in for a flux step's wall pair
+    (``spectra.confined_eigenvalue`` keeps them), so the solve ends short
+    of its root only where ``_moved_pair`` can move them there.
     ``iterations`` and ``steps`` count the loose iterates too.
 
     With ``flux``, ``match`` is that problem without walls, ``lam0`` is its
     box's Dirichlet level, and the first step is the flux step
     (``flux_wronskian``, which reuses ``flux.box_shots``), taken whatever
-    its size: W there is a product of wall values and O(1) projections, so
-    the step keeps its relative precision however small the shift is.
-    ``offset`` is then the sum of the steps, so lam - lam0 is never
-    re-derived as a difference, and it keeps its exponent, so its log
-    survives where a float underflows.  By the same test on ``gap``, the
-    flux step ends the solve where s^2/gap, s the flux step, lies
-    ``_FLUX_END`` times below the flux iterate's noise bound: the next
-    step would be dropped as noise, and the solve returns its shots one
-    step short of lam.  Otherwise the next iterate is graded by the flux
-    step's rho, like any other: a loose step's error is what Newton's
-    next step corrects, so none of it stays in the summed shift.
-
-    The flux iterate is shot at rtol unless ``flux.shift_estimate`` s says
-    that the flux step cannot end the solve: where s^2/gap reaches
-    rtol*max(|lambda|, scale), about the full iterate's noise bound, the
-    flux pair (radially with the wall shot D_R) is shot at tau = max(rtol,
-    min(``_LOOSE_RTOL``, ``_FLUX_LOOSE``*|s|/gap)) (``_flux_tol``).  Its W'
-    then errs by about tau*|W'|, and enters the secant of the predicted
-    last step, whose difference of W' is about W' s/gap, at a relative
-    tau*gap/|s|, about ``_FLUX_LOOSE``.  A loose flux iterate never ends
-    the solve: where its step shows that the flux step in full would
-    (s^2/gap below the full-rtol noise bound over ``_FLUX_END``), lambda
-    is shot again at rtol, as after any loose iterate, and the solve goes
-    on as without an estimate.  A missing, zero or non-finite estimate
-    shoots the flux iterate at rtol.
+    its size: W there is wall values times O(1) projections, so the step
+    keeps its relative precision however small the shift is.  ``offset``
+    is the sum of the steps, never lam - lam0, and keeps its exponent
+    where a float underflows.  The flux pair is shot at ``_flux_tol`` of
+    ``flux.shift_estimate``; where that is loose and its step shows that
+    the flux step in full would end the solve, lambda is shot again at
+    rtol.  The iterate after the flux step is graded like a loose one.
     """
     start = steps_taken()
     walls = None if flux is None else match.walled(flux.box)
@@ -796,10 +750,11 @@ def newton(match: Matching, lam0: float, *, rtol: float, scale: float,
     tol = max(rtol, _LOOSE_RTOL) if flux is None \
         else _flux_tol(flux.shift_estimate, gap, lam0, scale, rtol)
 
-    def moves(root: float) -> bool:
-        # This iterate's shots, at lam, can stand in for the pair at root.
-        return not reused or _moved_pair(
-            lam, (left, right), root, rtol) is not None
+    def solved(at: float, summed: ScaledValue) -> Solution:
+        return Solution(lam=lam0 + at, iterations=it,
+                        steps=steps_taken() - start,
+                        offset=None if flux is None else summed,
+                        shots=(left, right), shot_at=lam)
 
     for it in range(1, _NEWTON_MAX_ITER + 1):
         lam = lam0 + offset
@@ -816,50 +771,30 @@ def newton(match: Matching, lam0: float, *, rtol: float, scale: float,
         k = math.sqrt(max(abs(lam), scale)) / match.h
         log_noise = math.log(tol) + _wronskian_size(left, right, k) \
             - dw.log_abs()
-        if tol > rtol:
+        loose = tol > rtol
+        if loose and not capped:
             # lam is as good as this iterate can tell, or a flux step shot
             # in full would end the solve: shoot lam again in full.
             full_noise = log_noise - math.log(tol) + math.log(rtol)
-            if not capped and (
-                    _next_step_is_noise(step, gap, full_noise) if at_flux
-                    else step.log_abs() <= math.log(100.0) + log_noise):
+            if (_next_step(step, dw, last, gap, full_noise, lam) is not None
+                    if at_flux
+                    else step.log_abs() <= math.log(_TRUST) + log_noise):
                 tol = rtol
                 continue
-            offset += step.to_float()
-            shift += step
+        elif not (loose or capped or at_flux) and step.log_abs() <= log_noise:
+            return solved(offset, shift)
+        offset += step.to_float()
+        shift += step
+        ahead = None if loose or capped \
+            else _next_step(step, dw, last, gap, log_noise, lam0 + offset)
+        if ahead is not None:
+            ended = offset + ahead.to_float()
+            # Shots short of the root must reach it where they are reused.
+            if not reused or _moved_pair(lam, (left, right), lam0 + ended,
+                                         rtol) is not None:
+                return solved(ended, shift + ahead)
+        if loose or at_flux:
             tol = _graded_tol(step, lam, scale, rtol)
-            last = (step, dw)
-            continue
-        done = not at_flux and not capped and step.log_abs() <= log_noise
-        if not done:
-            offset += step.to_float()
-            shift += step
-            if at_flux:
-                done = not capped and _next_step_is_noise(step, gap,
-                                                          log_noise)
-                tol = _graded_tol(step, lam, scale, rtol)
-            elif not capped and last is None:
-                done = _next_step_is_noise(step, gap, log_noise) \
-                    and moves(lam0 + offset)
-            elif not capped:
-                # -2 times the step Newton would take next: W''/W' step^2,
-                # W'' the secant of the last two W'.
-                curve = (dw - last[1]) / last[0] / dw * step * step
-                done = curve.log_abs() <= math.log(2.0) + log_noise
-                ahead = curve * ScaledValue.of(-0.5)
-                bound = ScaledValue.of(1.0, max(
-                    log_noise, math.log(math.ulp(lam0 + offset))))
-                ended = offset + ahead.to_float()
-                if not done and abs(ahead).ratio(bound) <= _AHEAD_END \
-                        and moves(lam0 + ended):
-                    offset = ended
-                    shift += ahead
-                    done = True
-        if done:
-            return Solution(lam=lam0 + offset, iterations=it,
-                            steps=steps_taken() - start,
-                            offset=None if flux is None else shift,
-                            shots=(left, right), shot_at=lam)
         last = (step, dw)
 
     raise SolverError(
@@ -867,13 +802,40 @@ def newton(match: Matching, lam0: float, *, rtol: float, scale: float,
         f"iterations (h={match.h:g}, last lambda={lam0 + offset!r})")
 
 
-def _next_step_is_noise(step: ScaledValue, gap: float | None,
-                        log_noise: float) -> bool:
-    """Whether Newton's next step after ``step``, about step^2/``gap``,
-    lies ``_FLUX_END`` times below the noise bound exp(``log_noise``);
-    never without a gap."""
-    return gap is not None and (step * step).log_abs() - math.log(gap) \
-        <= log_noise - math.log(_FLUX_END)
+def _next_step(step: ScaledValue, dw: ScaledValue,
+               last: tuple[ScaledValue, ScaledValue] | None,
+               gap: float | None, log_noise: float,
+               lam: float) -> ScaledValue | None:
+    """How a solve may end after Newton took ``step``, with W' = ``dw``, to
+    ``lam``: the estimate of its next step p to add before ending, zero
+    where p is to be dropped, or None where lambda must be shot again.
+
+    With ``last``, the step before and its W', p is the secant estimate
+    -(W' - W'_last)/s_last/W' step^2/2, which has a sign.  It is dropped
+    where |p| <= N = exp(``log_noise``) and added where |p| <= ``_TRUST``
+    max(N, ulp(lam)).  Its error is the secant's, about |step/s_last| of p,
+    0.05% to 0.3% wherever p stood clear of N and of an ulp, so ``_TRUST``
+    keeps that error under a third of N.  The ulp floor serves the radial
+    wall, where N measures the converged shot there and sits below an ulp
+    and below the real error, so that p is noise too.
+
+    Without ``last``, p is about step^2/``gap``, with no sign and good
+    only to a factor ``_TRUST`` (|p| gap/step^2 stayed at most 15 on
+    seven wells, line and radial): it is dropped where ``_TRUST``
+    step^2/gap <= N.  Without a gap either, as for a Coulomb level, there
+    is no estimate.
+    """
+    if last is not None:
+        ahead = (dw - last[1]) / last[0] / dw * step * step \
+            * ScaledValue.of(-0.5)
+        if ahead.log_abs() <= log_noise:
+            return ScaledValue.zero()
+        floor = ScaledValue.of(1.0, max(log_noise, math.log(math.ulp(lam))))
+        return ahead if abs(ahead).ratio(floor) <= _TRUST else None
+    if gap is not None and (step * step).log_abs() - math.log(gap) \
+            <= log_noise - math.log(_TRUST):
+        return ScaledValue.zero()
+    return None
 
 
 def _flux_tol(s: float | None, gap: float | None, lam: float, scale: float,

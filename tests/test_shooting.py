@@ -426,15 +426,21 @@ EXACT_LEVELS = {
 @pytest.mark.parametrize("case", PREDICTED_SOLVES)
 def test_predicted_step_ends_within_noise_of_the_confirming_shot(
         monkeypatch, case):
-    # With _AHEAD_END at 0 the predicted step is never taken, and a solve
-    # that it ends shoots lambda + step once more to confirm it.  Where it
-    # ends a solve, that saves the confirming shot and moves lambda by less
-    # than the noise bound (a float cannot place it closer than an ulp);
-    # everywhere else the two solves are the same, bit for bit.
+    # Where ``_next_step`` gives no estimate to add, the predicted step is
+    # never taken, and a solve that it ends shoots lambda + step once more
+    # to confirm it.  Where it ends a solve, that saves the confirming shot
+    # and moves lambda by less than the noise bound (a float cannot place
+    # it closer than an ulp); everywhere else the two solves are the same,
+    # bit for bit.
     build, args = PREDICTED_SOLVES[case]
     c = build(*args)
     taken = c.solve(c.seed)
-    monkeypatch.setattr(shooting, "_AHEAD_END", 0.0)
+    real = shooting._next_step
+
+    def nothing_added(*args):
+        ahead = real(*args)
+        return ahead if ahead is None or ahead.is_zero else None
+    monkeypatch.setattr(shooting, "_next_step", nothing_added)
     shot = c.solve(c.seed)
     assert c.nodes(taken.lam, taken.shots) == c.level
     if taken.iterations == shot.iterations:
@@ -452,6 +458,35 @@ def test_predicted_step_ends_within_noise_of_the_confirming_shot(
         exact = EXACT_LEVELS[case](mpmath, shot.lam)
         bound = max(bound, 0.25 * abs(float(shot.lam - exact)))
     assert abs(taken.lam - shot.lam) <= bound
+
+
+@pytest.mark.parametrize("log_dw", [0.0, 800.0])
+def test_next_step_ends_where_the_estimate_is_noise_or_near_it(log_dw):
+    # After a step of 1e-4, with W' = 1 and the step before it 1e-2 with
+    # W' = 1 - d, the secant puts the next step at p = -d*5e-7.  Against a
+    # noise bound N = 1e-10, d = 1e-4 makes p noise, d = 1e-3 puts it
+    # within _TRUST*N, and d = 0.5 beyond.  Scaling every W' by e^800
+    # changes nothing.
+    def ends(step, d=None, gap=None, noise=1e-10, lam=1.0):
+        last = None if d is None \
+            else (ScaledValue.of(1e-2), ScaledValue.of(1.0 - d, log_dw))
+        return shooting._next_step(ScaledValue.of(step),
+                                   ScaledValue.of(1.0, log_dw), last, gap,
+                                   math.log(noise), lam)
+
+    assert ends(1e-4, 1e-4).is_zero  # |p| <= N: end, p dropped
+    assert ends(1e-4, 1e-3).to_float() == pytest.approx(-5e-10, rel=1e-9)
+    assert ends(1e-4, 0.5) is None  # |p| > _TRUST*N: go on
+    assert ends(1e-4, 0.5, gap=1e30) is None  # a secant outranks the gap
+    # Without a secant, p is about step^2/gap, trusted to a factor _TRUST.
+    assert ends(1e-7, gap=1.0).is_zero  # _TRUST*p = 1e-12 <= N
+    assert ends(2e-6, gap=1.0) is None  # _TRUST*p = 4e-10 > N
+    assert ends(1e-30) is None  # neither a secant nor a gap
+    # Below an ulp of lambda the ulp decides: p = -5e-10 lies beyond
+    # _TRUST*N for N = 1e-14, but within _TRUST*ulp(1e6) = 1.2e-8.
+    assert ends(1e-4, 1e-3, noise=1e-14) is None
+    assert ends(1e-4, 1e-3, noise=1e-14, lam=1e6).to_float() \
+        == pytest.approx(-5e-10, rel=1e-9)
 
 
 def test_coulomb_box_solves_shoot_one_iterate_in_full(shot_tolerances):
@@ -480,7 +515,11 @@ def test_seed_close_solve_ends_on_its_first_full_shot(shot_tolerances,
 
     ended = case()
     assert [tol for tol, _ in shot_tolerances] == [1e-6, 0.5e-12]
-    monkeypatch.setattr(shooting, "_FLUX_END", math.inf)
+    # Without its gap estimate, Newton shoots lambda + s.
+    real = shooting._next_step
+    monkeypatch.setattr(shooting, "_next_step",
+                        lambda step, dw, last, gap, *rest:
+                        real(step, dw, last, None, *rest))
     full = case()
     assert [tol for tol, _ in shot_tolerances] == [1e-6, 0.5e-12, 0.5e-12]
     assert ended.lambda_confined == full.lambda_confined

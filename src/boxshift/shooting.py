@@ -70,9 +70,9 @@ An even well (``PotentialSpec.even``) in a symmetric box, with or without
 walls, is shot from one side (``Matching.mirror``).  x -> -x maps the left
 shot onto the right one, so only the left side is integrated and the right
 ``Shot`` is derived from it (``Shot.mirrored``): u and w keep their values,
-u' and w' change sign, the log scale and widest turn stay, and every
-recorded point changes sign.  That halves each Newton iterate, flux pair
-and node-count re-shoot.  Newton's function is unchanged: W = -2 u u' at
+u' and w' change sign, and the log scale, zero count and widest turn
+stay.  That halves each Newton iterate, flux pair and node-count
+re-shoot.  Newton's function is unchanged: W = -2 u u' at
 x_m = 0, and where V(-x) = V(x) holds in floating point, as for the
 builtins and the x^2 + x^4 of the benchmark, the integrator's steps from
 the two walls are mirror images, so every iterate is bit for bit what two
@@ -86,10 +86,11 @@ q) and stays within O(1/h) of u, so the four renormalise safely together.
 Each side carries it, so dW/dlambda comes from the same two shots as W,
 and a flux pair, node-count re-shoot or bisection shot carries it too.
 
-Every shot records the zeros of u it passes and the widest phase k*dx one
-of its steps turned, so node counts read the zeros off Newton's last
-shots and shoot again, each step capped, only when a step turned by more
-than a quarter wavelength (``count_nodes``).
+Every shot counts the zeros of u it passes and records the widest phase
+k*dx one of its steps turned, so node counts read the counts off Newton's
+last shots, with the Pruefer phase of both states at an interior x_m, and
+shoot again, each step capped, only when a step turned by more than a
+quarter wavelength (``count_nodes``).
 
 Every integration -- Newton iterates, node counts, bisection shots -- runs
 through ``_integrate``, which steps ``dop853.DOP853``: scipy's DOP853
@@ -120,7 +121,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .dop853 import DOP853
 from .errors import SeriesError, SolverError
@@ -184,32 +184,30 @@ def rhs_calls_taken() -> int:
 def _integrate(q: Callable[[float], float], x0: float, y0: Sequence[float],
                x1: float, rtol: float, *, dq: float = 0.0,
                max_step: float = math.inf
-               ) -> tuple[tuple[float, ...], float, list[float], float]:
+               ) -> tuple[tuple[float, ...], float, int, float]:
     """Integrate u'' = q u with its lambda-sensitivity pair (``dq`` =
     dq/dlambda; y0 = (u, u', w, w')) from x0 to x1, either direction.
 
-    Returns (final state, accumulated log scale, zeros of y[0], widest
-    turn).  A zero is recorded where u changes sign between two accepted
-    steps, at the root of the cubic Hermite interpolant of (u, u') at the
-    step's ends (``_hermite_zero``), so a step that holds two zeros
-    records neither.  The widest turn rules that out: it is the largest
-    phase k*|dx| a step spanned, with k^2 = -q the larger at its two ends
-    (0 in a barrier), and q read off the solver's derivative u'' = q u.
-    Zeros lie pi/k apart, so a step that turns by at most pi/2 holds one.
-    The steps and the solvers' ``nfev`` are counted when it ends, also in
-    failure.
+    Returns (final state, accumulated log scale, number of zeros of y[0],
+    widest turn).  A zero is counted where u changes sign between two accepted
+    steps or lands on 0 at one (the start excepted), so a step that holds
+    two zeros counts neither.  The widest turn rules that out: it is the
+    largest phase k*|dx| a step spanned, with k^2 = -q the larger at its
+    two ends (0 in a barrier), and q read off the solver's derivative
+    u'' = q u.  Zeros lie pi/k apart, so a step that turns by at most pi/2
+    holds one.  The steps and the solvers' ``nfev`` are counted when it
+    ends, also in failure.
     """
     global _steps_taken, _rhs_calls
     y = tuple(float(c) for c in y0)
     log_scale = 0.0
-    crossings: list[float] = []
+    crossings = 0
     turn2 = 0.0  # the widest turn, squared
     if x0 == x1:
         return y, log_scale, crossings, 0.0
 
     atol = 1e-3 * rtol
     last_sign = _sign(y[0])
-    pending_zero = False
     t = x0
     steps = 0
     solvers: list[DOP853] = []
@@ -227,7 +225,7 @@ def _integrate(q: Callable[[float], float], x0: float, y0: Sequence[float],
             # -q where u = 0 cannot be read; 0 stands in for it.
             k2 = -solver.f[1] / y[0] if y[0] != 0.0 else 0.0
             while solver.status == "running":
-                t_prev, y_prev, k2_prev = solver.t, y, k2
+                t_prev, k2_prev = solver.t, k2
                 msg = solver.step()
                 steps += 1
                 if solver.status == "failed":
@@ -241,20 +239,11 @@ def _integrate(q: Callable[[float], float], x0: float, y0: Sequence[float],
                 if bend > turn2:
                     turn2 = bend
                 # Only a zero, a sign change or a start at u = 0 needs this.
-                if pending_zero or not u_now * last_sign > 0.0:
+                if not u_now * last_sign > 0.0:
                     s_now = _sign(u_now)
-                    if u_now == 0.0:
-                        crossings.append(solver.t)
-                        pending_zero = True
-                    elif pending_zero:
-                        last_sign = s_now
-                        pending_zero = False
-                    elif last_sign != 0 and s_now != last_sign:
-                        crossings.append(
-                            _hermite_zero(t_prev, y_prev, solver.t, y))
-                        last_sign = s_now
-                    elif last_sign == 0 and s_now != 0:
-                        last_sign = s_now
+                    # A landing on 0 counts once, whatever sign follows it.
+                    crossings += s_now == 0 or last_sign == -s_now
+                    last_sign = s_now
                 mag = max(map(abs, y))
                 if mag != 0.0 and not (_RENORM_LO <= mag <= _RENORM_HI):
                     t = solver.t
@@ -268,22 +257,6 @@ def _integrate(q: Callable[[float], float], x0: float, y0: Sequence[float],
     finally:
         _steps_taken += steps
         _rhs_calls += sum(solver.nfev for solver in solvers)
-
-
-def _hermite_zero(t0: float, y0: Sequence[float], t1: float,
-                  y1: Sequence[float]) -> float:
-    """Zero of u on [t0, t1], where it changes sign, from the cubic Hermite
-    interpolant of (u, u') at both ends.  Its error is largest mid-step;
-    next to an end, where a zero near the matching point sits, it is
-    quadratic in the distance to that end."""
-    h = t1 - t0
-    u0, d0, u1, d1 = y0[0], h * y0[1], y1[0], h * y1[1]
-
-    def u(s: float) -> float:  # exactly u0 at s = 0 and u1 at s = 1
-        r = 1.0 - s
-        return r * r * (u0 + s * (2.0 * u0 + d0)) \
-            + s * s * (u1 + r * (2.0 * u1 - d1))
-    return t0 + h * brentq(u, 0.0, 1.0, xtol=1e-14)
 
 
 def _sign(x: float) -> int:
@@ -374,7 +347,7 @@ class FrobeniusStart:
         if x0 > core:
             raise SeriesError(
                 f"series matching point x0={x0:g} lies outside the harmonic "
-                f"core (<= {core:g}); choose a smaller x_start")
+                f"core (<= {core:g}); pass FrobeniusStart.well a smaller x0")
         return cls(tuple(zip((2, 4, 6, 8), tail)), nu, h, x0)
 
     @classmethod
@@ -416,8 +389,8 @@ class FrobeniusStart:
                 break
         else:
             raise SeriesError(
-                f"power series did not converge in {_SERIES_MAX_TERMS} terms at "
-                f"x0={x0:g} (h={h:g}, nu={nu:g}); use a smaller x_start")
+                f"power series did not converge in {_SERIES_MAX_TERMS} terms "
+                f"at x0={x0:g} (h={h:g}, nu={nu:g}); start it at a smaller x0")
         amp = x0 ** (nu + 0.5)
         return x0, (amp * su, amp / x0 * sdu, amp * sw, amp / x0 * sdw)
 
@@ -522,7 +495,7 @@ class Shot:
 
     y: tuple[float, ...]          # (u, u', du/dlambda, du'/dlambda)
     log_scale: float
-    crossings: tuple[float, ...]  # zeros of u recorded during the pass
+    crossings: int                # zeros of u counted during the pass
     widest_turn: float            # largest phase a step spanned (_integrate)
     via: Shot | None = None       # the state where the shot passed ``via``
 
@@ -531,11 +504,9 @@ class Shot:
 
     def mirrored(self) -> Shot:
         """The shot that x -> -x maps this one onto, for an even V: u and
-        du/dlambda keep their values, their slopes and the points change
-        sign."""
+        du/dlambda keep their values, their slopes change sign."""
         y = tuple(-c if i % 2 else c for i, c in enumerate(self.y))
-        return Shot(y, self.log_scale, tuple(-z for z in self.crossings),
-                    self.widest_turn,
+        return Shot(y, self.log_scale, self.crossings, self.widest_turn,
                     None if self.via is None else self.via.mirrored())
 
 
@@ -641,7 +612,7 @@ class Matching:
         if via is not None:
             legs.append((via, rtol))
         legs.append((self.x_m, rtol))
-        y, log_scale, zeros, turn, passed = y0, 0.0, (), 0.0, None
+        y, log_scale, zeros, turn, passed = y0, 0.0, 0, 0.0, None
         for (a, tol), (b, _) in zip(legs, legs[1:]):
             if passed is None and a == via:
                 passed = Shot(y, log_scale, zeros, turn)
@@ -649,7 +620,7 @@ class Matching:
                                                  dq=_dq(self.h),
                                                  max_step=max_step)
             log_scale += grown
-            zeros += tuple(found)
+            zeros += found
             turn = max(turn, widest)
         return Shot(y, log_scale, zeros, turn, via=passed)
 
@@ -945,51 +916,52 @@ def count_nodes(match: Matching, lam: float, rtol: float,
                 shots: tuple[Shot, Shot] | None = None) -> int:
     """Interior zeros of the matched solution.
 
-    Each side counts the zeros strictly inside its own stretch.  They are
+    Each side counts the zeros of its shot (``Shot.crossings``).  They are
     read off ``shots`` (Newton's last, ``Solution.shots``) when no step of
     theirs turned by more than pi/2 (``Shot.widest_turn``), a quarter of
     the local wavelength: no two sign changes fit inside such a step.
     Otherwise, or without ``shots``, both sides are shot again at ``lam``
     with every step capped at a quarter of the shortest wavelength on the
-    interval, the cap (``_counting_step_cap``).  Zeros near x_m are read
-    off the matched state there instead.  At an interior x_m, zeros within
-    1e-3 of the cap are dropped and one node counts when u vanishes that
-    close to x_m: an odd level on a symmetric box has its node at x_m
-    exactly, and either side may see it.  At a wall x_m the zeros inside
-    count the Dirichlet levels below lam (Sturm), and one is taken off
-    where lam lies above the level it stands for: u there takes the sign
-    of du/dlambda.  That holds wherever the extra zero lies; deep in a
-    barrier, lam a rounding error above the level puts it far inside.
+    interval (``_counting_step_cap``).
 
-    The cap samples V, so it is computed only when it is used: for a
-    re-shoot, or when a zero or |u_L/u_L'| lies within 1e-3 of its ceiling
-    pi*h/2 (the floor k = 1/h) of an interior x_m.  Anywhere else the
-    margin cannot change the count.
+    At an interior x_m the count is read off the Pruefer phase (Pruefer,
+    Math. Ann. 95 (1926) 499): with k = 1/h, the phase of (u, u'/k) from
+    the left and of (u, -u'/k) from the right each turns by pi per zero.
+    So at x_m side s has turned by pi z_s + phi_s, z_s its zeros and phi_s
+    in [0, pi] the angle whose cotangent is the slope over k u there, 0
+    only where u = 0, which the side counted as a zero.  The two turns sum
+    to (n + 1) pi at a root with n nodes, and whatever k is, phi_L + phi_R
+    is 0 or pi there, so n is that sum over pi, rounded, less one.  No
+    zero is located: a node at x_m itself, as an odd level on a symmetric
+    box has, moves the sum continuously as it crosses x_m.
+
+    At a wall x_m the phase is no guide (deep in a barrier, lam a rounding
+    error off the level puts a zero anywhere inside), so the zeros count
+    the Dirichlet levels below lam (Sturm), less one where u(L) is 0, and
+    one is taken off where lam lies above the level it stands for: u
+    there takes the sign of du/dlambda.
+
+    Only a re-shoot needs the left start's point, a series evaluation
+    off a singular origin, and the cap, which samples V.
     """
-    a, _ = match.left(lam)
     b, _ = match.right(lam)
-    h = match.h
-    cap = _QUARTER_TURN / math.sqrt(1.0 / (h * h))  # the ceiling, until sampled
-    sampled = shots is None \
-        or max(shot.widest_turn for shot in shots) > _QUARTER_TURN
-    if sampled:
-        cap = _counting_step_cap(match.V, match.nu, h, lam, a, b)
+    if shots is None or max(shot.widest_turn for shot in shots) \
+            > _QUARTER_TURN:
+        a, _ = match.left(lam)
+        cap = _counting_step_cap(match.V, match.nu, match.h, lam, a, b)
         shots = match.shoot(lam, rtol, max_step=cap)
     left, right = shots
     zeros = left.crossings + right.crossings
+    u, du, w = left.y[:3]
     if b == match.x_m:
-        u, _, du = left.y[:3]
-        above = (u > 0.0 and du > 0.0) or (u < 0.0 and du < 0.0)
-        return sum(1 for z in zeros if z != match.x_m) - above
+        above = (u > 0.0 and w > 0.0) or (u < 0.0 and w < 0.0)
+        return zeros - (u == 0.0) - above
 
-    def near(margin: float) -> bool:
-        return abs(left.y[0]) <= margin * abs(left.y[1]) \
-            or any(abs(z - match.x_m) <= margin for z in zeros)
-    if not sampled and near(1e-3 * cap):
-        cap = _counting_step_cap(match.V, match.nu, h, lam, a, b)
-    margin = 1e-3 * cap
-    at_match = int(abs(left.y[0]) <= margin * abs(left.y[1]))
-    return sum(1 for z in zeros if abs(z - match.x_m) > margin) + at_match
+    def phase(u: float, v: float) -> float:  # cot = v/u, in [0, pi]
+        return 0.0 if u == 0.0 else 0.5 * math.pi - math.atan(v / u)
+    h = match.h  # 1/k
+    turned = phase(u, h * du) + phase(right.y[0], -h * right.y[1])
+    return zeros + round(turned / math.pi) - 1
 
 
 def _counting_step_cap(V: Callable[[float], float], nu: float | None,

@@ -322,6 +322,20 @@ def test_cli_oracle_failure_prints_no_table(capsys):
     assert "V''" in captured.err
 
 
+def test_cli_oracle_warns_below_nu_one_half(capsys):
+    # Below nu = 1/2 the plain stencil misses the x^(nu+1/2) start at 0:
+    # the table still prints, with a warning that says so.
+    with pytest.warns(RuntimeWarning, match="nu=0.3 < 0.5: .* oracle "
+                      "accuracy is reduced") as caught:
+        code = main(["oracle", "--potential", "x^2", "--box", "1",
+                     "--nu", "0.3", "--m", "0", "--h", "0.1"])
+    assert code == 0
+    assert caught[0].filename.endswith("cli.py")  # the oracle's caller
+    captured = capsys.readouterr()
+    assert "fd-extrapolated" in captured.out
+    assert "worst relative difference" in captured.err
+
+
 def test_cli_config_supplies_defaults_and_flags_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"potential": "harmonic", "domain": [-1.0, 1.0],

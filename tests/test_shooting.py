@@ -617,11 +617,11 @@ def test_radial_wall_count_is_the_level_within_noise_of_a_deep_root(ulps):
                               rtol=1e-13) == 0
 
 
-@pytest.mark.parametrize("m, sampled", [(0, 0), (1, 1), (2, 0)])
-def test_node_count_samples_v_only_for_a_zero_near_the_matching_point(
-        monkeypatch, m, sampled):
-    # Odd levels vanish at x_m = 0, so only there does the margin around
-    # x_m, 1e-3 of the sampled step cap, decide the count.
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_node_count_samples_v_only_to_reshoot(monkeypatch, m):
+    # The count off Newton's shots reads zero counts and the phase at x_m,
+    # so it samples V for no level, the odd one with its node at x_m
+    # included; only a re-shoot samples it, once, for its step cap.
     calls = []
     cap = shooting._counting_step_cap
     monkeypatch.setattr(shooting, "_counting_step_cap",
@@ -630,7 +630,39 @@ def test_node_count_samples_v_only_for_a_zero_near_the_matching_point(
     sol = newton_solve_line(harmonic(), BOX, mode, (2 * m + 1) * H * 1.0003)
     assert count_nodes_line(harmonic(), BOX, mode, sol.lam,
                             shots=sol.shots) == m
-    assert len(calls) == sampled
+    assert calls == []
+    assert count_nodes_line(harmonic(), BOX, mode, sol.lam) == m
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("p, box, m", [
+    (harmonic(), BOX, 1), (harmonic(), BOX, 3),
+    *((from_expression("x^2 + x^3"), LineBox(-1.2, 0.9), m) for m in range(5)),
+], ids=["harmonic-1", "harmonic-3", *(f"cubic-{m}" for m in range(5))])
+def test_interior_count_is_the_level_within_ulps_of_the_root(p, box, m):
+    # At an interior x_m the phase sum moves continuously with lambda, so a
+    # few ulps either side of the root, where a zero of u may cross x_m and
+    # a side's count change, the count stays the level: read off shots
+    # with no wide step, and re-shot with capped steps.  The mirrored
+    # harmonic's odd levels have their node at x_m itself.
+    mode = ModeSpec(level=m, h=H)
+    match = Matching.line(p, box, mode)
+    root = confined_eigenvalue(p, box, mode).value
+    lams = [root]
+    for toward in (-math.inf, math.inf):
+        lam = root
+        for _ in range(3):
+            lam = math.nextafter(lam, toward)
+            lams.append(lam)
+    for lam in lams:
+        shots = match.shoot(lam, 0.5e-12)
+        assert max(shot.widest_turn for shot in shots) \
+            <= shooting._QUARTER_TURN
+        before = steps_taken()
+        assert shooting.count_nodes(match, lam, 1e-12, shots) == m
+        assert steps_taken() == before  # read off the shots
+        assert shooting.count_nodes(match, lam, 1e-12) == m
+        assert steps_taken() > before
 
 
 def _pointwise_cap(V, nu, h, lam, a, b):
@@ -831,9 +863,9 @@ def test_shoot_line_side_reports_steps_and_crossings():
         sol.lam, 1e-12, max_step=0.05)
     # Level 3 has nodes at the origin and a symmetric pair; the inward shot
     # from the right wall crosses one of the pair on its way to the origin,
-    # and its start on the wall is no crossing.
-    interior = [z for z in side.crossings if z > 1e-8]
-    assert len(interior) == 1 and 0.0 < interior[0] < 1.0
+    # and its start on the wall is no crossing.  At the origin u is a
+    # rounding error from 0 and still has the sign that crossing gave it.
+    assert side.crossings == 1
 
 
 # -- mirrored pairs ------------------------------------------------------------------

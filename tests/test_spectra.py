@@ -445,6 +445,15 @@ def test_unconfined_rejects_a_too_shallow_tail():
                               ModeSpec(level=0, h=0.1))
 
 
+def test_unconfined_rejects_a_level_above_the_barrier_at_its_start():
+    # 1 - exp(-x^2) is 1 far out; the radial harmonic seed 2(2m + 1 + nu)h
+    # = 1 at nu = 3/2, h = 0.2 leaves no barrier for the decaying start.
+    with pytest.raises(SolverError, match="lies above the barrier at the "
+                       "decaying start x=4.1285.*not a low-lying one"):
+        unconfined_eigenvalue(from_expression("1 - exp(-x^2)", kind="radial"),
+                              ModeSpec(level=0, h=0.2, nu=1.5))
+
+
 @pytest.mark.parametrize("target", [2.0, 2.8, 3.0])
 @pytest.mark.parametrize("side", [1.0, -1.0], ids=["right", "left"])
 def test_first_wall_found_past_a_hump_in_the_potential(target, side):
@@ -773,6 +782,34 @@ def test_hydrogen_bisection_rescue(monkeypatch):
     assert len(calls) == 3
     assert got.value == pytest.approx(HYDROGEN_LEVELS[(2, 0, 8.0)], rel=1e-11)
     assert got.nodes == 1
+
+
+def test_hydrogen_level_with_a_wall_zero_at_the_wall_needs_no_bisection(
+        monkeypatch):
+    # At R = 3 the (2,0) level lies above 0 and Newton from E_2 reaches
+    # level 0.  From the finite-difference seed it reaches the level, where
+    # u(R) is 1.5e-16 of u'(R): u changed sign in the last step, at a root
+    # that rounds onto R.  That zero counts, and the wall rule takes it off
+    # again (u(R) and du/dlambda share a sign), so the count is 1 and the
+    # seed is accepted without the bisection.
+    mpmath = pytest.importorskip("mpmath")
+    calls = []
+    real = spectra._bisect_radial
+    monkeypatch.setattr(spectra, "_bisect_radial",
+                        lambda *args: calls.append(args) or real(*args))
+    spec = HydrogenSpec(2, 0, 2.0, 1.0, 3.0)
+    got = hydrogen_confined(spec)
+    assert calls == []
+    assert got.nodes == 1
+    # The root of the regular Coulomb wave F_0(eta, kR) at lambda > 0, with
+    # k = sqrt(lambda)/h and eta = -z/(2 h^2 k): 2.22336947487272743...
+    with mpmath.workdps(30):
+        def wall_value(lam):
+            k = mpmath.sqrt(lam) / spec.h
+            return mpmath.coulombf(spec.ell, -spec.z / (2 * spec.h ** 2 * k),
+                                   k * spec.r_box)
+        exact = mpmath.findroot(wall_value, mpmath.mpf(got.value))
+    assert abs(float((got.value - exact) / exact)) <= 3e-13
 
 
 @pytest.mark.parametrize("field,value", [

@@ -94,10 +94,13 @@ def _log_abs(x: float) -> float:
 
 def _ratio(numeric: float, log_numeric: float, prediction: ShiftPrediction) -> float:
     # Work in logs so an underflowed shift or prediction still yields a
-    # finite ratio; an underflowed shift keeps its sign as a signed zero.
+    # ratio; an underflowed shift keeps its sign as a signed zero.
     if log_numeric == -math.inf:
         return 0.0
-    value = math.exp(log_numeric - prediction.log_leading_value)
+    try:
+        value = math.exp(log_numeric - prediction.log_leading_value)
+    except OverflowError:
+        value = math.inf
     return math.copysign(value, numeric)
 
 

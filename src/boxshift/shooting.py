@@ -90,7 +90,9 @@ Every shot counts the zeros of u it passes and records the widest phase
 k*dx one of its steps turned, so node counts read the counts off Newton's
 last shots, with the Pruefer phase of both states at an interior x_m, and
 shoot again, each step capped, only when a step turned by more than a
-quarter wavelength (``count_nodes``).
+quarter wavelength (``count_nodes``).  The same counts and phases give the
+number of levels below any lambda (``level_count``, Sturm's oscillation
+count), on which a level Newton misses is bracketed.
 
 Every integration -- Newton iterates, node counts, bisection shots -- runs
 through ``_integrate``, which steps ``dop853.DOP853``: scipy's DOP853
@@ -340,8 +342,7 @@ class FrobeniusStart:
         (``fit_even_tail``), at ``x0`` (default ``default_series_point``),
         which must lie inside the harmonic core 0.1*sqrt(h)/omega."""
         omega = p.curvature_omega
-        tail = (omega * omega, 0.0, 0.0, 0.0) if p.builtin == "harmonic" \
-            else fit_even_tail(p.evaluate, omega, 0.3)
+        tail = fit_even_tail(p.evaluate, omega, 0.3)
         x0 = x0 if x0 is not None else default_series_point(h, omega, L)
         core = 0.1 * math.sqrt(h) / omega
         if x0 > core:
@@ -916,13 +917,9 @@ def count_nodes(match: Matching, lam: float, rtol: float,
                 shots: tuple[Shot, Shot] | None = None) -> int:
     """Interior zeros of the matched solution.
 
-    Each side counts the zeros of its shot (``Shot.crossings``).  They are
-    read off ``shots`` (Newton's last, ``Solution.shots``) when no step of
-    theirs turned by more than pi/2 (``Shot.widest_turn``), a quarter of
-    the local wavelength: no two sign changes fit inside such a step.
-    Otherwise, or without ``shots``, both sides are shot again at ``lam``
-    with every step capped at a quarter of the shortest wavelength on the
-    interval (``_counting_step_cap``).
+    Each side's zeros (``Shot.crossings``) are read off ``shots`` (Newton's
+    last), or off a re-shoot where a step of theirs turned by more than a
+    quarter wavelength, in which two sign changes could hide (``_turns``).
 
     At an interior x_m the count is read off the Pruefer phase (Pruefer,
     Math. Ann. 95 (1926) 499): with k = 1/h, the phase of (u, u'/k) from
@@ -940,10 +937,35 @@ def count_nodes(match: Matching, lam: float, rtol: float,
     the Dirichlet levels below lam (Sturm), less one where u(L) is 0, and
     one is taken off where lam lies above the level it stands for: u
     there takes the sign of du/dlambda.
-
-    Only a re-shoot needs the left start's point, a series evaluation
-    off a singular origin, and the cap, which samples V.
     """
+    zeros, turned, (u, _, w, _) = _turns(match, lam, rtol, shots)
+    if turned is None:
+        above = (u > 0.0 and w > 0.0) or (u < 0.0 and w < 0.0)
+        return zeros - (u == 0.0) - above
+    return zeros + round(turned / math.pi) - 1
+
+
+def level_count(match: Matching, lam: float, rtol: float) -> int:
+    """The number of levels of ``match`` below ``lam`` (Sturm oscillation;
+    Pryce, Numerical Solution of Sturm-Liouville Problems, 1993): z_L +
+    z_R + floor((phi_L + phi_R)/pi) of a capped shot (``_turns``), as the
+    two Pruefer turns at x_m grow with lam and sum to a multiple of pi at
+    a level.  At a wall x_m it is the zero count alone, since phi_L rounds
+    to pi there where |u'/u| dwarfs 1/h (a box far inside the Bohr
+    radius)."""
+    zeros, turned, _ = _turns(match, lam, rtol)
+    return zeros if turned is None else zeros + math.floor(turned / math.pi)
+
+
+def _turns(match: Matching, lam: float, rtol: float,
+           shots: tuple[Shot, Shot] | None = None
+           ) -> tuple[int, float | None, tuple[float, ...]]:
+    """(z_L + z_R, phi_L + phi_R, the left state) at x_m, the phases with
+    k = 1/h, each in [0, pi], and None at a wall x_m.  They are read off
+    ``shots`` unless these are missing or a step of theirs turned by more
+    than ``_QUARTER_TURN``; then both sides are shot again, every step
+    capped (``_counting_step_cap``), which alone needs the left start's
+    point, a series evaluation off a singular origin, and samples V."""
     b, _ = match.right(lam)
     if shots is None or max(shot.widest_turn for shot in shots) \
             > _QUARTER_TURN:
@@ -952,16 +974,14 @@ def count_nodes(match: Matching, lam: float, rtol: float,
         shots = match.shoot(lam, rtol, max_step=cap)
     left, right = shots
     zeros = left.crossings + right.crossings
-    u, du, w = left.y[:3]
     if b == match.x_m:
-        above = (u > 0.0 and w > 0.0) or (u < 0.0 and w < 0.0)
-        return zeros - (u == 0.0) - above
+        return zeros, None, left.y
 
     def phase(u: float, v: float) -> float:  # cot = v/u, in [0, pi]
         return 0.0 if u == 0.0 else 0.5 * math.pi - math.atan(v / u)
     h = match.h  # 1/k
-    turned = phase(u, h * du) + phase(right.y[0], -h * right.y[1])
-    return zeros + round(turned / math.pi) - 1
+    return zeros, phase(left.y[0], h * left.y[1]) \
+        + phase(right.y[0], -h * right.y[1]), left.y
 
 
 def _counting_step_cap(V: Callable[[float], float], nu: float | None,

@@ -7,13 +7,9 @@ Four ways to an eigenvalue live here, deliberately independent:
   identity confirmed by an interior node count on Newton's last shots.
 * ``unconfined_eigenvalue`` -- the reference level of the problem without
   walls: a root of its Wronskian, whose shots start from the decaying WKB
-  state where phi reaches 17.5*h beyond each wall's (the start's error
-  dies like exp(-2*17.5), below 6e-16 of the wall effect under study).
-  The same damping lets each shot run the outer part of that margin, out
-  to where phi lies about 7*h beyond the wall, at the loose tolerance
-  1e-6: its errors reach the wall below the shots' own tolerance.
-  From the confined level of a box, Newton's first step is the flux step,
-  so the shift comes out as the sum of the steps, with no subtraction.
+  state deep in the barrier.  From the confined level of a box, Newton's
+  first step is the flux step, so the shift comes out as the sum of the
+  steps, with no subtraction.
 * ``fd_oracle`` -- a finite-difference discretisation with Richardson
   extrapolation; shares no code with the shooting path and serves as the
   cross-check oracle.
@@ -24,8 +20,8 @@ Four ways to an eigenvalue live here, deliberately independent:
 
 Both shooting solvers isolate their level in one loop, ``_isolate``:
 Newton from each seed in turn until a root has the level's node count,
-read off the shots Newton took last.  Finite-difference seeds are
-computed only after the first seed fails.
+read off the shots Newton took last, and last from inside the level's
+Sturm bracket (``_bisect_radial``).  No solver calls the oracle.
 """
 
 from __future__ import annotations
@@ -45,12 +41,13 @@ from scipy.optimize import brentq
 
 from . import shooting
 from .agmon import AgmonProfile
-from .errors import BoxshiftError, GridError, InvalidPotential, SolverError
+from .errors import (BoxshiftError, GridError, InvalidPotential, SeriesError,
+                     SolverError)
 from .potentials import Domain, LineBox, PotentialSpec, RadialBox, v_on_grid
 from .scaled import ScaledValue
-from .shooting import (FrobeniusStart, ModeSpec, Unwalled, count_nodes_line,
-                       count_nodes_radial, newton_solve_line,
-                       newton_solve_radial)
+from .shooting import (FrobeniusStart, Matching, ModeSpec, Unwalled,
+                       count_nodes_line, count_nodes_radial,
+                       newton_solve_line, newton_solve_radial)
 
 _PHI_MARGIN = 17.5  # in units of h; exp(-2*17.5) ~ 6e-16
 _WALL_GROWTH = 1.25  # bracket growth of the decaying-start search
@@ -144,12 +141,13 @@ def confined_eigenvalue(p: PotentialSpec, domain: Domain | Unwalled,
     """Eigenvalue of level ``mode.level`` on ``domain``: a Dirichlet box, or
     the well without walls (``Unwalled``), whose ends start decaying.
 
-    Newton starts from ``lam0`` (default: the harmonic approximation); if
-    it fails or lands on a level with the wrong interior node count, one
-    retry is made from a finite-difference estimate (on an ``Unwalled``
-    domain, of the box at its ends) before giving up.  That matters when h
-    is not small and levels are crowded.  A free level started at its
-    box's level first retries from the harmonic approximation.
+    Newton starts from ``lam0`` (default: the harmonic approximation); a
+    free level started at its box's level retries from the harmonic
+    approximation.  If each fails or lands on a level with the wrong
+    interior node count, as it can where h is not small and levels are
+    crowded, Newton starts once more inside the level's Sturm bracket,
+    grown from 0, below every level of a well (``_bisect_radial``).  A
+    free level's bracket stops below V at its decaying starts.
     """
     if domain.kind != p.kind:
         raise InvalidPotential(
@@ -166,6 +164,7 @@ def confined_eigenvalue(p: PotentialSpec, domain: Domain | Unwalled,
         gap = None
     if domain.kind == "line":
         where = f"level {mode.level} on {domain.as_tuple()} (h={mode.h:g})"
+        match, ends = Matching.line(p, domain, mode), domain.as_tuple()
         solve = partial(newton_solve_line, p, domain, mode, reused=keep,
                         gap=gap)
         nodes_at = partial(count_nodes_line, p, domain, mode)
@@ -178,43 +177,39 @@ def confined_eigenvalue(p: PotentialSpec, domain: Domain | Unwalled,
         series = FrobeniusStart.well(p, mode.nu, mode.h,
                                     L=domain.as_tuple()[1])
         args = (p.evaluate, mode.nu, mode.h, end)
+        match, ends = Matching.radial(*args, series), domain.as_tuple()[1:]
         solve = partial(newton_solve_radial, *args, series_start=series,
                         gap=gap)
         nodes_at = partial(count_nodes_radial, *args, series_start=series)
 
-    def seeds():
-        yield lam0 if lam0 is not None else harmonic_level(p, mode)
-        outer = domain
-        if isinstance(domain, Unwalled):
-            if domain.box is not None:
-                yield harmonic_level(p, mode)
-            outer = LineBox(*domain.as_tuple()) if domain.kind == "line" \
-                else RadialBox(domain.right)
-        try:
-            fd = fd_oracle(p, outer, mode, grid_n=1200, count=mode.level + 1)
-        except GridError:
-            return
-        yield fd[mode.level].value
+    seeds = [lam0 if lam0 is not None else harmonic_level(p, mode)]
+    if isinstance(domain, Unwalled) and domain.box is not None:
+        seeds.append(harmonic_level(p, mode))
 
-    return _isolate(where, mode.level, seeds(),
-                    partial(solve, rtol=rtol),
-                    partial(nodes_at, rtol=rtol),
-                    keep_shots=keep)
+    def bracket() -> float:  # a free level lies below V at its starts
+        top = min(map(p.evaluate, ends)) if isinstance(domain, Unwalled) \
+            else math.inf
+        return _bisect_radial(match, mode.level, 0.0, gap or mode.h, top)
+
+    return _isolate(where, mode.level, seeds, partial(solve, rtol=rtol),
+                    partial(nodes_at, rtol=rtol), bracket, keep_shots=keep)
 
 
 def _isolate(where: str, level: int, seeds: Iterable[float],
              solve: Callable[[float], shooting.Solution],
-             nodes_at: Callable[..., int], *,
+             nodes_at: Callable[..., int], bracket: Callable[[], float], *,
              keep_shots: bool = False) -> Eigenpair:
-    """Newton from each seed in turn; the first root with ``level`` interior
-    nodes, counted on Newton's last shots, as a shooting Eigenpair, which
-    keeps those shots with ``keep_shots``.  ``seeds`` is consumed lazily,
-    so a fallback seed costs nothing unless every earlier one failed."""
+    """Newton from each seed in turn, then from ``bracket()``, found only
+    if every seed failed; the first root with ``level`` interior nodes,
+    counted on Newton's last shots, as a shooting Eigenpair, which keeps
+    those shots with ``keep_shots``.  A start that cannot be formed (a
+    series that does not converge, a decaying start past the barrier)
+    fails like Newton."""
     last_error: Exception | None = None
-    for seed in seeds:
+    for seed in (*seeds, None):
         try:
-            sol = solve(seed)
-        except SolverError as exc:
+            sol = solve(bracket() if seed is None else seed)
+        except (SeriesError, SolverError) as exc:
             last_error = exc
             continue
         nodes = nodes_at(sol.lam, shots=sol.shots)
@@ -228,6 +223,31 @@ def _isolate(where: str, level: int, seeds: Iterable[float],
             f"converged to a level with {nodes} interior nodes, "
             f"wanted {level} (lambda={sol.lam!r})")
     raise SolverError(f"could not isolate {where}: {last_error}")
+
+
+def _bisect_radial(match: Matching, level: int, lo: float, width: float,
+                   top: float = math.inf) -> float:
+    """A point within 1e-6 relative of level ``level`` of ``match``, line
+    or radial, for Newton to start from, by bisection on the Sturm count
+    (``shooting.level_count``, shot at 1e-6: a count needs the phase only
+    to a fraction of pi).  ``lo`` lies below the level; the upper end
+    starts ``width`` above it and doubles its distance from the last end
+    below the level, up to just below ``top``, where a level still above
+    raises SolverError.  The name predates the line case and is kept
+    because ``perfbench/probes.py`` patches it."""
+    def above(lam: float) -> bool:  # the level lies below lam
+        return shooting.level_count(match, lam, 1e-6) > level
+
+    top, hi = math.nextafter(top, -math.inf), lo + width
+    while not above(min(hi, top)):
+        if hi >= top:
+            raise SolverError(f"level {level} lies above lambda={top!r}")
+        lo, hi = hi, hi + 2.0 * (hi - lo)
+    hi, mid = min(hi, top), 0.5 * (lo + min(hi, top))
+    while hi - lo > 1e-6 * max(abs(lo), abs(hi)) and lo < mid < hi:
+        lo, hi = (lo, mid) if above(mid) else (mid, hi)
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 # --------------------------------------------------------------------------
@@ -258,26 +278,19 @@ def unconfined_eigenvalue(p: PotentialSpec, mode: ModeSpec, *,
     costs steps.  Radially the shots meet at the harmonic level's turning
     point, V = lambda, where neither runs against a growing branch.
 
-    The same damping makes most of that margin's precision idle.  Each
-    start's margin leg is split at x_a, where phi reaches phi(wall) + c*h
-    with c = ln(1e-6/r)/2 (``shooting.damped_margin``), r the tolerance
-    the free shots run at: rtol/2 on the line, rtol radially.  The leg
-    from the start to x_a is shot at 1e-6, the rest at the iterate's own
-    tolerance.  An error made there along the decaying solution only
-    renormalises the shot, which moves no root, and the rest reaches the
-    wall damped by exp(-2c) = r/1e-6, below r.  x_a is found by Newton
-    steps in from the start, where phi is already known, one quadrature
-    each; a start without a split is the one placed without it, bit for
-    bit.  phi is the distance at energy 0: it overstates the damping
-    exponent by about the integral of lambda/(2h sqrt(V)), negligible for
-    a low-lying level but not for one near the wall's height, as it is
-    for the 17.5*h margin itself.
+    The same damping lets each start's margin leg, out to x_a where phi
+    reaches phi(wall) + c*h (``shooting.damped_margin``), run at 1e-6 and
+    the rest at the free shots' own tolerance r (rtol/2 on the line, rtol
+    radially): an error made there reaches the wall damped below r.  x_a
+    is found by Newton steps in from the start, where phi is known.  phi
+    is the distance at energy 0, which overstates the damping exponent for
+    a level near the wall's height, here and in the 17.5*h margin.
 
     With ``box``, ``lam0`` must be the box's Dirichlet level: Newton starts
     there and its first step is the flux step, so the pair's ``offset`` is
     minus the shift lambda_D - lambda_0, at its own relative precision.
     Where the box moved the level by about a level gap, Newton from there
-    reaches another level, and the harmonic and finite-difference seeds
+    reaches another level, and the harmonic seed and the level's bracket
     follow; the pair's ``offset`` is then None, and a shift that large
     keeps its digits as a subtraction.  Without a box, Newton starts from
     ``lam0`` (default: the harmonic approximation).  ``box_shots``, the
@@ -446,9 +459,8 @@ def _fd_values(diag: np.ndarray, off: float, count: int,
     with ``diag`` and constant ``off``, with their unit vectors where
     known: from ``seeds``, one per level, by certified inverse iteration
     (``_refined``, from ``starts``), or else by LAPACK's bisection, which
-    gives no vectors.  A matrix LAPACK cannot resolve (a box far inside
-    the Bohr radius) raises ``GridError``, like any other grid that cannot
-    be trusted."""
+    gives no vectors.  A matrix LAPACK cannot resolve raises ``GridError``,
+    like any other grid that cannot be trusted."""
     if seeds is not None:
         refined = _refined(diag, off, seeds, starts)
         if refined is not None:
@@ -632,59 +644,22 @@ def hydrogen_confined(spec: HydrogenSpec, *, rtol: float = 1e-12) -> Eigenpair:
     """E_n(R): Coulomb level in a Dirichlet box of radius r_box, by shooting.
 
     Newton starts from the unconfined E_n.  When the box crowds the turning
-    point, E_n can sit in the wrong basin; then Newton retries from a
-    finite-difference estimate and, failing that, from sign bisection
-    between the neighbouring finite-difference levels.  Each root must
-    carry the level's radial node count.
+    point, E_n can sit in the wrong basin; then the level is bracketed by
+    its Sturm count upward from E_n, which the wall only raises, in steps
+    of |E_n| doubled (``_bisect_radial``), and Newton starts from inside
+    the bracket.  The root must carry the level's radial node count.
     """
     V = lambda x: -spec.z / x  # noqa: E731
     V.source = f"-{spec.z!r} / x"  # inlined by the integrator (see dop853)
     nu, h, L, m = spec.nu, spec.h, spec.r_box, spec.level
     x0 = min(0.1 * spec.n * h ** 2 / spec.z, 0.01 * L)
     series = FrobeniusStart.coulomb(spec.z, spec.ell, h, x0)
-
-    def seeds():
-        yield spec.energy_unconfined
-        try:
-            fd = [pair.value for pair in fd_oracle(
-                PotentialSpec("radial", V), RadialBox(L),
-                ModeSpec(m, h, nu), grid_n=1600, count=m + 2)]
-        except GridError:
-            return
-        yield fd[m]
-        lo = fd[m - 1] + 0.25 * (fd[m] - fd[m - 1]) if m > 0 \
-            else fd[0] - 0.5 * (fd[1] - fd[0])
-        hi = fd[m] + 0.75 * (fd[m + 1] - fd[m])
-        yield _bisect_radial(V, nu, h, L, series, lo, hi, rtol)
-
+    free = spec.energy_unconfined
     return _isolate(
-        f"hydrogen level n={spec.n}, ell={spec.ell} in box {L:g}", m, seeds(),
+        f"hydrogen level n={spec.n}, ell={spec.ell} in box {L:g}", m, [free],
         partial(newton_solve_radial, V, nu, h, L, series_start=series,
-                rtol=rtol, lambda_scale=abs(spec.energy_unconfined)),
+                rtol=rtol, lambda_scale=abs(free)),
         partial(count_nodes_radial, V, nu, h, L, series_start=series,
-                rtol=rtol))
-
-
-def _bisect_radial(V: Callable[[float], float], nu: float, h: float, L: float,
-                   series: shooting.SeriesStart, lo: float, hi: float,
-                   rtol: float) -> float:
-    """Sign-change point of W = -u(L) in lambda on [lo, hi]."""
-    match = shooting.Matching.radial(V, nu, h, L, series)
-
-    def sign_at(lam: float) -> int:
-        left, right = match.shoot(lam, rtol)
-        return shooting.wronskian(left, right)[0].sign
-
-    s_lo, s_hi = sign_at(lo), sign_at(hi)
-    if s_lo == s_hi:
-        raise SolverError(
-            f"no sign change of the boundary value on [{lo:g}, {hi:g}]")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if sign_at(mid) == s_lo:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * max(abs(lo), abs(hi)):
-            break
-    return 0.5 * (lo + hi)
+                rtol=rtol),
+        partial(_bisect_radial, Matching.radial(V, nu, h, L, series), m,
+                free, abs(free)))

@@ -10,7 +10,9 @@ import math
 
 import pytest
 
-from boxshift import LineBox, ModeSpec, RadialBox, harmonic, quartic, shooting
+from boxshift import (GridError, LineBox, ModeSpec, RadialBox,
+                      confined_eigenvalue, fd_oracle, harmonic, quartic,
+                      shooting)
 from boxshift.cli import _glue_negative_values, main
 from boxshift.report import (
     CSV_HEADER, HYDROGEN_CSV_HEADER, CaseDescriptor, Diagnostics, ShiftReport,
@@ -547,22 +549,32 @@ def test_cli_oracle_grid_too_small(capsys):
     assert "finite-difference grid" in capsys.readouterr().err
 
 
-def test_cli_level_beyond_the_seed_grid_fails_cleanly(capsys):
-    # Level 1200 has more nodes than the 1200-interval grid of the
-    # finite-difference seed has interior points: no seed isolates it.
+def test_cli_free_level_above_its_barrier_fails_cleanly(capsys):
+    # Level 1200 of the box resolves (see the next test), but the free
+    # level lies above the barrier at its decaying starts, which tops its
+    # Sturm bracket: the case fails cleanly, naming both.
     code = main(["shift", "--potential", "x^2+x^4", "--domain", "-1,1",
                  "--m", "1200", "--h", "0.1"])
     assert code == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "could not isolate level 1200" in captured.err
+    assert "level 1200 lies above lambda=" in captured.err
 
 
-def test_sweep_level_beyond_the_seed_grid_fails_its_row():
-    result = run_sweep(quartic(), LineBox(-1.0, 1.0), 1200, None, [0.1])
-    (row,) = result.rows
-    assert not row.ok
-    assert row.status.startswith("SolverError: could not isolate")
+def test_box_level_beyond_any_fd_seed_grid_resolves():
+    # Level 1200 has more nodes than a 1200-interval finite-difference grid
+    # has interior points; the Sturm bracket needs no grid.
+    mode = ModeSpec(1200, 0.1)
+    with pytest.raises(GridError, match="interior points"):
+        fd_oracle(quartic(), LineBox(-1.0, 1.0), mode, grid_n=1200,
+                  count=1201)
+    pair = confined_eigenvalue(quartic(), LineBox(-1.0, 1.0), mode)
+    assert pair.nodes == 1200
+    # Far above the well, the level is the empty box's (pi h m / 2)^2 plus
+    # about the mean of V, 8/15 on (-1, 1).
+    assert pair.value == pytest.approx((math.pi * 0.1 * 1201 / 2) ** 2 + 8 / 15,
+                                       rel=1e-4)
 
 
 def test_cli_oracle_more_levels_than_grid_points(capsys):
@@ -614,7 +626,8 @@ def test_cli_h_too_small_to_step_fails_one_row(capsys):
 
 
 def test_cli_hydrogen_box_below_the_fd_grid_range_fails_its_row(capsys):
-    # dx^2 of the finite-difference seed grid underflows in a 1e-160 box.
+    # The level of a 1e-160 box, about (pi h/R)^2, overflows a double, and
+    # the integrator overflows on the way to it.
     code = main(["hydrogen", "--n", "1", "--ell", "0", "--h", "1",
                  "--R-grid", "1e-160"])
     assert code == 3
@@ -624,10 +637,11 @@ def test_cli_hydrogen_box_below_the_fd_grid_range_fails_its_row(capsys):
     assert "Traceback" not in captured.err
 
 
-def test_cli_hydrogen_lapack_failure_fails_one_row(capsys):
-    # At R = 1e-80 Newton from E_n does not isolate the level and LAPACK's
-    # bisection does not converge on the finite-difference seed grid: that
-    # row fails, tagged, and the R = 8 row is still printed.
+def test_cli_hydrogen_box_far_inside_the_bohr_radius_reads_ok(capsys):
+    # At R = 1e-80 Newton from E_n does not isolate the level; the Sturm
+    # bracket, doubled up from E_n, reaches it near (pi h/R)^2, the empty
+    # box's level, which the Coulomb term moves by about 1e-80 of it.  The
+    # prediction's log lies so far below that the ratio reads inf.
     code = main(["hydrogen", "--n", "1", "--ell", "0", "--h", "1",
                  "--R-grid", "8,1e-80"])
     assert code == 0
@@ -635,7 +649,9 @@ def test_cli_hydrogen_lapack_failure_fails_one_row(capsys):
     body = captured.out.strip().split("\n")[1:]
     assert len(body) == 2
     assert body[0].startswith("8.0,") and body[0].endswith(",ok")
-    assert body[1].startswith("1e-80,") and "SolverError" in body[1]
+    assert body[1].startswith("1e-80,") and body[1].endswith(",ok")
+    level = float(body[1].split(",")[2])
+    assert level == pytest.approx((math.pi / 1e-80) ** 2, rel=1e-9)
     assert "Traceback" not in captured.err
 
 

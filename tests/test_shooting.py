@@ -17,8 +17,9 @@ import pytest
 from boxshift import (
     HydrogenSpec, LineBox, ModeSpec, RadialBox, ScaledValue, SeriesError,
     SolverError, confined_eigenvalue, count_nodes_line, count_nodes_radial,
-    from_expression, harmonic, hydrogen_confined, newton_solve_line,
-    newton_solve_radial, quartic, unconfined_eigenvalue,
+    fd_oracle, from_expression, harmonic, hydrogen_confined,
+    newton_solve_line, newton_solve_radial, quartic, resolve_potential,
+    unconfined_eigenvalue,
 )
 from boxshift import report, shooting
 from boxshift.asymptotics import shift_leading_line
@@ -663,6 +664,71 @@ def test_interior_count_is_the_level_within_ulps_of_the_root(p, box, m):
         assert steps_taken() == before  # read off the shots
         assert shooting.count_nodes(match, lam, 1e-12) == m
         assert steps_taken() > before
+
+
+# The Sturm count (``level_count``) on dense lambda grids, against the
+# levels of a fine finite-difference grid (within 1e-8 of each) or the
+# exact Coulomb roots.  The grids skip lambda within 1e-8 of a level, and
+# at the full tolerance add points 2e-8 either side of each; a count shot
+# at 1e-6, as the level's bracket shoots it, keeps its phase only to about
+# 1e-7 of a level, so there the dense grid alone is checked.
+
+def _check_level_count(match, levels, lams, rtol):
+    levels = np.asarray(levels)
+    if rtol < 1e-6:
+        lams = np.concatenate([lams, levels * (1 - 2e-8),
+                               levels * (1 + 2e-8)])
+    checked = 0
+    for lam in map(float, lams):
+        if np.min(np.abs(levels - lam)) <= 1e-8 * abs(lam):
+            continue
+        assert shooting.level_count(match, lam, rtol) \
+            == np.count_nonzero(levels < lam), lam
+        checked += 1
+    assert checked >= 150
+
+
+@pytest.mark.parametrize("rtol", [1e-12, 1e-6])
+@pytest.mark.parametrize("source, box, nu", [
+    ("harmonic", BOX, None), ("harmonic", LineBox(-1.2, 0.9), None),
+    ("x^2 + x^3", LineBox(-1.2, 0.9), None),
+    ("x^2 + x^4", RadialBox(1.0), 0.5), ("x^2 + x^4", RadialBox(1.0), 1.5),
+], ids=["harmonic", "harmonic-asymmetric", "cubic", "radial-0.5",
+        "radial-1.5"])
+def test_level_count_is_the_number_of_levels_below_lambda(source, box, nu,
+                                                           rtol):
+    p = resolve_potential(source, box.kind)
+    mode = ModeSpec(level=0, h=H, nu=nu)
+    levels = [pair.value for pair in fd_oracle(p, box, mode, grid_n=4000,
+                                               count=6)]
+    if nu is None:
+        match = Matching.line(p, box, mode)
+    else:
+        match = Matching.radial(p.evaluate, nu, H, box.length,
+                                FrobeniusStart.well(p, nu, H, L=box.length))
+    _check_level_count(match, levels, np.linspace(-0.5, levels[-1], 151),
+                       rtol)
+
+
+@pytest.mark.parametrize("rtol", [1e-12, 1e-6])
+@pytest.mark.parametrize("ell, R, n_top", [(0, 8.0, 2), (0, 20.0, 3),
+                                           (1, 20.0, 3)])
+def test_coulomb_level_count_is_the_number_of_levels_below_lambda(
+        ell, R, n_top, rtol):
+    # The wall raises every level, so below E_(n_top + 1) lie only the
+    # levels n = ell + 1 ... n_top, whose exact roots are the reference.
+    mpmath = pytest.importorskip("mpmath")
+    levels = []
+    for n in range(ell + 1, n_top + 1):
+        spec = HydrogenSpec(n=n, ell=ell, z=2.0, h=1.0, r_box=R)
+        levels.append(float(exact_coulomb_level(
+            mpmath, spec, hydrogen_confined(spec).value)))
+    V = lambda x: -2.0 / x  # noqa: E731
+    V.source = "-2.0 / x"
+    match = Matching.radial(V, ell + 0.5, 1.0, R, FrobeniusStart.coulomb(
+        2.0, ell, 1.0, min(0.05 * (ell + 1), 0.01 * R)))
+    top = -1.0 / (n_top + 1) ** 2
+    _check_level_count(match, levels, np.linspace(-1.2, top, 161)[:-1], rtol)
 
 
 def _pointwise_cap(V, nu, h, lam, a, b):

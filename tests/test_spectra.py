@@ -50,7 +50,7 @@ HYDROGEN_LEVELS = {
     (2, 1, 14.0): -0.24908119598061245,
     # Crowded boxes: the wall moves the level by O(1).  At R=3 for (2, 0),
     # Newton from the free E_n lands on the ground state, so the node check
-    # rejects it and the finite-difference seed is used.  An 8000-point
+    # rejects it and the level's Sturm bracket is used.  An 8000-point
     # fd_oracle agrees with each to 7e-9.
     (2, 0, 3.0): 2.223369474872948,
     (2, 0, 4.0): 0.8404712634274435,
@@ -679,6 +679,52 @@ def test_hydrogen_node_count_off_newton_shots_matches_a_reshoot(
 
 # -- wrong-basin rescue ---------------------------------------------------------------------
 
+def _refuse_finite_differences(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("finite differences on the solve path")
+    monkeypatch.setattr(spectra, "fd_oracle", refuse)
+    monkeypatch.setattr(spectra, "eigh_tridiagonal", refuse)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_cubic_box_levels_need_no_finite_differences(monkeypatch, m):
+    # Newton from the harmonic level lands on another level; the Sturm
+    # bracket, not a finite-difference seed, isolates the level.
+    p, box, mode = from_expression("x^2 + x^3"), LineBox(-1.2, 0.9), \
+        ModeSpec(level=m, h=0.1)
+    want = fd_oracle(p, box, mode, count=m + 1)[m].value
+    _refuse_finite_differences(monkeypatch)
+    got = confined_eigenvalue(p, box, mode)
+    assert got.nodes == m
+    assert got.value == pytest.approx(want, rel=1e-11)
+
+
+def test_free_level_above_its_box_level_needs_no_finite_differences(
+        monkeypatch):
+    # 1 - exp(-x^2) radial, nu = 3/2, m = 1, h = 0.1: Newton reaches
+    # another level from the box's level and from the harmonic one.  The
+    # level is the one the finite-difference seed gave.
+    p = from_expression("1 - exp(-x^2)", kind="radial")
+    mode, box = ModeSpec(level=1, h=0.1, nu=1.5), RadialBox(1.0)
+    _refuse_finite_differences(monkeypatch)
+    confined = confined_eigenvalue(p, box, mode)
+    free = unconfined_eigenvalue(p, mode, lam0=confined.value, box=box,
+                                 box_shots=confined.shots)
+    assert free.nodes == 1
+    assert free.value == pytest.approx(0.7377842903306004, rel=1e-12)
+
+
+@pytest.mark.parametrize("R", [1e-16, 1e-80])
+def test_hydrogen_far_inside_the_bohr_radius_needs_no_finite_differences(
+        monkeypatch, R):
+    # The level lies near (pi h/R)^2, about 1e32 or 1e160 above E_n = -1:
+    # Newton from E_n, its steps capped, does not reach it.
+    _refuse_finite_differences(monkeypatch)
+    got = hydrogen_confined(HydrogenSpec(1, 0, 2.0, 1.0, R))
+    assert got.nodes == 0
+    assert got.value == pytest.approx((math.pi / R) ** 2, rel=1e-9)
+
+
 def test_node_check_rescues_a_wrong_basin_start():
     """Starting Newton at the second even level must not be accepted for
     level 0: the node count exposes it and the retry lands correctly."""
@@ -766,41 +812,46 @@ def test_hydrogen_seeded_from_the_free_level_runs_no_finite_differences(
 
 
 def test_hydrogen_bisection_rescue(monkeypatch):
-    """With Newton failing from both the free level and the
-    finite-difference estimate, the level comes from the bisected seed."""
+    """With Newton failing from the free level, the level comes from
+    Newton started inside its Sturm bracket."""
     calls = []
     real = spectra.newton_solve_radial
 
     def flaky(*args, **kwargs):
         calls.append(None)
-        if len(calls) <= 2:
+        if len(calls) == 1:
             raise SolverError("forced failure")
         return real(*args, **kwargs)
 
     monkeypatch.setattr(spectra, "newton_solve_radial", flaky)
     got = hydrogen_confined(HydrogenSpec(2, 0, 2.0, 1.0, 8.0))
-    assert len(calls) == 3
+    assert len(calls) == 2
     assert got.value == pytest.approx(HYDROGEN_LEVELS[(2, 0, 8.0)], rel=1e-11)
     assert got.nodes == 1
 
 
-def test_hydrogen_level_with_a_wall_zero_at_the_wall_needs_no_bisection(
-        monkeypatch):
-    # At R = 3 the (2,0) level lies above 0 and Newton from E_2 reaches
-    # level 0.  From the finite-difference seed it reaches the level, where
-    # u(R) is 1.5e-16 of u'(R): u changed sign in the last step, at a root
-    # that rounds onto R.  That zero counts, and the wall rule takes it off
-    # again (u(R) and du/dlambda share a sign), so the count is 1 and the
-    # seed is accepted without the bisection.
+def test_hydrogen_root_with_a_zero_at_the_wall_counts_one_node():
+    # At R = 3 the (2,0) level lies above 0.  Newton from the
+    # finite-difference estimate of the box reaches it where u(R) is
+    # 1.5e-16 of u'(R): u changed sign in the last step, at a root that
+    # rounds onto R.  That zero counts, and the wall rule takes it off
+    # again (u(R) and du/dlambda share a sign), so the count is 1.
     mpmath = pytest.importorskip("mpmath")
-    calls = []
-    real = spectra._bisect_radial
-    monkeypatch.setattr(spectra, "_bisect_radial",
-                        lambda *args: calls.append(args) or real(*args))
     spec = HydrogenSpec(2, 0, 2.0, 1.0, 3.0)
-    got = hydrogen_confined(spec)
-    assert calls == []
-    assert got.nodes == 1
+    V = lambda x: -spec.z / x  # noqa: E731
+    V.source = f"-{spec.z!r} / x"
+    fd = fd_oracle(PotentialSpec("radial", V), RadialBox(spec.r_box),
+                   ModeSpec(1, spec.h, spec.nu), grid_n=1600, count=3)
+    series = shooting.FrobeniusStart.coulomb(
+        spec.z, spec.ell, spec.h, min(0.1 * spec.n * spec.h ** 2 / spec.z,
+                                      0.01 * spec.r_box))
+    args = (V, spec.nu, spec.h, spec.r_box)
+    sol = shooting.newton_solve_radial(
+        *args, fd[1].value, series_start=series,
+        lambda_scale=abs(spec.energy_unconfined))
+    assert sol.shots[0].crossings == 2
+    assert shooting.count_nodes_radial(*args, sol.lam, series,
+                                       shots=sol.shots) == 1
     # The root of the regular Coulomb wave F_0(eta, kR) at lambda > 0, with
     # k = sqrt(lambda)/h and eta = -z/(2 h^2 k): 2.22336947487272743...
     with mpmath.workdps(30):
@@ -808,8 +859,8 @@ def test_hydrogen_level_with_a_wall_zero_at_the_wall_needs_no_bisection(
             k = mpmath.sqrt(lam) / spec.h
             return mpmath.coulombf(spec.ell, -spec.z / (2 * spec.h ** 2 * k),
                                    k * spec.r_box)
-        exact = mpmath.findroot(wall_value, mpmath.mpf(got.value))
-    assert abs(float((got.value - exact) / exact)) <= 3e-13
+        exact = mpmath.findroot(wall_value, mpmath.mpf(sol.lam))
+    assert abs(float((sol.lam - exact) / exact)) <= 3e-13
 
 
 @pytest.mark.parametrize("field,value", [

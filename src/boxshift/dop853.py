@@ -19,21 +19,30 @@ lambda = 0.1, h = 0.1, from (1, 0, 0, 0) at x = 0 to 1 with dq = 0, takes
 Away from such a tie the two take the same steps (``tests/test_dop853.py``).
 
 On a 4-component state scipy's per-step cost is numpy call overhead, not
-arithmetic.  Here the state stays a tuple of floats, and one generator
-writes ``rhs`` and ``attempt`` as straight-line code with the tableau
+arithmetic.  Here the state stays in Python floats, and one generator
+writes the 12 stages of an attempt as straight-line code with the tableau
 inlined as float literals.  Each stage names its point ``x`` and sets the
-coefficient ``qq`` there: the generic kernel, compiled at import, calls
-``q(x)``; a fused kernel, compiled on first use and cached by source,
-inlines ``((V) - lam) / h2`` (``+ cent / (x * x)`` for a radial
-nu != 1/2), V being the potential's own Python expression in ``x`` that
-``q.parts`` names.  That is q's own arithmetic, so both give the same bits,
-but without a chain of calls through the potential's evaluator per stage.
+coefficient ``qq`` there.  Two kinds of code run those stages:
+
+* ``DOP853``, a solver object that takes a step per ``step()``; its
+  kernels, compiled at import, call ``q(x)``.
+* ``leg(source, centrifugal)``, compiled on first use and cached by
+  source: one function that integrates a whole leg of ``shooting`` in
+  local variables -- the renormalisation restarts, each solver start with
+  its own initial-step selection, the step control and rejection loop,
+  and the zero and widest-turn tracking of ``shooting._integrate``.  Its
+  stages inline ``((V) - lam) / h2`` (``+ cent / (x * x)`` for a radial
+  nu != 1/2), V being the potential's own Python expression in ``x``
+  that ``q.parts`` names.  That is q's own arithmetic, and the leg does
+  ``_integrate``'s float operations over ``DOP853`` in the same order
+  (``max`` and ``abs`` become the comparisons with the same results), so
+  both give the same bits, steps and right-hand-side calls.
 
 The evaluator checks each value (a DSL expression raises a descriptive
-``EvalError`` where it is undefined); a fused call is checked once: if it
-raises, or its coefficient (``rhs``) or error norm (``attempt``; every
-stage's coefficient reaches it) is not finite, the generic kernel redoes
-the call through ``q``, reproducing the evaluator's value or error.
+``EvalError`` where it is undefined); the leg does not: if anything in it
+raises, or a coefficient or error norm is not finite, it returns None
+and ``_integrate`` runs the whole leg again through ``DOP853``, which
+reproduces the evaluator's value or error and its counts.
 """
 
 from __future__ import annotations
@@ -51,22 +60,32 @@ MAX_FACTOR = 10.0  # largest increase of the step after an acceptance
 _ERROR_EXPONENT = -1.0 / 8.0  # error estimator of order 7
 _RTOL_FLOOR = 100.0 * sys.float_info.epsilon
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+# A leg's state is rescaled to unit max-norm when its size leaves
+# [RENORM_LO, RENORM_HI] (see shooting).
+RENORM_HI = math.exp(12.0)
+RENORM_LO = math.exp(-12.0)
 
 _A, _B, _C = _tableau.A, _tableau.B, _tableau.C
 _E3, _E5 = _tableau.E3, _tableau.E5
 _N_STAGES = _tableau.N_STAGES  # 12 stages per attempt
 _N = 4                         # components: (u, u', du/dlambda, du'/dlambda)
-# Fused kernels kept; a solve uses at most 2 (nu = 1/2 or not).
-FUSED_CACHE_SIZE = 16
+# Legs kept; a solve uses at most 2 (nu = 1/2 or not).
+LEG_CACHE_SIZE = 16
 
 
 # --------------------------------------------------------------------------
-# Kernel generation
+# Code generation
 # --------------------------------------------------------------------------
 
 
-def _derivative(s: Sequence[str]) -> list[str]:
-    return [s[1], f"qq * {s[0]}", s[3], f"qq * {s[2]} + dq * {s[0]}"]
+def _names(prefix: str) -> list[str]:
+    return [f"{prefix}{i}" for i in range(_N)]
+
+
+def _derivative(out: Sequence[str], s: Sequence[str]) -> list[str]:
+    """``out`` = the system's derivative at state ``s``, with ``qq`` set."""
+    values = [s[1], f"qq * {s[0]}", s[3], f"qq * {s[2]} + dq * {s[0]}"]
+    return [f"{o} = {v}" for o, v in zip(out, values)]
 
 
 def _combination(coefficients, terms: Sequence[str]) -> str:
@@ -75,97 +94,241 @@ def _combination(coefficients, terms: Sequence[str]) -> str:
                       for c, term in zip(coefficients, terms) if c != 0.0)
 
 
-def _stage_lines(coefficient: str, s: int) -> list[str]:
-    """Stage ``s``: its state from stages 0..s-1, then q once, then k_s."""
-    k = [[f"k{j}_{i}" for j in range(s)] for i in range(_N)]
-    lines = [f"s{i} = y{i} + ({_combination(_A[s, :s], k[i])}) * h"
-             for i in range(_N)]
-    lines += [f"x = t + {float(_C[s])!r} * h", f"qq = {coefficient}"]
-    lines += [f"k{s}_{i} = {d}" for i, d in
-              enumerate(_derivative([f"s{i}" for i in range(_N)]))]
-    return lines
+def _abs(v: str) -> str:
+    # abs(v) but for the sign of a zero or a NaN, which no use here sees.
+    return f"-{v} if {v} < 0.0 else {v}"
 
 
-def _function(name: str, params: str, body: list[str], result: str,
-              check: str, guarded: bool) -> list[str]:
-    """``def name(q, lam, h2, cent, dq, params)``; when ``guarded``, a call
-    that raises or whose ``check`` is not finite goes to ``generic_name``."""
-    args = f"q, lam, h2, cent, dq, {params}"
-    if not guarded:
-        return [f"def {name}({args}):", *(f"    {line}" for line in body),
-                f"    return {result}", ""]
-    return [f"def {name}({args}):", "    try:",
-            *(f"        {line}" for line in body),
-            f"        if isfinite({check}):",
-            f"            return {result}",
-            "    except Exception:",
-            "        pass",
-            f"    return generic_{name}({args})", ""]
-
-
-def _kernel_source(coefficient: str, guarded: bool) -> str:
-    ys = [f"y{i}" for i in range(_N)]
-    news = [f"n{i}" for i in range(_N)]
-    last = [f"k{_N_STAGES}_{i}" for i in range(_N)]
-
-    rhs = [f"{', '.join(ys)}, = y", "x = t", f"qq = {coefficient}"]
-    source = _function("rhs", "t, y", rhs, f"({', '.join(_derivative(ys))},)",
-                       "qq", guarded)
-
-    attempt = [f"{', '.join(ys)}, = y",
-               f"{', '.join(f'k0_{i}' for i in range(_N))}, = f"]
+def _attempt_lines(coefficient: str) -> list[str]:
+    """One attempt of step ``h`` (``h_abs`` = abs(h)) from ``t``, state
+    y0..y3 and derivative k0_0..k0_3: the new state n0..n3, its derivative
+    k12_0..k12_3 and the error norm ``err``."""
+    lines = []
     for s in range(1, _N_STAGES):
-        attempt += _stage_lines(coefficient, s)
+        k = [[f"k{j}_{i}" for j in range(s)] for i in range(_N)]
+        lines += [f"s{i} = y{i} + ({_combination(_A[s, :s], k[i])}) * h"
+                  for i in range(_N)]
+        lines += [f"x = t + {float(_C[s])!r} * h", f"qq = {coefficient}"]
+        lines += _derivative(_names(f"k{s}_"), _names("s"))
     for i in range(_N):
         ks = [f"k{j}_{i}" for j in range(_N_STAGES)]
-        attempt.append(f"n{i} = y{i} + h * ({_combination(_B, ks)})")
-    attempt += ["x = t + h", f"qq = {coefficient}"]
-    attempt += [f"{name} = {d}" for name, d in zip(last, _derivative(news))]
+        lines.append(f"n{i} = y{i} + h * ({_combination(_B, ks)})")
+    lines += ["x = t + h", f"qq = {coefficient}"]
+    lines += _derivative(_names(f"k{_N_STAGES}_"), _names("n"))
     for i in range(_N):
         ks = [f"k{j}_{i}" for j in range(_N_STAGES + 1)]
-        attempt += [f"sc = atol + max(abs(y{i}), abs(n{i})) * rtol",
-                    f"e{i} = ({_combination(_E5, ks)}) / sc",
-                    f"g{i} = ({_combination(_E3, ks)}) / sc"]
-    attempt += [f"e5 = {' + '.join(f'e{i} * e{i}' for i in range(_N))}",
-                f"e3 = {' + '.join(f'g{i} * g{i}' for i in range(_N))}",
-                "if e5 == 0.0 and e3 == 0.0:",
-                "    err = 0.0",
-                "else:",
-                f"    err = abs(h) * e5 / sqrt((e5 + 0.01 * e3) * {_N})"]
-    source += _function("attempt", "t, h, y, f, rtol, atol", attempt,
-                        f"({', '.join(news)},), ({', '.join(last)},), err",
-                        "err", guarded)
-    return "\n".join(source)
+        lines += [f"a = {_abs(f'y{i}')}", f"b = {_abs(f'n{i}')}",
+                  "sc = atol + (b if b > a else a) * rtol",
+                  f"e{i} = ({_combination(_E5, ks)}) / sc",
+                  f"g{i} = ({_combination(_E3, ks)}) / sc"]
+    return lines + [
+        f"e5 = {' + '.join(f'e{i} * e{i}' for i in range(_N))}",
+        f"e3 = {' + '.join(f'g{i} * g{i}' for i in range(_N))}",
+        "if e5 == 0.0 and e3 == 0.0:",
+        "    err = 0.0",
+        "else:",
+        f"    err = h_abs * e5 / sqrt((e5 + 0.01 * e3) * {_N})"]
 
 
-class _Kernel:
-    """The generated ``rhs`` and ``attempt`` of one coefficient; a fused
-    kernel falls back on ``generic``."""
+def _compile(template: str, coefficient: str, names: Sequence[str]
+             ) -> list[Callable]:
+    """Compile ``template`` with each line ``@name`` replaced by the lines
+    of that block, at its indentation; return the functions ``names``."""
+    blocks = {
+        "qq": [f"qq = {coefficient}"],
+        "f_of_y": _derivative(_names("k0_"), _names("y")),
+        "g_of_s": _derivative(_names("g"), _names("s")),
+        "attempt": _attempt_lines(coefficient),
+        # mag = max(map(abs, y)): max keeps its first largest argument.
+        "mag": [f"mag = {_abs('y0')}"] + [
+            line for i in range(1, _N)
+            for line in (f"a = {_abs(f'y{i}')}", "if a > mag:", "    mag = a")],
+    }
+    lines = []
+    for line in template.splitlines():
+        name = line.strip()
+        if name.startswith("@"):
+            pad = line[:len(line) - len(name)]
+            lines += [pad + block_line for block_line in blocks[name[1:]]]
+        else:
+            lines.append(line)
+    namespace: dict = {
+        "math": math, "sqrt": math.sqrt, "log": math.log,
+        "isfinite": math.isfinite, "nextafter": math.nextafter,
+        "copysign": math.copysign, "inf": math.inf,
+        "RTOL_FLOOR": _RTOL_FLOOR, "LO": RENORM_LO, "HI": RENORM_HI,
+        "SAFETY": SAFETY, "MIN_FACTOR": MIN_FACTOR, "MAX_FACTOR": MAX_FACTOR,
+        "ERROR_EXPONENT": _ERROR_EXPONENT, "N_STAGES": _N_STAGES}
+    exec(compile("\n".join(lines), f"<dop853: qq = {coefficient}>", "exec"),
+         namespace)
+    return [namespace[name] for name in names]
 
-    def __init__(self, coefficient: str, generic: _Kernel | None = None) -> None:
-        namespace: dict = {"sqrt": math.sqrt, "isfinite": math.isfinite,
-                           "math": math}
-        if generic is not None:
-            namespace.update({f"generic_{name}": fn for name, fn in
-                              vars(generic).items()})
-        source = _kernel_source(coefficient, generic is not None)
-        exec(compile(source, f"<dop853 kernel: qq = {coefficient}>", "exec"),
-             namespace)
-        self.rhs = namespace["rhs"]
-        self.attempt = namespace["attempt"]
+
+# The generic kernels of ``DOP853``.
+_KERNELS = """
+def rhs(q, dq, t, y):
+    y0, y1, y2, y3 = y
+    x = t
+    @qq
+    @f_of_y
+    return k0_0, k0_1, k0_2, k0_3
+
+def attempt(q, dq, t, h, h_abs, y, f, rtol, atol):
+    y0, y1, y2, y3 = y
+    k0_0, k0_1, k0_2, k0_3 = f
+    @attempt
+    return (n0, n1, n2, n3), (k12_0, k12_1, k12_2, k12_3), err
+"""
+
+# One leg of shooting._integrate over DOP853, every branch and float
+# operation of theirs in the same order, with V inlined.  It returns None
+# where it fails a step, raises, or meets a non-finite coefficient or error
+# norm, where q's evaluator might have raised instead.
+_LEG = """
+def leg(lam, h2, cent, dq, t, y, t_bound, rtol, max_step):
+    try:
+        y0, y1, y2, y3 = y
+        atol = 1e-3 * rtol
+        rtol = RTOL_FLOOR if RTOL_FLOOR > rtol else rtol
+        if not max_step > 0.0:
+            return None
+        log_scale = 0.0
+        turn2 = 0.0
+        crossings = steps = nfev = 0
+        last_sign = (y0 > 0.0) - (y0 < 0.0)
+        while True:
+            @mag
+            if mag != 0.0 and not LO <= mag <= HI:
+                y0, y1, y2, y3 = y0 / mag, y1 / mag, y2 / mag, y3 / mag
+                log_scale += log(mag)
+            # A solver starts: its derivative, then its initial step.
+            direction = copysign(1.0, t_bound - t) if t_bound != t else 1.0
+            toward = direction * inf
+            x = t
+            @qq
+            if not isfinite(qq):
+                return None
+            @f_of_y
+            nfev += 1
+            interval = abs(t_bound - t)
+            if interval == 0.0:
+                h_abs = 0.0
+            else:
+                sc0 = atol + abs(y0) * rtol
+                sc1 = atol + abs(y1) * rtol
+                sc2 = atol + abs(y2) * rtol
+                sc3 = atol + abs(y3) * rtol
+                d0 = sqrt(sum(((y0 / sc0) ** 2, (y1 / sc1) ** 2,
+                               (y2 / sc2) ** 2, (y3 / sc3) ** 2))) / 2.0
+                d1 = sqrt(sum(((k0_0 / sc0) ** 2, (k0_1 / sc1) ** 2,
+                               (k0_2 / sc2) ** 2, (k0_3 / sc3) ** 2))) / 2.0
+                h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+                if interval < h0:
+                    h0 = interval
+                step = h0 * direction
+                x = t + step
+                @qq
+                if not isfinite(qq):
+                    return None
+                s0, s1 = y0 + step * k0_0, y1 + step * k0_1
+                s2, s3 = y2 + step * k0_2, y3 + step * k0_3
+                @g_of_s
+                nfev += 1
+                d2 = sqrt(sum((((g0 - k0_0) / sc0) ** 2, ((g1 - k0_1) / sc1) ** 2,
+                               ((g2 - k0_2) / sc2) ** 2, ((g3 - k0_3) / sc3) ** 2))
+                          ) / 2.0 / h0
+                if d1 <= 1e-15 and d2 <= 1e-15:
+                    h1 = h0 * 1e-3
+                    if not h1 > 1e-6:
+                        h1 = 1e-6
+                else:
+                    h1 = (0.01 / (d2 if d2 > d1 else d1)) ** 0.125
+                h_abs = 100 * h0
+                if h1 < h_abs:
+                    h_abs = h1
+                if interval < h_abs:
+                    h_abs = interval
+                if max_step < h_abs:
+                    h_abs = max_step
+            k2 = -k0_1 / y0 if y0 != 0.0 else 0.0
+            while True:
+                t_prev = t
+                k2_prev = k2
+                steps += 1
+                finished = t == t_bound
+                if not finished:
+                    min_step = 10.0 * abs(nextafter(t, toward) - t)
+                    if h_abs > max_step:
+                        h_abs = max_step
+                    elif h_abs < min_step:
+                        h_abs = min_step
+                    rejected = False
+                    while True:
+                        if not h_abs >= min_step:
+                            return None
+                        t_new = t + h_abs * direction
+                        if direction * (t_new - t_bound) > 0:
+                            t_new = t_bound
+                        h = t_new - t
+                        h_abs = -h if h < 0.0 else h
+                        @attempt
+                        nfev += N_STAGES
+                        if not isfinite(err):
+                            return None
+                        if err < 1.0:
+                            break
+                        factor = SAFETY * err ** ERROR_EXPONENT
+                        h_abs *= factor if factor > MIN_FACTOR else MIN_FACTOR
+                        rejected = True
+                    factor = MAX_FACTOR if err == 0.0 else \\
+                        SAFETY * err ** ERROR_EXPONENT
+                    if not factor < MAX_FACTOR:
+                        factor = MAX_FACTOR
+                    if rejected and not factor < 1.0:
+                        factor = 1.0
+                    h_abs *= factor
+                    t = t_new
+                    y0, y1, y2, y3 = n0, n1, n2, n3
+                    k0_0, k0_1, k0_2, k0_3 = k12_0, k12_1, k12_2, k12_3
+                    finished = direction * (t_new - t_bound) >= 0
+                k2 = -k0_1 / y0 if y0 != 0.0 else 0.0
+                dx = t - t_prev
+                bend = dx * dx * (k2 if k2 > k2_prev else k2_prev)
+                if bend > turn2:
+                    turn2 = bend
+                if not y0 * last_sign > 0.0:
+                    s_now = (y0 > 0.0) - (y0 < 0.0)
+                    crossings += s_now == 0 or last_sign == -s_now
+                    last_sign = s_now
+                @mag
+                if mag != 0.0 and not LO <= mag <= HI:
+                    break
+                if finished:
+                    return ((y0, y1, y2, y3), log_scale, crossings, sqrt(turn2),
+                            steps, nfev)
+    except Exception:
+        return None
+"""
+
+_rhs, _attempt = _compile(_KERNELS, "q(x)", ("rhs", "attempt"))
 
 
-_GENERIC = _Kernel("q(x)")
+@functools.lru_cache(maxsize=LEG_CACHE_SIZE)
+def leg(source: str, centrifugal: bool) -> Callable:
+    """The leg integrator with V = ``source`` inlined, and ``cent / (x * x)``
+    added when ``centrifugal``:
 
+        leg(lam, h2, cent, dq, x0, y0, x1, rtol, max_step)
 
-@functools.lru_cache(maxsize=FUSED_CACHE_SIZE)
-def fused_kernel(source: str, centrifugal: bool) -> _Kernel:
-    """The kernel with V = ``source`` inlined, and ``cent / (x * x)`` added
-    when ``centrifugal``."""
+    integrates the system with q(x) = (V(x) - lam) / h2 (+ cent / x^2)
+    from the float 4-tuple ``y0`` at x0 to x1 (x0 != x1) and returns
+    ``shooting._integrate``'s (state, log scale, zeros, widest turn), then
+    its step and right-hand-side counts; or None (see the module
+    docstring)."""
     coefficient = f"(({source}) - lam) / h2"
     if centrifugal:
         coefficient += " + cent / (x * x)"
-    return _Kernel(coefficient, _GENERIC)
+    return _compile(_LEG, coefficient, ("leg",))[0]
 
 
 # --------------------------------------------------------------------------
@@ -181,10 +344,6 @@ class DOP853:
     ``status`` is "running", "finished" or "failed"; ``t``, ``y`` (a
     tuple) and ``f`` hold the last accepted point, state and derivative,
     and ``nfev`` counts evaluations of ``q``.
-
-    ``fun.parts``, if set, is ``(source, lam, h2, cent)``: ``fun(x)`` is
-    ``(V(x) - lam) / h2`` (``+ cent / (x * x)`` if ``cent``) with V the
-    expression ``source`` in ``x``, whose fused kernels then run.
     """
 
     def __init__(self, fun: Callable[[float], float], t0: float,
@@ -194,11 +353,7 @@ class DOP853:
             raise ValueError(f"DOP853 integrates {_N} components, got {len(y0)}")
         if not max_step > 0.0:
             raise ValueError(f"max_step must be positive, got {max_step!r}")
-        source, lam, h2, cent = getattr(fun, "parts", (None, 0.0, 1.0, 0.0))
-        kernel = _GENERIC if source is None else fused_kernel(source, cent != 0.0)
-        self._rhs = kernel.rhs
-        self._attempt = kernel.attempt
-        self._coefficient = (fun, lam, h2, cent, dq)
+        self._coefficient = (fun, dq)
         self.t = t0
         self.t_bound = t_bound
         self.y = tuple(float(c) for c in y0)
@@ -207,7 +362,7 @@ class DOP853:
         self.max_step = max_step
         self.direction = math.copysign(1.0, t_bound - t0) if t_bound != t0 else 1.0
         self.status = "running"
-        self.f = self._rhs(*self._coefficient, t0, self.y)
+        self.f = _rhs(fun, dq, t0, self.y)
         self.nfev = 1
         self.h_abs = self._initial_step()
 
@@ -224,8 +379,8 @@ class DOP853:
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
         h0 = min(h0, interval)
         step = h0 * self.direction
-        f1 = self._rhs(*self._coefficient, self.t + step,
-                       tuple(c + step * df for c, df in zip(y, f)))
+        f1 = _rhs(*self._coefficient, self.t + step,
+                  tuple(c + step * df for c, df in zip(y, f)))
         self.nfev += 1
         d2 = _norm([b - a for a, b in zip(f, f1)], scale) / root_n / h0
         if d1 <= 1e-15 and d2 <= 1e-15:
@@ -252,8 +407,8 @@ class DOP853:
         else:
             h_abs = self.h_abs
 
-        q, lam, h2, cent, dq = self._coefficient
-        y, f, rtol, atol, attempt = self.y, self.f, self.rtol, self.atol, self._attempt
+        q, dq = self._coefficient
+        y, f, rtol, atol = self.y, self.f, self.rtol, self.atol
         rejected = False
         while True:
             if not h_abs >= min_step:  # also a NaN step, which never shrinks
@@ -264,8 +419,7 @@ class DOP853:
                 t_new = t_bound
             h = t_new - t
             h_abs = abs(h)
-            y_new, f_new, err = attempt(q, lam, h2, cent, dq, t, h, y, f,
-                                        rtol, atol)
+            y_new, f_new, err = _attempt(q, dq, t, h, h_abs, y, f, rtol, atol)
             self.nfev += _N_STAGES
             if err < 1.0:
                 factor = MAX_FACTOR if err == 0.0 else \

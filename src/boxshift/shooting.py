@@ -95,13 +95,15 @@ number of levels below any lambda (``level_count``, Sturm's oscillation
 count), on which a level Newton misses is bracketed.
 
 Every integration -- Newton iterates, node counts, bisection shots -- runs
-through ``_integrate``, which steps ``dop853.DOP853``: scipy's DOP853
-algorithm and tableau on tuples of Python floats, generated as
-straight-line code for that system, because on a 4-component state a
-generic stepper spends its time on array and loop overhead rather than
-arithmetic.  When V carries its source (DSL expressions, the builtins,
-the Coulomb tail), the kernels inline it and call q only to redo a kernel
-call that failed.
+through ``_integrate``, on scipy's DOP853 algorithm and tableau in
+Python floats (``dop853``), generated as straight-line code for that
+system, because on a 4-component state a generic stepper spends its time
+on array and loop overhead rather than arithmetic.  When V carries its
+source (DSL expressions, the builtins, the Coulomb tail), one generated
+function integrates the whole leg with V inlined (``dop853.leg``); where
+it fails or meets a non-finite value, the leg runs again through the
+``dop853.DOP853`` solver, which calls q, so q's own value or error
+stands.  A plain callable V takes that solver from the start.
 
 State magnitudes are kept inside [e^-12, e^+12]: after every accepted step
 the vector is rescaled to unit max-norm when it leaves that window, and the
@@ -124,14 +126,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dop853 import DOP853
+from . import dop853
+from .dop853 import DOP853, RENORM_HI as _RENORM_HI, RENORM_LO as _RENORM_LO
 from .errors import SeriesError, SolverError
 from .potentials import LineBox, PotentialSpec, RadialBox, v_on_grid
 from .scaled import ScaledValue
 
-_RENORM_LOG = 12.0
-_RENORM_HI = math.exp(_RENORM_LOG)
-_RENORM_LO = math.exp(-_RENORM_LOG)
 _NEWTON_MAX_ITER = 50
 _LOOSE_RTOL = 1e-6  # a graded Newton's first iterate is shot at this (newton)
 _FLUX_LOOSE = 1e-3  # a loose flux iterate's tolerance per |shift|/gap
@@ -143,6 +143,7 @@ _QUARTER_TURN = 0.5 * math.pi  # the phase k*dx a node-counting step may span
 # Integrator steps and q evaluations in this process; only _integrate adds.
 _steps_taken = 0
 _rhs_calls = 0
+_NO_SOURCE = (None, 0.0, 1.0, 0.0)  # q.parts of a q without V's source
 
 
 @dataclass(frozen=True)
@@ -199,15 +200,31 @@ def _integrate(q: Callable[[float], float], x0: float, y0: Sequence[float],
     u'' = q u.  Zeros lie pi/k apart, so a step that turns by at most pi/2
     holds one.  The steps and the solvers' ``nfev`` are counted when it
     ends, also in failure.
+
+    Where ``q.parts`` names V's source, ``dop853.leg`` runs the loop below
+    as one generated function with V inlined, to the same bits and counts.
+    If it returns None (it failed or met a non-finite value), the loop
+    below runs the whole leg again, and only its counts are kept.  A
+    ``DOP853`` replaced in this module (a tracer, a test's tally) takes
+    every leg, so it sees every step.
     """
     global _steps_taken, _rhs_calls
     y = tuple(float(c) for c in y0)
+    if x0 == x1:
+        return y, 0.0, 0, 0.0
+    source, lam, h2, cent = getattr(q, "parts", _NO_SOURCE)
+    if source is not None and DOP853 is dop853.DOP853:
+        done = dop853.leg(source, cent != 0.0)(lam, h2, cent, dq, x0, y, x1,
+                                                rtol, max_step)
+        if done is not None:
+            *result, steps, calls = done
+            _steps_taken += steps
+            _rhs_calls += calls
+            return tuple(result)
+
     log_scale = 0.0
     crossings = 0
     turn2 = 0.0  # the widest turn, squared
-    if x0 == x1:
-        return y, log_scale, crossings, 0.0
-
     atol = 1e-3 * rtol
     last_sign = _sign(y[0])
     t = x0
@@ -268,7 +285,7 @@ def _sign(x: float) -> int:
 def _q_factory(V: Callable[[float], float], lam: float, h: float,
                nu: float | None) -> Callable[[float], float]:
     """q(x) = (V(x) - lam)/h^2 (+ (nu^2 - 1/4)/x^2), with ``q.parts`` for
-    ``DOP853`` to inline V's ``source``, if it has one."""
+    ``_integrate`` to inline V's ``source``, if it has one."""
     h2 = h * h
     cent = 0.0 if nu is None else nu * nu - 0.25
     if cent == 0.0:

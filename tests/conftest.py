@@ -1,5 +1,5 @@
-"""Pytest wiring for the acceptance battery, a shared fault injector,
-independent tallies of integrator steps and solvers, and a record of the
+"""Pytest wiring for the acceptance battery, a shared fault injector, an
+independent tally of integrator steps and solvers, and a record of the
 free solves' Newton solutions.
 
 Acceptance tests register one verdict per criterion through the
@@ -7,6 +7,8 @@ Acceptance tests register one verdict per criterion through the
 terminal summary so a plain ``pytest`` run always ends with one PASS/FAIL
 line per criterion, whatever the capture settings.
 """
+
+from types import SimpleNamespace
 
 import pytest
 
@@ -69,35 +71,30 @@ def node_counts_reshoot(monkeypatch):
 
 
 @pytest.fixture
-def dop853_steps(monkeypatch):
-    """Installs a ``shooting.DOP853`` that tallies its ``step()`` calls, a
-    count of the integrator's work kept apart from ``shooting.steps_taken``,
-    and returns the tally: one list entry per call."""
-    calls: list[None] = []
+def dop853_tally(monkeypatch):
+    """``dop853_tally()`` hides V's source from q from then on, so every
+    leg runs through ``shooting.DOP853``, and installs a ``DOP853`` that
+    keeps every solver it makes and counts its ``step()`` calls: a count
+    of the integrator's work kept apart from ``shooting.steps_taken`` and
+    ``rhs_calls_taken``.  Returns the tally (``steps``, ``solvers``)."""
+    def install() -> SimpleNamespace:
+        tally = SimpleNamespace(steps=0, solvers=[])
 
-    class Counting(shooting.DOP853):
-        def step(self):
-            calls.append(None)
-            return super().step()
+        class Counting(shooting.DOP853):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                tally.solvers.append(self)
 
-    monkeypatch.setattr(shooting, "DOP853", Counting)
-    return calls
+            def step(self):
+                tally.steps += 1
+                return super().step()
 
-
-@pytest.fixture
-def dop853_solvers(monkeypatch):
-    """Installs a ``shooting.DOP853`` that keeps every solver it makes, so a
-    test can sum their ``nfev`` apart from ``shooting.rhs_calls_taken``, and
-    returns the list of them."""
-    solvers: list = []
-
-    class Kept(shooting.DOP853):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            solvers.append(self)
-
-    monkeypatch.setattr(shooting, "DOP853", Kept)
-    return solvers
+        real = shooting._q_factory
+        monkeypatch.setattr(shooting, "_q_factory",
+                            lambda V, *args: real(lambda x: V(x), *args))
+        monkeypatch.setattr(shooting, "DOP853", Counting)
+        return tally
+    return install
 
 
 @pytest.fixture

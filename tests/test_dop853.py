@@ -1,4 +1,5 @@
-"""The unrolled float DOP853 against scipy's DOP853 as the reference.
+"""The unrolled float DOP853 against scipy's DOP853 as the reference, and
+the generated legs against the DOP853 solver.
 
 Both integrators run the same algorithm, so on the same problem they must
 take the same steps, make the same number of right-hand-side calls and end
@@ -8,19 +9,26 @@ operations, so an attempt whose error estimate sits at 1 within roundoff
 may be accepted by one and rejected by the other.  The quartic x^2 + x^4
 at lambda = 0.1, h = 0.1, from (1, 0, 0, 0) at x = 0 to 1 with dq = 0,
 takes 49 steps in both, but 650 right-hand-side calls here and 662 in
-scipy; the problems below keep clear of such ties.  A kernel with the potential inlined does
-the generic kernel's arithmetic, so the two must agree bit for bit.
+scipy; the problems below keep clear of such ties.  A leg with the
+potential inlined does ``_integrate``'s arithmetic over the solver, so
+the two must agree bit for bit, steps and right-hand-side calls included;
+the benchmark's traced runs count the solver's steps, and this agreement
+is what ties them to the legs' counts.
 """
 
 import math
 import signal
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import DOP853 as ScipyDOP853
 
-from boxshift import SolverError, dop853, quartic
+from boxshift import SolverError, dop853, harmonic, quartic, shooting
 from boxshift.dop853 import DOP853
-from boxshift.shooting import _integrate, _q_factory, steps_taken
+from boxshift.dsl import EvalError
+from boxshift.potentials import from_expression
+from boxshift.shooting import (_dq, _integrate, _q_factory, rhs_calls_taken,
+                               steps_taken)
 
 RTOL, ATOL = 1e-12, 1e-15
 
@@ -82,17 +90,18 @@ def test_quartic_forbidden_shot_matches_scipy(t0, y0, t1):
     _assert_same_run(ref, own)
 
 
-def test_step_too_small_raises_solver_error(dop853_steps):
+def test_step_too_small_raises_solver_error(dop853_tally):
     # Past x = 0.5 the coefficient is undefined, every attempt there is
     # rejected and the step shrinks below the spacing of floats.
     def q(x):
         return -1.0 if x < 0.5 else math.nan
 
+    tally = dop853_tally()
     before = steps_taken()
     with pytest.raises(SolverError, match="near x=0.5"):
         _integrate(q, 0.0, (1.0, 0.0, 0.0, 0.0), 1.0, RTOL)
     # The failed integration's steps, the failing one included, still count.
-    assert steps_taken() - before == len(dop853_steps) > 1
+    assert steps_taken() - before == tally.steps > 1
 
 
 def test_nan_from_the_start_fails_the_step():
@@ -122,26 +131,23 @@ def test_rejects_unsupported_state_sizes():
         DOP853(_airy_like, 0.0, (1.0, 0.0), 1.0, RTOL, ATOL)
 
 
-# -- kernels with the potential inlined -----------------------------------------
+# -- legs with the potential inlined ------------------------------------------
 
 
-def _fused_only(q):
-    """q's parts without q: a solver given it must run the fused kernels,
-    since calling it fails the test."""
-    def unused(x):
-        raise AssertionError("the generic kernel called q")
-    unused.parts = q.parts
-    return unused
+def _leg(q, dq, x0, y0, x1, rtol, max_step=math.inf):
+    """``dop853.leg`` on q's parts: _integrate's result, steps, RHS calls."""
+    source, lam, h2, cent = q.parts
+    return dop853.leg(source, cent != 0.0)(
+        lam, h2, cent, dq, x0, tuple(map(float, y0)), x1, rtol, max_step)
 
 
-def _lockstep(fused, generic):
-    """Step both solvers to the end; every accepted point must agree."""
-    while fused.status == "running":
-        fused.step()
-        generic.step()
-        assert (fused.t, fused.y) == (generic.t, generic.y)
-    assert generic.status == "finished"
-    assert fused.nfev == generic.nfev
+def _generic(q, dq, x0, y0, x1, rtol, max_step=math.inf):
+    """_integrate with V's source hidden, so through DOP853, and the steps
+    and RHS calls it counted."""
+    steps, calls = steps_taken(), rhs_calls_taken()
+    result = _integrate(lambda x: q(x), x0, y0, x1, rtol, dq=dq,
+                        max_step=max_step)
+    return (*result, steps_taken() - steps, rhs_calls_taken() - calls)
 
 
 @pytest.mark.parametrize("kind,t0,y0,t1", [
@@ -149,20 +155,162 @@ def _lockstep(fused, generic):
     ("line", 1.0, (0.0, -1.0, 0.0, 0.0), 0.0),
     ("radial", 0.05, (0.0025, 0.1, 0.0, 0.0), 1.0),  # nu = 1.5: cent / x^2 inlined
 ], ids=["sensitivity-out", "sensitivity-in", "radial-nu1.5"])
-def test_fused_quartic_kernel_matches_scipy_and_the_generic_kernel(
-        kind, t0, y0, t1):
+def test_quartic_leg_matches_scipy_and_the_generic_solver(kind, t0, y0, t1):
     q = _q_factory(quartic(kind=kind).evaluate, LAM, H,
                    None if kind == "line" else 1.5)
     ref = ScipyDOP853(_scipy_rhs(q), t0, list(y0), t1, rtol=RTOL, atol=ATOL)
-    _assert_same_run(ref, DOP853(_fused_only(q), t0, y0, t1, RTOL, ATOL,
-                                 math.inf, DQ))
-    _lockstep(DOP853(_fused_only(q), t0, y0, t1, RTOL, ATOL, math.inf, DQ),
-              DOP853(lambda x: q(x), t0, y0, t1, RTOL, ATOL, math.inf, DQ))
+    steps = _run(ref)
+    leg = _leg(q, DQ, t0, y0, t1, RTOL)
+    y, log_scale, _, _, leg_steps, calls = leg
+    assert log_scale == 0.0  # one solver, as in scipy
+    assert (leg_steps, calls) == (steps, ref.nfev)
+    for a, b in zip(y, ref.y):
+        assert a == pytest.approx(float(b), rel=1e-12, abs=0.0)
+    # repr writes every float exactly: equal reprs are equal bits.
+    assert repr(leg) == repr(_generic(q, DQ, t0, y0, t1, RTOL))
 
 
-def test_fused_kernel_cache_keeps_its_bound():
-    for c in range(1, dop853.FUSED_CACHE_SIZE + 4):
+def _coulomb(z: float = 2.0):
+    V = lambda x: -z / x  # noqa: E731 -- as spectra.hydrogen_confined builds it
+    V.source = f"-{z!r} / x"
+    return V
+
+
+_DSL_QUARTIC = from_expression("x^2 + x^4").evaluate
+# name: (V, nu, where legs run, h)
+_SOURCES = {
+    "harmonic": (harmonic().evaluate, None, (-2.5, 2.5), (0.05, 0.1, 0.2)),
+    "dsl-quartic": (_DSL_QUARTIC, None, (-1.6, 1.6), (0.05, 0.1, 0.2)),
+    "radial-nu0.5": (_DSL_QUARTIC, 0.5, (0.02, 1.6), (0.05, 0.1, 0.2)),
+    "radial-nu1.5": (_DSL_QUARTIC, 1.5, (0.02, 1.6), (0.05, 0.1, 0.2)),
+    "coulomb-nu0.5": (_coulomb(), 0.5, (0.02, 14.0), (1.0,)),
+    "coulomb-nu1.5": (_coulomb(), 1.5, (0.02, 14.0), (1.0,)),
+}
+_STARTS = [(0.0, 1.0, 0.0, 0.0), (0.0, -1.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)]
+
+
+@st.composite
+def _legs(draw):
+    name = draw(st.sampled_from(sorted(_SOURCES)))
+    _, _, (lo, hi), hs = _SOURCES[name]
+    h = draw(st.sampled_from(hs))
+    lam = draw(st.floats(-1.2, -0.05) if name.startswith("coulomb")
+               else st.floats(0.0, 3.0 * h))
+    x0 = draw(st.floats(lo, hi))
+    x1 = draw(st.floats(lo, hi).filter(lambda x: x != x0))
+    y0 = draw(st.sampled_from(_STARTS)
+              | st.tuples(*[st.floats(-2.0, 2.0)] * 4))
+    rtol = draw(st.sampled_from([1e-6, 1e-12, 1e-13]))
+    max_step = draw(st.sampled_from([math.inf, 0.05, 0.3]))
+    return name, h, lam, x0, y0, x1, rtol, max_step
+
+
+@settings(max_examples=60, deadline=None)
+@given(_legs())
+# Long legs across a barrier at small h: several renormalisation restarts.
+@example(("dsl-quartic", 0.05, 0.05, -1.6, (0.0, 1.0, 0.0, 0.0), 1.6, 1e-13,
+          math.inf))
+@example(("radial-nu1.5", 0.05, 0.12, 1.6, (0.0, -1.0, 0.0, 0.0), 0.02, 1e-6,
+          0.05))
+@example(("coulomb-nu0.5", 1.0, -0.5, 0.02, (0.02, 1.0, 0.0, 0.0), 14.0,
+          1e-12, 0.3))
+def test_leg_matches_the_generic_solver_bit_for_bit(case):
+    # State, log scale, zeros, widest turn, steps and RHS calls.
+    name, h, lam, x0, y0, x1, rtol, max_step = case
+    V, nu, _, _ = _SOURCES[name]
+    q = _q_factory(V, lam, h, nu)
+    args = (_dq(h), x0, y0, x1, rtol, max_step)
+    leg = _leg(q, *args)
+    assert leg is not None
+    assert repr(leg) == repr(_generic(q, *args))
+
+
+def test_long_legs_restart_their_solver():
+    # The property test's first @example: the shot grows past e^12 and
+    # restarts the solver, each restart with its own initial step.
+    q = _q_factory(_DSL_QUARTIC, 0.05, 0.05, None)
+    leg = _leg(q, _dq(0.05), -1.6, (0.0, 1.0, 0.0, 0.0), 1.6, 1e-13)
+    assert leg[1] > 5 * 12.0
+
+
+def test_leg_renormalising_on_its_last_step_starts_a_solver_at_the_end(
+        dop853_tally):
+    # Shot from the well bottom, the state leaves the renormalisation
+    # window on the step that lands on x = 1.185, so one more solver starts
+    # at t == t_bound: its one step goes nowhere and costs one RHS call.
+    q = _q_factory(_DSL_QUARTIC, LAM, H, None)
+    args = (DQ, 0.0, (1.0, 0.0, 0.0, 0.0), 1.185, RTOL)
+    leg = _leg(q, *args)
+    tally = dop853_tally()
+    assert repr(_generic(q, *args)) == repr(leg)
+    last = tally.solvers[-1]
+    assert len(tally.solvers) > 1 and (last.t, last.nfev) == (1.185, 1)
+    assert leg[4] == tally.steps
+
+
+def test_a_replaced_solver_takes_every_leg(monkeypatch):
+    # A tracer or a tally replaces shooting.DOP853 to see every step; a leg
+    # with V's source must not go round it.
+    made = []
+
+    class Kept(shooting.DOP853):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(shooting, "DOP853", Kept)
+    q = _q_factory(quartic().evaluate, LAM, H, None)
+    before = rhs_calls_taken()
+    _integrate(q, 0.0, (1.0, 0.0, 0.0, 0.0), 1.0, RTOL, dq=DQ)
+    assert rhs_calls_taken() - before == sum(s.nfev for s in made) > 0
+
+
+def test_undefined_source_fails_the_leg_as_the_solver_does():
+    # sqrt(1.2 - x) is undefined past x = 1.2: the leg gives up there, and
+    # its rerun through DOP853 raises the DSL's own error, counting the
+    # steps and RHS calls the solver path counts.
+    q = _q_factory(from_expression("x^2 + sqrt(1.2 - x)").evaluate, LAM, H,
+                   None)
+    args = (0.0, (1.0, 0.0, 0.0, 0.0), 2.0, RTOL)
+    assert _leg(q, DQ, *args) is None
+    outcomes = []
+    for f in (q, lambda x: q(x)):
+        steps, calls = steps_taken(), rhs_calls_taken()
+        with pytest.raises(EvalError) as caught:
+            _integrate(f, *args, dq=DQ)
+        outcomes.append((str(caught.value), steps_taken() - steps,
+                         rhs_calls_taken() - calls))
+    assert outcomes[0] == outcomes[1]
+    assert "sqrt of a negative value" in outcomes[0][0]
+    assert outcomes[0][1] > 0
+
+
+def test_leg_non_finite_at_one_attempt_reruns_to_the_same_bits():
+    # A source that reads inf at one stage point of the leg, where V itself
+    # is finite: the leg meets a non-finite error norm there and gives up,
+    # and its rerun through DOP853 ends as the solver path does.
+    points = []
+
+    def V(x):
+        points.append(x)
+        return x * x
+
+    args = (DQ, 0.0, (1.0, 0.0, 0.0, 0.0), 1.5, RTOL)
+    expected = _generic(_q_factory(V, LAM, H, None), *args)
+    x_star = next(x for x in points[len(points) // 2:] if points.count(x) == 1)
+    V.source = "x * x"
+    assert repr(_leg(_q_factory(V, LAM, H, None), *args)) == repr(expected)
+    V.source = f"(math.inf if x == {x_star!r} else x * x)"
+    q = _q_factory(V, LAM, H, None)
+    assert _leg(q, *args) is None
+    steps, calls = steps_taken(), rhs_calls_taken()
+    result = _integrate(q, *args[1:], dq=DQ)
+    assert repr((*result, steps_taken() - steps, rhs_calls_taken() - calls)) \
+        == repr(expected)
+
+
+def test_leg_cache_keeps_its_bound():
+    for c in range(1, dop853.LEG_CACHE_SIZE + 4):
         q = _q_factory(quartic(float(c)).evaluate, LAM, H, None)
-        DOP853(_fused_only(q), 0.0, (1.0, 0.0, 0.0, 0.0), 0.1, RTOL, ATOL).step()
-    assert dop853.fused_kernel.cache_info().currsize \
-        == dop853.FUSED_CACHE_SIZE
+        _integrate(q, 0.0, (1.0, 0.0, 0.0, 0.0), 0.1, RTOL, dq=DQ)
+    assert dop853.leg.cache_info().currsize == dop853.LEG_CACHE_SIZE

@@ -546,18 +546,27 @@ COUNTED_RUNS = pytest.mark.parametrize("run", [
 ], ids=["quartic-line", "quartic-radial", "hydrogen"])
 
 
+# The counters hold the fused legs' own counts; the tally is taken from the
+# same run with V's source hidden, through DOP853, which must give the same
+# report bit for bit.
+
 @COUNTED_RUNS
-def test_diagnostics_count_every_integrator_step(dop853_steps, run):
-    assert run().diagnostics.steps == len(dop853_steps) > 0
+def test_diagnostics_count_every_integrator_step(dop853_tally, run):
+    fused = run()
+    tally = dop853_tally()
+    assert repr(run()) == repr(fused)
+    assert fused.diagnostics.steps == tally.steps > 0
 
 
 @COUNTED_RUNS
-def test_rhs_calls_counted_for_every_solver(dop853_solvers, run):
+def test_rhs_calls_counted_for_every_solver(dop853_tally, run):
     # Renormalisation restarts the solver, so one integration spans several.
     before = rhs_calls_taken()
-    run()
-    assert rhs_calls_taken() - before \
-        == sum(solver.nfev for solver in dop853_solvers) > 0
+    fused = run()
+    calls = rhs_calls_taken() - before
+    tally = dop853_tally()
+    assert repr(run()) == repr(fused)
+    assert calls == sum(solver.nfev for solver in tally.solvers) > 0
 
 
 def _fail_last_call(fail_on_call, run):
@@ -608,16 +617,20 @@ def test_failed_free_solve_reports_the_confined_steps(fail_on_call,
     assert carried == taken
 
 
-def test_failed_hydrogen_solve_counts_every_step(fail_on_call, dop853_steps,
+def test_failed_hydrogen_solve_counts_every_step(fail_on_call, dop853_tally,
                                                  node_counts_reshoot):
     # The counting run and the failing run take the same steps, so the
-    # integrator's own tally covers each of them twice.  The last
-    # integration is the re-shot node count, as in the tests above.
-    carried, taken = _fail_last_call(
-        fail_on_call,
-        lambda: hydrogen_confined(HydrogenSpec(2, 0, 2.0, 1.0, 8.0)))
+    # integrator's own tally of both again with V's source hidden covers
+    # each of them twice.  The last integration is the re-shot node count,
+    # as in the tests above.
+    def run():
+        return hydrogen_confined(HydrogenSpec(2, 0, 2.0, 1.0, 8.0))
+
+    carried, taken = _fail_last_call(fail_on_call, run)
     assert carried == taken
-    assert 2 * carried == len(dop853_steps)
+    tally = dop853_tally()
+    assert _fail_last_call(fail_on_call, run) == (carried, taken)
+    assert 2 * carried == tally.steps
 
 
 # -- node counts off Newton's shots ------------------------------------------

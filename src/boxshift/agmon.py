@@ -26,6 +26,8 @@ K's integrand is analytic at 0 but cancels two O(1/t) terms there, so a
 short initial segment is integrated via a degree-3 interpolant built from
 points safely away from 0, and the rest by QUADPACK's adaptive
 Gauss-Kronrod rule (``scipy.integrate.quad``), as is phi itself.
+``quad`` is imported on the first quadrature, not with this module, so a
+command that needs no Agmon distance never loads ``scipy.integrate``.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import QuadratureError
 from .potentials import PotentialSpec
@@ -52,6 +53,8 @@ def adaptive_quadrature(f: Callable[[float], float], a: float,
     (5.7e-13 on the integral of t^8 - 3t^2 over [0, 2], which it gets
     exact), and QUADPACK already flags an estimate it cannot bring down.
     """
+    from scipy.integrate import quad
+
     value, _, _, *failure = quad(f, a, b, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL,
                                  full_output=1)
     if failure:

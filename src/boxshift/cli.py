@@ -302,10 +302,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_hydrogen(args: argparse.Namespace) -> int:
     _require(args, "n", "ell", "h", "r_grid")
-    # Construct one spec up front so bad quantum numbers are a usage error,
-    # not a per-row failure.
-    HydrogenSpec(n=args.n, ell=args.ell, z=args.z, h=args.h,
-                 r_box=args.r_grid[0])
+    # Construct every row's spec up front so bad quantum numbers or a bad
+    # radius anywhere in the grid are a usage error, not a per-row failure.
+    for r_box in args.r_grid:
+        HydrogenSpec(n=args.n, ell=args.ell, z=args.z, h=args.h, r_box=r_box)
     result = run_hydrogen_sweep(args.n, args.ell, args.z, args.h, args.r_grid,
                                 integrate_tol=args.tol)
     return _emit_sweep(result, args, hydrogen=True, grid_key="R")

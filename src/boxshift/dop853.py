@@ -10,6 +10,10 @@ specialised to the one system shooting integrates:
 where ``dq`` is the constant lambda-derivative of ``q`` (``-1/h^2``), so
 ``(w, z)`` carries du/dlambda alongside ``(u, v)``.
 
+The tableau is scipy's, copied here as float literals (``repr`` round-trips
+them, and ``tests/test_dop853.py`` checks every entry against scipy's bit
+for bit), so this module imports nothing from scipy.
+
 The error norm's float operations run in another order than scipy's
 (straight-line sums here, ``np.dot`` and a squared ``np.linalg.norm``
 there), so an attempt whose error estimate sits at 1 within roundoff can
@@ -52,8 +56,6 @@ import math
 import sys
 from typing import Callable, Sequence
 
-from scipy.integrate._ivp import dop853_coefficients as _tableau
-
 SAFETY = 0.9       # multiplies the asymptotically optimal step change
 MIN_FACTOR = 0.2   # largest decrease of the step after a rejection
 MAX_FACTOR = 10.0  # largest increase of the step after an acceptance
@@ -65,10 +67,45 @@ TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 RENORM_HI = math.exp(12.0)
 RENORM_LO = math.exp(-12.0)
 
-_A, _B, _C = _tableau.A, _tableau.B, _tableau.C
-_E3, _E5 = _tableau.E3, _tableau.E5
-_N_STAGES = _tableau.N_STAGES  # 12 stages per attempt
-_N = 4                         # components: (u, u', du/dlambda, du'/dlambda)
+_N_STAGES = 12  # stages per attempt
+_N = 4          # components: (u, u', du/dlambda, du'/dlambda)
+# The entries of scipy's ``dop853_coefficients`` an attempt reads: row s
+# of ``_A`` is ``A[s, :s]``, the nodes are ``C[:12]``.
+_A = (
+    (),
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596,
+     -0.017578125),
+    (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486,
+     -0.020331201708508627),
+    (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505,
+     2.4936055526796523, -3.0467644718982196),
+    (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+     -8.87285693353063, 12.360567175794303, 0.6433927460157636),
+)
+_C = (0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+      0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+      0.6512820512820513, 0.6, 0.8571428571428571, 1.0)
+_B = (0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+      1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+      -0.1521609496625161, 0.20136540080403034, 0.04471061572777259)
+_E3 = (-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+       1.8915178993145003, -5.801203960010585, -0.4226823213237919,
+       -0.1521609496625161, 0.20136540080403034, 0.02265179219836082, 0.0)
+_E5 = (0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+       -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+       0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0.0)
 # Legs kept; a solve uses at most 2 (nu = 1/2 or not).
 LEG_CACHE_SIZE = 16
 
@@ -90,7 +127,7 @@ def _derivative(out: Sequence[str], s: Sequence[str]) -> list[str]:
 
 def _combination(coefficients, terms: Sequence[str]) -> str:
     """``c0 * t0 + c1 * t1 + ...`` over the nonzero coefficients."""
-    return " + ".join(f"{float(c)!r} * {term}"
+    return " + ".join(f"{c!r} * {term}"
                       for c, term in zip(coefficients, terms) if c != 0.0)
 
 
@@ -106,9 +143,9 @@ def _attempt_lines(coefficient: str) -> list[str]:
     lines = []
     for s in range(1, _N_STAGES):
         k = [[f"k{j}_{i}" for j in range(s)] for i in range(_N)]
-        lines += [f"s{i} = y{i} + ({_combination(_A[s, :s], k[i])}) * h"
+        lines += [f"s{i} = y{i} + ({_combination(_A[s], k[i])}) * h"
                   for i in range(_N)]
-        lines += [f"x = t + {float(_C[s])!r} * h", f"qq = {coefficient}"]
+        lines += [f"x = t + {_C[s]!r} * h", f"qq = {coefficient}"]
         lines += _derivative(_names(f"k{s}_"), _names("s"))
     for i in range(_N):
         ks = [f"k{j}_{i}" for j in range(_N_STAGES)]

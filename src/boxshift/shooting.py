@@ -95,10 +95,11 @@ number of levels below any lambda (``level_count``, Sturm's oscillation
 count), on which a level Newton misses is bracketed.
 
 Every integration -- Newton iterates, node counts, bisection shots -- runs
-through ``_integrate``, on scipy's DOP853 algorithm and tableau in
-Python floats (``dop853``), generated as straight-line code for that
-system, because on a 4-component state a generic stepper spends its time
-on array and loop overhead rather than arithmetic.  When V carries its
+through ``_integrate``, on scipy's DOP853 algorithm in Python floats
+(``dop853``, with scipy's tableau copied there as float literals, so no
+integration loads ``scipy.integrate``), generated as straight-line code
+for that system, because on a 4-component state a generic stepper spends
+its time on array and loop overhead rather than arithmetic.  When V carries its
 source (DSL expressions, the builtins, the Coulomb tail), one generated
 function integrates the whole leg with V inlined (``dop853.leg``); where
 it fails or meets a non-finite value, the leg runs again through the

@@ -37,7 +37,6 @@ from typing import Callable, Iterable
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dgttrf, dgttrs, dstebz
-from scipy.optimize import brentq
 
 from . import shooting
 from .agmon import AgmonProfile
@@ -349,6 +348,8 @@ def unconfined_eigenvalue(p: PotentialSpec, mode: ModeSpec, *,
             f"lambda={level!r} lies above the barrier at the decaying start "
             f"x={right:g} (h={h:g}): the level is not a low-lying one")
     else:
+        from scipy.optimize import brentq  # only a radial free solve needs it
+
         turning = brentq(lambda x: p.evaluate(x) - level, 0.0, right,
                          xtol=1e-6 * right)
         domain = Unwalled(0.0, right, x_m=turning, x_a=(None, right_a),

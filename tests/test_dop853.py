@@ -22,6 +22,7 @@ import signal
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import DOP853 as ScipyDOP853
+from scipy.integrate._ivp import dop853_coefficients as scipy_tableau
 
 from boxshift import SolverError, dop853, harmonic, quartic, shooting
 from boxshift.dop853 import DOP853
@@ -74,6 +75,25 @@ def _assert_same_run(ref, own):
     assert own.t == ref.t
     for a, b in zip(own.y, ref.y):
         assert a == pytest.approx(float(b), rel=1e-12, abs=0.0)
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+def test_tableau_is_scipys_bit_for_bit():
+    # The copied entries are the ones an attempt reads: the 12-stage block
+    # of A below its diagonal (nothing on or right of it is dropped), the
+    # nodes C[:12], the weights B and the error rows E3 and E5.
+    n = scipy_tableau.N_STAGES
+    assert dop853._N_STAGES == n == len(dop853._A)
+    for s, row in enumerate(dop853._A):
+        assert _bits(row) == _bits(scipy_tableau.A[s, :s])
+        assert not scipy_tableau.A[s, s:].any()
+    assert _bits(dop853._C) == _bits(scipy_tableau.C[:n])
+    assert _bits(dop853._B) == _bits(scipy_tableau.B)
+    assert _bits(dop853._E3) == _bits(scipy_tableau.E3)
+    assert _bits(dop853._E5) == _bits(scipy_tableau.E5)
 
 
 def test_calibration_problem_matches_scipy():

@@ -436,6 +436,17 @@ def test_cli_rejects_bad_quantum_numbers(capsys):
     assert "ell" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", ["8,-3", "8,1e400", "8,nan,inf", "8,0"])
+def test_cli_rejects_a_bad_radius_anywhere_in_the_grid(grid, capsys):
+    # Checked before any row runs, so no row reaches stdout.
+    code = main(["hydrogen", "--n", "1", "--ell", "0", "--h", "1.0",
+                 "--R-grid", grid])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "box radius" in captured.err
+
+
 def test_cli_argparse_failures_return_usage_code(capsys):
     # argparse raises SystemExit for these; main converts to a return code
     assert main(["frobnicate"]) == 2
@@ -655,11 +666,12 @@ def test_cli_hydrogen_box_far_inside_the_bohr_radius_reads_ok(capsys):
     assert "Traceback" not in captured.err
 
 
-def test_cli_hydrogen_non_finite_radius_fails_one_row(capsys):
-    code = main(["hydrogen", "--n", "1", "--ell", "0", "--h", "1",
-                 "--R-grid", "8,nan,inf"])
-    assert code == 0
-    body = capsys.readouterr().out.strip().split("\n")[1:]
+def test_hydrogen_sweep_non_finite_radius_fails_one_row():
+    # The CLI rejects such a grid up front (see
+    # test_cli_rejects_a_bad_radius_anywhere_in_the_grid); the sweep itself
+    # fails only the rows with a non-finite radius.
+    result = run_hydrogen_sweep(1, 0, 2.0, 1.0, [8.0, math.nan, math.inf])
+    body = sweep_to_csv(result, hydrogen=True).strip().split("\n")[1:]
     assert len(body) == 3
     assert body[0].endswith(",ok")
     assert all("InvalidPotential" in line for line in body[1:])

@@ -23,30 +23,32 @@ lambda = 0.1, h = 0.1, from (1, 0, 0, 0) at x = 0 to 1 with dq = 0, takes
 Away from such a tie the two take the same steps (``tests/test_dop853.py``).
 
 On a 4-component state scipy's per-step cost is numpy call overhead, not
-arithmetic.  Here the state stays in Python floats, and one generator
-writes the 12 stages of an attempt as straight-line code with the tableau
-inlined as float literals.  Each stage names its point ``x`` and sets the
-coefficient ``qq`` there.  Two kinds of code run those stages:
+arithmetic.  Here the state stays in Python floats, and one template
+writes a whole leg of ``shooting._integrate`` as straight-line code in
+local variables: the renormalisation restarts, each solver start with its
+own initial-step selection, the step control and rejection loop with the
+12 stages of an attempt unrolled and the tableau inlined, and the zero and
+widest-turn tracking.  Each stage names its point ``x`` and sets the
+coefficient ``qq`` there.  The template is compiled in two forms, which
+differ only in how they set ``qq`` and how a leg ends:
 
-* ``DOP853``, a solver object that takes a step per ``step()``; its
-  kernels, compiled at import, call ``q(x)``.
 * ``leg(source, centrifugal)``, compiled on first use and cached by
-  source: one function that integrates a whole leg of ``shooting`` in
-  local variables -- the renormalisation restarts, each solver start with
-  its own initial-step selection, the step control and rejection loop,
-  and the zero and widest-turn tracking of ``shooting._integrate``.  Its
-  stages inline ``((V) - lam) / h2`` (``+ cent / (x * x)`` for a radial
-  nu != 1/2), V being the potential's own Python expression in ``x``
-  that ``q.parts`` names.  That is q's own arithmetic, and the leg does
-  ``_integrate``'s float operations over ``DOP853`` in the same order
-  (``max`` and ``abs`` become the comparisons with the same results), so
-  both give the same bits, steps and right-hand-side calls.
+  source, inlines ``((V) - lam) / h2`` (``+ cent / (x * x)`` for a radial
+  nu != 1/2), V being the potential's own Python expression in ``x`` that
+  ``q.parts`` names.  That is q's own arithmetic, so both forms give the
+  same bits, steps and right-hand-side calls.  It checks nothing: where
+  anything in it raises, a step fails, or a coefficient or error norm is
+  not finite, it returns None, as q's evaluator might have raised there.
+* ``checked_leg``, compiled at import, calls ``q(x)``, which checks each
+  value (a DSL expression raises a descriptive ``EvalError`` where it is
+  undefined).  It is a generator that yields after each solver start and
+  each step and raises where a step fails.  ``DOP853`` is a view of one
+  solver run of it, from a start to the next restart or the leg's end, so
+  a ``DOP853`` replaced in ``shooting`` (the benchmark's tracer, a test's
+  tally) sees every solver and step.
 
-The evaluator checks each value (a DSL expression raises a descriptive
-``EvalError`` where it is undefined); the leg does not: if anything in it
-raises, or a coefficient or error norm is not finite, it returns None
-and ``_integrate`` runs the whole leg again through ``DOP853``, which
-reproduces the evaluator's value or error and its counts.
+``tests/reference_dop853.py`` keeps a hand-written solver and the loop
+``shooting`` once ran over it; the tests compare both forms with it.
 """
 
 from __future__ import annotations
@@ -54,7 +56,9 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from typing import Callable, Sequence
+from typing import Callable, Generator, Sequence
+
+from .errors import SolverError
 
 SAFETY = 0.9       # multiplies the asymptotically optimal step change
 MIN_FACTOR = 0.2   # largest decrease of the step after a rejection
@@ -167,10 +171,11 @@ def _attempt_lines(coefficient: str) -> list[str]:
         f"    err = h_abs * e5 / sqrt((e5 + 0.01 * e3) * {_N})"]
 
 
-def _compile(template: str, coefficient: str, names: Sequence[str]
-             ) -> list[Callable]:
+def _compile(template: str, coefficient: str,
+             variant: dict[str, list[str]]) -> dict:
     """Compile ``template`` with each line ``@name`` replaced by the lines
-    of that block, at its indentation; return the functions ``names``."""
+    of that block, at its indentation: a stage block with ``coefficient``
+    for ``qq``, or one of ``variant``'s.  Return the module namespace."""
     blocks = {
         "qq": [f"qq = {coefficient}"],
         "f_of_y": _derivative(_names("k0_"), _names("y")),
@@ -180,6 +185,7 @@ def _compile(template: str, coefficient: str, names: Sequence[str]
         "mag": [f"mag = {_abs('y0')}"] + [
             line for i in range(1, _N)
             for line in (f"a = {_abs(f'y{i}')}", "if a > mag:", "    mag = a")],
+        **variant,
     }
     lines = []
     for line in template.splitlines():
@@ -193,58 +199,45 @@ def _compile(template: str, coefficient: str, names: Sequence[str]
         "math": math, "sqrt": math.sqrt, "log": math.log,
         "isfinite": math.isfinite, "nextafter": math.nextafter,
         "copysign": math.copysign, "inf": math.inf,
+        "SolverError": SolverError, "TOO_SMALL_STEP": TOO_SMALL_STEP,
         "RTOL_FLOOR": _RTOL_FLOOR, "LO": RENORM_LO, "HI": RENORM_HI,
         "SAFETY": SAFETY, "MIN_FACTOR": MIN_FACTOR, "MAX_FACTOR": MAX_FACTOR,
         "ERROR_EXPONENT": _ERROR_EXPONENT, "N_STAGES": _N_STAGES}
     exec(compile("\n".join(lines), f"<dop853: qq = {coefficient}>", "exec"),
          namespace)
-    return [namespace[name] for name in names]
+    return namespace
 
 
-# The generic kernels of ``DOP853``.
-_KERNELS = """
-def rhs(q, dq, t, y):
-    y0, y1, y2, y3 = y
-    x = t
-    @qq
-    @f_of_y
-    return k0_0, k0_1, k0_2, k0_3
-
-def attempt(q, dq, t, h, h_abs, y, f, rtol, atol):
-    y0, y1, y2, y3 = y
-    k0_0, k0_1, k0_2, k0_3 = f
-    @attempt
-    return (n0, n1, n2, n3), (k12_0, k12_1, k12_2, k12_3), err
-"""
-
-# One leg of shooting._integrate over DOP853, every branch and float
-# operation of theirs in the same order, with V inlined.  It returns None
-# where it fails a step, raises, or meets a non-finite coefficient or error
-# norm, where q's evaluator might have raised instead.
+# One leg of shooting._integrate.  The blocks below the template make it
+# the fused leg (_FUSED) or the checked stepper (_CHECKED); ``tally`` gets
+# the leg's step and RHS counts.
 _LEG = """
-def leg(lam, h2, cent, dq, t, y, t_bound, rtol, max_step):
+@def
+    log_scale = 0.0
+    turn2 = 0.0
+    crossings = steps = nfev = 0
     try:
         y0, y1, y2, y3 = y
         atol = 1e-3 * rtol
         rtol = RTOL_FLOOR if RTOL_FLOOR > rtol else rtol
         if not max_step > 0.0:
-            return None
-        log_scale = 0.0
-        turn2 = 0.0
-        crossings = steps = nfev = 0
+            @max_step
         last_sign = (y0 > 0.0) - (y0 < 0.0)
         while True:
+            # Every solver starts from a state of size within [LO, HI], its
+            # scale carried in log_scale: a start far below atol (a radial
+            # series in a tiny box) would otherwise be noise to it.
             @mag
             if mag != 0.0 and not LO <= mag <= HI:
                 y0, y1, y2, y3 = y0 / mag, y1 / mag, y2 / mag, y3 / mag
                 log_scale += log(mag)
             # A solver starts: its derivative, then its initial step.
+            begun = nfev  # the calls before this run's
             direction = copysign(1.0, t_bound - t) if t_bound != t else 1.0
             toward = direction * inf
             x = t
             @qq
-            if not isfinite(qq):
-                return None
+            @finite_qq
             @f_of_y
             nfev += 1
             interval = abs(t_bound - t)
@@ -265,8 +258,7 @@ def leg(lam, h2, cent, dq, t, y, t_bound, rtol, max_step):
                 step = h0 * direction
                 x = t + step
                 @qq
-                if not isfinite(qq):
-                    return None
+                @finite_qq
                 s0, s1 = y0 + step * k0_0, y1 + step * k0_1
                 s2, s3 = y2 + step * k0_2, y3 + step * k0_3
                 @g_of_s
@@ -287,11 +279,12 @@ def leg(lam, h2, cent, dq, t, y, t_bound, rtol, max_step):
                     h_abs = interval
                 if max_step < h_abs:
                     h_abs = max_step
+            @running
+            # -q where u = 0 cannot be read; 0 stands in for it.
             k2 = -k0_1 / y0 if y0 != 0.0 else 0.0
             while True:
                 t_prev = t
                 k2_prev = k2
-                steps += 1
                 finished = t == t_bound
                 if not finished:
                     min_step = 10.0 * abs(nextafter(t, toward) - t)
@@ -301,8 +294,9 @@ def leg(lam, h2, cent, dq, t, y, t_bound, rtol, max_step):
                         h_abs = min_step
                     rejected = False
                     while True:
+                        # Also a NaN step, which never shrinks.
                         if not h_abs >= min_step:
-                            return None
+                            @too_small
                         t_new = t + h_abs * direction
                         if direction * (t_new - t_bound) > 0:
                             t_new = t_bound
@@ -310,8 +304,7 @@ def leg(lam, h2, cent, dq, t, y, t_bound, rtol, max_step):
                         h_abs = -h if h < 0.0 else h
                         @attempt
                         nfev += N_STAGES
-                        if not isfinite(err):
-                            return None
+                        @finite_err
                         if err < 1.0:
                             break
                         factor = SAFETY * err ** ERROR_EXPONENT
@@ -328,26 +321,66 @@ def leg(lam, h2, cent, dq, t, y, t_bound, rtol, max_step):
                     y0, y1, y2, y3 = n0, n1, n2, n3
                     k0_0, k0_1, k0_2, k0_3 = k12_0, k12_1, k12_2, k12_3
                     finished = direction * (t_new - t_bound) >= 0
+                steps += 1  # a step counts once it ends, or fails too small
                 k2 = -k0_1 / y0 if y0 != 0.0 else 0.0
                 dx = t - t_prev
                 bend = dx * dx * (k2 if k2 > k2_prev else k2_prev)
                 if bend > turn2:
                     turn2 = bend
+                # Only a zero, a sign change or a start at u = 0 needs this;
+                # a landing on 0 counts once, whatever sign follows it.
                 if not y0 * last_sign > 0.0:
                     s_now = (y0 > 0.0) - (y0 < 0.0)
                     crossings += s_now == 0 or last_sign == -s_now
                     last_sign = s_now
                 @mag
                 if mag != 0.0 and not LO <= mag <= HI:
+                    @ended
                     break
                 if finished:
-                    return ((y0, y1, y2, y3), log_scale, crossings, sqrt(turn2),
-                            steps, nfev)
-    except Exception:
-        return None
+                    @ended
+                    @done
+                    return (y0, y1, y2, y3), log_scale, crossings, sqrt(turn2)
+                @running
+    @except
 """
 
-_rhs, _attempt = _compile(_KERNELS, "q(x)", ("rhs", "attempt"))
+# The fused leg returns None where it gives up (see the module docstring)
+# and tallies only a leg that ends.
+_FUSED = {
+    "def": ["def leg(lam, h2, cent, dq, t, y, t_bound, rtol, max_step, "
+            "tally):"],
+    "max_step": ["return None"], "too_small": ["return None"],
+    "finite_qq": ["if not isfinite(qq):", "    return None"],
+    "finite_err": ["if not isfinite(err):", "    return None"],
+    "running": [], "ended": [], "done": ["tally(steps, nfev)"],
+    "except": ["except Exception:", "    return None"],
+}
+# The checked stepper yields (t, the run's RHS calls, its status) after
+# each solver start and each step, raises a failed step or an
+# ArithmeticError as SolverError and a max_step <= 0 as ValueError, lets
+# q's own errors through, and tallies when it ends or is closed.
+_CHECKED = {
+    "def": ["def leg(q, dq, t, y, t_bound, rtol, max_step, tally):"],
+    "max_step": ['raise ValueError(f"max_step must be positive, got '
+                 '{max_step!r}")'],
+    "too_small": ["steps += 1",
+                  'raise SolverError(f"integrator failed near x={t:g}: '
+                  '{TOO_SMALL_STEP}")'],
+    "finite_qq": [], "finite_err": [], "done": [],
+    "running": ['yield t, nfev - begun, "running"'],
+    "ended": ['yield t, nfev - begun, "finished"'],
+    "except": [
+        "except ArithmeticError as exc:  # q or the error norm left the floats",
+        '    raise SolverError(f"integrator failed near x={t:g}: {exc!r}") '
+        "from exc",
+        "finally:",
+        "    tally(steps, nfev)"],
+}
+
+# checked_leg(q, dq, x0, y0, x1, rtol, max_step, tally): the leg of
+# ``leg`` below with q(x) called at every stage, stepped by ``DOP853.run``.
+checked_leg = _compile(_LEG, "q(x)", _CHECKED)["leg"]
 
 
 @functools.lru_cache(maxsize=LEG_CACHE_SIZE)
@@ -355,127 +388,43 @@ def leg(source: str, centrifugal: bool) -> Callable:
     """The leg integrator with V = ``source`` inlined, and ``cent / (x * x)``
     added when ``centrifugal``:
 
-        leg(lam, h2, cent, dq, x0, y0, x1, rtol, max_step)
+        leg(lam, h2, cent, dq, x0, y0, x1, rtol, max_step, tally)
 
     integrates the system with q(x) = (V(x) - lam) / h2 (+ cent / x^2)
-    from the float 4-tuple ``y0`` at x0 to x1 (x0 != x1) and returns
-    ``shooting._integrate``'s (state, log scale, zeros, widest turn), then
-    its step and right-hand-side counts; or None (see the module
+    from the float 4-tuple ``y0`` at x0 to x1 (x0 != x1), calls
+    ``tally(steps, rhs_calls)`` and returns ``shooting._integrate``'s
+    (state, log scale, zeros, widest turn); or None (see the module
     docstring)."""
     coefficient = f"(({source}) - lam) / h2"
     if centrifugal:
         coefficient += " + cent / (x * x)"
-    return _compile(_LEG, coefficient, ("leg",))[0]
-
-
-# --------------------------------------------------------------------------
-# Solver
-# --------------------------------------------------------------------------
+    return _compile(_LEG, coefficient, _FUSED)["leg"]
 
 
 class DOP853:
-    """One integration from ``t0`` towards ``t_bound``, a step per ``step()``.
+    """One solver run of a ``checked_leg``, from a solver start to the next
+    renormalisation restart or the leg's end, a step per ``step()``.
 
-    ``fun`` is the coefficient ``q(x)``, ``dq`` its lambda-derivative, and
-    the state ``y0`` has the 4 components of the module docstring's system.
-    ``status`` is "running", "finished" or "failed"; ``t``, ``y`` (a
-    tuple) and ``f`` hold the last accepted point, state and derivative,
-    and ``nfev`` counts evaluations of ``q``.
+    ``t`` is the last accepted point, ``nfev`` the run's evaluations of q
+    and ``status`` "running" or, once the run has ended, "finished".
     """
 
-    def __init__(self, fun: Callable[[float], float], t0: float,
-                 y0: Sequence[float], t_bound: float, rtol: float, atol: float,
-                 max_step: float = math.inf, dq: float = 0.0) -> None:
-        if len(y0) != _N:
-            raise ValueError(f"DOP853 integrates {_N} components, got {len(y0)}")
-        if not max_step > 0.0:
-            raise ValueError(f"max_step must be positive, got {max_step!r}")
-        self._coefficient = (fun, dq)
-        self.t = t0
-        self.t_bound = t_bound
-        self.y = tuple(float(c) for c in y0)
-        self.rtol = max(rtol, _RTOL_FLOOR)
-        self.atol = atol
-        self.max_step = max_step
-        self.direction = math.copysign(1.0, t_bound - t0) if t_bound != t0 else 1.0
-        self.status = "running"
-        self.f = _rhs(fun, dq, t0, self.y)
-        self.nfev = 1
-        self.h_abs = self._initial_step()
+    def __init__(self, leg: Generator) -> None:
+        self._leg = leg
+        self.t, self.nfev, self.status = next(leg)
 
-    def _initial_step(self) -> float:
-        """Hairer-Norsett-Wanner II.4 starting step, as scipy selects it."""
-        interval = abs(self.t_bound - self.t)
-        if interval == 0.0:
-            return 0.0
-        y, f, rtol, atol = self.y, self.f, self.rtol, self.atol
-        scale = [atol + abs(c) * rtol for c in y]
-        root_n = len(y) ** 0.5
-        d0 = _norm(y, scale) / root_n
-        d1 = _norm(f, scale) / root_n
-        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-        h0 = min(h0, interval)
-        step = h0 * self.direction
-        f1 = _rhs(*self._coefficient, self.t + step,
-                  tuple(c + step * df for c, df in zip(y, f)))
-        self.nfev += 1
-        d2 = _norm([b - a for a, b in zip(f, f1)], scale) / root_n / h0
-        if d1 <= 1e-15 and d2 <= 1e-15:
-            h1 = max(1e-6, h0 * 1e-3)
-        else:
-            h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
-        return min(100 * h0, h1, interval, self.max_step)
+    def step(self) -> None:
+        """Take one accepted step; a failed one raises."""
+        self.t, self.nfev, self.status = next(self._leg)
 
-    def step(self) -> str | None:
-        """Take one accepted step; return a failure message or None."""
-        if self.status != "running":
-            raise RuntimeError("attempt to step on a failed or finished solver")
-        t = self.t
-        t_bound = self.t_bound
-        if t == t_bound:
-            self.status = "finished"
-            return None
-        direction = self.direction
-        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
-        if self.h_abs > self.max_step:
-            h_abs = self.max_step
-        elif self.h_abs < min_step:
-            h_abs = min_step
-        else:
-            h_abs = self.h_abs
-
-        q, dq = self._coefficient
-        y, f, rtol, atol = self.y, self.f, self.rtol, self.atol
-        rejected = False
-        while True:
-            if not h_abs >= min_step:  # also a NaN step, which never shrinks
-                self.status = "failed"
-                return TOO_SMALL_STEP
-            t_new = t + h_abs * direction
-            if direction * (t_new - t_bound) > 0:
-                t_new = t_bound
-            h = t_new - t
-            h_abs = abs(h)
-            y_new, f_new, err = _attempt(q, dq, t, h, h_abs, y, f, rtol, atol)
-            self.nfev += _N_STAGES
-            if err < 1.0:
-                factor = MAX_FACTOR if err == 0.0 else \
-                    min(MAX_FACTOR, SAFETY * err ** _ERROR_EXPONENT)
-                if rejected:
-                    factor = min(1.0, factor)
-                h_abs *= factor
-                break
-            h_abs *= max(MIN_FACTOR, SAFETY * err ** _ERROR_EXPONENT)
-            rejected = True
-
-        self.t = t_new
-        self.y = y_new
-        self.f = f_new
-        self.h_abs = h_abs
-        if direction * (t_new - t_bound) >= 0:
-            self.status = "finished"
-        return None
-
-
-def _norm(values: Sequence[float], scale: Sequence[float]) -> float:
-    return math.sqrt(sum((v / s) ** 2 for v, s in zip(values, scale)))
+    @classmethod
+    def run(cls, leg: Generator) -> tuple:
+        """Step ``leg`` to its end through one view of this class per
+        solver run, and return its result."""
+        try:
+            while True:
+                solver = cls(leg)
+                while solver.status == "running":
+                    solver.step()
+        except StopIteration as end:
+            return end.value

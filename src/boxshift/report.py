@@ -244,7 +244,8 @@ def geometric_grid(start: float, stop: float, count: int) -> list[float]:
 
 def fit_empirical_order(rows: Sequence[SweepRow]) -> float | None:
     """Slope of log|ratio - 1| against log h over the rows with status
-    "ok"; failed and unresolved rows are left out."""
+    "ok"; failed and unresolved rows are left out.  None unless the rows
+    kept span two distinct h."""
     xs, ys = [], []
     for row in rows:
         if row.status != "ok" or not math.isfinite(row.report.ratio):
@@ -253,7 +254,7 @@ def fit_empirical_order(rows: Sequence[SweepRow]) -> float | None:
         if err > 0.0:
             xs.append(math.log(row.grid_value))
             ys.append(math.log(err))
-    if len(xs) < 2:
+    if len(set(xs)) < 2:
         return None
     slope = np.polyfit(np.asarray(xs), np.asarray(ys), 1)[0]
     return float(slope)

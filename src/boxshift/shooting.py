@@ -101,10 +101,10 @@ integration loads ``scipy.integrate``), generated as straight-line code
 for that system, because on a 4-component state a generic stepper spends
 its time on array and loop overhead rather than arithmetic.  When V carries its
 source (DSL expressions, the builtins, the Coulomb tail), one generated
-function integrates the whole leg with V inlined (``dop853.leg``); where
-it fails or meets a non-finite value, the leg runs again through the
-``dop853.DOP853`` solver, which calls q, so q's own value or error
-stands.  A plain callable V takes that solver from the start.
+function integrates the whole leg with V inlined (``dop853.leg``).  The
+same code, generated to call q at each stage (``dop853.checked_leg``),
+takes a plain callable V from the start and runs again a leg that failed
+or met a non-finite value, so q's own value or error stands.
 
 State magnitudes are kept inside [e^-12, e^+12]: after every accepted step
 the vector is rescaled to unit max-norm when it leaves that window, and the
@@ -128,7 +128,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import dop853
-from .dop853 import DOP853, RENORM_HI as _RENORM_HI, RENORM_LO as _RENORM_LO
+from .dop853 import DOP853
 from .errors import SeriesError, SolverError
 from .potentials import LineBox, PotentialSpec, RadialBox, v_on_grid
 from .scaled import ScaledValue
@@ -141,7 +141,7 @@ _SERIES_MAX_TERMS = 40
 _SERIES_CUTOFF = 1e-16
 _QUARTER_TURN = 0.5 * math.pi  # the phase k*dx a node-counting step may span
 
-# Integrator steps and q evaluations in this process; only _integrate adds.
+# Integrator steps and q evaluations in this process; only _count adds.
 _steps_taken = 0
 _rhs_calls = 0
 _NO_SOURCE = (None, 0.0, 1.0, 0.0)  # q.parts of a q without V's source
@@ -185,6 +185,13 @@ def rhs_calls_taken() -> int:
     return _rhs_calls
 
 
+def _count(steps: int, calls: int) -> None:
+    """Add one leg's integrator steps and q evaluations to the counters."""
+    global _steps_taken, _rhs_calls
+    _steps_taken += steps
+    _rhs_calls += calls
+
+
 def _integrate(q: Callable[[float], float], x0: float, y0: Sequence[float],
                x1: float, rtol: float, *, dq: float = 0.0,
                max_step: float = math.inf
@@ -199,88 +206,31 @@ def _integrate(q: Callable[[float], float], x0: float, y0: Sequence[float],
     largest phase k*|dx| a step spanned, with k^2 = -q the larger at its
     two ends (0 in a barrier), and q read off the solver's derivative
     u'' = q u.  Zeros lie pi/k apart, so a step that turns by at most pi/2
-    holds one.  The steps and the solvers' ``nfev`` are counted when it
+    holds one.  The leg's steps and q evaluations are counted when it
     ends, also in failure.
 
-    Where ``q.parts`` names V's source, ``dop853.leg`` runs the loop below
-    as one generated function with V inlined, to the same bits and counts.
-    If it returns None (it failed or met a non-finite value), the loop
-    below runs the whole leg again, and only its counts are kept.  A
-    ``DOP853`` replaced in this module (a tracer, a test's tally) takes
-    every leg, so it sees every step.
+    Where ``q.parts`` names V's source, the leg is one generated function
+    with V inlined (``dop853.leg``).  Where it has none, or that leg
+    returns None (it failed or met a non-finite value), the same generated
+    code calls q (``dop853.checked_leg``), so q's own value or error
+    stands, and this module's ``DOP853`` steps it, one view per solver
+    run.  A ``DOP853`` replaced here (a tracer, a test's tally) takes every
+    leg that way, so it sees every step.
     """
-    global _steps_taken, _rhs_calls
     y = tuple(float(c) for c in y0)
     if x0 == x1:
         return y, 0.0, 0, 0.0
     source, lam, h2, cent = getattr(q, "parts", _NO_SOURCE)
     if source is not None and DOP853 is dop853.DOP853:
         done = dop853.leg(source, cent != 0.0)(lam, h2, cent, dq, x0, y, x1,
-                                                rtol, max_step)
+                                                rtol, max_step, _count)
         if done is not None:
-            *result, steps, calls = done
-            _steps_taken += steps
-            _rhs_calls += calls
-            return tuple(result)
-
-    log_scale = 0.0
-    crossings = 0
-    turn2 = 0.0  # the widest turn, squared
-    atol = 1e-3 * rtol
-    last_sign = _sign(y[0])
-    t = x0
-    steps = 0
-    solvers: list[DOP853] = []
+            return done
+    leg = dop853.checked_leg(q, dq, x0, y, x1, rtol, max_step, _count)
     try:
-        while True:
-            # Every solver starts from a state of size within [e^-12, e^12],
-            # its scale carried in log_scale: a start far below atol (a
-            # radial series in a tiny box) would otherwise be noise to it.
-            mag = max(map(abs, y))
-            if mag != 0.0 and not (_RENORM_LO <= mag <= _RENORM_HI):
-                y = tuple(c / mag for c in y)
-                log_scale += math.log(mag)
-            solver = DOP853(q, t, y, x1, rtol, atol, max_step, dq)
-            solvers.append(solver)
-            # -q where u = 0 cannot be read; 0 stands in for it.
-            k2 = -solver.f[1] / y[0] if y[0] != 0.0 else 0.0
-            while solver.status == "running":
-                t_prev, k2_prev = solver.t, k2
-                msg = solver.step()
-                steps += 1
-                if solver.status == "failed":
-                    raise SolverError(
-                        f"integrator failed near x={solver.t:g}: {msg}")
-                y = solver.y
-                u_now = y[0]
-                k2 = -solver.f[1] / u_now if u_now != 0.0 else 0.0
-                dx = solver.t - t_prev
-                bend = dx * dx * (k2 if k2 > k2_prev else k2_prev)
-                if bend > turn2:
-                    turn2 = bend
-                # Only a zero, a sign change or a start at u = 0 needs this.
-                if not u_now * last_sign > 0.0:
-                    s_now = _sign(u_now)
-                    # A landing on 0 counts once, whatever sign follows it.
-                    crossings += s_now == 0 or last_sign == -s_now
-                    last_sign = s_now
-                mag = max(map(abs, y))
-                if mag != 0.0 and not (_RENORM_LO <= mag <= _RENORM_HI):
-                    t = solver.t
-                    break
-            else:
-                return y, log_scale, crossings, math.sqrt(turn2)
-    except ArithmeticError as exc:  # q or the error norm left the floats
-        raise SolverError(
-            f"integrator failed near x={solvers[-1].t if solvers else t:g}: "
-            f"{exc!r}") from exc
+        return DOP853.run(leg)
     finally:
-        _steps_taken += steps
-        _rhs_calls += sum(solver.nfev for solver in solvers)
-
-
-def _sign(x: float) -> int:
-    return (x > 0.0) - (x < 0.0)
+        leg.close()
 
 
 def _q_factory(V: Callable[[float], float], lam: float, h: float,

@@ -73,10 +73,10 @@ def node_counts_reshoot(monkeypatch):
 @pytest.fixture
 def dop853_tally(monkeypatch):
     """``dop853_tally()`` hides V's source from q from then on, so every
-    leg runs through ``shooting.DOP853``, and installs a ``DOP853`` that
-    keeps every solver it makes and counts its ``step()`` calls: a count
-    of the integrator's work kept apart from ``shooting.steps_taken`` and
-    ``rhs_calls_taken``.  Returns the tally (``steps``, ``solvers``)."""
+    leg runs through the checked leg, and installs a ``DOP853`` view that
+    keeps every solver run it sees and counts its ``step()`` calls: a
+    count of the integrator's work kept apart from ``shooting.steps_taken``
+    and ``rhs_calls_taken``.  Returns the tally (``steps``, ``solvers``)."""
     def install() -> SimpleNamespace:
         tally = SimpleNamespace(steps=0, solvers=[])
 

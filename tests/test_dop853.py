@@ -1,21 +1,26 @@
-"""The unrolled float DOP853 against scipy's DOP853 as the reference, and
-the generated legs against the DOP853 solver.
+"""The hand-written float DOP853 of ``tests/reference_dop853.py`` against
+scipy's DOP853 as the outside reference, and the generated legs, fused and
+checked, against the reference loop over that solver.
 
-Both integrators run the same algorithm, so on the same problem they must
-take the same steps, make the same number of right-hand-side calls and end
-on the same state up to roundoff.  That holds for states away from an
-error-norm tie: the two form the error norm in a different order of float
-operations, so an attempt whose error estimate sits at 1 within roundoff
-may be accepted by one and rejected by the other.  The quartic x^2 + x^4
-at lambda = 0.1, h = 0.1, from (1, 0, 0, 0) at x = 0 to 1 with dq = 0,
-takes 49 steps in both, but 650 right-hand-side calls here and 662 in
-scipy; the problems below keep clear of such ties.  A leg with the
-potential inlined does ``_integrate``'s arithmetic over the solver, so
-the two must agree bit for bit, steps and right-hand-side calls included;
-the benchmark's traced runs count the solver's steps, and this agreement
-is what ties them to the legs' counts.
+The float solver and scipy's run the same algorithm, so on the same
+problem they must take the same steps, make the same number of
+right-hand-side calls and end on the same state up to roundoff.  That
+holds for states away from an error-norm tie: the two form the error norm
+in a different order of float operations, so an attempt whose error
+estimate sits at 1 within roundoff may be accepted by one and rejected by
+the other.  The quartic x^2 + x^4 at lambda = 0.1, h = 0.1, from
+(1, 0, 0, 0) at x = 0 to 1 with dq = 0, takes 49 steps in both, but 650
+right-hand-side calls here and 662 in scipy; the problems below keep
+clear of such ties.  A generated leg, with the potential inlined
+(``dop853.leg``) or q called at each stage (``dop853.checked_leg``, which
+``_integrate`` steps through ``DOP853`` views where V has no source),
+does the reference loop's arithmetic, so the three must agree bit for
+bit, steps and right-hand-side calls included; the benchmark's traced
+runs count the views' steps, and this agreement is what ties them to the
+fused legs' counts.
 """
 
+import contextlib
 import math
 import signal
 
@@ -25,11 +30,11 @@ from scipy.integrate import DOP853 as ScipyDOP853
 from scipy.integrate._ivp import dop853_coefficients as scipy_tableau
 
 from boxshift import SolverError, dop853, harmonic, quartic, shooting
-from boxshift.dop853 import DOP853
 from boxshift.dsl import EvalError
 from boxshift.potentials import from_expression
 from boxshift.shooting import (_dq, _integrate, _q_factory, rhs_calls_taken,
                                steps_taken)
+from reference_dop853 import DOP853, integrate as reference_integrate
 
 RTOL, ATOL = 1e-12, 1e-15
 
@@ -124,23 +129,36 @@ def test_step_too_small_raises_solver_error(dop853_tally):
     assert steps_taken() - before == tally.steps > 1
 
 
-def test_nan_from_the_start_fails_the_step():
-    # With q NaN everywhere the first step size is NaN, which compares
-    # false against every bound; the alarm turns a step loop that never
-    # ends into a failure of this test.
+@contextlib.contextmanager
+def _alarm(what: str, seconds: float = 10.0):
+    """Turn a step loop that never ends into a failure of the test."""
     def hang(signum, frame):
-        raise TimeoutError("DOP853.step did not return")
+        raise TimeoutError(f"{what} did not return")
 
     previous = signal.signal(signal.SIGALRM, hang)
-    signal.setitimer(signal.ITIMER_REAL, 10.0)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_nan_from_the_start_fails_the_step():
+    # With q NaN everywhere the first step size is NaN, which compares
+    # false against every bound.
+    with _alarm("DOP853.step"):
         solver = DOP853(lambda x: math.nan, 0.0, (1.0, 0.0, 0.0, 0.0), 1.0,
                         RTOL, ATOL)
         assert solver.step() == dop853.TOO_SMALL_STEP
         assert solver.status == "failed"
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
+
+
+def test_integrate_nan_from_the_start_fails_the_step():
+    # The same NaN step in the checked leg that _integrate steps.
+    with _alarm("_integrate"), \
+            pytest.raises(SolverError, match="near x=0: Required step size"):
+        _integrate(lambda x: math.nan, 0.0, (1.0, 0.0, 0.0, 0.0), 1.0, RTOL)
 
 
 def test_rejects_unsupported_state_sizes():
@@ -155,19 +173,28 @@ def test_rejects_unsupported_state_sizes():
 
 
 def _leg(q, dq, x0, y0, x1, rtol, max_step=math.inf):
-    """``dop853.leg`` on q's parts: _integrate's result, steps, RHS calls."""
+    """``dop853.leg`` on q's parts: _integrate's result, steps, RHS calls;
+    or None."""
     source, lam, h2, cent = q.parts
-    return dop853.leg(source, cent != 0.0)(
-        lam, h2, cent, dq, x0, tuple(map(float, y0)), x1, rtol, max_step)
+    counts = []
+    done = dop853.leg(source, cent != 0.0)(
+        lam, h2, cent, dq, x0, tuple(map(float, y0)), x1, rtol, max_step,
+        lambda *tally: counts.extend(tally))
+    return None if done is None else (*done, *counts)
 
 
 def _generic(q, dq, x0, y0, x1, rtol, max_step=math.inf):
-    """_integrate with V's source hidden, so through DOP853, and the steps
-    and RHS calls it counted."""
+    """_integrate with V's source hidden, so through the checked leg, and
+    the steps and RHS calls it counted."""
     steps, calls = steps_taken(), rhs_calls_taken()
     result = _integrate(lambda x: q(x), x0, y0, x1, rtol, dq=dq,
                         max_step=max_step)
     return (*result, steps_taken() - steps, rhs_calls_taken() - calls)
+
+
+def _reference(q, dq, x0, y0, x1, rtol, max_step=math.inf):
+    """The reference loop over the hand-written solver, with its counts."""
+    return reference_integrate(q, x0, y0, x1, rtol, dq=dq, max_step=max_step)
 
 
 @pytest.mark.parametrize("kind,t0,y0,t1", [
@@ -187,7 +214,8 @@ def test_quartic_leg_matches_scipy_and_the_generic_solver(kind, t0, y0, t1):
     for a, b in zip(y, ref.y):
         assert a == pytest.approx(float(b), rel=1e-12, abs=0.0)
     # repr writes every float exactly: equal reprs are equal bits.
-    assert repr(leg) == repr(_generic(q, DQ, t0, y0, t1, RTOL))
+    assert repr(leg) == repr(_generic(q, DQ, t0, y0, t1, RTOL)) \
+        == repr(_reference(q, DQ, t0, y0, t1, RTOL))
 
 
 def _coulomb(z: float = 2.0):
@@ -242,7 +270,7 @@ def test_leg_matches_the_generic_solver_bit_for_bit(case):
     args = (_dq(h), x0, y0, x1, rtol, max_step)
     leg = _leg(q, *args)
     assert leg is not None
-    assert repr(leg) == repr(_generic(q, *args))
+    assert repr(leg) == repr(_generic(q, *args)) == repr(_reference(q, *args))
 
 
 def test_long_legs_restart_their_solver():
@@ -262,7 +290,7 @@ def test_leg_renormalising_on_its_last_step_starts_a_solver_at_the_end(
     args = (DQ, 0.0, (1.0, 0.0, 0.0, 0.0), 1.185, RTOL)
     leg = _leg(q, *args)
     tally = dop853_tally()
-    assert repr(_generic(q, *args)) == repr(leg)
+    assert repr(_generic(q, *args)) == repr(leg) == repr(_reference(q, *args))
     last = tally.solvers[-1]
     assert len(tally.solvers) > 1 and (last.t, last.nfev) == (1.185, 1)
     assert leg[4] == tally.steps
@@ -285,10 +313,41 @@ def test_a_replaced_solver_takes_every_leg(monkeypatch):
     assert rhs_calls_taken() - before == sum(s.nfev for s in made) > 0
 
 
+@pytest.mark.parametrize("max_step", [0.0, -1.0, math.nan])
+def test_integrate_rejects_a_step_bound_that_is_not_positive(max_step):
+    # The fused leg gives up on it, and the checked leg raises.
+    q = _q_factory(quartic().evaluate, LAM, H, None)
+    for f in (q, lambda x: q(x)):
+        with pytest.raises(ValueError, match="max_step must be positive"):
+            _integrate(f, 0.0, (1.0, 0.0, 0.0, 0.0), 1.0, RTOL, dq=DQ,
+                       max_step=max_step)
+
+
+def test_a_leg_its_view_stops_still_counts(monkeypatch):
+    # A view that raises between steps leaves the checked leg suspended;
+    # _integrate closes it, and its steps and RHS calls so far count.
+    seen = []
+
+    class Stopping(shooting.DOP853):
+        def step(self):
+            super().step()
+            seen.append(self)
+            if len(seen) == 5:
+                raise RuntimeError("stopped by its view")
+
+    monkeypatch.setattr(shooting, "DOP853", Stopping)
+    q = _q_factory(quartic().evaluate, LAM, H, None)
+    steps, calls = steps_taken(), rhs_calls_taken()
+    with pytest.raises(RuntimeError, match="stopped by its view"):
+        _integrate(q, 0.0, (1.0, 0.0, 0.0, 0.0), 1.0, RTOL, dq=DQ)
+    assert steps_taken() - steps == 5
+    assert rhs_calls_taken() - calls == seen[-1].nfev > 5
+
+
 def test_undefined_source_fails_the_leg_as_the_solver_does():
     # sqrt(1.2 - x) is undefined past x = 1.2: the leg gives up there, and
-    # its rerun through DOP853 raises the DSL's own error, counting the
-    # steps and RHS calls the solver path counts.
+    # its rerun through the checked leg raises the DSL's own error, counting
+    # the steps and RHS calls that a sourceless q's leg counts.
     q = _q_factory(from_expression("x^2 + sqrt(1.2 - x)").evaluate, LAM, H,
                    None)
     args = (0.0, (1.0, 0.0, 0.0, 0.0), 2.0, RTOL)
@@ -305,10 +364,29 @@ def test_undefined_source_fails_the_leg_as_the_solver_does():
     assert outcomes[0][1] > 0
 
 
+def test_a_step_that_raises_is_not_counted(monkeypatch):
+    # q raises inside a step: the steps counted are those that ended, the
+    # ones a view sees return from step(), as the benchmark's tracer counts.
+    ended = []
+
+    class Counting(shooting.DOP853):
+        def step(self):
+            super().step()
+            ended.append(self)
+
+    monkeypatch.setattr(shooting, "DOP853", Counting)
+    q = _q_factory(from_expression("x^2 + sqrt(1.2 - x)").evaluate, LAM, H,
+                   None)
+    steps = steps_taken()
+    with pytest.raises(EvalError):
+        _integrate(q, 0.0, (1.0, 0.0, 0.0, 0.0), 2.0, RTOL, dq=DQ)
+    assert steps_taken() - steps == len(ended) > 0
+
+
 def test_leg_non_finite_at_one_attempt_reruns_to_the_same_bits():
     # A source that reads inf at one stage point of the leg, where V itself
     # is finite: the leg meets a non-finite error norm there and gives up,
-    # and its rerun through DOP853 ends as the solver path does.
+    # and its rerun through the checked leg ends as a sourceless q's does.
     points = []
 
     def V(x):
@@ -318,6 +396,8 @@ def test_leg_non_finite_at_one_attempt_reruns_to_the_same_bits():
     args = (DQ, 0.0, (1.0, 0.0, 0.0, 0.0), 1.5, RTOL)
     expected = _generic(_q_factory(V, LAM, H, None), *args)
     x_star = next(x for x in points[len(points) // 2:] if points.count(x) == 1)
+    assert repr(_reference(_q_factory(V, LAM, H, None), *args)) \
+        == repr(expected)
     V.source = "x * x"
     assert repr(_leg(_q_factory(V, LAM, H, None), *args)) == repr(expected)
     V.source = f"(math.inf if x == {x_star!r} else x * x)"

@@ -7,6 +7,7 @@ without spawning subprocesses.
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -183,6 +184,22 @@ def test_sweep_marks_shifts_below_the_roundoff_floor_unresolved():
     assert statuses == ["ok", "unresolved", "unresolved"]
     assert any("2 of 3 rows unresolved" in line
                for line in sweep_summary_lines(result))
+
+
+def test_sweep_over_one_repeated_h_fits_no_order(capsys):
+    # Three rows at one h give three equal log h: no slope to fit, and no
+    # poorly-conditioned fit warned about.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_sweep(quartic(), LineBox(-1.0, 1.0), 0, None,
+                           [0.1, 0.1, 0.1])
+    assert [row.status for row in result.rows] == ["ok"] * 3
+    assert result.empirical_order is None
+    code = main(["sweep", "--potential", "x^2 + x^4", "--domain=-1,1",
+                 "--m", "0", "--h-grid", "0.1,0.1,3"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "empirical order" not in captured.out + captured.err
 
 
 def test_hydrogen_sweep_has_no_h_order():

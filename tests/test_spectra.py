@@ -547,8 +547,8 @@ COUNTED_RUNS = pytest.mark.parametrize("run", [
 
 
 # The counters hold the fused legs' own counts; the tally is taken from the
-# same run with V's source hidden, through DOP853, which must give the same
-# report bit for bit.
+# same run with V's source hidden, through the checked leg and its DOP853
+# views, which must give the same report bit for bit.
 
 @COUNTED_RUNS
 def test_diagnostics_count_every_integrator_step(dop853_tally, run):
@@ -567,6 +567,28 @@ def test_rhs_calls_counted_for_every_solver(dop853_tally, run):
     tally = dop853_tally()
     assert repr(run()) == repr(fused)
     assert calls == sum(solver.nfev for solver in tally.solvers) > 0
+
+
+@pytest.mark.parametrize("kind,box,mode", [
+    ("line", BOX, ModeSpec(level=1, h=0.1)),
+    ("radial", RadialBox(1.0), ModeSpec(level=0, h=0.1, nu=1.5)),
+], ids=["line-m1", "radial-nu1.5"])
+def test_sourceless_potential_gives_the_sourced_bits(kind, box, mode):
+    # A plain callable has no source to inline, so every leg of its case
+    # runs through the checked leg; the DSL form runs the fused legs.
+    # Neither is mirrored, so both shoot the same legs.
+    p = replace(from_expression("x^2 + x^4", kind), even=False)
+    plain = replace(p, evaluate=lambda x: p.evaluate(x), even=False)
+
+    def bits(r):
+        return ([float(v).hex() for v in (
+            r.lambda0, r.lambda_confined, r.numeric_shift, r.log_numeric_shift,
+            r.predicted_shift, r.log_predicted_shift, r.ratio)],
+            r.diagnostics)
+
+    sourced = run_shift_case(p, box, mode)
+    assert bits(run_shift_case(plain, box, mode)) == bits(sourced)
+    assert sourced.diagnostics.steps > 0
 
 
 def _fail_last_call(fail_on_call, run):

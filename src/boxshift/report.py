@@ -230,9 +230,6 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
     empirical_order: float | None   # slope of log|ratio-1| vs log h
 
-    def reports(self) -> list[ShiftReport]:
-        return [row.report for row in self.rows if row.report is not None]
-
 
 def geometric_grid(start: float, stop: float, count: int) -> list[float]:
     if count < 1:

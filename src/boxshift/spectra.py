@@ -19,9 +19,9 @@ Four ways to an eigenvalue live here, deliberately independent:
   them in ``tests/crosschecks.py``).
 
 Both shooting solvers isolate their level in one loop, ``_isolate``:
-Newton from each seed in turn until a root has the level's node count,
-read off the shots Newton took last, and last from inside the level's
-Sturm bracket (``_bisect_radial``).  No solver calls the oracle.
+Newton from one seed, kept if its root has the level's node count on
+Newton's last shots, else from inside a Sturm bracket that holds the
+level alone (``_bisect_radial``).  No solver calls the oracle.
 """
 
 from __future__ import annotations
@@ -140,13 +140,12 @@ def confined_eigenvalue(p: PotentialSpec, domain: Domain | Unwalled,
     """Eigenvalue of level ``mode.level`` on ``domain``: a Dirichlet box, or
     the well without walls (``Unwalled``), whose ends start decaying.
 
-    Newton starts from ``lam0`` (default: the harmonic approximation); a
-    free level started at its box's level retries from the harmonic
-    approximation.  If each fails or lands on a level with the wrong
-    interior node count, as it can where h is not small and levels are
-    crowded, Newton starts once more inside the level's Sturm bracket,
-    grown from 0, below every level of a well (``_bisect_radial``).  A
-    free level's bracket stops below V at its decaying starts.
+    Newton starts from ``lam0`` (default: the harmonic approximation).
+    If it fails or lands on a level with the wrong interior node count,
+    as it can where h is not small and levels are crowded, Newton starts
+    once more inside a Sturm bracket that holds the level alone, grown
+    from 0, below every level of a well (``_bisect_radial``).  A free
+    level's bracket stops below V at its decaying starts.
     """
     if domain.kind != p.kind:
         raise InvalidPotential(
@@ -181,33 +180,31 @@ def confined_eigenvalue(p: PotentialSpec, domain: Domain | Unwalled,
                         gap=gap)
         nodes_at = partial(count_nodes_radial, *args, series_start=series)
 
-    seeds = [lam0 if lam0 is not None else harmonic_level(p, mode)]
-    if isinstance(domain, Unwalled) and domain.box is not None:
-        seeds.append(harmonic_level(p, mode))
+    seed = lam0 if lam0 is not None else harmonic_level(p, mode)
 
     def bracket() -> float:  # a free level lies below V at its starts
         top = min(map(p.evaluate, ends)) if isinstance(domain, Unwalled) \
             else math.inf
         return _bisect_radial(match, mode.level, 0.0, gap or mode.h, top)
 
-    return _isolate(where, mode.level, seeds, partial(solve, rtol=rtol),
+    return _isolate(where, mode.level, seed, partial(solve, rtol=rtol),
                     partial(nodes_at, rtol=rtol), bracket, keep_shots=keep)
 
 
-def _isolate(where: str, level: int, seeds: Iterable[float],
+def _isolate(where: str, level: int, seed: float,
              solve: Callable[[float], shooting.Solution],
              nodes_at: Callable[..., int], bracket: Callable[[], float], *,
              keep_shots: bool = False) -> Eigenpair:
-    """Newton from each seed in turn, then from ``bracket()``, found only
-    if every seed failed; the first root with ``level`` interior nodes,
-    counted on Newton's last shots, as a shooting Eigenpair, which keeps
-    those shots with ``keep_shots``.  A start that cannot be formed (a
-    series that does not converge, a decaying start past the barrier)
-    fails like Newton."""
+    """Newton from ``seed``, then from ``bracket()``, found only if the
+    seed failed; the first root with ``level`` interior nodes, counted on
+    Newton's last shots, as a shooting Eigenpair, which keeps those shots
+    with ``keep_shots``.  A start that cannot be formed (a series that
+    does not converge, a decaying start past the barrier) fails like
+    Newton."""
     last_error: Exception | None = None
-    for seed in (*seeds, None):
+    for start in (seed, None):
         try:
-            sol = solve(bracket() if seed is None else seed)
+            sol = solve(bracket() if start is None else start)
         except (SeriesError, SolverError) as exc:
             last_error = exc
             continue
@@ -226,25 +223,29 @@ def _isolate(where: str, level: int, seeds: Iterable[float],
 
 def _bisect_radial(match: Matching, level: int, lo: float, width: float,
                    top: float = math.inf) -> float:
-    """A point within 1e-6 relative of level ``level`` of ``match``, line
-    or radial, for Newton to start from, by bisection on the Sturm count
-    (``shooting.level_count``, shot at 1e-6: a count needs the phase only
-    to a fraction of pi).  ``lo`` lies below the level; the upper end
+    """The middle of a bracket that holds level ``level`` of ``match``
+    alone, line or radial, for Newton to start from: bisection on the Sturm
+    count N (``shooting.level_count`` at 1e-6; a count needs the phase
+    only to a fraction of pi).  ``lo`` lies below the level; the upper end
     starts ``width`` above it and doubles its distance from the last end
     below the level, up to just below ``top``, where a level still above
-    raises SolverError.  The name predates the line case and is kept
-    because ``perfbench/probes.py`` patches it."""
-    def above(lam: float) -> bool:  # the level lies below lam
-        return shooting.level_count(match, lam, 1e-6) > level
+    raises SolverError.  Halving ends at N(lo) = level, N(hi) = level + 1
+    and hi - lo <= 0.1*max(|lo|, |hi|), N(lo) unknown until counted.  The
+    name is kept because ``perfbench/probes.py`` patches it."""
+    def count(lam: float) -> int:
+        return shooting.level_count(match, lam, 1e-6)
 
-    top, hi = math.nextafter(top, -math.inf), lo + width
-    while not above(min(hi, top)):
+    top, hi, n_lo = math.nextafter(top, -math.inf), lo + width, None
+    while (n_hi := count(min(hi, top))) <= level:
         if hi >= top:
             raise SolverError(f"level {level} lies above lambda={top!r}")
-        lo, hi = hi, hi + 2.0 * (hi - lo)
+        lo, n_lo, hi = hi, n_hi, hi + 2.0 * (hi - lo)
     hi, mid = min(hi, top), 0.5 * (lo + min(hi, top))
-    while hi - lo > 1e-6 * max(abs(lo), abs(hi)) and lo < mid < hi:
-        lo, hi = (lo, mid) if above(mid) else (mid, hi)
+    while lo < mid < hi and ((n_lo, n_hi) != (level, level + 1)
+                             or hi - lo > 0.1 * max(abs(lo), abs(hi))):
+        n = count(mid)
+        lo, n_lo, hi, n_hi = (lo, n_lo, mid, n) if n > level \
+            else (mid, n, hi, n_hi)
         mid = 0.5 * (lo + hi)
     return mid
 
@@ -289,8 +290,8 @@ def unconfined_eigenvalue(p: PotentialSpec, mode: ModeSpec, *,
     there and its first step is the flux step, so the pair's ``offset`` is
     minus the shift lambda_D - lambda_0, at its own relative precision.
     Where the box moved the level by about a level gap, Newton from there
-    reaches another level, and the harmonic seed and the level's bracket
-    follow; the pair's ``offset`` is then None, and a shift that large
+    reaches another level, and Newton from the level's Sturm bracket
+    follows; the pair's ``offset`` is then None, and a shift that large
     keeps its digits as a subtraction.  Without a box, Newton starts from
     ``lam0`` (default: the harmonic approximation).  ``box_shots``, the
     box's Eigenpair.shots, lets the flux step on the line reuse the
@@ -645,10 +646,10 @@ def hydrogen_confined(spec: HydrogenSpec, *, rtol: float = 1e-12) -> Eigenpair:
     """E_n(R): Coulomb level in a Dirichlet box of radius r_box, by shooting.
 
     Newton starts from the unconfined E_n.  When the box crowds the turning
-    point, E_n can sit in the wrong basin; then the level is bracketed by
-    its Sturm count upward from E_n, which the wall only raises, in steps
-    of |E_n| doubled (``_bisect_radial``), and Newton starts from inside
-    the bracket.  The root must carry the level's radial node count.
+    point, E_n can sit in the wrong basin; then Newton starts again inside
+    a Sturm bracket that holds the level alone, grown upward from E_n,
+    which the wall only raises, in steps of |E_n| doubled
+    (``_bisect_radial``).  The root must carry the level's node count.
     """
     V = lambda x: -spec.z / x  # noqa: E731
     V.source = f"-{spec.z!r} / x"  # inlined by the integrator (see dop853)
@@ -657,7 +658,7 @@ def hydrogen_confined(spec: HydrogenSpec, *, rtol: float = 1e-12) -> Eigenpair:
     series = FrobeniusStart.coulomb(spec.z, spec.ell, h, x0)
     free = spec.energy_unconfined
     return _isolate(
-        f"hydrogen level n={spec.n}, ell={spec.ell} in box {L:g}", m, [free],
+        f"hydrogen level n={spec.n}, ell={spec.ell} in box {L:g}", m, free,
         partial(newton_solve_radial, V, nu, h, L, series_start=series,
                 rtol=rtol, lambda_scale=abs(free)),
         partial(count_nodes_radial, V, nu, h, L, series_start=series,

@@ -235,20 +235,27 @@ def exact_harmonic_shift(mpmath, h: float, m: int) -> float:
 
 def exact_coulomb_level(mpmath, spec: HydrogenSpec, near: float):
     """The boxed Coulomb level of ``spec`` as an mpmath number (60 digits),
-    the root of 1F1(ell + 1 - kappa; 2 ell + 2; 2kR) = 0 with
-    k = sqrt(-lambda)/h and kappa = z/(2kh^2): the solution regular at the
-    origin, x^(ell+1) e^(-kx) 1F1(...), vanishes at the wall.  The root is
-    bracketed at (0.3, 3) times ``near`` - E_n from E_n, ``near`` a level
-    with that shift to within a factor of 3."""
+    where the solution regular at the origin vanishes at the wall.  Below
+    0 that solution is x^(ell+1) e^(-kx) 1F1(ell + 1 - kappa; 2 ell + 2;
+    2kx) with k = sqrt(-lambda)/h and kappa = z/(2kh^2); above 0 it is the
+    Coulomb wave F_ell(eta, kx) with k = sqrt(lambda)/h and
+    eta = -z/(2kh^2).  The root is bracketed at (0.9, 1.1) times
+    ``near`` - E_n from E_n, ``near`` a level with that shift to within
+    10%: a box that crowds the levels above 0 puts the next one a few
+    times its shift from E_n."""
     with mpmath.workdps(60):
         h, z = mpmath.mpf(spec.h), mpmath.mpf(spec.z)
         e_n = -z * z / (4 * spec.n ** 2 * h * h)
         shift = mpmath.mpf(near) - e_n
 
         def wall_value(lam):
-            k = mpmath.sqrt(-lam) / h
+            k = mpmath.sqrt(abs(lam)) / h
+            if lam > 0:
+                return mpmath.coulombf(spec.ell, -z / (2 * k * h * h),
+                                       k * spec.r_box)
             return mpmath.hyp1f1(spec.ell + 1 - z / (2 * k * h * h),
                                  2 * spec.ell + 2, 2 * k * spec.r_box)
 
-        return mpmath.findroot(wall_value, (e_n + shift * 0.3, e_n + shift * 3),
-                               solver="anderson")
+        return mpmath.findroot(
+            wall_value, (e_n + shift * 0.9, e_n + shift * 1.1),
+            solver="anderson")

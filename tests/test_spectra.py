@@ -737,8 +737,8 @@ def test_cubic_box_levels_need_no_finite_differences(monkeypatch, m):
 def test_free_level_above_its_box_level_needs_no_finite_differences(
         monkeypatch):
     # 1 - exp(-x^2) radial, nu = 3/2, m = 1, h = 0.1: Newton reaches
-    # another level from the box's level and from the harmonic one.  The
-    # level is the one the finite-difference seed gave.
+    # another level from the box's level, and the Sturm bracket isolates
+    # the one the finite-difference seed gave.
     p = from_expression("1 - exp(-x^2)", kind="radial")
     mode, box = ModeSpec(level=1, h=0.1, nu=1.5), RadialBox(1.0)
     _refuse_finite_differences(monkeypatch)
@@ -758,6 +758,59 @@ def test_hydrogen_far_inside_the_bohr_radius_needs_no_finite_differences(
     got = hydrogen_confined(HydrogenSpec(1, 0, 2.0, 1.0, R))
     assert got.nodes == 0
     assert got.value == pytest.approx((math.pi / R) ** 2, rel=1e-9)
+
+
+# Levels Newton misses from its one seed, each with its node count and its
+# value when the Sturm bisection still ran to 1e-6 relative (23 to 26
+# count shots each).
+BRACKETED_LEVELS = {
+    "x^2-line-m4": (lambda: confined_eigenvalue(
+        from_expression("x^2"), BOX, ModeSpec(level=4, h=0.2)),
+        4, 2.798530724922882),
+    "quartic-line-m3": (lambda: confined_eigenvalue(
+        from_expression("x^2 + x^4"), BOX, ModeSpec(level=3, h=0.2)),
+        3, 2.0779355598002858),
+    "quartic-radial-m3": (lambda: confined_eigenvalue(
+        from_expression("x^2 + x^4", kind="radial"), RadialBox(1.0),
+        ModeSpec(level=3, h=0.1, nu=1.5)), 3, 2.5426604548388543),
+    "hydrogen-3-0-R4": (lambda: hydrogen_confined(
+        HydrogenSpec(3, 0, 2.0, 1.0, 4.0)), 2, 3.745404131235387),
+    "hydrogen-2-0-R3": (lambda: hydrogen_confined(
+        HydrogenSpec(2, 0, 2.0, 1.0, 3.0)), 1, 2.223369474872836),
+}
+
+
+@pytest.mark.parametrize("case", BRACKETED_LEVELS)
+def test_sturm_bracket_stops_once_it_holds_the_level_alone(monkeypatch,
+                                                          case):
+    solve, nodes, want = BRACKETED_LEVELS[case]
+    counted = []
+    real = shooting.level_count
+
+    def spy(match, lam, rtol):
+        counted.append(lam)
+        return real(match, lam, rtol)
+
+    monkeypatch.setattr(shooting, "level_count", spy)
+    got = solve()
+    assert 0 < len(counted) <= 12
+    assert got.nodes == nodes
+    assert got.value == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("n,ell,R", [(2, 0, 2.0), (2, 0, 3.0), (3, 0, 4.0),
+                                     (3, 1, 3.0)])
+def test_crowded_hydrogen_level_above_zero_matches_the_exact_root(n, ell, R):
+    # The box lifts the level above 0, past where Newton from E_n reaches
+    # it, so the Sturm bracket isolates it.  Reference: the Dirichlet root
+    # of the Coulomb wave F_ell in 60 digits; the worst measured error is
+    # 9.9e-14 relative, (2,0) at R = 3.
+    mpmath = pytest.importorskip("mpmath")
+    spec = HydrogenSpec(n=n, ell=ell, z=2.0, h=1.0, r_box=R)
+    got = hydrogen_confined(spec)
+    assert got.value > 0.0 and got.nodes == spec.level
+    exact = exact_coulomb_level(mpmath, spec, got.value)
+    assert abs(float((got.value - exact) / exact)) <= 1e-12
 
 
 def test_node_check_rescues_a_wrong_basin_start():

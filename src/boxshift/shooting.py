@@ -139,6 +139,7 @@ _FLUX_LOOSE = 1e-3  # a loose flux iterate's tolerance per |shift|/gap
 _TRUST = 100.0  # the factor Newton's step estimates are trusted to (newton)
 _SERIES_MAX_TERMS = 40
 _SERIES_CUTOFF = 1e-16
+_FIRST_ZERO = 3.67  # j_(1,1)^2/4 = 3.6705..., j_(1,1) the first zero of J_1
 _QUARTER_TURN = 0.5 * math.pi  # the phase k*dx a node-counting step may span
 
 # Integrator steps and q evaluations in this process; only _count adds.
@@ -293,6 +294,10 @@ class FrobeniusStart:
     lambda-derivatives lie below the cutoff: in a Coulomb series (stride
     1) a tiny odd term may precede the -lambda term, which enters at n = 2
     and in a tiny box sets the level.  A well's odd terms are 0.
+
+    Node counts start at x0 and miss any zero of u before it, so a start
+    refuses (SeriesError) every lambda above ``top``, below which u has
+    none on (0, x0].
     """
 
     def __init__(self, terms: Sequence[tuple[int, float]], nu: float,
@@ -302,6 +307,7 @@ class FrobeniusStart:
         self.nu = nu
         self.h = h
         self.x0 = x0
+        self.top = math.inf  # bounded for Coulomb (``coulomb``)
 
     @classmethod
     def well(cls, p: PotentialSpec, nu: float, h: float,
@@ -321,11 +327,26 @@ class FrobeniusStart:
 
     @classmethod
     def coulomb(cls, z: float, ell: int, h: float, x0: float) -> FrobeniusStart:
-        """The start for the attractive Coulomb potential V = -z/x."""
-        return cls(((-1, -z),), ell + 0.5, h, x0)
+        """The start for the attractive Coulomb potential V = -z/x.
+
+        On (0, x0] the equation's q = (lambda + z/x)/h^2 - (nu^2 - 1/4)/x^2
+        stays below B/(h^2 x) - (nu^2 - 1/4)/x^2, B = z + max(lambda, 0)*x0,
+        whose solution regular at 0, sqrt(x) J_2nu(2 sqrt(B x)/h), first
+        vanishes at h^2 j_(2nu,1)^2/(4B) >= 3.67 h^2/B (nu >= 1/2).  By Sturm
+        comparison u has no zero on (0, x0] while x0*B < 3.67 h^2, which
+        sets ``top``; where z*x0 alone reaches 3.67 h^2, no lambda is safe."""
+        start = cls(((-1, -z),), ell + 0.5, h, x0)
+        reach = _FIRST_ZERO * h * h / x0 - z  # x0 * top, kept from underflow
+        start.top = reach / x0 if reach > 0.0 else -math.inf
+        return start
 
     def __call__(self, lam: float) -> tuple[float, tuple[float, ...]]:
         nu, h, x0, stride = self.nu, self.h, self.x0, self.stride
+        if lam > self.top:
+            raise SeriesError(
+                f"lambda={lam!r} lies above {self.top!r}, where a zero of u "
+                f"may lie before the series point x0={x0:g} (h={h:g}, "
+                f"nu={nu:g}) and escape the node count")
         # The recurrence runs in t_n = c_n x0^n, which stay O(1) however
         # small h is:  n (n + 2nu) t_n = sum_p w_p t_(n-2-p)  with
         # w_p = v_p x0^(p+2) / h^2, formed so that no factor underflows.

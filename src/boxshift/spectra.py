@@ -35,8 +35,6 @@ from numbers import Integral
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgttrf, dgttrs, dstebz
 
 from . import shooting
 from .agmon import AgmonProfile
@@ -229,9 +227,12 @@ def _bisect_radial(match: Matching, level: int, lo: float, width: float,
     only to a fraction of pi).  ``lo`` lies below the level; the upper end
     starts ``width`` above it and doubles its distance from the last end
     below the level, up to just below ``top``, where a level still above
-    raises SolverError.  Halving ends at N(lo) = level, N(hi) = level + 1
-    and hi - lo <= 0.1*max(|lo|, |hi|), N(lo) unknown until counted.  The
-    name is kept because ``perfbench/probes.py`` patches it."""
+    raises SolverError.  A well's bracket starts at 0, as wide as the
+    harmonic level spacing (h without one), a Coulomb box's at E_n, as
+    wide as max(|E_n|, (pi*h/R)^2) (``hydrogen_confined``).  Halving ends
+    at N(lo) = level, N(hi) = level + 1 and hi - lo <= 0.1*max(|lo|, |hi|),
+    N(lo) unknown until counted.  The name is kept because
+    ``perfbench/probes.py`` patches it."""
     def count(lam: float) -> int:
         return shooting.level_count(match, lam, 1e-6)
 
@@ -415,6 +416,30 @@ def _phi_root(profile: AgmonProfile, target_phi: float, x: float,
 # --------------------------------------------------------------------------
 
 
+# LAPACK, through scipy.linalg, which only the oracle calls: each routine is
+# imported on its first call, so a cold start that runs no oracle loads no
+# scipy.linalg (most of a cold import).  The names stay module attributes,
+# looked up at each call, for the tracer and the tests to patch.
+def eigh_tridiagonal(*args, **kwargs):
+    from scipy.linalg import eigh_tridiagonal
+    return eigh_tridiagonal(*args, **kwargs)
+
+
+def dgttrf(*args):
+    from scipy.linalg.lapack import dgttrf
+    return dgttrf(*args)
+
+
+def dgttrs(*args):
+    from scipy.linalg.lapack import dgttrs
+    return dgttrs(*args)
+
+
+def dstebz(*args):
+    from scipy.linalg.lapack import dstebz
+    return dstebz(*args)
+
+
 _SEED_COARSENING = 8  # the seed grid has grid_n // 8 intervals
 _SWEEPS = 8  # inverse-iteration sweeps before a grid falls back to bisection
 _RESIDUAL = 4.0  # stop at |Tv - lambda v| <= 4 eps |T|, stebz's own tolerance
@@ -577,7 +602,8 @@ def fd_oracle(p: PotentialSpec, domain: Domain, mode: ModeSpec,
     only at a residual within 4 eps |T|, the tolerance class of the
     bisection itself, and a Sturm count certifies that it is the level of
     its index.  A grid whose levels fail either certificate is solved by
-    bisection instead.
+    bisection instead.  LAPACK (``scipy.linalg``) loads on the oracle's
+    first call: nothing else in boxshift needs it.
 
     Each level must move between the two grids by less than a quarter of
     its gap to its neighbours: on the fine grid, and above the last from
@@ -648,15 +674,23 @@ def hydrogen_confined(spec: HydrogenSpec, *, rtol: float = 1e-12) -> Eigenpair:
     Newton starts from the unconfined E_n.  When the box crowds the turning
     point, E_n can sit in the wrong basin; then Newton starts again inside
     a Sturm bracket that holds the level alone, grown upward from E_n,
-    which the wall only raises, in steps of |E_n| doubled
-    (``_bisect_radial``).  The root must carry the level's node count.
+    which the wall only raises, by doubling a first width of
+    max(|E_n|, (pi*h/R)^2) (``_bisect_radial``): the empty box's lowest
+    level, (pi*h/R)^2, is the scale by which a crowded box lifts the level
+    above E_n.  The root must carry the level's node count, which starts
+    at the series point x0: a lambda where u may vanish before x0 is
+    refused (``FrobeniusStart.coulomb``), and the bracket stops below it.
     """
     V = lambda x: -spec.z / x  # noqa: E731
     V.source = f"-{spec.z!r} / x"  # inlined by the integrator (see dop853)
     nu, h, L, m = spec.nu, spec.h, spec.r_box, spec.level
-    x0 = min(0.1 * spec.n * h ** 2 / spec.z, 0.01 * L)
+    # At most the Coulomb length h^2/z: below lambda = 0, u's first zero
+    # lies beyond 3.67 h^2/z, and a zero before x0 escapes the node count
+    # (``FrobeniusStart.coulomb``).
+    x0 = min(0.1 * min(spec.n, 10) * h ** 2 / spec.z, 0.01 * L)
     series = FrobeniusStart.coulomb(spec.z, spec.ell, h, x0)
     free = spec.energy_unconfined
+    k = math.pi * h / L  # k * k, the empty box's level: inf where ** raises
     return _isolate(
         f"hydrogen level n={spec.n}, ell={spec.ell} in box {L:g}", m, free,
         partial(newton_solve_radial, V, nu, h, L, series_start=series,
@@ -664,4 +698,4 @@ def hydrogen_confined(spec: HydrogenSpec, *, rtol: float = 1e-12) -> Eigenpair:
         partial(count_nodes_radial, V, nu, h, L, series_start=series,
                 rtol=rtol),
         partial(_bisect_radial, Matching.radial(V, nu, h, L, series), m,
-                free, abs(free)))
+                free, max(abs(free), k * k), series.top))

@@ -1,8 +1,9 @@
 """What a cold start loads: in a fresh interpreter, importing boxshift and
-running the commands that need no quadrature (``hydrogen``, ``validate``,
-``oracle``) load none of scipy's integrate, optimize or special
-subpackages; the first Agmon quadrature (a well ``shift``) loads
-``scipy.integrate``.
+running the commands that call no finite-difference oracle (``hydrogen``,
+``validate``) load no scipy module at all; the oracle loads
+``scipy.linalg`` on its first call, and still none of scipy's integrate,
+optimize or special subpackages; the first Agmon quadrature (a well
+``shift``) loads ``scipy.integrate``.
 """
 
 import json
@@ -18,16 +19,19 @@ import boxshift
 SRC = str(Path(boxshift.__file__).resolve().parents[1])
 
 # Each stage runs in order in one interpreter and records its exit code and
-# which of these subpackages are loaded after it.
+# which of these subpackages are loaded after it, and, apart, every scipy
+# module loaded after it.
 SCRIPT = """
 import contextlib, io, json, sys
 
 DEFERRED = ("scipy.integrate", "scipy.optimize", "scipy.special")
-stages = {}
+stages, scipy = {}, {}
 
 def record(stage, code=None):
     stages[stage] = {"code": code,
                      "loaded": [m for m in DEFERRED if m in sys.modules]}
+    scipy[stage] = sorted(m for m in sys.modules
+                          if m == "scipy" or m.startswith("scipy."))
 
 import boxshift
 record("import boxshift")
@@ -46,18 +50,28 @@ for argv in (
             contextlib.redirect_stderr(io.StringIO()):
         code = boxshift.cli.main(argv)
     record(argv[0], code)
-print(json.dumps(stages))
+print(json.dumps([stages, scipy]))
 """
 
 
 @pytest.fixture(scope="module")
-def stages():
+def records():
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", SCRIPT], capture_output=True,
                           text=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=path))
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
+
+
+@pytest.fixture(scope="module")
+def stages(records):
+    return records[0]
+
+
+@pytest.fixture(scope="module")
+def scipy_loaded(records):
+    return records[1]
 
 
 @pytest.mark.parametrize("stage", ["import boxshift", "import boxshift.cli"])
@@ -74,3 +88,14 @@ def test_commands_without_quadrature_load_no_deferred_subpackage(stages,
 def test_a_well_shift_loads_scipy_integrate_and_succeeds(stages):
     assert stages["shift"]["code"] == 0
     assert "scipy.integrate" in stages["shift"]["loaded"]
+
+
+@pytest.mark.parametrize("stage", ["import boxshift", "import boxshift.cli",
+                                   "hydrogen", "validate"])
+def test_a_cold_start_without_the_oracle_loads_no_scipy(scipy_loaded, stage):
+    assert scipy_loaded[stage] == []
+
+
+def test_the_oracle_loads_scipy_linalg_and_succeeds(stages, scipy_loaded):
+    assert stages["oracle"]["code"] == 0
+    assert "scipy.linalg" in scipy_loaded["oracle"]

@@ -869,6 +869,31 @@ def test_coulomb_series_sums_past_a_tiny_odd_term():
     assert x0 * du / u == pytest.approx(kx0 / math.tan(kx0), rel=1e-14)
 
 
+@pytest.mark.parametrize("ell", [0, 1, 3])
+@pytest.mark.parametrize("zx0", [0.5, 2.0, 3.66])
+def test_coulomb_series_has_no_zero_before_its_point_below_top(ell, zx0):
+    # Sturm comparison: at top, u keeps its sign on (0, x0].  At ell = 0 and
+    # z*x0 = 3.66 h^2, top is near 0, where the bound is the equation
+    # itself and u's first zero lies at 3.6705 h^2/z, just past x0.
+    z, h = 2.0, 1.0
+    x0 = zx0 * h * h / z
+    top = FrobeniusStart.coulomb(z, ell, h, x0).top
+    assert 0.0 < top < math.inf
+    for x in np.linspace(x0 / 64, x0, 64):
+        _, (u, _, _, _) = FrobeniusStart.coulomb(z, ell, h, x)(top)
+        assert u > 0.0
+    with pytest.raises(SeriesError, match="escape the node count"):
+        FrobeniusStart.coulomb(z, ell, h, x0)(math.nextafter(top, math.inf))
+
+
+def test_coulomb_series_past_the_zero_energy_zero_refuses_every_lambda():
+    # At lambda = 0, u = sqrt(x) J_1(2 sqrt(z x)/h) vanishes at 3.6705 h^2/z.
+    series = FrobeniusStart.coulomb(2.0, 0, 1.0, 1.9)
+    assert series.top == -math.inf
+    with pytest.raises(SeriesError):
+        series(-1.0)
+
+
 @pytest.mark.parametrize("h", [1e-15, 1e-16, 1e-100])
 def test_coulomb_series_is_h_invariant(h):
     # With x0 = 0.05 h^2 and E = -1/h^2 the series sums su = u / x0^(nu+1/2)

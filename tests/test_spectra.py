@@ -813,6 +813,66 @@ def test_crowded_hydrogen_level_above_zero_matches_the_exact_root(n, ell, R):
     assert abs(float((got.value - exact) / exact)) <= 1e-12
 
 
+@pytest.mark.parametrize("n,ell,R", [
+    (4, 0, 2.0), (4, 0, 3.0), (4, 1, 2.0), (3, 0, 2.0), (3, 0, 3.0),
+    (3, 1, 2.0), (4, 2, 3.0), (3, 0, 4.0), (4, 0, 4.0), (2, 0, 2.0),
+    (2, 0, 3.0)])
+def test_crowded_hydrogen_bracket_starts_at_the_box_scale(monkeypatch, n,
+                                                          ell, R):
+    # The bracket's first width is (pi h/R)^2, not |E_n| (0.0625 for n=4),
+    # so the doubling reaches these levels (2 to 36) in a few count shots:
+    # 5 to 8 measured, against 8 to 14 from |E_n|; the worst error is
+    # 1.2e-13 relative, (3,1) at R = 2.
+    mpmath = pytest.importorskip("mpmath")
+    counted = []
+    real = shooting.level_count
+
+    def spy(match, lam, rtol):
+        counted.append(lam)
+        return real(match, lam, rtol)
+
+    monkeypatch.setattr(shooting, "level_count", spy)
+    spec = HydrogenSpec(n=n, ell=ell, z=2.0, h=1.0, r_box=R)
+    got = hydrogen_confined(spec)
+    assert 0 < len(counted) <= 8
+    assert got.nodes == spec.level
+    exact = exact_coulomb_level(mpmath, spec, got.value)
+    assert abs(float((got.value - exact) / exact)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [40, 50])
+def test_high_hydrogen_level_in_a_wide_box_keeps_its_index(n):
+    # The series point 0.1*n*h^2/z passed u's first zero, 3.67 h^2/z below
+    # lambda = 0, from n = 37 on, and the node count missed that zero: n = 40
+    # read E_41 as its level.  It is now capped at h^2/z.
+    spec = HydrogenSpec(n=n, ell=0, z=2.0, h=1.0, r_box=200.0 * n)
+    got = hydrogen_confined(spec)
+    assert got.nodes == spec.level
+    assert got.value == pytest.approx(spec.energy_unconfined, rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [100, 140, 172])
+def test_hydrogen_level_with_a_zero_before_the_series_point_is_refused(n):
+    # In a box of 8 these levels oscillate so fast that u may vanish before
+    # x0 = 0.08, where the node count cannot see it; n = 140 read the level
+    # with 140 interior nodes, 3064.06, as its own.  The series start
+    # refuses lambda above (3.67/x0 - z)/x0 = 548.4375, and so does the
+    # bracket.
+    with pytest.raises(SolverError, match=r"lies above lambda=548\.43"):
+        hydrogen_confined(HydrogenSpec(n=n, ell=0, z=2.0, h=1.0, r_box=8.0))
+
+
+def test_hydrogen_level_just_below_the_series_start_top_is_reached():
+    # Level 57 at R = 8 lies at 517.15, below the start's top 548.44 but
+    # past half of it, where the bracket's doubling would overshoot; it
+    # stops at the top instead.  Reference: the Dirichlet root of F_0 in
+    # 40 digits, 57 sign changes on (0, 8).
+    got = hydrogen_confined(HydrogenSpec(n=58, ell=0, z=2.0, h=1.0,
+                                         r_box=8.0))
+    assert got.nodes == 57
+    assert got.value == pytest.approx(517.1514835950042, rel=1e-12)
+
+
 def test_node_check_rescues_a_wrong_basin_start():
     """Starting Newton at the second even level must not be accepted for
     level 0: the node count exposes it and the retry lands correctly."""

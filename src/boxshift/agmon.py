@@ -35,8 +35,6 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-import numpy as np
-
 from .errors import QuadratureError
 from .potentials import PotentialSpec
 
@@ -149,6 +147,8 @@ def _log_amplitude(profile: AgmonProfile, power: int, level: float,
     two O(1/t) terms there, so on [0, s] (s = x/100) we integrate the cubic
     through r at s, s/2, s/4, s/8 instead of sampling closer in.
     """
+    import numpy as np
+
     if x == 0.0:
         return -math.inf if power > 0 else 0.0
     omega = profile.omega

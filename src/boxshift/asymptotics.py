@@ -28,11 +28,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .agmon import AgmonProfile, wkb_prefactor_line, wkb_prefactor_radial
 from .errors import InvalidPotential
 from .potentials import LineBox, PotentialSpec
+from .scaled import logaddexp
 from .shooting import ModeSpec
 from .spectra import HydrogenSpec
 
@@ -101,7 +100,7 @@ def shift_leading_line(p: PotentialSpec, domain: LineBox,
         terms.append(EndpointTerm(position=r, value=_from_log(log_term),
                                   log_value=log_term))
 
-    total_log = float(np.logaddexp(terms[0].log_value, terms[1].log_value))
+    total_log = logaddexp(terms[0].log_value, terms[1].log_value)
     dominant_phi = min(profile.phi(domain.left), profile.phi(domain.right))
     return ShiftPrediction(
         leading_value=_from_log(total_log),

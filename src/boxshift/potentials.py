@@ -23,12 +23,13 @@ import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from types import SimpleNamespace
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from . import dsl
 from .errors import InvalidPotential
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Tolerances for the well conditions, in normalised units.
 _MINIMUM_TOL = 1e-10
@@ -198,9 +199,13 @@ BUILTIN_FACTORIES: dict[str, Callable[..., PotentialSpec]] = {
 
 
 # DSL sources call math.exp and the like; over an array the same names are
-# numpy's ufuncs.
-_GRID_MATH = SimpleNamespace(
-    **{name: getattr(np, name) for name in dsl.FUNCTIONS if name != "abs"})
+# numpy's ufuncs, gathered on the first array.
+@lru_cache(maxsize=None)
+def _grid_math() -> SimpleNamespace:
+    import numpy as np
+
+    return SimpleNamespace(
+        **{name: getattr(np, name) for name in dsl.FUNCTIONS if name != "abs"})
 
 
 @lru_cache(maxsize=16)
@@ -213,10 +218,14 @@ def v_on_grid(v: Callable[[float], float], x: np.ndarray) -> np.ndarray:
     expression in ``x``, see ``dop853``) is evaluated once over the whole
     array; where that raises or gives a value that is not finite, and for
     plain callables, V is called point by point, on Python floats, which
-    raises the potential's own error where it is undefined."""
+    raises the potential's own error where it is undefined.  Only the FD
+    oracle and the node count's step cap call it, so numpy loads with the
+    first array they build and never on the scalar paths."""
+    import numpy as np
+
     source = getattr(v, "source", None)
     if source is not None:
-        namespace = {"__builtins__": {}, "math": _GRID_MATH, "abs": np.abs}
+        namespace = {"__builtins__": {}, "math": _grid_math(), "abs": np.abs}
         try:
             with np.errstate(all="ignore"):
                 values = np.asarray(eval(_grid_code(source), namespace,  # noqa: S307

@@ -22,8 +22,6 @@ import sys
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .asymptotics import (
     ShiftPrediction,
     hydrogen_shift_term,
@@ -116,11 +114,13 @@ def run_shift_case(p: PotentialSpec, domain: Domain, mode: ModeSpec, *,
     if isinstance(domain, LineBox):
         prediction = shift_leading_line(p, domain, mode)
         span = (domain.left, domain.right)
+        gap = 2.0 * p.curvature_omega * mode.h  # harmonic level spacing
     else:
         if mode.nu is None:
             raise InvalidPotential("radial cases need nu")
         prediction = shift_leading_radial(p, domain.length, mode)
         span = (0.0, domain.length)
+        gap = 4.0 * p.curvature_omega * mode.h
 
     # The confined level comes first: the free level is one Newton on the
     # Wronskian of the well without walls, started at lambda_D, whose first
@@ -130,11 +130,14 @@ def run_shift_case(p: PotentialSpec, domain: Domain, mode: ModeSpec, *,
     # steps and keeps the subtraction.  The sum keeps its exponent, so a
     # shift below the float range still has its log and its ratio.  The
     # leading prediction seeds lambda_D and, as the free solve's shift
-    # estimate, tells it where the flux pair may be shot loosely.
+    # estimate, tells it where the flux pair may be shot loosely.  The seed
+    # moves by one harmonic spacing at most: where the level lies above the
+    # walls' height the prediction can exceed the real shift by far, and a
+    # seed that far up lands Newton on a higher level.
     shift = prediction.leading_value \
         if math.isfinite(prediction.leading_value) else 0.0
-    confined = confined_eigenvalue(p, domain, mode,
-                                   lam0=harmonic_level(p, mode) + shift,
+    lam0 = harmonic_level(p, mode) + min(shift, gap)
+    confined = confined_eigenvalue(p, domain, mode, lam0=lam0,
                                    rtol=integrate_tol)
     free = unconfined_eigenvalue(p, mode, rtol=integrate_tol,
                                  lam0=confined.value, box=domain,
@@ -232,6 +235,8 @@ class SweepResult:
 
 
 def geometric_grid(start: float, stop: float, count: int) -> list[float]:
+    import numpy as np
+
     if count < 1:
         raise ValueError(f"grid needs at least one point, got {count}")
     if start <= 0.0 or stop <= 0.0:
@@ -243,6 +248,8 @@ def fit_empirical_order(rows: Sequence[SweepRow]) -> float | None:
     """Slope of log|ratio - 1| against log h over the rows with status
     "ok"; failed and unresolved rows are left out.  None unless the rows
     kept span two distinct h."""
+    import numpy as np
+
     xs, ys = [], []
     for row in rows:
         if row.status != "ok" or not math.isfinite(row.report.ratio):

@@ -36,6 +36,16 @@ def _canonical(value: float, log_scale: float) -> tuple[float, float]:
     return frac * 2.0, log_scale + (exp2 - 1) * _LN2
 
 
+def logaddexp(a: float, b: float) -> float:
+    """log(exp(a) + exp(b)) without overflow: numpy's scalar formula,
+    ``hi + log1p(exp(lo - hi))``, and ``a + log 2`` for equal arguments (so
+    two -infs give -inf), with the same float results."""
+    if a == b:
+        return a + _LN2
+    hi, lo = (a, b) if a > b else (b, a)
+    return hi + math.log1p(math.exp(lo - hi))
+
+
 @dataclass(frozen=True)
 class ScaledValue:
     """A real number ``mantissa * exp(log_scale)`` immune to over/underflow."""

@@ -125,13 +125,11 @@ import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
-import numpy as np
-
 from . import dop853
 from .dop853 import DOP853
 from .errors import SeriesError, SolverError
 from .potentials import LineBox, PotentialSpec, RadialBox, v_on_grid
-from .scaled import ScaledValue
+from .scaled import ScaledValue, logaddexp
 
 _NEWTON_MAX_ITER = 50
 _LOOSE_RTOL = 1e-6  # a graded Newton's first iterate is shot at this (newton)
@@ -273,6 +271,8 @@ def fit_even_tail(V: Callable[[float], float], omega: float,
     degree <= 8, adequate beyond since the series is only used at
     x = O(sqrt(h)) where higher terms are negligible).
     """
+    import numpy as np
+
     w2 = omega * omega
     nodes = np.array([scale, 0.5 * scale, 0.25 * scale])
     resid = np.array([V(x) - w2 * x * x for x in nodes])
@@ -825,8 +825,8 @@ def _wronskian_size(left: Shot, right: Shot, k: float) -> float:
     of two states of these sizes, each measured at wavenumber ``k``.  A
     relative error e in either state moves W by up to e times this."""
     def size(shot: Shot) -> float:
-        return float(np.logaddexp(math.log(k) + shot.at(0).log_abs(),
-                                  shot.at(1).log_abs()))
+        return logaddexp(math.log(k) + shot.at(0).log_abs(),
+                         shot.at(1).log_abs())
     return size(left) + size(right) - math.log(k)
 
 
@@ -977,7 +977,10 @@ def _counting_step_cap(V: Callable[[float], float], nu: float | None,
                        h: float, lam: float, a: float, b: float) -> float:
     """A quarter of the shortest local wavelength 2 pi/k over the interval
     (256 samples, V over them in one call, ``v_on_grid``): a step of this
-    length turns by at most ``_QUARTER_TURN``."""
+    length turns by at most ``_QUARTER_TURN``.  Only a count that needs a
+    cap builds this array, so numpy loads with the first such count."""
+    import numpy as np
+
     cent = 0.0 if nu is None else nu * nu - 0.25
     floor = 1.0 / (h * h)  # never step wider than ~pi*h/2
     x = a + (b - a) * (np.arange(256) + 0.5) / 256.0

@@ -12,7 +12,8 @@ Four ways to an eigenvalue live here, deliberately independent:
   steps, with no subtraction.
 * ``fd_oracle`` -- a finite-difference discretisation with Richardson
   extrapolation; shares no code with the shooting path and serves as the
-  cross-check oracle.
+  cross-check oracle.  It alone builds matrices: numpy and LAPACK load on
+  its first call, imported by the functions that use them.
 * ``hydrogen_confined`` -- direct shooting on the Coulomb equation with a
   series start at the origin; no change of variables involved (the tests
   check it against the map onto the radial oscillator, which lives with
@@ -32,9 +33,7 @@ import warnings
 from dataclasses import dataclass, field
 from functools import partial
 from numbers import Integral
-from typing import Callable, Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from . import shooting
 from .agmon import AgmonProfile
@@ -45,6 +44,9 @@ from .scaled import ScaledValue
 from .shooting import (FrobeniusStart, Matching, ModeSpec, Unwalled,
                        count_nodes_line, count_nodes_radial,
                        newton_solve_line, newton_solve_radial)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _PHI_MARGIN = 17.5  # in units of h; exp(-2*17.5) ~ 6e-16
 _WALL_GROWTH = 1.25  # bracket growth of the decaying-start search
@@ -449,6 +451,8 @@ def _fd_matrix(v: Callable[[float], float], cent: float, a: float, b: float,
                h: float, n: int) -> tuple[np.ndarray, float]:
     """Diagonal and off-diagonal of the 3-point discretisation of
     -h^2 D^2 + V + cent/x^2 on (a, b), Dirichlet both ends, n subintervals."""
+    import numpy as np
+
     dx = (b - a) / n
     if dx * dx == 0.0:
         raise GridError(f"grid spacing {dx:g} is too fine: its square underflows")
@@ -488,6 +492,8 @@ def _fd_values(diag: np.ndarray, off: float, count: int,
     (``_refined``, from ``starts``), or else by LAPACK's bisection, which
     gives no vectors.  A matrix LAPACK cannot resolve raises ``GridError``,
     like any other grid that cannot be trusted."""
+    import numpy as np
+
     if seeds is not None:
         refined = _refined(diag, off, seeds, starts)
         if refined is not None:
@@ -515,6 +521,8 @@ def _refined(diag: np.ndarray, off: float, seeds: np.ndarray,
     must find exactly ``len(seeds)`` eigenvalues below the top of the last:
     then interval i holds eigenvalue i, whatever the seeds and starts were.
     """
+    import numpy as np
+
     with np.errstate(all="ignore"):
         span = 2.0 * abs(off)
         norm = max(abs(diag.min() - span), abs(diag.max() + span))
@@ -555,7 +563,7 @@ def _inverse_iteration(diag: np.ndarray, sub: np.ndarray, seed: float,
     v = start
     for _ in range(_SWEEPS):
         w, info = dgttrs(dl, d, du, du2, ipiv, v)
-        size = np.abs(w).max()
+        size = abs(w).max()
         if info != 0 or not 0.0 < size < math.inf:
             return None
         w /= size  # scaled first, so the norm cannot overflow
@@ -575,6 +583,8 @@ def _halved(v: np.ndarray) -> np.ndarray:
     """``v``, given on the interior points of a grid, linearly interpolated
     onto the grid of half its spacing: the same points plus the midpoints,
     the Dirichlet ends counted as zeros."""
+    import numpy as np
+
     out = np.empty(2 * v.size + 1)
     out[1::2] = v
     out[0::2] = 0.5 * (np.append(v, 0.0) + np.insert(v, 0, 0.0))
@@ -602,8 +612,8 @@ def fd_oracle(p: PotentialSpec, domain: Domain, mode: ModeSpec,
     only at a residual within 4 eps |T|, the tolerance class of the
     bisection itself, and a Sturm count certifies that it is the level of
     its index.  A grid whose levels fail either certificate is solved by
-    bisection instead.  LAPACK (``scipy.linalg``) loads on the oracle's
-    first call: nothing else in boxshift needs it.
+    bisection instead.  numpy and LAPACK (``scipy.linalg``) load on the
+    oracle's first call: nothing else in boxshift needs LAPACK.
 
     Each level must move between the two grids by less than a quarter of
     its gap to its neighbours: on the fine grid, and above the last from
@@ -613,6 +623,8 @@ def fd_oracle(p: PotentialSpec, domain: Domain, mode: ModeSpec,
     fails), both grids solve count + 1 levels, and the fine grid's gap
     above the last decides.
     """
+    import numpy as np
+
     if isinstance(grid_n, bool) or not isinstance(grid_n, Integral):
         raise GridError(f"grid_n must be an integer, got {grid_n!r}")
     if isinstance(count, bool) or not isinstance(count, Integral) or count < 0:

@@ -1,9 +1,9 @@
 """What a cold start loads: in a fresh interpreter, importing boxshift and
 running the commands that call no finite-difference oracle (``hydrogen``,
-``validate``) load no scipy module at all; the oracle loads
-``scipy.linalg`` on its first call, and still none of scipy's integrate,
-optimize or special subpackages; the first Agmon quadrature (a well
-``shift``) loads ``scipy.integrate``.
+``validate``) load no numpy and no scipy module at all; the oracle loads
+numpy and ``scipy.linalg`` on its first call, and still none of scipy's
+integrate, optimize or special subpackages; the first Agmon quadrature (a
+well ``shift``) loads ``scipy.integrate``.
 """
 
 import json
@@ -20,18 +20,20 @@ SRC = str(Path(boxshift.__file__).resolve().parents[1])
 
 # Each stage runs in order in one interpreter and records its exit code and
 # which of these subpackages are loaded after it, and, apart, every scipy
-# module loaded after it.
+# module and whether any numpy module is loaded after it.
 SCRIPT = """
 import contextlib, io, json, sys
 
 DEFERRED = ("scipy.integrate", "scipy.optimize", "scipy.special")
-stages, scipy = {}, {}
+stages, scipy, numpy = {}, {}, {}
 
 def record(stage, code=None):
     stages[stage] = {"code": code,
                      "loaded": [m for m in DEFERRED if m in sys.modules]}
     scipy[stage] = sorted(m for m in sys.modules
                           if m == "scipy" or m.startswith("scipy."))
+    numpy[stage] = any(m == "numpy" or m.startswith("numpy.")
+                       for m in sys.modules)
 
 import boxshift
 record("import boxshift")
@@ -50,7 +52,7 @@ for argv in (
             contextlib.redirect_stderr(io.StringIO()):
         code = boxshift.cli.main(argv)
     record(argv[0], code)
-print(json.dumps([stages, scipy]))
+print(json.dumps([stages, scipy, numpy]))
 """
 
 
@@ -72,6 +74,11 @@ def stages(records):
 @pytest.fixture(scope="module")
 def scipy_loaded(records):
     return records[1]
+
+
+@pytest.fixture(scope="module")
+def numpy_loaded(records):
+    return records[2]
 
 
 @pytest.mark.parametrize("stage", ["import boxshift", "import boxshift.cli"])
@@ -99,3 +106,17 @@ def test_a_cold_start_without_the_oracle_loads_no_scipy(scipy_loaded, stage):
 def test_the_oracle_loads_scipy_linalg_and_succeeds(stages, scipy_loaded):
     assert stages["oracle"]["code"] == 0
     assert "scipy.linalg" in scipy_loaded["oracle"]
+
+
+@pytest.mark.parametrize("stage", ["import boxshift", "import boxshift.cli",
+                                   "hydrogen", "validate"])
+def test_a_cold_start_without_the_oracle_loads_no_numpy(numpy_loaded, stage):
+    assert numpy_loaded[stage] is False
+
+
+@pytest.mark.parametrize("command", ["oracle", "shift"])
+def test_commands_that_build_arrays_load_numpy_and_succeed(stages,
+                                                           numpy_loaded,
+                                                           command):
+    assert stages[command]["code"] == 0
+    assert numpy_loaded[command] is True

@@ -15,6 +15,7 @@ from boxshift import (GridError, LineBox, ModeSpec, RadialBox,
                       confined_eigenvalue, fd_oracle, harmonic, quartic,
                       shooting)
 from boxshift.cli import _glue_negative_values, main
+from boxshift.potentials import resolve_potential
 from boxshift.report import (
     CSV_HEADER, HYDROGEN_CSV_HEADER, CaseDescriptor, Diagnostics, ShiftReport,
     SweepResult, SweepRow, fit_empirical_order, format_report, geometric_grid,
@@ -63,6 +64,19 @@ def test_shift_case_radial_smoke():
     assert report.numeric_shift > 0.0
     # the first correction is large at nu=1.5 until h is very small
     assert 1.0 < report.ratio < 2.0
+
+
+def test_a_large_prediction_moves_the_dirichlet_seed_one_spacing_at_most():
+    # Level 4 lies above the wall's height here: the leading prediction,
+    # 83.1, is seventy times the real shift, 1.21.  Seeded with all of it,
+    # Newton first lands on a higher level and the case takes 2,212 steps;
+    # seeded one harmonic spacing (4 omega h) up, 1,183.
+    report = run_shift_case(resolve_potential("x^2", "radial"), RadialBox(1.0),
+                            ModeSpec(level=4, h=0.1, nu=1.5))
+    assert report.predicted_shift > 50.0 * report.numeric_shift
+    assert report.diagnostics.steps <= 1300
+    assert report.lambda_confined == pytest.approx(3.3084905761139254,
+                                                   rel=1e-12, abs=0.0)
 
 
 def test_shift_case_attaches_fd_oracle():

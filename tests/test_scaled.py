@@ -2,10 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from boxshift import ScaledValue
+from boxshift.scaled import logaddexp
 
 
 finite = st.floats(min_value=-1e300, max_value=1e300,
@@ -119,3 +121,28 @@ def test_add_ignores_operand_below_mantissa_resolution(v, s):
     speck = ScaledValue(1.0, x.log_scale - 200.0)
     y = x + speck
     assert y.mantissa == x.mantissa and y.log_scale == x.log_scale
+
+
+# -- scalar logaddexp ----------------------------------------------------------
+
+near_overflow = st.floats(min_value=-800.0, max_value=800.0,
+                          allow_nan=False, allow_infinity=False)
+or_minus_inf = near_overflow | st.just(-math.inf)
+
+
+@given(or_minus_inf, or_minus_inf)
+@example(0.0, 0.0)
+@example(-math.inf, -math.inf)
+@example(-math.inf, 3.5)
+@example(-745.5, -math.inf)
+@example(800.0, 800.0)
+@example(1e-300, -1e-300)
+def test_logaddexp_is_numpys_bit_for_bit(a, b):
+    want = float(np.logaddexp(a, b))
+    assert logaddexp(a, b) == want and logaddexp(b, a) == want
+    assert math.copysign(1.0, logaddexp(a, b)) == math.copysign(1.0, want)
+
+
+@given(near_overflow)
+def test_logaddexp_of_equal_arguments_adds_log_two(a):
+    assert logaddexp(a, a) == float(np.logaddexp(a, a)) == a + math.log(2.0)

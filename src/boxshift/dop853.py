@@ -39,7 +39,7 @@ differ only in how they set ``qq`` and how a leg ends:
   same bits, steps and right-hand-side calls.  It checks nothing: where
   anything in it raises, a step fails, or a coefficient or error norm is
   not finite, it returns None, as q's evaluator might have raised there.
-* ``checked_leg``, compiled at import, calls ``q(x)``, which checks each
+* ``checked_leg``, compiled on first use, calls ``q(x)``, which checks each
   value (a DSL expression raises a descriptive ``EvalError`` where it is
   undefined).  It is a generator that yields after each solver start and
   each step and raises where a step fails.  ``DOP853`` is a view of one
@@ -378,9 +378,15 @@ _CHECKED = {
         "    tally(steps, nfev)"],
 }
 
-# checked_leg(q, dq, x0, y0, x1, rtol, max_step, tally): the leg of
-# ``leg`` below with q(x) called at every stage, stepped by ``DOP853.run``.
-checked_leg = _compile(_LEG, "q(x)", _CHECKED)["leg"]
+def checked_leg(q, dq, x0, y0, x1, rtol, max_step, tally) -> Generator:
+    """``leg`` below with q(x) called at every stage, a generator that
+    ``DOP853.run`` steps; compiled on its first call (see above)."""
+    return _checked_leg()(q, dq, x0, y0, x1, rtol, max_step, tally)
+
+
+@functools.cache
+def _checked_leg() -> Callable:
+    return _compile(_LEG, "q(x)", _CHECKED)["leg"]
 
 
 @functools.lru_cache(maxsize=LEG_CACHE_SIZE)

@@ -133,7 +133,7 @@ def run_shift_case(p: PotentialSpec, domain: Domain, mode: ModeSpec, *,
     # estimate, tells it where the flux pair may be shot loosely.  The seed
     # moves by one harmonic spacing at most: where the level lies above the
     # walls' height the prediction can exceed the real shift by far, and a
-    # seed that far up lands Newton on a higher level.
+    # seed that far up stands for a higher level.
     shift = prediction.leading_value \
         if math.isfinite(prediction.leading_value) else 0.0
     lam0 = harmonic_level(p, mode) + min(shift, gap)

@@ -92,7 +92,7 @@ last shots, with the Pruefer phase of both states at an interior x_m, and
 shoot again, each step capped, only when a step turned by more than a
 quarter wavelength (``count_nodes``).  The same counts and phases give the
 number of levels below any lambda (``level_count``, Sturm's oscillation
-count), on which a level Newton misses is bracketed.
+count), which holds each Newton iterate inside its level's bracket.
 
 Every integration -- Newton iterates, node counts, bisection shots -- runs
 through ``_integrate``, on scipy's DOP853 algorithm in Python floats
@@ -502,6 +502,7 @@ class Shot:
 
 # Both sides' shots and the lambda they were shot at.
 ShotsAt = tuple[float, tuple[Shot, Shot]]
+Bracket = tuple[int, float, float] | None  # (level, floor, top): ``newton``
 
 
 @dataclass(frozen=True)
@@ -640,54 +641,52 @@ class Solution:
     shot_at: float | None = None
 
 
-def _newton_step(w: ScaledValue, dw: ScaledValue, lam: float,
-                 scale: float) -> tuple[ScaledValue, bool]:
-    """-W/W', capped at 0.3 * max(|lambda|, scale), and whether it was."""
-    if dw.is_zero:
-        raise SolverError("the Wronskian's lambda-derivative vanished; "
-                          "cannot take a Newton step")
-    step = -(w / dw)
-    cap = 0.3 * max(abs(lam), scale)
-    if step.log_abs() <= math.log(cap):
-        return step, False
-    return ScaledValue.of(math.copysign(cap, step.sign)), True
-
-
 def newton(match: Matching, lam0: float, *, rtol: float, scale: float,
            flux: Unwalled | None = None, reused: bool = False,
-           gap: float | None = None) -> Solution:
+           gap: float | None = None, bracket: Bracket = None) -> Solution:
     """Newton on lambda for a root of the Wronskian W of ``match``.
 
-    Each step is -W/W', capped.  Its noise bound N is the step that
-    ``rtol`` times the size of the two states at x_m would cause
-    (``_wronskian_size``, at the wavenumber sqrt(max(|lambda|, scale))/h):
-    below N, W is the shots' own error.
+    Each step is -W/W'.  Its noise bound N is the step that ``rtol`` times
+    the size of the two states at x_m would cause (``_wronskian_size``, at
+    the wavenumber sqrt(max(|lambda|, scale))/h): below N, W is the shots'
+    own error.
 
     The tolerance is graded (inexact Newton; Dembo, Eisenstat & Steihaug,
     SIAM J. Numer. Anal. 19 (1982) 400): an iterate far from the root
     needs only as many digits as its step.  The first iterate is shot at
-    ``_LOOSE_RTOL``.  A loose iterate's step is taken if it is capped or
-    exceeds ``_TRUST`` times N at its own tolerance; the next tolerance is
-    then max(rtol, min(``_LOOSE_RTOL``, rho^4)), with rho = |step|/max(
-    |lambda|, scale), far below the rho^2 error Newton leaves.  A smaller
-    step means lambda is as good as that iterate can tell, and the same
-    lambda is shot again at rtol.
+    ``_LOOSE_RTOL``.  A loose iterate's step is taken if it exceeds
+    ``_TRUST`` times N at its own tolerance; the next tolerance is then
+    max(rtol, min(``_LOOSE_RTOL``, rho^4)), with rho = |step|/max(|lambda|,
+    scale), far below the rho^2 error Newton leaves.  A smaller step means
+    lambda is as good as that iterate can tell, and the same lambda is
+    shot again at rtol.
 
-    One rule ends the solve, on an iterate shot at rtol whose step s is
-    not capped: it ends where the step Newton would take next is noise.
-    A capped step stands for a longer one and ends nothing: in a Coulomb
-    box far inside the Bohr radius, the cap at the seed E_n lies below N
-    while the level is far above.  An s below N is itself noise, and is
-    dropped.  Otherwise s is taken and ``_next_step`` estimates the step p
-    after it, from the secant of the last two W' or, before there is one,
-    as s^2/``gap``, ``gap`` the level spacing: p is dropped where it is
-    noise, added where a secant p lies near noise, and otherwise lambda is
-    shot again.  ``Solution.shots`` are the last iterate's, shot at rtol
-    (a free shot's margin leg loose, its error damped, ``damped_margin``).
-    With ``reused`` they will stand in for a flux step's wall pair
-    (``spectra.confined_eigenvalue`` keeps them), so the solve ends short
-    of its root only where ``_moved_pair`` can move them there.
-    ``iterations`` and ``steps`` count the loose iterates too.
+    One rule ends the solve, on an iterate shot at rtol: it ends where the
+    step Newton would take next is noise.  An s below N is itself noise,
+    and is dropped.  Otherwise s is taken and ``_next_step`` estimates the
+    step p after it, from the secant of the last two W' or, before there
+    is one, as s^2/``gap``, ``gap`` the level spacing: p is dropped where
+    it is noise, added where a secant p lies near noise, and otherwise
+    lambda is shot again.  A step longer than max(|lambda|, scale) ends
+    nothing: in a Coulomb box far inside the Bohr radius, N at the seed
+    E_n exceeds it while the level is far above.  ``Solution.shots`` are
+    the last iterate's, shot at rtol (a free shot's margin leg loose, its
+    error damped, ``damped_margin``).  With ``reused`` they will stand in
+    for a flux step's wall pair (``spectra.confined_eigenvalue`` keeps
+    them), so the solve ends short of its root only where ``_moved_pair``
+    can move them there.  ``iterations`` and ``steps`` count the loose
+    iterates too.
+
+    With ``bracket`` = (m, floor, top), each iterate stays in a Sturm
+    bracket of level m in (floor, top), past which no shot starts (Pryce,
+    Numerical Solution of Sturm-Liouville Problems, 1993; Bailey, Gordon
+    & Shampine, ACM TOMS 4 (1978) 193).  Newton steps from an iterate
+    whose own shots (``_counts``, no re-shoot) stand for level m, inside
+    the bracket.  Any other iterate moves a side, by the level it stands
+    for, which loose and full shots agree on, else by the levels below
+    it, and goes to the midpoint; with no side above m yet, to lo's
+    distance from the floor doubled, up to top, where a level still above
+    raises SolverError.  A seed outside [floor, top) starts there.
 
     With ``flux``, ``match`` is that problem without walls, ``lam0`` is its
     box's Dirichlet level, and the first step is the flux step
@@ -695,12 +694,27 @@ def newton(match: Matching, lam0: float, *, rtol: float, scale: float,
     its size: W there is wall values times O(1) projections, so the step
     keeps its relative precision however small the shift is.  ``offset``
     is the sum of the steps, never lam - lam0, and keeps its exponent
-    where a float underflows.  The flux pair is shot at ``_flux_tol`` of
+    where a float underflows; a run that went to a bracket point has no
+    ``offset``.  The flux pair is shot at ``_flux_tol`` of
     ``flux.shift_estimate``; where that is loose and its step shows that
     the flux step in full would end the solve, lambda is shot again at
     rtol.  The iterate after the flux step is graded like a loose one.
     """
     start = steps_taken()
+    level, floor, top = bracket or (None, -math.inf, math.inf)
+    # The level lies in (lo, hi), hi None while open, and at or below top,
+    # now the last lambda a shot starts at.
+    lo, hi, top = floor, None, math.nextafter(top, -math.inf)
+
+    def midpoint() -> float:  # while hi is open, lo's from the floor doubled
+        if hi is None and lo >= top:
+            raise SolverError(f"level {level} lies above lambda={top!r}")
+        return min(lo + max(lo - floor, gap or scale), top) if hi is None \
+            else 0.5 * (lo + hi)
+
+    # A run that goes to a bracket point no longer sums the shift.
+    if level is not None and not lo <= lam0 <= top:
+        lam0, flux = midpoint(), None
     walls = None if flux is None else match.walled(flux.box)
     # The sum of the steps taken: a float places the iterates, and the
     # ScaledValue keeps the exponent a float loses below 1e-308.
@@ -728,12 +742,27 @@ def newton(match: Matching, lam0: float, *, rtol: float, scale: float,
         else:
             left, right = match.shoot(lam, tol)
             w, dw = wronskian(left, right)
-        step, capped = _newton_step(w, dw, lam, scale)
+        if dw.is_zero:
+            raise SolverError("the Wronskian's lambda-derivative vanished; "
+                              "cannot take a Newton step")
+        step = -(w / dw)
+        if level is not None:
+            # (level it stands for, levels below it), off its own shots with
+            # no re-shoot, is at most (level, level) where lam is below it.
+            counts = None if max(left.widest_turn, right.widest_turn) \
+                > _QUARTER_TURN else _counts(match, lam, tol, (left, right))
+            if counts and counts[0] != level or not (
+                    lo < lam + step.to_float() < (top if hi is None else hi)):
+                lo, hi = (lam, hi) if (counts <= (level, level) if counts
+                                       else step.sign > 0) else (lo, lam)
+                lam0, offset, last, flux = midpoint(), 0.0, None, None
+                continue
+        long = step.log_abs() > math.log(max(abs(lam), scale))
         k = math.sqrt(max(abs(lam), scale)) / match.h
         log_noise = math.log(tol) + _wronskian_size(left, right, k) \
             - dw.log_abs()
         loose = tol > rtol
-        if loose and not capped:
+        if loose and not long:
             # lam is as good as this iterate can tell, or a flux step shot
             # in full would end the solve: shoot lam again in full.
             full_noise = log_noise - math.log(tol) + math.log(rtol)
@@ -742,11 +771,11 @@ def newton(match: Matching, lam0: float, *, rtol: float, scale: float,
                     else step.log_abs() <= math.log(_TRUST) + log_noise):
                 tol = rtol
                 continue
-        elif not (loose or capped or at_flux) and step.log_abs() <= log_noise:
+        elif not (loose or long or at_flux) and step.log_abs() <= log_noise:
             return solved(offset, shift)
         offset += step.to_float()
         shift += step
-        ahead = None if loose or capped \
+        ahead = None if loose or long \
             else _next_step(step, dw, last, gap, log_noise, lam0 + offset)
         if ahead is not None:
             ended = offset + ahead.to_float()
@@ -815,8 +844,8 @@ def _flux_tol(s: float | None, gap: float | None, lam: float, scale: float,
 def _graded_tol(step: ScaledValue, lam: float, scale: float,
                 rtol: float) -> float:
     """The tolerance of the iterate after ``step``: max(rtol, min(
-    ``_LOOSE_RTOL``, rho^4)), rho = |step|/max(|lambda|, scale)."""
-    rho = abs(step.to_float()) / max(abs(lam), scale)
+    ``_LOOSE_RTOL``, rho^4)), rho = |step|/max(|lambda|, scale) up to 1."""
+    rho = min(1.0, abs(step.to_float()) / max(abs(lam), scale))
     return max(rtol, min(_LOOSE_RTOL, rho ** 4))
 
 
@@ -908,7 +937,7 @@ def count_nodes(match: Matching, lam: float, rtol: float,
 
     Each side's zeros (``Shot.crossings``) are read off ``shots`` (Newton's
     last), or off a re-shoot where a step of theirs turned by more than a
-    quarter wavelength, in which two sign changes could hide (``_turns``).
+    quarter wavelength, in which two sign changes could hide (``_counts``).
 
     At an interior x_m the count is read off the Pruefer phase (Pruefer,
     Math. Ann. 95 (1926) 499): with k = 1/h, the phase of (u, u'/k) from
@@ -927,34 +956,24 @@ def count_nodes(match: Matching, lam: float, rtol: float,
     one is taken off where lam lies above the level it stands for: u
     there takes the sign of du/dlambda.
     """
-    zeros, turned, (u, _, w, _) = _turns(match, lam, rtol, shots)
-    if turned is None:
-        above = (u > 0.0 and w > 0.0) or (u < 0.0 and w < 0.0)
-        return zeros - (u == 0.0) - above
-    return zeros + round(turned / math.pi) - 1
+    return _counts(match, lam, rtol, shots)[0]
 
 
 def level_count(match: Matching, lam: float, rtol: float) -> int:
-    """The number of levels of ``match`` below ``lam`` (Sturm oscillation;
-    Pryce, Numerical Solution of Sturm-Liouville Problems, 1993): z_L +
-    z_R + floor((phi_L + phi_R)/pi) of a capped shot (``_turns``), as the
-    two Pruefer turns at x_m grow with lam and sum to a multiple of pi at
-    a level.  At a wall x_m it is the zero count alone, since phi_L rounds
-    to pi there where |u'/u| dwarfs 1/h (a box far inside the Bohr
-    radius)."""
-    zeros, turned, _ = _turns(match, lam, rtol)
-    return zeros if turned is None else zeros + math.floor(turned / math.pi)
+    """The number of levels of ``match`` below ``lam`` (Sturm oscillation):
+    z_L + z_R + floor((phi_L + phi_R)/pi) of a capped shot (``_counts``),
+    as the two Pruefer turns at x_m grow with lam and sum to a multiple of
+    pi at a level.  At a wall x_m it is the zero count alone, since phi_L
+    rounds to pi there where |u'/u| dwarfs 1/h (a tiny Coulomb box)."""
+    return _counts(match, lam, rtol)[1]
 
 
-def _turns(match: Matching, lam: float, rtol: float,
-           shots: tuple[Shot, Shot] | None = None
-           ) -> tuple[int, float | None, tuple[float, ...]]:
-    """(z_L + z_R, phi_L + phi_R, the left state) at x_m, the phases with
-    k = 1/h, each in [0, pi], and None at a wall x_m.  They are read off
-    ``shots`` unless these are missing or a step of theirs turned by more
-    than ``_QUARTER_TURN``; then both sides are shot again, every step
-    capped (``_counting_step_cap``), which alone needs the left start's
-    point, a series evaluation off a singular origin, and samples V."""
+def _counts(match: Matching, lam: float, rtol: float,
+            shots: tuple[Shot, Shot] | None = None) -> tuple[int, int]:
+    """(``count_nodes``, ``level_count``), read off ``shots`` unless these
+    are missing or a step of theirs turned by more than ``_QUARTER_TURN``;
+    then both sides are shot again, every step capped
+    (``_counting_step_cap``)."""
     b, _ = match.right(lam)
     if shots is None or max(shot.widest_turn for shot in shots) \
             > _QUARTER_TURN:
@@ -964,13 +983,15 @@ def _turns(match: Matching, lam: float, rtol: float,
     left, right = shots
     zeros = left.crossings + right.crossings
     if b == match.x_m:
-        return zeros, None, left.y
+        u, _, w, _ = left.y
+        above = (u > 0.0 and w > 0.0) or (u < 0.0 and w < 0.0)
+        return zeros - (u == 0.0) - above, zeros
 
     def phase(u: float, v: float) -> float:  # cot = v/u, in [0, pi]
         return 0.0 if u == 0.0 else 0.5 * math.pi - math.atan(v / u)
-    h = match.h  # 1/k
-    return zeros, phase(left.y[0], h * left.y[1]) \
-        + phase(right.y[0], -h * right.y[1]), left.y
+    turns = (phase(left.y[0], match.h * left.y[1])  # k = 1/h
+             + phase(right.y[0], -match.h * right.y[1])) / math.pi
+    return zeros + round(turns) - 1, zeros + math.floor(turns)
 
 
 def _counting_step_cap(V: Callable[[float], float], nu: float | None,
@@ -992,9 +1013,9 @@ def _counting_step_cap(V: Callable[[float], float], nu: float | None,
 
 
 def newton_solve_line(p: PotentialSpec, domain: LineBox | Unwalled,
-                      mode: ModeSpec, lam0: float, *,
-                      rtol: float = 1e-12, reused: bool = False,
-                      gap: float | None = None) -> Solution:
+                      mode: ModeSpec, lam0: float, *, rtol: float = 1e-12,
+                      reused: bool = False, gap: float | None = None,
+                      bracket: Bracket = None) -> Solution:
     """Newton on the line problem: inward shots meeting at 0, stopped at
     their noise bound (see ``newton``, with h as ``scale`` and ``gap`` the
     level spacing).
@@ -1005,27 +1026,29 @@ def newton_solve_line(p: PotentialSpec, domain: LineBox | Unwalled,
     """
     flux = domain.flux_start(lam0) if isinstance(domain, Unwalled) else None
     return newton(Matching.line(p, domain, mode), lam0, rtol=0.5 * rtol,
-                  scale=mode.h, flux=flux, reused=reused, gap=gap)
+                  scale=mode.h, flux=flux, reused=reused, gap=gap,
+                  bracket=bracket)
 
 
 def newton_solve_radial(V: Callable[[float], float], nu: float, h: float,
                         L: float | Unwalled, lam0: float,
                         series_start: SeriesStart, *, rtol: float = 1e-12,
                         lambda_scale: float | None = None,
-                        gap: float | None = None) -> Solution:
+                        gap: float | None = None, bracket: Bracket = None
+                        ) -> Solution:
     """Newton on the radial problem: the series shot matched at the wall L
     (without walls, at ``L.x_m``), stopped at the noise bound (see
     ``newton``, with ``gap`` the level spacing).
 
-    ``lambda_scale`` sets only the step cap, 0.3*max(|lambda|, scale), and
-    the floor of |lambda| in the noise bound's wavenumber; it defaults to
-    h, appropriate for low-lying levels of a well (pass the energy
+    ``lambda_scale`` is the floor of |lambda| in the noise bound's
+    wavenumber and in the sizes Newton measures its steps by; it defaults
+    to h, appropriate for low-lying levels of a well (pass the energy
     magnitude instead for Coulomb problems).
     """
     flux = L.flux_start(lam0) if isinstance(L, Unwalled) else None
     return newton(Matching.radial(V, nu, h, L, series_start), lam0, rtol=rtol,
                   scale=lambda_scale if lambda_scale is not None else h,
-                  flux=flux, gap=gap)
+                  flux=flux, gap=gap, bracket=bracket)
 
 
 def count_nodes_line(p: PotentialSpec, domain: LineBox | Unwalled,

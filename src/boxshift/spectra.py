@@ -19,10 +19,9 @@ Four ways to an eigenvalue live here, deliberately independent:
   check it against the map onto the radial oscillator, which lives with
   them in ``tests/crosschecks.py``).
 
-Both shooting solvers isolate their level in one loop, ``_isolate``:
-Newton from one seed, kept if its root has the level's node count on
-Newton's last shots, else from inside a Sturm bracket that holds the
-level alone (``_bisect_radial``).  No solver calls the oracle.
+Both shooting solvers isolate their level in one Newton run held inside
+its Sturm bracket (``shooting.newton``), whose root the node count on its
+last shots confirms (``_isolate``).  No solver calls the oracle.
 """
 
 from __future__ import annotations
@@ -140,12 +139,10 @@ def confined_eigenvalue(p: PotentialSpec, domain: Domain | Unwalled,
     """Eigenvalue of level ``mode.level`` on ``domain``: a Dirichlet box, or
     the well without walls (``Unwalled``), whose ends start decaying.
 
-    Newton starts from ``lam0`` (default: the harmonic approximation).
-    If it fails or lands on a level with the wrong interior node count,
-    as it can where h is not small and levels are crowded, Newton starts
-    once more inside a Sturm bracket that holds the level alone, grown
-    from 0, below every level of a well (``_bisect_radial``).  A free
-    level's bracket stops below V at its decaying starts.
+    Newton starts from ``lam0`` (default: the harmonic approximation),
+    which can stand for another level where h is not small, held inside
+    the level's Sturm bracket (``shooting.newton``): above 0, below every
+    level of a well, and for a free level below V at its decaying starts.
     """
     if domain.kind != p.kind:
         raise InvalidPotential(
@@ -162,9 +159,7 @@ def confined_eigenvalue(p: PotentialSpec, domain: Domain | Unwalled,
         gap = None
     if domain.kind == "line":
         where = f"level {mode.level} on {domain.as_tuple()} (h={mode.h:g})"
-        match, ends = Matching.line(p, domain, mode), domain.as_tuple()
-        solve = partial(newton_solve_line, p, domain, mode, reused=keep,
-                        gap=gap)
+        solve = partial(newton_solve_line, p, domain, mode, reused=keep)
         nodes_at = partial(count_nodes_line, p, domain, mode)
     else:
         if mode.nu is None:
@@ -175,78 +170,56 @@ def confined_eigenvalue(p: PotentialSpec, domain: Domain | Unwalled,
         series = FrobeniusStart.well(p, mode.nu, mode.h,
                                     L=domain.as_tuple()[1])
         args = (p.evaluate, mode.nu, mode.h, end)
-        match, ends = Matching.radial(*args, series), domain.as_tuple()[1:]
-        solve = partial(newton_solve_radial, *args, series_start=series,
-                        gap=gap)
+        solve = partial(newton_solve_radial, *args, series_start=series)
         nodes_at = partial(count_nodes_radial, *args, series_start=series)
 
     seed = lam0 if lam0 is not None else harmonic_level(p, mode)
+    # A well's levels lie above 0, a free one below V at its starts (a
+    # radial free problem's left end, 0, is none).
+    top = min(p.evaluate(x) for x in domain.as_tuple() if x) \
+        if isinstance(domain, Unwalled) else math.inf
+    return _isolate(where, mode.level, partial(
+        solve, seed, rtol=rtol, gap=gap, bracket=(mode.level, 0.0, top)),
+        partial(nodes_at, rtol=rtol), keep_shots=keep)
 
-    def bracket() -> float:  # a free level lies below V at its starts
-        top = min(map(p.evaluate, ends)) if isinstance(domain, Unwalled) \
-            else math.inf
-        return _bisect_radial(match, mode.level, 0.0, gap or mode.h, top)
 
-    return _isolate(where, mode.level, seed, partial(solve, rtol=rtol),
-                    partial(nodes_at, rtol=rtol), bracket, keep_shots=keep)
-
-
-def _isolate(where: str, level: int, seed: float,
-             solve: Callable[[float], shooting.Solution],
-             nodes_at: Callable[..., int], bracket: Callable[[], float], *,
+def _isolate(where: str, level: int, solve: Callable[[], shooting.Solution],
+             nodes_at: Callable[..., int], *,
              keep_shots: bool = False) -> Eigenpair:
-    """Newton from ``seed``, then from ``bracket()``, found only if the
-    seed failed; the first root with ``level`` interior nodes, counted on
-    Newton's last shots, as a shooting Eigenpair, which keeps those shots
-    with ``keep_shots``.  A start that cannot be formed (a series that
-    does not converge, a decaying start past the barrier) fails like
-    Newton."""
-    last_error: Exception | None = None
-    for start in (seed, None):
-        try:
-            sol = solve(bracket() if start is None else start)
-        except (SeriesError, SolverError) as exc:
-            last_error = exc
-            continue
-        nodes = nodes_at(sol.lam, shots=sol.shots)
-        if nodes == level:
-            return Eigenpair(index_m=level, value=sol.lam, method="shooting",
-                             iterations=sol.iterations, nodes=nodes,
-                             offset=sol.offset,
-                             shots=(sol.shot_at, sol.shots) if keep_shots
-                             else None)
-        last_error = SolverError(
-            f"converged to a level with {nodes} interior nodes, "
-            f"wanted {level} (lambda={sol.lam!r})")
-    raise SolverError(f"could not isolate {where}: {last_error}")
+    """The root of Newton's one run ``solve`` with ``level`` nodes on its
+    last shots, as a shooting Eigenpair that keeps them with
+    ``keep_shots``; a start that cannot be formed fails like Newton."""
+    try:
+        sol = solve()
+        if (nodes := nodes_at(sol.lam, shots=sol.shots)) != level:
+            raise SolverError(f"converged to a level with {nodes} interior "
+                              f"nodes, wanted {level} (lambda={sol.lam!r})")
+    except (SeriesError, SolverError) as exc:
+        raise SolverError(f"could not isolate {where}: {exc}") from exc
+    return Eigenpair(index_m=level, value=sol.lam, method="shooting",
+                     iterations=sol.iterations, nodes=nodes, offset=sol.offset,
+                     shots=(sol.shot_at, sol.shots) if keep_shots else None)
 
 
 def _bisect_radial(match: Matching, level: int, lo: float, width: float,
                    top: float = math.inf) -> float:
     """The middle of a bracket that holds level ``level`` of ``match``
-    alone, line or radial, for Newton to start from: bisection on the Sturm
-    count N (``shooting.level_count`` at 1e-6; a count needs the phase
-    only to a fraction of pi).  ``lo`` lies below the level; the upper end
-    starts ``width`` above it and doubles its distance from the last end
-    below the level, up to just below ``top``, where a level still above
-    raises SolverError.  A well's bracket starts at 0, as wide as the
-    harmonic level spacing (h without one), a Coulomb box's at E_n, as
-    wide as max(|E_n|, (pi*h/R)^2) (``hydrogen_confined``).  Halving ends
-    at N(lo) = level, N(hi) = level + 1 and hi - lo <= 0.1*max(|lo|, |hi|),
-    N(lo) unknown until counted.  The name is kept because
+    alone, by bisection on the Sturm count N (``shooting.level_count`` at
+    1e-6): the upper end starts ``width`` above ``lo``, below the level,
+    and doubles its distance from the last end below it, up to just below
+    ``top``, where a level still above raises SolverError; halving ends at
+    N(lo) = level, N(hi) = level + 1 and hi - lo <= 0.1*max(|lo|, |hi|).
+    No solver calls it (Newton holds its own bracket); it stays because
     ``perfbench/probes.py`` patches it."""
-    def count(lam: float) -> int:
-        return shooting.level_count(match, lam, 1e-6)
-
     top, hi, n_lo = math.nextafter(top, -math.inf), lo + width, None
-    while (n_hi := count(min(hi, top))) <= level:
+    while (n_hi := shooting.level_count(match, min(hi, top), 1e-6)) <= level:
         if hi >= top:
             raise SolverError(f"level {level} lies above lambda={top!r}")
         lo, n_lo, hi = hi, n_hi, hi + 2.0 * (hi - lo)
     hi, mid = min(hi, top), 0.5 * (lo + min(hi, top))
     while lo < mid < hi and ((n_lo, n_hi) != (level, level + 1)
                              or hi - lo > 0.1 * max(abs(lo), abs(hi))):
-        n = count(mid)
+        n = shooting.level_count(match, mid, 1e-6)
         lo, n_lo, hi, n_hi = (lo, n_lo, mid, n) if n > level \
             else (mid, n, hi, n_hi)
         mid = 0.5 * (lo + hi)
@@ -292,15 +265,15 @@ def unconfined_eigenvalue(p: PotentialSpec, mode: ModeSpec, *,
     With ``box``, ``lam0`` must be the box's Dirichlet level: Newton starts
     there and its first step is the flux step, so the pair's ``offset`` is
     minus the shift lambda_D - lambda_0, at its own relative precision.
-    Where the box moved the level by about a level gap, Newton from there
-    reaches another level, and Newton from the level's Sturm bracket
-    follows; the pair's ``offset`` is then None, and a shift that large
-    keeps its digits as a subtraction.  Without a box, Newton starts from
-    ``lam0`` (default: the harmonic approximation).  ``box_shots``, the
-    box's Eigenpair.shots, lets the flux step on the line reuse the
-    Dirichlet pair its Newton shot last (``shooting.flux_wronskian``); they
-    must come from a solve at the same ``rtol``, since a flux step shot in
-    full reads them as full-precision shots.  The flux step ends the
+    Where the box moved the level by about a level gap, lambda_D stands
+    for another level, and Newton leaves it for its Sturm bracket: the
+    pair has no ``offset``, and a shift that large is a subtraction.
+    Without a box, Newton starts from ``lam0`` (default: the harmonic
+    approximation).  ``box_shots``, the box's Eigenpair.shots, lets the
+    flux step on the line reuse the Dirichlet pair its Newton shot last
+    (``shooting.flux_wronskian``); they must come from a solve at the same
+    ``rtol``, since a flux step shot in full reads them as full-precision
+    shots.  The flux step ends the
     solve where its size squared is negligible against the harmonic level
     spacing, 2*omega*h on the line and 4*omega*h radially (``newton``).
     ``shift_estimate``, an estimate of lambda_D - lambda_0 such as the
@@ -683,15 +656,12 @@ def fd_oracle(p: PotentialSpec, domain: Domain, mode: ModeSpec,
 def hydrogen_confined(spec: HydrogenSpec, *, rtol: float = 1e-12) -> Eigenpair:
     """E_n(R): Coulomb level in a Dirichlet box of radius r_box, by shooting.
 
-    Newton starts from the unconfined E_n.  When the box crowds the turning
-    point, E_n can sit in the wrong basin; then Newton starts again inside
-    a Sturm bracket that holds the level alone, grown upward from E_n,
-    which the wall only raises, by doubling a first width of
-    max(|E_n|, (pi*h/R)^2) (``_bisect_radial``): the empty box's lowest
-    level, (pi*h/R)^2, is the scale by which a crowded box lifts the level
-    above E_n.  The root must carry the level's node count, which starts
-    at the series point x0: a lambda where u may vanish before x0 is
-    refused (``FrobeniusStart.coulomb``), and the bracket stops below it.
+    Newton starts from the unconfined E_n, inside the level's Sturm
+    bracket (``shooting.newton``): above E_n, which the wall only raises,
+    and below the series start's top, above which u may vanish before x0
+    and escape the node count (``FrobeniusStart.coulomb``).  Its scale is
+    max(|E_n|, (pi*h/R)^2), the empty box's level being how far a crowded
+    box lifts the level.
     """
     V = lambda x: -spec.z / x  # noqa: E731
     V.source = f"-{spec.z!r} / x"  # inlined by the integrator (see dop853)
@@ -704,10 +674,9 @@ def hydrogen_confined(spec: HydrogenSpec, *, rtol: float = 1e-12) -> Eigenpair:
     free = spec.energy_unconfined
     k = math.pi * h / L  # k * k, the empty box's level: inf where ** raises
     return _isolate(
-        f"hydrogen level n={spec.n}, ell={spec.ell} in box {L:g}", m, free,
-        partial(newton_solve_radial, V, nu, h, L, series_start=series,
-                rtol=rtol, lambda_scale=abs(free)),
+        f"hydrogen level n={spec.n}, ell={spec.ell} in box {L:g}", m,
+        partial(newton_solve_radial, V, nu, h, L, free, series_start=series,
+                rtol=rtol, lambda_scale=max(abs(free), k * k),
+                bracket=(m, free, series.top)),
         partial(count_nodes_radial, V, nu, h, L, series_start=series,
-                rtol=rtol),
-        partial(_bisect_radial, Matching.radial(V, nu, h, L, series), m,
-                free, max(abs(free), k * k), series.top))
+                rtol=rtol))

@@ -253,8 +253,12 @@ def exact_coulomb_level(mpmath, spec: HydrogenSpec, near: float):
             if lam > 0:
                 return mpmath.coulombf(spec.ell, -z / (2 * k * h * h),
                                        k * spec.r_box)
+            # zeroprec: where 1F1 is a polynomial with a root at the wall,
+            # as for (n, ell) = (2, 1) at R = 6 (E_3 with the 3p node
+            # there), an exact zero is returned, not a failure to converge.
             return mpmath.hyp1f1(spec.ell + 1 - z / (2 * k * h * h),
-                                 2 * spec.ell + 2, 2 * k * spec.r_box)
+                                 2 * spec.ell + 2, 2 * k * spec.r_box,
+                                 zeroprec=1000)
 
         return mpmath.findroot(
             wall_value, (e_n + shift * 0.9, e_n + shift * 1.1),

@@ -3,7 +3,9 @@ running the commands that call no finite-difference oracle (``hydrogen``,
 ``validate``) load no numpy and no scipy module at all; the oracle loads
 numpy and ``scipy.linalg`` on its first call, and still none of scipy's
 integrate, optimize or special subpackages; the first Agmon quadrature (a
-well ``shift``) loads ``scipy.integrate``.
+well ``shift``) loads ``scipy.integrate``.  Nor does a cold start compile
+the checked leg (``dop853.checked_leg``), which only potentials without a
+source run: the Coulomb ``hydrogen`` legs inline V.
 """
 
 import json
@@ -22,10 +24,11 @@ SRC = str(Path(boxshift.__file__).resolve().parents[1])
 # which of these subpackages are loaded after it, and, apart, every scipy
 # module and whether any numpy module is loaded after it.
 SCRIPT = """
-import contextlib, io, json, sys
+import contextlib, gc, io, json, sys
 
 DEFERRED = ("scipy.integrate", "scipy.optimize", "scipy.special")
-stages, scipy, numpy = {}, {}, {}
+CHECKED = "<dop853: qq = q(x)>"  # the checked leg's compiled file name
+stages, scipy, numpy, checked = {}, {}, {}, {}
 
 def record(stage, code=None):
     stages[stage] = {"code": code,
@@ -34,6 +37,9 @@ def record(stage, code=None):
                           if m == "scipy" or m.startswith("scipy."))
     numpy[stage] = any(m == "numpy" or m.startswith("numpy.")
                        for m in sys.modules)
+    checked[stage] = any(
+        getattr(getattr(f, "__code__", None), "co_filename", "") == CHECKED
+        for f in gc.get_objects())
 
 import boxshift
 record("import boxshift")
@@ -52,7 +58,7 @@ for argv in (
             contextlib.redirect_stderr(io.StringIO()):
         code = boxshift.cli.main(argv)
     record(argv[0], code)
-print(json.dumps([stages, scipy, numpy]))
+print(json.dumps([stages, scipy, numpy, checked]))
 """
 
 
@@ -79,6 +85,11 @@ def scipy_loaded(records):
 @pytest.fixture(scope="module")
 def numpy_loaded(records):
     return records[2]
+
+
+@pytest.fixture(scope="module")
+def checked_leg_built(records):
+    return records[3]
 
 
 @pytest.mark.parametrize("stage", ["import boxshift", "import boxshift.cli"])
@@ -120,3 +131,9 @@ def test_commands_that_build_arrays_load_numpy_and_succeed(stages,
                                                            command):
     assert stages[command]["code"] == 0
     assert numpy_loaded[command] is True
+
+
+@pytest.mark.parametrize("stage", ["import boxshift", "import boxshift.cli",
+                                   "hydrogen"])
+def test_a_cold_hydrogen_run_builds_no_checked_leg(checked_leg_built, stage):
+    assert checked_leg_built[stage] is False

@@ -121,9 +121,9 @@ def test_flux_agrees_with_the_subtraction_within_its_bar(kind, m, nu, h):
 
 def test_level_lifted_about_a_gap_takes_the_subtraction(monkeypatch):
     # At h = 0.3 the box lifts the quartic's level 2 from 2.01 to 2.46,
-    # nearer the free level 3 at 2.99, where Newton from lambda_D lands.
-    # The free level is then solved from inside its Sturm bracket, and a
-    # shift that large is the subtraction.
+    # where it stands for the free level 3 at 2.99.  The free solve then
+    # leaves lambda_D for its Sturm bracket's midpoint, so it has no summed
+    # shift, and a shift that large is the subtraction.
     p, mode = from_expression("x^2 + x^4"), ModeSpec(level=2, h=0.3)
     free = []
 
@@ -416,8 +416,8 @@ def test_loose_margin_leg_keeps_the_state_at_the_wall(free_domains, kind, m,
 
 
 # cosh(x) - 1 at m = 1, h = 0.2 is left out: its box lifts the level by
-# about a level gap, so the free level comes from its Sturm bracket and has
-# no summed shift (``unconfined_eigenvalue``).
+# about a level gap, so the free solve leaves lambda_D for its Sturm
+# bracket and has no summed shift (``unconfined_eigenvalue``).
 SPLIT_CASES = [(source, "line", m, None, h)
                for source in ("x^2 + x^4", "x^2", "cosh(x) - 1",
                               "x^2 + 0.1*x^6", "x^2 + 0.3*x^3 + x^4")

@@ -680,9 +680,9 @@ def test_cli_hydrogen_box_below_the_fd_grid_range_fails_its_row(capsys):
 
 
 def test_cli_hydrogen_box_far_inside_the_bohr_radius_reads_ok(capsys):
-    # At R = 1e-80 Newton from E_n does not isolate the level; the Sturm
-    # bracket, doubled up from E_n, reaches it near (pi h/R)^2, the empty
-    # box's level, which the Coulomb term moves by about 1e-80 of it.  The
+    # At R = 1e-80 the level lies near (pi h/R)^2, the empty box's level,
+    # which the Coulomb term moves by about 1e-80 of it: Newton's first
+    # step from E_n = -1 reaches 0.6 of it.  The
     # prediction's log lies so far below that the ratio reads inf.
     code = main(["hydrogen", "--n", "1", "--ell", "0", "--h", "1",
                  "--R-grid", "8,1e-80"])

@@ -49,9 +49,9 @@ HYDROGEN_LEVELS = {
     (2, 1, 8.0): -0.20890013281233365,
     (2, 1, 14.0): -0.24908119598061245,
     # Crowded boxes: the wall moves the level by O(1).  At R=3 for (2, 0),
-    # Newton from the free E_n lands on the ground state, so the node check
-    # rejects it and the level's Sturm bracket is used.  An 8000-point
-    # fd_oracle agrees with each to 7e-9.
+    # the free E_n stands for the ground state, so Newton moves to its
+    # Sturm bracket's points until an iterate stands for the level.  An
+    # 8000-point fd_oracle agrees with each to 7e-9.
     (2, 0, 3.0): 2.223369474872948,
     (2, 0, 4.0): 0.8404712634274435,
     (2, 1, 3.0): 0.9625006250533054,
@@ -723,7 +723,7 @@ def _refuse_finite_differences(monkeypatch):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_cubic_box_levels_need_no_finite_differences(monkeypatch, m):
-    # Newton from the harmonic level lands on another level; the Sturm
+    # The harmonic level stands for another level; Newton's Sturm
     # bracket, not a finite-difference seed, isolates the level.
     p, box, mode = from_expression("x^2 + x^3"), LineBox(-1.2, 0.9), \
         ModeSpec(level=m, h=0.1)
@@ -736,8 +736,8 @@ def test_cubic_box_levels_need_no_finite_differences(monkeypatch, m):
 
 def test_free_level_above_its_box_level_needs_no_finite_differences(
         monkeypatch):
-    # 1 - exp(-x^2) radial, nu = 3/2, m = 1, h = 0.1: Newton reaches
-    # another level from the box's level, and the Sturm bracket isolates
+    # 1 - exp(-x^2) radial, nu = 3/2, m = 1, h = 0.1: the box's level
+    # stands for another free level, and Newton's Sturm bracket isolates
     # the one the finite-difference seed gave.
     p = from_expression("1 - exp(-x^2)", kind="radial")
     mode, box = ModeSpec(level=1, h=0.1, nu=1.5), RadialBox(1.0)
@@ -753,16 +753,16 @@ def test_free_level_above_its_box_level_needs_no_finite_differences(
 def test_hydrogen_far_inside_the_bohr_radius_needs_no_finite_differences(
         monkeypatch, R):
     # The level lies near (pi h/R)^2, about 1e32 or 1e160 above E_n = -1:
-    # Newton from E_n, its steps capped, does not reach it.
+    # Newton from E_n reaches it in one step of about 0.6 of it.
     _refuse_finite_differences(monkeypatch)
     got = hydrogen_confined(HydrogenSpec(1, 0, 2.0, 1.0, R))
     assert got.nodes == 0
     assert got.value == pytest.approx((math.pi / R) ** 2, rel=1e-9)
 
 
-# Levels Newton misses from its one seed, each with its node count and its
-# value when the Sturm bisection still ran to 1e-6 relative (23 to 26
-# count shots each).
+# Levels Newton missed from its one seed before it held a Sturm bracket,
+# each with its node count and its value when the separate Sturm bisection
+# still ran to 1e-6 relative (23 to 26 count shots each).
 BRACKETED_LEVELS = {
     "x^2-line-m4": (lambda: confined_eigenvalue(
         from_expression("x^2"), BOX, ModeSpec(level=4, h=0.2)),
@@ -780,10 +780,44 @@ BRACKETED_LEVELS = {
 }
 
 
-@pytest.mark.parametrize("case", BRACKETED_LEVELS)
-def test_sturm_bracket_stops_once_it_holds_the_level_alone(monkeypatch,
-                                                          case):
-    solve, nodes, want = BRACKETED_LEVELS[case]
+def _coulomb_match(spec):
+    """The boxed Coulomb problem of ``spec`` as ``hydrogen_confined`` shoots
+    it, with its series start."""
+    V = lambda x: -spec.z / x  # noqa: E731
+    V.source = f"-{spec.z!r} / x"
+    series = shooting.FrobeniusStart.coulomb(
+        spec.z, spec.ell, spec.h,
+        min(0.1 * min(spec.n, 10) * spec.h ** 2 / spec.z, 0.01 * spec.r_box))
+    return Matching.radial(V, spec.nu, spec.h, spec.r_box, series), series
+
+
+def _bisection_of(case):
+    """(match, level, lo, width, top) of ``_bisect_radial`` for a case of
+    ``BRACKETED_LEVELS``: a well's bracket from 0, one harmonic spacing
+    wide, a Coulomb box's from E_n, max(|E_n|, (pi h/R)^2) wide, below its
+    series start's top."""
+    if case.startswith("hydrogen"):
+        _, n, ell, R = case.split("-")  # hydrogen-n-ell-R<radius>
+        spec = HydrogenSpec(int(n), int(ell), 2.0, 1.0, float(R[1:]))
+        match, series = _coulomb_match(spec)
+        free = spec.energy_unconfined
+        return (match, spec.level, free,
+                max(abs(free), (math.pi / spec.r_box) ** 2), series.top)
+    if case == "quartic-radial-m3":
+        p = from_expression("x^2 + x^4", kind="radial")
+        match = Matching.radial(p.evaluate, 1.5, 0.1, 1.0,
+                                shooting.FrobeniusStart.well(p, 1.5, 0.1,
+                                                             L=1.0))
+        return match, 3, 0.0, 0.4, math.inf
+    p = from_expression("x^2" if case.startswith("x^2-") else "x^2 + x^4")
+    level = 4 if case.endswith("m4") else 3
+    return Matching.line(p, BOX, ModeSpec(level, 0.2)), level, 0.0, 0.4, \
+        math.inf
+
+
+@pytest.fixture
+def count_shots(monkeypatch):
+    """The lambdas of every Sturm count shot (``shooting.level_count``)."""
     counted = []
     real = shooting.level_count
 
@@ -792,19 +826,68 @@ def test_sturm_bracket_stops_once_it_holds_the_level_alone(monkeypatch,
         return real(match, lam, rtol)
 
     monkeypatch.setattr(shooting, "level_count", spy)
+    return counted
+
+
+@pytest.fixture
+def newton_runs(monkeypatch):
+    """The Solution of every Newton run the solvers start."""
+    runs = []
+    for name in ("newton_solve_line", "newton_solve_radial"):
+        def spy(*args, real=getattr(spectra, name), **kwargs):
+            runs.append(real(*args, **kwargs))
+            return runs[-1]
+        monkeypatch.setattr(spectra, name, spy)
+    return runs
+
+
+@pytest.mark.parametrize("case", BRACKETED_LEVELS)
+def test_sturm_bracket_stops_once_it_holds_the_level_alone(count_shots,
+                                                          case):
+    # No solver calls the Sturm bisection any more, but it is kept: it
+    # stops in at most 12 count shots where N(lo) = m, N(hi) = m + 1 and
+    # the bracket spans at most 0.1 max(|lo|, |hi|), so its middle lies
+    # within a tenth of the level and counts it or the one below.
+    match, level, lo, width, top = _bisection_of(case)
+    _, nodes, want = BRACKETED_LEVELS[case]
+    mid = spectra._bisect_radial(match, level, lo, width, top)
+    assert 0 < len(count_shots) <= 12
+    assert abs(mid - want) <= 0.1 * abs(want)
+    assert shooting.level_count(match, mid, 1e-6) in (level, level + 1)
+
+
+@pytest.mark.parametrize("case", BRACKETED_LEVELS)
+def test_bracketed_level_takes_one_newton_run(count_shots, newton_runs,
+                                              case):
+    # Newton holds each iterate inside the level's Sturm bracket, so it
+    # reaches the level in its one run, with no separate count shot, where
+    # each took a second run from a bisected bracket before.
+    solve, nodes, want = BRACKETED_LEVELS[case]
     got = solve()
-    assert 0 < len(counted) <= 12
+    assert len(newton_runs) == 1 and count_shots == []
     assert got.nodes == nodes
     assert got.value == pytest.approx(want, rel=1e-12)
+
+
+def test_level_lifted_past_its_seed_runs_once_per_level(count_shots,
+                                                       newton_runs):
+    # x^2 on (-1, 1), m = 2, h = 0.2: Newton from lambda_D reached another
+    # free level, and the free level took a second run from its Sturm
+    # bracket (three runs and 690 steps).  The box and the free level take
+    # one run each (399 steps), to the same levels within 1e-12.
+    rep = run_shift_case(from_expression("x^2"), BOX, ModeSpec(2, 0.2))
+    assert len(newton_runs) == 2 and count_shots == []
+    assert rep.lambda_confined == pytest.approx(1.199078850462227, rel=1e-12)
+    assert rep.lambda0 == pytest.approx(1.0000000000000202, rel=1e-12)
 
 
 @pytest.mark.parametrize("n,ell,R", [(2, 0, 2.0), (2, 0, 3.0), (3, 0, 4.0),
                                      (3, 1, 3.0)])
 def test_crowded_hydrogen_level_above_zero_matches_the_exact_root(n, ell, R):
-    # The box lifts the level above 0, past where Newton from E_n reaches
-    # it, so the Sturm bracket isolates it.  Reference: the Dirichlet root
-    # of the Coulomb wave F_ell in 60 digits; the worst measured error is
-    # 9.9e-14 relative, (2,0) at R = 3.
+    # The box lifts the level above 0, far from E_n, where Newton reaches
+    # it inside its Sturm bracket.  Reference: the Dirichlet root of the
+    # Coulomb wave F_ell in 60 digits; the worst measured error is 9.9e-14
+    # relative, (2,0) at R = 3.
     mpmath = pytest.importorskip("mpmath")
     spec = HydrogenSpec(n=n, ell=ell, z=2.0, h=1.0, r_box=R)
     got = hydrogen_confined(spec)
@@ -817,27 +900,52 @@ def test_crowded_hydrogen_level_above_zero_matches_the_exact_root(n, ell, R):
     (4, 0, 2.0), (4, 0, 3.0), (4, 1, 2.0), (3, 0, 2.0), (3, 0, 3.0),
     (3, 1, 2.0), (4, 2, 3.0), (3, 0, 4.0), (4, 0, 4.0), (2, 0, 2.0),
     (2, 0, 3.0)])
-def test_crowded_hydrogen_bracket_starts_at_the_box_scale(monkeypatch, n,
-                                                          ell, R):
-    # The bracket's first width is (pi h/R)^2, not |E_n| (0.0625 for n=4),
-    # so the doubling reaches these levels (2 to 36) in a few count shots:
-    # 5 to 8 measured, against 8 to 14 from |E_n|; the worst error is
-    # 1.2e-13 relative, (3,1) at R = 2.
+def test_crowded_hydrogen_bracket_starts_at_the_box_scale(
+        count_shots, newton_runs, n, ell, R):
+    # The bracket's open side grows from the box's scale, max(|E_n|,
+    # (pi h/R)^2), not from |E_n| (0.0625 for n=4), so Newton's one run
+    # reaches these levels (2 to 36) in at most 11 iterations (6 to 11
+    # measured; 10 to 15 from |E_n|), with no count shot; the worst error
+    # is 7.9e-14 relative.
     mpmath = pytest.importorskip("mpmath")
-    counted = []
-    real = shooting.level_count
-
-    def spy(match, lam, rtol):
-        counted.append(lam)
-        return real(match, lam, rtol)
-
-    monkeypatch.setattr(shooting, "level_count", spy)
     spec = HydrogenSpec(n=n, ell=ell, z=2.0, h=1.0, r_box=R)
     got = hydrogen_confined(spec)
-    assert 0 < len(counted) <= 8
+    assert count_shots == [] and len(newton_runs) == 1
+    assert newton_runs[0].iterations <= 11
     assert got.nodes == spec.level
     exact = exact_coulomb_level(mpmath, spec, got.value)
     assert abs(float((got.value - exact) / exact)) <= 1e-12
+
+
+@pytest.mark.parametrize("R", [4.0, 6.0, 8.0, 10.0])
+@pytest.mark.parametrize("n,ell", [(2, 0), (2, 1), (3, 2)])
+def test_crowded_hydrogen_level_takes_one_short_newton_run(newton_runs, n,
+                                                          ell, R):
+    # Newton from E_n, no longer capped at 0.3 max(|lambda|, |E_n|) per
+    # step, takes one run of at most 8 iterations (4 to 7 measured), where
+    # the capped run took up to 20, (3,2) at R = 4.  Each level lies within
+    # 1e-12 of the exact root (at most 4.5e-13 measured, (2,1) at R = 4).
+    # At R = 6 the (2,1) level is E_3 = -1/9 itself: the free 3p state has
+    # its node there.
+    mpmath = pytest.importorskip("mpmath")
+    spec = HydrogenSpec(n=n, ell=ell, z=2.0, h=1.0, r_box=R)
+    got = hydrogen_confined(spec)
+    assert len(newton_runs) == 1 and newton_runs[0].iterations <= 8
+    assert got.nodes == spec.level
+    exact = exact_coulomb_level(mpmath, spec, got.value)
+    assert abs(float(got.value - exact)) <= 1e-12
+
+
+@pytest.mark.parametrize("R", [3.0, 4.0, 6.0, 8.0, 10.0])
+@pytest.mark.parametrize("n", [3, 4])
+def test_crowded_s_level_takes_one_newton_run(newton_runs, n, R):
+    # Newton from E_n reached another level in these boxes, and a second
+    # run from a bisected Sturm bracket followed ((4,0) at R = 10 spent a
+    # 14-iteration, 250-step run on another level first).
+    spec = HydrogenSpec(n=n, ell=0, z=2.0, h=1.0, r_box=R)
+    got = hydrogen_confined(spec)
+    assert len(newton_runs) == 1
+    assert got.nodes == spec.level
 
 
 @pytest.mark.parametrize("n", [40, 50])
@@ -875,7 +983,8 @@ def test_hydrogen_level_just_below_the_series_start_top_is_reached():
 
 def test_node_check_rescues_a_wrong_basin_start():
     """Starting Newton at the second even level must not be accepted for
-    level 0: the node count exposes it and the retry lands correctly."""
+    level 0: the iterate's count stands for another level, and Newton's
+    Sturm bracket lands it on level 0."""
     mode = ModeSpec(level=0, h=0.1)
     pair = confined_eigenvalue(harmonic(), BOX, mode, lam0=5 * 0.1)
     assert pair.nodes == 0
@@ -959,23 +1068,20 @@ def test_hydrogen_seeded_from_the_free_level_runs_no_finite_differences(
     assert calls == []
 
 
-def test_hydrogen_bisection_rescue(monkeypatch):
-    """With Newton failing from the free level, the level comes from
-    Newton started inside its Sturm bracket."""
+def test_failed_hydrogen_newton_fails_the_level(monkeypatch):
+    """Each level takes one Newton run: where it fails, the level fails,
+    with no second run from a Sturm bracket."""
     calls = []
-    real = spectra.newton_solve_radial
 
-    def flaky(*args, **kwargs):
+    def failing(*args, **kwargs):
         calls.append(None)
-        if len(calls) == 1:
-            raise SolverError("forced failure")
-        return real(*args, **kwargs)
+        raise SolverError("forced failure")
 
-    monkeypatch.setattr(spectra, "newton_solve_radial", flaky)
-    got = hydrogen_confined(HydrogenSpec(2, 0, 2.0, 1.0, 8.0))
-    assert len(calls) == 2
-    assert got.value == pytest.approx(HYDROGEN_LEVELS[(2, 0, 8.0)], rel=1e-11)
-    assert got.nodes == 1
+    monkeypatch.setattr(spectra, "newton_solve_radial", failing)
+    with pytest.raises(SolverError, match="could not isolate hydrogen level "
+                       "n=2, ell=0 in box 8: forced failure"):
+        hydrogen_confined(HydrogenSpec(2, 0, 2.0, 1.0, 8.0))
+    assert len(calls) == 1
 
 
 def test_hydrogen_root_with_a_zero_at_the_wall_counts_one_node():
@@ -1078,8 +1184,9 @@ def test_fd_grid_whose_spacing_squared_underflows():
 
 @pytest.mark.parametrize("R", [1e-3, 1e-2])
 def test_hydrogen_box_inside_the_bohr_radius_is_not_cut_short(R):
-    # From E_1 = -1 Newton's steps are capped at 0.3|lambda|; two capped
-    # steps with W' unchanged once read as converged, at lambda = -0.4.
+    # From E_1 = -1 the level lies about 1e7 (1e5) above: when Newton's
+    # steps were capped at 0.3|lambda|, two capped steps with W' unchanged
+    # once read as converged, at lambda = -0.4.
     spec = HydrogenSpec(n=1, ell=0, z=2.0, h=1.0, r_box=R)
     got = hydrogen_confined(spec)
     V = lambda x: -2.0 / x  # noqa: E731
@@ -1181,7 +1288,8 @@ def test_asymmetric_problems_shoot_both_sides(source, box, steps):
 @pytest.mark.parametrize("r_box", [1e-8, 1e-6, 1e-4])
 def test_tiny_coulomb_box_reaches_its_level(r_box):
     """The level sits near (pi h/R)^2, orders of magnitude above the seed
-    E_1 = -1, so Newton's first steps are capped: it must not stop on one."""
+    E_1 = -1, so Newton's first step is far longer than |lambda|: it must
+    not stop on one."""
     pair = hydrogen_confined(HydrogenSpec(n=1, ell=0, z=2.0, h=1.0, r_box=r_box))
     V = lambda x: -2.0 / x  # noqa: E731
     fd = fd_oracle(PotentialSpec("radial", V), RadialBox(r_box),

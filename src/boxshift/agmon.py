@@ -35,10 +35,13 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .errors import QuadratureError
+from .errors import QuadratureError, SolverError
 from .potentials import PotentialSpec
 
 _QUAD_TOL = 1e-12  # absolute and relative target of every quadrature
+_REACH_GROWTH = 1.25  # cap on |x|'s growth by a step out from a short point
+_REACH_ROUNDS = 60
+_REACH_TOL = 1e-9  # relative; AgmonProfile.reach aims this far past its target
 
 
 def adaptive_quadrature(f: Callable[[float], float], a: float,
@@ -107,7 +110,7 @@ def _phi_increment(p: PotentialSpec, a: float, b: float) -> float:
 
 
 class AgmonProfile:
-    """Cached phi and its derivative for one potential."""
+    """Cached phi, its derivative and its inverse for one potential."""
 
     def __init__(self, potential: PotentialSpec) -> None:
         self.potential = potential
@@ -122,16 +125,47 @@ class AgmonProfile:
             self._phi_cache[x] = agmon_distance(self.potential, x)
         return self._phi_cache[x]
 
-    def phi_increment(self, a: float, b: float) -> float:
-        """phi(b) - phi(a) for a and b on one side of the well bottom, from
-        one quadrature between them; not cached."""
-        return _phi_increment(self.potential, a, b)
-
     def phi_prime(self, x: float) -> float:
         v = self.potential.evaluate(x)
         if v < 0.0:
             raise QuadratureError(f"potential is negative at x={x:g} (V={v:g})")
         return math.copysign(math.sqrt(v), x)
+
+    def reach(self, target: float, side: float, r: float = 0.0,
+              phi_r: float = 0.0) -> tuple[float, float]:
+        """(x, phi(x)) where phi reaches ``target`` > 0 on the side that
+        ``side`` gives, walking from |x| = ``r``, where phi is ``phi_r``.
+
+        Newton steps on x^2 (exact for a harmonic well, and finite from the
+        bottom) carry phi by one quadrature each, inside a bracket whose
+        inner end is short of the target; a step that would leave it
+        bisects it, and a step out from a point reached short grows |x| by
+        at most ``_REACH_GROWTH``, so too shallow a tail raises SolverError.
+        The walk aims ``_REACH_TOL`` (relative) past the target and stops
+        within half that of its aim, a margin far above the quadratures'
+        rounding, so phi(x) integrated in full reaches the target too.
+        """
+        aim, grown = target * (1.0 + _REACH_TOL), math.inf
+        lo, hi = (r, math.inf) if phi_r < aim else (0.0, r)
+        for _ in range(_REACH_ROUNDS):
+            if abs(phi_r - aim) <= 0.5 * _REACH_TOL * target:
+                return side * r, phi_r
+            # d phi / d(x^2), omega/2 at the bottom.
+            slope = abs(self.phi_prime(side * r)) / (2.0 * r) if r \
+                else 0.5 * self.omega
+            s = r * r + (aim - phi_r) / slope if slope else math.inf
+            nxt = min(math.sqrt(max(s, 0.0)), grown)
+            if not lo < nxt < hi:
+                nxt = 0.5 * (lo + hi)
+            phi_r += _phi_increment(self.potential, side * r, side * nxt)
+            r = nxt
+            if phi_r < aim:
+                lo, grown = r, _REACH_GROWTH * r
+            else:
+                hi = r
+        raise SolverError(f"the tunnelling distance stays below {target:g} "
+                          f"out to |x| = {r:g}; the potential tail may be "
+                          "too shallow for this h")
 
 
 # --------------------------------------------------------------------------
@@ -145,10 +179,8 @@ def _log_amplitude(profile: AgmonProfile, power: int, level: float,
 
     K's integrand r(t) = omega/phi'(t) - 1/t is analytic at 0 but cancels
     two O(1/t) terms there, so on [0, s] (s = x/100) we integrate the cubic
-    through r at s, s/2, s/4, s/8 instead of sampling closer in.
+    through r at s, s/2, s/4, s/8 exactly instead of sampling closer in.
     """
-    import numpy as np
-
     if x == 0.0:
         return -math.inf if power > 0 else 0.0
     omega = profile.omega
@@ -157,12 +189,9 @@ def _log_amplitude(profile: AgmonProfile, power: int, level: float,
         return omega / profile.phi_prime(t) - 1.0 / t
 
     s = 0.01 * x
-    nodes = np.array([s / 8.0, s / 4.0, s / 2.0, s])
-    values = np.array([regular(t) for t in nodes])
-    # Exact-degree interpolation, then exact integration of the polynomial.
-    coeffs = np.linalg.solve(np.vander(nodes, 4, increasing=True), values)
-    head = sum(c * s ** (k + 1) / (k + 1) for k, c in enumerate(coeffs))
-    k_x = float(head + adaptive_quadrature(regular, s, x))
+    head = s * (32.0 / 63.0 * regular(s / 8.0) - 4.0 / 9.0 * regular(s / 4.0)
+                + 7.0 / 9.0 * regular(s / 2.0) + 10.0 / 63.0 * regular(s))
+    k_x = head + adaptive_quadrature(regular, s, x)
     ratio = profile.potential.evaluate(x) / (omega * x) ** 2
     return power * math.log(abs(x)) + level * k_x - 0.25 * math.log(ratio)
 

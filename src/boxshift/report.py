@@ -37,6 +37,7 @@ from .spectra import (
     confined_eigenvalue,
     fd_oracle,
     harmonic_level,
+    harmonic_spacing,
     hydrogen_confined,
     unconfined_eigenvalue,
 )
@@ -114,13 +115,11 @@ def run_shift_case(p: PotentialSpec, domain: Domain, mode: ModeSpec, *,
     if isinstance(domain, LineBox):
         prediction = shift_leading_line(p, domain, mode)
         span = (domain.left, domain.right)
-        gap = 2.0 * p.curvature_omega * mode.h  # harmonic level spacing
     else:
         if mode.nu is None:
             raise InvalidPotential("radial cases need nu")
         prediction = shift_leading_radial(p, domain.length, mode)
         span = (0.0, domain.length)
-        gap = 4.0 * p.curvature_omega * mode.h
 
     # The confined level comes first: the free level is one Newton on the
     # Wronskian of the well without walls, started at lambda_D, whose first
@@ -136,7 +135,7 @@ def run_shift_case(p: PotentialSpec, domain: Domain, mode: ModeSpec, *,
     # seed that far up stands for a higher level.
     shift = prediction.leading_value \
         if math.isfinite(prediction.leading_value) else 0.0
-    lam0 = harmonic_level(p, mode) + min(shift, gap)
+    lam0 = harmonic_level(p, mode) + min(shift, harmonic_spacing(p, mode))
     confined = confined_eigenvalue(p, domain, mode, lam0=lam0,
                                    rtol=integrate_tol)
     free = unconfined_eigenvalue(p, mode, rtol=integrate_tol,

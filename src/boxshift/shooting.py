@@ -686,7 +686,9 @@ def newton(match: Matching, lam0: float, *, rtol: float, scale: float,
     for, which loose and full shots agree on, else by the levels below
     it, and goes to the midpoint; with no side above m yet, to lo's
     distance from the floor doubled, up to top, where a level still above
-    raises SolverError.  A seed outside [floor, top) starts there.
+    raises SolverError.  A seed outside [floor, top) starts there.  A step
+    that lands below the floor by at most rtol*max(|lambda|, scale) stays
+    inside, since a level may lie a rounding above it.
 
     With ``flux``, ``match`` is that problem without walls, ``lam0`` is its
     box's Dirichlet level, and the first step is the flux step
@@ -751,8 +753,12 @@ def newton(match: Matching, lam0: float, *, rtol: float, scale: float,
             # no re-shoot, is at most (level, level) where lam is below it.
             counts = None if max(left.widest_turn, right.widest_turn) \
                 > _QUARTER_TURN else _counts(match, lam, tol, (left, right))
+            # A level can lie a rounding above the floor (E_n in a wide
+            # Coulomb box).
+            below = rtol * max(abs(lam), scale) if lo == floor else 0.0
             if counts and counts[0] != level or not (
-                    lo < lam + step.to_float() < (top if hi is None else hi)):
+                    lo - below < lam + step.to_float()
+                    < (top if hi is None else hi)):
                 lo, hi = (lam, hi) if (counts <= (level, level) if counts
                                        else step.sign > 0) else (lo, lam)
                 lam0, offset, last, flux = midpoint(), 0.0, None, None

@@ -48,9 +48,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 _PHI_MARGIN = 17.5  # in units of h; exp(-2*17.5) ~ 6e-16
-_WALL_GROWTH = 1.25  # bracket growth of the decaying-start search
-_WALL_ROUNDS = 40
-_WALL_XTOL = 1e-9  # absolute; walls sit at |x| = O(1)
 
 
 @dataclass(frozen=True)
@@ -128,6 +125,11 @@ def harmonic_level(p: PotentialSpec, mode: ModeSpec) -> float:
     return 2.0 * omega * (2 * mode.level + 1 + mode.nu) * mode.h
 
 
+def harmonic_spacing(p: PotentialSpec, mode: ModeSpec) -> float:
+    """The harmonic level spacing: 2*omega*h on the line, 4*omega*h radially."""
+    return (2.0 if mode.nu is None else 4.0) * p.curvature_omega * mode.h
+
+
 # --------------------------------------------------------------------------
 # Confined eigenvalues (shooting, node-verified)
 # --------------------------------------------------------------------------
@@ -151,10 +153,10 @@ def confined_eigenvalue(p: PotentialSpec, domain: Domain | Unwalled,
     # Newton ends where the pair can still be moved to its root; the builtin
     # harmonic's free level is closed form, so no flux step follows.
     keep = isinstance(domain, LineBox) and p.builtin != "harmonic"
-    # The harmonic level spacing: where a step's square is negligible
-    # against it, Newton's next step would be noise (``shooting.newton``).
+    # Where a step's square is negligible against the harmonic level
+    # spacing, Newton's next step would be noise (``shooting.newton``).
     try:
-        gap = (2.0 if mode.nu is None else 4.0) * p.curvature_omega * mode.h
+        gap = harmonic_spacing(p, mode)
     except InvalidPotential:  # a degenerate minimum has no harmonic level
         gap = None
     if domain.kind == "line":
@@ -257,10 +259,11 @@ def unconfined_eigenvalue(p: PotentialSpec, mode: ModeSpec, *,
     The same damping lets each start's margin leg, out to x_a where phi
     reaches phi(wall) + c*h (``shooting.damped_margin``), run at 1e-6 and
     the rest at the free shots' own tolerance r (rtol/2 on the line, rtol
-    radially): an error made there reaches the wall damped below r.  x_a
-    is found by Newton steps in from the start, where phi is known.  phi
-    is the distance at energy 0, which overstates the damping exponent for
-    a level near the wall's height, here and in the 17.5*h margin.
+    radially): an error made there reaches the wall damped below r.  Both
+    points come from ``AgmonProfile.reach``: the start out from the wall,
+    x_a in from the start, where phi is known.  phi is the distance at
+    energy 0, which overstates the damping exponent for a level near the
+    wall's height, here and in the 17.5*h margin.
 
     With ``box``, ``lam0`` must be the box's Dirichlet level: Newton starts
     there and its first step is the flux step, so the pair's ``offset`` is
@@ -296,18 +299,12 @@ def unconfined_eigenvalue(p: PotentialSpec, mode: ModeSpec, *,
     loose = shooting.damped_margin(0.5 * rtol if mode.nu is None else rtol)
 
     def end(wall: float, side: float) -> tuple[float, float | None]:
-        base = profile.phi(wall) if wall else 0.0
-        target = base + _PHI_MARGIN * h
-        # Where the harmonic approximation omega*x^2/2 of phi reaches it.
-        start = math.sqrt(2.0 * target / max(p.curvature_omega, 1e-6))
-        x = side * _first_wall(profile, target, side * start, h)
+        base = profile.phi(wall)
+        x, phi_x = profile.reach(base + _PHI_MARGIN * h, side, abs(wall), base)
         if loose >= _PHI_MARGIN:
             return x, None
-        # The margin leg's split: Newton in from x, where phi is known.
-        lo, hi = sorted((wall, x))
-        x_a = _phi_root(profile, base + loose * h, x, profile.phi(x),
-                        lo, hi, side)
-        return x, x_a if lo < x_a < hi else None
+        # The margin leg's split: in from x, where phi is known.
+        return x, profile.reach(base + loose * h, side, abs(x), phi_x)[0]
 
     right, right_a = end(walls[1], 1.0)
     if mode.nu is None:
@@ -333,57 +330,6 @@ def unconfined_eigenvalue(p: PotentialSpec, mode: ModeSpec, *,
                           box=box, box_level=lam0,
                           shift_estimate=shift_estimate)
     return confined_eigenvalue(p, domain, mode, lam0=lam0, rtol=rtol)
-
-
-def _first_wall(profile: AgmonProfile, target_phi: float, start: float,
-                h: float) -> float:
-    """|x| of the nearest point on the side of ``start`` where phi reaches
-    ``target_phi``: bracketed by growing ``start`` by 1.25, then root-found.
-
-    phi is carried from point to point, one quadrature between them, not
-    integrated from the well bottom at each.  The root is found by Newton
-    steps in from the bracket's outer end, since |phi'| = sqrt(V) costs one
-    evaluation of V; a step that would leave the bracket bisects it.  The
-    root is stepped just past the crossing and kept only if phi there,
-    integrated in full, is confirmed to reach the target; otherwise the
-    bracket's outer end, which is confirmed, serves as the wall.
-    """
-    inner, phi_inner, outer = 0.0, 0.0, start
-    for _ in range(_WALL_ROUNDS):
-        phi_outer = phi_inner + profile.phi_increment(inner, outer)
-        if phi_outer >= target_phi:
-            break
-        inner, phi_inner, outer = outer, phi_outer, outer * _WALL_GROWTH
-    else:
-        raise SolverError(
-            f"the tunnelling distance stays below {target_phi:g} out to "
-            f"|x| = {abs(inner):g} (h={h:g}); "
-            "the potential tail may be too shallow for this h")
-    lo, hi = sorted((inner, outer))  # phi crosses the target in between
-    x = _phi_root(profile, target_phi, outer, phi_outer, lo, hi, start)
-    wall = float(x) + math.copysign(2.0 * _WALL_XTOL, start)
-    return abs(wall) if profile.phi(wall) >= target_phi else abs(outer)
-
-
-def _phi_root(profile: AgmonProfile, target_phi: float, x: float,
-              phi_x: float, lo: float, hi: float, side: float) -> float:
-    """The point in [lo, hi], on the side of the well bottom that ``side``
-    gives, where phi reaches ``target_phi``: Newton steps from ``x``,
-    where phi is ``phi_x``, carrying phi from point to point; a step that
-    would leave the bracket bisects it."""
-    for _ in range(2 * _WALL_ROUNDS):  # bisection alone needs about 35
-        slope = profile.phi_prime(x)
-        step = (phi_x - target_phi) / slope if slope else math.inf
-        if abs(step) <= _WALL_XTOL or hi - lo <= _WALL_XTOL:
-            break
-        x_new = x - step if lo < x - step < hi else 0.5 * (lo + hi)
-        phi_x += profile.phi_increment(x, x_new)
-        x = x_new
-        if (phi_x < target_phi) == (side > 0.0):  # short of the target
-            lo = x                                 # on the right side
-        else:
-            hi = x
-    return x
 
 
 # --------------------------------------------------------------------------

@@ -99,6 +99,51 @@ def test_profile_derivative_consistency():
         assert profile.phi_prime(x) == pytest.approx(fd1, rel=1e-7)
 
 
+HUMP = "10*x^2*exp(-x^2) + 0.001*x^2"
+
+
+@pytest.mark.parametrize("target", [2.0, 2.8, 3.0])
+@pytest.mark.parametrize("side", [1.0, -1.0], ids=["right", "left"])
+def test_phi_reaches_its_target_past_a_hump_in_the_potential(target, side):
+    # V peaks near |x| = 1 and then sinks, so phi' is small past the hump.
+    # Out from the bottom the walk reaches the target from below; in from
+    # |x| = 4, where phi is 3.26, a Newton step would leave the bracket, and
+    # the walk must bisect instead.  The carried phi and a full quadrature
+    # differ by ulps, which the walk's margin above the target absorbs.
+    profile = AgmonProfile(from_expression(HUMP))
+    far = side * 4.0
+    for x, phi_x in (profile.reach(target, side),
+                     profile.reach(target, side, 4.0, profile.phi(far))):
+        assert math.copysign(1.0, x) == side
+        assert target <= profile.phi(x) <= target * (1.0 + 1e-6)
+        assert phi_x == pytest.approx(profile.phi(x), rel=1e-12)
+
+
+@pytest.mark.parametrize("source, kind, side", [
+    ("x^2 + x^4", "line", 1.0),
+    ("x^2 + 0.3*x^3 + x^4", "line", 1.0),
+    ("x^2 + 0.3*x^3 + x^4", "line", -1.0),
+    (HUMP, "line", 1.0),
+    ("x^2 + x^4", "radial", 1.0),
+], ids=["quartic", "asymmetric-right", "asymmetric-left", "hump",
+        "radial-quartic"])
+@pytest.mark.parametrize("h", [0.2, 0.05])
+def test_reach_walks_out_from_the_wall_and_back_in(source, kind, side, h):
+    # The decaying start's search: out from the wall at |x| = 1 to
+    # phi(1) + 17.5h, then in from there to phi(1) + 7h, the margin leg's
+    # split (spectra.unconfined_eigenvalue); and from the bottom to 17.5h.
+    profile = AgmonProfile(from_expression(source, kind=kind))
+    base = profile.phi(side)
+    start, phi_start = profile.reach(base + 17.5 * h, side, 1.0, base)
+    split, _ = profile.reach(base + 7.0 * h, side, abs(start), phi_start)
+    free, _ = profile.reach(17.5 * h, side)
+    for x, target in ((start, base + 17.5 * h), (split, base + 7.0 * h),
+                      (free, 17.5 * h)):
+        assert math.copysign(1.0, x) == side
+        assert target <= profile.phi(x) <= target * (1.0 + 1e-6)
+    assert 1.0 < abs(split) < abs(start)
+
+
 # -- transport prefactor -----------------------------------------------------------
 
 # wkb_prefactor_* return log a0; these give a0 itself.

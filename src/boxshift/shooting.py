@@ -688,7 +688,10 @@ def newton(match: Matching, lam0: float, *, rtol: float, scale: float,
     distance from the floor doubled, up to top, where a level still above
     raises SolverError.  A seed outside [floor, top) starts there.  A step
     that lands below the floor by at most rtol*max(|lambda|, scale) stays
-    inside, since a level may lie a rounding above it.
+    inside, since a level may lie a rounding above it.  An iterate at or
+    below the floor whose count puts the level below it would close the
+    bracket: a loose one is shot again in full, and a full one ends the
+    solve there, the level lying within its noise of the floor.
 
     With ``flux``, ``match`` is that problem without walls, ``lam0`` is its
     box's Dirichlet level, and the first step is the flux step
@@ -759,8 +762,17 @@ def newton(match: Matching, lam0: float, *, rtol: float, scale: float,
             if counts and counts[0] != level or not (
                     lo - below < lam + step.to_float()
                     < (top if hi is None else hi)):
-                lo, hi = (lam, hi) if (counts <= (level, level) if counts
-                                       else step.sign > 0) else (lo, lam)
+                below_it = counts <= (level, level) if counts \
+                    else step.sign > 0
+                if not below_it and lam <= lo:
+                    # Counted above a level that lies at most a rounding
+                    # above the floor: a loose count is noise, and lam is
+                    # shot again in full; a full one puts the level at lam.
+                    if tol > rtol:
+                        tol = rtol
+                        continue
+                    return solved(offset, shift)
+                lo, hi = (lam, hi) if below_it else (lo, lam)
                 lam0, offset, last, flux = midpoint(), 0.0, None, None
                 continue
         long = step.log_abs() > math.log(max(abs(lam), scale))

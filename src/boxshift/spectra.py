@@ -40,8 +40,8 @@ from .errors import (BoxshiftError, GridError, InvalidPotential, SeriesError,
                      SolverError)
 from .potentials import Domain, LineBox, PotentialSpec, RadialBox, v_on_grid
 from .scaled import ScaledValue
-from .shooting import (FrobeniusStart, Matching, ModeSpec, Unwalled,
-                       count_nodes_line, count_nodes_radial,
+from .shooting import (_FIRST_ZERO, FrobeniusStart, Matching, ModeSpec,
+                       Unwalled, count_nodes_line, count_nodes_radial,
                        newton_solve_line, newton_solve_radial)
 
 if TYPE_CHECKING:
@@ -612,10 +612,17 @@ def hydrogen_confined(spec: HydrogenSpec, *, rtol: float = 1e-12) -> Eigenpair:
     V = lambda x: -spec.z / x  # noqa: E731
     V.source = f"-{spec.z!r} / x"  # inlined by the integrator (see dop853)
     nu, h, L, m = spec.nu, spec.h, spec.r_box, spec.level
-    # At most the Coulomb length h^2/z: below lambda = 0, u's first zero
-    # lies beyond 3.67 h^2/z, and a zero before x0 escapes the node count
-    # (``FrobeniusStart.coulomb``).
-    x0 = min(0.1 * min(spec.n, 10) * h ** 2 / spec.z, 0.01 * L)
+    # The series start admits lambda while x0 (z + lambda x0) < 3.67 h^2
+    # (``FrobeniusStart.coulomb``).  x0 lies as far out as half that bound
+    # admits lam_up = (pi (m + 1 + nu/2) h/R)^2, the empty box's level with
+    # the same nu: x0 (z + lam_up x0) = c = 3.67 h^2/2, so top >= 2 lam_up.
+    # lam_up lies above the level, which -z/x only lowers, as j_(nu,m+1) <
+    # (m + 1 + nu/2) pi; so no zero of u before x0 escapes the node count.
+    # The root, 1/(p + hypot(p, q)) with p = z/(2c) and q = sqrt(lam_up/c),
+    # in which h cancels, stays finite where lam_up overflows; R/10 caps it.
+    p = spec.z / (_FIRST_ZERO * h * h)
+    q = math.pi * (m + 1 + 0.5 * nu) / (math.sqrt(0.5 * _FIRST_ZERO) * L)
+    x0 = min(1.0 / (p + math.hypot(p, q)), 0.1 * L)
     series = FrobeniusStart.coulomb(spec.z, spec.ell, h, x0)
     free = spec.energy_unconfined
     k = math.pi * h / L  # k * k, the empty box's level: inf where ** raises

@@ -16,7 +16,9 @@ not collect this module (its name does not start with ``test_``).
 * Exact Dirichlet levels in mpmath: the boxed harmonic from parabolic
   cylinder functions (``exact_harmonic_shift``) and the boxed Coulomb
   problem from the confluent hypergeometric function
-  (``exact_coulomb_level``).  Each takes the mpmath module, which the
+  (``exact_coulomb_level``), whose regular solution
+  (``coulomb_regular``) also counts its own sign changes
+  (``coulomb_sign_changes``).  Each takes the mpmath module, which the
   tests import or skip.
 """
 
@@ -233,33 +235,49 @@ def exact_harmonic_shift(mpmath, h: float, m: int) -> float:
         return float(2 * mpmath.mpf(h) * delta)
 
 
+def coulomb_regular(mpmath, spec: HydrogenSpec, lam, x):
+    """u(x) at ``lam`` for the solution regular at the origin, up to a
+    factor > 0, so with u's sign (u > 0 near 0); call it inside an mpmath
+    precision context.  Below 0 that solution is x^(ell+1) e^(-kx)
+    1F1(ell + 1 - kappa; 2 ell + 2; 2kx) with k = sqrt(-lambda)/h and
+    kappa = z/(2kh^2), and only the 1F1 is returned; above 0 it is the
+    Coulomb wave F_ell(eta, kx) with k = sqrt(lambda)/h and
+    eta = -z/(2kh^2)."""
+    h, z = mpmath.mpf(spec.h), mpmath.mpf(spec.z)
+    k = mpmath.sqrt(abs(lam)) / h
+    if lam > 0:
+        return mpmath.coulombf(spec.ell, -z / (2 * k * h * h), k * x)
+    # zeroprec: where 1F1 is a polynomial with a root at x, as for
+    # (n, ell) = (2, 1) at R = 6 (E_3 with the 3p node there), an exact
+    # zero is returned, not a failure to converge.
+    return mpmath.hyp1f1(spec.ell + 1 - z / (2 * k * h * h),
+                         2 * spec.ell + 2, 2 * k * x, zeroprec=1000)
+
+
+def coulomb_sign_changes(mpmath, spec: HydrogenSpec, lam: float,
+                         samples: int) -> int:
+    """Sign changes of the regular solution at ``lam`` on (0, r_box), at
+    ``samples`` points spaced quadratically: densest at the origin, where
+    the Coulomb term crowds the zeros."""
+    with mpmath.workdps(30):
+        signs = [mpmath.sign(coulomb_regular(
+                    mpmath, spec, mpmath.mpf(lam),
+                    spec.r_box * mpmath.mpf(i) ** 2 / samples ** 2))
+                 for i in range(1, samples)]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
 def exact_coulomb_level(mpmath, spec: HydrogenSpec, near: float):
     """The boxed Coulomb level of ``spec`` as an mpmath number (60 digits),
-    where the solution regular at the origin vanishes at the wall.  Below
-    0 that solution is x^(ell+1) e^(-kx) 1F1(ell + 1 - kappa; 2 ell + 2;
-    2kx) with k = sqrt(-lambda)/h and kappa = z/(2kh^2); above 0 it is the
-    Coulomb wave F_ell(eta, kx) with k = sqrt(lambda)/h and
-    eta = -z/(2kh^2).  The root is bracketed at (0.9, 1.1) times
-    ``near`` - E_n from E_n, ``near`` a level with that shift to within
-    10%: a box that crowds the levels above 0 puts the next one a few
-    times its shift from E_n."""
+    where the solution regular at the origin (``coulomb_regular``) vanishes
+    at the wall.  The root is bracketed at (0.9, 1.1) times ``near`` - E_n
+    from E_n, ``near`` a level with that shift to within 10%: a box that
+    crowds the levels above 0 puts the next one a few times its shift from
+    E_n."""
     with mpmath.workdps(60):
         h, z = mpmath.mpf(spec.h), mpmath.mpf(spec.z)
         e_n = -z * z / (4 * spec.n ** 2 * h * h)
         shift = mpmath.mpf(near) - e_n
-
-        def wall_value(lam):
-            k = mpmath.sqrt(abs(lam)) / h
-            if lam > 0:
-                return mpmath.coulombf(spec.ell, -z / (2 * k * h * h),
-                                       k * spec.r_box)
-            # zeroprec: where 1F1 is a polynomial with a root at the wall,
-            # as for (n, ell) = (2, 1) at R = 6 (E_3 with the 3p node
-            # there), an exact zero is returned, not a failure to converge.
-            return mpmath.hyp1f1(spec.ell + 1 - z / (2 * k * h * h),
-                                 2 * spec.ell + 2, 2 * k * spec.r_box,
-                                 zeroprec=1000)
-
         return mpmath.findroot(
-            wall_value, (e_n + shift * 0.9, e_n + shift * 1.1),
-            solver="anderson")
+            lambda lam: coulomb_regular(mpmath, spec, lam, spec.r_box),
+            (e_n + shift * 0.9, e_n + shift * 1.1), solver="anderson")

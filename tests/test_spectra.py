@@ -19,8 +19,8 @@ from scipy.linalg import eigh_tridiagonal
 from boxshift import (
     GridError, HydrogenSpec, InvalidPotential, LineBox, ModeSpec,
     PotentialSpec, RadialBox, confined_eigenvalue, fd_oracle, from_expression,
-    harmonic, resolve_potential, SolverError, hydrogen_confined, quartic,
-    unconfined_eigenvalue,
+    harmonic, resolve_potential, SeriesError, SolverError, hydrogen_confined,
+    quartic, unconfined_eigenvalue,
 )
 from boxshift import report, shooting, spectra
 from boxshift.agmon import AgmonProfile
@@ -30,7 +30,8 @@ from boxshift.report import run_hydrogen_case, run_shift_case
 from boxshift.shooting import (Matching, Unwalled, rhs_calls_taken,
                                steps_taken)
 from boxshift.spectra import harmonic_level
-from crosschecks import exact_coulomb_level, hydrogen_confined_via_oscillator
+from crosschecks import (coulomb_regular, coulomb_sign_changes,
+                         exact_coulomb_level, hydrogen_confined_via_oscillator)
 
 BOX = LineBox(-1.0, 1.0)
 
@@ -951,26 +952,99 @@ def test_high_hydrogen_level_in_a_wide_box_keeps_its_index(n):
         assert got.iterations <= 3
 
 
+# Levels of z=2, h=1, ell=0 in a box of 8: the Dirichlet roots of F_0 in 40
+# digits (mpmath.coulombf), each with n - 1 sign changes on (0, 8).
+FAST_HYDROGEN_LEVELS = {61: 572.19281642854895064, 100: 1540.3703187292854698,
+                        140: 3020.7269878787051269, 172: 4560.3338617963360751}
+
+
+@pytest.mark.parametrize("n", sorted(FAST_HYDROGEN_LEVELS))
+def test_hydrogen_level_far_above_a_fixed_series_start_is_reached(n):
+    # Started at x0 = 0.08, where u may vanish before x0 and escape the
+    # node count, these levels lay above the start's top and were refused.
+    # The start now lies where its top is at least twice the empty box's
+    # level, (pi (n + 1/4)/8)^2, above each of them.
+    got = hydrogen_confined(HydrogenSpec(n=n, ell=0, z=2.0, h=1.0,
+                                         r_box=8.0))
+    assert got.nodes == n - 1
+    assert got.value == pytest.approx(FAST_HYDROGEN_LEVELS[n], rel=1e-12)
+
+
 @pytest.mark.parametrize("n", [100, 140, 172])
-def test_hydrogen_level_with_a_zero_before_the_series_point_is_refused(n):
-    # In a box of 8 these levels oscillate so fast that u may vanish before
-    # x0 = 0.08, where the node count cannot see it; n = 140 read the level
-    # with 140 interior nodes, 3064.06, as its own.  The series start
-    # refuses lambda above (3.67/x0 - z)/x0 = 548.4375, and so does the
-    # bracket.
+def test_coulomb_series_refuses_a_level_above_its_top(n):
+    # At x0 = 0.08 the start refuses lambda above (3.67/x0 - z)/x0 =
+    # 548.4375, where u may vanish before x0: n = 140 read the level with
+    # 140 interior nodes, 3064.06, as its own.  So does a bracket with that
+    # top.
+    spec = HydrogenSpec(n=n, ell=0, z=2.0, h=1.0, r_box=8.0)
+    series = shooting.FrobeniusStart.coulomb(spec.z, spec.ell, spec.h, 0.08)
+    assert series.top == pytest.approx(548.4375, rel=1e-15)
+    with pytest.raises(SeriesError, match="lies above 548.43"):
+        series(FAST_HYDROGEN_LEVELS[n])
+    V = lambda x: -spec.z / x  # noqa: E731
+    V.source = f"-{spec.z!r} / x"
+    free = spec.energy_unconfined
     with pytest.raises(SolverError, match=r"lies above lambda=548\.43"):
-        hydrogen_confined(HydrogenSpec(n=n, ell=0, z=2.0, h=1.0, r_box=8.0))
+        shooting.newton_solve_radial(
+            V, spec.nu, spec.h, spec.r_box, free, series_start=series,
+            rtol=1e-12, lambda_scale=(math.pi / spec.r_box) ** 2,
+            bracket=(spec.level, free, series.top))
 
 
 def test_hydrogen_level_just_below_the_series_start_top_is_reached():
-    # Level 57 at R = 8 lies at 517.15, below the start's top 548.44 but
-    # past half of it, where the bracket's doubling would overshoot; it
-    # stops at the top instead.  Reference: the Dirichlet root of F_0 in
-    # 40 digits, 57 sign changes on (0, 8).
+    # Level 57 at R = 8 lies at 517.15, below the top 548.44 of the series
+    # start at x0 = 0.08, and past half of it, where the bracket's doubling
+    # would overshoot; it stopped at that top instead.  The start now lies
+    # where its top is at least 2 (pi (58 + 1/4)/8)^2 = 1047.  Reference:
+    # the Dirichlet root of F_0 in 40 digits, 57 sign changes on (0, 8).
     got = hydrogen_confined(HydrogenSpec(n=58, ell=0, z=2.0, h=1.0,
                                          r_box=8.0))
     assert got.nodes == 57
     assert got.value == pytest.approx(517.1514835950042, rel=1e-12)
+
+
+def _check_exact_hydrogen_level(spec: HydrogenSpec, value: float) -> None:
+    """The exact solution regular at the origin counts its own zeros: below
+    ``value`` by the tolerance 1e-10 max(|value|, |E_n|), it has level sign
+    changes on (0, R), and across the tolerance its wall value changes
+    sign, so the exact root lies within the tolerance of ``value``."""
+    mpmath = pytest.importorskip("mpmath")
+    tol = 1e-10 * max(abs(value), abs(spec.energy_unconfined))
+    assert coulomb_sign_changes(mpmath, spec, value - tol,
+                                32 * (spec.level + 1)) == spec.level
+    with mpmath.workdps(60):
+        lo, hi = (coulomb_regular(mpmath, spec, mpmath.mpf(value) + d,
+                                  spec.r_box) for d in (-tol, tol))
+    assert lo * hi < 0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(z=st.sampled_from([1.0, 2.0, 3.0]), h=st.sampled_from([0.5, 1.0]),
+       n=st.integers(1, 6), data=st.data(), R=st.floats(0.5, 30.0))
+def test_hydrogen_level_is_the_exact_root_with_its_node_count(z, h, n, data,
+                                                               R):
+    # The series start lies as far out as its Sturm bound allows; a zero
+    # before it would escape the node count, and the level found would be
+    # the next one, which the exact solution's own count would show.
+    spec = HydrogenSpec(n=n, ell=data.draw(st.integers(0, n - 1)), z=z, h=h,
+                        r_box=R)
+    got = hydrogen_confined(spec)
+    assert got.nodes == spec.level
+    _check_exact_hydrogen_level(spec, got.value)
+
+
+@pytest.mark.parametrize("z,h,n,ell,R", [
+    (2.0, 0.5, 3, 2, 14.0), (3.0, 0.5, 3, 1, 20.0), (3.0, 1.0, 2, 1, 25.0)])
+def test_hydrogen_level_within_noise_of_its_floor_is_reached(z, h, n, ell,
+                                                             R):
+    # These levels lie within 1e-9 of E_n, the bracket's floor, where a
+    # loose shot at E_n counted itself above the level: the bracket closed
+    # on E_n and Newton ran out its 50 iterations.  A full shot at E_n now
+    # settles it.
+    spec = HydrogenSpec(n=n, ell=ell, z=z, h=h, r_box=R)
+    got = hydrogen_confined(spec)
+    assert got.nodes == spec.level
+    _check_exact_hydrogen_level(spec, got.value)
 
 
 def test_node_check_rescues_a_wrong_basin_start():
